@@ -312,17 +312,6 @@ class ClassicalCatalog:
             raise KeyError(f"unknown classical series {name!r}")
         return table[low]()
 
-    def identity_residuals(self) -> dict[str, float]:
-        """Level-one and level-two defining identities in one dictionary.
-
-        The level-two identities involve series whose coefficients grow
-        exponentially, so they only fit double precision at moderate orders;
-        callers wanting order-200 level-one checks should use
-        :meth:`level_one_residuals` on a large catalog and
-        :meth:`level_two_residuals` on a smaller one.
-        """
-        return {**self.level_one_residuals(), **self.level_two_residuals()}
-
     def level_one_residuals(self) -> dict[str, float]:
         """Relative residuals of the level-one identity suite (nome q)."""
         e2, e4, e6 = (self.eisenstein(k) for k in (2, 4, 6))

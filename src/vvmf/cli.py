@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -238,8 +238,16 @@ def _basis_json(basis: FormBasis) -> list:
 def run(job: JobSpec) -> ResultEnvelope:
     """Dispatch a validated job through the pipeline and collect results."""
     t0 = time.perf_counter()
-    if job.precision == "extended":
-        mpmath.mp.dps = 50
+    # extended jobs build their catalog constants at 50 digits; the scope
+    # leaves the process-global mpmath precision as it found it
+    scope = mpmath.workdps(50) if job.precision == "extended" else nullcontext()
+    with scope:
+        env = _dispatch(job)
+    env.timing = time.perf_counter() - t0
+    return env
+
+
+def _dispatch(job: JobSpec) -> ResultEnvelope:
     env = ResultEnvelope(job=job.raw)
 
     if job.command == "check":
@@ -304,7 +312,6 @@ def run(job: JobSpec) -> ResultEnvelope:
         env.basis = _basis_json(basis)
         env.residuals.update(basis.residuals)
 
-    env.timing = time.perf_counter() - t0
     return env
 
 

@@ -44,6 +44,7 @@ from .mlde import (
     frobenius_solve,
     hypergeom_2f1,
     indicial_shifts,
+    kline_precision,
     modular_derivative,
     nearest_int,
     noncyclic_coeffs,
@@ -74,8 +75,8 @@ from .series import (
     cexp,
     clog,
     compose_frobenius,
-    composition_dps,
     downcast_to_complex,
+    even_odd_parts,
     relative_residual,
 )
 
@@ -106,29 +107,50 @@ class Rank2MinimalForm:
     eta_component: PuiseuxSeries | None = None
 
 
-def rank2_kline_pair(
-    L: ExponentData, order: int, lift: bool = False
-) -> tuple[PuiseuxSeries, PuiseuxSeries]:
+def rank2_kline_pair(L: ExponentData, order: int) -> tuple[PuiseuxSeries, PuiseuxSeries]:
     """Weight-zero K-line solutions K^{f_i} 2F1(f_i, f_i + 1/3; 1 +- delta; K)
     with f_i = (6(r_i - r_j) + 1)/12 the shifted exponents.
 
-    With ``lift`` the parameters enter as mpmath numbers, so the series is
-    accurate at the ambient working precision (needed before substituting
-    the hauptmodul, which cancels catastrophically)."""
+    The parameters enter as mpmath numbers, so the series is accurate at the
+    ambient working precision (needed before substituting the hauptmodul,
+    which cancels catastrophically); the lead exponents sum to exactly 1/6."""
     r1, r2 = L.eigenvalues
     delta = r1 - r2
     if nearest_int(delta) is not None:
         raise ResonantExponents(
             f"exponent gap {delta!r} is an integer; hypergeometric pair degenerates"
         )
-    if lift:
-        delta = mpmath.mpc(delta)
+    delta = mpmath.mpc(delta)
     third = Fraction(1, 3)
     out = []
     for f, cpar in (((6 * delta + 1) / 12, delta + 1), ((-6 * delta + 1) / 12, -delta + 1)):
         hyp = hypergeom_2f1(f, f + third, cpar, order)
         out.append(PuiseuxSeries(Nome.K, f, hyp.coeffs))
     return tuple(out)
+
+
+def _rank2_weight(rep: Rank2Rep, L: ExponentData) -> int:
+    """Validate a rank-2 input and return its minimal weight 6 Tr(L) - 1."""
+    if not rank2_is_irreducible(rep):
+        raise ReducibleRep("rank-2 minimal forms require an irreducible representation")
+    if L.group is not Group.GAMMA:
+        raise GroupMismatch("rank-2 minimal forms use exponents for the full group")
+    if L.rank != 2:
+        raise WrongRank(f"need 2 exponent eigenvalues, got {L.rank}")
+    k1 = require_int(6 * L.trace - 1, "6*Tr(L)-1")
+    L.validate_against([rep.x] if rep.jordan else rep.t_eigenvalues())
+    return k1
+
+
+def _rank2_stage(
+    L: ExponentData, k1: int, order: int, catalog: ClassicalCatalog, k_of_q: PuiseuxSeries
+) -> tuple[tuple[PuiseuxSeries, PuiseuxSeries], VectorSeries]:
+    """The lifted K-line pair and the minimal form eta^{2 k1} pair(K(q)), at
+    the working precision of the enclosing :func:`kline_precision` block
+    (the substitution cancels down from the scale of K's coefficients)."""
+    pair = rank2_kline_pair(L, order)
+    eta = catalog.eta_power(2 * k1)
+    return pair, VectorSeries(tuple(compose_frobenius(s, k_of_q) * eta for s in pair), k1)
 
 
 def rank2_minimal(
@@ -144,53 +166,22 @@ def rank2_minimal(
     coordinate tau * eta^{2k1+2}, which is not a q-series; only the second
     coordinate is emitted, flagged by ``source``.
     """
-    if not rank2_is_irreducible(rep):
-        raise ReducibleRep("rank-2 minimal forms require an irreducible representation")
-    if L.group is not Group.GAMMA:
-        raise GroupMismatch("rank-2 minimal forms use exponents for the full group")
-    if L.rank != 2:
-        raise WrongRank(f"need 2 exponent eigenvalues, got {L.rank}")
-    k1 = require_int(6 * L.trace - 1, "6*Tr(L)-1")
+    k1 = _rank2_weight(rep, L)
     if rep.jordan:
-        L.validate_against([rep.x])
         return Rank2MinimalForm(
             k1,
             NU_CHI,
             components=None,
             eta_component=catalog.eta_power(2 * k1 + 2),
         )
-    L.validate_against(rep.t_eigenvalues())
-    pair = rank2_kline_pair(L, order)
-    k_of_q = catalog.k_hauptmodul().truncate(order)
-    # the substitution cancels down from the scale of K's coefficients, so it
-    # runs at a working precision sized to that scale
-    with mpmath.workdps(composition_dps(k_of_q)):
-        pair_hp = rank2_kline_pair(L, order, lift=True)
-        comps = tuple(
-            downcast_to_complex(compose_frobenius(s, k_of_q)) for s in pair_hp
-        )
-    eta = catalog.eta_power(2 * k1)
-    comps = tuple(c * eta for c in comps)
-    return Rank2MinimalForm(k1, HYPERGEOMETRIC, VectorSeries(comps, k1), pair)
-
-
-def _lifted_pair_exponents(L: ExponentData) -> tuple:
-    """Shifted K-line exponents ((6 delta + 1)/12, (-6 delta + 1)/12) built
-    from the lifted eigenvalue gap, exactly as the hypergeometric pair does;
-    their sum is exactly 1/6 by construction."""
-    delta = mpmath.mpc(L.eigenvalues[0] - L.eigenvalues[1])
-    return ((6 * delta + 1) / 12, (-6 * delta + 1) / 12)
-
-
-def _rank2_q_components_hp(
-    L: ExponentData, k1: int, order: int, catalog: ClassicalCatalog
-) -> tuple[PuiseuxSeries, PuiseuxSeries]:
-    """q-components of the rank-2 minimal form at working precision (must run
-    inside an mpmath.workdps context)."""
-    pair_hp = rank2_kline_pair(L, order, lift=True)
-    k_of_q = catalog.k_hauptmodul().truncate(order)
-    eta = catalog.eta_power(2 * k1)
-    return tuple(compose_frobenius(s, k_of_q) * eta for s in pair_hp)
+    with kline_precision(catalog, order) as k_of_q:
+        pair, F = _rank2_stage(L, k1, order, catalog, k_of_q)
+    return Rank2MinimalForm(
+        k1,
+        HYPERGEOMETRIC,
+        F.map(downcast_to_complex),
+        tuple(downcast_to_complex(s) for s in pair),
+    )
 
 
 def _kronecker(a: VectorSeries, b: VectorSeries, weight) -> VectorSeries:
@@ -224,43 +215,39 @@ def tensor_pipeline(
             "series output for the Jordan family is out of scope; both factors "
             "must be T-regular"
         )
-    A = rank2_minimal(alpha, L1, order, catalog)
-    B = rank2_minimal(beta, L2, order, catalog)
+    ka = _rank2_weight(alpha, L1)
+    kb = _rank2_weight(beta, L2)
     L12 = tensor_exponents(L1, L2)
     rep4 = rank4_from_tensor(alpha, beta)
     report = classify(rep4, L12)
     if report.case != NONCYCLIC:
         raise NotIrreducible("tensor products always land in the noncyclic case")
-    f_exps = indicial_shifts(L12.eigenvalues, NONCYCLIC)
-    co = noncyclic_coeffs(f_exps)
-    scalar_op = build_noncyclic_operator(co)
-    kline = [sa * sb for sa in A.kline_components for sb in B.kline_components]
-    kline_res = max(operator_residual(scalar_op, s) for s in kline)
 
     # the Kronecker form and the whole noncyclic assembly (it divides by E_4)
     # are carried at working precision and downcast on emission; the shifted
-    # exponents are rebuilt from the same lifted gaps as the hypergeometric
-    # pair so the quartic's roots match the product's exponents exactly
-    k_of_q = catalog.k_hauptmodul().truncate(order)
-    dps = max(composition_dps(k_of_q), 45 + int(2.4 * order))
-    with mpmath.workdps(dps):
-        ca = _rank2_q_components_hp(L1, A.k1, order, catalog)
-        cb = _rank2_q_components_hp(L2, B.k1, order, catalog)
-        F_hp = VectorSeries(
-            tuple(sa * sb for sa in ca for sb in cb), Fraction(report.k1)
-        )
+    # exponents are the sums of the lifted pairs' lead exponents, so the
+    # quartic's roots match the product's exponents exactly
+    with kline_precision(catalog, order) as k_of_q:
+        pair_a, A = _rank2_stage(L1, ka, order, catalog, k_of_q)
+        pair_b, B = _rank2_stage(L2, kb, order, catalog, k_of_q)
+        F_hp = _kronecker(A, B, report.k1)
         f_hp = [
-            fa + fb
-            for fa in _lifted_pair_exponents(L1)
-            for fb in _lifted_pair_exponents(L2)
+            sa.lead_exponent + sb.lead_exponent for sa in pair_a for sb in pair_b
         ]
         basis = assemble_noncyclic_basis(F_hp, noncyclic_coeffs(f_hp), catalog, report)
 
-    dA = modular_derivative(A.components, A.k1, catalog)
-    dB = modular_derivative(B.components, B.k1, catalog)
-    leibniz = _kronecker(dA, B.components, report.k1 + 2) + _kronecker(
-        A.components, dB, report.k1 + 2
+    scalar_op = build_noncyclic_operator(
+        noncyclic_coeffs(indicial_shifts(L12.eigenvalues, NONCYCLIC))
     )
+    kline_a = [downcast_to_complex(s) for s in pair_a]
+    kline_b = [downcast_to_complex(s) for s in pair_b]
+    kline_res = max(
+        operator_residual(scalar_op, sa * sb) for sa in kline_a for sb in kline_b
+    )
+    A, B = A.map(downcast_to_complex), B.map(downcast_to_complex)
+    dA = modular_derivative(A, ka, catalog)
+    dB = modular_derivative(B, kb, catalog)
+    leibniz = _kronecker(dA, B, report.k1 + 2) + _kronecker(A, dB, report.k1 + 2)
     res = dict(basis.residuals)
     res["kline_scalar_ode"] = kline_res
     res["tensor_product_rule"] = relative_residual(basis.forms[1] - leibniz, leibniz)
@@ -298,25 +285,31 @@ def sym3_pipeline(
         raise ResonantExponents(
             "series output for the Jordan family is out of scope"
         )
-    A = rank2_minimal(alpha, L, order, catalog)
+    k1 = _rank2_weight(alpha, L)
     S3L = sym3_exponents(L)
     rep4 = rank4_from_sym3(alpha)
     report = classify(rep4, S3L)
     if report.case != CYCLIC:
         raise NotIrreducible("symmetric cubes always land in the cyclic case")
-    f_exps = indicial_shifts(S3L.eigenvalues, CYCLIC)
-    co = cyclic_coeffs(f_exps)
-    scalar_op = build_cyclic_operator(co)
-    fa, ga = A.kline_components
-    kline = [fa**3, fa**2 * ga, fa * ga**2, ga**3]
-    kline_res = max(operator_residual(scalar_op, s) for s in kline)
+    co = cyclic_coeffs(indicial_shifts(S3L.eigenvalues, CYCLIC))
 
-    f, g = A.components.components
-    F = VectorSeries((f**3, f**2 * g, f * g**2, g**3), Fraction(report.k1))
+    with kline_precision(catalog, order) as k_of_q:
+        pair, A = _rank2_stage(L, k1, order, catalog, k_of_q)
+        F = VectorSeries(_cube(*A.components), Fraction(report.k1))
+    F = F.map(downcast_to_complex)
+    scalar_op = build_cyclic_operator(co)
+    kline = _cube(*(downcast_to_complex(s) for s in pair))
+    kline_res = max(operator_residual(scalar_op, s) for s in kline)
     basis = assemble_cyclic_basis(F, co, catalog, report)
     res = dict(basis.residuals)
     res["kline_scalar_ode"] = kline_res
     return FormBasis(basis.forms, report, res)
+
+
+def _cube(f: PuiseuxSeries, g: PuiseuxSeries) -> tuple[PuiseuxSeries, ...]:
+    """(f^3, f^2 g, f g^2, g^3), forming each square once."""
+    f2, g2 = f * f, g * g
+    return (f2 * f, f2 * g, f * g2, g2 * g)
 
 
 # ---------------------------------------------------------------------------
@@ -486,16 +479,6 @@ def induce_to_gamma(
             )
     slashed = tuple(c.slash_t_inverse() for c in F.components)
     return VectorSeries(F.components + slashed, F.weight)
-
-
-def even_odd_parts(s: PuiseuxSeries) -> tuple[PuiseuxSeries, PuiseuxSeries]:
-    """F + e^{pi i lam} F|T^{-1} (even q2-offsets survive) and
-    F - e^{pi i lam} F|T^{-1} (odd offsets survive)."""
-    lam = s.lead_exponent
-    pi = mpmath.pi if isinstance(lam, (mpmath.mpf, mpmath.mpc)) else cmath.pi
-    phase = cexp(1j * pi * lam)
-    sl = s.slash_t_inverse().scale(phase)
-    return s + sl, s - sl
 
 
 def even_odd_residual(s: PuiseuxSeries) -> float:

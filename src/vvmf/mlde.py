@@ -10,6 +10,7 @@ assemblers below are the computational core of every construction.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from .series import (
     compose_frobenius,
     composition_dps,
     downcast_to_complex,
+    even_odd_parts,
     nearest_int,
     relative_residual,
     require_int,
@@ -592,12 +594,7 @@ def assemble_noncyclic_basis(
         tuple(c.divide(e4) for c in (dH - bE4DF).components), k1 + 2
     ).scale(1 / co.c)
 
-    def down(v: VectorSeries) -> VectorSeries:
-        return VectorSeries(
-            tuple(downcast_to_complex(c) for c in v.components), v.weight
-        )
-
-    Fd, DFd, Gd, Hd = down(F), down(d1), down(G), down(H)
+    Fd, DFd, Gd, Hd = (v.map(downcast_to_complex) for v in (F, d1, G, H))
     a, b, c = (as_complex(v) for v in (co.a, co.b, co.c))
     d2d = modular_derivative(DFd, k1 + 2, catalog)
     dGd = modular_derivative(Gd, k1 + 2, catalog)
@@ -631,6 +628,82 @@ def _check_nonresonant(exponents) -> None:
                 )
 
 
+@contextmanager
+def kline_precision(catalog: ClassicalCatalog, order: int):
+    """K(q) through q^order, yielded inside an mpmath working precision sized
+    to substituting it (:func:`composition_dps`); every K-line pipeline runs
+    its working-precision block here."""
+    k_of_q = catalog.k_hauptmodul().truncate(order)
+    with mpmath.workdps(composition_dps(k_of_q)):
+        yield k_of_q
+
+
+def _recursive_stage(
+    rep: Rank4Rep,
+    L: ExponentData,
+    order: int,
+    catalog: ClassicalCatalog,
+    validate_spectrum: bool,
+    basis: bool,
+):
+    """Validate, classify, shift, check resonance, then solve near K = 0,
+    substitute K(q) and rescale by eta^{2 k1} in one working-precision block.
+
+    Returns (report, double coefficients, minimal form or basis, K-line
+    residuals).  With ``basis`` the case's free basis is assembled in the
+    same block (the noncyclic assembly divides by E_4 and needs the working
+    precision); everything emitted is downcast to double once.
+    """
+    if validate_spectrum:
+        L.validate_against(rep.t_eigenvalues())
+    report = classify(rep, L)
+    f_exps = indicial_shifts(L.eigenvalues, report.case)
+    _check_nonresonant(f_exps)
+    cyclic = report.case == CYCLIC
+    co = cyclic_coeffs(f_exps) if cyclic else noncyclic_coeffs(f_exps)
+    with kline_precision(catalog, order) as k_of_q:
+        f_hp = recenter_exponents(
+            [mpmath.mpc(as_complex(f)) for f in f_exps], 1 if cyclic else Fraction(2, 3)
+        )
+        if cyclic:
+            co_hp = cyclic_coeffs(f_hp)
+            op = build_cyclic_operator(co_hp)
+            rows_hp = [(frobenius_solve(op, f, order),) for f in f_hp]
+        else:
+            co_hp = noncyclic_coeffs(f_hp)
+            b0, b1 = build_noncyclic_system(co_hp)
+            rows_hp = [
+                frobenius_solve_system(b0, b1, f, left_eigenvector(b0, f), order)
+                for f in f_hp
+            ]
+        eta = catalog.eta_power(2 * report.k1)
+        F_hp = VectorSeries(
+            tuple(compose_frobenius(r[0], k_of_q) * eta for r in rows_hp), report.k1
+        )
+        if basis and not cyclic:
+            out = assemble_noncyclic_basis(F_hp, co_hp, catalog, report)
+        else:
+            out = F_hp.map(downcast_to_complex)
+            if basis:
+                out = assemble_cyclic_basis(out, co, catalog, report)
+    rows = [tuple(downcast_to_complex(s) for s in r) for r in rows_hp]
+    return report, co, out, _kline_diagnostics(co, rows)
+
+
+def _kline_diagnostics(co: ODECoefficients, rows) -> dict[str, float]:
+    """Self-residuals of the downcast K-line solutions (one tuple of rows per
+    exponent; the first row is the scalar solution)."""
+    if co.case == CYCLIC:
+        op = build_cyclic_operator(co)
+        return {"frobenius_self": max(operator_residual(op, r[0]) for r in rows)}
+    b0, b1 = build_noncyclic_system(co)
+    op = build_noncyclic_operator(co)
+    return {
+        "system_self": max(system_residual(b0, b1, r) for r in rows),
+        "scalar_crosscheck": max(operator_residual(op, r[0]) for r in rows),
+    }
+
+
 def solve_minimal_form(
     rep: Rank4Rep,
     L: ExponentData,
@@ -645,73 +718,10 @@ def solve_minimal_form(
     Returns (F, report, coefficients, residuals) with F the minimal-weight
     form whose component j has leading q-exponent L.eigenvalues[j].
     """
-    if validate_spectrum:
-        L.validate_against(rep.t_eigenvalues())
-    report = classify(rep, L)
-    f_exps = indicial_shifts(L.eigenvalues, report.case)
-    _check_nonresonant(f_exps)
-    k_of_q = catalog.k_hauptmodul().truncate(order)
-    # solve and substitute at a precision sized to the hauptmodul's
-    # coefficient growth; the q-expansion coefficients themselves are modest
-    with mpmath.workdps(composition_dps(k_of_q)):
-        tilde_hp, F_hp, _ = _hp_minimal_stage(report, f_exps, order, catalog)
-        F = VectorSeries(
-            tuple(downcast_to_complex(c) for c in F_hp.components), report.k1
-        )
-    tilde = [downcast_to_complex(t) for t in tilde_hp]
-    co, residuals = _kline_diagnostics(report, f_exps, tilde, order)
-    return F, report, co, residuals
-
-
-def _hp_minimal_stage(report: CaseReport, f_exps, order: int, catalog: ClassicalCatalog):
-    """Solve near K = 0, substitute K(q) and rescale by eta^{2 k1}.
-
-    Must run inside an mpmath.workdps context; returns the K-line solutions,
-    the minimal form (both at working precision) and the coefficients."""
-    k_of_q = catalog.k_hauptmodul().truncate(order)
-    target = 1 if report.case == CYCLIC else Fraction(2, 3)
-    f_hp = recenter_exponents([mpmath.mpc(as_complex(f)) for f in f_exps], target)
-    if report.case == CYCLIC:
-        co_hp = cyclic_coeffs(f_hp)
-        op = build_cyclic_operator(co_hp)
-        tilde_hp = [frobenius_solve(op, f, order) for f in f_hp]
-    else:
-        co_hp = noncyclic_coeffs(f_hp)
-        b0, b1 = build_noncyclic_system(co_hp)
-        tilde_hp = [
-            frobenius_solve_system(b0, b1, f, left_eigenvector(b0, f), order)[0]
-            for f in f_hp
-        ]
-    eta = catalog.eta_power(2 * report.k1)
-    components = tuple(
-        compose_frobenius(t, k_of_q) * eta for t in tilde_hp
+    report, co, F, residuals = _recursive_stage(
+        rep, L, order, catalog, validate_spectrum, basis=False
     )
-    return tilde_hp, VectorSeries(components, report.k1), co_hp
-
-
-def _kline_diagnostics(report: CaseReport, f_exps, tilde, order: int):
-    """Self-residuals of the K-line solutions in double precision."""
-    residuals: dict[str, float] = {}
-    if report.case == CYCLIC:
-        co = cyclic_coeffs(f_exps)
-        residuals["frobenius_self"] = max(
-            operator_residual(build_cyclic_operator(co), t) for t in tilde
-        )
-    else:
-        co = noncyclic_coeffs(f_exps)
-        b0, b1 = build_noncyclic_system(co)
-        residuals["system_self"] = max(
-            system_residual(
-                b0,
-                b1,
-                frobenius_solve_system(b0, b1, f, left_eigenvector(b0, f), order),
-            )
-            for f in f_exps
-        )
-        residuals["scalar_crosscheck"] = max(
-            operator_residual(build_noncyclic_operator(co), t) for t in tilde
-        )
-    return co, residuals
+    return F, report, co, residuals
 
 
 def generic_basis(
@@ -723,24 +733,9 @@ def generic_basis(
 ) -> FormBasis:
     """Recursive route end to end: minimal form plus the case-appropriate
     free basis, with the noncyclic assembly done at working precision."""
-    if validate_spectrum:
-        L.validate_against(rep.t_eigenvalues())
-    report = classify(rep, L)
-    f_exps = indicial_shifts(L.eigenvalues, report.case)
-    _check_nonresonant(f_exps)
-    k_of_q = catalog.k_hauptmodul().truncate(order)
-    dps = max(composition_dps(k_of_q), 45 + int(2.4 * order))
-    with mpmath.workdps(dps):
-        tilde_hp, F_hp, co_hp = _hp_minimal_stage(report, f_exps, order, catalog)
-        if report.case == CYCLIC:
-            F = VectorSeries(
-                tuple(downcast_to_complex(c) for c in F_hp.components), report.k1
-            )
-            basis = assemble_cyclic_basis(F, cyclic_coeffs(f_exps), catalog, report)
-        else:
-            basis = assemble_noncyclic_basis(F_hp, co_hp, catalog, report)
-    tilde = [downcast_to_complex(t) for t in tilde_hp]
-    _, residuals = _kline_diagnostics(report, f_exps, tilde, order)
+    report, _, basis, residuals = _recursive_stage(
+        rep, L, order, catalog, validate_spectrum, basis=True
+    )
     residuals.update(basis.residuals)
     return FormBasis(basis.forms, report, residuals)
 
@@ -769,8 +764,6 @@ def basis_rank_ratio(basis: FormBasis, split_q2: bool = False) -> float:
     q2-offset parts instead, where the exponents separate.
     """
     if split_q2:
-        from .constructions import even_odd_parts
-
         cols = []
         for f in basis.forms:
             row = []

@@ -119,11 +119,6 @@ class PuiseuxSeries:
         return PuiseuxSeries.polynomial(nome, [1], order)
 
     @staticmethod
-    def monomial(nome: Nome, exponent, value, order: int) -> "PuiseuxSeries":
-        coeffs = [value] + [0] * order
-        return PuiseuxSeries(Nome(nome), exponent, tuple(coeffs))
-
-    @staticmethod
     def polynomial(nome: Nome, coeffs: Sequence, order: int) -> "PuiseuxSeries":
         """Exact polynomial, zero-padded to the requested truncation order."""
         cs = list(coeffs)[: order + 1]
@@ -390,39 +385,20 @@ class PuiseuxSeries:
         return PuiseuxSeries(Nome(data["nome"]), lam, coeffs)
 
 
-def lift_to_mp(s: PuiseuxSeries) -> PuiseuxSeries:
-    """Coefficients and exponent as mpmath numbers (exact for ints/floats)."""
-    return PuiseuxSeries(
-        s.nome, mpmath.mpc(s.lead_exponent), tuple(mpmath.mpc(c) for c in s.coeffs)
-    )
+def even_odd_parts(s: PuiseuxSeries) -> tuple[PuiseuxSeries, PuiseuxSeries]:
+    """F + e^{pi i lam} F|T^{-1} (even q2-offsets survive) and
+    F - e^{pi i lam} F|T^{-1} (odd offsets survive)."""
+    lam = s.lead_exponent
+    pi = mpmath.pi if isinstance(lam, _MP_SCALARS) else cmath.pi
+    phase = cexp(1j * pi * lam)
+    sl = s.slash_t_inverse().scale(phase)
+    return s + sl, s - sl
 
 
 def downcast_to_complex(s: PuiseuxSeries) -> PuiseuxSeries:
     return PuiseuxSeries(
         s.nome, as_complex(s.lead_exponent), tuple(as_complex(c) for c in s.coeffs)
     )
-
-
-def log10_max_abs(s: PuiseuxSeries) -> float:
-    """log10 of the largest coefficient magnitude; robust to huge exact ints."""
-    import math
-
-    best = 0.0
-    for c in s.coeffs:
-        if isinstance(c, int):
-            if c == 0:
-                continue
-            v = (abs(c).bit_length() - 1) * 0.3010299956639812
-        else:
-            a = abs(c)
-            if a == 0:
-                continue
-            try:
-                v = math.log10(float(a))
-            except (OverflowError, ValueError):
-                v = float(mpmath.log10(abs(mpmath.mpc(c))))
-        best = max(best, v)
-    return best
 
 
 def composition_dps(x_of_q: PuiseuxSeries, margin: int = 35) -> int:
@@ -557,12 +533,6 @@ class VectorSeries:
             tuple(c * s for c in self.components),
             self.weight + Fraction(weight_shift),
         )
-
-    def lead_exponents(self) -> tuple:
-        return tuple(c.lead_exponent for c in self.components)
-
-    def effective_lead_exponents(self, rel_tol: float = 1e-9) -> tuple:
-        return tuple(c.effective_lead_exponent(rel_tol) for c in self.components)
 
     def max_abs(self) -> float:
         return max(c.max_abs() for c in self.components)

@@ -132,6 +132,15 @@ def test_criterion_4_sym3_end_to_end(catalog40):
         f"in {elapsed:.2f}s",
     )
     assert elapsed < 10.0, f"Sym^3 grid took {elapsed:.2f}s (budget 10s)"
+    # grid member s=4, delta=0.41 at order 80: the gate fails there when the
+    # rank-2 form is rounded to double before its eta rescale and cube
+    rep, L = rank2_data(*sym3_grid()[3])
+    basis = sym3_pipeline(rep, L, 80, ClassicalCatalog(80))
+    report(
+        "criterion 4 (Sym^3 grid member s=4, delta=0.41, order 80)",
+        basis.residuals["cyclic_mlde"],
+        1e-9,
+    )
 
 
 def tensor_grid():
@@ -254,21 +263,22 @@ def test_criterion_8_rank2_oracle_equivalence(catalog60):
         k_of_q = catalog60.k_hauptmodul().truncate(50)
         import mpmath
 
+        eta = catalog60.eta_power(2 * closed.k1)
         with mpmath.workdps(composition_dps(k_of_q)):
             # exponents built at working precision with their sum pinned to
             # 1/6 exactly, so they are exact roots of the indicial polynomial
             f1 = mpmath.mpc(complex(r1 - (r1 + r2) / 2)) + mpmath.mpf(1) / 12
             f2 = mpmath.mpf(1) / 6 - f1
             op = build_rank2_operator(rank2_coeff(f1, f2))
+            # the eta rescale runs before the downcast: the composed series
+            # still carries cancellation digits that doubles would drop
             comps = [
                 downcast_to_complex(
-                    compose_frobenius(frobenius_solve(op, f, 50), k_of_q)
+                    compose_frobenius(frobenius_solve(op, f, 50), k_of_q) * eta
                 )
                 for f in (f1, f2)
             ]
-        eta = catalog60.eta_power(2 * closed.k1)
-        for got, want in zip(comps, closed.components.components):
-            frobenius_route = got * eta
+        for frobenius_route, want in zip(comps, closed.components.components):
             diff = frobenius_route - want
             worst = max(
                 worst,

@@ -3,6 +3,7 @@
 import cmath
 import json
 
+import mpmath
 import pytest
 
 from vvmf.cli import JobSpec, emit, main, run
@@ -115,6 +116,15 @@ class TestRun:
     def test_check(self):
         env = run(JobSpec.from_json({"command": "check", "order": 60}))
         assert env.worst_residual() < 1e-10
+
+    def test_extended_precision_is_scoped_to_the_job(self):
+        job = {"command": "classical", "name": "Z", "order": 150}
+        with pytest.raises(OverflowError):
+            run(JobSpec.from_json(job))
+        before = mpmath.mp.dps
+        env = run(JobSpec.from_json({**job, "precision": "extended"}))
+        assert len(env.series["coeffs"]) == 301
+        assert mpmath.mp.dps == before
 
     def test_missing_rep(self):
         with pytest.raises(ValidationError):
