@@ -30,16 +30,15 @@ from .mlde import (
     assemble_noncyclic_basis,
     build_cyclic_operator,
     build_noncyclic_operator,
-    build_noncyclic_system,
     classify,
     cyclic_coeffs,
     dimension,
     frobenius_solve,
-    frobenius_solve_system,
     generic_basis,
     hypergeom_2f1,
     modular_derivative,
     noncyclic_coeffs,
+    qline_solve,
     solve_minimal_form,
 )
 from .reps import (
@@ -82,13 +81,11 @@ __all__ = [
     "build_cyclic_operator",
     "build_fuchsian_z",
     "build_noncyclic_operator",
-    "build_noncyclic_system",
     "classify",
     "compose_frobenius",
     "cyclic_coeffs",
     "dimension",
     "frobenius_solve",
-    "frobenius_solve_system",
     "generic_basis",
     "hypergeom_2f1",
     "induce_to_gamma",
@@ -98,6 +95,7 @@ __all__ = [
     "induction_pipeline",
     "modular_derivative",
     "noncyclic_coeffs",
+    "qline_solve",
     "rank2_is_irreducible",
     "rank2_minimal",
     "solve_minimal_form",

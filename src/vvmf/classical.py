@@ -274,11 +274,11 @@ class ClassicalCatalog:
     def modular_derive(self, s: PuiseuxSeries, k) -> PuiseuxSeries:
         """Weight-k modular derivative theta_q - (k/12) E_2 on a scalar series.
 
-        The k/12 factor is kept as an exact rational so the whole derivative
-        is exact on exact input; this matters when results later feed
-        exponentially ill-conditioned divisions."""
+        The k/12 factor is an exact rational, so the derivative is exact on
+        exact input; it scales the product E_2 s, which keeps the convolution
+        in the integer-times-coefficient arithmetic of its operands."""
         k = Fraction(k)
-        return self.theta_q(s) - self.e2_for(s.nome).scale(k / 12) * s
+        return self.theta_q(s) - (self.e2_for(s.nome) * s).scale(k / 12)
 
     # -- named access and self-test ----------------------------------------------
 

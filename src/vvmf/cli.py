@@ -38,7 +38,6 @@ from .errors import (
     NonIntegralThreeTrace,
     NotAnExponent,
     NotIrreducible,
-    NotLeftEigenvector,
     PoleInC,
     ReducibleRep,
     Resonance,
@@ -100,8 +99,7 @@ _STEP_OF_ERROR = (
     ((InconsistentRep, GroupMismatch, ReducibleRep, NotIrreducible), "a"),
     ((NonIntegralThreeTrace, TraceDCongruenceViolation), "b"),
     ((ExponentSumMismatch, DegenerateC), "c"),
-    ((NotAnExponent, Resonance, ResonantExponents, NotLeftEigenvector,
-      PoleInC, DegenerateU), "d"),
+    ((NotAnExponent, Resonance, ResonantExponents, PoleInC, DegenerateU), "d"),
     ((WrongNome, NonIntegralExponentGap, ZeroLeadingCoefficient), "e"),
     ((ZeroForm,), "f"),
 )
@@ -392,8 +390,9 @@ def canonical_json(data: dict) -> str:
 
 
 def emit(env: ResultEnvelope | dict, fmt: str = "json", path: str | None = None) -> str:
-    """Serialize an envelope; timing goes to stderr only, keeping the emitted
-    bytes a deterministic function of the job and precision."""
+    """Serialize an envelope.  Timing is never emitted (``main`` prints it to
+    stderr), keeping the bytes a deterministic function of the job and
+    precision."""
     data = env.to_json() if isinstance(env, ResultEnvelope) else env
     if fmt == "json":
         text = canonical_json(data)
@@ -418,10 +417,10 @@ def emit(env: ResultEnvelope | dict, fmt: str = "json", path: str | None = None)
 # entry point
 # ---------------------------------------------------------------------------
 
-def _run_one(payload: dict) -> tuple[dict, float, str | None]:
+def _run_one(payload: dict) -> tuple[dict, float, str | None, float]:
     job = JobSpec.from_json(payload)
     env = run(job)
-    return env.to_json(), env.worst_residual(), job.output_path
+    return env.to_json(), env.worst_residual(), job.output_path, env.timing
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -477,11 +476,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     worst = 0.0
-    for result, res, out_path in results:
+    for index, (result, res, out_path, seconds) in enumerate(results):
         worst = max(worst, res)
         text = emit(result, args.format, out_path or args.out)
         if not (out_path or args.out):
             sys.stdout.write(text)
+        print(f"job {index}: {seconds:.3f} s", file=sys.stderr)
     print(f"worst residual: {worst:.3e} (tolerance {tol:.1e})", file=sys.stderr)
     return 0 if worst < tol else 1
 

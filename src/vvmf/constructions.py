@@ -1,11 +1,12 @@
 """End-to-end construction pipelines: rank-2 minimal forms via Gauss
 hypergeometric series, tensor-product and symmetric-cube bases of rank four,
-and induction from the index-two subgroup via its hauptmodul Z.
+and induction from the index-two subgroup.
 
-Everything here reduces to: produce the weight-zero solutions on the K- or
-Z-line, substitute the hauptmodul's q- or q2-expansion, rescale by the right
-eta power, and hand the resulting minimal form to the basis assemblers, with
-every defining differential relation re-checked on the emitted series.
+The closed constructions produce weight-zero solutions on the K-line,
+substitute K(q), rescale by the right eta power and hand the resulting
+minimal form to the basis assemblers.  The induction pair solves its
+defining first-order system directly on the q2-line.  Every defining
+differential relation is re-checked on the emitted series.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .mlde import (
     build_noncyclic_operator,
     classify,
     cyclic_coeffs,
-    frobenius_solve,
     hypergeom_2f1,
     indicial_shifts,
     kline_precision,
@@ -49,6 +49,8 @@ from .mlde import (
     nearest_int,
     noncyclic_coeffs,
     operator_residual,
+    qline_precision,
+    qline_solve,
     require_int,
 )
 from .reps import (
@@ -75,6 +77,7 @@ from .series import (
     cexp,
     clog,
     compose_frobenius,
+    cpow,
     downcast_to_complex,
     even_odd_parts,
     relative_residual,
@@ -206,7 +209,7 @@ def tensor_pipeline(
 
     Records the scalar noncyclic equation residual of the weight-zero K-line
     form, the product rule for DF, the four column relations of the
-    derivative matrix, and the exponent floor of the quotient form G.
+    derivative matrix, and the exponent floor of G.
     """
     if not tensor_is_irreducible(alpha, beta):
         raise NotIrreducible("tensor product representation is reducible")
@@ -223,22 +226,14 @@ def tensor_pipeline(
     if report.case != NONCYCLIC:
         raise NotIrreducible("tensor products always land in the noncyclic case")
 
-    # the Kronecker form and the whole noncyclic assembly (it divides by E_4)
-    # are carried at working precision and downcast on emission; the shifted
-    # exponents are the sums of the lifted pairs' lead exponents, so the
-    # quartic's roots match the product's exponents exactly
     with kline_precision(catalog, order) as k_of_q:
         pair_a, A = _rank2_stage(L1, ka, order, catalog, k_of_q)
         pair_b, B = _rank2_stage(L2, kb, order, catalog, k_of_q)
-        F_hp = _kronecker(A, B, report.k1)
-        f_hp = [
-            sa.lead_exponent + sb.lead_exponent for sa in pair_a for sb in pair_b
-        ]
-        basis = assemble_noncyclic_basis(F_hp, noncyclic_coeffs(f_hp), catalog, report)
+        F = _kronecker(A, B, report.k1).map(downcast_to_complex)
+    co = noncyclic_coeffs(indicial_shifts(L12.eigenvalues, NONCYCLIC))
+    basis = assemble_noncyclic_basis(F, co, catalog, report)
 
-    scalar_op = build_noncyclic_operator(
-        noncyclic_coeffs(indicial_shifts(L12.eigenvalues, NONCYCLIC))
-    )
+    scalar_op = build_noncyclic_operator(co)
     kline_a = [downcast_to_complex(s) for s in pair_a]
     kline_b = [downcast_to_complex(s) for s in pair_b]
     kline_res = max(
@@ -385,9 +380,11 @@ def induction_minimal_pair(
 ) -> tuple[VectorSeries, VectorSeries]:
     """Minimal-weight pair (A, B) for the two nontrivial beta-twists.
 
-    Solves the Z-line equation at the exponents +-r, substitutes Z(q2), and
-    forms A = eta^{2k1} (g/f) (a, b)^t and
-    B = (e^{2 pi i/6}/36) eta^{2k1} (f/g) (3Z a + 9(Z-1) theta_Z a, ...)^t.
+    Solves the defining relation D(A, B) = (A, B) (0, u f; g, 0) on the
+    q2-line at the exponents k1/6 +- r (:func:`qline_solve`).  A leads with
+    (-2i 12^{3/2})^{+-r}, the leading coefficient of Z^{+-r}, as in the
+    Z-line form eta^{2k1} (g/f) Z^{+-r} (1 + ...) the pair transports; B's
+    leading coefficient follows from the relation.
     """
     r = local_exponent_from_u(job.u, catalog.xi)
     if abs(as_complex(r)) <= 1e-12:
@@ -396,39 +393,27 @@ def induction_minimal_pair(
     if two_r is not None and two_r != 0:
         raise Resonance(f"local exponents +-{r!r} differ by the integer {two_r}")
     n2 = min(2 * order, catalog.q2_order)
-    # Both the hauptmodul substitution and the theta-quotient products cancel
-    # down from exponentially large coefficients to modular-form scale, so
-    # the whole pair is assembled at a working precision sized to that growth
-    # (|2 * 12^(3/2)| ~ 83 per q2-order, bounded by 2 digits) and downcast at
-    # the end.
-    dps = 40 + 2 * n2
-    with mpmath.workdps(dps):
-        hp = ClassicalCatalog(max(1, (n2 + 1) // 2), "extended")
-        xi = hp.xi
-        op = build_fuchsian_z(mpmath.mpc(job.u), xi)
-        r_hp = local_exponent_from_u(mpmath.mpc(job.u), xi)
-        z_of_q2 = hp.z_hauptmodul()
-        f, g = hp.fg_generators()
-        g_over_f = g.divide(f)
-        f_over_g = f.divide(g)
-        eta = hp.eta_power(2 * job.k1, Nome.Q2)
-        a_comps = []
-        b_comps = []
+    theta2, theta3, theta4 = catalog.theta_fourth_powers()
+    k1 = job.k1
+    with qline_precision():
+        xi = mpmath.expjpi(mpmath.mpf(1) / 3)
+        u = mpmath.mpc(job.u)
+        r_hp = local_exponent_from_u(u, xi)
+        # f = (1 + xi) theta2^4 - xi^5 (theta3^4 + theta4^4); g = f|T flips the
+        # odd q2-powers, which are those of theta2^4
+        system = [
+            ({(0, 1): u * (1 + xi), (1, 0): -(1 + xi)}, theta2),
+            ({(0, 1): -u * xi**5, (1, 0): -(xi**5)}, theta3 + theta4),
+        ]
+        z_lead = mpmath.mpc(0, -2) * mpmath.sqrt(1728)
+        rows = []
         for exponent in (r_hp, -r_hp):
-            sol = frobenius_solve(op, exponent, n2)
-            # second member of the pair: (e^{2 pi i/6}/36)(f/g)(3 Z a + 9 (Z-1) theta_Z a);
-            # the 3Z coefficient is forced by D(A) = g B via the theta-quotient calculus
-            combo = sol.shift(1, 3) + sol.theta().shift(1, 9) - sol.theta().scale(9)
-            a_comps.append(
-                downcast_to_complex(eta * g_over_f * compose_frobenius(sol, z_of_q2))
-            )
-            b_comps.append(
-                downcast_to_complex(
-                    (eta * f_over_g * compose_frobenius(combo, z_of_q2)).scale(xi / 36)
-                )
-            )
-    A = VectorSeries(tuple(a_comps), Fraction(job.k1))
-    B = VectorSeries(tuple(b_comps), Fraction(job.k1))
+            a0 = cpow(z_lead, exponent)
+            # D A = g B at the leading q2-power: (exponent / 2) a0 = g_0 b0, g_0 = -2 xi^5
+            seed = (a0, a0 * exponent / (-4 * xi**5))
+            rows.append(qline_solve((k1, k1), system, Fraction(k1, 6) + exponent, seed, n2, catalog))
+    A = VectorSeries(tuple(row[0] for row in rows), Fraction(k1))
+    B = VectorSeries(tuple(row[1] for row in rows), Fraction(k1))
     return A, B
 
 

@@ -75,10 +75,6 @@ class Resonance(VvmfError):
     """Indicial roots differ by a nonzero integer; log terms would be needed."""
 
 
-class NotLeftEigenvector(VvmfError):
-    """Seed vector is not a left eigenvector of the system's constant term."""
-
-
 class PoleInC(VvmfError):
     """Hypergeometric lower parameter hits a nonpositive integer."""
 

@@ -1,15 +1,17 @@
 """Weight/case classification, Fuchsian operators in theta-polynomial form,
-Frobenius series solving, hypergeometric series, the modular derivative, and
-free-basis assembly.
+Frobenius series solving, hypergeometric series, first-order systems on the
+q-line, the modular derivative, and free-basis assembly.
 
 Operators are stored as a list of polynomials P_0..P_r in the Euler operator
 theta, representing sum_i x^i P_i(theta); P_0 is the indicial polynomial at
-x = 0.  The Frobenius recursion, the first-order system solver, and the basis
-assemblers below are the computational core of every construction.
+x = 0.  They serve the closed K-line constructions.  Every recursive route
+solves a first-order system D X = X M(q) with holomorphic coefficients
+directly on the q-line (:func:`qline_solve`), with no hauptmodul.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,7 +24,6 @@ from .errors import (
     DegenerateC,
     ExponentSumMismatch,
     NotAnExponent,
-    NotLeftEigenvector,
     PoleInC,
     Resonance,
     TraceDCongruenceViolation,
@@ -35,9 +36,8 @@ from .series import (
     PuiseuxSeries,
     VectorSeries,
     as_complex,
-    compose_frobenius,
+    compose_frobenius,  # noqa: F401  (a binding site perfbench's tracer test patches)
     composition_dps,
-    downcast_to_complex,
     even_odd_parts,
     nearest_int,
     relative_residual,
@@ -46,6 +46,9 @@ from .series import (
 
 CYCLIC = "cyclic"
 NONCYCLIC = "noncyclic"
+
+#: residual keys of the four column relations of the noncyclic system
+NONCYCLIC_KEYS = ("col1_df", "col2_d2f", "col3_dg_e4f", "col4_dh")
 
 
 # ---------------------------------------------------------------------------
@@ -181,25 +184,6 @@ def noncyclic_coeffs(f) -> ODECoefficients:
     return ODECoefficients(a, b, c, NONCYCLIC, f)
 
 
-def recenter_exponents(f, target):
-    """Shift an exponent multiset so its sum hits the structural target
-    exactly (1 for the cyclic case, 2/3 for the noncyclic one).
-
-    The coefficient formulas build an indicial polynomial whose roots sum to
-    the target by construction; a float-level drift in the input sum would
-    make the requested exponent miss the root by ~1e-16, and that seed gets
-    amplified exponentially once the solution is substituted into the
-    hauptmodul.  The shift applied here is below every contract tolerance.
-    """
-    f = list(f)
-    drift = (target - sum(f)) / len(f)
-    if abs(as_complex(drift)) > 1e-9:
-        raise ExponentSumMismatch(
-            f"exponent sum {sum(f)} too far from the structural target {target}"
-        )
-    return tuple(v + drift for v in f)
-
-
 def rank2_coeff(f1, f2):
     """Structure constant of the rank-2 weight-zero equation; the indicial
     polynomial is x^2 - x/6 + a with roots f1, f2 (sum 1/6)."""
@@ -309,36 +293,6 @@ def operator_residual(op: FuchsianOperator, s: PuiseuxSeries) -> float:
     return op.apply(s).max_abs() / scale
 
 
-def build_noncyclic_system(co: ODECoefficients) -> tuple[tuple, tuple]:
-    """First-order system on the K-line in the contract
-    (1-K) theta X = X (B0 + B1 K) for row vectors X; the eigenvalues of B0
-    are the shifted indicial exponents.
-
-    Re-derived from the weight-graded transport of the derivative matrix
-    (and cross-checked against the scalar cyclic-vector equation): the
-    (4,2) entry of the K-line matrix is 1/(1-K), so it contributes no K-term
-    after clearing the denominator.
-    """
-    a, b, c = co.a, co.b, co.c
-    if abs(as_complex(c)) <= 1e-12:
-        raise DegenerateC("noncyclic system needs c != 0")
-    sixth = Fraction(1, 6)
-    third = Fraction(1, 3)
-    b0 = (
-        (0, a, 1, 0),
-        (1, sixth, 0, b),
-        (0, 0, sixth, c),
-        (0, 1, 0, third),
-    )
-    b1 = (
-        (0, 0, 0, 0),
-        (-1, third, 0, -b),
-        (0, 0, third, -c),
-        (0, 0, 0, -third),
-    )
-    return b0, b1
-
-
 # ---------------------------------------------------------------------------
 # Frobenius solving
 # ---------------------------------------------------------------------------
@@ -369,115 +323,6 @@ def frobenius_solve(op: FuchsianOperator, r, order: int) -> PuiseuxSeries:
     return PuiseuxSeries(op.nome, r, tuple(coeffs))
 
 
-def _solve_square(mat: list[list], rhs: list, tol_scale: float) -> list:
-    """Gaussian elimination with partial pivoting over any complex-like field."""
-    n = len(rhs)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda i: abs(as_complex(a[i][col])))
-        if abs(as_complex(a[piv][col])) < 1e-10 * tol_scale:
-            raise Resonance("system matrix singular at an integer offset")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        for i in range(n):
-            if i == col:
-                continue
-            factor = a[i][col] * inv
-            if factor != 0:
-                for j in range(col, n + 1):
-                    a[i][j] = a[i][j] - factor * a[col][j]
-    return [a[i][n] / a[i][i] for i in range(n)]
-
-
-def left_eigenvector(b0, r) -> tuple:
-    """Row vector v with v (r I - B0) = 0, normalized so the largest entry is 1.
-
-    Computed as a null vector of the transposed matrix by elimination; raises
-    NotAnExponent when r is not an eigenvalue of B0.
-    """
-    n = len(b0)
-    # transpose of (r I - B0)
-    m = [[(r if i == j else 0) - b0[i][j] for i in range(n)] for j in range(n)]
-    scale = max(1.0, max(abs(as_complex(v)) for row in m for v in row))
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        piv = max(range(row, n), key=lambda i: abs(as_complex(m[i][col])))
-        if abs(as_complex(m[piv][col])) < 1e-8 * scale:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [v * inv for v in m[row]]
-        for i in range(n):
-            if i != row:
-                f = m[i][col]
-                if f != 0:
-                    m[i] = [m[i][j] - f * m[row][j] for j in range(n)]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
-        raise NotAnExponent(f"{r!r} is not an eigenvalue of the system's constant term")
-    v = [0] * n
-    v[free[0]] = 1
-    for i, col in enumerate(pivots):
-        v[col] = -m[i][free[0]]
-    top = max(range(n), key=lambda i: abs(as_complex(v[i])))
-    inv = 1 / v[top]
-    return tuple(x * inv for x in v)
-
-
-def frobenius_solve_system(b0, b1, r, v0, order: int) -> tuple[PuiseuxSeries, ...]:
-    """Row-vector Frobenius solution X = x^r sum c_n x^n of
-    (1-x) theta X = X (B0 + B1 x), with c_0 = v0 a left eigenvector of B0 for
-    r and c_n ((r+n) I - B0) = c_{n-1} ((r+n-1) I + B1)."""
-    n_dim = len(b0)
-    v0 = list(v0)
-    scale = max(1.0, max(abs(as_complex(v)) for row in b0 for v in row))
-    residual = [
-        sum(v0[i] * ((r if i == j else 0) - b0[i][j]) for i in range(n_dim))
-        for j in range(n_dim)
-    ]
-    v0_norm = max(abs(as_complex(v)) for v in v0)
-    if max(abs(as_complex(x)) for x in residual) > 1e-6 * scale * max(v0_norm, 1.0):
-        raise NotLeftEigenvector("seed row is not a left eigenvector for r")
-    rows = [v0]
-    for n in range(1, order + 1):
-        prev = rows[-1]
-        rhs = [
-            sum(prev[i] * ((r + n - 1 if i == j else 0) + b1[i][j]) for i in range(n_dim))
-            for j in range(n_dim)
-        ]
-        # solve c_n M = rhs, i.e. M^T c_n^T = rhs^T
-        mat_t = [
-            [(r + n if i == j else 0) - b0[i][j] for i in range(n_dim)]
-            for j in range(n_dim)
-        ]
-        rows.append(_solve_square(mat_t, rhs, scale + abs(as_complex(r)) + n))
-    return tuple(
-        PuiseuxSeries(Nome.K, r, tuple(rows[n][j] for n in range(order + 1)))
-        for j in range(n_dim)
-    )
-
-
-def system_residual(b0, b1, rows: tuple[PuiseuxSeries, ...]) -> float:
-    """Relative residual of (1-K) theta X - X (B0 + B1 K) for a row solution."""
-    n_dim = len(b0)
-    order = min(s.order for s in rows)
-    one_minus = PuiseuxSeries.polynomial(Nome.K, [1, -1], order)
-    worst = 0.0
-    for j in range(n_dim):
-        lhs = one_minus * rows[j].theta()
-        terms = [lhs]
-        for i in range(n_dim):
-            entry = PuiseuxSeries.polynomial(Nome.K, [b0[i][j], b1[i][j]], order)
-            term = rows[i] * entry
-            lhs = lhs - term
-            terms.append(term)
-        worst = max(worst, relative_residual(lhs, *terms))
-    return worst
-
-
 def hypergeom_2f1(a, b, c, order: int, nome: Nome = Nome.K) -> PuiseuxSeries:
     """Gauss series sum (a)_n (b)_n / ((c)_n n!) x^n by the term ratio."""
     ci = nearest_int(c)
@@ -489,6 +334,155 @@ def hypergeom_2f1(a, b, c, order: int, nome: Nome = Nome.K) -> PuiseuxSeries:
         term = term * (a + n) * (b + n) / ((c + n) * (n + 1))
         coeffs.append(term)
     return PuiseuxSeries(Nome(nome), 0.0, tuple(coeffs))
+
+
+# ---------------------------------------------------------------------------
+# first-order systems on the q-line
+# ---------------------------------------------------------------------------
+
+#: digits of every q-line solve.  The recursion divides by nothing but its
+#: own small matrices, so nothing cancels exponentially and a fixed margin
+#: over double precision suffices: at order 200 the downcast output is
+#: bit-identical to a run with 30 more digits.
+QLINE_DPS = 30
+
+
+def qline_precision():
+    """The working-precision block of every q-line solve (:data:`QLINE_DPS`)."""
+    return mpmath.workdps(QLINE_DPS)
+
+
+def cyclic_system(co: ODECoefficients, catalog: ClassicalCatalog) -> list:
+    """D X = X M for X = (F, DF, D^2F, D^3F): ones below the diagonal and the
+    last column (-c E_4^2, -b E_6, -a E_4, 0) of the minimal-weight equation.
+
+    A system is a list of (sparse constant matrix {(i, j): value}, scalar
+    q-series) pairs whose sum of products is M."""
+    e4 = catalog.eisenstein(4)
+    return [
+        ({(1, 0): 1, (2, 1): 1, (3, 2): 1}, PuiseuxSeries.one(Nome.Q, catalog.order)),
+        ({(2, 3): -co.a}, e4),
+        ({(1, 3): -co.b}, catalog.eisenstein(6)),
+        ({(0, 3): -co.c}, e4 * e4),
+    ]
+
+
+def noncyclic_system(co: ODECoefficients, catalog: ClassicalCatalog) -> list:
+    """D X = X M for X = (F, DF, G, H): D(DF) = a E_4 F + H, DG = E_4 F and
+    DH = b E_4 DF + c E_4 G (see :func:`cyclic_system` for the format)."""
+    if abs(as_complex(co.c)) <= 1e-12:
+        raise DegenerateC("noncyclic system needs c != 0")
+    return [
+        ({(1, 0): 1, (3, 1): 1}, PuiseuxSeries.one(Nome.Q, catalog.order)),
+        ({(0, 1): co.a, (0, 2): 1, (1, 3): co.b, (2, 3): co.c}, catalog.eisenstein(4)),
+    ]
+
+
+def _noncyclic_lead_row(f, a) -> list:
+    """Leading coefficients of (F, DF, G, H) per unit of F at the shifted
+    exponent f: D multiplies a leading term of weight k1 + 2i by f - i/6."""
+    sixth = Fraction(1, 6)
+    return [1, f, 1 / (f - sixth), f * (f - sixth) - a]
+
+
+def qline_solve(weights, system, lam, seed, order: int, catalog: ClassicalCatalog):
+    """Row solution X = x^lam sum_n X_n x^n of D X = X M(x), downcast to double.
+
+    D is the modular derivative at the weights k_i of the entries of X; the
+    system M is given as in :func:`cyclic_system`, in the nome x of its
+    series: q, or q2 where theta_q = theta_x / 2 (s = 1 or 1/2).  With
+    K = diag(k_i / 12) this is the q-recursion of Mathur-Mukhi-Sen (Phys.
+    Lett. B 213, 1988) in system form:
+
+        X_0 (s lam I - K - M_0) = 0,
+        X_n (s (lam + n) I - K - M_0) = sum_{m >= 1} X_{n-m} (K E2_m + M_m).
+
+    ``seed`` is X_0 (NotAnExponent unless it is a left null vector); a
+    singular later matrix raises Resonance.  The solution is truncated to
+    the shortest series of the system.  There is no hauptmodul and no
+    division by a series, so the arithmetic runs at the ambient precision,
+    which callers set with :func:`qline_precision`.
+    """
+    nome = system[0][1].nome
+    s = Fraction(1, 2) if nome is Nome.Q2 else 1
+    r = len(weights)
+    kdiag = {(i, i): Fraction(k, 12) for i, k in enumerate(weights) if k}
+    m0 = [[0] * r for _ in range(r)]
+    convolutions = []  # (matrix, rows it reads, offsets m >= 1 with e_m != 0, e_m)
+    for S, e in (*system, (kdiag, catalog.e2_for(nome))):
+        coeffs = [0] * nearest_int(e.lead_exponent) + list(e.coeffs)
+        order = min(order, len(coeffs) - 1)
+        for (i, j), v in S.items():
+            m0[i][j] += v * coeffs[0]
+        ms = [m for m in range(1, len(coeffs)) if coeffs[m] != 0]
+        es = [mpmath.mpmathify(coeffs[m]) for m in ms]
+        convolutions.append((S, {i for i, _ in S}, ms, es))
+
+    def matrix(n):
+        return [[(s * (lam + n) if i == j else 0) - m0[i][j] for j in range(r)]
+                for i in range(r)]
+
+    b0 = matrix(0)
+    miss = max(abs(sum(seed[i] * b0[i][j] for i in range(r))) for j in range(r))
+    scale = max(1, max(abs(v) for row in b0 for v in row))
+    if miss > 1e-9 * scale * max(abs(v) for v in seed):
+        raise NotAnExponent(f"seed row is not a left null vector of the system at {lam!r}")
+    rows = [list(seed)]
+    for n in range(1, order + 1):
+        rhs = [0] * r
+        for S, sources, ms, es in convolutions:
+            k = bisect_right(ms, n)
+            if k:
+                conv = {i: mpmath.fdot([rows[n - m][i] for m in ms[:k]], es[:k])
+                        for i in sources}
+                for (i, j), v in S.items():
+                    rhs[j] += conv[i] * v
+        rows.append(_left_solve(matrix(n), rhs))
+    return tuple(
+        PuiseuxSeries(nome, as_complex(lam), tuple(as_complex(x[i]) for x in rows))
+        for i in range(r)
+    )
+
+
+def _left_solve(a, rhs) -> list:
+    """Row x with x a = rhs, by elimination with partial pivoting on the
+    transposed system; a vanishing pivot is an integer exponent gap."""
+    r = len(rhs)
+    m = [[a[i][j] for i in range(r)] + [rhs[j]] for j in range(r)]
+    scale = max(abs(v) for row in m for v in row[:r])
+    for col in range(r):
+        piv = max(range(col, r), key=lambda i: abs(m[i][col]))
+        if abs(m[piv][col]) <= 1e-10 * scale:
+            raise Resonance(
+                "system matrix singular at an integer offset; "
+                "logarithmic solutions are out of scope"
+            )
+        m[col], m[piv] = m[piv], m[col]
+        for i in range(col + 1, r):
+            f = m[i][col] / m[col][col]
+            if f:
+                m[i] = [u - f * w for u, w in zip(m[i], m[col])]
+    x = [0] * r
+    for i in reversed(range(r)):
+        x[i] = (m[i][r] - sum(m[i][j] * x[j] for j in range(i + 1, r))) / m[i][i]
+    return x
+
+
+def system_residuals(forms, system, catalog: ClassicalCatalog) -> list[float]:
+    """Relative residual of each column j of D X = X M on emitted forms (the
+    entries of X, each a vector series at its weight)."""
+    out = []
+    for j, form in enumerate(forms):
+        lhs = modular_derivative(form, form.weight, catalog)
+        parts = [
+            forms[i].mul_series(e).scale(v)
+            for S, e in system for (i, col), v in S.items() if col == j
+        ]
+        residual = lhs
+        for p in parts:
+            residual = residual - p
+        out.append(relative_residual(residual, lhs, *parts))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -566,49 +560,31 @@ def assemble_noncyclic_basis(
     catalog: ClassicalCatalog,
     case: CaseReport | None = None,
 ) -> FormBasis:
-    """Basis F, DF, G, H with H = D^2F - a E_4 F and
-    G = (DH - b E_4 DF) / (c E_4); records the residuals of the four column
-    relations of the modular-derivative matrix (the substantive one is
-    DG = E_4 F).
-
-    Division by E_4 amplifies any perturbation of F by the exponential growth
-    of 1/E_4, so F (and the coefficients) should be handed in at working
-    precision; the assembled forms are downcast to double for emission and
-    the column relations are then re-verified on the emitted data, where
-    they are numerically well conditioned.
-    """
+    """Basis F, DF, G, H with H = D^2F - a E_4 F and G the third row of the
+    noncyclic system (:func:`noncyclic_system`), solved on the q-line from
+    the leading coefficients of F; records the residuals of the four column
+    relations on the emitted forms (the substantive one is DG = E_4 F)."""
     _require_nonzero(F)
-    if abs(as_complex(co.c)) <= 1e-12:
-        raise DegenerateC("noncyclic assembly needs c != 0")
+    system = noncyclic_system(co, catalog)
+    if F.nome is not Nome.Q:
+        raise WrongNome("noncyclic assembly solves for G on the q-line")
     k1 = F.weight
-    e4 = catalog.eisenstein(4) if F.nome is Nome.Q else catalog.eisenstein_q2(4)
+    weights = (k1, k1 + 2, k1 + 2, k1 + 4)
     d1 = modular_derivative(F, k1, catalog)
     d2 = modular_derivative(d1, k1 + 2, catalog)
-    aE4F = F.mul_series(e4, weight_shift=4).scale(co.a)
-    H = VectorSeries((d2 - aE4F).components, k1 + 4)
-    dH = modular_derivative(H, k1 + 4, catalog)
-    bE4DF = d1.mul_series(e4, weight_shift=4).scale(co.b)
-    # divide (never invert-and-multiply): 1/E_4 has exponentially growing
-    # coefficients that would cancel against the quotient's small ones
-    G = VectorSeries(
-        tuple(c.divide(e4) for c in (dH - bE4DF).components), k1 + 2
-    ).scale(1 / co.c)
-
-    Fd, DFd, Gd, Hd = (v.map(downcast_to_complex) for v in (F, d1, G, H))
-    a, b, c = (as_complex(v) for v in (co.a, co.b, co.c))
-    d2d = modular_derivative(DFd, k1 + 2, catalog)
-    dGd = modular_derivative(Gd, k1 + 2, catalog)
-    dHd = modular_derivative(Hd, k1 + 4, catalog)
-    aE4Fd = Fd.mul_series(e4, weight_shift=4).scale(a)
-    bE4DFd = DFd.mul_series(e4, weight_shift=4).scale(b)
-    cE4Gd = Gd.mul_series(e4, weight_shift=4).scale(c)
-    e4Fd = Fd.mul_series(e4, weight_shift=4)
-    res = {
-        "col2_d2f": relative_residual(d2d - aE4Fd - Hd, d2d, aE4Fd, Hd),
-        "col3_dg_e4f": relative_residual(dGd - e4Fd, dGd, e4Fd),
-        "col4_dh": relative_residual(dHd - bE4DFd - cE4Gd, dHd, bE4DFd, cE4Gd),
-    }
-    return FormBasis((Fd, DFd, Gd, Hd), case, res)
+    H = VectorSeries((d2 - F.mul_series(catalog.eisenstein(4)).scale(co.a)).components, k1 + 4)
+    with qline_precision():
+        g_comps = []
+        for comp in F.components:
+            lam = mpmath.mpc(as_complex(comp.lead_exponent))
+            lead = mpmath.mpc(as_complex(comp.coeffs[0]))
+            row = _noncyclic_lead_row(lam - Fraction(k1, 12), co.a)
+            g_comps.append(
+                qline_solve(weights, system, lam, [lead * x for x in row], F.order, catalog)[2]
+            )
+    forms = (F, d1, VectorSeries(tuple(g_comps), k1 + 2), H)
+    res = system_residuals(forms, system, catalog)
+    return FormBasis(forms, case, dict(zip(NONCYCLIC_KEYS, res)))
 
 
 # ---------------------------------------------------------------------------
@@ -644,15 +620,16 @@ def _recursive_stage(
     order: int,
     catalog: ClassicalCatalog,
     validate_spectrum: bool,
-    basis: bool,
-):
-    """Validate, classify, shift, check resonance, then solve near K = 0,
-    substitute K(q) and rescale by eta^{2 k1} in one working-precision block.
+) -> tuple[ODECoefficients, FormBasis]:
+    """Validate, classify, shift and check resonance, then solve the case's
+    system D X = X M on the q-line at each exponent (:func:`qline_solve`).
 
-    Returns (report, double coefficients, minimal form or basis, K-line
-    residuals).  With ``basis`` the case's free basis is assembled in the
-    same block (the noncyclic assembly divides by E_4 and needs the working
-    precision); everything emitted is downcast to double once.
+    The rows of the solutions are the case's free basis, (F, DF, D^2F, D^3F)
+    or (F, DF, G, H), with no row recomputed.  F_j leads with 1728^{f_j}
+    (cyclic) or 1728^{f_j} / t_j (noncyclic, t_j the largest-modulus entry
+    of the leading row per unit of F), as the K-line substitution it
+    replaces did.  Every column relation is re-checked on the emitted
+    doubles.  Returns the double coefficients and the basis.
     """
     if validate_spectrum:
         L.validate_against(rep.t_eigenvalues())
@@ -660,48 +637,34 @@ def _recursive_stage(
     f_exps = indicial_shifts(L.eigenvalues, report.case)
     _check_nonresonant(f_exps)
     cyclic = report.case == CYCLIC
-    co = cyclic_coeffs(f_exps) if cyclic else noncyclic_coeffs(f_exps)
-    with kline_precision(catalog, order) as k_of_q:
-        f_hp = recenter_exponents(
-            [mpmath.mpc(as_complex(f)) for f in f_exps], 1 if cyclic else Fraction(2, 3)
-        )
-        if cyclic:
-            co_hp = cyclic_coeffs(f_hp)
-            op = build_cyclic_operator(co_hp)
-            rows_hp = [(frobenius_solve(op, f, order),) for f in f_hp]
-        else:
-            co_hp = noncyclic_coeffs(f_hp)
-            b0, b1 = build_noncyclic_system(co_hp)
-            rows_hp = [
-                frobenius_solve_system(b0, b1, f, left_eigenvector(b0, f), order)
-                for f in f_hp
-            ]
-        eta = catalog.eta_power(2 * report.k1)
-        F_hp = VectorSeries(
-            tuple(compose_frobenius(r[0], k_of_q) * eta for r in rows_hp), report.k1
-        )
-        if basis and not cyclic:
-            out = assemble_noncyclic_basis(F_hp, co_hp, catalog, report)
-        else:
-            out = F_hp.map(downcast_to_complex)
-            if basis:
-                out = assemble_cyclic_basis(out, co, catalog, report)
-    rows = [tuple(downcast_to_complex(s) for s in r) for r in rows_hp]
-    return report, co, out, _kline_diagnostics(co, rows)
-
-
-def _kline_diagnostics(co: ODECoefficients, rows) -> dict[str, float]:
-    """Self-residuals of the downcast K-line solutions (one tuple of rows per
-    exponent; the first row is the scalar solution)."""
-    if co.case == CYCLIC:
-        op = build_cyclic_operator(co)
-        return {"frobenius_self": max(operator_residual(op, r[0]) for r in rows)}
-    b0, b1 = build_noncyclic_system(co)
-    op = build_noncyclic_operator(co)
-    return {
-        "system_self": max(system_residual(b0, b1, r) for r in rows),
-        "scalar_crosscheck": max(operator_residual(op, r[0]) for r in rows),
-    }
+    coeffs = cyclic_coeffs if cyclic else noncyclic_coeffs
+    build = cyclic_system if cyclic else noncyclic_system
+    co = coeffs(f_exps)
+    with qline_precision():
+        lams = [mpmath.mpc(as_complex(v)) for v in L.eigenvalues]
+        f_hp = indicial_shifts(lams, report.case)  # sum exact at working precision
+        co_hp = coeffs(f_hp)
+        system = build(co_hp, catalog)
+        rows = []
+        for lam, f in zip(lams, f_hp):
+            if cyclic:
+                seed = [mpmath.mpf(1728) ** f]
+                for i in range(3):
+                    seed.append(seed[-1] * (f - Fraction(i, 6)))
+            else:
+                lead = _noncyclic_lead_row(f, co_hp.a)
+                unit = mpmath.mpf(1728) ** f / max(lead, key=abs)
+                seed = [unit * x for x in lead]
+            rows.append(qline_solve(report.weight_tuple, system, lam, seed, order, catalog))
+    forms = tuple(
+        VectorSeries(comps, k) for comps, k in zip(zip(*rows), report.weight_tuple)
+    )
+    res = system_residuals(forms, build(co, catalog), catalog)
+    if cyclic:
+        residuals = {"cyclic_chain": max(res[:3]), "cyclic_mlde": res[3]}
+    else:
+        residuals = dict(zip(NONCYCLIC_KEYS, res))
+    return co, FormBasis(forms, report, residuals)
 
 
 def solve_minimal_form(
@@ -712,16 +675,15 @@ def solve_minimal_form(
     validate_spectrum: bool = True,
 ):
     """Recursive pipeline for a generic rank-4 representation: classify,
-    derive the equation coefficients, solve at each indicial exponent near
-    K = 0, substitute the q-expansion of K, and rescale by eta^{2 k1}.
+    derive the equation coefficients and solve the case's first-order system
+    on the q-line at each indicial exponent.
 
     Returns (F, report, coefficients, residuals) with F the minimal-weight
-    form whose component j has leading q-exponent L.eigenvalues[j].
+    form whose component j has leading q-exponent L.eigenvalues[j]; the
+    residuals are those of :func:`generic_basis`.
     """
-    report, co, F, residuals = _recursive_stage(
-        rep, L, order, catalog, validate_spectrum, basis=False
-    )
-    return F, report, co, residuals
+    co, basis = _recursive_stage(rep, L, order, catalog, validate_spectrum)
+    return basis.forms[0], basis.case, co, dict(basis.residuals)
 
 
 def generic_basis(
@@ -731,13 +693,9 @@ def generic_basis(
     catalog: ClassicalCatalog,
     validate_spectrum: bool = True,
 ) -> FormBasis:
-    """Recursive route end to end: minimal form plus the case-appropriate
-    free basis, with the noncyclic assembly done at working precision."""
-    report, _, basis, residuals = _recursive_stage(
-        rep, L, order, catalog, validate_spectrum, basis=True
-    )
-    residuals.update(basis.residuals)
-    return FormBasis(basis.forms, report, residuals)
+    """Recursive route end to end: the rows of the q-line solutions are the
+    case-appropriate free basis."""
+    return _recursive_stage(rep, L, order, catalog, validate_spectrum)[1]
 
 
 def leading_coefficient_matrix(forms) -> np.ndarray:

@@ -7,8 +7,9 @@ this kernel: q-expansions of classical forms, Frobenius solutions on the K-
 and Z-lines, and the vector-valued forms themselves.
 
 Coefficients are ordinary ``complex`` by default.  Passing mpmath numbers in
-(and setting ``mpmath.mp.dps``) switches the same code paths to extended
-precision; the arithmetic below never downcasts.
+switches the same code paths to extended precision; the arithmetic below
+never downcasts.  The library scopes every working precision with
+``mpmath.workdps`` blocks; it never sets ``mpmath.mp.dps``.
 """
 
 from __future__ import annotations
@@ -414,9 +415,8 @@ def composition_dps(x_of_q: PuiseuxSeries, margin: int = 35) -> int:
 
     def lg(coeff) -> float | None:
         if isinstance(coeff, int):
-            if coeff == 0:
-                return None
-            return (abs(coeff).bit_length() - 1) * 0.3010299956639812
+            # exact for integers of any size (math.log10 takes Python ints)
+            return math.log10(abs(coeff)) if coeff else None
         mag = abs(coeff)
         if mag == 0:
             return None

@@ -2,6 +2,7 @@
 
 import cmath
 import json
+import re
 
 import mpmath
 import pytest
@@ -189,6 +190,19 @@ class TestMain:
         spec.write_text(json.dumps(jobs))
         assert main(["basis", "--spec", str(spec), "--jobs", "2"]) == 0
         assert (tmp_path / "a.json").exists() and (tmp_path / "b.json").exists()
+
+    def test_timing_goes_to_stderr_only(self, tmp_path, capsys):
+        spec = tmp_path / "jobs.json"
+        spec.write_text(json.dumps([sym3_job(10), sym3_job(12)]))
+        runs = []
+        for _ in range(2):
+            assert main(["basis", "--spec", str(spec)]) == 0
+            runs.append(capsys.readouterr())
+        assert runs[0].out.encode() == runs[1].out.encode()
+        for captured in runs:
+            timings = re.findall(r"^job (\d+): (\d+\.\d{3}) s$", captured.err, re.M)
+            assert [int(i) for i, _ in timings] == [0, 1]
+            assert all(float(s) > 0 for _, s in timings)
 
 
 class TestInductionJobCli:

@@ -13,7 +13,6 @@ from vvmf.errors import (
     ExponentSumMismatch,
     NonIntegralThreeTrace,
     NotAnExponent,
-    NotLeftEigenvector,
     PoleInC,
     Resonance,
     TraceDCongruenceViolation,
@@ -29,20 +28,20 @@ from vvmf.mlde import (
     build_cyclic_operator,
     build_hypergeometric_operator,
     build_noncyclic_operator,
-    build_noncyclic_system,
     classify,
     cyclic_coeffs,
     dimension,
     frobenius_solve,
-    frobenius_solve_system,
     generic_basis,
     hypergeom_2f1,
-    left_eigenvector,
     modular_derivative,
     noncyclic_coeffs,
+    noncyclic_system,
     operator_residual,
+    qline_precision,
+    qline_solve,
     solve_minimal_form,
-    system_residual,
+    system_residuals,
 )
 from vvmf.reps import ExponentData, Rank4Rep
 from vvmf.series import Nome, PuiseuxSeries, VectorSeries, relative_residual
@@ -235,51 +234,78 @@ class TestFrobenius:
 
 
 class TestSystem:
+    """The noncyclic first-order system D X = X M on the q-line, X = (F, DF, G, H)."""
+
+    k1 = 6
+
     def co(self):
         return noncyclic_coeffs([0, Fraction(1, 12), Fraction(1, 4), Fraction(1, 3)])
 
-    def test_matrix_entries(self):
-        b0, b1 = build_noncyclic_system(self.co())
-        assert b0[1][1] == Fraction(1, 6)
-        assert b0[3][3] == Fraction(1, 3)
-        assert b0[3][1] == 1 and b1[3][1] == 0
+    def weights(self):
+        return (self.k1, self.k1 + 2, self.k1 + 2, self.k1 + 4)
 
-    def test_b0_eigenvalues_are_exponents(self):
+    def constant_term(self, co, catalog):
+        """K + M_0 as a dense matrix, K = diag(k_i / 12)."""
+        m0 = np.diag([k / 12 for k in self.weights()]).astype(complex)
+        for S, e in noncyclic_system(co, catalog):
+            for (i, j), v in S.items():
+                m0[i, j] += complex(v) * e.coeffs[0]
+        return m0
+
+    def test_matrix_entries(self, catalog40):
         co = self.co()
-        b0, _ = build_noncyclic_system(co)
-        eig = np.linalg.eigvals(np.array(b0, dtype=complex))
-        want = sorted(map(complex, co.f_exponents), key=lambda z: z.real)
+        (const, one), (e4_part, e4) = noncyclic_system(co, catalog40)
+        assert one.coeffs[:3] == (1, 0, 0)
+        assert e4 is catalog40.eisenstein(4)
+        assert const == {(1, 0): 1, (3, 1): 1}
+        assert e4_part == {(0, 1): co.a, (0, 2): 1, (1, 3): co.b, (2, 3): co.c}
+
+    def test_b0_eigenvalues_are_exponents(self, catalog40):
+        co = self.co()
+        eig = np.linalg.eigvals(self.constant_term(co, catalog40))
+        want = sorted((complex(f) + self.k1 / 12 for f in co.f_exponents), key=lambda z: z.real)
         assert np.allclose(sorted(eig, key=lambda z: z.real), want, atol=1e-10)
 
-    def test_degenerate_c(self):
+    def test_degenerate_c(self, catalog40):
         co = noncyclic_coeffs([0, Fraction(1, 6), Fraction(1, 6), Fraction(1, 3)])
         with pytest.raises(DegenerateC):
-            build_noncyclic_system(co)
+            noncyclic_system(co, catalog40)
 
-    def test_constant_system_at_zero_exponent(self):
+    def test_constant_system_at_zero_exponent(self, catalog40):
+        # weight zero and a constant M: the solution is its seed, constant in q
         co = self.co()
-        b0, _ = build_noncyclic_system(co)
-        zero_b1 = tuple((0, 0, 0, 0) for _ in range(4))
-        v0 = left_eigenvector(b0, 0.0)
-        rows = frobenius_solve_system(b0, zero_b1, 0.0, v0, 8)
+        (const, one), (e4_part, _) = noncyclic_system(co, catalog40)
+        m0 = np.zeros((4, 4), dtype=complex)
+        for (i, j), v in {**const, **e4_part}.items():
+            m0[i, j] = complex(v)
+        vals, vecs = np.linalg.eig(m0.T)  # left eigenvectors of m0
+        k = int(np.argmin(abs(vals)))
+        lam, v0 = complex(vals[k]), [complex(x) for x in vecs[:, k]]
+        system = [({ij: m0[ij] for ij in np.ndindex(4, 4) if m0[ij]}, one)]
+        with qline_precision():
+            rows = qline_solve((0, 0, 0, 0), system, lam, v0, 8, catalog40)
         for j, s in enumerate(rows):
-            assert abs(complex(s.coeffs[0]) - complex(v0[j])) < 1e-12
+            assert abs(complex(s.coeffs[0]) - v0[j]) < 1e-12
             assert max(abs(complex(c)) for c in s.coeffs[1:]) < 1e-12
 
-    def test_four_eigenpairs_and_residual(self):
+    def test_four_eigenpairs_and_residual(self, catalog40):
         co = self.co()
-        b0, b1 = build_noncyclic_system(co)
+        system = noncyclic_system(co, catalog40)
+        sixth = Fraction(1, 6)
         for f in co.f_exponents:
-            v0 = left_eigenvector(b0, f)
-            assert max(abs(complex(v)) for v in v0) == pytest.approx(1.0)
-            rows = frobenius_solve_system(b0, b1, f, v0, 50)
-            assert system_residual(b0, b1, rows) < 1e-9
+            seed = [1, f, 1 / (f - sixth), f * (f - sixth) - co.a]
+            with qline_precision():
+                rows = qline_solve(self.weights(), system, f + Fraction(self.k1, 12), seed,
+                                   40, catalog40)
+            forms = [VectorSeries((s,), k) for s, k in zip(rows, self.weights())]
+            assert max(system_residuals(forms, system, catalog40)) < 1e-12
 
-    def test_not_left_eigenvector(self):
+    def test_not_left_eigenvector(self, catalog40):
         co = self.co()
-        b0, b1 = build_noncyclic_system(co)
-        with pytest.raises(NotLeftEigenvector):
-            frobenius_solve_system(b0, b1, co.f_exponents[0], (1, 1, 1, 1), 5)
+        lam = co.f_exponents[0] + Fraction(self.k1, 12)
+        with pytest.raises(NotAnExponent), qline_precision():
+            qline_solve(self.weights(), noncyclic_system(co, catalog40), lam,
+                        (1, 1, 1, 1), 5, catalog40)
 
 
 class TestHypergeom:
@@ -346,7 +372,7 @@ class TestGenericPipeline:
         assert [complex(c.lead_exponent) for c in F.components] == pytest.approx(
             [complex(v) for v in L.eigenvalues]
         )
-        assert res["frobenius_self"] < 1e-12
+        assert res["cyclic_chain"] < 1e-12 and res["cyclic_mlde"] < 1e-12
         basis = generic_basis(rep, L, 25, catalog40)
         assert basis.residuals["cyclic_mlde"] < 1e-9
         assert basis.weights == (4, 6, 8, 10)
@@ -357,7 +383,7 @@ class TestGenericPipeline:
         basis = generic_basis(rep, L, 25, catalog40)
         assert basis.case.case == NONCYCLIC
         assert basis.weights == (6, 8, 8, 10)
-        for key in ("col2_d2f", "col3_dg_e4f", "col4_dh", "scalar_crosscheck"):
+        for key in ("col1_df", "col2_d2f", "col3_dg_e4f", "col4_dh"):
             assert basis.residuals[key] < 1e-9, (key, basis.residuals)
         assert basis_rank_ratio(basis) > 1e-8
 

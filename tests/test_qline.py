@@ -1,0 +1,148 @@
+"""The q-line solver against independent oracles (the closed Sym^3 and
+tensor constructions, and the Z-line route of the induction pair), and the
+recursive routes across the order range a user can request."""
+
+import mpmath
+import pytest
+
+import vvmf.mlde
+from vvmf.classical import ClassicalCatalog
+from vvmf.constructions import (
+    InductionJob,
+    build_fuchsian_z,
+    induction_minimal_pair,
+    induction_pipeline,
+    local_exponent_from_u,
+    sym3_pipeline,
+    tensor_pipeline,
+    u_from_local_exponent,
+)
+from vvmf.mlde import frobenius_solve, generic_basis
+from vvmf.reps import (
+    ExponentData,
+    GRank2Rep,
+    Group,
+    rank4_from_sym3,
+    rank4_from_tensor,
+    sym3_exponents,
+    tensor_exponents,
+)
+from vvmf.series import Nome, compose_frobenius, downcast_to_complex
+
+from test_acceptance import ZETA, rank2_data, sym3_grid, tensor_grid
+from test_constructions import make_job
+from test_mlde import admissible
+
+GATE = 1e-9  # the CLI's default residual tolerance
+
+
+def deviation(got, want) -> float:
+    """Largest coefficient difference over the largest coefficient of ``want``."""
+    scale = max(abs(complex(c)) for c in want.coeffs) or 1.0
+    diffs = (abs(complex(a) - complex(b)) for a, b in zip(got.coeffs, want.coeffs, strict=True))
+    return max(diffs) / scale
+
+
+# ---------------------------------------------------------------------------
+# oracles
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("member", [0, 2, 6])
+def test_generic_cyclic_reproduces_sym3_basis(member, catalog40):
+    # the same normalization: Sym^3 F_j leads with (1728^{g})^3 = 1728^{f_j}
+    rep, L = rank2_data(*sym3_grid()[member])
+    closed = sym3_pipeline(rep, L, 40, catalog40)
+    generic = generic_basis(rank4_from_sym3(rep), sym3_exponents(L), 40, catalog40)
+    assert generic.case.case == "cyclic" and generic.weights == closed.weights
+    worst = max(
+        deviation(g, c)
+        for fg, fc in zip(generic.forms, closed.forms, strict=True)
+        for g, c in zip(fg.components, fc.components, strict=True)
+    )
+    assert worst < 1e-10
+
+
+@pytest.mark.parametrize("member", [0, 3, 6])
+def test_generic_noncyclic_reproduces_tensor_form(member, catalog40):
+    p1, p2 = tensor_grid()[member]
+    alpha, L1 = rank2_data(*p1)
+    beta, L2 = rank2_data(*p2)
+    closed = tensor_pipeline(alpha, beta, L1, L2, 30, catalog40).forms[0]
+    generic = generic_basis(rank4_from_tensor(alpha, beta), tensor_exponents(L1, L2), 30, catalog40)
+    assert generic.case.case == "noncyclic"
+    for g, c in zip(generic.forms[0].components, closed.components, strict=True):
+        # the two normalizations differ by one constant per component
+        ratio = complex(g.coeffs[0]) / complex(c.coeffs[0])
+        assert deviation(c.scale(ratio), g) < 1e-10
+
+
+def zline_pair(job: InductionJob, order: int):
+    """The pair by the Z-line route: Frobenius-solve the Z-line equation at
+    +-r, substitute Z(q2), and form A = eta^{2k1} (g/f) a and
+    B = (xi/36) eta^{2k1} (f/g) (3 Z a + 9 (Z - 1) theta_Z a), at a working
+    precision covering the growth of Z (|2 * 12^{3/2}| ~ 83 per q2-order)."""
+    n2 = 2 * order
+    with mpmath.workdps(40 + 2 * n2):
+        hp = ClassicalCatalog(order, "extended")
+        u = mpmath.mpc(job.u)
+        op = build_fuchsian_z(u, hp.xi)
+        r = local_exponent_from_u(u, hp.xi)
+        z = hp.z_hauptmodul()
+        f, g = hp.fg_generators()
+        eta = hp.eta_power(2 * job.k1, Nome.Q2)
+        A, B = [], []
+        for exponent in (r, -r):
+            a = frobenius_solve(op, exponent, n2)
+            combo = a.shift(1, 3) + a.theta().shift(1, 9) - a.theta().scale(9)
+            A.append(downcast_to_complex(eta * g.divide(f) * compose_frobenius(a, z)))
+            B.append(downcast_to_complex(
+                (eta * f.divide(g) * compose_frobenius(combo, z)).scale(hp.xi / 36)
+            ))
+    return A, B
+
+
+def test_induction_pair_matches_zline_oracle():
+    # the inputs of acceptance criterion 7
+    catalog = ClassicalCatalog(20)
+    rep = GRank2Rep(0, 1, ZETA, ZETA**2, 0.7 + 0.2j)
+    L = ExponentData.diagonal([1 / 3 + 0.11, 1 / 3 - 0.11], Group.G)
+    worst = 0.0
+    for r in (0.27, 0.13 + 0.21j, 0.41, 0.05, 0.33 - 0.14j):
+        job = InductionJob.make(rep, L, u_from_local_exponent(r))
+        pair = induction_minimal_pair(job, 20, catalog)
+        for form, oracle in zip(pair, zline_pair(job, 20), strict=True):
+            for got, want in zip(form.components, oracle, strict=True):
+                assert abs(complex(got.lead_exponent) - complex(want.lead_exponent)) < 1e-12
+                worst = max(worst, deviation(got, want))
+    assert worst < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# order sweep
+# ---------------------------------------------------------------------------
+
+def finer(monkeypatch):
+    """Raise the q-line working precision by 30 digits."""
+    monkeypatch.setattr(vvmf.mlde, "QLINE_DPS", vvmf.mlde.QLINE_DPS + 30)
+
+
+@pytest.mark.parametrize("m, d", [(7, 1), (8, 5)], ids=["cyclic", "noncyclic"])
+def test_generic_order_sweep(monkeypatch, m, d):
+    rep, L = admissible([0.11, 0.18, 0.31], m, d, 0)
+    for order in (20, 80, 200):
+        catalog = ClassicalCatalog(order)
+        basis = generic_basis(rep, L, order, catalog)
+        assert max(basis.residuals.values()) < GATE, (order, basis.residuals)
+    finer(monkeypatch)
+    assert generic_basis(rep, L, 200, catalog).forms == basis.forms
+
+
+def test_induction_order_sweep(monkeypatch):
+    job = make_job(0.27)
+    for order in (20, 80, 200):
+        catalog = ClassicalCatalog(order)
+        for basis in induction_pipeline(job, order, catalog):
+            assert max(basis.residuals.values()) < GATE, (order, basis.residuals)
+    pair = induction_minimal_pair(job, 200, catalog)
+    finer(monkeypatch)
+    assert induction_minimal_pair(job, 200, catalog) == pair

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vvmf.classical import ClassicalCatalog
 from vvmf.errors import (
     NomeMismatch,
     NonIntegralExponentGap,
@@ -20,6 +21,7 @@ from vvmf.series import (
     PuiseuxSeries,
     VectorSeries,
     compose_frobenius,
+    composition_dps,
     relative_residual,
 )
 
@@ -216,6 +218,12 @@ class TestCompose:
     def test_wrong_nome_source(self):
         with pytest.raises(WrongNome):
             compose_frobenius(series(Nome.Q, 0, [1, 1]), self.k_like(5))
+
+    def test_dps_covers_log10_1728_per_order(self):
+        # K = 1728 q + ...: substituting it costs log10(1728) = 3.24 digits per
+        # order, so 35 + 3.24 * 80 + 1 = 295 digits at order 80
+        k_of_q = ClassicalCatalog(80).k_hauptmodul().truncate(80)
+        assert composition_dps(k_of_q) >= 295
 
 
 class TestVectorSeries:

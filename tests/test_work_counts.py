@@ -1,22 +1,28 @@
-"""Each pipeline computes every expensive quantity once: the K-line
-compositions of a tensor job and the system solves of a noncyclic job are
-counted at every module that binds them."""
+"""Each pipeline computes every expensive quantity once, and the recursive
+routes never touch a hauptmodul: the K-line compositions of a tensor job, the
+q-line solves per exponent and the hauptmodul-side calls of the generic and
+induction routes are counted at every module that binds them."""
 
 import cmath
+
+import pytest
 
 import vvmf.constructions
 import vvmf.mlde
 import vvmf.series
-from vvmf.constructions import tensor_pipeline
-from vvmf.mlde import generic_basis
-from vvmf.reps import ExponentData, Rank2Rep, Rank4Rep
+from vvmf.classical import ClassicalCatalog
+from vvmf.constructions import InductionJob, induction_pipeline, tensor_pipeline
+from vvmf.mlde import generic_basis, solve_minimal_form
+from vvmf.reps import ExponentData, GRank2Rep, Group, Rank2Rep, Rank4Rep
+from vvmf.series import PuiseuxSeries
 
 MODULES = (vvmf.series, vvmf.mlde, vvmf.constructions)
 
 
 def count_calls(monkeypatch, home, name: str) -> list:
-    """Replace the function ``home.name`` at each of its binding sites by a
-    wrapper that records the positional arguments of every call."""
+    """Replace the function ``home.name`` at each of its binding sites (or the
+    method ``name`` of the class ``home``) by a wrapper that records the
+    positional arguments of every call."""
     calls = []
     original = getattr(home, name)
 
@@ -24,10 +30,24 @@ def count_calls(monkeypatch, home, name: str) -> list:
         calls.append(args)
         return original(*args, **kwargs)
 
+    if isinstance(home, type):
+        monkeypatch.setattr(home, name, wrapper)
     for mod in MODULES:
         if getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, wrapper)
     return calls
+
+
+def count_hauptmodul_work(monkeypatch) -> dict:
+    """Calls of every function that substitutes, sizes or builds a
+    hauptmodul, or divides series."""
+    return {
+        "compose_frobenius": count_calls(monkeypatch, vvmf.series, "compose_frobenius"),
+        "composition_dps": count_calls(monkeypatch, vvmf.series, "composition_dps"),
+        "divide": count_calls(monkeypatch, PuiseuxSeries, "divide"),
+        "k_hauptmodul": count_calls(monkeypatch, ClassicalCatalog, "k_hauptmodul"),
+        "z_hauptmodul": count_calls(monkeypatch, ClassicalCatalog, "z_hauptmodul"),
+    }
 
 
 def rank2_data(s, delta):
@@ -38,24 +58,58 @@ def rank2_data(s, delta):
     return rep, ExponentData.diagonal([r1, r2])
 
 
+def generic_data(m, d):
+    eigs = [0.11, 0.18, 0.31, m / 3 - 0.6]
+    rep = Rank4Rep(*[cmath.exp(2j * cmath.pi * v) for v in eigs], d=d, e=0)
+    return rep, ExponentData.diagonal(eigs)
+
+
+def distinct_exponents(calls) -> int:
+    # qline_solve(weights, system, lam, seed, order, catalog)
+    return len({(round(complex(a[2]).real, 12), round(complex(a[2]).imag, 12)) for a in calls})
+
+
 def test_tensor_composes_each_rank2_input_once(monkeypatch, catalog40):
     calls = count_calls(monkeypatch, vvmf.series, "compose_frobenius")
+    solves = count_calls(monkeypatch, vvmf.mlde, "qline_solve")
+    divides = count_calls(monkeypatch, PuiseuxSeries, "divide")
     # first member of the acceptance suite's tensor grid
     alpha, L1 = rank2_data(1, 0.21)
     beta, L2 = rank2_data(2, 0.13)
     basis = tensor_pipeline(alpha, beta, L1, L2, 20, catalog40)
     assert basis.residuals["col3_dg_e4f"] < 1e-9
     assert len(calls) == 4
+    # G comes from one q-line solve per exponent, never from a division by E_4
+    assert len(solves) == 4 and distinct_exponents(solves) == 4
+    assert divides == []
 
 
 def test_noncyclic_solves_each_exponent_once(monkeypatch, catalog40):
-    calls = count_calls(monkeypatch, vvmf.mlde, "frobenius_solve_system")
-    eigs = [0.11, 0.18, 0.31, 8 / 3 - 0.6]
-    rep = Rank4Rep(*[cmath.exp(2j * cmath.pi * v) for v in eigs], d=5, e=0)
-    basis = generic_basis(rep, ExponentData.diagonal(eigs), 20, catalog40)
+    calls = count_calls(monkeypatch, vvmf.mlde, "qline_solve")
+    rep, L = generic_data(8, 5)
+    basis = generic_basis(rep, L, 20, catalog40)
     assert basis.case.case == "noncyclic"
-    assert basis.residuals["system_self"] < 1e-12
-    exponents = [complex(args[2]) for args in calls]
-    assert len(exponents) == 4
-    assert len({(round(z.real, 12), round(z.imag, 12)) for z in exponents}) == 4
+    assert basis.residuals["col3_dg_e4f"] < 1e-12
+    assert len(calls) == 4 and distinct_exponents(calls) == 4
 
+
+@pytest.mark.parametrize("m, d", [(7, 1), (8, 5)], ids=["cyclic", "noncyclic"])
+def test_generic_route_touches_no_hauptmodul(monkeypatch, m, d):
+    catalog = ClassicalCatalog(20)
+    counts = count_hauptmodul_work(monkeypatch)
+    rep, L = generic_data(m, d)
+    generic_basis(rep, L, 20, catalog)
+    solve_minimal_form(rep, L, 20, catalog)
+    assert {k: len(v) for k, v in counts.items()} == dict.fromkeys(counts, 0)
+
+
+def test_induction_route_touches_no_hauptmodul(monkeypatch):
+    catalog = ClassicalCatalog(10)
+    counts = count_hauptmodul_work(monkeypatch)
+    zeta = cmath.exp(2j * cmath.pi / 3)
+    rep = GRank2Rep(0, 1, zeta, zeta**2, 0.7 + 0.2j)
+    L = ExponentData.diagonal([1 / 3 + 0.11, 1 / 3 - 0.11], Group.G)
+    r = 0.27
+    job = InductionJob.make(rep, L, -(r * r) / (16 * cmath.exp(2j * cmath.pi / 6)))
+    induction_pipeline(job, 10, catalog)
+    assert {k: len(v) for k, v in counts.items()} == dict.fromkeys(counts, 0)
