@@ -2,17 +2,17 @@
 Frobenius series solving, hypergeometric series, first-order systems on the
 q-line, the modular derivative, and free-basis assembly.
 
-Operators are stored as a list of polynomials P_0..P_r in the Euler operator
-theta, representing sum_i x^i P_i(theta); P_0 is the indicial polynomial at
-x = 0.  They serve the closed K-line constructions.  Every recursive route
-solves a first-order system D X = X M(q) with holomorphic coefficients
-directly on the q-line (:func:`qline_solve`), with no hauptmodul.
+Every route solves a first-order system D X = X M(q) with holomorphic
+coefficients directly on the q-line (:func:`qline_solve`), with no
+hauptmodul.  Fuchsian operators, stored as a list of polynomials P_0..P_r
+in the Euler operator theta representing sum_i x^i P_i(theta) (P_0 the
+indicial polynomial at x = 0), and their Frobenius solver are the K-line
+and Z-line oracles the tests compare against.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,7 +37,7 @@ from .series import (
     VectorSeries,
     as_complex,
     compose_frobenius,  # noqa: F401  (a binding site perfbench's tracer test patches)
-    composition_dps,
+    downcast_to_complex,
     even_odd_parts,
     nearest_int,
     relative_residual,
@@ -340,15 +340,20 @@ def hypergeom_2f1(a, b, c, order: int, nome: Nome = Nome.K) -> PuiseuxSeries:
 # first-order systems on the q-line
 # ---------------------------------------------------------------------------
 
-#: digits of every q-line solve.  The recursion divides by nothing but its
+#: digits of every q-line block.  The recursion divides by nothing but its
 #: own small matrices, so nothing cancels exponentially and a fixed margin
-#: over double precision suffices: at order 200 the downcast output is
-#: bit-identical to a run with 30 more digits.
-QLINE_DPS = 30
+#: over double precision suffices for the solve.  The products formed in a
+#: block can cancel: at order 200 the tensor Kronecker product of
+#: ``tensor_grid`` member 5 is off by 9.8e-8 of its scale at 30 digits
+#: (its rank-2 factors are exact) and exact at 50, against a 120-digit run.
+#: At 50 digits every route's doubles at order 200 are identical to a run
+#: with 30 more digits.
+QLINE_DPS = 50
 
 
 def qline_precision():
-    """The working-precision block of every q-line solve (:data:`QLINE_DPS`)."""
+    """The working-precision block of every q-line solve and of the products
+    formed from its rows (:data:`QLINE_DPS`)."""
     return mpmath.workdps(QLINE_DPS)
 
 
@@ -386,7 +391,7 @@ def _noncyclic_lead_row(f, a) -> list:
 
 
 def qline_solve(weights, system, lam, seed, order: int, catalog: ClassicalCatalog):
-    """Row solution X = x^lam sum_n X_n x^n of D X = X M(x), downcast to double.
+    """Row solution X = x^lam sum_n X_n x^n of D X = X M(x).
 
     D is the modular derivative at the weights k_i of the entries of X; the
     system M is given as in :func:`cyclic_system`, in the nome x of its
@@ -401,7 +406,8 @@ def qline_solve(weights, system, lam, seed, order: int, catalog: ClassicalCatalo
     singular later matrix raises Resonance.  The solution is truncated to
     the shortest series of the system.  There is no hauptmodul and no
     division by a series, so the arithmetic runs at the ambient precision,
-    which callers set with :func:`qline_precision`.
+    which callers set with :func:`qline_precision`; the rows are returned at
+    that precision, for the caller to downcast once on leaving its block.
     """
     nome = system[0][1].nome
     s = Fraction(1, 2) if nome is Nome.Q2 else 1
@@ -438,10 +444,7 @@ def qline_solve(weights, system, lam, seed, order: int, catalog: ClassicalCatalo
                 for (i, j), v in S.items():
                     rhs[j] += conv[i] * v
         rows.append(_left_solve(matrix(n), rhs))
-    return tuple(
-        PuiseuxSeries(nome, as_complex(lam), tuple(as_complex(x[i]) for x in rows))
-        for i in range(r)
-    )
+    return tuple(PuiseuxSeries(nome, lam, tuple(x[i] for x in rows)) for i in range(r))
 
 
 def _left_solve(a, rhs) -> list:
@@ -579,9 +582,8 @@ def assemble_noncyclic_basis(
             lam = mpmath.mpc(as_complex(comp.lead_exponent))
             lead = mpmath.mpc(as_complex(comp.coeffs[0]))
             row = _noncyclic_lead_row(lam - Fraction(k1, 12), co.a)
-            g_comps.append(
-                qline_solve(weights, system, lam, [lead * x for x in row], F.order, catalog)[2]
-            )
+            G = qline_solve(weights, system, lam, [lead * x for x in row], F.order, catalog)[2]
+            g_comps.append(downcast_to_complex(G))
     forms = (F, d1, VectorSeries(tuple(g_comps), k1 + 2), H)
     res = system_residuals(forms, system, catalog)
     return FormBasis(forms, case, dict(zip(NONCYCLIC_KEYS, res)))
@@ -604,16 +606,6 @@ def _check_nonresonant(exponents) -> None:
                 )
 
 
-@contextmanager
-def kline_precision(catalog: ClassicalCatalog, order: int):
-    """K(q) through q^order, yielded inside an mpmath working precision sized
-    to substituting it (:func:`composition_dps`); every K-line pipeline runs
-    its working-precision block here."""
-    k_of_q = catalog.k_hauptmodul().truncate(order)
-    with mpmath.workdps(composition_dps(k_of_q)):
-        yield k_of_q
-
-
 def _recursive_stage(
     rep: Rank4Rep,
     L: ExponentData,
@@ -627,8 +619,8 @@ def _recursive_stage(
     The rows of the solutions are the case's free basis, (F, DF, D^2F, D^3F)
     or (F, DF, G, H), with no row recomputed.  F_j leads with 1728^{f_j}
     (cyclic) or 1728^{f_j} / t_j (noncyclic, t_j the largest-modulus entry
-    of the leading row per unit of F), as the K-line substitution it
-    replaces did.  Every column relation is re-checked on the emitted
+    of the leading row per unit of F), the normalization of the closed
+    K-line form.  Every column relation is re-checked on the emitted
     doubles.  Returns the double coefficients and the basis.
     """
     if validate_spectrum:
@@ -655,7 +647,8 @@ def _recursive_stage(
                 lead = _noncyclic_lead_row(f, co_hp.a)
                 unit = mpmath.mpf(1728) ** f / max(lead, key=abs)
                 seed = [unit * x for x in lead]
-            rows.append(qline_solve(report.weight_tuple, system, lam, seed, order, catalog))
+            solution = qline_solve(report.weight_tuple, system, lam, seed, order, catalog)
+            rows.append(tuple(downcast_to_complex(x) for x in solution))
     forms = tuple(
         VectorSeries(comps, k) for comps, k in zip(zip(*rows), report.weight_tuple)
     )

@@ -3,8 +3,10 @@
 A :class:`PuiseuxSeries` is a finite window ``x^lam * (a_0 + a_1 x + ... +
 a_N x^N) + O(x^{lam+N+1})`` with a complex leading exponent ``lam`` and a tag
 identifying the formal variable (q, q2, K or Z).  All higher modules build on
-this kernel: q-expansions of classical forms, Frobenius solutions on the K-
-and Z-lines, and the vector-valued forms themselves.
+this kernel: q-expansions of classical forms, the q-line solutions and the
+vector-valued forms built from them.  The K- and Z-line series, and their
+substitution into a hauptmodul (:func:`compose_frobenius`), serve the test
+oracles only.
 
 Coefficients are ordinary ``complex`` by default.  Passing mpmath numbers in
 switches the same code paths to extended precision; the arithmetic below

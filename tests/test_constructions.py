@@ -110,7 +110,6 @@ class TestSym3Pipeline:
         assert basis.case.k1 == 18 * Fraction(1, 6) - 3  # 18 Tr(L) - 3
         assert basis.weights == (0, 2, 4, 6)
         assert basis.residuals["cyclic_mlde"] < 1e-9
-        assert basis.residuals["kline_scalar_ode"] < 1e-9
         assert basis_rank_ratio(basis) > 1e-6
 
     def test_first_component_is_cube(self, catalog40):
@@ -142,8 +141,7 @@ class TestTensorPipeline:
         # minimal weight k + l = (6Tr1 - 1) + (6Tr2 - 1) = 0 + 1
         assert basis.case.k1 == 1
         assert basis.weights == (1, 3, 3, 5)
-        for key in ("col2_d2f", "col3_dg_e4f", "col4_dh", "kline_scalar_ode",
-                    "tensor_product_rule"):
+        for key in ("col2_d2f", "col3_dg_e4f", "col4_dh", "tensor_product_rule"):
             assert basis.residuals[key] < 1e-9, (key, basis.residuals)
         assert basis.residuals["g_exponent_drop"] == 0.0
         assert basis_rank_ratio(basis) > 1e-6

@@ -1,6 +1,6 @@
-"""The q-line solver against independent oracles (the closed Sym^3 and
-tensor constructions, and the Z-line route of the induction pair), and the
-recursive routes across the order range a user can request."""
+"""The q-line solver against independent oracles (the generic route against
+the Sym^3 and tensor constructions, and the Z-line route of the induction
+pair), and every route across the order range a user can request."""
 
 import mpmath
 import pytest
@@ -29,18 +29,11 @@ from vvmf.reps import (
 )
 from vvmf.series import Nome, compose_frobenius, downcast_to_complex
 
-from test_acceptance import ZETA, rank2_data, sym3_grid, tensor_grid
+from test_acceptance import ZETA, deviation, rank2_data, sym3_grid, tensor_grid
 from test_constructions import make_job
 from test_mlde import admissible
 
 GATE = 1e-9  # the CLI's default residual tolerance
-
-
-def deviation(got, want) -> float:
-    """Largest coefficient difference over the largest coefficient of ``want``."""
-    scale = max(abs(complex(c)) for c in want.coeffs) or 1.0
-    diffs = (abs(complex(a) - complex(b)) for a, b in zip(got.coeffs, want.coeffs, strict=True))
-    return max(diffs) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +128,29 @@ def test_generic_order_sweep(monkeypatch, m, d):
         assert max(basis.residuals.values()) < GATE, (order, basis.residuals)
     finer(monkeypatch)
     assert generic_basis(rep, L, 200, catalog).forms == basis.forms
+
+
+@pytest.mark.parametrize("route", ["sym3", "tensor"])
+def test_closed_order_sweep(monkeypatch, route):
+    # the benchmark's ladder members, the worst top-order residuals of each
+    # grid when the rank-2 form came from the K-line substitution
+    if route == "sym3":
+        rep, L = rank2_data(*sym3_grid()[3])
+
+        def pipeline(order, catalog):
+            return sym3_pipeline(rep, L, order, catalog)
+    else:
+        (alpha, L1), (beta, L2) = (rank2_data(*p) for p in tensor_grid()[5])
+
+        def pipeline(order, catalog):
+            return tensor_pipeline(alpha, beta, L1, L2, order, catalog)
+
+    for order in (20, 80, 200):
+        catalog = ClassicalCatalog(order)
+        basis = pipeline(order, catalog)
+        assert max(basis.residuals.values()) < GATE, (order, basis.residuals)
+    finer(monkeypatch)
+    assert pipeline(200, catalog).forms == basis.forms
 
 
 def test_induction_order_sweep(monkeypatch):

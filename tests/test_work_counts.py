@@ -1,7 +1,7 @@
-"""Each pipeline computes every expensive quantity once, and the recursive
-routes never touch a hauptmodul: the K-line compositions of a tensor job, the
-q-line solves per exponent and the hauptmodul-side calls of the generic and
-induction routes are counted at every module that binds them."""
+"""Each pipeline computes every expensive quantity once, and no route touches
+a hauptmodul: the q-line solves per exponent and the hauptmodul-side calls
+of the closed, generic and induction routes are counted at every module that
+binds them."""
 
 import cmath
 
@@ -11,7 +11,13 @@ import vvmf.constructions
 import vvmf.mlde
 import vvmf.series
 from vvmf.classical import ClassicalCatalog
-from vvmf.constructions import InductionJob, induction_pipeline, tensor_pipeline
+from vvmf.constructions import (
+    InductionJob,
+    induction_pipeline,
+    rank2_minimal,
+    sym3_pipeline,
+    tensor_pipeline,
+)
 from vvmf.mlde import generic_basis, solve_minimal_form
 from vvmf.reps import ExponentData, GRank2Rep, Group, Rank2Rep, Rank4Rep
 from vvmf.series import PuiseuxSeries
@@ -69,7 +75,7 @@ def distinct_exponents(calls) -> int:
     return len({(round(complex(a[2]).real, 12), round(complex(a[2]).imag, 12)) for a in calls})
 
 
-def test_tensor_composes_each_rank2_input_once(monkeypatch, catalog40):
+def test_tensor_solves_each_exponent_once(monkeypatch, catalog40):
     calls = count_calls(monkeypatch, vvmf.series, "compose_frobenius")
     solves = count_calls(monkeypatch, vvmf.mlde, "qline_solve")
     divides = count_calls(monkeypatch, PuiseuxSeries, "divide")
@@ -78,9 +84,10 @@ def test_tensor_composes_each_rank2_input_once(monkeypatch, catalog40):
     beta, L2 = rank2_data(2, 0.13)
     basis = tensor_pipeline(alpha, beta, L1, L2, 20, catalog40)
     assert basis.residuals["col3_dg_e4f"] < 1e-9
-    assert len(calls) == 4
-    # G comes from one q-line solve per exponent, never from a division by E_4
-    assert len(solves) == 4 and distinct_exponents(solves) == 4
+    assert calls == []
+    # one q-line solve per exponent: two per rank-2 factor, then G at each of
+    # the four tensor exponents, never from a division by E_4
+    assert len(solves) == 8 and distinct_exponents(solves) == 8
     assert divides == []
 
 
@@ -100,6 +107,17 @@ def test_generic_route_touches_no_hauptmodul(monkeypatch, m, d):
     rep, L = generic_data(m, d)
     generic_basis(rep, L, 20, catalog)
     solve_minimal_form(rep, L, 20, catalog)
+    assert {k: len(v) for k, v in counts.items()} == dict.fromkeys(counts, 0)
+
+
+def test_closed_routes_touch_no_hauptmodul(monkeypatch):
+    catalog = ClassicalCatalog(20)
+    counts = count_hauptmodul_work(monkeypatch)
+    alpha, L1 = rank2_data(1, 0.21)
+    beta, L2 = rank2_data(2, 0.13)
+    rank2_minimal(alpha, L1, 20, catalog)
+    sym3_pipeline(alpha, L1, 20, catalog)
+    tensor_pipeline(alpha, beta, L1, L2, 20, catalog)
     assert {k: len(v) for k, v in counts.items()} == dict.fromkeys(counts, 0)
 
 
