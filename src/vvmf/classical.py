@@ -152,10 +152,13 @@ class ClassicalCatalog:
         )
 
     def k_hauptmodul(self) -> PuiseuxSeries:
-        """K = 1728/j = 1728 Delta / E_4^3, leading term 1728 q."""
+        """K = 1728/j = 1728 Delta / E_4^3, leading term 1728 q.
+
+        One exact division: the inverse (E_4^3)^-1, whose coefficients grow
+        like 231^n, is never formed."""
         return self._memo(
             "K",
-            lambda: (self.delta() * (self.eisenstein(4) ** 3).invert()).scale(1728),
+            lambda: self.delta().scale(1728).divide(self.eisenstein(4) ** 3),
         )
 
     # -- level two, nome q2 ----------------------------------------------------

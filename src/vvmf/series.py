@@ -12,6 +12,18 @@ Coefficients are ordinary ``complex`` by default.  Passing mpmath numbers in
 switches the same code paths to extended precision; the arithmetic below
 never downcasts.  The library scopes every working precision with
 ``mpmath.workdps`` blocks; it never sets ``mpmath.mp.dps``.
+
+Exact-integer series (the classical catalog's) stay exact: their products,
+and their inverses and quotients over a unit leading coefficient, are
+ints.  A product of two all-``int`` series is computed by one of two
+kernels, with identical results.  The packed kernel (:func:`_kronecker_mul`)
+packs each operand into one big integer and multiplies once, so CPython's
+Karatsuba multiplication replaces the O(N^2) interpreted loop; the
+schoolbook loop serves every other coefficient type and the lopsided int
+products, where one operand's coefficients grow geometrically and packing
+pads the other to the large slot.  A fixed cost estimate from the operand
+lengths and coefficient bit lengths (:func:`_kronecker_pays`) picks the
+cheaper one.
 """
 
 from __future__ import annotations
@@ -97,6 +109,102 @@ def require_int(z, what: str, tol: float = INT_GAP_TOL) -> int:
     if n is None:
         raise NonIntegralThreeTrace(f"{what} = {z!r} is not an integer within {tol}")
     return n
+
+
+def _all_int(coeffs) -> bool:
+    """Every coefficient an exact ``int`` (bools and Fractions excluded)."""
+    return all(type(c) is int for c in coeffs)
+
+
+def _slot_bytes(a: Sequence[int], b: Sequence[int]) -> int:
+    """Bytes per coefficient slot of a packed product of a and b.
+
+    Every product coefficient is bounded by max|a| * max|b| * min(len), so
+    it fits below 2^(bits(a) + bits(b) + bits(min(len))); one more bit holds
+    the sign.  The width is never below the widest input coefficient, so
+    the inputs pack without overflow too (a zero operand times E_4 needs
+    E_4's width, not one byte).
+    """
+    bits = (
+        max(map(int.bit_length, a))
+        + max(map(int.bit_length, b))
+        + min(len(a), len(b)).bit_length()
+        + 1
+    )
+    return (bits + 7) // 8
+
+
+def _int_operand_sizes(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int, int]:
+    """(terms, total coefficient bits of a, of b, slot bytes) of two
+    all-int operands cut to a common length: the input of
+    :func:`_kronecker_pays`."""
+    return (
+        len(a),
+        sum(map(int.bit_length, a)),
+        sum(map(int.bit_length, b)),
+        _slot_bytes(a, b),
+    )
+
+
+def _kronecker_pays(n_terms: int, bits_a: int, bits_b: int, slot_bytes: int) -> bool:
+    """Cost rule: is the packed product cheaper than the schoolbook loop?
+
+    Both estimates are in nanoseconds.  The schoolbook loop does
+    n(n+1)/2 interpreted multiply-adds, each about 150 ns plus 0.5 ns per
+    pair of 30-bit CPython digits of the mean operand coefficients.  The
+    packed product costs about 6 us, 1 us per term to pack and unpack,
+    and 7.5 ns per (digit count of one packed operand)^1.585, the Karatsuba
+    exponent.  The constants are a least-squares fit of both kernels over
+    random operands of 3 to 1600 terms with flat and linearly growing bit
+    lengths of 2 to 6000 bits (Python 3.11, 2-core x86-64 VM).  The rule
+    picks the faster kernel for each of the 97 distinct int x int product
+    shapes of the catalog benchmark workload (orders 200 to 800).  Measured
+    at order 800, packed against schoolbook: Delta * Delta 5.6 ms against
+    60 ms, E4 * E4 3.3 ms against 49 ms, each theta fourth-power squaring
+    (q2-order 1600) 4.5 ms against 0.12-0.15 s.  Packing loses when one
+    operand's coefficients grow geometrically, because the small operand
+    is padded to the large slot: Delta * (E4^3)^-1 takes 2.0 s packed
+    against 0.23 s, and j * K 2.0 s against 0.31 s.  Below about 20 terms
+    the fixed costs of packing outweigh the loop.
+    """
+    digits_a = 1 + bits_a / (30 * n_terms)
+    digits_b = 1 + bits_b / (30 * n_terms)
+    schoolbook = n_terms * (n_terms + 1) / 2 * (150 + 0.5 * digits_a * digits_b)
+    packed = 6000 + 1000 * n_terms + 7.5 * (8 * slot_bytes * n_terms / 30) ** 1.585
+    return packed < schoolbook
+
+
+def _kronecker_mul(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
+    """Truncated product of two exact-integer coefficient sequences through
+    one big-integer multiply (Kronecker substitution; Harvey, J. Symbolic
+    Comput. 44, 2009).
+
+    Both operands are cut to n_out + 1 terms and packed into one integer
+    each, coefficient i in bytes slot*i to slot*(i+1).  A signed
+    coefficient is stored as c + half (half = 2^(8*slot - 1)) and the sum of
+    the halves subtracted once, so the packed integer is exactly
+    sum c_i 2^(8*slot*i).  The product's slots are then the product
+    coefficients.  Unpacking adds the halves back and masks off the slots
+    past n_out: every slot of the sum lies in [0, 2^(8*slot)), so the
+    borrows of the negative coefficients, and the sign of a negative
+    product, are settled by that one big-integer addition, and every slot
+    reads back as an unsigned field minus half.
+    """
+    a, b = a[: n_out + 1], b[: n_out + 1]
+    slot = _slot_bytes(a, b)
+    half = 1 << (8 * slot - 1)
+
+    def halves(n_slots: int) -> int:
+        return int.from_bytes(half.to_bytes(slot, "little") * n_slots, "little")
+
+    def pack(cs) -> int:
+        raw = b"".join([(c + half).to_bytes(slot, "little") for c in cs])
+        return int.from_bytes(raw, "little") - halves(len(cs))
+
+    width = slot * (n_out + 1)
+    low = (pack(a) * pack(b) + halves(n_out + 1)) & ((1 << (8 * width)) - 1)
+    buf = low.to_bytes(width, "little")
+    return [int.from_bytes(buf[i : i + slot], "little") - half for i in range(0, width, slot)]
 
 
 @dataclass(frozen=True)
@@ -207,13 +315,16 @@ class PuiseuxSeries:
             return NotImplemented
         self._require_same_nome(other)
         n_out = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for n in range(n_out + 1):
-            s = 0
-            for i in range(n + 1):
-                s += a[i] * b[n - i]
-            out.append(s)
+        a, b = self.coeffs[: n_out + 1], other.coeffs[: n_out + 1]
+        if _all_int(a) and _all_int(b) and _kronecker_pays(*_int_operand_sizes(a, b)):
+            out = _kronecker_mul(a, b, n_out)
+        else:
+            out = []
+            for n in range(n_out + 1):
+                s = 0
+                for i in range(n + 1):
+                    s += a[i] * b[n - i]
+                out.append(s)
         return PuiseuxSeries(
             self.nome, self.lead_exponent + other.lead_exponent, tuple(out)
         )
@@ -306,12 +417,15 @@ class PuiseuxSeries:
                 f"denominator leading coefficient {b0!r} too small"
             )
         n_out = min(self.order, den.order)
+        # exact, as in invert: all-int operands over a unit leading
+        # coefficient divide in integers, since 1/b0 = b0 for b0 = +-1
+        exact = abs(b0) == 1 and _all_int(den.coeffs) and _all_int(self.coeffs)
         out = []
         for n in range(n_out + 1):
             acc = self.coeffs[n]
             for k in range(1, n + 1):
                 acc = acc - den.coeffs[k] * out[n - k]
-            out.append(acc / b0)
+            out.append(acc * b0 if exact else acc / b0)
         return PuiseuxSeries(
             self.nome, self.lead_exponent - den.lead_exponent, tuple(out)
         )
@@ -374,11 +488,24 @@ class PuiseuxSeries:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
+        """Coefficients as [re, im] doubles; an exact coefficient beyond the
+        double range raises OverflowError naming its index (K's grow like
+        231^n and leave the range near n = 130)."""
         lam = as_complex(self.lead_exponent)
+        coeffs = []
+        for n, c in enumerate(self.coeffs):
+            try:
+                z = as_complex(c)
+            except OverflowError as exc:
+                raise OverflowError(
+                    f"coefficient {n} of an order-{self.order} {self.nome.value}-series"
+                    " exceeds the double range"
+                ) from exc
+            coeffs.append([z.real, z.imag])
         return {
             "nome": self.nome.value,
             "lead_exponent": [lam.real, lam.imag],
-            "coeffs": [[as_complex(c).real, as_complex(c).imag] for c in self.coeffs],
+            "coeffs": coeffs,
         }
 
     @staticmethod

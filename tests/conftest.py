@@ -11,3 +11,8 @@ def catalog40():
 @pytest.fixture(scope="session")
 def catalog60():
     return ClassicalCatalog(60)
+
+
+@pytest.fixture(scope="session")
+def catalog800():
+    return ClassicalCatalog(800)

@@ -155,6 +155,11 @@ class TestIdentitySuites:
         res = catalog60.level_one_residuals()
         assert max(res.values()) < 1e-12
 
+    def test_level_one_exact_at_order_800(self, catalog800):
+        res = catalog800.level_one_residuals()
+        for key in ("e4^3-e6^2=1728delta", "delta=eta^24", "j*K=1728"):
+            assert res[key] == 0.0, key
+
     def test_level_two(self, catalog60):
         res = catalog60.level_two_residuals()
         assert max(res.values()) < 1e-10

@@ -20,6 +20,9 @@ from vvmf.series import (
     Nome,
     PuiseuxSeries,
     VectorSeries,
+    _int_operand_sizes,
+    _kronecker_mul,
+    _kronecker_pays,
     compose_frobenius,
     composition_dps,
     relative_residual,
@@ -78,6 +81,91 @@ class TestMul:
         out = series(Nome.Q, 0, [1, 2]).scale(2j)
         coeffs_close(out, [2j, 4j])
 
+    @pytest.mark.parametrize("order", [3, 40], ids=["schoolbook", "packed"])
+    def test_int_product_stays_int(self, catalog40, order):
+        e4 = catalog40.eisenstein(4).truncate(order)
+        e6 = catalog40.eisenstein(6).truncate(order)
+        out = e4 * e6
+        assert all(type(c) is int for c in out.coeffs)
+        assert out.coeffs == tuple(reference_product(e4.coeffs, e6.coeffs, order))
+
+
+def reference_product(a, b, n_out):
+    """The truncated convolution, one multiply-add per coefficient pair."""
+    out = []
+    for n in range(n_out + 1):
+        s = 0
+        for i in range(n + 1):
+            if i < len(a) and n - i < len(b):
+                s += a[i] * b[n - i]
+        out.append(s)
+    return out
+
+
+E4_40 = ClassicalCatalog(40).eisenstein(4).coeffs
+
+
+class TestKroneckerKernel:
+    """The packed int kernel, called directly so the cost rule cannot route
+    around it."""
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([3, -5, 7, -11, 13], [-2, 4, -6, 8, -10]),
+            ([0] * len(E4_40), E4_40),
+            (list(range(-4, 5)), [1, -1, 2, -2]),
+            ([-7], [6]),
+            ([2**4096 + 1, -(2**4100), 3, 2**5000], [2**4097, 5, -1, -(2**4096)]),
+            ([5, -3], [2, 7]),
+            ([-1], [1]),
+            ([127] * 3, [-127] * 3),
+        ],
+        ids=["signed", "zero-operand", "unequal-order", "length-1", "beyond-2^4096",
+             "negative-top-slot", "negative-product", "length-in-slot-bound"],
+    )
+    def test_cases(self, a, b):
+        # "negative-top-slot": the full product 10 + 29 x - 21 x^2 packs to a
+        # negative integer, cut to two terms; "negative-product" is -1 itself;
+        # "length-in-slot-bound": -3 * 127^2 needs 17 bits, 7 + 7 + sign fit 16
+        n_out = min(len(a), len(b)) - 1
+        assert _kronecker_mul(a, b, n_out) == reference_product(a, b, n_out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(), min_size=1, max_size=24),
+        st.lists(st.integers(), min_size=1, max_size=24),
+        st.integers(min_value=0, max_value=23),
+    )
+    def test_matches_reference_loop(self, a, b, cut):
+        n_out = min(len(a), len(b), cut + 1) - 1
+        assert _kronecker_mul(a, b, n_out) == reference_product(a, b, n_out)
+
+
+class TestKroneckerDispatch:
+    """The cost rule, a pure function of the operand sizes, on the catalog
+    products at order 800 (theta fourth powers at q2-order 1600)."""
+
+    @staticmethod
+    def sizes(x, y):
+        n = min(x.order, y.order)
+        return _int_operand_sizes(x.coeffs[: n + 1], y.coeffs[: n + 1])
+
+    @pytest.mark.parametrize("name", ["Delta", "E4", "theta2_4", "theta3_4", "theta4_4"])
+    def test_balanced_squarings_pack(self, catalog800, name):
+        s = catalog800.series(name)
+        assert _kronecker_pays(*self.sizes(s, s))
+
+    def test_lopsided_products_stay_schoolbook(self, catalog800):
+        delta = catalog800.delta()
+        e4_cubed_inverse = (catalog800.eisenstein(4) ** 3).invert()
+        assert not _kronecker_pays(*self.sizes(delta, e4_cubed_inverse))
+        j, k = catalog800.j_invariant(), catalog800.k_hauptmodul()
+        assert not _kronecker_pays(*self.sizes(j, k))
+
+    def test_short_products_stay_schoolbook(self):
+        assert not _kronecker_pays(*_int_operand_sizes([1, 2, 3], [4, 5, 6]))
+
 
 class TestTheta:
     def test_monomial(self):
@@ -131,6 +219,17 @@ class TestDivide:
     def test_zero_denominator(self):
         with pytest.raises(NonUnitLeadingCoefficient):
             series(Nome.Q, 0, [1]).divide(series(Nome.Q, 0, [0]))
+
+    def test_exact_over_unit_integer_lead(self):
+        num = series(Nome.Q, 0, [2, -3, 5, 7, -11])
+        den = series(Nome.Q, 0, [-1, 4, 0, -2, 9])
+        q = num.divide(den)
+        assert all(type(c) is int for c in q.coeffs)
+        assert (q * den).coeffs == num.coeffs
+
+    def test_non_unit_integer_lead_is_not_exact(self):
+        q = series(Nome.Q, 0, [1, 1]).divide(series(Nome.Q, 0, [2, 0]))
+        assert q.coeffs == (0.5, 0.5)
 
 
 class TestPowBinomial:
@@ -247,6 +346,11 @@ class TestSerialization:
         assert back.nome is s.nome
         assert abs(back.lead_exponent - complex(s.lead_exponent)) == 0
         coeffs_close(back, list(s.coeffs), tol=0)
+
+    def test_overflow_names_coefficient_and_order(self):
+        s = series(Nome.Q, 1, [1728, -(10**400), 0])
+        with pytest.raises(OverflowError, match="coefficient 1 of an order-2 q-series"):
+            s.to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -131,3 +131,12 @@ def test_induction_route_touches_no_hauptmodul(monkeypatch):
     job = InductionJob.make(rep, L, -(r * r) / (16 * cmath.exp(2j * cmath.pi / 6)))
     induction_pipeline(job, 10, catalog)
     assert {k: len(v) for k, v in counts.items()} == dict.fromkeys(counts, 0)
+
+
+def test_k_is_one_exact_division(monkeypatch):
+    divides = count_calls(monkeypatch, PuiseuxSeries, "divide")
+    inverts = count_calls(monkeypatch, PuiseuxSeries, "invert")
+    k = ClassicalCatalog(40).k_hauptmodul()
+    # 1728 Delta / E_4^3 by forward substitution; (E_4^3)^-1 is never formed
+    assert len(divides) == 1 and inverts == []
+    assert all(type(c) is int for c in k.coeffs)
