@@ -471,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
     except PipelineStepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (VvmfError, OSError, ValueError) as exc:
+    except (VvmfError, OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,8 +3,9 @@ and symmetric-cube bases of rank four, and induction from the index-two
 subgroup.
 
 The rank-2 minimal form solves its first-order system on the q-line; the
-tensor and Sym^3 pipelines form their Kronecker product or cube in the same
-working-precision block and hand the minimal form to the basis assemblers.
+tensor and Sym^3 pipelines form their Kronecker product or cube exactly on
+its fixed-point rows, round once, and hand the minimal form to the basis
+assemblers.
 The induction pair solves its defining first-order system on the q2-line.
 Every defining differential relation is re-checked on the emitted series.
 The closed hypergeometric pair on the K-line (:func:`rank2_kline_pair`) and
@@ -70,6 +71,7 @@ from .reps import (
     tensor_is_irreducible,
 )
 from .series import (
+    FixedSeries,
     Nome,
     PuiseuxSeries,
     VectorSeries,
@@ -78,7 +80,6 @@ from .series import (
     clog,
     compose_frobenius,  # noqa: F401  (a binding site perfbench's tracer test patches)
     cpow,
-    downcast_to_complex,
     even_odd_parts,
     relative_residual,
 )
@@ -153,10 +154,12 @@ def _rank2_weight(rep: Rank2Rep, L: ExponentData) -> int:
 
 def _rank2_stage(
     L: ExponentData, k1: int, order: int, catalog: ClassicalCatalog
-) -> tuple[VectorSeries, VectorSeries]:
-    """The minimal form F and DF, solved on the q-line as X = (F, DF) with
-    D(DF) = -a E_4 F, a = f_1 f_2 (:func:`qline_solve`), at the working
-    precision of the enclosing :func:`qline_precision` block.
+) -> tuple[tuple[FixedSeries, ...], tuple[FixedSeries, ...]]:
+    """The components of the minimal form F and of DF, solved on the q-line
+    as X = (F, DF) with D(DF) = -a E_4 F, a = f_1 f_2 (:func:`qline_solve`),
+    from seeds at the working precision of the enclosing
+    :func:`qline_precision` block.  The rows stay in fixed point, for the
+    caller's exact products.
 
     F_j leads with 1728^{f_j}, the leading coefficient of the closed form
     eta^{2 k1} K^{f_j} 2F1(...)(K) (:func:`rank2_kline_pair`)."""
@@ -171,7 +174,7 @@ def _rank2_stage(
         for f in fs
     ]
     F, DF = zip(*rows)
-    return VectorSeries(F, k1), VectorSeries(DF, k1 + 2)
+    return F, DF
 
 
 def rank2_minimal(
@@ -197,13 +200,18 @@ def rank2_minimal(
             eta_component=catalog.eta_power(2 * k1 + 2),
         )
     with qline_precision():
-        F = _rank2_stage(L, k1, order, catalog)[0].map(downcast_to_complex)
-    return Rank2MinimalForm(k1, HYPERGEOMETRIC, F)
+        F = _rank2_stage(L, k1, order, catalog)[0]
+    return Rank2MinimalForm(k1, HYPERGEOMETRIC, _downcast(F, k1))
 
 
-def _kronecker(a: VectorSeries, b: VectorSeries, weight) -> VectorSeries:
-    comps = tuple(ca * cb for ca in a.components for cb in b.components)
-    return VectorSeries(comps, weight)
+def _downcast(comps, weight) -> VectorSeries:
+    """The vector form of fixed-point components, each rounded to double once."""
+    return VectorSeries(tuple(c.downcast() for c in comps), weight)
+
+
+def _kronecker(a, b) -> tuple[FixedSeries, ...]:
+    """Components a_i b_j of the Kronecker product, exact in fixed point."""
+    return tuple(ca * cb for ca in a for cb in b)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +250,9 @@ def tensor_pipeline(
     with qline_precision():
         A, dA = _rank2_stage(L1, ka, order, catalog)
         B, dB = _rank2_stage(L2, kb, order, catalog)
-        F = _kronecker(A, B, report.k1).map(downcast_to_complex)
-        leibniz = _kronecker(dA, B, report.k1 + 2) + _kronecker(A, dB, report.k1 + 2)
-        leibniz = leibniz.map(downcast_to_complex)
+        F = _downcast(_kronecker(A, B), report.k1)
+        leibniz = [x + y for x, y in zip(_kronecker(dA, B), _kronecker(A, dB))]
+        leibniz = _downcast(leibniz, report.k1 + 2)
     co = noncyclic_coeffs(indicial_shifts(L12.eigenvalues, NONCYCLIC))
     basis = assemble_noncyclic_basis(F, co, catalog, report)
     res = dict(basis.residuals)
@@ -292,13 +300,13 @@ def sym3_pipeline(
     co = cyclic_coeffs(indicial_shifts(S3L.eigenvalues, CYCLIC))
 
     with qline_precision():
-        A = _rank2_stage(L, k1, order, catalog)[0]
-        F = VectorSeries(_cube(*A.components), Fraction(report.k1)).map(downcast_to_complex)
+        F = _downcast(_cube(*_rank2_stage(L, k1, order, catalog)[0]), report.k1)
     return assemble_cyclic_basis(F, co, catalog, report)
 
 
-def _cube(f: PuiseuxSeries, g: PuiseuxSeries) -> tuple[PuiseuxSeries, ...]:
-    """(f^3, f^2 g, f g^2, g^3), forming each square once."""
+def _cube(f: FixedSeries, g: FixedSeries) -> tuple[FixedSeries, ...]:
+    """(f^3, f^2 g, f g^2, g^3), exact in fixed point, forming each square
+    once."""
     f2, g2 = f * f, g * g
     return (f2 * f, f2 * g, f * g2, g2 * g)
 
@@ -408,9 +416,7 @@ def induction_minimal_pair(
             # D A = g B at the leading q2-power: (exponent / 2) a0 = g_0 b0, g_0 = -2 xi^5
             seed = (a0, a0 * exponent / (-4 * xi**5))
             rows.append(qline_solve((k1, k1), system, Fraction(k1, 6) + exponent, seed, n2, catalog))
-    A = VectorSeries(tuple(row[0] for row in rows), Fraction(k1))
-    B = VectorSeries(tuple(row[1] for row in rows), Fraction(k1))
-    return A.map(downcast_to_complex), B.map(downcast_to_complex)
+    return _downcast((row[0] for row in rows), k1), _downcast((row[1] for row in rows), k1)
 
 
 def induction_relation_residual(

@@ -4,17 +4,19 @@ q-line, the modular derivative, and free-basis assembly.
 
 Every route solves a first-order system D X = X M(q) with holomorphic
 coefficients directly on the q-line (:func:`qline_solve`), with no
-hauptmodul.  Fuchsian operators, stored as a list of polynomials P_0..P_r
-in the Euler operator theta representing sum_i x^i P_i(theta) (P_0 the
-indicial polynomial at x = 0), and their Frobenius solver are the K-line
-and Z-line oracles the tests compare against.
+hauptmodul, in fixed-point integer arithmetic.  Fuchsian operators, stored
+as a list of polynomials P_0..P_r in the Euler operator theta representing
+sum_i x^i P_i(theta) (P_0 the indicial polynomial at x = 0), and their
+Frobenius solver are the K-line and Z-line oracles the tests compare
+against.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 import mpmath
 import numpy as np
@@ -32,16 +34,17 @@ from .errors import (
 )
 from .reps import ExponentData, Rank4Rep
 from .series import (
+    FixedSeries,
     Nome,
     PuiseuxSeries,
     VectorSeries,
     as_complex,
     compose_frobenius,  # noqa: F401  (a binding site perfbench's tracer test patches)
-    downcast_to_complex,
     even_odd_parts,
     nearest_int,
     relative_residual,
     require_int,
+    to_fixed,
 )
 
 CYCLIC = "cyclic"
@@ -340,20 +343,23 @@ def hypergeom_2f1(a, b, c, order: int, nome: Nome = Nome.K) -> PuiseuxSeries:
 # first-order systems on the q-line
 # ---------------------------------------------------------------------------
 
-#: digits of every q-line block.  The recursion divides by nothing but its
-#: own small matrices, so nothing cancels exponentially and a fixed margin
-#: over double precision suffices for the solve.  The products formed in a
-#: block can cancel: at order 200 the tensor Kronecker product of
-#: ``tensor_grid`` member 5 is off by 9.8e-8 of its scale at 30 digits
-#: (its rank-2 factors are exact) and exact at 50, against a 120-digit run.
-#: At 50 digits every route's doubles at order 200 are identical to a run
-#: with 30 more digits.
+#: digits of every q-line block.  The q-line solve runs in fixed point at the
+#: binary precision of this many digits plus guard bits (:func:`qline_solve`),
+#: and the products formed from its rows are exact, so the recursion's own
+#: rounding is the only error of a block.  The recursion divides by nothing
+#: but its own small matrices, so nothing cancels exponentially in it and a
+#: fixed margin over double precision suffices.  The products can cancel: at
+#: order 200 the tensor Kronecker product of ``tensor_grid`` member 5 was
+#: off by 9.8e-8 of its scale when its rank-2 factors carried 30 digits, and
+#: exact at 50, against a 120-digit run.  At 50 digits every route's doubles
+#: at order 200 are identical to a run with 30 more digits.
 QLINE_DPS = 50
 
 
 def qline_precision():
-    """The working-precision block of every q-line solve and of the products
-    formed from its rows (:data:`QLINE_DPS`)."""
+    """The working-precision block of every q-line solve: the mpmath
+    precision of the seeds and coefficients a solve starts from
+    (:data:`QLINE_DPS`)."""
     return mpmath.workdps(QLINE_DPS)
 
 
@@ -362,7 +368,7 @@ def cyclic_system(co: ODECoefficients, catalog: ClassicalCatalog) -> list:
     last column (-c E_4^2, -b E_6, -a E_4, 0) of the minimal-weight equation.
 
     A system is a list of (sparse constant matrix {(i, j): value}, scalar
-    q-series) pairs whose sum of products is M."""
+    exact-integer q-series) pairs whose sum of products is M."""
     e4 = catalog.eisenstein(4)
     return [
         ({(1, 0): 1, (2, 1): 1, (3, 2): 1}, PuiseuxSeries.one(Nome.Q, catalog.order)),
@@ -404,70 +410,117 @@ def qline_solve(weights, system, lam, seed, order: int, catalog: ClassicalCatalo
 
     ``seed`` is X_0 (NotAnExponent unless it is a left null vector); a
     singular later matrix raises Resonance.  The solution is truncated to
-    the shortest series of the system.  There is no hauptmodul and no
-    division by a series, so the arithmetic runs at the ambient precision,
-    which callers set with :func:`qline_precision`; the rows are returned at
-    that precision, for the caller to downcast once on leaving its block.
+    the shortest series of the system.
+
+    The recursion runs in fixed point.  Every X_n is held as the integer
+    mantissas of its real and imaginary parts at one scale 2^-Q per solve,
+    Q = p - floor(log2 max|seed|), where p is the binary precision of
+    :data:`QLINE_DPS` (read at call time) plus 32 guard bits.  The series of
+    the system enter as their exact integer coefficients, so each
+    convolution is two integer dot products and rounds nothing.  The
+    constant matrices are encoded once at the scale 2^-p, and each step is
+    solved by pivoted elimination on those Gaussian integers
+    (:func:`_fixed_left_solve`).  There is no hauptmodul and no division by
+    a series.  The rows come back as :class:`FixedSeries`, for the caller to
+    multiply exactly and downcast once.  The seed and the equation
+    coefficients are mpmath numbers of the caller's
+    :func:`qline_precision` block.
     """
     nome = system[0][1].nome
     s = Fraction(1, 2) if nome is Nome.Q2 else 1
     r = len(weights)
+    p = mpmath.libmp.dps_to_prec(QLINE_DPS) + 32
+    bits = p - (math.frexp(max(abs(as_complex(v)) for v in seed))[1] - 1)
     kdiag = {(i, i): Fraction(k, 12) for i, k in enumerate(weights) if k}
     m0 = [[0] * r for _ in range(r)]
-    convolutions = []  # (matrix, rows it reads, offsets m >= 1 with e_m != 0, e_m)
+    convolutions = []  # (entries (i, j, re, im) at 2^-p, rows read, e_1, e_2, ...)
     for S, e in (*system, (kdiag, catalog.e2_for(nome))):
         coeffs = [0] * nearest_int(e.lead_exponent) + list(e.coeffs)
+        if not all(type(c) is int for c in coeffs):
+            raise TypeError("q-line systems take exact-integer q-series")
         order = min(order, len(coeffs) - 1)
         for (i, j), v in S.items():
             m0[i][j] += v * coeffs[0]
-        ms = [m for m in range(1, len(coeffs)) if coeffs[m] != 0]
-        es = [mpmath.mpmathify(coeffs[m]) for m in ms]
-        convolutions.append((S, {i for i, _ in S}, ms, es))
+        tail = coeffs[1:]
+        while tail and not tail[-1]:
+            tail.pop()
+        if tail:
+            entries = [(i, j, *to_fixed(v, p)) for (i, j), v in S.items()]
+            convolutions.append((entries, {i for i, _ in S}, tail))
 
-    def matrix(n):
-        return [[(s * (lam + n) if i == j else 0) - m0[i][j] for j in range(r)]
-                for i in range(r)]
-
-    b0 = matrix(0)
+    b0 = [[(s * lam if i == j else 0) - m0[i][j] for j in range(r)] for i in range(r)]
     miss = max(abs(sum(seed[i] * b0[i][j] for i in range(r))) for j in range(r))
     scale = max(1, max(abs(v) for row in b0 for v in row))
     if miss > 1e-9 * scale * max(abs(v) for v in seed):
         raise NotAnExponent(f"seed row is not a left null vector of the system at {lam!r}")
-    rows = [list(seed)]
+    b0 = [[to_fixed(v, p) for v in row] for row in b0]
+    step = int(s * (1 << p))  # s (lam + n) - s (lam + n - 1) at the scale 2^-p
+    res, ims = zip(*(([x], [y]) for x, y in (to_fixed(v, bits) for v in seed)))
     for n in range(1, order + 1):
-        rhs = [0] * r
-        for S, sources, ms, es in convolutions:
-            k = bisect_right(ms, n)
-            if k:
-                conv = {i: mpmath.fdot([rows[n - m][i] for m in ms[:k]], es[:k])
-                        for i in sources}
-                for (i, j), v in S.items():
-                    rhs[j] += conv[i] * v
-        rows.append(_left_solve(matrix(n), rhs))
-    return tuple(PuiseuxSeries(nome, lam, tuple(x[i] for x in rows)) for i in range(r))
+        acc = [[0, 0] for _ in range(r)]
+        for entries, sources, e in convolutions:
+            conv = {i: (sum(map(mul, res[i][n - 1::-1], e)), sum(map(mul, ims[i][n - 1::-1], e)))
+                    for i in sources}
+            for i, j, vr, vi in entries:
+                cr, ci = conv[i]
+                acc[j][0] += cr * vr - ci * vi
+                acc[j][1] += cr * vi + ci * vr
+        b = [list(row) for row in b0]
+        for i in range(r):
+            b[i][i] = (b0[i][i][0] + n * step, b0[i][i][1])
+        x = _fixed_left_solve(b, [(u >> p, v >> p) for u, v in acc], p)
+        for i, (u, v) in enumerate(x):
+            res[i].append(u)
+            ims[i].append(v)
+    return tuple(
+        FixedSeries(PuiseuxSeries(nome, lam, tuple(u)), PuiseuxSeries(nome, lam, tuple(v)), bits)
+        for u, v in zip(res, ims)
+    )
 
 
-def _left_solve(a, rhs) -> list:
-    """Row x with x a = rhs, by elimination with partial pivoting on the
-    transposed system; a vanishing pivot is an integer exponent gap."""
+#: 1/(1e-10)^2: a pivot whose squared modulus is this many times below the
+#: largest squared modulus of the matrix counts as zero
+_PIVOT_FLOOR = 10**20
+
+
+def _fixed_left_solve(a, rhs, p: int) -> list:
+    """Row x with x a = rhs, in Gaussian integers: a at the scale 2^-p, rhs
+    and x at one common scale.  Elimination with partial pivoting on the
+    transposed system; each multiplier is held at the scale 2^-p.  A pivot
+    below 1e-10 of the largest entry of a, compared as exact squared moduli,
+    is an integer exponent gap."""
     r = len(rhs)
     m = [[a[i][j] for i in range(r)] + [rhs[j]] for j in range(r)]
-    scale = max(abs(v) for row in m for v in row[:r])
+    scale = max(u * u + v * v for row in m for u, v in row[:r])
     for col in range(r):
-        piv = max(range(col, r), key=lambda i: abs(m[i][col]))
-        if abs(m[piv][col]) <= 1e-10 * scale:
+        norms = [u * u + v * v for u, v in (m[i][col] for i in range(col, r))]
+        norm = max(norms)
+        if norm * _PIVOT_FLOOR <= scale:
             raise Resonance(
                 "system matrix singular at an integer offset; "
                 "logarithmic solutions are out of scope"
             )
+        piv = col + norms.index(norm)
         m[col], m[piv] = m[piv], m[col]
+        pr, pi = m[col][col]
         for i in range(col + 1, r):
-            f = m[i][col] / m[col][col]
-            if f:
-                m[i] = [u - f * w for u, w in zip(m[i], m[col])]
-    x = [0] * r
+            ur, ui = m[i][col]
+            if ur or ui:
+                fr = ((ur * pr + ui * pi) << p) // norm
+                fi = ((ui * pr - ur * pi) << p) // norm
+                m[i][col + 1:] = [
+                    (u - ((fr * w - fi * z) >> p), v - ((fr * z + fi * w) >> p))
+                    for (u, v), (w, z) in zip(m[i][col + 1:], m[col][col + 1:])
+                ]
+    x = [None] * r
     for i in reversed(range(r)):
-        x[i] = (m[i][r] - sum(m[i][j] * x[j] for j in range(i + 1, r))) / m[i][i]
+        nr, ni = m[i][r]
+        for (w, z), (u, v) in zip(m[i][i + 1:r], x[i + 1:]):
+            nr -= (w * u - z * v) >> p
+            ni -= (w * v + z * u) >> p
+        dr, di = m[i][i]
+        norm = dr * dr + di * di
+        x[i] = (((nr * dr + ni * di) << p) // norm, ((ni * dr - nr * di) << p) // norm)
     return x
 
 
@@ -583,7 +636,7 @@ def assemble_noncyclic_basis(
             lead = mpmath.mpc(as_complex(comp.coeffs[0]))
             row = _noncyclic_lead_row(lam - Fraction(k1, 12), co.a)
             G = qline_solve(weights, system, lam, [lead * x for x in row], F.order, catalog)[2]
-            g_comps.append(downcast_to_complex(G))
+            g_comps.append(G.downcast())
     forms = (F, d1, VectorSeries(tuple(g_comps), k1 + 2), H)
     res = system_residuals(forms, system, catalog)
     return FormBasis(forms, case, dict(zip(NONCYCLIC_KEYS, res)))
@@ -648,7 +701,7 @@ def _recursive_stage(
                 unit = mpmath.mpf(1728) ** f / max(lead, key=abs)
                 seed = [unit * x for x in lead]
             solution = qline_solve(report.weight_tuple, system, lam, seed, order, catalog)
-            rows.append(tuple(downcast_to_complex(x) for x in solution))
+            rows.append(tuple(x.downcast() for x in solution))
     forms = tuple(
         VectorSeries(comps, k) for comps, k in zip(zip(*rows), report.weight_tuple)
     )

@@ -13,6 +13,11 @@ switches the same code paths to extended precision; the arithmetic below
 never downcasts.  The library scopes every working precision with
 ``mpmath.workdps`` blocks; it never sets ``mpmath.mp.dps``.
 
+The q-line block holds complex series in fixed point instead
+(:class:`FixedSeries`): integer mantissas of the real and imaginary parts at
+one binary scale, multiplied exactly through the integer kernels below and
+rounded to ``complex`` once (:func:`to_fixed`, :func:`from_fixed`).
+
 Exact-integer series (the classical catalog's) stay exact: their products,
 and their inverses and quotients over a unit leading coefficient, are
 ints.  A product of two all-``int`` series is computed by one of two
@@ -529,6 +534,69 @@ def downcast_to_complex(s: PuiseuxSeries) -> PuiseuxSeries:
     return PuiseuxSeries(
         s.nome, as_complex(s.lead_exponent), tuple(as_complex(c) for c in s.coeffs)
     )
+
+
+def to_fixed(z, bits: int) -> tuple[int, int]:
+    """Mantissas (re, im) of z at the scale 2^-bits: the integers nearest to
+    Re(z) 2^bits and Im(z) 2^bits, ties to even.
+
+    z is an int, Fraction, float, complex or mpmath number.  An mpf is read
+    as its exact signed rational value (``mpf.man_exp`` drops the sign)."""
+    parts = (z.real, z.imag) if isinstance(z, (complex, mpmath.mpc)) else (z, 0)
+    out = []
+    for x in parts:
+        if isinstance(x, mpmath.mpf):
+            if not mpmath.isfinite(x):
+                raise ValueError(f"cannot hold {x} in fixed point")
+            x = Fraction(*mpmath.libmp.to_rational(x._mpf_))
+        out.append(round(Fraction(x) * Fraction(2) ** bits))
+    return out[0], out[1]
+
+
+def from_fixed(re: int, im: int, bits: int) -> complex:
+    """The complex double nearest to (re + i im) 2^-bits.
+
+    Exact int/int true division rounds half to even, as ``complex(mpc)``
+    does, so a value held exactly both ways downcasts to the same double."""
+    if bits < 0:
+        return complex(re << -bits, im << -bits)
+    den = 1 << bits
+    return complex(re / den, im / den)
+
+
+@dataclass(frozen=True)
+class FixedSeries:
+    """A complex series in fixed point: x^lam sum_n (re_n + i im_n) 2^-bits x^n.
+
+    ``re`` and ``im`` are exact-integer series sharing the nome and the
+    leading exponent lam.  Sums are exact at a common scale, and a product is
+    exact at the sum of the two scales: three products of int series
+    (Gauss's trick), each through ``PuiseuxSeries.__mul__`` and so through
+    the packed kernel when it pays.  :meth:`downcast` rounds every
+    coefficient to a complex double once (:func:`from_fixed`).
+    """
+
+    re: PuiseuxSeries
+    im: PuiseuxSeries
+    bits: int
+
+    def __add__(self, other: "FixedSeries") -> "FixedSeries":
+        if self.bits != other.bits:
+            raise ValueError(f"fixed-point scales differ: 2^-{self.bits} and 2^-{other.bits}")
+        return FixedSeries(self.re + other.re, self.im + other.im, self.bits)
+
+    def __mul__(self, other: "FixedSeries") -> "FixedSeries":
+        k1 = other.re * (self.re + self.im)
+        k2 = self.re * (other.im - other.re)
+        k3 = self.im * (other.re + other.im)
+        return FixedSeries(k1 - k3, k1 + k2, self.bits + other.bits)
+
+    def downcast(self) -> PuiseuxSeries:
+        return PuiseuxSeries(
+            self.re.nome,
+            as_complex(self.re.lead_exponent),
+            tuple(from_fixed(a, b, self.bits) for a, b in zip(self.re.coeffs, self.im.coeffs)),
+        )
 
 
 def composition_dps(x_of_q: PuiseuxSeries, margin: int = 35) -> int:

@@ -182,6 +182,12 @@ class TestMain:
         spec.write_text(json.dumps({"command": "basis", "order": -3}))
         assert main(["basis", "--spec", str(spec)]) == 2
 
+    def test_overflow_exit_two(self, capsys):
+        # K's coefficients leave the double range near n = 130
+        assert main(["classical", "--name", "K", "--order", "200"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: coefficient ") and "exceeds the double range" in err
+
     def test_job_list_fanout(self, tmp_path):
         jobs = [sym3_job(10), sym3_job(12)]
         jobs[0]["output_path"] = str(tmp_path / "a.json")

@@ -2,11 +2,14 @@
 basis assembly, with symmetric-polynomial and term-ratio oracles."""
 
 import cmath
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vvmf.errors import (
     DegenerateC,
@@ -22,6 +25,7 @@ from vvmf.errors import (
 from vvmf.mlde import (
     CYCLIC,
     NONCYCLIC,
+    _fixed_left_solve,
     assemble_cyclic_basis,
     assemble_noncyclic_basis,
     basis_rank_ratio,
@@ -44,7 +48,7 @@ from vvmf.mlde import (
     system_residuals,
 )
 from vvmf.reps import ExponentData, Rank4Rep
-from vvmf.series import Nome, PuiseuxSeries, VectorSeries, relative_residual
+from vvmf.series import Nome, PuiseuxSeries, VectorSeries, relative_residual, to_fixed
 
 
 def rank4_from_exponents(eigs, d, e):
@@ -284,7 +288,7 @@ class TestSystem:
         system = [({ij: m0[ij] for ij in np.ndindex(4, 4) if m0[ij]}, one)]
         with qline_precision():
             rows = qline_solve((0, 0, 0, 0), system, lam, v0, 8, catalog40)
-        for j, s in enumerate(rows):
+        for j, s in enumerate(row.downcast() for row in rows):
             assert abs(complex(s.coeffs[0]) - v0[j]) < 1e-12
             assert max(abs(complex(c)) for c in s.coeffs[1:]) < 1e-12
 
@@ -297,8 +301,30 @@ class TestSystem:
             with qline_precision():
                 rows = qline_solve(self.weights(), system, f + Fraction(self.k1, 12), seed,
                                    40, catalog40)
-            forms = [VectorSeries((s,), k) for s, k in zip(rows, self.weights())]
+            forms = [VectorSeries((s.downcast(),), k) for s, k in zip(rows, self.weights())]
             assert max(system_residuals(forms, system, catalog40)) < 1e-12
+
+    @pytest.mark.parametrize("gap, resonant", [(Fraction(1, 10**12), True),
+                                               (Fraction(1, 10**8), False)])
+    def test_pivot_floor_is_resonance(self, catalog40, gap, resonant):
+        # M_0 = diag(0, 1 - gap): at n = 1 the step matrix is diag(1, gap),
+        # singular below 1e-10 of its largest entry
+        system = [({(1, 1): 1 - gap}, PuiseuxSeries.one(Nome.Q, 40))]
+        with qline_precision():
+            if resonant:
+                with pytest.raises(Resonance):
+                    qline_solve((0, 0), system, 0, (1, 0), 3, catalog40)
+            else:
+                rows = qline_solve((0, 0), system, 0, (1, 0), 3, catalog40)
+                assert [r.downcast().coeffs for r in rows] == [(1, 0, 0, 0), (0, 0, 0, 0)]
+
+    def test_series_must_be_exact_integers(self, catalog40):
+        co = self.co()
+        (const, one), (e4_part, e4) = noncyclic_system(co, catalog40)
+        system = [(const, one), (e4_part, e4.scale(1.0))]
+        lam = co.f_exponents[0] + Fraction(self.k1, 12)
+        with pytest.raises(TypeError), qline_precision():
+            qline_solve(self.weights(), system, lam, (1, 1, 1, 1), 5, catalog40)
 
     def test_not_left_eigenvector(self, catalog40):
         co = self.co()
@@ -306,6 +332,31 @@ class TestSystem:
         with pytest.raises(NotAnExponent), qline_precision():
             qline_solve(self.weights(), noncyclic_system(co, catalog40), lam,
                         (1, 1, 1, 1), 5, catalog40)
+
+
+class TestFixedLeftSolve:
+    """One step of the q-line recursion: x a = rhs in fixed-point Gaussian
+    integers, checked by its exact residual."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=4))
+    def test_residual_is_at_the_last_bits(self, seed, r):
+        rng = random.Random(seed)
+        p = 200
+
+        def entry():
+            return to_fixed(complex(rng.uniform(-4, 4), rng.uniform(-4, 4)), p)
+
+        a = [[entry() for _ in range(r)] for _ in range(r)]
+        rhs = [entry() for _ in range(r)]
+        x = _fixed_left_solve(a, rhs, p)
+        # x a - rhs at the scale 2^-2p, against |x| |a| summed over the row
+        for j in range(r):
+            re = sum(u * ar - v * ai for (u, v), (ar, ai) in zip(x, (a[i][j] for i in range(r))))
+            im = sum(u * ai + v * ar for (u, v), (ar, ai) in zip(x, (a[i][j] for i in range(r))))
+            re, im = re - (rhs[j][0] << p), im - (rhs[j][1] << p)
+            size = sum(abs(complex(*xi)) * abs(complex(*a[i][j])) for i, xi in enumerate(x))
+            assert abs(complex(re, im)) <= 2.0**-190 * size + 2.0**(p + 8)
 
 
 class TestHypergeom:

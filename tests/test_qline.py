@@ -2,6 +2,9 @@
 the Sym^3 and tensor constructions, and the Z-line route of the induction
 pair), and every route across the order range a user can request."""
 
+import math
+from fractions import Fraction
+
 import mpmath
 import pytest
 
@@ -27,7 +30,7 @@ from vvmf.reps import (
     sym3_exponents,
     tensor_exponents,
 )
-from vvmf.series import Nome, compose_frobenius, downcast_to_complex
+from vvmf.series import FixedSeries, Nome, compose_frobenius, downcast_to_complex
 
 from test_acceptance import ZETA, deviation, rank2_data, sym3_grid, tensor_grid
 from test_constructions import make_job
@@ -111,6 +114,55 @@ def test_induction_pair_matches_zline_oracle():
 
 
 # ---------------------------------------------------------------------------
+# working-precision rows
+# ---------------------------------------------------------------------------
+
+def solved_rows(monkeypatch, run) -> list:
+    """The fixed-point rows of every q-line solve made by run(), before
+    their downcast."""
+    rows = []
+    solve = vvmf.mlde.qline_solve
+
+    def recording(*args):
+        out = solve(*args)
+        rows.extend(out)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(vvmf.mlde, "qline_solve", recording)
+        run()
+    return rows
+
+
+def relative_gap(x: FixedSeries, y: FixedSeries) -> float:
+    """Largest |x_n - y_n| / |y_n| over the coefficients, in exact integers."""
+    bits = max(x.bits, y.bits)
+
+    def aligned(s):
+        shift = bits - s.bits
+        return [(u << shift, v << shift) for u, v in zip(s.re.coeffs, s.im.coeffs)]
+
+    return math.sqrt(max(
+        Fraction((a - c) ** 2 + (b - d) ** 2, c * c + d * d)
+        for (a, b), (c, d) in zip(aligned(x), aligned(y), strict=True)
+    ))
+
+
+@pytest.mark.parametrize("m, d", [(7, 1), (8, 5)], ids=["cyclic", "noncyclic"])
+def test_rows_hold_forty_digits_per_coefficient(monkeypatch, m, d, catalog40):
+    # per coefficient, not against the largest one; seeding the recursion
+    # with a basis that is only a null space to 1e-14 fails this, and so does
+    # a scale that does not follow the seed
+    rep, L = admissible([0.11, 0.18, 0.31], m, d, 0)
+    rows = solved_rows(monkeypatch, lambda: generic_basis(rep, L, 40, catalog40))
+    monkeypatch.setattr(vvmf.mlde, "QLINE_DPS", vvmf.mlde.QLINE_DPS + 50)
+    finer_rows = solved_rows(monkeypatch, lambda: generic_basis(rep, L, 40, catalog40))
+    assert len(rows) == len(finer_rows) == 16
+    assert all(x.re.order == 40 and y.bits > x.bits for x, y in zip(rows, finer_rows))
+    assert max(relative_gap(x, y) for x, y in zip(rows, finer_rows)) <= 1e-40
+
+
+# ---------------------------------------------------------------------------
 # order sweep
 # ---------------------------------------------------------------------------
 
@@ -119,36 +171,48 @@ def finer(monkeypatch):
     monkeypatch.setattr(vvmf.mlde, "QLINE_DPS", vvmf.mlde.QLINE_DPS + 30)
 
 
-@pytest.mark.parametrize("m, d", [(7, 1), (8, 5)], ids=["cyclic", "noncyclic"])
-def test_generic_order_sweep(monkeypatch, m, d):
+def generic_route(m, d):
     rep, L = admissible([0.11, 0.18, 0.31], m, d, 0)
-    for order in (20, 80, 200):
-        catalog = ClassicalCatalog(order)
-        basis = generic_basis(rep, L, order, catalog)
-        assert max(basis.residuals.values()) < GATE, (order, basis.residuals)
-    finer(monkeypatch)
-    assert generic_basis(rep, L, 200, catalog).forms == basis.forms
+    return lambda order, catalog: generic_basis(rep, L, order, catalog)
 
 
-@pytest.mark.parametrize("route", ["sym3", "tensor"])
-def test_closed_order_sweep(monkeypatch, route):
+def closed_route(route):
     # the benchmark's ladder members, the worst top-order residuals of each
     # grid when the rank-2 form came from the K-line substitution
     if route == "sym3":
         rep, L = rank2_data(*sym3_grid()[3])
+        return lambda order, catalog: sym3_pipeline(rep, L, order, catalog)
+    (alpha, L1), (beta, L2) = (rank2_data(*p) for p in tensor_grid()[5])
+    return lambda order, catalog: tensor_pipeline(alpha, beta, L1, L2, order, catalog)
 
-        def pipeline(order, catalog):
-            return sym3_pipeline(rep, L, order, catalog)
-    else:
-        (alpha, L1), (beta, L2) = (rank2_data(*p) for p in tensor_grid()[5])
 
-        def pipeline(order, catalog):
-            return tensor_pipeline(alpha, beta, L1, L2, order, catalog)
+def induction_route(order, catalog):
+    return induction_pipeline(make_job(0.27), order, catalog)
 
+
+def gate(bases, order) -> None:
+    for basis in bases:
+        assert max(basis.residuals.values()) < GATE, (order, basis.residuals)
+
+
+@pytest.mark.parametrize("m, d", [(7, 1), (8, 5)], ids=["cyclic", "noncyclic"])
+def test_generic_order_sweep(monkeypatch, m, d):
+    pipeline = generic_route(m, d)
     for order in (20, 80, 200):
         catalog = ClassicalCatalog(order)
         basis = pipeline(order, catalog)
-        assert max(basis.residuals.values()) < GATE, (order, basis.residuals)
+        gate([basis], order)
+    finer(monkeypatch)
+    assert pipeline(200, catalog).forms == basis.forms
+
+
+@pytest.mark.parametrize("route", ["sym3", "tensor"])
+def test_closed_order_sweep(monkeypatch, route):
+    pipeline = closed_route(route)
+    for order in (20, 80, 200):
+        catalog = ClassicalCatalog(order)
+        basis = pipeline(order, catalog)
+        gate([basis], order)
     finer(monkeypatch)
     assert pipeline(200, catalog).forms == basis.forms
 
@@ -157,8 +221,20 @@ def test_induction_order_sweep(monkeypatch):
     job = make_job(0.27)
     for order in (20, 80, 200):
         catalog = ClassicalCatalog(order)
-        for basis in induction_pipeline(job, order, catalog):
-            assert max(basis.residuals.values()) < GATE, (order, basis.residuals)
+        gate(induction_route(order, catalog), order)
     pair = induction_minimal_pair(job, 200, catalog)
     finer(monkeypatch)
     assert induction_minimal_pair(job, 200, catalog) == pair
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("route", ["cyclic", "noncyclic", "sym3", "tensor", "induction"])
+def test_order_400(route):
+    # the three sweeps one order further, with the same gate
+    catalog = ClassicalCatalog(400)
+    if route == "induction":
+        gate(induction_route(400, catalog), 400)
+    elif route in ("sym3", "tensor"):
+        gate([closed_route(route)(400, catalog)], 400)
+    else:
+        gate([generic_route(*{"cyclic": (7, 1), "noncyclic": (8, 5)}[route])(400, catalog)], 400)

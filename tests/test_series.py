@@ -2,7 +2,10 @@
 
 import cmath
 import math
+import random
+from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from vvmf.errors import (
     ZeroLeadingCoefficient,
 )
 from vvmf.series import (
+    FixedSeries,
     Nome,
     PuiseuxSeries,
     VectorSeries,
@@ -25,7 +29,9 @@ from vvmf.series import (
     _kronecker_pays,
     compose_frobenius,
     composition_dps,
+    from_fixed,
     relative_residual,
+    to_fixed,
 )
 
 
@@ -165,6 +171,102 @@ class TestKroneckerDispatch:
 
     def test_short_products_stay_schoolbook(self):
         assert not _kronecker_pays(*_int_operand_sizes([1, 2, 3], [4, 5, 6]))
+
+
+#: signed mantissas of fixed-point parts: any size, and exact ties between
+#: two doubles (54 bits ending in a lone 1 bit, so half-even picks a side)
+mantissas = st.one_of(
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.integers(min_value=2**52, max_value=2**53 - 1).map(lambda k: 2 * k + 1),
+    st.integers(min_value=2**52, max_value=2**53 - 1).map(lambda k: -(2 * k + 1)),
+)
+
+
+def exact_mpc(re: int, im: int, bits: int):
+    """(re + i im) 2^-bits as an mpc, held exactly."""
+    with mpmath.workprec(max(re.bit_length(), im.bit_length(), 1) + 8):
+        return mpmath.mpc(mpmath.mpf((re, -bits)), mpmath.mpf((im, -bits)))
+
+
+def fixed_series(nome, lead, coeffs, bits) -> FixedSeries:
+    parts = [to_fixed(c, bits) for c in coeffs]
+    return FixedSeries(
+        PuiseuxSeries.make(nome, lead, [u for u, _ in parts]),
+        PuiseuxSeries.make(nome, lead, [v for _, v in parts]),
+        bits,
+    )
+
+
+class TestFixedPoint:
+    """Encoding into and rounding out of the fixed-point series of the
+    q-line block."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mantissas, mantissas, st.integers(min_value=-100, max_value=100))
+    def test_downcast_rounds_like_complex_of_mpc(self, re, im, log2_size):
+        # the scale puts the larger part near 2^log2_size: 1e-30 to 1e30
+        bits = max(abs(re), abs(im), 1).bit_length() - log2_size
+        exact = exact_mpc(re, im, bits)
+        assert from_fixed(re, im, bits) == complex(exact)
+        assert to_fixed(exact, bits) == (re, im)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(min_value=1e-30, max_value=1e30),
+        st.sampled_from([1, -1]),
+        st.integers(min_value=0, max_value=2**64),
+    )
+    def test_encode_keeps_the_sign_and_rounds_to_nearest(self, size, sign, noise):
+        with mpmath.workdps(60):
+            x = sign * mpmath.mpf(size) * (1 + mpmath.mpf(noise) / 2**70)
+            for bits in (0, 150, 300):
+                re, im = to_fixed(mpmath.mpc(-x, x), bits)
+                assert im == -re and (re <= 0 if sign > 0 else re >= 0)
+                with mpmath.workprec(max(abs(re).bit_length(), 1) + 200):
+                    assert abs(re - (-x) * mpmath.mpf(2) ** bits) <= 0.5
+
+    def test_zero_and_exact_scalars(self):
+        for zero in (0, 0.0, 0j, Fraction(0), mpmath.mpf(0), mpmath.mpc(0)):
+            assert to_fixed(zero, 200) == (0, 0)
+        assert from_fixed(0, 0, 200) == 0j and from_fixed(0, 0, -7) == 0j
+        assert to_fixed(Fraction(-3, 4), 2) == (-3, 0)
+        assert to_fixed(-2.5 + 1j, 1) == (-5, 2)
+        assert to_fixed(mpmath.mpf(-0.375), 3) == (-3, 0)
+        assert from_fixed(-5, 3, -2) == complex(-20, 12)
+        with pytest.raises(ValueError):
+            to_fixed(mpmath.mpf("inf"), 10)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32), st.sampled_from([180, 201, 260]))
+    def test_product_matches_mpc_product_at_order_80(self, seed, bits):
+        # coefficients of modulus 1 to 1e6 with random phases
+        rng = random.Random(seed)
+        with mpmath.workdps(50):
+            def coeffs():
+                return [mpmath.mpf(10) ** (6 * rng.random()) * mpmath.expjpi(2 * rng.random())
+                        for _ in range(81)]
+
+            lam_a, lam_b = mpmath.mpc(0.3, 0.1), mpmath.mpc(-1.7, 0.25)
+            a = fixed_series(Nome.Q, lam_a, coeffs(), bits)
+            b = fixed_series(Nome.Q, lam_b, coeffs(), bits)
+            got = (a * b).downcast()
+            assert got.order == 80 and got.lead_exponent == complex(lam_a + lam_b)
+            # the same encoded operands as mpc numbers, multiplied exactly
+            ea, eb = (
+                [exact_mpc(u, v, bits) for u, v in zip(s.re.coeffs, s.im.coeffs)] for s in (a, b)
+            )
+            with mpmath.workprec(4 * bits):
+                exact = [mpmath.fsum(ea[i] * eb[n - i] for i in range(n + 1)) for n in range(81)]
+            assert list(got.coeffs) == [complex(c) for c in exact]
+            mp50 = PuiseuxSeries.make(Nome.Q, lam_a, ea) * PuiseuxSeries.make(Nome.Q, lam_b, eb)
+        for x, y in zip(got.coeffs, mp50.coeffs):
+            assert abs(x - complex(y)) <= 1e-15 * abs(x)
+
+    def test_sum_needs_one_scale(self):
+        a = fixed_series(Nome.Q, 0, [1, 2], 10)
+        assert (a + a).downcast().coeffs == (2, 4)
+        with pytest.raises(ValueError):
+            a + fixed_series(Nome.Q, 0, [1, 2], 11)
 
 
 class TestTheta:

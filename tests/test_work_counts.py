@@ -1,10 +1,12 @@
 """Each pipeline computes every expensive quantity once, and no route touches
 a hauptmodul: the q-line solves per exponent and the hauptmodul-side calls
 of the closed, generic and induction routes are counted at every module that
-binds them."""
+binds them.  The q-line block runs in integers: no route makes an mpmath dot
+product or multiplies series of mpmath numbers."""
 
 import cmath
 
+import mpmath
 import pytest
 
 import vvmf.constructions
@@ -124,13 +126,63 @@ def test_closed_routes_touch_no_hauptmodul(monkeypatch):
 def test_induction_route_touches_no_hauptmodul(monkeypatch):
     catalog = ClassicalCatalog(10)
     counts = count_hauptmodul_work(monkeypatch)
+    induction_pipeline(induction_job(), 10, catalog)
+    assert {k: len(v) for k, v in counts.items()} == dict.fromkeys(counts, 0)
+
+
+def count_mp_work(monkeypatch) -> dict:
+    """Calls of mpmath.fdot, and series products by operand type: with an
+    mpmath coefficient, or all-int (the fixed-point products among them)."""
+    counts = {"fdot": [], "mp_products": [], "int_products": []}
+    fdot, mul = mpmath.fdot, PuiseuxSeries.__mul__
+
+    def counting_fdot(*args, **kwargs):
+        counts["fdot"].append(args)
+        return fdot(*args, **kwargs)
+
+    def counting_mul(a, b):
+        if isinstance(b, PuiseuxSeries):
+            coeffs = a.coeffs + b.coeffs
+            if any(isinstance(c, (mpmath.mpf, mpmath.mpc)) for c in coeffs):
+                counts["mp_products"].append((a, b))
+            elif all(type(c) is int for c in coeffs):
+                counts["int_products"].append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(mpmath, "fdot", counting_fdot)
+    monkeypatch.setattr(PuiseuxSeries, "__mul__", counting_mul)
+    return counts
+
+
+def induction_job() -> InductionJob:
     zeta = cmath.exp(2j * cmath.pi / 3)
     rep = GRank2Rep(0, 1, zeta, zeta**2, 0.7 + 0.2j)
     L = ExponentData.diagonal([1 / 3 + 0.11, 1 / 3 - 0.11], Group.G)
     r = 0.27
-    job = InductionJob.make(rep, L, -(r * r) / (16 * cmath.exp(2j * cmath.pi / 6)))
-    induction_pipeline(job, 10, catalog)
-    assert {k: len(v) for k, v in counts.items()} == dict.fromkeys(counts, 0)
+    return InductionJob.make(rep, L, -(r * r) / (16 * cmath.exp(2j * cmath.pi / 6)))
+
+
+@pytest.mark.parametrize("route", ["cyclic", "noncyclic", "induction", "closed"])
+def test_qline_block_runs_in_integers(monkeypatch, route):
+    # the solve convolves and eliminates in fixed-point integers, and the
+    # cube and Kronecker products multiply fixed-point mantissas
+    catalog = ClassicalCatalog(20)
+    counts = count_mp_work(monkeypatch)
+    if route == "induction":
+        induction_pipeline(induction_job(), 10, catalog)
+    elif route == "closed":
+        alpha, L1 = rank2_data(1, 0.21)
+        beta, L2 = rank2_data(2, 0.13)
+        rank2_minimal(alpha, L1, 20, catalog)
+        sym3_pipeline(alpha, L1, 20, catalog)
+        tensor_pipeline(alpha, beta, L1, L2, 20, catalog)
+    else:
+        generic_basis(*generic_data(*{"cyclic": (7, 1), "noncyclic": (8, 5)}[route]), 20, catalog)
+    assert counts["fdot"] == [] and counts["mp_products"] == []
+    if route == "closed":
+        # the cube's 6 products and the tensor's 4 + 8 Kronecker products,
+        # three int products each
+        assert len(counts["int_products"]) >= 3 * 18
 
 
 def test_k_is_one_exact_division(monkeypatch):
