@@ -24,22 +24,34 @@ ints.  A product of two all-``int`` series is computed by one of two
 kernels, with identical results.  The packed kernel (:func:`_kronecker_mul`)
 packs each operand into one big integer and multiplies once, so CPython's
 Karatsuba multiplication replaces the O(N^2) interpreted loop; the
-schoolbook loop serves every other coefficient type and the lopsided int
-products, where one operand's coefficients grow geometrically and packing
-pads the other to the large slot.  A fixed cost estimate from the operand
-lengths and coefficient bit lengths (:func:`_kronecker_pays`) picks the
-cheaper one.
+schoolbook loop serves the lopsided int products, where one operand's
+coefficients grow geometrically and packing pads the other to the large
+slot.  A fixed cost estimate from the operand lengths and coefficient bit
+lengths (:func:`_kronecker_pays`) picks the cheaper one.
+
+A product of builtin ``int``/``float``/``complex`` coefficients with at least
+one operand not all-``int`` is one ``numpy.convolve`` (:func:`_double_mul`):
+the operands are read as float64 (both real) or complex128 and convolved in
+numpy's long double, then rounded to double once.  The kernel follows from
+the coefficient types alone.  Its results differ from the interpreted
+double loop in the last bits, the rounding errors of that loop.  Identical
+jobs still give identical bytes on one installation; another numpy build or
+platform (where long double is double, or quad precision) may sum in
+another precision and change the last bits of derived forms and residuals.
+``mpmath`` and ``Fraction`` coefficients keep the schoolbook loop.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import mpmath
+import numpy as np
 
 from .errors import (
     NomeMismatch,
@@ -58,6 +70,8 @@ LEAD_TOL = 1e-12
 
 _MP_SCALARS = (mpmath.mpf, mpmath.mpc)
 SCALAR_TYPES = (int, float, complex, Fraction) + _MP_SCALARS
+#: coefficient types of the double-precision product kernel
+_DOUBLE_KERNEL_TYPES = frozenset((int, float, complex))
 
 
 class Nome(str, Enum):
@@ -212,6 +226,29 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
     return [int.from_bytes(buf[i : i + slot], "little") - half for i in range(0, width, slot)]
 
 
+def _double_mul(a: Sequence, b: Sequence, n_out: int, is_complex: bool) -> list:
+    """Truncated product of builtin int/float/complex coefficient sequences
+    as one ``numpy.convolve``.
+
+    The operands are read as doubles (complex if either holds a complex), so
+    an int beyond the double range raises OverflowError as in the
+    interpreted loop, and convolved in numpy's long double.  numpy sums a
+    long double convolution in a fixed order by its own loop, never through
+    BLAS, whose dot kernel is picked per CPU; on x86-64 its 64-bit mantissa
+    holds every product and partial sum to 2^-64, so a double result is
+    rounded essentially once.  An operand holding inf or nan is convolved
+    in double instead: x87 long double arithmetic on them runs through
+    microcode assists, and Z's overflowing product at q2-order 1600 took
+    3.9 s that way.  They propagate without a floating-point warning.
+    Returns Python floats or complexes."""
+    narrow, wide = (np.complex128, np.clongdouble) if is_complex else (np.float64, np.longdouble)
+    with np.errstate(all="ignore"):
+        x, y = np.array(a, dtype=narrow), np.array(b, dtype=narrow)
+        if np.isfinite(x).all() and np.isfinite(y).all():
+            x, y = x.astype(wide), y.astype(wide)
+        return np.convolve(x, y)[: n_out + 1].astype(narrow, copy=False).tolist()
+
+
 @dataclass(frozen=True)
 class PuiseuxSeries:
     """Truncated series x^lam * sum_n a_n x^n in the variable tagged by nome."""
@@ -321,8 +358,11 @@ class PuiseuxSeries:
         self._require_same_nome(other)
         n_out = min(self.order, other.order)
         a, b = self.coeffs[: n_out + 1], other.coeffs[: n_out + 1]
-        if _all_int(a) and _all_int(b) and _kronecker_pays(*_int_operand_sizes(a, b)):
+        types = set(map(type, a)) | set(map(type, b))
+        if types == {int} and _kronecker_pays(*_int_operand_sizes(a, b)):
             out = _kronecker_mul(a, b, n_out)
+        elif types != {int} and types <= _DOUBLE_KERNEL_TYPES:
+            out = _double_mul(a, b, n_out, complex in types)
         else:
             out = []
             for n in range(n_out + 1):
@@ -340,8 +380,12 @@ class PuiseuxSeries:
         return NotImplemented
 
     def scale(self, c) -> "PuiseuxSeries":
-        # Fractions are NOT degraded to float: integer series scaled by exact
-        # rationals stay exact, which downstream divisions rely on.
+        # Fractions are NOT degraded to float on exact coefficients: integer
+        # series scaled by exact rationals stay exact, which downstream
+        # divisions rely on.  On float/complex coefficients Fraction.__mul__
+        # converts with float(c) anyway, so that conversion is made once.
+        if type(c) is Fraction and all(type(a) in (float, complex) for a in self.coeffs):
+            c = float(c)
         return PuiseuxSeries(self.nome, self.lead_exponent, tuple(c * a for a in self.coeffs))
 
     def shift(self, m: int, c=1) -> "PuiseuxSeries":
@@ -536,21 +580,45 @@ def downcast_to_complex(s: PuiseuxSeries) -> PuiseuxSeries:
     )
 
 
+def _shift_round(m: int, shift: int) -> int:
+    """The integer nearest to m 2^shift, ties to even: one exact shift."""
+    if shift >= 0:
+        return m << shift
+    q, r = divmod(m, 1 << -shift)  # floor quotient, 0 <= r < 2^-shift
+    half = 1 << (-shift - 1)
+    return q + (r > half or (r == half and q & 1))
+
+
+def _fixed_part(x, bits: int) -> int:
+    """The integer nearest to x 2^bits, ties to even, for a real x."""
+    if type(x) is int:
+        return _shift_round(x, bits)
+    if isinstance(x, mpmath.mpf):
+        sign, man, exp, _ = x._mpf_
+        if not man:
+            if x._mpf_ != mpmath.libmp.fzero:
+                raise ValueError(f"cannot hold {x} in fixed point")
+            return 0
+        return _shift_round(-int(man) if sign else int(man), exp + bits)
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"cannot hold {x} in fixed point")
+        num, den = x.as_integer_ratio()  # den is a power of two
+        return _shift_round(num, bits - den.bit_length() + 1)
+    return round(Fraction(x) * Fraction(2) ** bits)
+
+
 def to_fixed(z, bits: int) -> tuple[int, int]:
     """Mantissas (re, im) of z at the scale 2^-bits: the integers nearest to
     Re(z) 2^bits and Im(z) 2^bits, ties to even.
 
-    z is an int, Fraction, float, complex or mpmath number.  An mpf is read
-    as its exact signed rational value (``mpf.man_exp`` drops the sign)."""
-    parts = (z.real, z.imag) if isinstance(z, (complex, mpmath.mpc)) else (z, 0)
-    out = []
-    for x in parts:
-        if isinstance(x, mpmath.mpf):
-            if not mpmath.isfinite(x):
-                raise ValueError(f"cannot hold {x} in fixed point")
-            x = Fraction(*mpmath.libmp.to_rational(x._mpf_))
-        out.append(round(Fraction(x) * Fraction(2) ** bits))
-    return out[0], out[1]
+    z is an int, Fraction, float, complex or mpmath number.  An int, float
+    or mpf is encoded by one exact shift of its binary mantissa (an mpf's
+    from the sign, mantissa and exponent of ``_mpf_``); a Fraction by exact
+    rational rounding.  inf and nan raise ValueError."""
+    if isinstance(z, (complex, mpmath.mpc)):
+        return _fixed_part(z.real, bits), _fixed_part(z.imag, bits)
+    return _fixed_part(z, bits), 0
 
 
 def from_fixed(re: int, im: int, bits: int) -> complex:
@@ -608,8 +676,6 @@ def composition_dps(x_of_q: PuiseuxSeries, margin: int = 35) -> int:
     modular-form scale.  The digits of headroom must absorb the full
     cancellation between the two.
     """
-    import math
-
     def lg(coeff) -> float | None:
         if isinstance(coeff, int):
             # exact for integers of any size (math.log10 takes Python ints)

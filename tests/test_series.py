@@ -3,13 +3,16 @@
 import cmath
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vvmf.series
 from vvmf.classical import ClassicalCatalog
 from vvmf.errors import (
     NomeMismatch,
@@ -95,6 +98,16 @@ class TestMul:
         assert all(type(c) is int for c in out.coeffs)
         assert out.coeffs == tuple(reference_product(e4.coeffs, e6.coeffs, order))
 
+    @pytest.mark.parametrize("order", [3, 40], ids=["schoolbook", "packed"])
+    def test_int_product_beyond_the_double_mantissa_stays_exact(self, order):
+        # 2^60 + odd: a double would drop the low bits of every coefficient
+        a = series(Nome.Q, 0, [2**60 + 2 * k + 1 for k in range(order + 1)])
+        b = series(Nome.Q, 0, [-(2**61) + 3 * k + 1 for k in range(order + 1)])
+        assert _kronecker_pays(*_int_operand_sizes(a.coeffs, b.coeffs)) == (order == 40)
+        out = a * b
+        assert all(type(c) is int for c in out.coeffs)
+        assert out.coeffs == tuple(reference_product(a.coeffs, b.coeffs, order))
+
 
 def reference_product(a, b, n_out):
     """The truncated convolution, one multiply-add per coefficient pair."""
@@ -171,6 +184,127 @@ class TestKroneckerDispatch:
 
     def test_short_products_stay_schoolbook(self):
         assert not _kronecker_pays(*_int_operand_sizes([1, 2, 3], [4, 5, 6]))
+
+
+def exact_parts(z) -> tuple[Fraction, Fraction]:
+    """A builtin int, float or complex as exact rational (re, im)."""
+    if isinstance(z, complex):
+        return Fraction(z.real), Fraction(z.imag)
+    return Fraction(z), Fraction(0)
+
+
+def check_within_kernel_bound(a, b, got):
+    """Each coefficient of the double kernel's product is the exact product
+    of the double operands, rounded once to double, up to the long double
+    accumulation error: |got_n - c_n| <= 2^-53 |c_n| + 2 (n+1) eps S_n,
+    with S_n = sum |a_i| |b_{n-i}| and eps long double's epsilon (2^-63 on
+    x86-64; where long double is double, 2^-52).  That is well inside
+    (n+1) 2^-52 S_n, the bound of a double-precision loop."""
+    eps = Fraction(float(np.finfo(np.longdouble).eps))
+    for n, g in enumerate(got):
+        re = im = size = Fraction(0)
+        for i in range(n + 1):
+            ar, ai = exact_parts(a[i])
+            br, bi = exact_parts(b[n - i])
+            re += ar * br - ai * bi
+            im += ar * bi + ai * br
+            size += Fraction(abs(complex(a[i]))) * Fraction(abs(complex(b[n - i])))
+        gr, gi = exact_parts(g)
+        err = max(abs(gr - re), abs(gi - im))
+        assert err <= Fraction(1, 2**53) * max(abs(re), abs(im)) + 2 * (n + 1) * eps * size, n
+        assert err <= (n + 1) * Fraction(1, 2**52) * size, n
+
+
+doubles = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+#: signed coefficients of modulus 1e-6 to 1e9, spread as a derived form's are
+spread = st.builds(lambda x, e: x * 10.0**e, doubles.filter(lambda x: abs(x) > 1e-3),
+                   st.integers(min_value=-3, max_value=3)) | st.just(0.0)
+double_kinds = {
+    "int": st.integers(min_value=-(2**53), max_value=2**53),
+    "float": spread,
+    "complex": st.builds(complex, spread, spread),
+}
+
+
+class TestDoubleKernel:
+    """The numpy convolution behind every product of builtin doubles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([("int", "complex"), ("float", "complex"), ("complex", "complex"),
+                         ("complex", "int"), ("float", "float"), ("int", "float")]),
+        st.integers(min_value=0, max_value=30),
+        st.integers(min_value=0, max_value=30),
+        st.data(),
+    )
+    def test_matches_exact_product(self, kinds, len_a, len_b, data):
+        # unequal orders: the product is cut to the shorter operand; length
+        # 1 is order 0
+        a = data.draw(st.lists(double_kinds[kinds[0]], min_size=len_a + 1, max_size=len_a + 1))
+        b = data.draw(st.lists(double_kinds[kinds[1]], min_size=len_b + 1, max_size=len_b + 1))
+        out = series(Nome.Q, 0.5, a) * series(Nome.Q, 0.25j, b)
+        assert out.order == min(len_a, len_b) and out.lead_exponent == 0.5 + 0.25j
+        want_type = complex if "complex" in kinds else float
+        assert all(type(c) is want_type for c in out.coeffs)
+        check_within_kernel_bound(a, b, out.coeffs)
+
+    def test_cancelling_product_is_rounded_once(self, catalog40):
+        # Delta times the modular derivative of E6, the product of the graded
+        # Leibniz test: its coefficients cancel by up to five digits
+        g = catalog40.delta()
+        df = catalog40.modular_derive(catalog40.eisenstein(6), 6)
+        got = (g * df).coeffs
+        exact = [sum(Fraction(g.coeffs[i]) * Fraction(df.coeffs[n - i]) for i in range(n + 1))
+                 for n in range(41)]
+        assert list(got) == [float(c) for c in exact]
+
+    def test_float_times_float_is_float(self):
+        out = series(Nome.Q, 0, [0.5, 1.5, -2.0]) * series(Nome.Q, 0, [2.0, 0.25, 1.0])
+        assert out.coeffs == (1.0, 3.125, -3.125)
+        assert all(type(c) is float for c in out.coeffs)
+
+    def test_exact_operands_keep_the_schoolbook_loop(self, monkeypatch):
+        def no_numpy(*args):
+            raise AssertionError("the double kernel ran")
+
+        monkeypatch.setattr(vvmf.series, "_double_mul", no_numpy)
+        with mpmath.workdps(30):
+            out = series(Nome.Q, 0, [mpmath.mpc(1, 2), 3]) * series(Nome.Q, 0, [1j, 2.0])
+        assert all(isinstance(c, mpmath.mpc) for c in out.coeffs)
+        assert out.coeffs == (mpmath.mpc(-2, 1), mpmath.mpc(2, 7))
+        out = series(Nome.Q, 0, [Fraction(1, 3), 1]) * series(Nome.Q, 0, [3, Fraction(1, 2)])
+        assert out.coeffs == (1, Fraction(19, 6))
+        out = series(Nome.Q, 0, [3, -4]) * series(Nome.Q, 0, [5, 7])
+        assert out.coeffs == (15, 1) and all(type(c) is int for c in out.coeffs)
+
+    def test_int_beyond_double_range_overflows(self):
+        with pytest.raises(OverflowError):
+            series(Nome.Q, 0, [10**400, 1]) * series(Nome.Q, 0, [1j, 2.0])
+        with pytest.raises(OverflowError):
+            series(Nome.Q, 0, [1.0, 2.0]) * series(Nome.Q, 0, [3, -(10**400)])
+
+    def test_non_finite_values_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = series(Nome.Q, 0, [math.inf, 1.0]) * series(Nome.Q, 0, [0.0, 1.0])
+            assert math.isnan(out.coeffs[0]) and out.coeffs[1] == math.inf
+            out = series(Nome.Q, 0, [complex(math.nan, 1)]) * series(Nome.Q, 0, [1j])
+            assert not cmath.isfinite(out.coeffs[0])
+            # a finite product beyond the double range rounds to inf
+            out = series(Nome.Q, 0, [1e300, 0.0]) * series(Nome.Q, 0, [1e300, 1.0])
+            assert out.coeffs == (math.inf, 1e300)
+
+
+class TestScale:
+    def test_fraction_on_complex_equals_per_coefficient_product(self):
+        s = series(Nome.Q, 0, [0.1 + 0.7j, -3.3e-9 + 1e20j, 5.0, -0.0 + 2j])
+        for c in (Fraction(1, 3), Fraction(-7, 12), Fraction(10**30, 7)):
+            assert s.scale(c).coeffs == tuple(c * a for a in s.coeffs)
+
+    def test_fraction_on_ints_stays_exact(self):
+        out = series(Nome.Q, 0, [3, 1, -2, 10**30]).scale(Fraction(1, 3))
+        assert out.coeffs == (1, Fraction(1, 3), Fraction(-2, 3), Fraction(10**30, 3))
+        assert all(type(c) is Fraction for c in out.coeffs)
 
 
 #: signed mantissas of fixed-point parts: any size, and exact ties between
@@ -261,6 +395,52 @@ class TestFixedPoint:
             mp50 = PuiseuxSeries.make(Nome.Q, lam_a, ea) * PuiseuxSeries.make(Nome.Q, lam_b, eb)
         for x, y in zip(got.coeffs, mp50.coeffs):
             assert abs(x - complex(y)) <= 1e-15 * abs(x)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(min_value=-(2**300), max_value=2**300),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.builds(
+                lambda sign, man, exp: mpmath.mpf((sign, man, exp, man.bit_length())),
+                st.sampled_from([0, 1]),
+                st.integers(min_value=1, max_value=2**200).filter(lambda m: m % 2),
+                st.integers(min_value=-400, max_value=400),
+            ),
+            # exact ties: an odd integer times 2^(e-1), encoded at 2^e
+            st.builds(lambda k, e: (2 * k + 1) * 2 ** (e - 1),
+                      st.integers(min_value=-(2**60), max_value=2**60),
+                      st.integers(min_value=1, max_value=80)),
+        ),
+        st.integers(min_value=-300, max_value=300),
+    )
+    def test_encode_matches_the_rational_formula(self, x, bits):
+        # the exact formula: round(x 2^bits) on the rational value of x,
+        # ties to even (round() of a Fraction)
+        if isinstance(x, mpmath.mpf):
+            rational = Fraction(*mpmath.libmp.to_rational(x._mpf_))
+        else:
+            rational = Fraction(x)
+        want = round(rational * Fraction(2) ** bits)
+        assert to_fixed(x, bits) == (want, 0)
+        if isinstance(x, mpmath.mpf):
+            assert to_fixed(mpmath.mpc(-x, x), bits) == (-want, want)
+        elif isinstance(x, float):
+            assert to_fixed(complex(-x, x), bits) == (-want, want)
+
+    @pytest.mark.parametrize("x, bits, want", [
+        (5, -1, 2), (7, -1, 4), (-5, -1, -2), (-7, -1, -4), (-1, -1, 0), (3, -1, 2),
+        (2.5, 0, 2), (3.5, 0, 4), (-2.5, 0, -2), (0.375, 2, 2), (-0.625, 2, -2),
+        (mpmath.mpf(-2.5), 0, -2), (mpmath.mpf(1.5), 0, 2), (mpmath.mpf(-0.5), 0, 0),
+    ])
+    def test_encode_ties_to_even(self, x, bits, want):
+        assert to_fixed(x, bits) == (want, 0)
+
+    def test_encode_rejects_non_finite(self):
+        for bad in (math.inf, -math.inf, math.nan, complex(1, math.inf),
+                    mpmath.mpf("inf"), mpmath.mpf("-inf"), mpmath.mpf("nan")):
+            with pytest.raises(ValueError):
+                to_fixed(bad, 10)
 
     def test_sum_needs_one_scale(self):
         a = fixed_series(Nome.Q, 0, [1, 2], 10)

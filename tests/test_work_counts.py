@@ -185,6 +185,27 @@ def test_qline_block_runs_in_integers(monkeypatch, route):
         assert len(counts["int_products"]) >= 3 * 18
 
 
+def test_double_products_run_in_numpy(monkeypatch):
+    # every product of builtin ints, floats and complexes with a non-int
+    # coefficient (the modular derivatives, column relations and residual
+    # checks on the emitted doubles) is one numpy convolution
+    calls = count_calls(monkeypatch, vvmf.series, "_double_mul")
+    double_products = []
+    mul = PuiseuxSeries.__mul__
+
+    def counting_mul(a, b):
+        if isinstance(b, PuiseuxSeries):
+            types = {type(c) for c in a.coeffs + b.coeffs}
+            if types != {int} and types <= {int, float, complex}:
+                double_products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(PuiseuxSeries, "__mul__", counting_mul)
+    basis = generic_basis(*generic_data(7, 1), 40, ClassicalCatalog(40))
+    assert basis.case.case == "cyclic"
+    assert len(double_products) > 0 and len(calls) == len(double_products)
+
+
 def test_k_is_one_exact_division(monkeypatch):
     divides = count_calls(monkeypatch, PuiseuxSeries, "divide")
     inverts = count_calls(monkeypatch, PuiseuxSeries, "invert")
