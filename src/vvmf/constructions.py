@@ -28,7 +28,6 @@ from .errors import (
     GroupMismatch,
     NormalizationError,
     NotIrreducible,
-    Resonance,
     ResonantExponents,
     ReducibleRep,
     WrongNome,
@@ -53,6 +52,7 @@ from .mlde import (
     qline_solve,
     rank2_coeff,
     require_int,
+    system_residuals,
 )
 from .reps import (
     ExponentData,
@@ -101,11 +101,14 @@ class Rank2MinimalForm:
     In the T-regular case ``components`` holds the q-expansion.  In the
     Jordan (nu_chi) family the first coordinate is tau times an eta power and
     has no q-expansion, so only the eta-power second coordinate is emitted.
+    ``residuals`` holds the column relations of the solved system
+    (:func:`rank2_system`) as ``rank2_mlde``; the Jordan family has none.
     """
 
     k1: int
     source: str
     components: VectorSeries | None
+    residuals: dict
     eta_component: PuiseuxSeries | None = None
 
 
@@ -152,29 +155,31 @@ def _rank2_weight(rep: Rank2Rep, L: ExponentData) -> int:
     return k1
 
 
-def _rank2_stage(
-    L: ExponentData, k1: int, order: int, catalog: ClassicalCatalog
-) -> tuple[tuple[FixedSeries, ...], tuple[FixedSeries, ...]]:
+def rank2_system(a, catalog: ClassicalCatalog) -> list:
+    """D X = X M for X = (F, DF): D(DF) = -a E_4 F, the rank-2 weight-zero
+    equation with a = f_1 f_2 (format of :func:`vvmf.mlde.cyclic_system`)."""
+    return [
+        ({(1, 0): 1}, PuiseuxSeries.one(Nome.Q, catalog.order)),
+        ({(0, 1): -a}, catalog.eisenstein(4)),
+    ]
+
+
+def _rank2_stage(L: ExponentData, k1: int, order: int, catalog: ClassicalCatalog):
     """The components of the minimal form F and of DF, solved on the q-line
-    as X = (F, DF) with D(DF) = -a E_4 F, a = f_1 f_2 (:func:`qline_solve`),
-    from seeds at the working precision of the enclosing
-    :func:`qline_precision` block.  The rows stay in fixed point, for the
-    caller's exact products.
+    at both exponents in one call (:func:`rank2_system`,
+    :func:`qline_solve`), from seeds at the working precision of the
+    enclosing :func:`qline_precision` block, and the equation's a.  The rows
+    stay in fixed point, for the caller's exact products.
 
     F_j leads with 1728^{f_j}, the leading coefficient of the closed form
     eta^{2 k1} K^{f_j} 2F1(...)(K) (:func:`rank2_kline_pair`)."""
     fs = _rank2_shifts(L)
-    system = [
-        ({(1, 0): 1}, PuiseuxSeries.one(Nome.Q, catalog.order)),
-        ({(0, 1): -rank2_coeff(*fs)}, catalog.eisenstein(4)),
-    ]
-    rows = [
-        qline_solve((k1, k1 + 2), system, f + Fraction(k1, 12),
-                    [mpmath.mpf(1728) ** f * x for x in (1, f)], order, catalog)
-        for f in fs
-    ]
+    a = rank2_coeff(*fs)
+    seeds = [[mpmath.mpf(1728) ** f * x for x in (1, f)] for f in fs]
+    rows = qline_solve((k1, k1 + 2), rank2_system(a, catalog),
+                       [f + Fraction(k1, 12) for f in fs], seeds, order, catalog)
     F, DF = zip(*rows)
-    return F, DF
+    return F, DF, a
 
 
 def rank2_minimal(
@@ -197,11 +202,15 @@ def rank2_minimal(
             k1,
             NU_CHI,
             components=None,
+            residuals={},
             eta_component=catalog.eta_power(2 * k1 + 2),
         )
     with qline_precision():
-        F = _rank2_stage(L, k1, order, catalog)[0]
-    return Rank2MinimalForm(k1, HYPERGEOMETRIC, _downcast(F, k1))
+        F, DF, a = _rank2_stage(L, k1, order, catalog)
+    forms = (_downcast(F, k1), _downcast(DF, k1 + 2))
+    derivatives = [modular_derivative(X, X.weight, catalog) for X in forms]
+    res = system_residuals(forms, derivatives, rank2_system(as_complex(a), catalog))
+    return Rank2MinimalForm(k1, HYPERGEOMETRIC, forms[0], {"rank2_mlde": max(res)})
 
 
 def _downcast(comps, weight) -> VectorSeries:
@@ -248,8 +257,8 @@ def tensor_pipeline(
         raise NotIrreducible("tensor products always land in the noncyclic case")
 
     with qline_precision():
-        A, dA = _rank2_stage(L1, ka, order, catalog)
-        B, dB = _rank2_stage(L2, kb, order, catalog)
+        A, dA, _ = _rank2_stage(L1, ka, order, catalog)
+        B, dB, _ = _rank2_stage(L2, kb, order, catalog)
         F = _downcast(_kronecker(A, B), report.k1)
         leibniz = [x + y for x, y in zip(_kronecker(dA, B), _kronecker(A, dB))]
         leibniz = _downcast(leibniz, report.k1 + 2)
@@ -384,55 +393,45 @@ def induction_minimal_pair(
 ) -> tuple[VectorSeries, VectorSeries]:
     """Minimal-weight pair (A, B) for the two nontrivial beta-twists.
 
-    Solves the defining relation D(A, B) = (A, B) (0, u f; g, 0) on the
-    q2-line at the exponents k1/6 +- r (:func:`qline_solve`).  A leads with
-    (-2i 12^{3/2})^{+-r}, the leading coefficient of Z^{+-r}, as in the
-    Z-line form eta^{2k1} (g/f) Z^{+-r} (1 + ...) the pair transports; B's
-    leading coefficient follows from the relation.
+    Solves the defining relation :func:`induction_system` on the q2-line at
+    both exponents k1/6 +- r in one call (:func:`qline_solve`, which rejects
+    an integer 2r).  A leads with (-2i 12^{3/2})^{+-r}, the leading
+    coefficient of Z^{+-r}, as in the Z-line form
+    eta^{2k1} (g/f) Z^{+-r} (1 + ...) the pair transports; B's leading
+    coefficient follows from the relation.
     """
     r = local_exponent_from_u(job.u, catalog.xi)
     if abs(as_complex(r)) <= 1e-12:
         raise DegenerateU("u = 0 makes the local exponents collide")
-    two_r = nearest_int(2 * r)
-    if two_r is not None and two_r != 0:
-        raise Resonance(f"local exponents +-{r!r} differ by the integer {two_r}")
     n2 = min(2 * order, catalog.q2_order)
-    theta2, theta3, theta4 = catalog.theta_fourth_powers()
     k1 = job.k1
     with qline_precision():
         xi = mpmath.expjpi(mpmath.mpf(1) / 3)
         u = mpmath.mpc(job.u)
         r_hp = local_exponent_from_u(u, xi)
-        # f = (1 + xi) theta2^4 - xi^5 (theta3^4 + theta4^4); g = f|T flips the
-        # odd q2-powers, which are those of theta2^4
-        system = [
-            ({(0, 1): u * (1 + xi), (1, 0): -(1 + xi)}, theta2),
-            ({(0, 1): -u * xi**5, (1, 0): -(xi**5)}, theta3 + theta4),
-        ]
         z_lead = mpmath.mpc(0, -2) * mpmath.sqrt(1728)
-        rows = []
-        for exponent in (r_hp, -r_hp):
+        exponents = (r_hp, -r_hp)
+        seeds = []
+        for exponent in exponents:
             a0 = cpow(z_lead, exponent)
             # D A = g B at the leading q2-power: (exponent / 2) a0 = g_0 b0, g_0 = -2 xi^5
-            seed = (a0, a0 * exponent / (-4 * xi**5))
-            rows.append(qline_solve((k1, k1), system, Fraction(k1, 6) + exponent, seed, n2, catalog))
+            seeds.append((a0, a0 * exponent / (-4 * xi**5)))
+        rows = qline_solve((k1, k1), induction_system(u, xi, catalog),
+                           [Fraction(k1, 6) + e for e in exponents], seeds, n2, catalog)
     return _downcast((row[0] for row in rows), k1), _downcast((row[1] for row in rows), k1)
 
 
-def induction_relation_residual(
-    A: VectorSeries, B: VectorSeries, u, catalog: ClassicalCatalog
-) -> float:
-    """Residual of the defining relation D(A, B) = (A, B) (0, u f; g, 0),
-    i.e. DA = g B and DB = u f A with D at the pair's weight."""
-    f, g = catalog.fg_generators()
-    dA = modular_derivative(A, A.weight, catalog)
-    dB = modular_derivative(B, B.weight, catalog)
-    gB = B.mul_series(g)
-    ufA = A.mul_series(f).scale(u)
-    return max(
-        relative_residual(dA - gB, dA, gB),
-        relative_residual(dB - ufA, dB, ufA),
-    )
+def induction_system(u, xi, catalog: ClassicalCatalog) -> list:
+    """D X = X M for the pair X = (A, B) on the q2-line, M = (0, u f; g, 0):
+    DA = g B and DB = u f A, in the theta form of f and g (format of
+    :func:`vvmf.mlde.cyclic_system`).  f = (1 + xi) theta2^4 -
+    xi^5 (theta3^4 + theta4^4); g = f|T flips the odd q2-powers, which are
+    those of theta2^4."""
+    theta2, theta3, theta4 = catalog.theta_fourth_powers()
+    return [
+        ({(0, 1): u * (1 + xi), (1, 0): -(1 + xi)}, theta2),
+        ({(0, 1): -u * xi**5, (1, 0): -(xi**5)}, theta3 + theta4),
+    ]
 
 
 def induce_to_gamma(
@@ -513,7 +512,9 @@ def induction_pipeline(
     relation, induce both forms to the full group, classify by the exponents
     the series actually exhibit, and assemble the corresponding bases."""
     A, B = induction_minimal_pair(job, order, catalog)
-    pair_res = induction_relation_residual(A, B, job.u, catalog)
+    derivatives = [modular_derivative(X, X.weight, catalog) for X in (A, B)]
+    system = induction_system(job.u, catalog.xi, catalog)
+    pair_res = max(system_residuals((A, B), derivatives, system))
     out = []
     for F in (A, B):
         L_g = exhibited_exponents(F)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 
 import mpmath
@@ -363,17 +364,23 @@ def qline_precision():
     return mpmath.workdps(QLINE_DPS)
 
 
-def cyclic_system(co: ODECoefficients, catalog: ClassicalCatalog) -> list:
+def cyclic_system(co: ODECoefficients, catalog: ClassicalCatalog, nome: Nome) -> list:
     """D X = X M for X = (F, DF, D^2F, D^3F): ones below the diagonal and the
-    last column (-c E_4^2, -b E_6, -a E_4, 0) of the minimal-weight equation.
+    last column (-c E_4^2, -b E_6, -a E_4, 0) of the minimal-weight equation,
+    in the nome of the forms (q, or q2 for an induced basis).
 
     A system is a list of (sparse constant matrix {(i, j): value}, scalar
-    exact-integer q-series) pairs whose sum of products is M."""
-    e4 = catalog.eisenstein(4)
+    exact-integer series) pairs whose sum of products is M."""
+    if nome is Nome.Q:
+        one = PuiseuxSeries.one(nome, catalog.order)
+        e4, e6 = catalog.eisenstein(4), catalog.eisenstein(6)
+    else:
+        one = PuiseuxSeries.one(nome, catalog.q2_order)
+        e4, e6 = catalog.eisenstein_q2(4), catalog.eisenstein_q2(6)
     return [
-        ({(1, 0): 1, (2, 1): 1, (3, 2): 1}, PuiseuxSeries.one(Nome.Q, catalog.order)),
+        ({(1, 0): 1, (2, 1): 1, (3, 2): 1}, one),
         ({(2, 3): -co.a}, e4),
-        ({(1, 3): -co.b}, catalog.eisenstein(6)),
+        ({(1, 3): -co.b}, e6),
         ({(0, 3): -co.c}, e4 * e4),
     ]
 
@@ -396,11 +403,11 @@ def _noncyclic_lead_row(f, a) -> list:
     return [1, f, 1 / (f - sixth), f * (f - sixth) - a]
 
 
-def qline_solve(weights, system, lam, seed, order: int, catalog: ClassicalCatalog):
-    """Row solution X = x^lam sum_n X_n x^n of D X = X M(x).
+def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCatalog):
+    """Row solutions X = x^lam sum_n X_n x^n of D X = X M(x), one per exponent.
 
     D is the modular derivative at the weights k_i of the entries of X; the
-    system M is given as in :func:`cyclic_system`, in the nome x of its
+    r x r system M is given as in :func:`cyclic_system`, in the nome x of its
     series: q, or q2 where theta_q = theta_x / 2 (s = 1 or 1/2).  With
     K = diag(k_i / 12) this is the q-recursion of Mathur-Mukhi-Sen (Phys.
     Lett. B 213, 1988) in system form:
@@ -408,29 +415,45 @@ def qline_solve(weights, system, lam, seed, order: int, catalog: ClassicalCatalo
         X_0 (s lam I - K - M_0) = 0,
         X_n (s (lam + n) I - K - M_0) = sum_{m >= 1} X_{n-m} (K E2_m + M_m).
 
-    ``seed`` is X_0 (NotAnExponent unless it is a left null vector); a
-    singular later matrix raises Resonance.  The solution is truncated to
-    the shortest series of the system.
+    ``lams`` are all r exponents of the system and ``seeds`` their rows X_0
+    (ValueError for any other count; NotAnExponent unless each seed is a
+    left null vector at its exponent).  Before the first step, two
+    exponents whose gap is an integer within 1e-9
+    (:data:`vvmf.series.INT_GAP_TOL`), 0 included, raise Resonance:
+    repeated or integer-spaced indicial roots need logarithmic solutions.
+    The r distinct exponents are then the whole spectrum of K + M_0 over s,
+    so every step matrix is nonsingular.  Returns one row tuple per
+    exponent, each truncated to the shortest series of the system.
 
     The recursion runs in fixed point.  Every X_n is held as the integer
-    mantissas of its real and imaginary parts at one scale 2^-Q per solve,
-    Q = p - floor(log2 max|seed|), where p is the binary precision of
-    :data:`QLINE_DPS` (read at call time) plus 32 guard bits.  The series of
-    the system enter as their exact integer coefficients, so each
+    mantissas of its real and imaginary parts at one scale 2^-Q per
+    exponent, Q = p - floor(log2 max|seed|), where p is the binary precision
+    of :data:`QLINE_DPS` (read at call time) plus 32 guard bits.  The series
+    of the system enter as their exact integer coefficients, so each
     convolution is two integer dot products and rounds nothing.  The
     constant matrices are encoded once at the scale 2^-p, and each step is
     solved by pivoted elimination on those Gaussian integers
     (:func:`_fixed_left_solve`).  There is no hauptmodul and no division by
     a series.  The rows come back as :class:`FixedSeries`, for the caller to
-    multiply exactly and downcast once.  The seed and the equation
+    multiply exactly and downcast once.  The seeds and the equation
     coefficients are mpmath numbers of the caller's
     :func:`qline_precision` block.
     """
+    r = len(weights)
+    if len(lams) != r or len(seeds) != r:
+        raise ValueError(
+            f"a {r} x {r} system takes {r} exponents and seeds, got {len(lams)} and {len(seeds)}"
+        )
+    for a, b in combinations(lams, 2):
+        gap = nearest_int(a - b)
+        if gap is not None:
+            raise Resonance(
+                f"exponents {as_complex(a)} and {as_complex(b)} differ by the integer {gap}; "
+                "logarithmic solutions are out of scope"
+            )
     nome = system[0][1].nome
     s = Fraction(1, 2) if nome is Nome.Q2 else 1
-    r = len(weights)
     p = mpmath.libmp.dps_to_prec(QLINE_DPS) + 32
-    bits = p - (math.frexp(max(abs(as_complex(v)) for v in seed))[1] - 1)
     kdiag = {(i, i): Fraction(k, 12) for i, k in enumerate(weights) if k}
     m0 = [[0] * r for _ in range(r)]
     convolutions = []  # (entries (i, j, re, im) at 2^-p, rows read, e_1, e_2, ...)
@@ -448,58 +471,53 @@ def qline_solve(weights, system, lam, seed, order: int, catalog: ClassicalCatalo
             entries = [(i, j, *to_fixed(v, p)) for (i, j), v in S.items()]
             convolutions.append((entries, {i for i, _ in S}, tail))
 
-    b0 = [[(s * lam if i == j else 0) - m0[i][j] for j in range(r)] for i in range(r)]
-    miss = max(abs(sum(seed[i] * b0[i][j] for i in range(r))) for j in range(r))
-    scale = max(1, max(abs(v) for row in b0 for v in row))
-    if miss > 1e-9 * scale * max(abs(v) for v in seed):
-        raise NotAnExponent(f"seed row is not a left null vector of the system at {lam!r}")
-    b0 = [[to_fixed(v, p) for v in row] for row in b0]
+    b0s = []
+    for lam, seed in zip(lams, seeds):
+        b0 = [[(s * lam if i == j else 0) - m0[i][j] for j in range(r)] for i in range(r)]
+        miss = max(abs(sum(seed[i] * b0[i][j] for i in range(r))) for j in range(r))
+        scale = max(1, max(abs(v) for row in b0 for v in row))
+        if miss > 1e-9 * scale * max(abs(v) for v in seed):
+            raise NotAnExponent(f"seed row is not a left null vector of the system at {lam!r}")
+        b0s.append([[to_fixed(v, p) for v in row] for row in b0])
     step = int(s * (1 << p))  # s (lam + n) - s (lam + n - 1) at the scale 2^-p
-    res, ims = zip(*(([x], [y]) for x, y in (to_fixed(v, bits) for v in seed)))
-    for n in range(1, order + 1):
-        acc = [[0, 0] for _ in range(r)]
-        for entries, sources, e in convolutions:
-            conv = {i: (sum(map(mul, res[i][n - 1::-1], e)), sum(map(mul, ims[i][n - 1::-1], e)))
-                    for i in sources}
-            for i, j, vr, vi in entries:
-                cr, ci = conv[i]
-                acc[j][0] += cr * vr - ci * vi
-                acc[j][1] += cr * vi + ci * vr
-        b = [list(row) for row in b0]
-        for i in range(r):
-            b[i][i] = (b0[i][i][0] + n * step, b0[i][i][1])
-        x = _fixed_left_solve(b, [(u >> p, v >> p) for u, v in acc], p)
-        for i, (u, v) in enumerate(x):
-            res[i].append(u)
-            ims[i].append(v)
-    return tuple(
-        FixedSeries(PuiseuxSeries(nome, lam, tuple(u)), PuiseuxSeries(nome, lam, tuple(v)), bits)
-        for u, v in zip(res, ims)
-    )
-
-
-#: 1/(1e-10)^2: a pivot whose squared modulus is this many times below the
-#: largest squared modulus of the matrix counts as zero
-_PIVOT_FLOOR = 10**20
+    rows = []
+    for lam, seed, b0 in zip(lams, seeds, b0s):
+        bits = p - (math.frexp(max(abs(as_complex(v)) for v in seed))[1] - 1)
+        res, ims = zip(*(([x], [y]) for x, y in (to_fixed(v, bits) for v in seed)))
+        for n in range(1, order + 1):
+            acc = [[0, 0] for _ in range(r)]
+            for entries, sources, e in convolutions:
+                conv = {i: (sum(map(mul, res[i][n - 1::-1], e)), sum(map(mul, ims[i][n - 1::-1], e)))
+                        for i in sources}
+                for i, j, vr, vi in entries:
+                    cr, ci = conv[i]
+                    acc[j][0] += cr * vr - ci * vi
+                    acc[j][1] += cr * vi + ci * vr
+            b = [list(row) for row in b0]
+            for i in range(r):
+                b[i][i] = (b0[i][i][0] + n * step, b0[i][i][1])
+            x = _fixed_left_solve(b, [(u >> p, v >> p) for u, v in acc], p)
+            for i, (u, v) in enumerate(x):
+                res[i].append(u)
+                ims[i].append(v)
+        rows.append(tuple(
+            FixedSeries(PuiseuxSeries(nome, lam, tuple(u)), PuiseuxSeries(nome, lam, tuple(v)), bits)
+            for u, v in zip(res, ims)
+        ))
+    return tuple(rows)
 
 
 def _fixed_left_solve(a, rhs, p: int) -> list:
     """Row x with x a = rhs, in Gaussian integers: a at the scale 2^-p, rhs
     and x at one common scale.  Elimination with partial pivoting on the
-    transposed system; each multiplier is held at the scale 2^-p.  A pivot
-    below 1e-10 of the largest entry of a, compared as exact squared moduli,
-    is an integer exponent gap."""
+    transposed system; each multiplier is held at the scale 2^-p.  The
+    matrix is nonsingular by the gap rule of :func:`qline_solve`, which
+    rejects every exponent that would make a step matrix singular."""
     r = len(rhs)
     m = [[a[i][j] for i in range(r)] + [rhs[j]] for j in range(r)]
-    scale = max(u * u + v * v for row in m for u, v in row[:r])
     for col in range(r):
         norms = [u * u + v * v for u, v in (m[i][col] for i in range(col, r))]
         norm = max(norms)
-        if norm * _PIVOT_FLOOR <= scale:
-            raise Resonance(
-                "system matrix singular at an integer offset; "
-                "logarithmic solutions are out of scope"
-            )
         piv = col + norms.index(norm)
         m[col], m[piv] = m[piv], m[col]
         pr, pi = m[col][col]
@@ -524,12 +542,13 @@ def _fixed_left_solve(a, rhs, p: int) -> list:
     return x
 
 
-def system_residuals(forms, system, catalog: ClassicalCatalog) -> list[float]:
+def system_residuals(forms, derivatives, system) -> list[float]:
     """Relative residual of each column j of D X = X M on emitted forms (the
-    entries of X, each a vector series at its weight)."""
+    entries of X, each a vector series at its weight), given the modular
+    derivative D X_j of each.  Every differential relation a route records is
+    one of these columns."""
     out = []
-    for j, form in enumerate(forms):
-        lhs = modular_derivative(form, form.weight, catalog)
+    for j, lhs in enumerate(derivatives):
         parts = [
             forms[i].mul_series(e).scale(v)
             for S, e in system for (i, col), v in S.items() if col == j
@@ -593,21 +612,14 @@ def assemble_cyclic_basis(
     case: CaseReport | None = None,
 ) -> FormBasis:
     """Basis F, DF, D^2F, D^3F; records the relative residual of
-    D^4 F + a E_4 D^2 F + b E_6 D F + c E_4^2 F."""
+    D^4 F + a E_4 D^2 F + b E_6 D F + c E_4^2 F, the last column of
+    :func:`cyclic_system` in the nome of F."""
     _require_nonzero(F)
-    k1 = F.weight
-    d1 = modular_derivative(F, k1, catalog)
-    d2 = modular_derivative(d1, k1 + 2, catalog)
-    d3 = modular_derivative(d2, k1 + 4, catalog)
-    d4 = modular_derivative(d3, k1 + 6, catalog)
-    e4 = catalog.eisenstein(4) if F.nome is Nome.Q else catalog.eisenstein_q2(4)
-    e6 = catalog.eisenstein(6) if F.nome is Nome.Q else catalog.eisenstein_q2(6)
-    t_a = d2.mul_series(e4).scale(co.a)
-    t_b = d1.mul_series(e6).scale(co.b)
-    t_c = F.mul_series(e4 * e4).scale(co.c)
-    residual = d4 + t_a + t_b + t_c
-    res = {"cyclic_mlde": relative_residual(residual, d4, t_a, t_b, t_c)}
-    return FormBasis((F, d1, d2, d3), case, res)
+    chain = [F]
+    for _ in range(4):
+        chain.append(modular_derivative(chain[-1], chain[-1].weight, catalog))
+    res = system_residuals(chain[:4], chain[1:], cyclic_system(co, catalog, F.nome))
+    return FormBasis(tuple(chain[:4]), case, {"cyclic_mlde": res[3]})
 
 
 def assemble_noncyclic_basis(
@@ -617,9 +629,11 @@ def assemble_noncyclic_basis(
     case: CaseReport | None = None,
 ) -> FormBasis:
     """Basis F, DF, G, H with H = D^2F - a E_4 F and G the third row of the
-    noncyclic system (:func:`noncyclic_system`), solved on the q-line from
-    the leading coefficients of F; records the residuals of the four column
-    relations on the emitted forms (the substantive one is DG = E_4 F)."""
+    noncyclic system (:func:`noncyclic_system`), solved on the q-line in one
+    call at the leading exponents of the components of F, seeded from their
+    leading coefficients; records the residuals of the four column relations
+    on the emitted forms and their derivatives (the substantive one is
+    DG = E_4 F)."""
     _require_nonzero(F)
     system = noncyclic_system(co, catalog)
     if F.nome is not Nome.Q:
@@ -630,34 +644,22 @@ def assemble_noncyclic_basis(
     d2 = modular_derivative(d1, k1 + 2, catalog)
     H = VectorSeries((d2 - F.mul_series(catalog.eisenstein(4)).scale(co.a)).components, k1 + 4)
     with qline_precision():
-        g_comps = []
-        for comp in F.components:
-            lam = mpmath.mpc(as_complex(comp.lead_exponent))
+        lams = [mpmath.mpc(as_complex(comp.lead_exponent)) for comp in F.components]
+        seeds = []
+        for lam, comp in zip(lams, F.components):
             lead = mpmath.mpc(as_complex(comp.coeffs[0]))
-            row = _noncyclic_lead_row(lam - Fraction(k1, 12), co.a)
-            G = qline_solve(weights, system, lam, [lead * x for x in row], F.order, catalog)[2]
-            g_comps.append(G.downcast())
-    forms = (F, d1, VectorSeries(tuple(g_comps), k1 + 2), H)
-    res = system_residuals(forms, system, catalog)
+            seeds.append([lead * x for x in _noncyclic_lead_row(lam - Fraction(k1, 12), co.a)])
+        rows = qline_solve(weights, system, lams, seeds, F.order, catalog)
+    G = VectorSeries(tuple(row[2].downcast() for row in rows), k1 + 2)
+    forms = (F, d1, G, H)
+    derivatives = (d1, d2, *(modular_derivative(X, X.weight, catalog) for X in (G, H)))
+    res = system_residuals(forms, derivatives, system)
     return FormBasis(forms, case, dict(zip(NONCYCLIC_KEYS, res)))
 
 
 # ---------------------------------------------------------------------------
 # generic minimal-form pipeline (recursive route)
 # ---------------------------------------------------------------------------
-
-def _check_nonresonant(exponents) -> None:
-    exps = list(exponents)
-    for i in range(len(exps)):
-        for j in range(len(exps)):
-            if i == j:
-                continue
-            gap = nearest_int(exps[i] - exps[j])
-            if gap is not None and gap != 0:
-                raise Resonance(
-                    f"exponents {exps[i]!r} and {exps[j]!r} differ by the integer {gap}"
-                )
-
 
 def _recursive_stage(
     rep: Rank4Rep,
@@ -666,8 +668,9 @@ def _recursive_stage(
     catalog: ClassicalCatalog,
     validate_spectrum: bool,
 ) -> tuple[ODECoefficients, FormBasis]:
-    """Validate, classify, shift and check resonance, then solve the case's
-    system D X = X M on the q-line at each exponent (:func:`qline_solve`).
+    """Validate, classify and shift, then solve the case's system D X = X M
+    on the q-line at all four exponents in one call (:func:`qline_solve`,
+    which rejects resonant exponents).
 
     The rows of the solutions are the case's free basis, (F, DF, D^2F, D^3F)
     or (F, DF, G, H), with no row recomputed.  F_j leads with 1728^{f_j}
@@ -680,18 +683,19 @@ def _recursive_stage(
         L.validate_against(rep.t_eigenvalues())
     report = classify(rep, L)
     f_exps = indicial_shifts(L.eigenvalues, report.case)
-    _check_nonresonant(f_exps)
     cyclic = report.case == CYCLIC
     coeffs = cyclic_coeffs if cyclic else noncyclic_coeffs
-    build = cyclic_system if cyclic else noncyclic_system
+
+    def build(co):
+        return cyclic_system(co, catalog, Nome.Q) if cyclic else noncyclic_system(co, catalog)
+
     co = coeffs(f_exps)
     with qline_precision():
         lams = [mpmath.mpc(as_complex(v)) for v in L.eigenvalues]
         f_hp = indicial_shifts(lams, report.case)  # sum exact at working precision
         co_hp = coeffs(f_hp)
-        system = build(co_hp, catalog)
-        rows = []
-        for lam, f in zip(lams, f_hp):
+        seeds = []
+        for f in f_hp:
             if cyclic:
                 seed = [mpmath.mpf(1728) ** f]
                 for i in range(3):
@@ -700,12 +704,14 @@ def _recursive_stage(
                 lead = _noncyclic_lead_row(f, co_hp.a)
                 unit = mpmath.mpf(1728) ** f / max(lead, key=abs)
                 seed = [unit * x for x in lead]
-            solution = qline_solve(report.weight_tuple, system, lam, seed, order, catalog)
-            rows.append(tuple(x.downcast() for x in solution))
+            seeds.append(seed)
+        rows = qline_solve(report.weight_tuple, build(co_hp), lams, seeds, order, catalog)
     forms = tuple(
-        VectorSeries(comps, k) for comps, k in zip(zip(*rows), report.weight_tuple)
+        VectorSeries(tuple(row[i].downcast() for row in rows), k)
+        for i, k in enumerate(report.weight_tuple)
     )
-    res = system_residuals(forms, build(co, catalog), catalog)
+    derivatives = [modular_derivative(X, X.weight, catalog) for X in forms]
+    res = system_residuals(forms, derivatives, build(co))
     if cyclic:
         residuals = {"cyclic_chain": max(res[:3]), "cyclic_mlde": res[3]}
     else:

@@ -17,7 +17,7 @@ from vvmf.constructions import (
     exhibited_exponents,
     induced_exponent_multiset,
     induction_minimal_pair,
-    induction_relation_residual,
+    induction_system,
     rank2_kline_pair,
     rank2_minimal,
     sym3_pipeline,
@@ -34,9 +34,11 @@ from vvmf.mlde import (
     frobenius_solve,
     hypergeom_2f1,
     indicial_shifts,
+    modular_derivative,
     noncyclic_coeffs,
     operator_residual,
     rank2_coeff,
+    system_residuals,
 )
 from vvmf.reps import (
     ExponentData,
@@ -289,9 +291,9 @@ def test_criterion_7_induction_end_to_end():
     for r in (0.27, 0.13 + 0.21j, 0.41, 0.05, 0.33 - 0.14j):
         job = InductionJob.make(rep, L, u_from_local_exponent(r))
         A, B = induction_minimal_pair(job, 20, catalog)
-        worst_pair = max(
-            worst_pair, induction_relation_residual(A, B, job.u, catalog)
-        )
+        derivatives = [modular_derivative(X, X.weight, catalog) for X in (A, B)]
+        system = induction_system(job.u, catalog.xi, catalog)
+        worst_pair = max(worst_pair, *system_residuals((A, B), derivatives, system))
         for F in (A, B):
             worst_split = max(
                 worst_split, max(even_odd_residual(c) for c in F.components)

@@ -95,6 +95,14 @@ class TestRun:
         assert len(env.minimal["components"]) == 4
         assert env.worst_residual() < 1e-9
 
+    def test_minimal_rank2_records_its_relation(self):
+        r1, r2 = (1 / 6 + 0.21) / 2, (1 / 6 - 0.21) / 2
+        env = run(JobSpec.from_json({"command": "minimal", "rep": rank2_json(r1, r2),
+                                     "exponents": exponents_json([r1, r2]), "order": 15}))
+        assert env.minimal["source"] == "hypergeometric"
+        assert list(env.residuals) == ["rank2_mlde"]
+        assert env.residuals["rank2_mlde"] < 1e-12
+
     def test_basis_generic(self):
         env = run(JobSpec.from_json(generic_job("basis")))
         assert len(env.basis) == 4
@@ -187,6 +195,17 @@ class TestMain:
         assert main(["classical", "--name", "K", "--order", "200"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: coefficient ") and "exceeds the double range" in err
+
+    def test_resonant_basis_names_the_qline_solve(self, tmp_path, capsys):
+        eigs = [0.11, 1.11, 0.31, 7 / 3 - 1.53]  # the first two differ by 1
+        job = {"command": "basis", "rep": rank4_json(eigs, 1, 0),
+               "exponents": exponents_json(eigs), "order": 10}
+        spec = tmp_path / "job.json"
+        spec.write_text(json.dumps(job))
+        assert main(["basis", "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [step (d) q-line solve] exponents ")
+        assert "differ by the integer" in err
 
     def test_job_list_fanout(self, tmp_path):
         jobs = [sym3_job(10), sym3_job(12)]

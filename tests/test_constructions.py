@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import vvmf.constructions
 from vvmf.classical import ClassicalCatalog
 from vvmf.constructions import (
     HYPERGEOMETRIC,
@@ -20,7 +21,7 @@ from vvmf.constructions import (
     induced_exponent_multiset,
     induction_minimal_pair,
     induction_pipeline,
-    induction_relation_residual,
+    induction_system,
     local_exponent_from_u,
     rank2_kline_pair,
     rank2_minimal,
@@ -37,7 +38,7 @@ from vvmf.errors import (
     ResonantExponents,
     WrongNome,
 )
-from vvmf.mlde import basis_rank_ratio, modular_derivative, rank2_coeff
+from vvmf.mlde import basis_rank_ratio, modular_derivative, rank2_coeff, system_residuals
 from vvmf.reps import ExponentData, GRank2Rep, Group, Rank2Rep, induced_exponents
 from vvmf.series import Nome, relative_residual
 
@@ -76,6 +77,18 @@ class TestRank2Minimal:
         term = form.components.mul_series(catalog40.eisenstein(4)).scale(a)
         assert relative_residual(d2 + term, d2, term) < 1e-11
         assert d1.max_abs() > 0  # DF never vanishes for irreducible input
+        # the route's own check: both columns of the solved system (F, DF)
+        assert form.residuals["rank2_mlde"] < 1e-11
+
+    def test_recorded_relation_sees_the_coefficient(self, monkeypatch, catalog40):
+        # rank2_mlde checks D(DF) = -a E_4 F, not only DF: a residual system
+        # whose a is off by 1e-6 (the double one; the solve's is mpmath) fails
+        build = vvmf.constructions.rank2_system
+        monkeypatch.setattr(
+            vvmf.constructions, "rank2_system",
+            lambda a, catalog: build(a * (1 + 1e-6) if type(a) is complex else a, catalog))
+        rep, L = rank2_data((3 / 6 + 0.17) / 2, (3 / 6 - 0.17) / 2)
+        assert rank2_minimal(rep, L, 25, catalog40).residuals["rank2_mlde"] > 1e-9
 
     def test_reducible_rejected(self, catalog40):
         rep, L = rank2_data(1 / 4, 1 / 12)  # gap 1/6: x^2 - xy + y^2 = 0
@@ -93,7 +106,7 @@ class TestRank2Minimal:
         L = ExponentData.diagonal([0.0, 0.0])
         form = rank2_minimal(rep, L, 10, catalog40)
         assert form.source == NU_CHI
-        assert form.components is None
+        assert form.components is None and form.residuals == {}
         assert form.k1 == -1
         # second coordinate is eta^{2k1+2} = eta^0 = 1 here
         assert form.eta_component.coeffs[0] == 1
@@ -229,7 +242,9 @@ class TestInductionPair:
     def test_defining_relation(self, cat):
         job = make_job(0.27)
         A, B = induction_minimal_pair(job, 20, cat)
-        assert induction_relation_residual(A, B, job.u, cat) < 1e-9
+        derivatives = [modular_derivative(X, X.weight, cat) for X in (A, B)]
+        system = induction_system(job.u, cat.xi, cat)
+        assert max(system_residuals((A, B), derivatives, system)) < 1e-9
         # leading exponents are k1/6 +- r transported through Z ~ c q2
         leads = sorted(complex(c.lead_exponent).real for c in A.components)
         assert leads == pytest.approx([job.k1 / 6 - 0.27, job.k1 / 6 + 0.27])

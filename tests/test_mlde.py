@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vvmf.mlde
 from vvmf.errors import (
     DegenerateC,
     ExponentSumMismatch,
@@ -276,62 +277,91 @@ class TestSystem:
             noncyclic_system(co, catalog40)
 
     def test_constant_system_at_zero_exponent(self, catalog40):
-        # weight zero and a constant M: the solution is its seed, constant in q
+        # weight zero and a constant M: each solution is its seed, constant in q
         co = self.co()
         (const, one), (e4_part, _) = noncyclic_system(co, catalog40)
         m0 = np.zeros((4, 4), dtype=complex)
         for (i, j), v in {**const, **e4_part}.items():
             m0[i, j] = complex(v)
         vals, vecs = np.linalg.eig(m0.T)  # left eigenvectors of m0
-        k = int(np.argmin(abs(vals)))
-        lam, v0 = complex(vals[k]), [complex(x) for x in vecs[:, k]]
+        lams = [complex(v) for v in vals]
+        seeds = [[complex(x) for x in vecs[:, k]] for k in range(4)]
         system = [({ij: m0[ij] for ij in np.ndindex(4, 4) if m0[ij]}, one)]
         with qline_precision():
-            rows = qline_solve((0, 0, 0, 0), system, lam, v0, 8, catalog40)
-        for j, s in enumerate(row.downcast() for row in rows):
-            assert abs(complex(s.coeffs[0]) - v0[j]) < 1e-12
-            assert max(abs(complex(c)) for c in s.coeffs[1:]) < 1e-12
+            rows = qline_solve((0, 0, 0, 0), system, lams, seeds, 8, catalog40)
+        assert len(rows) == 4
+        for row, v0 in zip(rows, seeds):
+            for j, s in enumerate(x.downcast() for x in row):
+                assert abs(complex(s.coeffs[0]) - v0[j]) < 1e-12
+                assert max(abs(complex(c)) for c in s.coeffs[1:]) < 1e-12
+
+    def seeds(self, co):
+        sixth = Fraction(1, 6)
+        return [[1, f, 1 / (f - sixth), f * (f - sixth) - co.a] for f in co.f_exponents]
+
+    def lams(self, co):
+        return [f + Fraction(self.k1, 12) for f in co.f_exponents]
 
     def test_four_eigenpairs_and_residual(self, catalog40):
         co = self.co()
         system = noncyclic_system(co, catalog40)
-        sixth = Fraction(1, 6)
-        for f in co.f_exponents:
-            seed = [1, f, 1 / (f - sixth), f * (f - sixth) - co.a]
-            with qline_precision():
-                rows = qline_solve(self.weights(), system, f + Fraction(self.k1, 12), seed,
-                                   40, catalog40)
-            forms = [VectorSeries((s.downcast(),), k) for s, k in zip(rows, self.weights())]
-            assert max(system_residuals(forms, system, catalog40)) < 1e-12
+        with qline_precision():
+            rows = qline_solve(self.weights(), system, self.lams(co), self.seeds(co), 40, catalog40)
+        assert len(rows) == 4
+        for row in rows:
+            forms = [VectorSeries((s.downcast(),), k) for s, k in zip(row, self.weights())]
+            derivatives = [modular_derivative(X, X.weight, catalog40) for X in forms]
+            assert max(system_residuals(forms, derivatives, system)) < 1e-12
 
-    @pytest.mark.parametrize("gap, resonant", [(Fraction(1, 10**12), True),
-                                               (Fraction(1, 10**8), False)])
-    def test_pivot_floor_is_resonance(self, catalog40, gap, resonant):
-        # M_0 = diag(0, 1 - gap): at n = 1 the step matrix is diag(1, gap),
-        # singular below 1e-10 of its largest entry
-        system = [({(1, 1): 1 - gap}, PuiseuxSeries.one(Nome.Q, 40))]
+    @pytest.mark.parametrize("gap, resonant", [
+        (0, True),
+        (1, True),
+        (1 - Fraction(1, 10**12), True),
+        (1 - Fraction(1, 10**8), False),
+        (Fraction(1, 2) + 0.3j, False),
+    ], ids=["repeated", "one", "one-less-1e-12", "one-less-1e-8", "complex"])
+    def test_integer_gap_is_resonance(self, monkeypatch, catalog40, gap, resonant):
+        # M_0 = diag(0, gap) at weight zero: the exponents are 0 and gap; an
+        # integer gap within 1e-9, 0 included, is rejected before any step
+        steps = []
+        solve_step = vvmf.mlde._fixed_left_solve
+        monkeypatch.setattr(vvmf.mlde, "_fixed_left_solve",
+                            lambda *args: steps.append(args) or solve_step(*args))
+        system = [({(1, 1): gap}, PuiseuxSeries.one(Nome.Q, 40))]
         with qline_precision():
             if resonant:
-                with pytest.raises(Resonance):
-                    qline_solve((0, 0), system, 0, (1, 0), 3, catalog40)
+                with pytest.raises(Resonance, match="differ by the integer"):
+                    qline_solve((0, 0), system, (0, gap), ((1, 0), (0, 1)), 3, catalog40)
+                assert steps == []
             else:
-                rows = qline_solve((0, 0), system, 0, (1, 0), 3, catalog40)
-                assert [r.downcast().coeffs for r in rows] == [(1, 0, 0, 0), (0, 0, 0, 0)]
+                rows = qline_solve((0, 0), system, (0, gap), ((1, 0), (0, 1)), 3, catalog40)
+                assert [[x.downcast().coeffs for x in row] for row in rows] == [
+                    [(1, 0, 0, 0), (0, 0, 0, 0)], [(0, 0, 0, 0), (1, 0, 0, 0)]]
+                assert len(steps) == 2 * 3
+
+    @pytest.mark.parametrize("count", [1, 3, 5])
+    def test_exponent_count_must_match_the_system(self, catalog40, count):
+        co = self.co()
+        lams, seeds = (self.lams(co) * 2)[:count], (self.seeds(co) * 2)[:count]
+        with pytest.raises(ValueError, match="takes 4 exponents"), qline_precision():
+            qline_solve(self.weights(), noncyclic_system(co, catalog40), lams, seeds, 5, catalog40)
 
     def test_series_must_be_exact_integers(self, catalog40):
         co = self.co()
         (const, one), (e4_part, e4) = noncyclic_system(co, catalog40)
-        system = [(const, one), (e4_part, e4.scale(1.0))]
-        lam = co.f_exponents[0] + Fraction(self.k1, 12)
-        with pytest.raises(TypeError), qline_precision():
-            qline_solve(self.weights(), system, lam, (1, 1, 1, 1), 5, catalog40)
+        with qline_precision():
+            qline_solve(self.weights(), [(const, one), (e4_part, e4)],
+                        self.lams(co), self.seeds(co), 5, catalog40)
+            with pytest.raises(TypeError):
+                qline_solve(self.weights(), [(const, one), (e4_part, e4.scale(1.0))],
+                            self.lams(co), self.seeds(co), 5, catalog40)
 
     def test_not_left_eigenvector(self, catalog40):
         co = self.co()
-        lam = co.f_exponents[0] + Fraction(self.k1, 12)
+        seeds = [(1, 1, 1, 1)] + self.seeds(co)[1:]
         with pytest.raises(NotAnExponent), qline_precision():
-            qline_solve(self.weights(), noncyclic_system(co, catalog40), lam,
-                        (1, 1, 1, 1), 5, catalog40)
+            qline_solve(self.weights(), noncyclic_system(co, catalog40), self.lams(co),
+                        seeds, 5, catalog40)
 
 
 class TestFixedLeftSolve:

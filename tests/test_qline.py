@@ -8,6 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import vvmf.constructions
 import vvmf.mlde
 from vvmf.classical import ClassicalCatalog
 from vvmf.constructions import (
@@ -20,6 +21,7 @@ from vvmf.constructions import (
     tensor_pipeline,
     u_from_local_exponent,
 )
+from vvmf.errors import Resonance
 from vvmf.mlde import frobenius_solve, generic_basis
 from vvmf.reps import (
     ExponentData,
@@ -113,6 +115,47 @@ def test_induction_pair_matches_zline_oracle():
     assert worst < 1e-12
 
 
+def resonant_route(route: str, catalog):
+    """Run a route on an input with an integer exponent gap."""
+    if route == "generic":
+        rep, L = admissible([0.11, 1.11, 0.31], 7, 1, 0)  # first two differ by 1
+        return generic_basis(rep, L, 10, catalog)
+    if route == "induction":
+        job = make_job(0.27)
+        resonant = InductionJob(job.rep, job.L, u_from_local_exponent(0.5), job.k1)  # 2r = 1
+        return induction_minimal_pair(resonant, 10, catalog)
+    # factor gaps 0.6 and 0.4 + 5e-10: the tensor exponents r1 + s1 and r2 + s2
+    # differ by 1 + 5e-10, an integer within 1e-9, while their T-eigenvalues
+    # stay distinct, so the product is irreducible
+    (alpha, L1), (beta, L2) = (rank2_data((s / 6 + d) / 2, (s / 6 - d) / 2)
+                               for s, d in ((1, 0.6), (2, 0.4 + 5e-10)))
+    return tensor_pipeline(alpha, beta, L1, L2, 10, catalog)
+
+
+@pytest.mark.parametrize("route", ["generic", "induction", "tensor"])
+def test_every_route_reaches_the_gap_rule(monkeypatch, route):
+    # one resonance rule for every route: qline_solve rejects the integer gap
+    # before its first elimination step
+    raised, steps = [], []
+    solve, step = vvmf.mlde.qline_solve, vvmf.mlde._fixed_left_solve
+
+    def recording(*args):
+        before = len(steps)
+        try:
+            return solve(*args)
+        except Resonance as exc:
+            raised.append((exc, len(steps) - before))
+            raise
+
+    for module in (vvmf.mlde, vvmf.constructions):
+        monkeypatch.setattr(module, "qline_solve", recording)
+    monkeypatch.setattr(vvmf.mlde, "_fixed_left_solve",
+                        lambda *args: steps.append(args) or step(*args))
+    with pytest.raises(Resonance, match="differ by the integer") as info:
+        resonant_route(route, ClassicalCatalog(10))
+    assert raised == [(info.value, 0)]
+
+
 # ---------------------------------------------------------------------------
 # working-precision rows
 # ---------------------------------------------------------------------------
@@ -125,7 +168,8 @@ def solved_rows(monkeypatch, run) -> list:
 
     def recording(*args):
         out = solve(*args)
-        rows.extend(out)
+        for row in out:
+            rows.extend(row)
         return out
 
     with monkeypatch.context() as patch:

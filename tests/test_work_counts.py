@@ -1,14 +1,16 @@
 """Each pipeline computes every expensive quantity once, and no route touches
-a hauptmodul: the q-line solves per exponent and the hauptmodul-side calls
-of the closed, generic and induction routes are counted at every module that
-binds them.  The q-line block runs in integers: no route makes an mpmath dot
-product or multiplies series of mpmath numbers."""
+a hauptmodul: the q-line solves per system and exponent, the modular
+derivatives, and the hauptmodul-side calls of the closed, generic and
+induction routes are counted at every module that binds them.  The q-line
+block runs in integers: no route makes an mpmath dot product or multiplies
+series of mpmath numbers."""
 
 import cmath
 
 import mpmath
 import pytest
 
+import vvmf.cli
 import vvmf.constructions
 import vvmf.mlde
 import vvmf.series
@@ -73,8 +75,9 @@ def generic_data(m, d):
 
 
 def distinct_exponents(calls) -> int:
-    # qline_solve(weights, system, lam, seed, order, catalog)
-    return len({(round(complex(a[2]).real, 12), round(complex(a[2]).imag, 12)) for a in calls})
+    # qline_solve(weights, system, lams, seeds, order, catalog)
+    return len({(round(complex(lam).real, 12), round(complex(lam).imag, 12))
+                for a in calls for lam in a[2]})
 
 
 def test_tensor_solves_each_exponent_once(monkeypatch, catalog40):
@@ -87,9 +90,10 @@ def test_tensor_solves_each_exponent_once(monkeypatch, catalog40):
     basis = tensor_pipeline(alpha, beta, L1, L2, 20, catalog40)
     assert basis.residuals["col3_dg_e4f"] < 1e-9
     assert calls == []
-    # one q-line solve per exponent: two per rank-2 factor, then G at each of
-    # the four tensor exponents, never from a division by E_4
-    assert len(solves) == 8 and distinct_exponents(solves) == 8
+    # one q-line solve per system and each exponent once: one per rank-2
+    # factor at its two exponents, then G at the four tensor exponents, never
+    # from a division by E_4
+    assert len(solves) == 3 and distinct_exponents(solves) == 8
     assert divides == []
 
 
@@ -99,7 +103,48 @@ def test_noncyclic_solves_each_exponent_once(monkeypatch, catalog40):
     basis = generic_basis(rep, L, 20, catalog40)
     assert basis.case.case == "noncyclic"
     assert basis.residuals["col3_dg_e4f"] < 1e-12
-    assert len(calls) == 4 and distinct_exponents(calls) == 4
+    assert len(calls) == 1 and distinct_exponents(calls) == 4
+
+
+def run_route(route: str, order: int = 20):
+    catalog = ClassicalCatalog(order)
+    alpha, L1 = rank2_data(1, 0.21)
+    if route == "sym3":
+        return sym3_pipeline(alpha, L1, order, catalog)
+    if route == "tensor":
+        beta, L2 = rank2_data(2, 0.13)
+        return tensor_pipeline(alpha, beta, L1, L2, order, catalog)
+    if route == "induction":
+        return induction_pipeline(induction_job(), order // 2, catalog)
+    return generic_basis(*generic_data(*{"cyclic": (7, 1), "noncyclic": (8, 5)}[route]),
+                         order, catalog)
+
+
+@pytest.mark.parametrize("route, solves", [
+    ("sym3", 1), ("tensor", 3), ("cyclic", 1), ("noncyclic", 1), ("induction", 1)])
+def test_one_solve_per_system(monkeypatch, route, solves):
+    # every exponent of a system is solved in one call: the rank-2 pair, the
+    # rank-4 system of the generic routes and of G, the induction pair
+    calls = count_calls(monkeypatch, vvmf.mlde, "qline_solve")
+    run_route(route)
+    assert len(calls) == solves
+    assert all(len(a[2]) == len(a[0]) for a in calls)
+
+
+@pytest.mark.parametrize("route, derivatives", [("tensor", 4), ("induction", 10)])
+def test_modular_derivatives_are_taken_once(monkeypatch, route, derivatives):
+    # the tensor's noncyclic assembly checks its relations on DF, D^2F, DG
+    # and DH, the derivatives it took anyway; induction takes D of the pair
+    # and of each induced F, DF, D^2F, D^3F
+    calls = count_calls(monkeypatch, vvmf.mlde, "modular_derivative")
+    run_route(route)
+    assert len(calls) == derivatives
+
+
+def test_relations_are_checked_by_the_system_residual():
+    # the hand-written residuals beside system_residuals are gone
+    assert not hasattr(vvmf.constructions, "induction_relation_residual")
+    assert not hasattr(vvmf.cli, "_rank2_mlde_residual")
 
 
 @pytest.mark.parametrize("m, d", [(7, 1), (8, 5)], ids=["cyclic", "noncyclic"])
