@@ -27,7 +27,6 @@ from .mlde import (
     FuchsianOperator,
     ODECoefficients,
     assemble_cyclic_basis,
-    assemble_noncyclic_basis,
     build_cyclic_operator,
     build_noncyclic_operator,
     classify,
@@ -77,7 +76,6 @@ __all__ = [
     "VectorSeries",
     "VvmfError",
     "assemble_cyclic_basis",
-    "assemble_noncyclic_basis",
     "build_cyclic_operator",
     "build_fuchsian_z",
     "build_noncyclic_operator",

@@ -2,10 +2,10 @@
 and symmetric-cube bases of rank four, and induction from the index-two
 subgroup.
 
-The rank-2 minimal form solves its first-order system on the q-line; the
-tensor and Sym^3 pipelines form their Kronecker product or cube exactly on
-its fixed-point rows, round once, and hand the minimal form to the basis
-assemblers.
+The rank-2 minimal form solves its first-order system on the q-line.  The
+Sym^3 pipeline forms the cube exactly on its fixed-point rows, rounds once
+and hands it to the cyclic basis assembler; the tensor pipeline forms its
+whole basis in closed form from the rows of its two rank-2 factors.
 The induction pair solves its defining first-order system on the q2-line.
 Every defining differential relation is re-checked on the emitted series.
 The closed hypergeometric pair on the K-line (:func:`rank2_kline_pair`) and
@@ -30,6 +30,7 @@ from .errors import (
     NotIrreducible,
     ResonantExponents,
     ReducibleRep,
+    WeightParityMismatch,
     WrongNome,
     WrongRank,
 )
@@ -39,8 +40,8 @@ from .mlde import (
     CaseReport,
     FormBasis,
     FuchsianOperator,
+    NONCYCLIC_KEYS,
     assemble_cyclic_basis,
-    assemble_noncyclic_basis,
     classify,
     cyclic_coeffs,
     hypergeom_2f1,
@@ -48,10 +49,12 @@ from .mlde import (
     modular_derivative,
     nearest_int,
     noncyclic_coeffs,
+    noncyclic_system,
     qline_precision,
     qline_solve,
     rank2_coeff,
     require_int,
+    require_nonresonant,
     system_residuals,
 )
 from .reps import (
@@ -81,7 +84,6 @@ from .series import (
     compose_frobenius,  # noqa: F401  (a binding site perfbench's tracer test patches)
     cpow,
     even_odd_parts,
-    relative_residual,
 )
 
 XI = cmath.exp(2j * cmath.pi / 6)
@@ -235,11 +237,15 @@ def tensor_pipeline(
     order: int,
     catalog: ClassicalCatalog,
 ) -> FormBasis:
-    """Noncyclic rank-4 basis for alpha (x) beta from the Kronecker product of
-    the two rank-2 minimal forms.
-
-    Records the product rule for DF, the four column relations of the
-    derivative matrix, and the exponent floor of G.
+    """Noncyclic rank-4 basis for alpha (x) beta in closed form from the
+    rank-2 rows (A, DA) and (B, DB), where D(DA) = -a_alpha E_4 A and
+    D(DB) = -a_beta E_4 B.  In Kronecker order F = A (x) B,
+    DF = DA (x) B + A (x) DB, G = (DA (x) B - A (x) DB) / (a_beta - a_alpha)
+    (so DG = E_4 F) and H = D^2F - a E_4 F = 2 DA (x) DB, the noncyclic
+    equation having a = -(a_alpha + a_beta) and c = -(a_alpha - a_beta)^2.
+    Each is formed exactly in fixed point and rounded once.  Records the
+    column relations of :func:`noncyclic_system` (``col1_df`` is the product
+    rule) and the exponent floor of G.
     """
     if not tensor_is_irreducible(alpha, beta):
         raise NotIrreducible("tensor product representation is reducible")
@@ -255,19 +261,27 @@ def tensor_pipeline(
     report = classify(rep4, L12)
     if report.case != NONCYCLIC:
         raise NotIrreducible("tensor products always land in the noncyclic case")
-
-    with qline_precision():
-        A, dA, _ = _rank2_stage(L1, ka, order, catalog)
-        B, dB, _ = _rank2_stage(L2, kb, order, catalog)
-        F = _downcast(_kronecker(A, B), report.k1)
-        leibniz = [x + y for x, y in zip(_kronecker(dA, B), _kronecker(A, dB))]
-        leibniz = _downcast(leibniz, report.k1 + 2)
+    require_nonresonant(L12.eigenvalues)
+    # c = -(a_alpha - a_beta)^2: DegenerateC before G divides by the difference
     co = noncyclic_coeffs(indicial_shifts(L12.eigenvalues, NONCYCLIC))
-    basis = assemble_noncyclic_basis(F, co, catalog, report)
-    res = dict(basis.residuals)
-    res["tensor_product_rule"] = relative_residual(basis.forms[1] - leibniz, leibniz)
-    res["g_exponent_drop"] = _exponent_drop(basis.forms[2], L12.eigenvalues)
-    return FormBasis(basis.forms, report, res)
+    system = noncyclic_system(co, catalog)
+
+    k1 = report.k1
+    with qline_precision():
+        A, dA, a_alpha = _rank2_stage(L1, ka, order, catalog)
+        B, dB, a_beta = _rank2_stage(L2, kb, order, catalog)
+        dA_B, A_dB = _kronecker(dA, B), _kronecker(A, dB)
+        forms = (
+            _downcast(_kronecker(A, B), k1),
+            _downcast([x + y for x, y in zip(dA_B, A_dB)], k1 + 2),
+            _downcast([(x - y).scale(1 / (a_beta - a_alpha), mpmath.mp.prec)
+                       for x, y in zip(dA_B, A_dB)], k1 + 2),
+            _downcast([x + x for x in _kronecker(dA, dB)], k1 + 4),
+        )
+    derivatives = [modular_derivative(X, X.weight, catalog) for X in forms]
+    res = dict(zip(NONCYCLIC_KEYS, system_residuals(forms, derivatives, system)))
+    res["g_exponent_drop"] = _exponent_drop(forms[2], L12.eigenvalues)
+    return FormBasis(forms, report, res)
 
 
 def _exponent_drop(G: VectorSeries, expected_leads) -> float:
@@ -357,7 +371,8 @@ def local_exponent_from_u(u, xi=XI):
 class InductionJob:
     """Induction input: a normalized orbit representative, exponents for the
     subgroup, the family parameter u of the Z-line equation, and the minimal
-    weight k1 (3 Tr(L) in the cyclic branch, 3 Tr(L) + 1 otherwise)."""
+    weight k1: 3 Tr(L) or 3 Tr(L) + 1, whichever has the parity e of the
+    representation, so that the induced bases are cyclic."""
 
     rep: GRank2Rep
     L: ExponentData
@@ -365,7 +380,7 @@ class InductionJob:
     k1: int
 
     @classmethod
-    def make(cls, rep: GRank2Rep, L: ExponentData, u, k1: int | None = None) -> "InductionJob":
+    def make(cls, rep: GRank2Rep, L: ExponentData, u) -> "InductionJob":
         if not rep.restricts_from_gamma:
             raise NormalizationError(
                 "orbit must be presented with the restricting member first "
@@ -381,11 +396,9 @@ class InductionJob:
             raise GroupMismatch("induction starts from exponents for the subgroup")
         if abs(as_complex(u)) <= 1e-14:
             raise DegenerateU("u = 0 makes the local exponents collide")
-        if k1 is None:
-            t3 = require_int(3 * L.trace, "3*Tr(L)")
-            # weight parity must match the representation parity: k1 = e mod 2
-            k1 = t3 if (t3 - rep.e) % 2 == 0 else t3 + 1
-        return cls(rep, L, complex(u), int(k1))
+        t3 = require_int(3 * L.trace, "3*Tr(L)")
+        k1 = t3 if (t3 - rep.e) % 2 == 0 else t3 + 1
+        return cls(rep, L, complex(u), k1)
 
 
 def induction_minimal_pair(
@@ -509,8 +522,13 @@ def induction_pipeline(
     job: InductionJob, order: int, catalog: ClassicalCatalog
 ) -> tuple[FormBasis, FormBasis]:
     """Full induction route: solve for the minimal pair, verify its defining
-    relation, induce both forms to the full group, classify by the exponents
-    the series actually exhibit, and assemble the corresponding bases."""
+    relation, induce both forms to the full group, and assemble the cyclic
+    bases of the exponents the series exhibit: k1/6 +- r induce
+    3 Tr(Ind L) = k1 + 3, of the other parity than k1 = e mod 2."""
+    if (job.k1 - job.rep.e) % 2:
+        raise WeightParityMismatch(
+            f"induction needs k1 = e mod 2, got k1 = {job.k1} and e = {job.rep.e}"
+        )
     A, B = induction_minimal_pair(job, order, catalog)
     derivatives = [modular_derivative(X, X.weight, catalog) for X in (A, B)]
     system = induction_system(job.u, catalog.xi, catalog)
@@ -521,20 +539,15 @@ def induction_pipeline(
         ind_L = induced_exponents(L_g)
         stacked = induce_to_gamma(F)
         t3 = require_int(3 * ind_L.trace, "3*Tr(Ind L)")
+        if t3 != job.k1 + 3:
+            raise ExponentMismatch(
+                f"exhibited exponents give 3 Tr(Ind L) = {t3}, not k1 + 3 = {job.k1 + 3}"
+            )
         d = t3 % 3 if (t3 % 3) % 2 != job.rep.e % 2 else t3 % 3 + 3
-        cyclic = (t3 - job.rep.e) % 2 != 0
-        k1 = t3 - 3 if cyclic else t3 - 2
-        case = CaseReport(
-            CYCLIC if cyclic else NONCYCLIC,
-            k1,
-            (k1, k1 + 2, k1 + 4, k1 + 6) if cyclic else (k1, k1 + 2, k1 + 2, k1 + 4),
-            d,
-            job.rep.e,
-        )
-        f_exps = indicial_shifts(ind_L.eigenvalues, case.case)
-        co = cyclic_coeffs(f_exps) if cyclic else noncyclic_coeffs(f_exps)
-        assemble = assemble_cyclic_basis if cyclic else assemble_noncyclic_basis
-        basis = assemble(stacked, co, catalog, case)
+        k1 = job.k1
+        case = CaseReport(CYCLIC, k1, (k1, k1 + 2, k1 + 4, k1 + 6), d, job.rep.e)
+        co = cyclic_coeffs(indicial_shifts(ind_L.eigenvalues, CYCLIC))
+        basis = assemble_cyclic_basis(stacked, co, catalog, case)
         res = dict(basis.residuals)
         res["pair_relation"] = pair_res
         res["even_odd_split"] = max(even_odd_residual(c) for c in F.components)

@@ -109,6 +109,10 @@ class NormalizationError(VvmfError):
     """Induction orbit is not presented with the restricting member first."""
 
 
+class WeightParityMismatch(VvmfError):
+    """Minimal weight and representation parity disagree mod 2."""
+
+
 # --- CLI ----------------------------------------------------------------------
 
 class ValidationError(VvmfError):

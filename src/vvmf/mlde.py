@@ -403,6 +403,19 @@ def _noncyclic_lead_row(f, a) -> list:
     return [1, f, 1 / (f - sixth), f * (f - sixth) - a]
 
 
+def require_nonresonant(lams) -> None:
+    """The gap rule of every system: Resonance when two exponents differ by
+    an integer within 1e-9 (:data:`vvmf.series.INT_GAP_TOL`), 0 included;
+    such indicial roots need logarithmic solutions."""
+    for a, b in combinations(lams, 2):
+        gap = nearest_int(a - b)
+        if gap is not None:
+            raise Resonance(
+                f"exponents {as_complex(a)} and {as_complex(b)} differ by the integer {gap}; "
+                "logarithmic solutions are out of scope"
+            )
+
+
 def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCatalog):
     """Row solutions X = x^lam sum_n X_n x^n of D X = X M(x), one per exponent.
 
@@ -417,13 +430,11 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
 
     ``lams`` are all r exponents of the system and ``seeds`` their rows X_0
     (ValueError for any other count; NotAnExponent unless each seed is a
-    left null vector at its exponent).  Before the first step, two
-    exponents whose gap is an integer within 1e-9
-    (:data:`vvmf.series.INT_GAP_TOL`), 0 included, raise Resonance:
-    repeated or integer-spaced indicial roots need logarithmic solutions.
-    The r distinct exponents are then the whole spectrum of K + M_0 over s,
-    so every step matrix is nonsingular.  Returns one row tuple per
-    exponent, each truncated to the shortest series of the system.
+    left null vector at its exponent).  Before the first step the
+    exponents pass :func:`require_nonresonant`.  The r distinct exponents
+    are then the whole spectrum of K + M_0 over s, so every step matrix is
+    nonsingular.  Returns one row tuple per exponent, each truncated to the
+    shortest series of the system.
 
     The recursion runs in fixed point.  Every X_n is held as the integer
     mantissas of its real and imaginary parts at one scale 2^-Q per
@@ -444,13 +455,7 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
         raise ValueError(
             f"a {r} x {r} system takes {r} exponents and seeds, got {len(lams)} and {len(seeds)}"
         )
-    for a, b in combinations(lams, 2):
-        gap = nearest_int(a - b)
-        if gap is not None:
-            raise Resonance(
-                f"exponents {as_complex(a)} and {as_complex(b)} differ by the integer {gap}; "
-                "logarithmic solutions are out of scope"
-            )
+    require_nonresonant(lams)
     nome = system[0][1].nome
     s = Fraction(1, 2) if nome is Nome.Q2 else 1
     p = mpmath.libmp.dps_to_prec(QLINE_DPS) + 32
@@ -546,11 +551,12 @@ def system_residuals(forms, derivatives, system) -> list[float]:
     """Relative residual of each column j of D X = X M on emitted forms (the
     entries of X, each a vector series at its weight), given the modular
     derivative D X_j of each.  Every differential relation a route records is
-    one of these columns."""
+    one of these columns.  A block whose series is the unit series adds
+    v X_i with no product (x * 1 is exact in double)."""
     out = []
     for j, lhs in enumerate(derivatives):
         parts = [
-            forms[i].mul_series(e).scale(v)
+            forms[i].scale(v) if _is_one(e) else forms[i].mul_series(e).scale(v)
             for S, e in system for (i, col), v in S.items() if col == j
         ]
         residual = lhs
@@ -558,6 +564,10 @@ def system_residuals(forms, derivatives, system) -> list[float]:
             residual = residual - p
         out.append(relative_residual(residual, lhs, *parts))
     return out
+
+
+def _is_one(e: PuiseuxSeries) -> bool:
+    return e.lead_exponent == 0 and e.coeffs[0] == 1 and not any(e.coeffs[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -622,41 +632,6 @@ def assemble_cyclic_basis(
     return FormBasis(tuple(chain[:4]), case, {"cyclic_mlde": res[3]})
 
 
-def assemble_noncyclic_basis(
-    F: VectorSeries,
-    co: ODECoefficients,
-    catalog: ClassicalCatalog,
-    case: CaseReport | None = None,
-) -> FormBasis:
-    """Basis F, DF, G, H with H = D^2F - a E_4 F and G the third row of the
-    noncyclic system (:func:`noncyclic_system`), solved on the q-line in one
-    call at the leading exponents of the components of F, seeded from their
-    leading coefficients; records the residuals of the four column relations
-    on the emitted forms and their derivatives (the substantive one is
-    DG = E_4 F)."""
-    _require_nonzero(F)
-    system = noncyclic_system(co, catalog)
-    if F.nome is not Nome.Q:
-        raise WrongNome("noncyclic assembly solves for G on the q-line")
-    k1 = F.weight
-    weights = (k1, k1 + 2, k1 + 2, k1 + 4)
-    d1 = modular_derivative(F, k1, catalog)
-    d2 = modular_derivative(d1, k1 + 2, catalog)
-    H = VectorSeries((d2 - F.mul_series(catalog.eisenstein(4)).scale(co.a)).components, k1 + 4)
-    with qline_precision():
-        lams = [mpmath.mpc(as_complex(comp.lead_exponent)) for comp in F.components]
-        seeds = []
-        for lam, comp in zip(lams, F.components):
-            lead = mpmath.mpc(as_complex(comp.coeffs[0]))
-            seeds.append([lead * x for x in _noncyclic_lead_row(lam - Fraction(k1, 12), co.a)])
-        rows = qline_solve(weights, system, lams, seeds, F.order, catalog)
-    G = VectorSeries(tuple(row[2].downcast() for row in rows), k1 + 2)
-    forms = (F, d1, G, H)
-    derivatives = (d1, d2, *(modular_derivative(X, X.weight, catalog) for X in (G, H)))
-    res = system_residuals(forms, derivatives, system)
-    return FormBasis(forms, case, dict(zip(NONCYCLIC_KEYS, res)))
-
-
 # ---------------------------------------------------------------------------
 # generic minimal-form pipeline (recursive route)
 # ---------------------------------------------------------------------------
@@ -666,7 +641,6 @@ def _recursive_stage(
     L: ExponentData,
     order: int,
     catalog: ClassicalCatalog,
-    validate_spectrum: bool,
 ) -> tuple[ODECoefficients, FormBasis]:
     """Validate, classify and shift, then solve the case's system D X = X M
     on the q-line at all four exponents in one call (:func:`qline_solve`,
@@ -679,8 +653,7 @@ def _recursive_stage(
     K-line form.  Every column relation is re-checked on the emitted
     doubles.  Returns the double coefficients and the basis.
     """
-    if validate_spectrum:
-        L.validate_against(rep.t_eigenvalues())
+    L.validate_against(rep.t_eigenvalues())
     report = classify(rep, L)
     f_exps = indicial_shifts(L.eigenvalues, report.case)
     cyclic = report.case == CYCLIC
@@ -724,7 +697,6 @@ def solve_minimal_form(
     L: ExponentData,
     order: int,
     catalog: ClassicalCatalog,
-    validate_spectrum: bool = True,
 ):
     """Recursive pipeline for a generic rank-4 representation: classify,
     derive the equation coefficients and solve the case's first-order system
@@ -734,7 +706,7 @@ def solve_minimal_form(
     form whose component j has leading q-exponent L.eigenvalues[j]; the
     residuals are those of :func:`generic_basis`.
     """
-    co, basis = _recursive_stage(rep, L, order, catalog, validate_spectrum)
+    co, basis = _recursive_stage(rep, L, order, catalog)
     return basis.forms[0], basis.case, co, dict(basis.residuals)
 
 
@@ -743,11 +715,10 @@ def generic_basis(
     L: ExponentData,
     order: int,
     catalog: ClassicalCatalog,
-    validate_spectrum: bool = True,
 ) -> FormBasis:
     """Recursive route end to end: the rows of the q-line solutions are the
     case-appropriate free basis."""
-    return _recursive_stage(rep, L, order, catalog, validate_spectrum)[1]
+    return _recursive_stage(rep, L, order, catalog)[1]
 
 
 def leading_coefficient_matrix(forms) -> np.ndarray:

@@ -653,11 +653,21 @@ class FixedSeries:
             raise ValueError(f"fixed-point scales differ: 2^-{self.bits} and 2^-{other.bits}")
         return FixedSeries(self.re + other.re, self.im + other.im, self.bits)
 
+    def __sub__(self, other: "FixedSeries") -> "FixedSeries":
+        return self + FixedSeries(-other.re, -other.im, other.bits)
+
     def __mul__(self, other: "FixedSeries") -> "FixedSeries":
         k1 = other.re * (self.re + self.im)
         k2 = self.re * (other.im - other.re)
         k3 = self.im * (other.re + other.im)
         return FixedSeries(k1 - k3, k1 + k2, self.bits + other.bits)
+
+    def scale(self, z, bits: int) -> "FixedSeries":
+        """Product with the scalar z rounded to the scale 2^-bits
+        (:func:`to_fixed`), exact from there, at the sum of the scales."""
+        u, v = to_fixed(z, bits)
+        return FixedSeries(self.re.scale(u) - self.im.scale(v),
+                           self.re.scale(v) + self.im.scale(u), self.bits + bits)
 
     def downcast(self) -> PuiseuxSeries:
         return PuiseuxSeries(

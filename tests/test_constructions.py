@@ -13,6 +13,7 @@ from vvmf.constructions import (
     HYPERGEOMETRIC,
     NU_CHI,
     InductionJob,
+    _rank2_shifts,
     build_fuchsian_z,
     even_odd_parts,
     even_odd_residual,
@@ -30,17 +31,29 @@ from vvmf.constructions import (
     u_from_local_exponent,
 )
 from vvmf.errors import (
+    DegenerateC,
     DegenerateU,
+    ExponentMismatch,
     NormalizationError,
     NotIrreducible,
     ReducibleRep,
     Resonance,
     ResonantExponents,
+    WeightParityMismatch,
     WrongNome,
 )
-from vvmf.mlde import basis_rank_ratio, modular_derivative, rank2_coeff, system_residuals
+from vvmf.mlde import (
+    basis_rank_ratio,
+    modular_derivative,
+    noncyclic_coeffs,
+    qline_precision,
+    rank2_coeff,
+    system_residuals,
+)
 from vvmf.reps import ExponentData, GRank2Rep, Group, Rank2Rep, induced_exponents
-from vvmf.series import Nome, relative_residual
+from vvmf.series import FixedSeries, Nome, relative_residual
+
+from test_acceptance import tensor_grid
 
 ZETA = cmath.exp(2j * cmath.pi / 3)
 
@@ -154,10 +167,33 @@ class TestTensorPipeline:
         # minimal weight k + l = (6Tr1 - 1) + (6Tr2 - 1) = 0 + 1
         assert basis.case.k1 == 1
         assert basis.weights == (1, 3, 3, 5)
-        for key in ("col2_d2f", "col3_dg_e4f", "col4_dh", "tensor_product_rule"):
+        for key in ("col1_df", "col2_d2f", "col3_dg_e4f", "col4_dh"):
             assert basis.residuals[key] < 1e-9, (key, basis.residuals)
         assert basis.residuals["g_exponent_drop"] == 0.0
         assert basis_rank_ratio(basis) > 1e-6
+
+    def test_equation_from_the_factors(self):
+        # the closed forms rest on a = -(a_alpha + a_beta) and
+        # c = -(a_alpha - a_beta)^2, exact at working precision
+        with qline_precision():
+            for p1, p2 in tensor_grid():
+                fs, gs = (_rank2_shifts(rank2_data(*p)[1]) for p in (p1, p2))
+                a_alpha, a_beta = rank2_coeff(*fs), rank2_coeff(*gs)
+                co = noncyclic_coeffs([f + g for f in fs for g in gs])
+                assert abs(co.a + (a_alpha + a_beta)) < 1e-40
+                assert abs(co.c + (a_alpha - a_beta) ** 2) < 1e-40
+
+    def test_equal_factor_gaps_rejected(self, monkeypatch, catalog40):
+        # gaps 0.21 and 0.21 + 1e-7 give |a_beta - a_alpha| ~ 1e-8: the
+        # noncyclic c vanishes, and G is never divided by the difference
+        scales, solves = [], []
+        monkeypatch.setattr(FixedSeries, "scale", lambda *args: scales.append(args))
+        monkeypatch.setattr(vvmf.constructions, "qline_solve", lambda *args: solves.append(args))
+        a, L1 = rank2_data((1 / 6 + 0.21) / 2, (1 / 6 - 0.21) / 2)
+        b, L2 = rank2_data((2 / 6 + 0.21 + 1e-7) / 2, (2 / 6 - 0.21 - 1e-7) / 2)
+        with pytest.raises(DegenerateC):
+            tensor_pipeline(a, b, L1, L2, 10, catalog40)
+        assert scales == [] and solves == []
 
     def test_jordan_pair_rejected(self, catalog40):
         nu = Rank2Rep.from_eigenvalues(1, 1)
@@ -232,6 +268,17 @@ class TestInductionJob:
         with pytest.raises(DegenerateU):
             InductionJob.make(rep, L, 0)
 
+    def test_weight_parity_checked_first(self, monkeypatch, cat):
+        # make picks k1 = e mod 2; a hand-built job of the other parity is
+        # rejected before the pair is solved
+        job = make_job(0.27)
+        solves = []
+        monkeypatch.setattr(vvmf.constructions, "qline_solve", lambda *args: solves.append(args))
+        wrong = InductionJob(job.rep, job.L, job.u, job.k1 + 1)
+        with pytest.raises(WeightParityMismatch, match="k1 = 3 and e = 0"):
+            induction_pipeline(wrong, 10, cat)
+        assert solves == []
+
 
 @pytest.fixture(scope="module")
 def cat():
@@ -293,6 +340,14 @@ class TestInductionPair:
             assert fb.residuals["even_odd_split"] < 1e-12
             assert fb.residuals["cyclic_mlde"] < 1e-9
             assert basis_rank_ratio(fb, split_q2=True) > 1e-6
+
+    @pytest.mark.parametrize("r", [0.41, 0.33 - 0.14j])
+    def test_lost_leading_coefficient_is_an_error(self, r):
+        # at q-order 80 a leading coefficient of these pairs falls below
+        # 1e-9 of the largest one, so the exhibited exponents move by an
+        # integer; the basis is not assembled for the moved exponents
+        with pytest.raises(ExponentMismatch, match="not k1 \\+ 3 = 5"):
+            induction_pipeline(make_job(r), 80, ClassicalCatalog(80))
 
     def test_even_odd_parts_structure(self, cat):
         job = make_job(0.27)

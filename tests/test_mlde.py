@@ -28,7 +28,6 @@ from vvmf.mlde import (
     NONCYCLIC,
     _fixed_left_solve,
     assemble_cyclic_basis,
-    assemble_noncyclic_basis,
     basis_rank_ratio,
     build_cyclic_operator,
     build_hypergeometric_operator,
@@ -440,9 +439,8 @@ class TestAssembly:
 
     def test_degenerate_c_rejected(self, catalog40):
         co = noncyclic_coeffs([0, Fraction(1, 6), Fraction(1, 6), Fraction(1, 3)])
-        form = VectorSeries(tuple(PuiseuxSeries.one(Nome.Q, 10) for _ in range(4)), 0)
         with pytest.raises(DegenerateC):
-            assemble_noncyclic_basis(form, co, catalog40)
+            noncyclic_system(co, catalog40)
 
 
 class TestGenericPipeline:
@@ -469,10 +467,7 @@ class TestGenericPipeline:
         assert basis_rank_ratio(basis) > 1e-8
 
     def test_resonant_exponents_rejected(self, catalog40):
-        rep, L = admissible([0.11, 0.18, 0.31], 7, 1, 0)
-        eigs = list(L.eigenvalues)
-        eigs[1] = eigs[0] + 1  # integer gap
-        eigs[3] = 7 / 3 - sum(eigs[:3])
+        # the first two exponents differ by 1 and share their T-eigenvalue
+        rep, L = admissible([0.11, 1.11, 0.31], 7, 1, 0)
         with pytest.raises(Resonance):
-            solve_minimal_form(rep, ExponentData.diagonal(eigs), 10, catalog40,
-                               validate_spectrum=False)
+            solve_minimal_form(rep, L, 10, catalog40)

@@ -134,8 +134,9 @@ def resonant_route(route: str, catalog):
 
 @pytest.mark.parametrize("route", ["generic", "induction", "tensor"])
 def test_every_route_reaches_the_gap_rule(monkeypatch, route):
-    # one resonance rule for every route: qline_solve rejects the integer gap
-    # before its first elimination step
+    # one resonance rule for every route, before the first elimination step:
+    # qline_solve rejects the integer gap of its system, and the tensor route
+    # applies the same rule to its four exponents before it solves a factor
     raised, steps = [], []
     solve, step = vvmf.mlde.qline_solve, vvmf.mlde._fixed_left_solve
 
@@ -153,7 +154,8 @@ def test_every_route_reaches_the_gap_rule(monkeypatch, route):
                         lambda *args: steps.append(args) or step(*args))
     with pytest.raises(Resonance, match="differ by the integer") as info:
         resonant_route(route, ClassicalCatalog(10))
-    assert raised == [(info.value, 0)]
+    assert raised == ([] if route == "tensor" else [(info.value, 0)])
+    assert steps == []
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +208,27 @@ def test_rows_hold_forty_digits_per_coefficient(monkeypatch, m, d, catalog40):
     assert max(relative_gap(x, y) for x, y in zip(rows, finer_rows)) <= 1e-40
 
 
+def tensor_route(member):
+    (alpha, L1), (beta, L2) = (rank2_data(*p) for p in tensor_grid()[member])
+    return lambda order, catalog: tensor_pipeline(alpha, beta, L1, L2, order, catalog)
+
+
+@pytest.mark.parametrize("member", [0, 1, 5, 8])
+def test_tensor_forms_hold_at_more_digits(monkeypatch, member):
+    # DF, G and H are formed exactly from the rank-2 rows and rounded once,
+    # so 50 more digits give the same doubles; re-solving the rank-4 system
+    # from the rounded F for G, and deriving DF and H in double, did not.
+    # Only coefficients are compared: member 0 has a leading exponent that
+    # is an exact tie between two doubles, so its last bit follows the digits
+    def coefficients(basis):
+        return [[c.coeffs for c in form.components] for form in basis.forms[1:]]
+
+    pipeline, catalog = tensor_route(member), ClassicalCatalog(80)
+    basis = pipeline(80, catalog)
+    monkeypatch.setattr(vvmf.mlde, "QLINE_DPS", vvmf.mlde.QLINE_DPS + 50)
+    assert coefficients(pipeline(80, catalog)) == coefficients(basis)
+
+
 # ---------------------------------------------------------------------------
 # order sweep
 # ---------------------------------------------------------------------------
@@ -226,8 +249,7 @@ def closed_route(route):
     if route == "sym3":
         rep, L = rank2_data(*sym3_grid()[3])
         return lambda order, catalog: sym3_pipeline(rep, L, order, catalog)
-    (alpha, L1), (beta, L2) = (rank2_data(*p) for p in tensor_grid()[5])
-    return lambda order, catalog: tensor_pipeline(alpha, beta, L1, L2, order, catalog)
+    return tensor_route(5)
 
 
 def induction_route(order, catalog):
@@ -259,6 +281,11 @@ def test_closed_order_sweep(monkeypatch, route):
         gate([basis], order)
     finer(monkeypatch)
     assert pipeline(200, catalog).forms == basis.forms
+
+
+def test_tensor_grid_at_order_200():
+    catalog = ClassicalCatalog(200)
+    gate([tensor_route(member)(200, catalog) for member in range(len(tensor_grid()))], 200)
 
 
 def test_induction_order_sweep(monkeypatch):

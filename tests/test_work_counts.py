@@ -87,13 +87,15 @@ def test_tensor_solves_each_exponent_once(monkeypatch, catalog40):
     # first member of the acceptance suite's tensor grid
     alpha, L1 = rank2_data(1, 0.21)
     beta, L2 = rank2_data(2, 0.13)
+    kroneckers = count_calls(monkeypatch, vvmf.constructions, "_kronecker")
     basis = tensor_pipeline(alpha, beta, L1, L2, 20, catalog40)
     assert basis.residuals["col3_dg_e4f"] < 1e-9
     assert calls == []
-    # one q-line solve per system and each exponent once: one per rank-2
-    # factor at its two exponents, then G at the four tensor exponents, never
-    # from a division by E_4
-    assert len(solves) == 3 and distinct_exponents(solves) == 8
+    # one q-line solve per rank-2 factor at its two exponents; the basis is
+    # A (x) B, DA (x) B, A (x) DB and DA (x) DB combined, with no rank-4
+    # solve and no division by a series
+    assert len(solves) == 2 and distinct_exponents(solves) == 4
+    assert len(kroneckers) == 4
     assert divides == []
 
 
@@ -121,10 +123,11 @@ def run_route(route: str, order: int = 20):
 
 
 @pytest.mark.parametrize("route, solves", [
-    ("sym3", 1), ("tensor", 3), ("cyclic", 1), ("noncyclic", 1), ("induction", 1)])
+    ("sym3", 1), ("tensor", 2), ("cyclic", 1), ("noncyclic", 1), ("induction", 1)])
 def test_one_solve_per_system(monkeypatch, route, solves):
-    # every exponent of a system is solved in one call: the rank-2 pair, the
-    # rank-4 system of the generic routes and of G, the induction pair
+    # every exponent of a system is solved in one call: the rank-2 pair (one
+    # per tensor factor), the rank-4 system of the generic routes, the
+    # induction pair
     calls = count_calls(monkeypatch, vvmf.mlde, "qline_solve")
     run_route(route)
     assert len(calls) == solves
@@ -133,8 +136,8 @@ def test_one_solve_per_system(monkeypatch, route, solves):
 
 @pytest.mark.parametrize("route, derivatives", [("tensor", 4), ("induction", 10)])
 def test_modular_derivatives_are_taken_once(monkeypatch, route, derivatives):
-    # the tensor's noncyclic assembly checks its relations on DF, D^2F, DG
-    # and DH, the derivatives it took anyway; induction takes D of the pair
+    # the tensor route checks its relations on DF, D DF, DG and DH of its
+    # four emitted forms; induction takes D of the pair
     # and of each induced F, DF, D^2F, D^3F
     calls = count_calls(monkeypatch, vvmf.mlde, "modular_derivative")
     run_route(route)
@@ -142,9 +145,29 @@ def test_modular_derivatives_are_taken_once(monkeypatch, route, derivatives):
 
 
 def test_relations_are_checked_by_the_system_residual():
-    # the hand-written residuals beside system_residuals are gone
+    # the hand-written residuals beside system_residuals are gone, and so is
+    # the rank-4 re-solve of the tensor basis
     assert not hasattr(vvmf.constructions, "induction_relation_residual")
     assert not hasattr(vvmf.cli, "_rank2_mlde_residual")
+    assert not hasattr(vvmf.mlde, "assemble_noncyclic_basis")
+
+
+@pytest.mark.parametrize("route", ["sym3", "cyclic"])
+def test_identity_blocks_make_no_product(monkeypatch, route):
+    # the chain columns D X_j = X_{j+1} of the cyclic system multiply by the
+    # unit series, which system_residuals skips
+    unit_products = []
+    mul = PuiseuxSeries.__mul__
+
+    def counting_mul(a, b):
+        if isinstance(b, PuiseuxSeries) and b == PuiseuxSeries.one(b.nome, b.order):
+            unit_products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(PuiseuxSeries, "__mul__", counting_mul)
+    basis = run_route(route)
+    assert basis.case.case == "cyclic" and basis.residuals["cyclic_mlde"] < 1e-9
+    assert unit_products == []
 
 
 @pytest.mark.parametrize("m, d", [(7, 1), (8, 5)], ids=["cyclic", "noncyclic"])
@@ -225,9 +248,9 @@ def test_qline_block_runs_in_integers(monkeypatch, route):
         generic_basis(*generic_data(*{"cyclic": (7, 1), "noncyclic": (8, 5)}[route]), 20, catalog)
     assert counts["fdot"] == [] and counts["mp_products"] == []
     if route == "closed":
-        # the cube's 6 products and the tensor's 4 + 8 Kronecker products,
-        # three int products each
-        assert len(counts["int_products"]) >= 3 * 18
+        # the cube's 6 products and the tensor's 4 Kronecker products of 4
+        # components, three int products each
+        assert len(counts["int_products"]) >= 3 * 22
 
 
 def test_double_products_run_in_numpy(monkeypatch):
