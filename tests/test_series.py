@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import operator
 import random
 import warnings
 from fractions import Fraction
@@ -27,15 +28,20 @@ from vvmf.series import (
     Nome,
     PuiseuxSeries,
     VectorSeries,
+    _complex_mul,
     _int_operand_sizes,
     _kronecker_mul,
     _kronecker_pays,
+    _limb_bits,
     compose_frobenius,
     composition_dps,
     from_fixed,
     relative_residual,
     to_fixed,
 )
+
+
+finite = st.floats(min_value=-5, max_value=5, allow_nan=False)
 
 
 def series(nome, lead, coeffs):
@@ -70,6 +76,28 @@ class TestAdd:
         out = series(Nome.Q, 0, [1, 1, 1, 1]) + series(Nome.Q, 2, [1, 1, 1, 1])
         assert out.order == 3
         coeffs_close(out, [1, 1, 2, 2])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=12),
+        st.lists(st.builds(complex, finite, finite), min_size=1, max_size=12),
+        st.integers(min_value=-14, max_value=14),
+    )
+    def test_matches_reference_loop(self, a, b, gap):
+        # lo's window from its leading exponent, hi's coefficients added from
+        # the shift on, up to the end of the shorter window; in either order
+        x, y = series(Nome.Q, 0.25, a), series(Nome.Q, 0.25 + gap, b)
+        lo, hi, shift = (x, y, gap) if gap >= 0 else (y, x, -gap)
+        want = []
+        for n in range(min(lo.order, shift + hi.order) + 1):
+            c = lo.coeffs[n]
+            if 0 <= n - shift <= hi.order:
+                c = c + hi.coeffs[n - shift]
+            want.append(c)
+        for out in (x + y, y + x):
+            assert out.lead_exponent == lo.lead_exponent
+            assert out.coeffs == tuple(want)
+            assert [type(c) for c in out.coeffs] == [type(c) for c in want]
 
 
 class TestMul:
@@ -449,6 +477,115 @@ class TestFixedPoint:
             a + fixed_series(Nome.Q, 0, [1, 2], 11)
 
 
+def reference_complex_product(a_re, a_im, b_re, b_im, n_out):
+    """The truncated product of two complex integer sequences, zero-padded
+    to n_out + 1 terms, one multiply-add per coefficient pair and part."""
+    def conv(x, y):
+        x, y = ([*s[: n_out + 1], *[0] * (n_out + 1 - len(s))] for s in (x, y))
+        return [sum(map(operator.mul, x[: n + 1], y[n::-1])) for n in range(n_out + 1)]
+
+    return (
+        [p - q for p, q in zip(conv(a_re, b_re), conv(a_im, b_im))],
+        [p + q for p, q in zip(conv(a_re, b_im), conv(a_im, b_re))],
+    )
+
+
+@st.composite
+def limb_operands(draw):
+    """(re, im) mantissa lists of one length, 1 to 400: random signed
+    mantissas up to 2^700, all zero, or all at the extremes +-(2^k - 1)."""
+    n = draw(st.integers(min_value=1, max_value=400))
+    kind = draw(st.sampled_from(["random", "zero", "extreme"]))
+    if kind == "zero":
+        return [0] * n, [0] * n
+    if kind == "extreme":
+        k = draw(st.integers(min_value=0, max_value=700))
+        signs = st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)
+        return ([s * (2**k - 1) for s in draw(signs)], [s * (2**k - 1) for s in draw(signs)])
+    bits = draw(st.integers(min_value=0, max_value=700))
+    parts = st.lists(st.integers(min_value=-(2**bits), max_value=2**bits), min_size=n, max_size=n)
+    return draw(parts), draw(parts)
+
+
+class TestComplexLimbKernel:
+    """The complex limb convolution of fixed-point products, called directly
+    and at each limb width, so the width rule cannot route around either."""
+
+    @pytest.mark.parametrize("limb_bits", [8, 16])
+    @settings(max_examples=40, deadline=None)
+    @given(limb_operands(), limb_operands(), st.integers(min_value=0, max_value=399))
+    def test_matches_schoolbook(self, limb_bits, a, b, cut):
+        # operands of unequal length are zero-padded to n_out + 1 terms
+        n_out = min(cut, max(len(a[0]), len(b[0])) - 1)
+        want = reference_complex_product(*a, *b, n_out)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vvmf.series, "_limb_bits", lambda *sizes: limb_bits)
+            assert _complex_mul(*a, *b, n_out) == tuple(want)
+            assert _complex_mul(*a, *b, 0) == (want[0][:1], want[1][:1])
+
+    @pytest.mark.parametrize("order, limb_bits", [(80, 16), (400, 8)])
+    def test_width_at_tensor_sizes(self, monkeypatch, order, limb_bits):
+        # a pure function of (terms, bits of a, bits of b): every product of
+        # the benchmark's tensor member takes 16-bit limbs at order 80, and
+        # the bound asks for 8 at order 400
+        from test_qline import tensor_route
+
+        sizes = []
+
+        def recording(*args):
+            sizes.append(args)
+            return _limb_bits(*args)
+
+        monkeypatch.setattr(vvmf.series, "_limb_bits", recording)
+        tensor_route(5)(order, ClassicalCatalog(order))
+        assert len(sizes) == 16 and all(n == order + 1 for n, _, _ in sizes)
+        assert {_limb_bits(*args) for args in sizes} == {limb_bits}
+
+    def test_width_has_a_limit(self):
+        assert _limb_bits(81, 260, 216) == 16
+        with pytest.raises(ArithmeticError):
+            _limb_bits(2**30, 700, 700)
+
+    def test_rounding_guard(self, monkeypatch):
+        # a convolution off by 0.3 of a unit cannot be rounded exactly
+        ifft = np.fft.ifft
+        monkeypatch.setattr(np.fft, "ifft", lambda x, *args: ifft(x, *args) + 0.3)
+        with pytest.raises(ArithmeticError):
+            _complex_mul([1, 2], [3, 4], [5, 6], [7, 8], 1)
+
+    def test_nome_mismatch(self):
+        a = fixed_series(Nome.Q, 0, [1, 2j], 10)
+        with pytest.raises(NomeMismatch):
+            a * fixed_series(Nome.Q2, 0, [1, 2j], 10)
+
+
+def gauss_product(x: FixedSeries, y: FixedSeries) -> FixedSeries:
+    """The fixed-point product as three products of int series (Gauss's
+    trick)."""
+    k1 = y.re * (x.re + x.im)
+    k2 = x.re * (y.im - y.re)
+    k3 = x.im * (y.re + y.im)
+    return FixedSeries(k1 - k3, k1 + k2, x.bits + y.bits)
+
+
+@pytest.fixture(scope="module")
+def catalog200():
+    return ClassicalCatalog(200)
+
+
+@pytest.mark.parametrize("member", [0, 1, 5, 8])
+def test_tensor_forms_match_the_int_product(monkeypatch, catalog200, member):
+    from test_qline import tensor_route
+
+    def emitted(basis):
+        return [form.to_json() for form in basis.forms], basis.residuals
+
+    pipeline = tensor_route(member)
+    got = emitted(pipeline(200, catalog200))
+    monkeypatch.setattr(FixedSeries, "__mul__", gauss_product)
+    assert repr(got) == repr(emitted(pipeline(200, catalog200)))
+
+
 class TestTheta:
     def test_monomial(self):
         out = series(Nome.Q, 0.25, [1]).theta()
@@ -639,7 +776,6 @@ class TestSerialization:
 # property-based invariants
 # ---------------------------------------------------------------------------
 
-finite = st.floats(min_value=-5, max_value=5, allow_nan=False)
 coeff = st.builds(complex, finite, finite)
 coeff_lists = st.lists(coeff, min_size=4, max_size=12)
 

@@ -199,9 +199,9 @@ def test_induction_route_touches_no_hauptmodul(monkeypatch):
 
 
 def count_mp_work(monkeypatch) -> dict:
-    """Calls of mpmath.fdot, and series products by operand type: with an
-    mpmath coefficient, or all-int (the fixed-point products among them)."""
-    counts = {"fdot": [], "mp_products": [], "int_products": []}
+    """Calls of mpmath.fdot, and series products with an mpmath
+    coefficient."""
+    counts = {"fdot": [], "mp_products": []}
     fdot, mul = mpmath.fdot, PuiseuxSeries.__mul__
 
     def counting_fdot(*args, **kwargs):
@@ -209,12 +209,10 @@ def count_mp_work(monkeypatch) -> dict:
         return fdot(*args, **kwargs)
 
     def counting_mul(a, b):
-        if isinstance(b, PuiseuxSeries):
-            coeffs = a.coeffs + b.coeffs
-            if any(isinstance(c, (mpmath.mpf, mpmath.mpc)) for c in coeffs):
-                counts["mp_products"].append((a, b))
-            elif all(type(c) is int for c in coeffs):
-                counts["int_products"].append((a, b))
+        if isinstance(b, PuiseuxSeries) and any(
+            isinstance(c, (mpmath.mpf, mpmath.mpc)) for c in a.coeffs + b.coeffs
+        ):
+            counts["mp_products"].append((a, b))
         return mul(a, b)
 
     monkeypatch.setattr(mpmath, "fdot", counting_fdot)
@@ -236,6 +234,7 @@ def test_qline_block_runs_in_integers(monkeypatch, route):
     # cube and Kronecker products multiply fixed-point mantissas
     catalog = ClassicalCatalog(20)
     counts = count_mp_work(monkeypatch)
+    complex_products = count_calls(monkeypatch, vvmf.series, "_complex_mul")
     if route == "induction":
         induction_pipeline(induction_job(), 10, catalog)
     elif route == "closed":
@@ -249,8 +248,8 @@ def test_qline_block_runs_in_integers(monkeypatch, route):
     assert counts["fdot"] == [] and counts["mp_products"] == []
     if route == "closed":
         # the cube's 6 products and the tensor's 4 Kronecker products of 4
-        # components, three int products each
-        assert len(counts["int_products"]) >= 3 * 22
+        # components, one complex limb convolution each
+        assert len(complex_products) == 6 + 16
 
 
 def test_double_products_run_in_numpy(monkeypatch):
