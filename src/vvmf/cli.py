@@ -30,6 +30,7 @@ from .constructions import (
 from .errors import (
     DegenerateC,
     DegenerateU,
+    ExponentMismatch,
     ExponentSumMismatch,
     GroupMismatch,
     InconsistentRep,
@@ -43,6 +44,7 @@ from .errors import (
     TraceDCongruenceViolation,
     ValidationError,
     VvmfError,
+    WeightParityMismatch,
     WrongNome,
     ZeroForm,
 )
@@ -92,11 +94,11 @@ class PipelineStepError(VvmfError):
 #: error classes mapped to the pipeline stage they arise in
 _STEP_OF_ERROR = (
     ((InconsistentRep, GroupMismatch, ReducibleRep, NotIrreducible), "a"),
-    ((NonIntegralThreeTrace, TraceDCongruenceViolation), "b"),
+    ((NonIntegralThreeTrace, TraceDCongruenceViolation, WeightParityMismatch), "b"),
     ((ExponentSumMismatch, DegenerateC), "c"),
     ((NotAnExponent, Resonance, ResonantExponents, DegenerateU), "d"),
     ((WrongNome, NonIntegralExponentGap), "e"),
-    ((ZeroForm,), "f"),
+    ((ZeroForm, ExponentMismatch), "f"),
 )
 
 

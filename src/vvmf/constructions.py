@@ -496,13 +496,11 @@ def even_odd_residual(s: PuiseuxSeries) -> float:
 
 
 def exhibited_exponents(F: VectorSeries) -> ExponentData:
-    """Exponent data read off the solved series: effective leading exponent
-    per component (declared lead when the window is numerically zero)."""
-    eigs = []
-    for c in F.components:
-        eff = c.effective_lead_exponent()
-        eigs.append(c.lead_exponent if eff is None else eff)
-    return ExponentData(tuple(eigs), Group.G)
+    """Exponent data of the solved series: the declared leading exponent of
+    each component.  The q-line seeds are nonzero by construction, so the
+    declared exponents are the true ones; a window relative to the largest
+    coefficient would move them by an integer once the coefficients grow."""
+    return ExponentData(tuple(c.lead_exponent for c in F.components), Group.G)
 
 
 def induced_exponent_multiset(F: VectorSeries) -> list[complex]:

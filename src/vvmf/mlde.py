@@ -416,6 +416,12 @@ def require_nonresonant(lams) -> None:
             )
 
 
+#: bits a lane of :func:`qline_solve` keeps above its bound when it is set
+#: or widened, so that a growing row repacks its history once per this many
+#: bits of growth rather than at every step
+LANE_HEADROOM = 64
+
+
 def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCatalog):
     """Row solutions X = x^lam sum_n X_n x^n of D X = X M(x), one per exponent.
 
@@ -440,15 +446,33 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
     mantissas of its real and imaginary parts at one scale 2^-Q per
     exponent, Q = p - floor(log2 max|seed|), where p is the binary precision
     of :data:`QLINE_DPS` (read at call time) plus 32 guard bits.  The series
-    of the system enter as their exact integer coefficients, so each
-    convolution is two integer dot products and rounds nothing.  The
-    constant matrices are encoded once at the scale 2^-p, and each step is
-    solved by pivoted elimination on those Gaussian integers
-    (:func:`_fixed_left_solve`).  There is no hauptmodul and no division by
-    a series.  The rows come back as :class:`FixedSeries`, for the caller to
-    multiply exactly and downcast once.  The seeds and the equation
-    coefficients are mpmath numbers of the caller's
-    :func:`qline_precision` block.
+    of the system enter as their exact integer coefficients, and the
+    constant matrices are encoded once at the scale 2^-p, so each step is
+    exact up to its pivoted elimination on those Gaussian integers
+    (:func:`_fixed_left_solve`).  NotAnExponent is decided exactly on the
+    encoded seeds and X_0 step matrices.  There is no hauptmodul and no
+    division by a series.
+
+    All r exponents advance together.  Row i keeps its history as two lists
+    of ints, real and imaginary parts, whose lane l (the bits from
+    width * l up) holds the mantissa of exponent l: sum_l X_n[l][i]
+    2^(width l).  A step makes one pair of dot products per series and
+    source row for every exponent at once, the series reversed against the
+    forward history, and applies the constant entries to the packed sums.
+    Only then are the lanes unpacked, each shifted back to its exponent's
+    scale and solved alone.  Packing is a ring homomorphism, so a lane is
+    exact while its value stays within [-2^(width-1), 2^(width-1)).  Its
+    bound is width >= row + series + entry + bits(2 T) + 1: the largest
+    mantissa bit length of the rows so far, of the sum of |e_m| of a series
+    tail, of a constant entry, and of the 2 T products (T the number of
+    entries) summed into one column, plus a sign bit.  When a new X_n
+    raises the row bits past the width, the history is repacked at the
+    bound plus :data:`LANE_HEADROOM` bits.  The width changes no value, so
+    the bytes are those of one recursion per exponent.
+
+    The rows come back as :class:`FixedSeries`, for the caller to multiply
+    exactly and downcast once.  The seeds and the equation coefficients are
+    mpmath numbers of the caller's :func:`qline_precision` block.
     """
     r = len(weights)
     if len(lams) != r or len(seeds) != r:
@@ -461,7 +485,7 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
     p = mpmath.libmp.dps_to_prec(QLINE_DPS) + 32
     kdiag = {(i, i): Fraction(k, 12) for i, k in enumerate(weights) if k}
     m0 = [[0] * r for _ in range(r)]
-    convolutions = []  # (entries (i, j, re, im) at 2^-p, rows read, e_1, e_2, ...)
+    convolutions = []  # (entries (i, j, re, im) at 2^-p, rows read, tail reversed: ..., e_2, e_1)
     for S, e in (*system, (kdiag, catalog.e2_for(nome))):
         coeffs = [0] * nearest_int(e.lead_exponent) + list(e.coeffs)
         if not all(type(c) is int for c in coeffs):
@@ -474,42 +498,113 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
             tail.pop()
         if tail:
             entries = [(i, j, *to_fixed(v, p)) for (i, j), v in S.items()]
-            convolutions.append((entries, {i for i, _ in S}, tail))
+            convolutions.append((entries, sorted({i for i, _ in S}), tail[::-1]))
 
-    b0s = []
+    b0s, scales, heads = [], [], []
     for lam, seed in zip(lams, seeds):
-        b0 = [[(s * lam if i == j else 0) - m0[i][j] for j in range(r)] for i in range(r)]
-        miss = max(abs(sum(seed[i] * b0[i][j] for i in range(r))) for j in range(r))
-        scale = max(1, max(abs(v) for row in b0 for v in row))
-        if miss > 1e-9 * scale * max(abs(v) for v in seed):
-            raise NotAnExponent(f"seed row is not a left null vector of the system at {lam!r}")
-        b0s.append([[to_fixed(v, p) for v in row] for row in b0])
-    step = int(s * (1 << p))  # s (lam + n) - s (lam + n - 1) at the scale 2^-p
-    rows = []
-    for lam, seed, b0 in zip(lams, seeds, b0s):
+        b0 = [[to_fixed((s * lam if i == j else 0) - m0[i][j], p) for j in range(r)]
+              for i in range(r)]
         bits = p - (math.frexp(max(abs(as_complex(v)) for v in seed))[1] - 1)
-        res, ims = zip(*(([x], [y]) for x, y in (to_fixed(v, bits) for v in seed)))
-        for n in range(1, order + 1):
-            acc = [[0, 0] for _ in range(r)]
-            for entries, sources, e in convolutions:
-                conv = {i: (sum(map(mul, res[i][n - 1::-1], e)), sum(map(mul, ims[i][n - 1::-1], e)))
-                        for i in sources}
-                for i, j, vr, vi in entries:
-                    cr, ci = conv[i]
-                    acc[j][0] += cr * vr - ci * vi
-                    acc[j][1] += cr * vi + ci * vr
+        head = [to_fixed(v, bits) for v in seed]
+        if not _is_null_row(head, b0, p):
+            raise NotAnExponent(f"seed row is not a left null vector of the system at {lam!r}")
+        b0s.append(b0)
+        scales.append(bits)
+        heads.append(head)
+
+    # the lane width is the row bits plus this margin (see the docstring)
+    series_bits = max((sum(map(abs, rev)).bit_length() for _, _, rev in convolutions), default=0)
+    entry_bits = max((max(abs(vr), abs(vi)).bit_length()
+                      for entries, _, _ in convolutions for _, _, vr, vi in entries), default=0)
+    terms = 2 * sum(len(entries) for entries, _, _ in convolutions)
+    margin = series_bits + entry_bits + terms.bit_length() + 1
+    x_rows = [[([u], [v]) for u, v in head] for head in heads]  # [exponent][row]: (re, im)
+    row_bits = _row_bits(heads)
+    width = row_bits + margin + LANE_HEADROOM
+    packed = _packed_history(x_rows, width)
+    step = int(s * (1 << p))  # s (lam + n) - s (lam + n - 1) at the scale 2^-p
+    for n in range(1, order + 1):
+        acc = [[0, 0] for _ in range(r)]
+        for entries, sources, rev in convolutions:
+            k = min(n, len(rev))
+            e = rev[len(rev) - k:]  # e_k, ..., e_1 against X_{n-k}, ..., X_{n-1}
+            conv = {i: [sum(map(mul, e, h if k == n else h[n - k:])) for h in packed[i]]
+                    for i in sources}
+            for i, j, vr, vi in entries:
+                cr, ci = conv[i]
+                acc[j][0] += cr * vr - ci * vi
+                acc[j][1] += cr * vi + ci * vr
+        columns = [zip(_unpack(u, width, r), _unpack(v, width, r)) for u, v in acc]
+        xs = []
+        for b0, rhs in zip(b0s, zip(*columns)):
             b = [list(row) for row in b0]
             for i in range(r):
                 b[i][i] = (b0[i][i][0] + n * step, b0[i][i][1])
-            x = _fixed_left_solve(b, [(u >> p, v >> p) for u, v in acc], p)
-            for i, (u, v) in enumerate(x):
-                res[i].append(u)
-                ims[i].append(v)
-        rows.append(tuple(
-            FixedSeries(PuiseuxSeries(nome, lam, tuple(u)), PuiseuxSeries(nome, lam, tuple(v)), bits)
-            for u, v in zip(res, ims)
-        ))
-    return tuple(rows)
+            xs.append(_fixed_left_solve(b, [(u >> p, v >> p) for u, v in rhs], p))
+        for x, row in zip(xs, x_rows):
+            for (u, v), (res, ims) in zip(x, row):
+                res.append(u)
+                ims.append(v)
+        row_bits = max(row_bits, _row_bits(xs))
+        if row_bits + margin > width:
+            width = row_bits + margin + LANE_HEADROOM
+            packed = _packed_history(x_rows, width)
+        else:
+            for i, (res, ims) in enumerate(packed):
+                res.append(_pack([x[i][0] for x in xs], width))
+                ims.append(_pack([x[i][1] for x in xs], width))
+    return tuple(
+        tuple(FixedSeries(PuiseuxSeries(nome, lam, tuple(u)), PuiseuxSeries(nome, lam, tuple(v)), bits)
+              for u, v in row)
+        for lam, bits, row in zip(lams, scales, x_rows)
+    )
+
+
+def _is_null_row(x, b, p: int) -> bool:
+    """x b = 0 up to 1e-9 of |x| max(1, |b|), exactly in Gaussian integers:
+    x at one scale 2^-bits, b at 2^-p.  Norms are compared squared, each
+    side at the scale 2^-2(bits + p)."""
+    r = len(x)
+    miss = 0
+    for j in range(r):
+        re = sum(u * br - v * bi for (u, v), (br, bi) in zip(x, (b[i][j] for i in range(r))))
+        im = sum(u * bi + v * br for (u, v), (br, bi) in zip(x, (b[i][j] for i in range(r))))
+        miss = max(miss, re * re + im * im)
+    size = max(1 << 2 * p, max(u * u + v * v for row in b for u, v in row))
+    return miss * 10**18 <= size * max(u * u + v * v for u, v in x)
+
+
+def _row_bits(xs) -> int:
+    """Largest bit length of a real or imaginary mantissa in xs."""
+    return max(max(abs(u), abs(v)).bit_length() for x in xs for u, v in x)
+
+
+def _packed_history(x_rows, width: int) -> list:
+    """Per row i, the real and imaginary histories of x_rows[exponent][i],
+    each X_n packed into one int of lanes (:func:`_pack`)."""
+    return [
+        tuple([_pack(lanes, width) for lanes in zip(*(x[i][part] for x in x_rows))] for part in (0, 1))
+        for i in range(len(x_rows[0]))
+    ]
+
+
+def _pack(values, width: int) -> int:
+    """sum_l values[l] 2^(width l): signed lanes of one int."""
+    out = 0
+    for v in reversed(values):
+        out = (out << width) + v
+    return out
+
+
+def _unpack(x: int, width: int, count: int) -> list:
+    """The ``count`` signed lanes of x, each in [-2^(width-1), 2^(width-1))."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    out = []
+    for _ in range(count):
+        v = ((x & mask) ^ half) - half
+        out.append(v)
+        x = (x - v) >> width
+    return out
 
 
 def _fixed_left_solve(a, rhs, p: int) -> list:

@@ -7,8 +7,8 @@ import re
 import mpmath
 import pytest
 
-from vvmf.cli import JobSpec, emit, main, run
-from vvmf.errors import ValidationError
+from vvmf.cli import JobSpec, PipelineStepError, _step, emit, main, run
+from vvmf.errors import ExponentMismatch, ValidationError, WeightParityMismatch
 
 
 def rank2_json(r1, r2):
@@ -206,6 +206,18 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: [step (d) q-line solve] exponents ")
         assert "differ by the integer" in err
+
+    @pytest.mark.parametrize("error, letter", [
+        (ExponentMismatch, "f"),
+        (WeightParityMismatch, "b"),
+    ], ids=["exponent-mismatch", "weight-parity"])
+    def test_error_names_its_stage(self, error, letter):
+        # the induction route's exponent check runs at basis assembly and its
+        # parity check at the weight classification, whatever step wraps them
+        with pytest.raises(PipelineStepError) as info, _step("d"):
+            raise error("x")
+        assert info.value.step == letter
+        assert str(info.value).startswith(f"[step ({letter}) ")
 
     def test_job_list_fanout(self, tmp_path):
         jobs = [sym3_job(10), sym3_job(12)]

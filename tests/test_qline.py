@@ -3,10 +3,14 @@ the Sym^3 and tensor constructions, and the Z-line route of the induction
 pair), and every route across the order range a user can request."""
 
 import math
+import random
 from fractions import Fraction
+from operator import mul
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vvmf.constructions
 import vvmf.mlde
@@ -22,7 +26,7 @@ from vvmf.constructions import (
     u_from_local_exponent,
 )
 from vvmf.errors import Resonance
-from vvmf.mlde import frobenius_solve, generic_basis
+from vvmf.mlde import frobenius_solve, generic_basis, qline_precision, qline_solve
 from vvmf.reps import (
     ExponentData,
     GRank2Rep,
@@ -32,7 +36,15 @@ from vvmf.reps import (
     sym3_exponents,
     tensor_exponents,
 )
-from vvmf.series import FixedSeries, Nome, compose_frobenius, downcast_to_complex
+from vvmf.series import (
+    FixedSeries,
+    Nome,
+    PuiseuxSeries,
+    as_complex,
+    compose_frobenius,
+    downcast_to_complex,
+    to_fixed,
+)
 
 from test_acceptance import ZETA, deviation, rank2_data, sym3_grid, tensor_grid
 from test_constructions import make_job
@@ -230,6 +242,115 @@ def test_tensor_forms_hold_at_more_digits(monkeypatch, member):
 
 
 # ---------------------------------------------------------------------------
+# packed lanes against one recursion per exponent
+# ---------------------------------------------------------------------------
+
+def per_exponent_solve(weights, system, lams, seeds, order, catalog) -> list:
+    """The recursion of qline_solve written out once per exponent, with the
+    same encodings and elimination: each row's reversed history against each
+    series tail, per constant entry.  Returns (re, im, bits) per entry."""
+    r = len(weights)
+    nome = system[0][1].nome
+    s = Fraction(1, 2) if nome is Nome.Q2 else 1
+    p = mpmath.libmp.dps_to_prec(vvmf.mlde.QLINE_DPS) + 32
+    kdiag = {(i, i): Fraction(k, 12) for i, k in enumerate(weights) if k}
+    m0 = [[0] * r for _ in range(r)]
+    terms = []
+    for S, e in (*system, (kdiag, catalog.e2_for(nome))):
+        coeffs = [0] * round(as_complex(e.lead_exponent).real) + list(e.coeffs)
+        order = min(order, len(coeffs) - 1)
+        for (i, j), v in S.items():
+            m0[i][j] += v * coeffs[0]
+        terms += [(i, j, *to_fixed(v, p), coeffs[1:]) for (i, j), v in S.items()]
+    out = []
+    for lam, seed in zip(lams, seeds):
+        b0 = [[to_fixed((s * lam if i == j else 0) - m0[i][j], p) for j in range(r)]
+              for i in range(r)]
+        bits = p - (math.frexp(max(abs(as_complex(v)) for v in seed))[1] - 1)
+        res, ims = zip(*(([x], [y]) for x, y in (to_fixed(v, bits) for v in seed)))
+        for n in range(1, order + 1):
+            acc = [[0, 0] for _ in range(r)]
+            for i, j, vr, vi, e in terms:
+                cr = sum(map(mul, res[i][n - 1::-1], e))
+                ci = sum(map(mul, ims[i][n - 1::-1], e))
+                acc[j][0] += cr * vr - ci * vi
+                acc[j][1] += cr * vi + ci * vr
+            b = [list(row) for row in b0]
+            for i in range(r):
+                b[i][i] = (b0[i][i][0] + n * int(s * (1 << p)), b0[i][i][1])
+            x = vvmf.mlde._fixed_left_solve(b, [(u >> p, v >> p) for u, v in acc], p)
+            for i, (u, v) in enumerate(x):
+                res[i].append(u)
+                ims[i].append(v)
+        out.append([(tuple(u), tuple(v), bits) for u, v in zip(res, ims)])
+    return out
+
+
+def mantissas(rows) -> list:
+    return [[(x.re.coeffs, x.im.coeffs, x.bits) for x in row] for row in rows]
+
+
+def random_system(rng, r, order, nome, size):
+    """An r x r system with exponents lams and left null seeds: M_0 is
+    V^-1 diag(s lam) V - K for a random V, whose rows are the seeds, and
+    one or two random exact-integer series with coefficients up to size
+    carry random constant entries."""
+    s = Fraction(1, 2) if nome is Nome.Q2 else 1
+    weights = tuple(rng.choice(range(0, 14, 2)) for _ in range(r))
+    while True:
+        lams = [complex(rng.uniform(-1, 1), rng.uniform(-0.3, 0.3)) for _ in range(r)]
+        if all(abs(a - b - round((a - b).real)) > 0.05 for i, a in enumerate(lams) for b in lams[:i]):
+            break
+    V = mpmath.matrix([[mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(r)]
+                       for _ in range(r)])
+    A = V**-1 * mpmath.diag([s * mpmath.mpc(v) for v in lams]) * V
+    m0 = {(i, j): A[i, j] - (Fraction(weights[i], 12) if i == j else 0)
+          for i in range(r) for j in range(r)}
+    system = [(m0, PuiseuxSeries.one(nome, order))]
+    for _ in range(rng.randint(1, 2)):
+        lead = rng.randint(0, 1)
+        coeffs = [0] * (1 - lead) + [rng.randint(-size, size) for _ in range(order + 1)]
+        entries = {(rng.randrange(r), rng.randrange(r)): complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                   for _ in range(rng.randint(1, r * r))}
+        system.append((entries, PuiseuxSeries(nome, lead, tuple(coeffs[:order + 1]))))
+    seeds = [[V[l, i] for i in range(r)] for l in range(r)]
+    return weights, system, lams, seeds
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=24), st.sampled_from([Nome.Q, Nome.Q2]),
+       st.sampled_from([0, vvmf.mlde.LANE_HEADROOM]))
+def test_packed_lanes_match_one_recursion_per_exponent(catalog40, seed, r, order, nome, headroom):
+    # no headroom repacks at every step a row grows, so each lane sits at
+    # its bound; the default headroom is the production path
+    rng = random.Random(seed)
+    with qline_precision():
+        args = (*random_system(rng, r, order, nome, 10**rng.randint(0, 12)), order, catalog40)
+        want = per_exponent_solve(*args)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vvmf.mlde, "LANE_HEADROOM", headroom)
+            got = mantissas(qline_solve(*args))
+    assert got == want
+
+
+def test_growing_rows_widen_the_lanes(monkeypatch, catalog40):
+    # coefficients near 2^60 grow the rows by about 60 bits a step, so the
+    # history is repacked at a wider lane several times
+    repacks = []
+    pack = vvmf.mlde._packed_history
+    monkeypatch.setattr(vvmf.mlde, "_packed_history",
+                        lambda rows, width: repacks.append(width) or pack(rows, width))
+    with qline_precision():
+        weights, system, lams, seeds = random_system(random.Random(7), 3, 24, Nome.Q, 1)
+        system.append(({(0, 1): 1.5, (2, 0): -0.75j},
+                       PuiseuxSeries(Nome.Q, 1, tuple(3**38 * (n + 1) for n in range(25)))))
+        args = (weights, system, lams, seeds, 24, catalog40)
+        assert mantissas(qline_solve(*args)) == per_exponent_solve(*args)
+    assert len(repacks) >= 3 and repacks == sorted(set(repacks))
+
+
+# ---------------------------------------------------------------------------
 # order sweep
 # ---------------------------------------------------------------------------
 
@@ -309,3 +430,22 @@ def test_order_400(route):
         gate([closed_route(route)(400, catalog)], 400)
     else:
         gate([generic_route(*{"cyclic": (7, 1), "noncyclic": (8, 5)}[route])(400, catalog)], 400)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("route", ["cyclic", "tensor"])
+def test_order_800_rows_match_one_recursion_per_exponent(monkeypatch, route, catalog800):
+    # against the solver, not frozen digests: tensor member 5 is not yet
+    # right to 50 digits at order 800
+    solves = []
+    solve = vvmf.mlde.qline_solve
+
+    def checked(*args):
+        rows = solve(*args)
+        solves.append(mantissas(rows) == per_exponent_solve(*args))
+        return rows
+
+    for module in (vvmf.mlde, vvmf.constructions):
+        monkeypatch.setattr(module, "qline_solve", checked)
+    (generic_route(7, 1) if route == "cyclic" else tensor_route(5))(800, catalog800)
+    assert solves == [True] * (1 if route == "cyclic" else 2)
