@@ -146,10 +146,12 @@ class ClassicalCatalog:
     def delta(self) -> PuiseuxSeries:
         return self.eta_power(24)
 
+    def e4_cubed(self) -> PuiseuxSeries:
+        """E_4^3, the numerator of j and the denominator of K."""
+        return self._memo("E4^3", lambda: self.eisenstein(4) ** 3)
+
     def j_invariant(self) -> PuiseuxSeries:
-        return self._memo(
-            "J", lambda: self.eisenstein(4) ** 3 * self.delta().invert()
-        )
+        return self._memo("J", lambda: self.e4_cubed() * self.delta().invert())
 
     def k_hauptmodul(self) -> PuiseuxSeries:
         """K = 1728/j = 1728 Delta / E_4^3, leading term 1728 q.
@@ -158,7 +160,7 @@ class ClassicalCatalog:
         like 231^n, is never formed."""
         return self._memo(
             "K",
-            lambda: self.delta().scale(1728).divide(self.eisenstein(4) ** 3),
+            lambda: self.delta().scale(1728).divide(self.e4_cubed()),
         )
 
     # -- level two, nome q2 ----------------------------------------------------
@@ -321,7 +323,7 @@ class ClassicalCatalog:
         delta = self.delta()
         res: dict[str, float] = {}
 
-        discr = e4**3 - e6**2
+        discr = self.e4_cubed() - e6**2
         res["e4^3-e6^2=1728delta"] = relative_residual(
             discr - delta.scale(1728), discr
         )

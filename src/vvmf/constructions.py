@@ -505,14 +505,15 @@ def exhibited_exponents(F: VectorSeries) -> ExponentData:
 
 def induced_exponent_multiset(F: VectorSeries) -> list[complex]:
     """q-exponents exhibited by the induced form: each component splits into
-    an even and an odd q2-part, contributing lam/2 and (lam+1)/2."""
+    an even and an odd q2-part, contributing lam/2 and (lam+1)/2 from the
+    component's declared exponent lam (see :func:`exhibited_exponents`); a
+    part that is identically zero contributes nothing."""
     out = []
     for c in F.components:
-        even, odd = even_odd_parts(c)
-        for part in (even, odd):
-            eff = part.effective_lead_exponent()
-            if eff is not None:
-                out.append(as_complex(eff) / 2)
+        lam = as_complex(c.lead_exponent)
+        for part, exponent in zip(even_odd_parts(c), (lam / 2, (lam + 1) / 2)):
+            if part.max_abs() > 0.0:
+                out.append(exponent)
     return out
 
 

@@ -442,37 +442,49 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
     nonsingular.  Returns one row tuple per exponent, each truncated to the
     shortest series of the system.
 
-    The recursion runs in fixed point.  Every X_n is held as the integer
-    mantissas of its real and imaginary parts at one scale 2^-Q per
-    exponent, Q = p - floor(log2 max|seed|), where p is the binary precision
-    of :data:`QLINE_DPS` (read at call time) plus 32 guard bits.  The series
-    of the system enter as their exact integer coefficients, and the
-    constant matrices are encoded once at the scale 2^-p, so each step is
-    exact up to its pivoted elimination on those Gaussian integers
-    (:func:`_fixed_left_solve`).  NotAnExponent is decided exactly on the
-    encoded seeds and X_0 step matrices.  There is no hauptmodul and no
-    division by a series.
+    The recursion runs in integers.  Every X_n is held as integer mantissas
+    at one scale 2^-Q per exponent, Q = p - floor(log2 max|seed|), where p
+    is the binary precision of :data:`QLINE_DPS` (read at call time) plus
+    32 guard bits.  The series of the system enter as their exact integer
+    coefficients, and the constant matrices are encoded once at the scale
+    2^-p, so each step is exact up to its pivoted elimination
+    (:func:`_left_solve`).  There is no hauptmodul and no division by a
+    series.
 
-    All r exponents advance together.  Row i keeps its history as two lists
-    of ints, real and imaginary parts, whose lane l (the bits from
-    width * l up) holds the mantissa of exponent l: sum_l X_n[l][i]
-    2^(width l).  A step makes one pair of dot products per series and
-    source row for every exponent at once, the series reversed against the
-    forward history, and applies the constant entries to the packed sums.
-    Only then are the lanes unpacked, each shifted back to its exponent's
-    scale and solved alone.  Packing is a ring homomorphism, so a lane is
-    exact while its value stays within [-2^(width-1), 2^(width-1)).  Its
-    bound is width >= row + series + entry + bits(2 T) + 1: the largest
-    mantissa bit length of the rows so far, of the sum of |e_m| of a series
-    tail, of a constant entry, and of the 2 T products (T the number of
-    entries) summed into one column, plus a sign bit.  When a new X_n
-    raises the row bits past the width, the history is repacked at the
-    bound plus :data:`LANE_HEADROOM` bits.  The width changes no value, so
-    the bytes are those of one recursion per exponent.
+    A system whose encoded imaginary parts (constant entries, M_0, s lam
+    and seeds) are all zero runs as itself, on r real rows.  Any other runs
+    as its real form on 2r rows: the row (Re X, Im X) against the matrix
+    [[Re A, Im A], [-Im A, Re A]], in which each complex entry is a 2 x 2
+    block (:func:`_real_form`).  A real system gives the bytes of pivoted
+    elimination on its Gaussian integers: both take the same pivots
+    (u^2 against u^2 + 0^2) and the same floors (floor(u v 2^p / v^2) =
+    floor(u 2^p / v)).  Each exponent's transposed step matrix is encoded
+    once; a step adds n s to its diagonal, appends the right-hand side and
+    eliminates in place.  NotAnExponent is decided exactly on the encoded
+    seeds and X_0 step matrices, still on the norm of each complex column
+    (:func:`_is_null_row`).
+
+    All r exponents advance together.  Each real row keeps its history as
+    one list of ints, whose lane l (the bits from width * l up) holds the
+    mantissa of exponent l: sum_l X_n[l][i] 2^(width l).  A step makes one
+    dot product per series and source row for every exponent at once, the
+    series reversed against the forward history, and applies the constant
+    entries to the packed sums.  Only then are the lanes unpacked, each
+    shifted back to its exponent's scale and solved alone.  Packing is a
+    ring homomorphism, so a lane is exact while its value stays within
+    [-2^(width-1), 2^(width-1)).  Its bound is
+    width >= row + series + entry + bits(T) + 1: the largest mantissa bit
+    length of the rows so far, of the sum of |e_m| of a series tail, of a
+    real constant entry, and of the T real entries whose products are
+    summed, plus a sign bit.  When a new X_n raises the row bits past the
+    width, the history is repacked at the bound plus :data:`LANE_HEADROOM`
+    bits.  The width changes no value, so the bytes are those of one
+    recursion per exponent.
 
     The rows come back as :class:`FixedSeries`, for the caller to multiply
-    exactly and downcast once.  The seeds and the equation coefficients are
-    mpmath numbers of the caller's :func:`qline_precision` block.
+    exactly and downcast once; a real system's imaginary mantissas are 0.
+    The seeds and the equation coefficients are mpmath numbers of the
+    caller's :func:`qline_precision` block.
     """
     r = len(weights)
     if len(lams) != r or len(seeds) != r:
@@ -485,7 +497,7 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
     p = mpmath.libmp.dps_to_prec(QLINE_DPS) + 32
     kdiag = {(i, i): Fraction(k, 12) for i, k in enumerate(weights) if k}
     m0 = [[0] * r for _ in range(r)]
-    convolutions = []  # (entries (i, j, re, im) at 2^-p, rows read, tail reversed: ..., e_2, e_1)
+    tails = []  # (constant matrix of (re, im) at 2^-p, tail reversed: ..., e_2, e_1)
     for S, e in (*system, (kdiag, catalog.e2_for(nome))):
         coeffs = [0] * nearest_int(e.lead_exponent) + list(e.coeffs)
         if not all(type(c) is int for c in coeffs):
@@ -497,95 +509,109 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
         while tail and not tail[-1]:
             tail.pop()
         if tail:
-            entries = [(i, j, *to_fixed(v, p)) for (i, j), v in S.items()]
-            convolutions.append((entries, sorted({i for i, _ in S}), tail[::-1]))
+            fixed = {ij: to_fixed(v, p) for ij, v in S.items()}
+            tails.append(([[fixed.get((i, j), (0, 0)) for j in range(r)] for i in range(r)],
+                          tail[::-1]))
+    minus_m0 = [[to_fixed(-v, p) for v in row] for row in m0]  # off the diagonal of each b0
+    b0s = [[[to_fixed(s * lam - m0[i][i], p) if i == j else minus_m0[i][j] for j in range(r)]
+            for i in range(r)] for lam in lams]
+    scales = [p - (math.frexp(max(abs(as_complex(v)) for v in seed))[1] - 1) for seed in seeds]
+    heads = [[to_fixed(v, bits) for v in seed] for seed, bits in zip(seeds, scales)]
+    encoded = [row for matrix, _ in tails for row in matrix] + [row for b0 in b0s for row in b0]
+    c = 2 if any(v for row in encoded + heads for _, v in row) else 1
 
-    b0s, scales, heads = [], [], []
-    for lam, seed in zip(lams, seeds):
-        b0 = [[to_fixed((s * lam if i == j else 0) - m0[i][j], p) for j in range(r)]
-              for i in range(r)]
-        bits = p - (math.frexp(max(abs(as_complex(v)) for v in seed))[1] - 1)
-        head = [to_fixed(v, bits) for v in seed]
-        if not _is_null_row(head, b0, p):
+    starts = [_real_form([head], c)[0] for head in heads]  # the real rows X_0
+    bts = [[list(col) for col in zip(*_real_form(b0, c))] for b0 in b0s]
+    for lam, x, bt in zip(lams, starts, bts):
+        if not _is_null_row(x, bt, c, p):
             raise NotAnExponent(f"seed row is not a left null vector of the system at {lam!r}")
-        b0s.append(b0)
-        scales.append(bits)
-        heads.append(head)
+    convolutions = []  # (real entries (i, j, v) at 2^-p, rows read, tail reversed)
+    for matrix, rev in tails:
+        entries = [(i, j, v) for i, row in enumerate(_real_form(matrix, c))
+                   for j, v in enumerate(row) if v]
+        convolutions.append((entries, sorted({i for i, _, _ in entries}), rev))
 
     # the lane width is the row bits plus this margin (see the docstring)
     series_bits = max((sum(map(abs, rev)).bit_length() for _, _, rev in convolutions), default=0)
-    entry_bits = max((max(abs(vr), abs(vi)).bit_length()
-                      for entries, _, _ in convolutions for _, _, vr, vi in entries), default=0)
-    terms = 2 * sum(len(entries) for entries, _, _ in convolutions)
+    entry_bits = max((abs(v).bit_length() for entries, _, _ in convolutions
+                      for _, _, v in entries), default=0)
+    terms = sum(len(entries) for entries, _, _ in convolutions)
     margin = series_bits + entry_bits + terms.bit_length() + 1
-    x_rows = [[([u], [v]) for u, v in head] for head in heads]  # [exponent][row]: (re, im)
-    row_bits = _row_bits(heads)
+    x_rows = [[[u] for u in x] for x in starts]  # [exponent][real row]: X_0, X_1, ...
+    row_bits = _row_bits(starts)
     width = row_bits + margin + LANE_HEADROOM
     packed = _packed_history(x_rows, width)
     step = int(s * (1 << p))  # s (lam + n) - s (lam + n - 1) at the scale 2^-p
     for n in range(1, order + 1):
-        acc = [[0, 0] for _ in range(r)]
+        acc = [0] * (c * r)
         for entries, sources, rev in convolutions:
             k = min(n, len(rev))
             e = rev[len(rev) - k:]  # e_k, ..., e_1 against X_{n-k}, ..., X_{n-1}
-            conv = {i: [sum(map(mul, e, h if k == n else h[n - k:])) for h in packed[i]]
+            conv = {i: sum(map(mul, e, packed[i] if k == n else packed[i][n - k:]))
                     for i in sources}
-            for i, j, vr, vi in entries:
-                cr, ci = conv[i]
-                acc[j][0] += cr * vr - ci * vi
-                acc[j][1] += cr * vi + ci * vr
-        columns = [zip(_unpack(u, width, r), _unpack(v, width, r)) for u, v in acc]
+            for i, j, v in entries:
+                acc[j] += conv[i] * v
+        shift = n * step
         xs = []
-        for b0, rhs in zip(b0s, zip(*columns)):
-            b = [list(row) for row in b0]
-            for i in range(r):
-                b[i][i] = (b0[i][i][0] + n * step, b0[i][i][1])
-            xs.append(_fixed_left_solve(b, [(u >> p, v >> p) for u, v in rhs], p))
-        for x, row in zip(xs, x_rows):
-            for (u, v), (res, ims) in zip(x, row):
-                res.append(u)
-                ims.append(v)
+        for bt, rhs in zip(bts, zip(*(_unpack(v, width, r) for v in acc))):
+            m = [[*row, u >> p] for row, u in zip(bt, rhs)]
+            for j, row in enumerate(m):
+                row[j] += shift
+            xs.append(_left_solve(m, p))
+        for x, rows in zip(xs, x_rows):
+            for u, history in zip(x, rows):
+                history.append(u)
         row_bits = max(row_bits, _row_bits(xs))
         if row_bits + margin > width:
             width = row_bits + margin + LANE_HEADROOM
             packed = _packed_history(x_rows, width)
         else:
-            for i, (res, ims) in enumerate(packed):
-                res.append(_pack([x[i][0] for x in xs], width))
-                ims.append(_pack([x[i][1] for x in xs], width))
-    return tuple(
-        tuple(FixedSeries(PuiseuxSeries(nome, lam, tuple(u)), PuiseuxSeries(nome, lam, tuple(v)), bits)
-              for u, v in row)
-        for lam, bits, row in zip(lams, scales, x_rows)
-    )
+            for i, history in enumerate(packed):
+                history.append(_pack([x[i] for x in xs], width))
+    out = []
+    for lam, bits, rows in zip(lams, scales, x_rows):
+        parts = [PuiseuxSeries(nome, lam, tuple(history)) for history in rows]
+        ims = parts[r:] or [PuiseuxSeries(nome, lam, (0,) * len(rows[0]))] * r
+        out.append(tuple(FixedSeries(u, v, bits) for u, v in zip(parts[:r], ims)))
+    return tuple(out)
 
 
-def _is_null_row(x, b, p: int) -> bool:
-    """x b = 0 up to 1e-9 of |x| max(1, |b|), exactly in Gaussian integers:
-    x at one scale 2^-bits, b at 2^-p.  Norms are compared squared, each
-    side at the scale 2^-2(bits + p)."""
-    r = len(x)
-    miss = 0
-    for j in range(r):
-        re = sum(u * br - v * bi for (u, v), (br, bi) in zip(x, (b[i][j] for i in range(r))))
-        im = sum(u * bi + v * br for (u, v), (br, bi) in zip(x, (b[i][j] for i in range(r))))
-        miss = max(miss, re * re + im * im)
-    size = max(1 << 2 * p, max(u * u + v * v for row in b for u, v in row))
-    return miss * 10**18 <= size * max(u * u + v * v for u, v in x)
+def _real_form(b, c: int) -> list:
+    """Rows of (re, im) mantissas as a real matrix: their real parts for
+    c = 1; for c = 2 the real form [[re, im], [-im, re]] of the r columns,
+    entry (i, j) becoming the block ((re, im), (-im, re)) at rows i, i + r
+    and columns j, j + r.  A row vector x then maps to (Re x, Im x)."""
+    return [[(u, v, -v, u)[2 * a + t] for t in range(c) for u, v in row]
+            for a in range(c) for row in b]
+
+
+def _is_null_row(x, bt, c: int, p: int) -> bool:
+    """x b = 0 up to 1e-9 of |x| max(1, |b|), exactly in integers: x a real
+    row (:func:`_real_form`) at one scale 2^-bits, bt the transposed real
+    form of b at 2^-p.  The norm of a complex entry or column is the sum of
+    the squares of its c real parts; norms are compared squared, each side
+    at the scale 2^-2(bits + p)."""
+    r = len(x) // c
+
+    def norm(v) -> int:
+        squares = [u * u for u in v]
+        return max(map(sum, zip(*(squares[a * r:a * r + r] for a in range(c)))))
+
+    miss = norm([sum(map(mul, x, col)) for col in bt])
+    size = max(1 << 2 * p, max(norm(col) for col in bt[:r]))
+    return miss * 10**18 <= size * norm(x)
 
 
 def _row_bits(xs) -> int:
-    """Largest bit length of a real or imaginary mantissa in xs."""
-    return max(max(abs(u), abs(v)).bit_length() for x in xs for u, v in x)
+    """Largest bit length of a mantissa in xs."""
+    return max(max(map(abs, x)) for x in xs).bit_length()
 
 
 def _packed_history(x_rows, width: int) -> list:
-    """Per row i, the real and imaginary histories of x_rows[exponent][i],
-    each X_n packed into one int of lanes (:func:`_pack`)."""
-    return [
-        tuple([_pack(lanes, width) for lanes in zip(*(x[i][part] for x in x_rows))] for part in (0, 1))
-        for i in range(len(x_rows[0]))
-    ]
+    """Per row i, the history of x_rows[exponent][i], each X_n packed into
+    one int of lanes (:func:`_pack`)."""
+    return [[_pack(lanes, width) for lanes in zip(*(x[i] for x in x_rows))]
+            for i in range(len(x_rows[0]))]
 
 
 def _pack(values, width: int) -> int:
@@ -607,38 +633,31 @@ def _unpack(x: int, width: int, count: int) -> list:
     return out
 
 
-def _fixed_left_solve(a, rhs, p: int) -> list:
-    """Row x with x a = rhs, in Gaussian integers: a at the scale 2^-p, rhs
-    and x at one common scale.  Elimination with partial pivoting on the
-    transposed system; each multiplier is held at the scale 2^-p.  The
-    matrix is nonsingular by the gap rule of :func:`qline_solve`, which
-    rejects every exponent that would make a step matrix singular."""
-    r = len(rhs)
-    m = [[a[i][j] for i in range(r)] + [rhs[j]] for j in range(r)]
-    for col in range(r):
-        norms = [u * u + v * v for u, v in (m[i][col] for i in range(col, r))]
-        norm = max(norms)
-        piv = col + norms.index(norm)
+def _left_solve(m, p: int) -> list:
+    """Row x with x a = rhs in integers, a at the scale 2^-p, rhs and x at
+    one common scale.  m holds the rows of a's transpose, row j followed by
+    rhs_j, and is eliminated in place: partial pivoting on the first largest
+    |entry| of a column, each multiplier held at 2^-p, every quotient and
+    shift a floor.  The matrix is nonsingular by the gap rule of
+    :func:`qline_solve`, which rejects every exponent that would make a
+    step matrix singular."""
+    r = len(m)
+    for col in range(r - 1):
+        sizes = [abs(row[col]) for row in m[col:]]
+        piv = col + sizes.index(max(sizes))
         m[col], m[piv] = m[piv], m[col]
-        pr, pi = m[col][col]
-        for i in range(col + 1, r):
-            ur, ui = m[i][col]
-            if ur or ui:
-                fr = ((ur * pr + ui * pi) << p) // norm
-                fi = ((ui * pr - ur * pi) << p) // norm
-                m[i][col + 1:] = [
-                    (u - ((fr * w - fi * z) >> p), v - ((fr * z + fi * w) >> p))
-                    for (u, v), (w, z) in zip(m[i][col + 1:], m[col][col + 1:])
-                ]
-    x = [None] * r
+        d, tail = m[col][col], m[col][col + 1:]
+        for row in m[col + 1:]:
+            if row[col]:
+                f = (row[col] << p) // d
+                row[col + 1:] = [u - (f * w >> p) for u, w in zip(row[col + 1:], tail)]
+    x = [0] * r
     for i in reversed(range(r)):
-        nr, ni = m[i][r]
-        for (w, z), (u, v) in zip(m[i][i + 1:r], x[i + 1:]):
-            nr -= (w * u - z * v) >> p
-            ni -= (w * v + z * u) >> p
-        dr, di = m[i][i]
-        norm = dr * dr + di * di
-        x[i] = (((nr * dr + ni * di) << p) // norm, ((ni * dr - nr * di) << p) // norm)
+        row = m[i]
+        rest = row[r]
+        for j in range(i + 1, r):
+            rest -= row[j] * x[j] >> p
+        x[i] = (rest << p) // row[i]
     return x
 
 

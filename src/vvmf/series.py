@@ -410,16 +410,18 @@ class PuiseuxSeries:
             raise TypeError("use pow_binomial for non-integer powers")
         if m < 0:
             return self.invert() ** (-m)
-        result = PuiseuxSeries.one(self.nome, self.order)
-        base = self
-        while m:
+        if m == 0:
+            return PuiseuxSeries.one(self.nome, self.order)
+        # square and multiply, starting from the lowest set bit rather than
+        # the unit series: bit_length(m) - 1 squarings, popcount(m) - 1 products
+        result, base = None, self
+        while True:
             if m & 1:
-                result = result * base
-            base_needed = m >> 1
-            if base_needed:
-                base = base * base
+                result = base if result is None else result * base
             m >>= 1
-        return result
+            if not m:
+                return result
+            base = base * base
 
     def truncate(self, order: int) -> "PuiseuxSeries":
         if order >= self.order:

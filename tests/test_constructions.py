@@ -351,6 +351,15 @@ class TestInductionPair:
             assert fb.case.weight_tuple == (job.k1, job.k1 + 2, job.k1 + 4, job.k1 + 6)
             assert max(fb.residuals.values()) < 1e-9
 
+    @pytest.mark.parametrize("r", [0.41, 0.33 - 0.14j], ids=["induction:2", "induction:4"])
+    def test_exponent_check_reads_the_declared_exponents(self, r):
+        # the benchmark's induction members 2 and 4 at q-order 80: a leading
+        # coefficient of a q2-part falls below 1e-9 of the largest one, yet
+        # the exhibited exponents pass the check against themselves
+        job = make_job(r, trace=Fraction(2, 3))
+        for F in induction_minimal_pair(job, 80, ClassicalCatalog(80)):
+            assert induce_to_gamma(F, exhibited_exponents(F)).rank == 4
+
     def test_even_odd_parts_structure(self, cat):
         job = make_job(0.27)
         A, _ = induction_minimal_pair(job, 20, cat)

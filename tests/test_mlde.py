@@ -26,7 +26,8 @@ from vvmf.errors import (
 from vvmf.mlde import (
     CYCLIC,
     NONCYCLIC,
-    _fixed_left_solve,
+    _left_solve,
+    _real_form,
     assemble_cyclic_basis,
     basis_rank_ratio,
     build_cyclic_operator,
@@ -323,8 +324,8 @@ class TestSystem:
         # M_0 = diag(0, gap) at weight zero: the exponents are 0 and gap; an
         # integer gap within 1e-9, 0 included, is rejected before any step
         steps = []
-        solve_step = vvmf.mlde._fixed_left_solve
-        monkeypatch.setattr(vvmf.mlde, "_fixed_left_solve",
+        solve_step = vvmf.mlde._left_solve
+        monkeypatch.setattr(vvmf.mlde, "_left_solve",
                             lambda *args: steps.append(args) or solve_step(*args))
         system = [({(1, 1): gap}, PuiseuxSeries.one(Nome.Q, 40))]
         with qline_precision():
@@ -363,22 +364,37 @@ class TestSystem:
                         seeds, 5, catalog40)
 
 
-class TestFixedLeftSolve:
-    """One step of the q-line recursion: x a = rhs in fixed-point Gaussian
-    integers, checked by its exact residual."""
+    def test_not_left_eigenvector_in_its_imaginary_part(self, catalog40):
+        # x = X_0 + i (1, 1, 1, 1) on a real system: x b is purely imaginary,
+        # so the null test must weigh the imaginary half of each column
+        co = self.co()
+        seeds = self.seeds(co)
+        seeds[0] = [v + 1j for v in seeds[0]]
+        with pytest.raises(NotAnExponent), qline_precision():
+            qline_solve(self.weights(), noncyclic_system(co, catalog40), self.lams(co),
+                        seeds, 5, catalog40)
+
+class TestLeftSolve:
+    """One step of the q-line recursion: x a = rhs in fixed-point integers,
+    on a real matrix or on the real form of a complex one, checked by its
+    exact complex residual."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=4))
-    def test_residual_is_at_the_last_bits(self, seed, r):
+    @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=4),
+           st.sampled_from([1, 2]))
+    def test_residual_is_at_the_last_bits(self, seed, r, c):
+        # c = 1: a real matrix as itself; c = 2: a complex one in real form
         rng = random.Random(seed)
         p = 200
 
         def entry():
-            return to_fixed(complex(rng.uniform(-4, 4), rng.uniform(-4, 4)), p)
+            return to_fixed(complex(rng.uniform(-4, 4), rng.uniform(-4, 4) if c == 2 else 0), p)
 
         a = [[entry() for _ in range(r)] for _ in range(r)]
         rhs = [entry() for _ in range(r)]
-        x = _fixed_left_solve(a, rhs, p)
+        m = [[*col, u] for col, u in zip(zip(*_real_form(a, c)), _real_form([rhs], c)[0])]
+        x = _left_solve(m, p)
+        x = [(x[i], x[r + i] if c == 2 else 0) for i in range(r)]
         # x a - rhs at the scale 2^-2p, against |x| |a| summed over the row
         for j in range(r):
             re = sum(u * ar - v * ai for (u, v), (ar, ai) in zip(x, (a[i][j] for i in range(r))))

@@ -150,7 +150,7 @@ def test_every_route_reaches_the_gap_rule(monkeypatch, route):
     # qline_solve rejects the integer gap of its system, and the tensor route
     # applies the same rule to its four exponents before it solves a factor
     raised, steps = [], []
-    solve, step = vvmf.mlde.qline_solve, vvmf.mlde._fixed_left_solve
+    solve, step = vvmf.mlde.qline_solve, vvmf.mlde._left_solve
 
     def recording(*args):
         before = len(steps)
@@ -162,7 +162,7 @@ def test_every_route_reaches_the_gap_rule(monkeypatch, route):
 
     for module in (vvmf.mlde, vvmf.constructions):
         monkeypatch.setattr(module, "qline_solve", recording)
-    monkeypatch.setattr(vvmf.mlde, "_fixed_left_solve",
+    monkeypatch.setattr(vvmf.mlde, "_left_solve",
                         lambda *args: steps.append(args) or step(*args))
     with pytest.raises(Resonance, match="differ by the integer") as info:
         resonant_route(route, ClassicalCatalog(10))
@@ -220,6 +220,20 @@ def test_rows_hold_forty_digits_per_coefficient(monkeypatch, m, d, catalog40):
     assert max(relative_gap(x, y) for x, y in zip(rows, finer_rows)) <= 1e-40
 
 
+@pytest.mark.parametrize("m, d", [(7, 1), (8, 5)], ids=["cyclic", "noncyclic"])
+def test_generic_systems_run_as_real_systems(monkeypatch, m, d, catalog40):
+    # real exponents give real equation coefficients: the solve eliminates
+    # r = 4 real rows per step and returns imaginary mantissas of exactly 0
+    sizes = []
+    step = vvmf.mlde._left_solve
+    monkeypatch.setattr(vvmf.mlde, "_left_solve",
+                        lambda matrix, p: sizes.append(len(matrix)) or step(matrix, p))
+    rep, L = admissible([0.11, 0.18, 0.31], m, d, 0)
+    rows = solved_rows(monkeypatch, lambda: generic_basis(rep, L, 20, catalog40))
+    assert sizes == [4] * (4 * 20)
+    assert all(not any(x.im.coeffs) for x in rows)
+
+
 def tensor_route(member):
     (alpha, L1), (beta, L2) = (rank2_data(*p) for p in tensor_grid()[member])
     return lambda order, catalog: tensor_pipeline(alpha, beta, L1, L2, order, catalog)
@@ -245,10 +259,65 @@ def test_tensor_forms_hold_at_more_digits(monkeypatch, member):
 # packed lanes against one recursion per exponent
 # ---------------------------------------------------------------------------
 
-def per_exponent_solve(weights, system, lams, seeds, order, catalog) -> list:
-    """The recursion of qline_solve written out once per exponent, with the
-    same encodings and elimination: each row's reversed history against each
-    series tail, per constant entry.  Returns (re, im, bits) per entry."""
+def real_form_step(b, rhs, p, c) -> list:
+    """x b = rhs by the elimination of qline_solve: on the real parts (c = 1)
+    or on the real form (c = 2) of the Gaussian-integer matrix b."""
+    r = len(b)
+    rows = zip(zip(*vvmf.mlde._real_form(b, c)), vvmf.mlde._real_form([rhs], c)[0])
+    x = vvmf.mlde._left_solve([[*col, u] for col, u in rows], p)
+    return [(x[i], x[r + i] if c == 2 else 0) for i in range(r)]
+
+
+def gaussian_step(b, rhs, p, c) -> list:
+    """x b = rhs by pivoted elimination on the Gaussian integers themselves:
+    the transposed system, pivots of largest norm, multipliers at 2^-p."""
+    r = len(rhs)
+    m = [[b[i][j] for i in range(r)] + [rhs[j]] for j in range(r)]
+    for col in range(r):
+        norms = [u * u + v * v for u, v in (m[i][col] for i in range(col, r))]
+        norm = max(norms)
+        piv = col + norms.index(norm)
+        m[col], m[piv] = m[piv], m[col]
+        pr, pi = m[col][col]
+        for i in range(col + 1, r):
+            ur, ui = m[i][col]
+            if ur or ui:
+                fr = ((ur * pr + ui * pi) << p) // norm
+                fi = ((ui * pr - ur * pi) << p) // norm
+                m[i][col + 1:] = [
+                    (u - ((fr * w - fi * z) >> p), v - ((fr * z + fi * w) >> p))
+                    for (u, v), (w, z) in zip(m[i][col + 1:], m[col][col + 1:])
+                ]
+    x = [None] * r
+    for i in reversed(range(r)):
+        nr, ni = m[i][r]
+        for (w, z), (u, v) in zip(m[i][i + 1:r], x[i + 1:]):
+            nr -= (w * u - z * v) >> p
+            ni -= (w * v + z * u) >> p
+        dr, di = m[i][i]
+        norm = dr * dr + di * di
+        x[i] = (((nr * dr + ni * di) << p) // norm, ((ni * dr - nr * di) << p) // norm)
+    return x
+
+
+def test_tied_pivots_take_the_first_row():
+    # |u| ties within a column: the real elimination takes the first of the
+    # tied rows, as the Gaussian one takes the first of the tied norms
+    p = 64
+    one = 1 << p
+    b = [[(2 * one, 0), (-2 * one, 0), (one, 0)],
+         [(-one, 0), (3 * one, 0), (one, 0)],
+         [(one, 0), (one, 0), (-3 * one, 0)]]
+    rhs = [(7 << 90, 0), (-(5 << 90), 0), (3 << 90, 0)]
+    assert real_form_step(b, rhs, p, 1) == gaussian_step(b, rhs, p, 1)
+
+
+def per_exponent_solve(weights, system, lams, seeds, order, catalog, step=real_form_step) -> list:
+    """The recursion of qline_solve written out once per exponent in
+    Gaussian integers, with the same encodings: each row's reversed history
+    against each series tail, per constant entry, and each step solved by
+    ``step``.  The system is real (c = 1) when every encoded imaginary part
+    is zero.  Returns (re, im, bits) per entry."""
     r = len(weights)
     nome = system[0][1].nome
     s = Fraction(1, 2) if nome is Nome.Q2 else 1
@@ -261,13 +330,17 @@ def per_exponent_solve(weights, system, lams, seeds, order, catalog) -> list:
         order = min(order, len(coeffs) - 1)
         for (i, j), v in S.items():
             m0[i][j] += v * coeffs[0]
-        terms += [(i, j, *to_fixed(v, p), coeffs[1:]) for (i, j), v in S.items()]
+        if any(coeffs[1:]):
+            terms += [(i, j, *to_fixed(v, p), coeffs[1:]) for (i, j), v in S.items()]
+    b0s = [[[to_fixed((s * lam if i == j else 0) - m0[i][j], p) for j in range(r)]
+            for i in range(r)] for lam in lams]
+    scales = [p - (math.frexp(max(abs(as_complex(v)) for v in seed))[1] - 1) for seed in seeds]
+    heads = [[to_fixed(v, bits) for v in seed] for seed, bits in zip(seeds, scales)]
+    imaginary = [vi for *_, vi, _ in terms] + [v for b0 in b0s for row in b0 for _, v in row]
+    c = 2 if any(imaginary + [v for head in heads for _, v in head]) else 1
     out = []
-    for lam, seed in zip(lams, seeds):
-        b0 = [[to_fixed((s * lam if i == j else 0) - m0[i][j], p) for j in range(r)]
-              for i in range(r)]
-        bits = p - (math.frexp(max(abs(as_complex(v)) for v in seed))[1] - 1)
-        res, ims = zip(*(([x], [y]) for x, y in (to_fixed(v, bits) for v in seed)))
+    for b0, bits, head in zip(b0s, scales, heads):
+        res, ims = zip(*(([x], [y]) for x, y in head))
         for n in range(1, order + 1):
             acc = [[0, 0] for _ in range(r)]
             for i, j, vr, vi, e in terms:
@@ -278,7 +351,7 @@ def per_exponent_solve(weights, system, lams, seeds, order, catalog) -> list:
             b = [list(row) for row in b0]
             for i in range(r):
                 b[i][i] = (b0[i][i][0] + n * int(s * (1 << p)), b0[i][i][1])
-            x = vvmf.mlde._fixed_left_solve(b, [(u >> p, v >> p) for u, v in acc], p)
+            x = step(b, [(u >> p, v >> p) for u, v in acc], p, c)
             for i, (u, v) in enumerate(x):
                 res[i].append(u)
                 ims[i].append(v)
@@ -290,27 +363,34 @@ def mantissas(rows) -> list:
     return [[(x.re.coeffs, x.im.coeffs, x.bits) for x in row] for row in rows]
 
 
-def random_system(rng, r, order, nome, size):
+def random_system(rng, r, order, nome, size, real=False):
     """An r x r system with exponents lams and left null seeds: M_0 is
     V^-1 diag(s lam) V - K for a random V, whose rows are the seeds, and
     one or two random exact-integer series with coefficients up to size
-    carry random constant entries."""
+    carry random constant entries.  A real system has real exponents, V
+    and entries."""
     s = Fraction(1, 2) if nome is Nome.Q2 else 1
+
+    def number(scale, imag):
+        if real:
+            return rng.uniform(-scale, scale)
+        return complex(rng.uniform(-scale, scale), rng.uniform(-imag, imag))
+
     weights = tuple(rng.choice(range(0, 14, 2)) for _ in range(r))
     while True:
-        lams = [complex(rng.uniform(-1, 1), rng.uniform(-0.3, 0.3)) for _ in range(r)]
+        lams = [number(1, 0.3) for _ in range(r)]
         if all(abs(a - b - round((a - b).real)) > 0.05 for i, a in enumerate(lams) for b in lams[:i]):
             break
-    V = mpmath.matrix([[mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(r)]
-                       for _ in range(r)])
-    A = V**-1 * mpmath.diag([s * mpmath.mpc(v) for v in lams]) * V
+    entry = mpmath.mpf if real else mpmath.mpc
+    V = mpmath.matrix([[entry(number(1, 1)) for _ in range(r)] for _ in range(r)])
+    A = V**-1 * mpmath.diag([s * entry(v) for v in lams]) * V
     m0 = {(i, j): A[i, j] - (Fraction(weights[i], 12) if i == j else 0)
           for i in range(r) for j in range(r)}
     system = [(m0, PuiseuxSeries.one(nome, order))]
     for _ in range(rng.randint(1, 2)):
         lead = rng.randint(0, 1)
         coeffs = [0] * (1 - lead) + [rng.randint(-size, size) for _ in range(order + 1)]
-        entries = {(rng.randrange(r), rng.randrange(r)): complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        entries = {(rng.randrange(r), rng.randrange(r)): number(2, 2)
                    for _ in range(rng.randint(1, r * r))}
         system.append((entries, PuiseuxSeries(nome, lead, tuple(coeffs[:order + 1]))))
     seeds = [[V[l, i] for i in range(r)] for l in range(r)]
@@ -332,6 +412,36 @@ def test_packed_lanes_match_one_recursion_per_exponent(catalog40, seed, r, order
             patch.setattr(vvmf.mlde, "LANE_HEADROOM", headroom)
             got = mantissas(qline_solve(*args))
     assert got == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=24), st.sampled_from([Nome.Q, Nome.Q2]))
+def test_real_system_matches_gaussian_elimination(catalog40, seed, r, order, nome):
+    # a real system runs on its r real rows and gives the rows of the
+    # Gaussian-integer elimination: the same pivots and the same floors
+    rng = random.Random(seed)
+    with qline_precision():
+        args = (*random_system(rng, r, order, nome, 10**rng.randint(0, 12), real=True),
+                order, catalog40)
+        assert mantissas(qline_solve(*args)) == per_exponent_solve(*args, step=gaussian_step)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=24), st.sampled_from([Nome.Q, Nome.Q2]))
+def test_real_system_keeps_exact_zero_imaginary_parts(catalog40, seed, r, order, nome):
+    # every encoded imaginary mantissa of a real system is exactly 0, so
+    # each step eliminates r rows and every imaginary mantissa out is 0
+    rng = random.Random(seed)
+    sizes = []
+    step = vvmf.mlde._left_solve
+    with qline_precision(), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vvmf.mlde, "_left_solve", lambda m, p: sizes.append(len(m)) or step(m, p))
+        weights, system, lams, seeds = random_system(rng, r, order, nome, 10**6, real=True)
+        rows = qline_solve(weights, system, lams, seeds, order, catalog40)
+    assert sizes == [r] * (r * order)
+    assert all(x.im.coeffs == (0,) * (order + 1) for row in rows for x in row)
 
 
 def test_growing_rows_widen_the_lanes(monkeypatch, catalog40):

@@ -280,3 +280,27 @@ def test_k_is_one_exact_division(monkeypatch):
     # 1728 Delta / E_4^3 by forward substitution; (E_4^3)^-1 is never formed
     assert len(divides) == 1 and inverts == []
     assert all(type(c) is int for c in k.coeffs)
+
+
+@pytest.mark.parametrize("power, products", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3)])
+def test_power_starts_from_the_base(monkeypatch, power, products):
+    # square and multiply from the lowest set bit of the exponent, with no
+    # product by the unit series
+    x = ClassicalCatalog(40).eisenstein(4)
+    want = x
+    for _ in range(power - 1):
+        want = want * x
+    calls = count_calls(monkeypatch, PuiseuxSeries, "__mul__")
+    assert (x ** power).coeffs == want.coeffs
+    assert len(calls) == products
+
+
+def test_check_job_multiplies_out_e4_cubed_once(monkeypatch):
+    # j, K and the level-one identity E4^3 - E6^2 = 1728 Delta share the one
+    # memoized E4^3 of the catalog
+    e4 = ClassicalCatalog(200).eisenstein(4)
+    factors = {e4.coeffs, (e4 * e4).coeffs}
+    calls = count_calls(monkeypatch, PuiseuxSeries, "__mul__")
+    vvmf.cli.run(vvmf.cli.JobSpec.from_json({"command": "check", "order": 20}))
+    cubes = [a for a in calls if {s.coeffs for s in a[:2]} == factors]
+    assert len(cubes) == 1
