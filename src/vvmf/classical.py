@@ -7,12 +7,19 @@ powers, the weight-two generators f and g of the index-two subgroup's ring of
 forms, and its hauptmodul Z.  All q-series carry integer coefficients exactly
 (Python ints), so double versus extended precision only enters through the
 irrational constants.
+
+The building blocks come from exact closed forms rather than products and
+inverses of series: every eta power, negative ones included, from one
+power recurrence over the sparse pentagonal Euler product
+(:func:`_euler_power`), and the theta fourth powers from divisor sums
+(Jacobi's four-square and Legendre's four-triangular-number theorems).
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from operator import mul
 
 import mpmath
 
@@ -76,6 +83,36 @@ def _euler_product(n_max: int) -> list[int]:
     return coeffs
 
 
+def _euler_power(m: int, n_max: int) -> list[int]:
+    """Coefficients of prod_{n>=1} (1 - q^n)^m through q^n_max, for any
+    integer m, negative and zero included.
+
+    J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7): a power
+    P = E^m of a series E with E_0 = 1 satisfies E P' = m E' P, that is
+    n a_n = sum_{k=1}^{n} ((m+1) k - n) g_k a_{n-k} with a_0 = 1, where the
+    g_k are the coefficients of E.  For the Euler product only the
+    ~2 sqrt(2n/3) pentagonal g_k are nonzero, so a power costs O(n^1.5)
+    small-by-big integer products, with no series product or inversion;
+    the sum is taken as (m+1) sum k g_k a_{n-k} - n sum g_k a_{n-k}.
+    Every a_n is an integer, so each division by n is exact;
+    ArithmeticError if a remainder is ever nonzero."""
+    g = _euler_product(n_max)
+    ks = [k for k in range(1, n_max + 1) if g[k]]
+    gs = [g[k] for k in ks]
+    kgs = [k * gk for k, gk in zip(ks, gs)]
+    a = [1]
+    j = 0  # the number of pentagonal k <= n; they are distinct, so one at most is n
+    for n in range(1, n_max + 1):
+        j += j < len(ks) and ks[j] == n
+        past = [a[n - k] for k in ks[:j]]
+        s = (m + 1) * sum(map(mul, kgs[:j], past)) - n * sum(map(mul, gs[:j], past))
+        an, rem = divmod(s, n)
+        if rem:
+            raise ArithmeticError(f"eta^{m}: coefficient {n} is not an integer")
+        a.append(an)
+    return a
+
+
 _EISENSTEIN_FACTORS = {2: -24, 4: 240, 6: -504}
 
 
@@ -130,16 +167,9 @@ class ClassicalCatalog:
             raise WrongNome("eta powers live in nome q or q2")
 
         def build():
-            euler = PuiseuxSeries.make(Nome.Q, 0.0, _euler_product(self.order))
-            if m == 0:
-                unit = PuiseuxSeries.one(Nome.Q, self.order)
-            elif m > 0:
-                unit = euler**m
-            else:
-                unit = (euler ** (-m)).invert()
             # exact rational lead exponent: it enters Euler-operator factors
             # and must not perturb downstream ill-conditioned divisions
-            return PuiseuxSeries(Nome.Q, Fraction(m, 24), unit.coeffs)
+            return PuiseuxSeries.make(Nome.Q, Fraction(m, 24), _euler_power(m, self.order))
 
         return self._memo(("eta", m), build)
 
@@ -151,7 +181,8 @@ class ClassicalCatalog:
         return self._memo("E4^3", lambda: self.eisenstein(4) ** 3)
 
     def j_invariant(self) -> PuiseuxSeries:
-        return self._memo("J", lambda: self.e4_cubed() * self.delta().invert())
+        """j = E_4^3 / Delta = E_4^3 eta^-24; eta^-24 is Delta's exact inverse."""
+        return self._memo("J", lambda: self.e4_cubed() * self.eta_power(-24))
 
     def k_hauptmodul(self) -> PuiseuxSeries:
         """K = 1728/j = 1728 Delta / E_4^3, leading term 1728 q.
@@ -172,28 +203,28 @@ class ClassicalCatalog:
         )
 
     def theta_fourth_powers(self) -> tuple[PuiseuxSeries, PuiseuxSeries, PuiseuxSeries]:
-        """theta_2^4, theta_3^4, theta_4^4 as q2-series, by lattice summation."""
+        """theta_2^4, theta_3^4, theta_4^4 as q2-series, from divisor sums.
+
+        Jacobi's four-square theorem gives theta_3^4 = sum r4(n) q2^n with
+        r4(0) = 1 and r4(n) = 8 sum_{d | n, 4 does not divide d} d
+        = 8 sigma(n) - 32 sigma(n/4); theta_4^4 flips the sign of its odd
+        coefficients.  Legendre's four-triangular-number theorem gives
+        theta_2^4 = 16 q2 sum_m sigma(2m+1) q2^{2m}, the fourth power of
+        theta_2 = 2 q2^{1/4} sum_{n>=0} q2^{n(n+1)}; its lead exponent is the
+        float 1.0."""
 
         def build():
             n2 = self.q2_order
-            t3 = [0] * (n2 + 1)
-            t4 = [0] * (n2 + 1)
-            t3[0] = t4[0] = 1
-            n = 1
-            while n * n <= n2:
-                t3[n * n] += 2
-                t4[n * n] += 2 * (-1) ** n
-                n += 1
-            # theta_2 = 2 q2^{1/4} sum q2^{n(n+1)}; its 4th power has integer exponents
-            t2u = [0] * (n2 + 1)
-            n = 0
-            while n * (n + 1) <= n2:
-                t2u[n * (n + 1)] += 2
-                n += 1
-            theta2 = PuiseuxSeries.make(Nome.Q2, 0.25, t2u)
-            theta3 = PuiseuxSeries.make(Nome.Q2, 0.0, t3)
-            theta4 = PuiseuxSeries.make(Nome.Q2, 0.0, t4)
-            return (theta2**4, theta3**4, theta4**4)
+            sig = _divisor_power_sums(1, n2 + 1)
+            r4 = [1] + [8 * (sig[n] - 4 * sig[n // 4]) if n % 4 == 0 else 8 * sig[n]
+                        for n in range(1, n2 + 1)]
+            t2 = [0 if n % 2 else 16 * sig[n + 1] for n in range(n2 + 1)]
+            t4 = [-c if n % 2 else c for n, c in enumerate(r4)]
+            return (
+                PuiseuxSeries.make(Nome.Q2, 1.0, t2),
+                PuiseuxSeries.make(Nome.Q2, 0.0, r4),
+                PuiseuxSeries.make(Nome.Q2, 0.0, t4),
+            )
 
         return self._memo("theta4", build)
 
@@ -327,7 +358,9 @@ class ClassicalCatalog:
         res["e4^3-e6^2=1728delta"] = relative_residual(
             discr - delta.scale(1728), discr
         )
-        res["delta=eta^24"] = relative_residual(delta - self.eta_power(24), delta)
+        # Delta is eta^24 from the power recurrence; its square root eta^12,
+        # from the same recurrence, squared by the series product checks it
+        res["delta=eta^24"] = relative_residual(delta - self.eta_power(12) ** 2, delta)
         jk = self.j_invariant() * self.k_hauptmodul()
         res["j*K=1728"] = relative_residual(
             jk - PuiseuxSeries.polynomial(Nome.Q, [1728], jk.order), jk

@@ -63,6 +63,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Sequence
 
 import mpmath
@@ -191,15 +192,14 @@ def _kronecker_pays(n_terms: int, bits_a: int, bits_b: int, slot_bytes: int) -> 
     exponent.  The constants are a least-squares fit of both kernels over
     random operands of 3 to 1600 terms with flat and linearly growing bit
     lengths of 2 to 6000 bits (Python 3.11, 2-core x86-64 VM).  The rule
-    picks the faster kernel for each of the 97 distinct int x int product
+    picks the faster kernel for each of the 32 distinct int x int product
     shapes of the catalog benchmark workload (orders 200 to 800).  Measured
-    at order 800, packed against schoolbook: Delta * Delta 5.6 ms against
-    60 ms, E4 * E4 3.3 ms against 49 ms, each theta fourth-power squaring
-    (q2-order 1600) 4.5 ms against 0.12-0.15 s.  Packing loses when one
+    at order 800, packed against the schoolbook loop: E4 * E4 1.7 ms
+    against 29 ms, eta^12 * eta^12 1.3 ms against 26 ms, and
+    E4^3 * eta^-24 (j) 24 ms against 40 ms.  Packing loses when one
     operand's coefficients grow geometrically, because the small operand
-    is padded to the large slot: Delta * (E4^3)^-1 takes 2.0 s packed
-    against 0.23 s, and j * K 2.0 s against 0.31 s.  Below about 20 terms
-    the fixed costs of packing outweigh the loop.
+    is padded to the large slot: j * K takes 0.97 s packed against 0.22 s.
+    Below about 20 terms the fixed costs of packing outweigh the loop.
     """
     digits_a = 1 + bits_a / (30 * n_terms)
     digits_b = 1 + bits_b / (30 * n_terms)
@@ -375,12 +375,12 @@ class PuiseuxSeries:
         elif types != {int} and types <= _DOUBLE_KERNEL_TYPES:
             out = _double_mul(a, b, n_out, complex in types)
         else:
-            out = []
-            for n in range(n_out + 1):
-                s = 0
-                for i in range(n + 1):
-                    s += a[i] * b[n - i]
-                out.append(s)
+            # 0 + a_0 b_n + a_1 b_{n-1} + ..., added left to right, so that
+            # doubles, mpmath numbers and Fractions round as in the
+            # interpreted loop; sum compensates float sums from Python 3.12
+            rb = b[::-1]
+            out = [reduce(operator.add, map(operator.mul, a[: n + 1], rb[n_out - n :]), 0)
+                   for n in range(n_out + 1)]
         return PuiseuxSeries(
             self.nome, self.lead_exponent + other.lead_exponent, tuple(out)
         )
@@ -457,9 +457,8 @@ class PuiseuxSeries:
         inv0 = a0 if exact else 1 / a0
         out = [inv0]
         for n in range(1, self.order + 1):
-            s = 0
-            for k in range(1, n + 1):
-                s += self.coeffs[k] * out[n - k]
+            # 0 + a_1 out_{n-1} + a_2 out_{n-2} + ..., left to right
+            s = reduce(operator.add, map(operator.mul, self.coeffs[1 : n + 1], reversed(out)), 0)
             out.append(-inv0 * s)
         return PuiseuxSeries(self.nome, -self.lead_exponent, tuple(out))
 
@@ -484,9 +483,9 @@ class PuiseuxSeries:
         exact = abs(b0) == 1 and _all_int(den.coeffs) and _all_int(self.coeffs)
         out = []
         for n in range(n_out + 1):
-            acc = self.coeffs[n]
-            for k in range(1, n + 1):
-                acc = acc - den.coeffs[k] * out[n - k]
+            # num_n - b_1 out_{n-1} - b_2 out_{n-2} - ..., left to right
+            acc = reduce(operator.sub, map(operator.mul, den.coeffs[1 : n + 1], reversed(out)),
+                         self.coeffs[n])
             out.append(acc * b0 if exact else acc / b0)
         return PuiseuxSeries(
             self.nome, self.lead_exponent - den.lead_exponent, tuple(out)

@@ -1,13 +1,19 @@
 """Classical catalog against independent oracles: divisor sums computed here
-by trial division, published Ramanujan tau values, the four-squares theorem
-for theta powers, and direct constant-term evaluations for f, g and Z."""
+by trial division, published Ramanujan tau values, eta powers as products
+and inverses of the Euler product multiplied out factor by factor, theta
+fourth powers by lattice summation and the four-squares theorem, and direct
+constant-term evaluations for f, g and Z."""
 
 import cmath
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import vvmf.classical
 from vvmf.classical import ClassicalCatalog
-from vvmf.series import Nome, relative_residual
+from vvmf.series import Nome, PuiseuxSeries, relative_residual
 
 XI = cmath.exp(2j * cmath.pi / 6)
 
@@ -17,6 +23,60 @@ TAU = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920, 534612]
 
 def sigma(power, n):
     return sum(d**power for d in range(1, n + 1) if n % d == 0)
+
+
+def euler_product_oracle(order: int) -> PuiseuxSeries:
+    """prod_{n=1}^{order} (1 - q^n), one factor at a time."""
+    coeffs = [1] + [0] * order
+    for n in range(1, order + 1):
+        for i in range(order, n - 1, -1):
+            coeffs[i] -= coeffs[i - n]
+    return PuiseuxSeries.make(Nome.Q, 0.0, coeffs)
+
+
+def eta_power_oracle(m: int, order: int) -> PuiseuxSeries:
+    """eta^m as a power of the Euler product, or the inverse of one."""
+    euler = euler_product_oracle(order)
+    if m == 0:
+        unit = PuiseuxSeries.one(Nome.Q, order)
+    elif m > 0:
+        unit = euler**m
+    else:
+        unit = (euler**-m).invert()
+    return PuiseuxSeries(Nome.Q, Fraction(m, 24), unit.coeffs)
+
+
+def theta_fourth_powers_oracle(n2: int) -> tuple:
+    """theta_2^4, theta_3^4, theta_4^4 to q2^n2 by lattice summation: each
+    theta series summed over the integers, then raised to the fourth power."""
+    t3 = [0] * (n2 + 1)
+    t4 = [0] * (n2 + 1)
+    t3[0] = t4[0] = 1
+    n = 1
+    while n * n <= n2:
+        t3[n * n] += 2
+        t4[n * n] += 2 * (-1) ** n
+        n += 1
+    # theta_2 = 2 q2^{1/4} sum q2^{n(n+1)}; its 4th power has integer exponents
+    t2u = [0] * (n2 + 1)
+    n = 0
+    while n * (n + 1) <= n2:
+        t2u[n * (n + 1)] += 2
+        n += 1
+    theta2 = PuiseuxSeries.make(Nome.Q2, 0.25, t2u)
+    theta3 = PuiseuxSeries.make(Nome.Q2, 0.0, t3)
+    theta4 = PuiseuxSeries.make(Nome.Q2, 0.0, t4)
+    return (theta2**4, theta3**4, theta4**4)
+
+
+def assert_same_series(got: PuiseuxSeries, want: PuiseuxSeries) -> None:
+    """Equal nome, lead exponent of the same type, and coefficients of the
+    same types."""
+    assert got.nome is want.nome
+    assert got.lead_exponent == want.lead_exponent
+    assert type(got.lead_exponent) is type(want.lead_exponent)
+    assert got.coeffs == want.coeffs
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
 
 
 class TestEisenstein:
@@ -60,6 +120,19 @@ class TestEta:
         assert abs(prod.coeffs[0] - 1) < 1e-12
         assert max(abs(c) for c in prod.coeffs[1:]) < 1e-10
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=-24, max_value=24), st.integers(min_value=1, max_value=300))
+    def test_recurrence_matches_products_and_inverses(self, m, order):
+        got = ClassicalCatalog(order).eta_power(m)
+        assert_same_series(got, eta_power_oracle(m, order))
+        assert got.lead_exponent == Fraction(m, 24)
+
+    def test_inexact_division_raises(self):
+        # the divisions by n are exact for integer powers only: the square
+        # root of the Euler product, 1 - q/2 - ..., is refused at n = 1
+        with pytest.raises(ArithmeticError):
+            vvmf.classical._euler_power(Fraction(1, 2), 5)
+
     def test_q2_retag(self, catalog40):
         s = catalog40.eta_power(12, Nome.Q2)
         assert s.nome is Nome.Q2
@@ -73,6 +146,10 @@ class TestHauptmoduls:
         assert complex(k.lead_exponent) == 1
         assert k.coeffs[0] == 1728
         assert k.coeffs[1] == 1728 * -744
+
+    def test_j_is_e4_cubed_over_delta(self, catalog60):
+        want = catalog60.e4_cubed() * catalog60.delta().invert()
+        assert_same_series(catalog60.j_invariant(), want)
 
     def test_jk_is_constant(self, catalog40):
         jk = catalog40.j_invariant() * catalog40.k_hauptmodul()
@@ -113,9 +190,20 @@ class TestTheta:
         return out
 
     def test_theta3_fourth(self, catalog40):
+        # the library's own closed form is Jacobi's, so the lattice sum is
+        # the independent oracle
         _, t3, _ = catalog40.theta_fourth_powers()
         want = self.four_square_counts(30)
         assert t3.coeffs[:31] == tuple(want)
+        assert t3.coeffs == theta_fourth_powers_oracle(catalog40.q2_order)[1].coeffs
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=1, max_value=300))
+    def test_closed_forms_match_lattice_sums(self, order):
+        catalog = ClassicalCatalog(order)
+        for got, want in zip(catalog.theta_fourth_powers(),
+                             theta_fourth_powers_oracle(catalog.q2_order)):
+            assert_same_series(got, want)
 
     def test_theta4_sign_flip(self, catalog40):
         _, t3, t4 = catalog40.theta_fourth_powers()
@@ -161,6 +249,16 @@ class TestIdentitySuites:
         for key in ("e4^3-e6^2=1728delta", "delta=eta^24", "j*K=1728"):
             assert res[key] == 0.0, key
 
+    def test_delta_is_checked_against_a_square(self, monkeypatch):
+        # Delta and eta^12 both come from the power recurrence; a recurrence
+        # off in one coefficient must show in the check key, which compares
+        # Delta with (eta^12)^2 through the series product
+        power = vvmf.classical._euler_power
+        monkeypatch.setattr(vvmf.classical, "_euler_power",
+                            lambda m, n: [c + (i == 5) for i, c in enumerate(power(m, n))])
+        res = ClassicalCatalog(40).level_one_residuals()
+        assert res["delta=eta^24"] > 0
+
     def test_level_two(self, catalog60):
         res = catalog60.level_two_residuals()
         assert max(res.values()) < 1e-10
@@ -191,3 +289,16 @@ class TestIdentitySuites:
         assert catalog40.series("K").coeffs[0] == 1728
         with pytest.raises(KeyError):
             catalog40.series("nonsense")
+
+
+@pytest.mark.slow
+def test_catalog_building_blocks_at_order_800(catalog800):
+    # every eta power of the benchmark pool, and the theta fourth powers at
+    # q2-order 1600, against the products, inverses and lattice sums
+    euler = euler_product_oracle(800)
+    for m in [m for m in range(-24, 25) if m]:
+        unit = euler**m if m > 0 else (euler**-m).invert()
+        assert_same_series(catalog800.eta_power(m),
+                           PuiseuxSeries(Nome.Q, Fraction(m, 24), unit.coeffs))
+    for got, want in zip(catalog800.theta_fourth_powers(), theta_fourth_powers_oracle(1600)):
+        assert_same_series(got, want)

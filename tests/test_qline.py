@@ -460,6 +460,23 @@ def test_growing_rows_widen_the_lanes(monkeypatch, catalog40):
     assert len(repacks) >= 3 and repacks == sorted(set(repacks))
 
 
+def test_lane_bound_counts_the_terms_of_one_column(monkeypatch, catalog40):
+    # T = 3 real entries just below 1, all on the one column, each against
+    # the series (2^40 - 1) q, and a seed just below 2: every factor of the
+    # first step's sum 3 (1 - 2^-60) (2^40 - 1) X_0 peaks at the top of its
+    # bit length, so with no headroom the lane needs the bits(T) term of
+    # its bound on top of the row, series, entry and sign bits
+    monkeypatch.setattr(vvmf.mlde, "LANE_HEADROOM", 0)
+    order = 6
+    spike = PuiseuxSeries(Nome.Q, 1, ((1 << 40) - 1,) + (0,) * order)
+    with qline_precision():
+        entry = 1 - mpmath.mpf(2) ** -60
+        system = [({(0, 0): 0.25}, PuiseuxSeries.one(Nome.Q, order))]
+        system += [({(0, 0): entry}, spike) for _ in range(3)]
+        args = ((0,), system, [0.25], [[2 - mpmath.mpf(2) ** -50]], order, catalog40)
+        assert mantissas(qline_solve(*args)) == per_exponent_solve(*args)
+
+
 # ---------------------------------------------------------------------------
 # order sweep
 # ---------------------------------------------------------------------------

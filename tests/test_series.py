@@ -651,6 +651,115 @@ class TestDivide:
         assert q.coeffs == (0.5, 0.5)
 
 
+def loop_product(a, b) -> list:
+    """The schoolbook product as the interpreted loop: s += a_i b_{n-i}."""
+    out = []
+    for n in range(min(len(a), len(b))):
+        s = 0
+        for i in range(n + 1):
+            s += a[i] * b[n - i]
+        out.append(s)
+    return out
+
+
+def loop_invert(a) -> list:
+    """Forward-substitution inverse as the interpreted loop."""
+    exact = isinstance(a[0], int) and abs(a[0]) == 1 and all(isinstance(c, int) for c in a)
+    inv0 = a[0] if exact else 1 / a[0]
+    out = [inv0]
+    for n in range(1, len(a)):
+        s = 0
+        for k in range(1, n + 1):
+            s += a[k] * out[n - k]
+        out.append(-inv0 * s)
+    return out
+
+
+def loop_divide(num, den) -> list:
+    """Forward-substitution quotient as the interpreted loop."""
+    b0 = den[0]
+    exact = abs(b0) == 1 and all(type(c) is int for c in num + den)
+    out = []
+    for n in range(min(len(num), len(den))):
+        acc = num[n]
+        for k in range(1, n + 1):
+            acc = acc - den[k] * out[n - k]
+        out.append(acc * b0 if exact else acc / b0)
+    return out
+
+
+signed_zero_floats = st.sampled_from([0.0, -0.0]) | st.floats(
+    min_value=-1e3, max_value=1e3, allow_nan=False)
+small_fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=40)
+#: coefficient families: every type the loops see, signed zeros included;
+#: a double family mixes in Fractions so that products reach the loop
+loop_coefficients = {
+    "int": st.integers(min_value=-(10**30), max_value=10**30),
+    "fraction": st.integers(-50, 50) | small_fractions,
+    "double": (st.integers(-50, 50) | signed_zero_floats
+               | st.builds(complex, signed_zero_floats, signed_zero_floats)
+               | small_fractions),
+    "mpmath": (st.integers(-50, 50) | signed_zero_floats
+               | st.builds(mpmath.mpf, signed_zero_floats)
+               | st.builds(mpmath.mpc, signed_zero_floats, signed_zero_floats)),
+}
+
+
+def lists_of(family):
+    return st.lists(loop_coefficients[family], min_size=1, max_size=14)
+
+
+def invertible(cs) -> bool:
+    return abs(cs[0]) > vvmf.series.LEAD_TOL
+
+
+class TestLoopOrder:
+    """The schoolbook product, inverse and quotient run their sums in
+    C-level loops, in the interpreted loops' left-to-right order, so every
+    coefficient type gives the loop's bytes, signed zeros included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(loop_coefficients)).flatmap(
+        lambda f: st.tuples(lists_of(f), lists_of(f))))
+    def test_schoolbook_product(self, ab):
+        a, b = ab
+        n = min(len(a), len(b))
+        types = set(map(type, a[:n] + b[:n]))
+        # pure doubles take numpy's convolution, which rounds once instead
+        if types != {int} and types <= {int, float, complex}:
+            a = [Fraction(1, 3)] + a
+        with pytest.MonkeyPatch.context() as patch, mpmath.workdps(30):
+            patch.setattr(vvmf.series, "_kronecker_mul", None)
+            patch.setattr(vvmf.series, "_double_mul", None)
+            got = series(Nome.Q, 0, a) * series(Nome.Q, 0, b)
+            assert repr(got.coeffs) == repr(tuple(loop_product(a, b)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(loop_coefficients)).flatmap(lists_of).filter(invertible))
+    def test_invert(self, a):
+        with mpmath.workdps(30):
+            got = series(Nome.Q, 0, a).invert()
+            assert repr(got.coeffs) == repr(tuple(loop_invert(a)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(loop_coefficients)).flatmap(
+        lambda f: st.tuples(lists_of(f), lists_of(f).filter(invertible))))
+    def test_divide(self, nd):
+        num, den = nd
+        with mpmath.workdps(30):
+            got = series(Nome.Q, 0, num).divide(series(Nome.Q, 0, den))
+            assert repr(got.coeffs) == repr(tuple(loop_divide(num, den)))
+
+    def test_lopsided_int_product_takes_the_loop(self, monkeypatch):
+        # one operand grows geometrically, so packing would pad the other to
+        # its slot: the cost rule keeps the loop, which must give its sums
+        a = [1728**n * (-1) ** n for n in range(200)]
+        b = list(ClassicalCatalog(199).eisenstein(6).coeffs)
+        assert not _kronecker_pays(*_int_operand_sizes(a, b))
+        monkeypatch.setattr(vvmf.series, "_kronecker_mul", None)
+        assert (series(Nome.Q, 0, a) * series(Nome.Q, 0, b)).coeffs == tuple(loop_product(a, b))
+
+
 class TestPowBinomial:
     def test_square(self):
         out = series(Nome.Q, 0, [1, 1, 0]).pow_binomial(2)

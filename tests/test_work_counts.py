@@ -304,3 +304,24 @@ def test_check_job_multiplies_out_e4_cubed_once(monkeypatch):
     vvmf.cli.run(vvmf.cli.JobSpec.from_json({"command": "check", "order": 20}))
     cubes = [a for a in calls if {s.coeffs for s in a[:2]} == factors]
     assert len(cubes) == 1
+
+
+def test_building_blocks_make_no_product_or_inverse(monkeypatch):
+    # every eta power comes from the power recurrence and the theta fourth
+    # powers from divisor sums: no series product and no inversion
+    products = count_calls(monkeypatch, PuiseuxSeries, "__mul__")
+    inverses = count_calls(monkeypatch, PuiseuxSeries, "invert")
+    catalog = ClassicalCatalog(200)
+    for m in range(-24, 25):
+        catalog.eta_power(m)
+    catalog.theta_fourth_powers()
+    assert products == [] and inverses == []
+
+
+def test_j_multiplies_once_and_inverts_nothing(monkeypatch):
+    catalog = ClassicalCatalog(200)
+    catalog.e4_cubed()
+    products = count_calls(monkeypatch, PuiseuxSeries, "__mul__")
+    inverses = count_calls(monkeypatch, PuiseuxSeries, "invert")
+    catalog.j_invariant()
+    assert len(products) == 1 and inverses == []
