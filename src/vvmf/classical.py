@@ -23,7 +23,7 @@ from operator import mul
 
 import mpmath
 
-from .errors import WrongNome
+from .errors import UnknownSeries, WrongNome
 from .series import Nome, PuiseuxSeries, relative_residual
 
 
@@ -323,7 +323,10 @@ class ClassicalCatalog:
         key = name.strip()
         low = key.lower()
         if low.startswith(("eta^", "etapow(")):
-            m = int(low.split("^")[-1].rstrip(")").split("(")[-1])
+            try:
+                m = int(low.split("^")[-1].rstrip(")").split("(")[-1])
+            except ValueError:
+                raise UnknownSeries(name) from None
             return self.eta_power(m)
         table = {
             "e2": lambda: self.eisenstein(2),
@@ -345,7 +348,7 @@ class ClassicalCatalog:
             "z_haupt": self.z_hauptmodul,
         }
         if low not in table:
-            raise KeyError(f"unknown classical series {name!r}")
+            raise UnknownSeries(name)
         return table[low]()
 
     def level_one_residuals(self) -> dict[str, float]:

@@ -90,6 +90,11 @@ class PipelineStepError(VvmfError):
         self.cause = cause
         super().__init__(f"[step ({step}) {STEPS[step]}] {cause}")
 
+    def __reduce__(self):
+        # a worker of ``--jobs N`` pickles the error back to the parent, which
+        # rebuilds it from the arguments of __init__, not from ``args``
+        return type(self), (self.step, self.cause)
+
 
 #: error classes mapped to the pipeline stage they arise in
 _STEP_OF_ERROR = (

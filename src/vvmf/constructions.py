@@ -84,6 +84,7 @@ from .series import (
     compose_frobenius,  # noqa: F401  (a binding site perfbench's tracer test patches)
     cpow,
     even_odd_parts,
+    pair_mul,
 )
 
 XI = cmath.exp(2j * cmath.pi / 6)
@@ -221,8 +222,13 @@ def _downcast(comps, weight) -> VectorSeries:
 
 
 def _kronecker(a, b) -> tuple[FixedSeries, ...]:
-    """Components a_i b_j of the Kronecker product, exact in fixed point."""
-    return tuple(ca * cb for ca in a for cb in b)
+    """Components a_i b_j of the Kronecker product of two rank-2 rows, exact
+    in fixed point.  a's two rows go against each b_j as one pair
+    (:func:`vvmf.series.pair_mul`): when every row is real, each pair is one
+    convolution, so the four products take two, with the mantissas and
+    rounded doubles of four plain products."""
+    pairs = [pair_mul(*a, cb) for cb in b]
+    return tuple(pair[i] for i in range(2) for pair in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +249,14 @@ def tensor_pipeline(
     DF = DA (x) B + A (x) DB, G = (DA (x) B - A (x) DB) / (a_beta - a_alpha)
     (so DG = E_4 F) and H = D^2F - a E_4 F = 2 DA (x) DB, the noncyclic
     equation having a = -(a_alpha + a_beta) and c = -(a_alpha - a_beta)^2.
-    Each is formed exactly in fixed point and rounded once.  Records the
+    Each is formed exactly in fixed point and rounded once.  When both
+    factors have real rows, each Kronecker product pairs A's (or DA's) two
+    rows against each component of the other factor (:func:`_kronecker`),
+    so its four products take two convolutions and the basis eight instead
+    of sixteen; a factor with complex rows keeps one convolution per
+    product.  The pairing cannot change the emitted bytes: the mantissas
+    are exact, so every coefficient is the same rational, rounded once, and
+    each leading exponent is the same sum of two terms.  Records the
     column relations of :func:`noncyclic_system` (``col1_df`` is the product
     rule) and the exponent floor of G.
     """
@@ -329,9 +342,16 @@ def sym3_pipeline(
 
 def _cube(f: FixedSeries, g: FixedSeries) -> tuple[FixedSeries, ...]:
     """(f^3, f^2 g, f g^2, g^3), exact in fixed point, forming each square
-    once."""
+    once.  (f, g) goes against f^2 and against g^2 as one pair each
+    (:func:`vvmf.series.pair_mul`), so real rows take four convolutions
+    instead of six.  The mantissas are exact, and each leading exponent is
+    the plain product's sum of the same two terms, so the rounded doubles
+    do not change; re-associating a cube, as (f g) g, would change the sum
+    of three leading exponents in its last bit."""
     f2, g2 = f * f, g * g
-    return (f2 * f, f2 * g, f * g2, g2 * g)
+    f3, f2_g = pair_mul(f, g, f2)
+    f_g2, g3 = pair_mul(f, g, g2)
+    return (f3, f2_g, f_g2, g3)
 
 
 # ---------------------------------------------------------------------------

@@ -117,3 +117,19 @@ class WeightParityMismatch(VvmfError):
 
 class ValidationError(VvmfError):
     """Job specification failed validation."""
+
+
+class UnknownSeries(ValidationError, KeyError):
+    """A classical series name the catalog does not know.
+
+    A ValidationError for the CLI (exit status 2) and a KeyError for lookup
+    callers; its message is the plain text, not KeyError's quoted repr."""
+
+    def __init__(self, name: str):
+        self.name = name
+        super().__init__(f"unknown classical series {name!r}")
+
+    __str__ = Exception.__str__
+
+    def __reduce__(self):
+        return type(self), (self.name,)

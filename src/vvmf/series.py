@@ -27,7 +27,13 @@ and a coefficient farther than that from its integer raises
 ArithmeticError.  On the tensor route's own operands a product takes
 1.0-1.2 ms at order 80, against 1.9-2.6 ms for the three integer products
 of Gauss's trick it replaced, and 12.5-14 ms against 32-36 ms at order 400
-(2-core x86-64 VM, Python 3.11, numpy 2.4).
+(2-core x86-64 VM, Python 3.11, numpy 2.4).  Real rows, whose imaginary
+mantissas are all zero, multiply two at a time (:func:`pair_mul`): x0 and
+x1 against one y are the real and imaginary parts of (x0 + i x1) y, one
+convolution for two products.  The mantissas are exact either way, so the
+pairing changes no rounded double; on the tensor route's rows a paired
+product takes 1.46 ms at order 80 and 13.2 ms at order 400, against 2.18
+and 24.9 ms for two plain ones (medians, same machine).
 
 Exact-integer series (the classical catalog's) stay exact: their products,
 and their inverses and quotients over a unit leading coefficient, are
@@ -847,6 +853,37 @@ class FixedSeries:
             as_complex(self.re.lead_exponent),
             tuple(from_fixed(a, b, self.bits) for a, b in zip(self.re.coeffs, self.im.coeffs)),
         )
+
+
+def pair_mul(x0: FixedSeries, x1: FixedSeries, y: FixedSeries) -> tuple[FixedSeries, FixedSeries]:
+    """The products (x0 y, x1 y), in one complex limb convolution when all
+    three are real, and as two :meth:`FixedSeries.__mul__` otherwise.
+
+    For real rows (every imaginary mantissa zero) the real and imaginary
+    parts of (x0 + i x1) y are x0 y and x1 y, so one :func:`_complex_mul`
+    does the work of two; a plain product of real rows spends half of its
+    convolution on zeros.  x0 and x1 are first shifted exactly to their
+    common, larger scale, and each result keeps its own length and the
+    leading exponent x_i.lam + y.lam of the plain product.  The mantissas
+    are exact either way, so each coefficient is the same rational as the
+    plain product's and :meth:`FixedSeries.downcast` rounds it to the same
+    double."""
+    if any(c for s in (x0, x1, y) for c in s.im.coeffs):
+        return x0 * y, x1 * y
+    x0.re._require_same_nome(y.re)
+    x1.re._require_same_nome(y.re)
+    bits = max(x0.bits, x1.bits)
+    a0, a1 = ([c << (bits - x.bits) for c in x.re.coeffs] for x in (x0, x1))
+    lengths = [min(len(x.re.coeffs), len(y.re.coeffs)) for x in (x0, x1)]
+    width = max(len(a0), len(a1))
+    parts = _complex_mul(a0 + [0] * (width - len(a0)), a1 + [0] * (width - len(a1)),
+                         y.re.coeffs, [0] * len(y.re.coeffs), max(lengths) - 1)
+    out = []
+    for x, p, n in zip((x0, x1), parts, lengths):
+        lam = x.re.lead_exponent + y.re.lead_exponent
+        out.append(FixedSeries(PuiseuxSeries(y.re.nome, lam, tuple(p[:n])),
+                               PuiseuxSeries(y.re.nome, lam, (0,) * n), bits + y.bits))
+    return out[0], out[1]
 
 
 def composition_dps(x_of_q: PuiseuxSeries, margin: int = 35) -> int:

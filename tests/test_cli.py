@@ -2,13 +2,25 @@
 
 import cmath
 import json
+import os
+import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import vvmf
 from vvmf.cli import JobSpec, PipelineStepError, _step, emit, main, run
-from vvmf.errors import ExponentMismatch, ValidationError, WeightParityMismatch
+from vvmf.errors import (
+    ExponentMismatch,
+    NonIntegralThreeTrace,
+    UnknownSeries,
+    ValidationError,
+    WeightParityMismatch,
+)
 
 
 def rank2_json(r1, r2):
@@ -218,6 +230,44 @@ class TestMain:
             raise error("x")
         assert info.value.step == letter
         assert str(info.value).startswith(f"[step ({letter}) ")
+
+    def test_step_error_survives_pickling(self):
+        # a worker of --jobs N sends its error to the parent by pickle
+        error = PipelineStepError("b", NonIntegralThreeTrace("6*Tr(L)-1 = 0.2"))
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is PipelineStepError and str(copy) == str(error)
+        assert copy.step == "b" and type(copy.cause) is NonIntegralThreeTrace
+        assert str(copy.cause) == str(error.cause)
+
+    def test_failing_job_in_a_pool_exits_two(self, tmp_path, capsys):
+        # the error of a pool worker reaches the parent, which exits as the
+        # serial run does, instead of waiting for a result that never comes
+        bad = sym3_job(10)
+        bad["exponents"] = [exponents_json([0.1, 0.1])]
+        spec = tmp_path / "jobs.json"
+        spec.write_text(json.dumps([sym3_job(10), bad]))
+        assert main(["basis", "--spec", str(spec)]) == 2
+        serial = capsys.readouterr().err.splitlines()[-1]
+        assert serial.startswith("error: [step (b) weight-case classification] ")
+        env = dict(os.environ, PYTHONPATH=str(Path(vvmf.__file__).parents[1]))
+        pooled = subprocess.run(
+            [sys.executable, "-m", "vvmf.cli", "basis", "--spec", str(spec), "--jobs", "2"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert pooled.returncode == 2
+        assert pooled.stderr.splitlines()[-1] == serial
+
+    @pytest.mark.parametrize("name", ["nope", "Eta^x"])
+    def test_unknown_series_exit_two(self, capsys, name):
+        assert main(["classical", "--name", name, "--order", "10"]) == 2
+        assert capsys.readouterr().err == f"error: unknown classical series {name!r}\n"
+
+    def test_unknown_series_is_typed(self):
+        error = UnknownSeries("nope")
+        assert isinstance(error, ValidationError) and isinstance(error, KeyError)
+        assert error.name == "nope" and str(error) == "unknown classical series 'nope'"
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is UnknownSeries and copy.name == "nope" and str(copy) == str(error)
 
     def test_job_list_fanout(self, tmp_path):
         jobs = [sym3_job(10), sym3_job(12)]

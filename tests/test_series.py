@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vvmf.constructions
 import vvmf.series
 from vvmf.classical import ClassicalCatalog
 from vvmf.errors import (
@@ -36,6 +37,7 @@ from vvmf.series import (
     compose_frobenius,
     composition_dps,
     from_fixed,
+    pair_mul,
     relative_residual,
     to_fixed,
 )
@@ -527,7 +529,8 @@ class TestComplexLimbKernel:
     def test_width_at_tensor_sizes(self, monkeypatch, order, limb_bits):
         # a pure function of (terms, bits of a, bits of b): every product of
         # the benchmark's tensor member takes 16-bit limbs at order 80, and
-        # the bound asks for 8 at order 400
+        # the bound asks for 8 at order 400; its rows are real, so its 16
+        # Kronecker components take 8 paired convolutions
         from test_qline import tensor_route
 
         sizes = []
@@ -538,7 +541,7 @@ class TestComplexLimbKernel:
 
         monkeypatch.setattr(vvmf.series, "_limb_bits", recording)
         tensor_route(5)(order, ClassicalCatalog(order))
-        assert len(sizes) == 16 and all(n == order + 1 for n, _, _ in sizes)
+        assert len(sizes) == 8 and all(n == order + 1 for n, _, _ in sizes)
         assert {_limb_bits(*args) for args in sizes} == {limb_bits}
 
     def test_width_has_a_limit(self):
@@ -559,6 +562,82 @@ class TestComplexLimbKernel:
             a * fixed_series(Nome.Q2, 0, [1, 2j], 10)
 
 
+def real_rows():
+    """Real fixed-point series: the real parts of :func:`limb_operands`
+    (random, all zero or all at the extremes), a scale and a complex
+    leading exponent."""
+    return st.builds(
+        lambda parts, lam, bits: FixedSeries(PuiseuxSeries(Nome.Q, lam, tuple(parts[0])),
+                                             PuiseuxSeries(Nome.Q, lam, (0,) * len(parts[0])),
+                                             bits),
+        limb_operands(),
+        st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+        st.integers(min_value=-20, max_value=400),
+    )
+
+
+def rationals(x: FixedSeries) -> list:
+    """The coefficients (re + i im) 2^-bits of x as pairs of Fractions."""
+    unit = Fraction(2) ** -x.bits
+    return [(re * unit, im * unit) for re, im in zip(x.re.coeffs, x.im.coeffs)]
+
+
+def downcast_or_error(x: FixedSeries):
+    """The downcast coefficients of x, or OverflowError for a coefficient
+    past the double range (whose message depends on the sign of the
+    scale)."""
+    try:
+        return x.downcast()
+    except OverflowError:
+        return OverflowError
+
+
+def gaussian_rows(n: int, seed: int) -> FixedSeries:
+    rng = random.Random(seed)
+    parts = [[rng.randint(-(2**90), 2**90) for _ in range(n)] for _ in range(2)]
+    return FixedSeries(PuiseuxSeries(Nome.Q, 0.5j, tuple(parts[0])),
+                       PuiseuxSeries(Nome.Q, 0.5j, tuple(parts[1])), 80)
+
+
+class TestPairedProduct:
+    """pair_mul against two plain fixed-point products."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(real_rows(), real_rows(), real_rows())
+    def test_matches_two_plain_products(self, x0, x1, y):
+        # the same rationals, lengths, leading exponents and doubles, at
+        # unequal scales and lengths
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            complex_mul = vvmf.series._complex_mul
+            patch.setattr(vvmf.series, "_complex_mul",
+                          lambda *args: calls.append(args) or complex_mul(*args))
+            got = pair_mul(x0, x1, y)
+        assert len(calls) == 1
+        for pair, x in zip(got, (x0, x1)):
+            plain = x * y
+            assert repr(pair.re.lead_exponent) == repr(plain.re.lead_exponent)
+            assert repr(pair.im.lead_exponent) == repr(plain.im.lead_exponent)
+            assert rationals(pair) == rationals(plain)
+            assert downcast_or_error(pair) == downcast_or_error(plain)
+            assert pair.bits == max(x0.bits, x1.bits) + y.bits
+
+    @pytest.mark.parametrize("complex_operand", [0, 1, 2])
+    def test_complex_rows_take_plain_products(self, complex_operand):
+        rows = [gaussian_rows(30, seed) for seed in range(3)]
+        rows = [r if i == complex_operand else FixedSeries(r.re, r.re.scale(0), r.bits)
+                for i, r in enumerate(rows)]
+        x0, x1, y = rows
+        assert pair_mul(x0, x1, y) == (x0 * y, x1 * y)
+
+    def test_nome_mismatch(self):
+        a = fixed_series(Nome.Q, 0, [1, 2], 10)
+        with pytest.raises(NomeMismatch):
+            pair_mul(a, a, fixed_series(Nome.Q2, 0, [1, 2], 10))
+        with pytest.raises(NomeMismatch):
+            pair_mul(a, fixed_series(Nome.Q2, 0, [1, 2], 10), a)
+
+
 def gauss_product(x: FixedSeries, y: FixedSeries) -> FixedSeries:
     """The fixed-point product as three products of int series (Gauss's
     trick)."""
@@ -566,6 +645,11 @@ def gauss_product(x: FixedSeries, y: FixedSeries) -> FixedSeries:
     k2 = x.re * (y.im - y.re)
     k3 = x.im * (y.re + y.im)
     return FixedSeries(k1 - k3, k1 + k2, x.bits + y.bits)
+
+
+def plain_pair(x0: FixedSeries, x1: FixedSeries, y: FixedSeries) -> tuple:
+    """pair_mul without the pairing: two plain products."""
+    return x0 * y, x1 * y
 
 
 @pytest.fixture(scope="module")
@@ -583,7 +667,25 @@ def test_tensor_forms_match_the_int_product(monkeypatch, catalog200, member):
     pipeline = tensor_route(member)
     got = emitted(pipeline(200, catalog200))
     monkeypatch.setattr(FixedSeries, "__mul__", gauss_product)
+    monkeypatch.setattr(vvmf.constructions, "pair_mul", plain_pair)
     assert repr(got) == repr(emitted(pipeline(200, catalog200)))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("order", [400, 800])
+@pytest.mark.parametrize("route", ["sym3", "tensor"])
+def test_pairing_keeps_the_bytes_at_high_order(monkeypatch, route, order):
+    # the benchmark's ladder members (sym3:3, tensor:5) have real rows, so
+    # every product of their cube or Kronecker products is paired
+    from test_qline import closed_route
+
+    def emitted(basis):
+        return [form.to_json() for form in basis.forms], basis.residuals
+
+    pipeline, catalog = closed_route(route), ClassicalCatalog(order)
+    got = repr(emitted(pipeline(order, catalog)))
+    monkeypatch.setattr(vvmf.constructions, "pair_mul", plain_pair)
+    assert got == repr(emitted(pipeline(order, catalog)))
 
 
 class TestTheta:

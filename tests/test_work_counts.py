@@ -228,7 +228,7 @@ def induction_job() -> InductionJob:
     return InductionJob.make(rep, L, -(r * r) / (16 * cmath.exp(2j * cmath.pi / 6)))
 
 
-@pytest.mark.parametrize("route", ["cyclic", "noncyclic", "induction", "closed"])
+@pytest.mark.parametrize("route", ["cyclic", "noncyclic", "induction", "closed", "closed-complex"])
 def test_qline_block_runs_in_integers(monkeypatch, route):
     # the solve convolves and eliminates in fixed-point integers, and the
     # cube and Kronecker products multiply fixed-point mantissas
@@ -237,8 +237,9 @@ def test_qline_block_runs_in_integers(monkeypatch, route):
     complex_products = count_calls(monkeypatch, vvmf.series, "_complex_mul")
     if route == "induction":
         induction_pipeline(induction_job(), 10, catalog)
-    elif route == "closed":
-        alpha, L1 = rank2_data(1, 0.21)
+    elif route.startswith("closed"):
+        # real rows, or a factor with a complex exponent gap and complex rows
+        alpha, L1 = rank2_data(1, 0.21) if route == "closed" else rank2_data(5, 0.13 + 0.07j)
         beta, L2 = rank2_data(2, 0.13)
         rank2_minimal(alpha, L1, 20, catalog)
         sym3_pipeline(alpha, L1, 20, catalog)
@@ -247,8 +248,13 @@ def test_qline_block_runs_in_integers(monkeypatch, route):
         generic_basis(*generic_data(*{"cyclic": (7, 1), "noncyclic": (8, 5)}[route]), 20, catalog)
     assert counts["fdot"] == [] and counts["mp_products"] == []
     if route == "closed":
-        # the cube's 6 products and the tensor's 4 Kronecker products of 4
-        # components, one complex limb convolution each
+        # real rows pair up: the cube's two squares and two paired products,
+        # and two paired products for each of the tensor's 4 Kronecker
+        # products, one complex limb convolution each
+        assert len(complex_products) == 4 + 8
+    elif route == "closed-complex":
+        # complex rows keep one convolution per product: the cube's 6 and
+        # the 4 Kronecker products of 4 components
         assert len(complex_products) == 6 + 16
 
 
