@@ -247,11 +247,20 @@ class ClassicalCatalog:
         return self._memo("fg", build)
 
     def h_series(self) -> PuiseuxSeries:
-        """h = E_6 / (12^{3/2} eta^12) as a q2-series (weight zero, pole at the cusp)."""
+        """h = E_6 / (12^{3/2} eta^12) as a q2-series (weight zero, pole at the cusp).
+
+        E_6 and eta^12 are series in q = q2^2, so the quotient is formed on
+        the order-``order`` q-series and retagged: the inverse makes a quarter
+        of the multiply-adds of one over the q2-series.  The bytes are those
+        of the q2 quotient.  There, every term with an odd q2-offset is an
+        exact zero and every sum starts from int 0, so each even coefficient
+        adds the same nonzero terms in the same order and is the same number;
+        the odd coefficients are zeros either way and emit as [0.0, 0.0]."""
 
         def build():
             c = self.numerics.sqrt(1728)
-            return self.eisenstein_q2(6) * self.eta_power(12, Nome.Q2).scale(c).invert()
+            h = self.eisenstein(6) * self.eta_power(12).scale(c).invert()
+            return h.retag_q2().truncate(self.q2_order)
 
         return self._memo("h", build)
 
@@ -266,13 +275,15 @@ class ClassicalCatalog:
             eta12 = self.eta_power(12, Nome.Q2)
             denom = eta12.scale(c) + self.eisenstein_q2(6).scale(num.i)
             z = eta12.scale(2 * c) * denom.invert()
-            # coefficients grow ~83 per order; doubles saturate near order 300
+            # coefficients grow ~15x per q2-order (~231x per order, like K's);
+            # doubles saturate at q2-order 256, so from order 128 on
             if self.numerics.precision == "double" and not all(
                 abs(v) < float("inf") and abs(v) == abs(v) for v in z.coeffs
             ):
                 raise OverflowError(
-                    "hauptmodul coefficients exceed double range at order "
-                    f"{self.q2_order}; build the catalog with precision='extended'"
+                    "hauptmodul coefficients exceed double range at q2-order "
+                    f"{self.q2_order} (order {self.order}); build the catalog with"
+                    " precision='extended'"
                 )
             return z
 

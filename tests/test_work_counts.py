@@ -331,3 +331,11 @@ def test_j_multiplies_once_and_inverts_nothing(monkeypatch):
     inverses = count_calls(monkeypatch, PuiseuxSeries, "invert")
     catalog.j_invariant()
     assert len(products) == 1 and inverses == []
+
+
+def test_h_inverts_once_on_the_q_series(monkeypatch):
+    # E6 and eta^12 are series in q = q2^2: the one inverse runs on the
+    # order-200 q-series, not on the q2-series of order 400
+    inverses = count_calls(monkeypatch, PuiseuxSeries, "invert")
+    ClassicalCatalog(200).h_series()
+    assert [(s.nome, s.order) for (s,) in inverses] == [(vvmf.series.Nome.Q, 200)]
