@@ -6,7 +6,11 @@ series, eta powers, Delta, j, the hauptmodul K = 1728/j, the theta fourth
 powers, the weight-two generators f and g of the index-two subgroup's ring of
 forms, and its hauptmodul Z.  All q-series carry integer coefficients exactly
 (Python ints), so double versus extended precision only enters through the
-irrational constants.
+four irrational constants xi = e^{2 pi i/6}, xi^5, sqrt(1728) and i, that is
+only into h, Z, f and g.  The precision is a setting of the catalog alone:
+it computes its constants at construction and, when extended, runs every
+build at :data:`EXTENDED_DPS` digits in an ``mpmath.workdps`` block of its
+own, so its series do not depend on the caller's mpmath precision.
 
 The building blocks come from exact closed forms rather than products and
 inverses of series: every eta power, negative ones included, from one
@@ -25,35 +29,6 @@ import mpmath
 
 from .errors import UnknownSeries, WrongNome
 from .series import Nome, PuiseuxSeries, relative_residual
-
-
-class Numerics:
-    """Constant factory for the selected floating-point backend."""
-
-    def __init__(self, precision: str = "double"):
-        if precision not in ("double", "extended"):
-            raise ValueError(f"unknown precision {precision!r}")
-        self.precision = precision
-
-    def num(self, x):
-        if self.precision == "extended":
-            return mpmath.mpc(x)
-        return complex(x)
-
-    @property
-    def i(self):
-        return self.num(1j)
-
-    def root_of_unity(self, p: int, q: int):
-        """e^{2 pi i p / q}, principal values throughout."""
-        if self.precision == "extended":
-            return mpmath.exp(2j * mpmath.pi * mpmath.mpf(p) / q)
-        return cmath.exp(2j * cmath.pi * p / q)
-
-    def sqrt(self, x):
-        if self.precision == "extended":
-            return mpmath.sqrt(mpmath.mpf(x))
-        return complex(x) ** 0.5
 
 
 def _divisor_power_sums(power: int, n_max: int) -> list[int]:
@@ -115,20 +90,40 @@ def _euler_power(m: int, n_max: int) -> list[int]:
 
 _EISENSTEIN_FACTORS = {2: -24, 4: 240, 6: -504}
 
+#: digits of an extended catalog's constants and builds
+EXTENDED_DPS = 50
+
 
 class ClassicalCatalog:
     """Immutable cache of classical series at one truncation order.
 
     q-series are expanded through q^order; q2-series through q2^(2*order),
     so mixed level-one / level-two identities truncate consistently.
+
+    ``precision`` is "double" (complex constants) or "extended" (mpmath
+    constants at :data:`EXTENDED_DPS` digits, every build in a block at that
+    precision).  Arithmetic a caller does on the returned series runs at the
+    caller's precision.
     """
 
     def __init__(self, order: int, precision: str = "double"):
         if order < 1:
             raise ValueError("catalog order must be >= 1")
+        if precision not in ("double", "extended"):
+            raise ValueError(f"unknown precision {precision!r}")
         self.order = order
-        self.numerics = Numerics(precision)
-        self.xi = self.numerics.root_of_unity(1, 6)
+        self.precision = precision
+        if precision == "double":
+            self.xi = cmath.exp(2j * cmath.pi / 6)
+            self.xi5 = cmath.exp(2j * cmath.pi * 5 / 6)
+            self.sqrt1728 = complex(1728) ** 0.5
+            self.i = 1j
+        else:
+            with mpmath.workdps(EXTENDED_DPS):
+                self.xi = mpmath.exp(2j * mpmath.pi * mpmath.mpf(1) / 6)
+                self.xi5 = mpmath.exp(2j * mpmath.pi * mpmath.mpf(5) / 6)
+                self.sqrt1728 = mpmath.sqrt(mpmath.mpf(1728))
+                self.i = mpmath.mpc(1j)
         self._cache: dict = {}
 
     @property
@@ -137,7 +132,11 @@ class ClassicalCatalog:
 
     def _memo(self, key, build):
         if key not in self._cache:
-            self._cache[key] = build()
+            if self.precision == "double":
+                self._cache[key] = build()
+            else:
+                with mpmath.workdps(EXTENDED_DPS):
+                    self._cache[key] = build()
         return self._cache[key]
 
     # -- level one, nome q ----------------------------------------------------
@@ -233,9 +232,7 @@ class ClassicalCatalog:
 
         def build():
             t2, t3, t4 = self.theta_fourth_powers()
-            num = self.numerics
-            xi5 = num.root_of_unity(5, 6)
-            f = t2.scale(1 + self.xi) - (t3 + t4).scale(xi5)
+            f = t2.scale(1 + self.xi) - (t3 + t4).scale(self.xi5)
             # f|T flips the sign of every odd q2-coefficient
             g = PuiseuxSeries(
                 Nome.Q2,
@@ -258,8 +255,7 @@ class ClassicalCatalog:
         the odd coefficients are zeros either way and emit as [0.0, 0.0]."""
 
         def build():
-            c = self.numerics.sqrt(1728)
-            h = self.eisenstein(6) * self.eta_power(12).scale(c).invert()
+            h = self.eisenstein(6) * self.eta_power(12).scale(self.sqrt1728).invert()
             return h.retag_q2().truncate(self.q2_order)
 
         return self._memo("h", build)
@@ -270,20 +266,17 @@ class ClassicalCatalog:
         -2i * 12^{3/2}."""
 
         def build():
-            num = self.numerics
-            c = num.sqrt(1728)
+            c = self.sqrt1728
             eta12 = self.eta_power(12, Nome.Q2)
-            denom = eta12.scale(c) + self.eisenstein_q2(6).scale(num.i)
+            denom = eta12.scale(c) + self.eisenstein_q2(6).scale(self.i)
             z = eta12.scale(2 * c) * denom.invert()
-            # coefficients grow ~15x per q2-order (~231x per order, like K's);
-            # doubles saturate at q2-order 256, so from order 128 on
-            if self.numerics.precision == "double" and not all(
-                abs(v) < float("inf") and abs(v) == abs(v) for v in z.coeffs
-            ):
+            # coefficients grow ~15x per q2-order (~231x per order, like K's)
+            # and leave the double range at q2-order 256, so from order 128
+            # on, in either precision: the series is emitted as doubles
+            if not all(cmath.isfinite(complex(v)) for v in z.coeffs):
                 raise OverflowError(
-                    "hauptmodul coefficients exceed double range at q2-order "
-                    f"{self.q2_order} (order {self.order}); build the catalog with"
-                    " precision='extended'"
+                    "hauptmodul coefficients exceed the double range at q2-order "
+                    f"{self.q2_order} (order {self.order})"
                 )
             return z
 

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
-
-import mpmath
 
 from .classical import ClassicalCatalog
 from .constructions import (
@@ -52,11 +51,9 @@ from .mlde import (
     CaseReport,
     FormBasis,
     classify,
-    cyclic_coeffs,
+    equation_coefficients,
     generic_basis,
-    indicial_shifts,
     modular_derivative,  # noqa: F401  (a binding site perfbench's tracer test patches)
-    noncyclic_coeffs,
     solve_minimal_form,
 )
 from .reps import (
@@ -158,6 +155,10 @@ class JobSpec:
         order = int(data.get("order", DEFAULT_ORDER))
         if order < 1:
             raise ValidationError("order must be >= 1")
+        if "precision" in data and cmd != "classical":
+            raise ValidationError(
+                "precision is an option of classical jobs only; no other command reads it"
+            )
         precision = data.get("precision", "double")
         if precision not in ("double", "extended"):
             raise ValidationError(f"unknown precision {precision!r}")
@@ -238,11 +239,7 @@ def _basis_json(basis: FormBasis) -> list:
 def run(job: JobSpec) -> ResultEnvelope:
     """Dispatch a validated job through the pipeline and collect results."""
     t0 = time.perf_counter()
-    # extended jobs build their catalog constants at 50 digits; the scope
-    # leaves the process-global mpmath precision as it found it
-    scope = mpmath.workdps(50) if job.precision == "extended" else nullcontext()
-    with scope:
-        env = _dispatch(job)
+    env = _dispatch(job)
     env.timing = time.perf_counter() - t0
     return env
 
@@ -269,12 +266,11 @@ def _dispatch(job: JobSpec) -> ResultEnvelope:
         report = _classify_job(job)
         env.case = _case_json(report)
         with _step("c"):
-            f = indicial_shifts(job.exponents.eigenvalues, report.case)
-            co = cyclic_coeffs(f) if report.case == "cyclic" else noncyclic_coeffs(f)
+            co = equation_coefficients(job.exponents.eigenvalues, report.case)
         env.coefficients = co.to_json()
 
     elif job.command == "minimal":
-        catalog = ClassicalCatalog(job.order, job.precision)
+        catalog = ClassicalCatalog(job.order)
         if job.rep is None or job.exponents is None:
             raise ValidationError("minimal needs a representation and exponent data")
         if isinstance(job.rep, Rank2Rep):
@@ -303,7 +299,7 @@ def _dispatch(job: JobSpec) -> ResultEnvelope:
             env.residuals.update(residuals)
 
     elif job.command == "basis":
-        catalog = ClassicalCatalog(job.order, job.precision)
+        catalog = ClassicalCatalog(job.order)
         basis = _basis_job(job, catalog)
         env.case = None if basis.case is None else _case_json(basis.case)
         env.basis = _basis_json(basis)
@@ -371,14 +367,21 @@ def _basis_job(job: JobSpec, catalog: ClassicalCatalog) -> FormBasis:
 # serialization
 # ---------------------------------------------------------------------------
 
+#: the error of a number that neither output format can hold
+_NON_FINITE = "the output holds a non-finite number (Infinity or NaN)"
+
+
 def canonical_json(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    try:
+        return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValidationError(_NON_FINITE) from exc
 
 
 def emit(env: ResultEnvelope | dict, fmt: str = "json", path: str | None = None) -> str:
     """Serialize an envelope.  Timing is never emitted (``main`` prints it to
-    stderr), keeping the bytes a deterministic function of the job and
-    precision."""
+    stderr), keeping the bytes a deterministic function of the job.  A
+    non-finite number in either format raises ValidationError."""
     data = env.to_json() if isinstance(env, ResultEnvelope) else env
     if fmt == "json":
         text = canonical_json(data)
@@ -389,6 +392,8 @@ def emit(env: ResultEnvelope | dict, fmt: str = "json", path: str | None = None)
         for fi, form in enumerate(data["basis"]):
             for ci, comp in enumerate(form["components"]):
                 for n, (re, im) in enumerate(comp["coeffs"]):
+                    if not (math.isfinite(re) and math.isfinite(im)):
+                        raise ValidationError(_NON_FINITE)
                     lines.append(f"{fi},{ci},{n},{re!r},{im!r}")
         text = "\n".join(lines) + "\n"
     else:
@@ -419,13 +424,13 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--spec", help="path to a JSON job file (or a list of jobs)")
         p.add_argument("--order", type=int, default=None)
-        p.add_argument("--precision", choices=("double", "extended"), default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
         p.add_argument("--jobs", type=int, default=1,
                        help="worker processes for a list-valued --spec")
         if name == "classical":
             p.add_argument("--name", help="series name, e.g. E4, Delta, K, Z, Eta^12")
+            p.add_argument("--precision", choices=("double", "extended"), default=None)
 
     args = parser.parse_args(argv)
     payloads: list[dict]
@@ -438,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
     overrides = {"command": args.command}
     if args.order is not None:
         overrides["order"] = args.order
-    if args.precision is not None:
+    if getattr(args, "precision", None) is not None:
         overrides["precision"] = args.precision
     if getattr(args, "name", None):
         overrides["name"] = args.name
@@ -454,17 +459,15 @@ def main(argv: list[str] | None = None) -> int:
                 results = pool.map(_run_one, payloads)
         else:
             results = [_run_one(p) for p in payloads]
-    except PipelineStepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        texts = [emit(result, args.format, out_path or args.out)
+                 for result, _, out_path, _ in results]
     except (VvmfError, OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     worst = 0.0
-    for index, (result, res, out_path, seconds) in enumerate(results):
+    for index, ((_, res, out_path, seconds), text) in enumerate(zip(results, texts)):
         worst = max(worst, res)
-        text = emit(result, args.format, out_path or args.out)
         if not (out_path or args.out):
             sys.stdout.write(text)
         print(f"job {index}: {seconds:.3f} s", file=sys.stderr)

@@ -171,18 +171,19 @@ def _rank2_stage(L: ExponentData, k1: int, order: int, catalog: ClassicalCatalog
     """The components of the minimal form F and of DF, solved on the q-line
     at both exponents in one call (:func:`rank2_system`,
     :func:`qline_solve`), from seeds at the working precision of the
-    enclosing :func:`qline_precision` block, and the equation's a.  The rows
-    stay in fixed point, for the caller's exact products.
+    enclosing :func:`qline_precision` block, the equation's a and the solved
+    system.  The rows stay in fixed point, for the caller's exact products.
 
     F_j leads with 1728^{f_j}, the leading coefficient of the closed form
     eta^{2 k1} K^{f_j} 2F1(...)(K) (:func:`rank2_kline_pair`)."""
     fs = _rank2_shifts(L)
     a = rank2_coeff(*fs)
+    system = rank2_system(a, catalog)
     seeds = [[mpmath.mpf(1728) ** f * x for x in (1, f)] for f in fs]
-    rows = qline_solve((k1, k1 + 2), rank2_system(a, catalog),
+    rows = qline_solve((k1, k1 + 2), system,
                        [f + Fraction(k1, 12) for f in fs], seeds, order, catalog)
     F, DF = zip(*rows)
-    return F, DF, a
+    return F, DF, a, system
 
 
 def rank2_minimal(
@@ -209,10 +210,10 @@ def rank2_minimal(
             eta_component=catalog.eta_power(2 * k1 + 2),
         )
     with qline_precision():
-        F, DF, a = _rank2_stage(L, k1, order, catalog)
+        F, DF, _, system = _rank2_stage(L, k1, order, catalog)
     forms = (_downcast(F, k1), _downcast(DF, k1 + 2))
     derivatives = [modular_derivative(X, X.weight, catalog) for X in forms]
-    res = system_residuals(forms, derivatives, rank2_system(as_complex(a), catalog))
+    res = system_residuals(forms, derivatives, system)
     return Rank2MinimalForm(k1, HYPERGEOMETRIC, forms[0], {"rank2_mlde": max(res)})
 
 
@@ -281,8 +282,8 @@ def tensor_pipeline(
 
     k1 = report.k1
     with qline_precision():
-        A, dA, a_alpha = _rank2_stage(L1, ka, order, catalog)
-        B, dB, a_beta = _rank2_stage(L2, kb, order, catalog)
+        A, dA, a_alpha, _ = _rank2_stage(L1, ka, order, catalog)
+        B, dB, a_beta, _ = _rank2_stage(L2, kb, order, catalog)
         dA_B, A_dB = _kronecker(dA, B), _kronecker(A, dB)
         forms = (
             _downcast(_kronecker(A, B), k1),
@@ -424,34 +425,40 @@ class InductionJob:
 def induction_minimal_pair(
     job: InductionJob, order: int, catalog: ClassicalCatalog
 ) -> tuple[VectorSeries, VectorSeries]:
-    """Minimal-weight pair (A, B) for the two nontrivial beta-twists.
+    """Minimal-weight pair (A, B) for the two nontrivial beta-twists."""
+    return _induction_stage(job, order, catalog)[0]
 
-    Solves the defining relation :func:`induction_system` on the q2-line at
-    both exponents k1/6 +- r in one call (:func:`qline_solve`, which rejects
-    an integer 2r).  A leads with (-2i 12^{3/2})^{+-r}, the leading
-    coefficient of Z^{+-r}, as in the Z-line form
-    eta^{2k1} (g/f) Z^{+-r} (1 + ...) the pair transports; B's leading
-    coefficient follows from the relation.
+
+def _induction_stage(job: InductionJob, order: int, catalog: ClassicalCatalog):
+    """The pair (A, B) and the system it solves.
+
+    Solves the defining relation :func:`induction_system`, built once in a
+    :func:`qline_precision` block, on the q2-line at both exponents
+    k1/6 +- r in one call (:func:`qline_solve`, which rejects an integer
+    2r).  A leads with (-2i 12^{3/2})^{+-r}, the leading coefficient of
+    Z^{+-r}, as in the Z-line form eta^{2k1} (g/f) Z^{+-r} (1 + ...) the
+    pair transports; B's leading coefficient follows from the relation.
     """
-    r = local_exponent_from_u(job.u, catalog.xi)
-    if abs(as_complex(r)) <= 1e-12:
-        raise DegenerateU("u = 0 makes the local exponents collide")
     n2 = min(2 * order, catalog.q2_order)
     k1 = job.k1
     with qline_precision():
         xi = mpmath.expjpi(mpmath.mpf(1) / 3)
         u = mpmath.mpc(job.u)
-        r_hp = local_exponent_from_u(u, xi)
+        r = local_exponent_from_u(u, xi)
+        if abs(as_complex(r)) <= 1e-12:
+            raise DegenerateU("u = 0 makes the local exponents collide")
         z_lead = mpmath.mpc(0, -2) * mpmath.sqrt(1728)
-        exponents = (r_hp, -r_hp)
+        exponents = (r, -r)
         seeds = []
         for exponent in exponents:
             a0 = cpow(z_lead, exponent)
             # D A = g B at the leading q2-power: (exponent / 2) a0 = g_0 b0, g_0 = -2 xi^5
             seeds.append((a0, a0 * exponent / (-4 * xi**5)))
-        rows = qline_solve((k1, k1), induction_system(u, xi, catalog),
+        system = induction_system(u, xi, catalog)
+        rows = qline_solve((k1, k1), system,
                            [Fraction(k1, 6) + e for e in exponents], seeds, n2, catalog)
-    return _downcast((row[0] for row in rows), k1), _downcast((row[1] for row in rows), k1)
+    pair = (_downcast((row[0] for row in rows), k1), _downcast((row[1] for row in rows), k1))
+    return pair, system
 
 
 def induction_system(u, xi, catalog: ClassicalCatalog) -> list:
@@ -548,9 +555,8 @@ def induction_pipeline(
         raise WeightParityMismatch(
             f"induction needs k1 = e mod 2, got k1 = {job.k1} and e = {job.rep.e}"
         )
-    A, B = induction_minimal_pair(job, order, catalog)
+    (A, B), system = _induction_stage(job, order, catalog)
     derivatives = [modular_derivative(X, X.weight, catalog) for X in (A, B)]
-    system = induction_system(job.u, catalog.xi, catalog)
     pair_res = max(system_residuals((A, B), derivatives, system))
     out = []
     for F in (A, B):

@@ -41,7 +41,6 @@ from .series import (
     VectorSeries,
     as_complex,
     compose_frobenius,  # noqa: F401  (a binding site perfbench's tracer test patches)
-    even_odd_parts,
     nearest_int,
     relative_residual,
     require_int,
@@ -186,6 +185,15 @@ def noncyclic_coeffs(f) -> ODECoefficients:
     b = 3 * s3 - s2 * Fraction(3, 2) + Fraction(13, 72)
     c = -s4 - a / 18
     return ODECoefficients(a, b, c, NONCYCLIC, f)
+
+
+def equation_coefficients(eigenvalues, case: str) -> ODECoefficients:
+    """The case's equation coefficients from exponent eigenvalues, each
+    lifted to mpmath in a :func:`qline_precision` block, where the shifted
+    exponents sum exactly; the values the recursive route solves with."""
+    with qline_precision():
+        f = indicial_shifts([mpmath.mpc(as_complex(v)) for v in eigenvalues], case)
+        return (cyclic_coeffs if case == CYCLIC else noncyclic_coeffs)(f)
 
 
 def rank2_coeff(f1, f2):
@@ -359,7 +367,8 @@ QLINE_DPS = 50
 
 def qline_precision():
     """The working-precision block of every q-line solve: the mpmath
-    precision of the seeds and coefficients a solve starts from
+    precision of the seeds, equation coefficients and system a solve
+    starts from, the system the route then checks its forms against
     (:data:`QLINE_DPS`)."""
     return mpmath.workdps(QLINE_DPS)
 
@@ -665,8 +674,12 @@ def system_residuals(forms, derivatives, system) -> list[float]:
     """Relative residual of each column j of D X = X M on emitted forms (the
     entries of X, each a vector series at its weight), given the modular
     derivative D X_j of each.  Every differential relation a route records is
-    one of these columns.  A block whose series is the unit series adds
-    v X_i with no product (x * 1 is exact in double)."""
+    one of these columns.  The system is the one the forms were solved from:
+    its mpmath constants are rounded to complex once, here, and its other
+    constants are used as they are.  A block whose series is the unit series
+    adds v X_i with no product (x * 1 is exact in double)."""
+    system = [({ij: as_complex(v) if isinstance(v, (mpmath.mpf, mpmath.mpc)) else v
+                for ij, v in S.items()}, e) for S, e in system]
     out = []
     for j, lhs in enumerate(derivatives):
         parts = [
@@ -707,21 +720,6 @@ class FormBasis:
     @property
     def weights(self) -> tuple:
         return tuple(f.weight for f in self.forms)
-
-    def to_json(self) -> dict:
-        return {
-            "case": None
-            if self.case is None
-            else {
-                "case": self.case.case,
-                "k1": self.case.k1,
-                "weights": list(self.case.weight_tuple),
-                "d": self.case.d,
-                "e": self.case.e,
-            },
-            "forms": [f.to_json() for f in self.forms],
-            "residuals": dict(self.residuals),
-        }
 
 
 def _require_nonzero(F: VectorSeries) -> None:
@@ -764,41 +762,35 @@ def _recursive_stage(
     or (F, DF, G, H), with no row recomputed.  F_j leads with 1728^{f_j}
     (cyclic) or 1728^{f_j} / t_j (noncyclic, t_j the largest-modulus entry
     of the leading row per unit of F), the normalization of the closed
-    K-line form.  Every column relation is re-checked on the emitted
-    doubles.  Returns the double coefficients and the basis.
+    K-line form.  Every column relation of the solved system is re-checked
+    on the emitted doubles.  Returns the equation coefficients, at working
+    precision (:func:`equation_coefficients`), and the basis.
     """
     L.validate_against(rep.t_eigenvalues())
     report = classify(rep, L)
-    f_exps = indicial_shifts(L.eigenvalues, report.case)
     cyclic = report.case == CYCLIC
-    coeffs = cyclic_coeffs if cyclic else noncyclic_coeffs
-
-    def build(co):
-        return cyclic_system(co, catalog, Nome.Q) if cyclic else noncyclic_system(co, catalog)
-
-    co = coeffs(f_exps)
     with qline_precision():
         lams = [mpmath.mpc(as_complex(v)) for v in L.eigenvalues]
-        f_hp = indicial_shifts(lams, report.case)  # sum exact at working precision
-        co_hp = coeffs(f_hp)
+        co = equation_coefficients(L.eigenvalues, report.case)
         seeds = []
-        for f in f_hp:
+        for f in co.f_exponents:
             if cyclic:
                 seed = [mpmath.mpf(1728) ** f]
                 for i in range(3):
                     seed.append(seed[-1] * (f - Fraction(i, 6)))
             else:
-                lead = _noncyclic_lead_row(f, co_hp.a)
+                lead = _noncyclic_lead_row(f, co.a)
                 unit = mpmath.mpf(1728) ** f / max(lead, key=abs)
                 seed = [unit * x for x in lead]
             seeds.append(seed)
-        rows = qline_solve(report.weight_tuple, build(co_hp), lams, seeds, order, catalog)
+        system = cyclic_system(co, catalog, Nome.Q) if cyclic else noncyclic_system(co, catalog)
+        rows = qline_solve(report.weight_tuple, system, lams, seeds, order, catalog)
     forms = tuple(
         VectorSeries(tuple(row[i].downcast() for row in rows), k)
         for i, k in enumerate(report.weight_tuple)
     )
     derivatives = [modular_derivative(X, X.weight, catalog) for X in forms]
-    res = system_residuals(forms, derivatives, build(co))
+    res = system_residuals(forms, derivatives, system)
     if cyclic:
         residuals = {"cyclic_chain": max(res[:3]), "cyclic_mlde": res[3]}
     else:
@@ -833,58 +825,3 @@ def generic_basis(
     """Recursive route end to end: the rows of the q-line solutions are the
     case-appropriate free basis."""
     return _recursive_stage(rep, L, order, catalog)[1]
-
-
-def leading_coefficient_matrix(forms) -> np.ndarray:
-    """Rows are basis forms, columns are components, entries the coefficients
-    at each component's smallest declared leading exponent."""
-    rank = forms[0].rank
-    mat = np.zeros((len(forms), rank), dtype=complex)
-    for j in range(rank):
-        leads = [as_complex(f.components[j].lead_exponent).real for f in forms]
-        base = min(leads)
-        for i, f in enumerate(forms):
-            offset = round(leads[i] - base)
-            mat[i, j] = as_complex(f.components[j].coefficient(-offset))
-    return mat
-
-
-def basis_rank_ratio(basis: FormBasis, split_q2: bool = False) -> float:
-    """Smallest-over-largest singular value of the leading-coefficient matrix;
-    a proxy for freeness of the emitted basis.
-
-    For induced bases (components stacked with their T-inverse translates,
-    which share leading exponents) the plain leading matrix is structurally
-    degenerate; ``split_q2`` extracts the columns from the even/odd
-    q2-offset parts instead, where the exponents separate.
-    """
-    if split_q2:
-        cols = []
-        for f in basis.forms:
-            row = []
-            half = f.rank // 2
-            for j in range(half):
-                even, odd = even_odd_parts(f.components[j])
-                row.extend([even, odd])
-            cols.append(row)
-        rank = len(cols[0])
-        mat = np.zeros((len(basis.forms), rank), dtype=complex)
-        for j in range(rank):
-            leads = [as_complex(row[j].lead_exponent).real for row in cols]
-            offsets = [0 if j % 2 == 0 else 1 for _ in cols]
-            base = min(leads[i] + offsets[i] for i in range(len(cols)))
-            for i, row in enumerate(cols):
-                n = round(base - leads[i])
-                mat[i, j] = as_complex(row[j].coefficient(n))
-    else:
-        mat = leading_coefficient_matrix(basis.forms)
-    # normalize per column: exponent spreads scale whole components by
-    # factors like 1728^f, which says nothing about linear dependence
-    for j in range(mat.shape[1]):
-        top = np.max(np.abs(mat[:, j]))
-        if top > 0:
-            mat[:, j] /= top
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s[0] == 0:
-        return 0.0
-    return float(s[-1] / s[0])

@@ -10,8 +10,11 @@ oracles only.
 
 Coefficients are ordinary ``complex`` by default.  Passing mpmath numbers in
 switches the same code paths to extended precision; the arithmetic below
-never downcasts.  The library scopes every working precision with
-``mpmath.workdps`` blocks; it never sets ``mpmath.mp.dps``.
+never downcasts and runs at the caller's mpmath precision.  Two places
+decide that precision: each route's q-line block
+(:func:`vvmf.mlde.qline_precision`) for the forms, and the classical catalog
+(:data:`vvmf.classical.EXTENDED_DPS`) for its extended builds.  Both scope
+it with ``mpmath.workdps`` blocks; the library never sets ``mpmath.mp.dps``.
 
 The q-line block holds complex series in fixed point instead
 (:class:`FixedSeries`): integer mantissas of the real and imaginary parts at

@@ -13,7 +13,9 @@ import mpmath
 import pytest
 
 import vvmf
-from vvmf.cli import JobSpec, PipelineStepError, _step, emit, main, run
+import vvmf.cli
+from vvmf.classical import ClassicalCatalog
+from vvmf.cli import JobSpec, PipelineStepError, ResultEnvelope, _step, emit, main, run
 from vvmf.errors import (
     ExponentMismatch,
     NonIntegralThreeTrace,
@@ -59,6 +61,35 @@ def generic_job(command, order=15):
     }
 
 
+def tensor_job(order=15):
+    pairs = [((1 / 6 + 0.21) / 2, (1 / 6 - 0.21) / 2), ((2 / 6 + 0.13) / 2, (2 / 6 - 0.13) / 2)]
+    return {
+        "command": "basis",
+        "construction": "tensor",
+        "reps": [rank2_json(*p) for p in pairs],
+        "exponents": [exponents_json(p) for p in pairs],
+        "order": order,
+    }
+
+
+def induction_job(order=12):
+    zeta = cmath.exp(2j * cmath.pi / 3)
+    return {
+        "command": "basis",
+        "construction": "induction",
+        "reps": [{
+            "kind": "g-rank2", "e": 0, "zeta1": [1, 0],
+            "zeta2": [zeta.real, zeta.imag],
+            "zeta3": [(zeta**2).real, (zeta**2).imag],
+            "a": [0.7, 0.2],
+        }],
+        "exponents": [{"eigenvalues": [[1 / 3 + 0.11, 0], [1 / 3 - 0.11, 0]],
+                        "group": "G"}],
+        "u": [-0.00455, -0.00263],
+        "order": order,
+    }
+
+
 def sym3_job(order=15):
     r1, r2 = (1 / 6 + 0.21) / 2, (1 / 6 - 0.21) / 2
     return {
@@ -82,6 +113,15 @@ class TestJobSpec:
     def test_bad_precision(self):
         with pytest.raises(ValidationError):
             JobSpec.from_json({"command": "check", "precision": "quad"})
+        with pytest.raises(ValidationError, match="unknown precision 'quad'"):
+            JobSpec.from_json({"command": "classical", "name": "h", "precision": "quad"})
+
+    @pytest.mark.parametrize("command", ["classify", "coeffs", "minimal", "basis", "check"])
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    def test_precision_is_a_classical_option(self, command, precision):
+        # no other command reads a precision, so setting one is refused
+        with pytest.raises(ValidationError, match="classical"):
+            JobSpec.from_json({"command": command, "precision": precision})
 
     def test_parses_construction_lists(self):
         job = JobSpec.from_json(sym3_job())
@@ -139,12 +179,15 @@ class TestRun:
         assert env.worst_residual() < 1e-10
 
     def test_extended_precision_is_scoped_to_the_job(self):
+        # Z leaves the double range of the output at order 128 in either
+        # precision; below it the extended job runs in a scope of its own
         job = {"command": "classical", "name": "Z", "order": 150}
-        with pytest.raises(OverflowError):
-            run(JobSpec.from_json(job))
+        for precision in ("double", "extended"):
+            with pytest.raises(OverflowError, match=r"q2-order 300 \(order 150\)$"):
+                run(JobSpec.from_json({**job, "precision": precision}))
         before = mpmath.mp.dps
-        env = run(JobSpec.from_json({**job, "precision": "extended"}))
-        assert len(env.series["coeffs"]) == 301
+        env = run(JobSpec.from_json({**job, "order": 127, "precision": "extended"}))
+        assert len(env.series["coeffs"]) == 255
         assert mpmath.mp.dps == before
 
     def test_missing_rep(self):
@@ -178,6 +221,17 @@ class TestEmit:
         with pytest.raises(ValidationError):
             emit(env, "csv")
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_numbers_are_refused(self, bad):
+        series = {"nome": "q", "lead_exponent": [0.0, 0.0], "coeffs": [[1.0, 0.0], [bad, 0.0]]}
+        basis = [{"weight": [0, 1], "components": [{**series, "coeffs": [[0.0, bad]]}]}]
+        for env, fmt in ((ResultEnvelope(job={}, series=series), "json"),
+                         (ResultEnvelope(job={}, basis=basis), "json"),
+                         (ResultEnvelope(job={}, basis=basis), "csv"),
+                         (ResultEnvelope(job={}, residuals={"x": bad}), "json")):
+            with pytest.raises(ValidationError, match="non-finite"):
+                emit(env, fmt)
+
 
 class TestMain:
     def test_check_exit_zero(self, capsys):
@@ -196,6 +250,25 @@ class TestMain:
         spec.write_text(json.dumps(sym3_job()))
         monkeypatch.setenv("VVMF_TOL", "1e-30")
         assert main(["basis", "--spec", str(spec), "--out", str(tmp_path / "o.json")]) == 1
+
+    def test_non_finite_output_exits_two(self, monkeypatch, capsys):
+        series = {"nome": "q", "lead_exponent": [0.0, 0.0], "coeffs": [[float("-inf"), 0.0]]}
+        monkeypatch.setattr(vvmf.cli, "run", lambda job: ResultEnvelope(job={}, series=series))
+        assert main(["classical", "--name", "E4", "--order", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the output holds a non-finite number (Infinity or NaN)\n"
+
+    def test_precision_flag_is_on_classical_only(self, tmp_path, capsys):
+        assert main(["classical", "--name", "h", "--order", "3", "--precision", "extended"]) == 0
+        with pytest.raises(SystemExit) as info:
+            main(["basis", "--precision", "extended"])
+        assert info.value.code == 2
+        spec = tmp_path / "job.json"
+        spec.write_text(json.dumps({**sym3_job(10), "precision": "double"}))
+        capsys.readouterr()
+        assert main(["basis", "--spec", str(spec)]) == 2
+        assert "classical" in capsys.readouterr().err
 
     def test_invalid_spec_exit_two(self, tmp_path):
         spec = tmp_path / "job.json"
@@ -292,24 +365,54 @@ class TestMain:
             assert all(float(s) > 0 for _, s in timings)
 
 
+class TestGlobalPrecision:
+    """Output is a function of the job alone: the caller's mpmath precision
+    reaches no emitted byte, and no job leaves it changed."""
+
+    NONCYCLIC_EIGS = [0.11, 0.18, 0.31, 8 / 3 - 0.6]
+    RANK2_PAIR = ((1 / 6 + 0.21) / 2, (1 / 6 - 0.21) / 2)
+
+    JOBS = {
+        "classify": generic_job("classify"),
+        "coeffs": generic_job("coeffs"),
+        "minimal": generic_job("minimal"),
+        "minimal-rank2": {"command": "minimal", "rep": rank2_json(*RANK2_PAIR),
+                          "exponents": exponents_json(RANK2_PAIR), "order": 15},
+        "basis-cyclic": generic_job("basis"),
+        "basis-noncyclic": {"command": "basis", "rep": rank4_json(NONCYCLIC_EIGS, 5, 0),
+                            "exponents": exponents_json(NONCYCLIC_EIGS), "order": 15},
+        "basis-sym3": sym3_job(),
+        "basis-tensor": tensor_job(),
+        "basis-induction": induction_job(),
+        "classical": {"command": "classical", "name": "Z", "order": 30},
+        "classical-extended": {"command": "classical", "name": "Z", "order": 30,
+                               "precision": "extended"},
+        "check": {"command": "check", "order": 30},
+    }
+
+    @pytest.mark.parametrize("name", list(JOBS))
+    def test_bytes_do_not_depend_on_the_global_precision(self, name):
+        texts = []
+        for dps in (15, 80):
+            with mpmath.workdps(dps):
+                texts.append(emit(run(JobSpec.from_json(dict(self.JOBS[name])))))
+                assert mpmath.mp.dps == dps
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("name", ["h", "f", "g", "Z"])
+    def test_library_catalog_gives_the_cli_bytes(self, name):
+        job = {"command": "classical", "name": name, "order": 100, "precision": "extended"}
+        want = emit({"series": run(JobSpec.from_json(job)).series})
+        for dps in (15, 80):
+            with mpmath.workdps(dps):
+                series = ClassicalCatalog(100, "extended").series(name)
+                assert mpmath.mp.dps == dps
+            assert emit({"series": series.to_json()}) == want
+
+
 class TestInductionJobCli:
     def test_induction_basis(self):
-        zeta = cmath.exp(2j * cmath.pi / 3)
-        job = {
-            "command": "basis",
-            "construction": "induction",
-            "reps": [{
-                "kind": "g-rank2", "e": 0, "zeta1": [1, 0],
-                "zeta2": [zeta.real, zeta.imag],
-                "zeta3": [(zeta**2).real, (zeta**2).imag],
-                "a": [0.7, 0.2],
-            }],
-            "exponents": [{"eigenvalues": [[1 / 3 + 0.11, 0], [1 / 3 - 0.11, 0]],
-                            "group": "G"}],
-            "u": [-0.00455, -0.00263],
-            "order": 12,
-        }
-        env = run(JobSpec.from_json(job))
+        env = run(JobSpec.from_json(induction_job()))
         assert len(env.basis) == 8  # both twists, four forms each
         assert env.worst_residual() < 1e-9
 

@@ -43,7 +43,6 @@ from vvmf.errors import (
     WrongNome,
 )
 from vvmf.mlde import (
-    basis_rank_ratio,
     modular_derivative,
     noncyclic_coeffs,
     qline_precision,
@@ -53,7 +52,7 @@ from vvmf.mlde import (
 from vvmf.reps import ExponentData, GRank2Rep, Group, Rank2Rep, induced_exponents
 from vvmf.series import FixedSeries, Nome, relative_residual
 
-from test_acceptance import tensor_grid
+from test_acceptance import FREENESS_TOL, freeness_deviation, tensor_grid
 
 ZETA = cmath.exp(2j * cmath.pi / 3)
 
@@ -94,12 +93,15 @@ class TestRank2Minimal:
         assert form.residuals["rank2_mlde"] < 1e-11
 
     def test_recorded_relation_sees_the_coefficient(self, monkeypatch, catalog40):
-        # rank2_mlde checks D(DF) = -a E_4 F, not only DF: a residual system
-        # whose a is off by 1e-6 (the double one; the solve's is mpmath) fails
-        build = vvmf.constructions.rank2_system
-        monkeypatch.setattr(
-            vvmf.constructions, "rank2_system",
-            lambda a, catalog: build(a * (1 + 1e-6) if type(a) is complex else a, catalog))
+        # rank2_mlde checks D(DF) = -a E_4 F, not only DF: checked against
+        # the solved system with its a off by 1e-6, the forms fail
+        check = vvmf.constructions.system_residuals
+
+        def off(forms, derivatives, system):
+            (unit, one), (entry, e4) = system
+            return check(forms, derivatives, [(unit, one), ({(0, 1): entry[0, 1] * (1 + 1e-6)}, e4)])
+
+        monkeypatch.setattr(vvmf.constructions, "system_residuals", off)
         rep, L = rank2_data((3 / 6 + 0.17) / 2, (3 / 6 - 0.17) / 2)
         assert rank2_minimal(rep, L, 25, catalog40).residuals["rank2_mlde"] > 1e-9
 
@@ -136,7 +138,7 @@ class TestSym3Pipeline:
         assert basis.case.k1 == 18 * Fraction(1, 6) - 3  # 18 Tr(L) - 3
         assert basis.weights == (0, 2, 4, 6)
         assert basis.residuals["cyclic_mlde"] < 1e-9
-        assert basis_rank_ratio(basis) > 1e-6
+        assert freeness_deviation(basis.forms) < FREENESS_TOL
 
     def test_first_component_is_cube(self, catalog40):
         rep, L = self.grid_case(1, 0.21)
@@ -170,7 +172,7 @@ class TestTensorPipeline:
         for key in ("col1_df", "col2_d2f", "col3_dg_e4f", "col4_dh"):
             assert basis.residuals[key] < 1e-9, (key, basis.residuals)
         assert basis.residuals["g_exponent_drop"] == 0.0
-        assert basis_rank_ratio(basis) > 1e-6
+        assert freeness_deviation(basis.forms) < FREENESS_TOL
 
     def test_equation_from_the_factors(self):
         # the closed forms rest on a = -(a_alpha + a_beta) and
@@ -339,7 +341,7 @@ class TestInductionPair:
             assert fb.residuals["pair_relation"] < 1e-9
             assert fb.residuals["even_odd_split"] < 1e-12
             assert fb.residuals["cyclic_mlde"] < 1e-9
-            assert basis_rank_ratio(fb, split_q2=True) > 1e-6
+            assert freeness_deviation(fb.forms) < FREENESS_TOL
 
     @pytest.mark.parametrize("r", [0.41, 0.33 - 0.14j])
     def test_small_leading_coefficient_keeps_its_exponent(self, r):

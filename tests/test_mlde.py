@@ -29,7 +29,6 @@ from vvmf.mlde import (
     _left_solve,
     _real_form,
     assemble_cyclic_basis,
-    basis_rank_ratio,
     build_cyclic_operator,
     build_hypergeometric_operator,
     build_noncyclic_operator,
@@ -50,6 +49,8 @@ from vvmf.mlde import (
 )
 from vvmf.reps import ExponentData, Rank4Rep
 from vvmf.series import Nome, PuiseuxSeries, VectorSeries, relative_residual, to_fixed
+
+from test_acceptance import FREENESS_TOL, freeness_deviation
 
 
 def rank4_from_exponents(eigs, d, e):
@@ -471,7 +472,22 @@ class TestGenericPipeline:
         basis = generic_basis(rep, L, 25, catalog40)
         assert basis.residuals["cyclic_mlde"] < 1e-9
         assert basis.weights == (4, 6, 8, 10)
-        assert basis_rank_ratio(basis) > 1e-12
+        assert freeness_deviation(basis.forms) < FREENESS_TOL
+
+    def test_freeness_oracle_sees_a_defect(self, catalog40):
+        rep, L = admissible([0.11, 0.18, 0.31], 7, 1, 0)
+        forms = list(generic_basis(rep, L, 25, catalog40).forms)
+        # the last form replaced by the first: the determinant vanishes
+        dependent = forms[:3] + [VectorSeries(forms[0].components, forms[3].weight)]
+        with pytest.raises(AssertionError, match="not a free basis"):
+            freeness_deviation(dependent)
+        # one coefficient of one form off by 1e-7 of itself
+        comps = list(forms[1].components)
+        coeffs = list(comps[2].coeffs)
+        coeffs[1] *= 1 + 1e-7
+        comps[2] = PuiseuxSeries(comps[2].nome, comps[2].lead_exponent, tuple(coeffs))
+        forms[1] = VectorSeries(tuple(comps), forms[1].weight)
+        assert freeness_deviation(forms) > 100 * FREENESS_TOL
 
     def test_noncyclic_route(self, catalog40):
         rep, L = admissible([0.11, 0.18, 0.31], 8, 5, 0)
@@ -480,7 +496,7 @@ class TestGenericPipeline:
         assert basis.weights == (6, 8, 8, 10)
         for key in ("col1_df", "col2_d2f", "col3_dg_e4f", "col4_dh"):
             assert basis.residuals[key] < 1e-9, (key, basis.residuals)
-        assert basis_rank_ratio(basis) > 1e-8
+        assert freeness_deviation(basis.forms) < FREENESS_TOL
 
     def test_resonant_exponents_rejected(self, catalog40):
         # the first two exponents differ by 1 and share their T-eigenvalue

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vvmf.classical
 import vvmf.constructions
 import vvmf.mlde
 from vvmf.classical import ClassicalCatalog
@@ -90,9 +91,12 @@ def zline_pair(job: InductionJob, order: int):
     """The pair by the Z-line route: Frobenius-solve the Z-line equation at
     +-r, substitute Z(q2), and form A = eta^{2k1} (g/f) a and
     B = (xi/36) eta^{2k1} (f/g) (3 Z a + 9 (Z - 1) theta_Z a), at a working
-    precision covering the growth of Z (|2 * 12^{3/2}| ~ 83 per q2-order)."""
+    precision covering the growth of Z (|2 * 12^{3/2}| ~ 83 per q2-order),
+    at which the catalog also builds its constants and series."""
     n2 = 2 * order
-    with mpmath.workdps(40 + 2 * n2):
+    dps = 40 + 2 * n2
+    with mpmath.workdps(dps), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vvmf.classical, "EXTENDED_DPS", dps)
         hp = ClassicalCatalog(order, "extended")
         u = mpmath.mpc(job.u)
         op = build_fuchsian_z(u, hp.xi)
