@@ -2,8 +2,13 @@
 series, and the identity check suite, with machine-readable JSON/CSV output.
 
 A job is a JSON object; results are written as canonical JSON (sorted keys,
-no whitespace) so identical jobs produce identical bytes.  Residuals above
-tolerance (env VVMF_TOL, default 1e-9) set a nonzero exit status.
+no whitespace) so identical jobs produce identical bytes.  A job's own
+``output_path`` takes its result; ``--out``, or else stdout, takes the
+others' in job order.  Residuals above tolerance (env VVMF_TOL, default
+1e-9) set a nonzero exit status.  A job that cannot run exits with status 2
+and one line ``error: [step (x) <stage>] <message>``, the stage being the
+one the error's class names (:data:`vvmf.errors.STEPS`), wherever it was
+raised; validation and output errors name none.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -26,27 +30,7 @@ from .constructions import (
     sym3_pipeline,
     tensor_pipeline,
 )
-from .errors import (
-    DegenerateC,
-    DegenerateU,
-    ExponentMismatch,
-    ExponentSumMismatch,
-    GroupMismatch,
-    InconsistentRep,
-    NonIntegralExponentGap,
-    NonIntegralThreeTrace,
-    NotAnExponent,
-    NotIrreducible,
-    ReducibleRep,
-    Resonance,
-    ResonantExponents,
-    TraceDCongruenceViolation,
-    ValidationError,
-    VvmfError,
-    WeightParityMismatch,
-    WrongNome,
-    ZeroForm,
-)
+from .errors import STEPS, ValidationError, VvmfError
 from .mlde import (
     CaseReport,
     FormBasis,
@@ -67,57 +51,6 @@ from .reps import (
 
 DEFAULT_TOL = 1e-9
 DEFAULT_ORDER = 40
-
-#: pipeline stage letters used to annotate errors
-STEPS = {
-    "a": "determinant/parity extraction",
-    "b": "weight-case classification",
-    "c": "equation coefficients",
-    "d": "q-line solve",
-    "e": "series arithmetic",
-    "f": "eta rescale and basis assembly",
-}
-
-
-class PipelineStepError(VvmfError):
-    """A pipeline stage failed; carries the stage letter."""
-
-    def __init__(self, step: str, cause: Exception):
-        self.step = step
-        self.cause = cause
-        super().__init__(f"[step ({step}) {STEPS[step]}] {cause}")
-
-    def __reduce__(self):
-        # a worker of ``--jobs N`` pickles the error back to the parent, which
-        # rebuilds it from the arguments of __init__, not from ``args``
-        return type(self), (self.step, self.cause)
-
-
-#: error classes mapped to the pipeline stage they arise in
-_STEP_OF_ERROR = (
-    ((InconsistentRep, GroupMismatch, ReducibleRep, NotIrreducible), "a"),
-    ((NonIntegralThreeTrace, TraceDCongruenceViolation, WeightParityMismatch), "b"),
-    ((ExponentSumMismatch, DegenerateC), "c"),
-    ((NotAnExponent, Resonance, ResonantExponents, DegenerateU), "d"),
-    ((WrongNome, NonIntegralExponentGap), "e"),
-    ((ZeroForm, ExponentMismatch), "f"),
-)
-
-
-@contextmanager
-def _step(default_letter: str):
-    """Annotate any contract error with its pipeline stage letter."""
-    try:
-        yield
-    except PipelineStepError:
-        raise
-    except VvmfError as exc:
-        letter = default_letter
-        for types, candidate in _STEP_OF_ERROR:
-            if isinstance(exc, types):
-                letter = candidate
-                break
-        raise PipelineStepError(letter, exc) from exc
 
 
 def tolerance() -> float:
@@ -182,6 +115,11 @@ class JobSpec:
             job.reps = [rep_from_json(r) for r in data["reps"]]
         if "u" in data and data["u"] is not None:
             job.u = as_complex_pair(data["u"])
+        # a construction of one rep may give it, and its exponents, unlisted
+        if not job.reps and job.rep is not None:
+            job.reps = [job.rep]
+        if not job.exponents_list and job.exponents is not None:
+            job.exponents_list = [job.exponents]
         return job
 
 
@@ -226,16 +164,6 @@ def _case_json(report: CaseReport) -> dict:
     }
 
 
-def _basis_json(basis: FormBasis) -> list:
-    return [
-        {
-            "weight": [f.weight.numerator, f.weight.denominator],
-            "components": [c.to_json() for c in f.components],
-        }
-        for f in basis.forms
-    ]
-
-
 def run(job: JobSpec) -> ResultEnvelope:
     """Dispatch a validated job through the pipeline and collect results."""
     t0 = time.perf_counter()
@@ -265,8 +193,7 @@ def _dispatch(job: JobSpec) -> ResultEnvelope:
     elif job.command == "coeffs":
         report = _classify_job(job)
         env.case = _case_json(report)
-        with _step("c"):
-            co = equation_coefficients(job.exponents.eigenvalues, report.case)
+        co = equation_coefficients(job.exponents.eigenvalues, report.case)
         env.coefficients = co.to_json()
 
     elif job.command == "minimal":
@@ -274,8 +201,7 @@ def _dispatch(job: JobSpec) -> ResultEnvelope:
         if job.rep is None or job.exponents is None:
             raise ValidationError("minimal needs a representation and exponent data")
         if isinstance(job.rep, Rank2Rep):
-            with _step("d"):
-                form = rank2_minimal(job.rep, job.exponents, job.order, catalog)
+            form = rank2_minimal(job.rep, job.exponents, job.order, catalog)
             env.minimal = {
                 "k1": form.k1,
                 "source": form.source,
@@ -286,10 +212,9 @@ def _dispatch(job: JobSpec) -> ResultEnvelope:
             env.residuals.update(form.residuals)
         else:
             _require_rank4(job)
-            with _step("d"):
-                F, report, co, residuals = solve_minimal_form(
-                    job.rep, job.exponents, job.order, catalog
-                )
+            F, report, co, residuals = solve_minimal_form(
+                job.rep, job.exponents, job.order, catalog
+            )
             env.case = _case_json(report)
             env.coefficients = co.to_json()
             env.minimal = {
@@ -302,7 +227,7 @@ def _dispatch(job: JobSpec) -> ResultEnvelope:
         catalog = ClassicalCatalog(job.order)
         basis = _basis_job(job, catalog)
         env.case = None if basis.case is None else _case_json(basis.case)
-        env.basis = _basis_json(basis)
+        env.basis = [f.to_json() for f in basis.forms]
         env.residuals.update(basis.residuals)
 
     return env
@@ -317,45 +242,29 @@ def _require_rank4(job: JobSpec) -> None:
 
 def _classify_job(job: JobSpec) -> CaseReport:
     _require_rank4(job)
-    with _step("b"):
-        return classify(job.rep, job.exponents)
+    return classify(job.rep, job.exponents)
 
 
 def _basis_job(job: JobSpec, catalog: ClassicalCatalog) -> FormBasis:
     if job.construction is None:
         _require_rank4(job)
-        with _step("d"):
-            return generic_basis(job.rep, job.exponents, job.order, catalog)
+        return generic_basis(job.rep, job.exponents, job.order, catalog)
+    reps, expos = job.reps, job.exponents_list
     if job.construction == "tensor":
-        if not job.reps or len(job.reps) != 2 or not job.exponents_list:
+        if not reps or len(reps) != 2 or not expos:
             raise ValidationError("tensor jobs need two reps and two exponent sets")
-        with _step("d"):
-            return tensor_pipeline(
-                job.reps[0], job.reps[1],
-                job.exponents_list[0], job.exponents_list[1],
-                job.order, catalog,
-            )
+        return tensor_pipeline(reps[0], reps[1], expos[0], expos[1], job.order, catalog)
     if job.construction == "sym3":
-        reps = job.reps or ([job.rep] if job.rep is not None else None)
-        expos = job.exponents_list or (
-            [job.exponents] if job.exponents is not None else None
-        )
         if not reps or not expos:
             raise ValidationError("sym3 jobs need one rep and one exponent set")
-        with _step("d"):
-            return sym3_pipeline(reps[0], expos[0], job.order, catalog)
+        return sym3_pipeline(reps[0], expos[0], job.order, catalog)
     if job.construction == "induction":
-        reps = job.reps or ([job.rep] if job.rep is not None else None)
-        expos = job.exponents_list or (
-            [job.exponents] if job.exponents is not None else None
-        )
         if not reps or not expos or job.u is None:
             raise ValidationError("induction jobs need a rep, exponents, and u")
         if not isinstance(reps[0], GRank2Rep):
             raise ValidationError("induction starts from a subgroup representation")
-        with _step("d"):
-            ijob = InductionJob.make(reps[0], expos[0], job.u)
-            first, second = induction_pipeline(ijob, job.order, catalog)
+        ijob = InductionJob.make(reps[0], expos[0], job.u)
+        first, second = induction_pipeline(ijob, job.order, catalog)
         # emit the beta-twist basis; the beta^2 side is in the second slot
         merged = dict(first.residuals)
         merged.update({f"beta2_{k}": v for k, v in second.residuals.items()})
@@ -459,17 +368,25 @@ def main(argv: list[str] | None = None) -> int:
                 results = pool.map(_run_one, payloads)
         else:
             results = [_run_one(p) for p in payloads]
-        texts = [emit(result, args.format, out_path or args.out)
-                 for result, _, out_path, _ in results]
+        # a job's own output_path takes its text; --out, or else stdout,
+        # takes the others' in job order
+        texts = [emit(result, args.format, out_path) for result, _, out_path, _ in results]
+        shared = "".join(text for text, (_, _, out_path, _) in zip(texts, results)
+                         if not out_path)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(shared)
     except (VvmfError, OSError, ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        stage = getattr(exc, "stage", None)
+        prefix = f"[step ({stage}) {STEPS[stage]}] " if stage else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
         return 2
 
+    if not args.out:
+        sys.stdout.write(shared)
     worst = 0.0
-    for index, ((_, res, out_path, seconds), text) in enumerate(zip(results, texts)):
+    for index, (_, res, _, seconds) in enumerate(results):
         worst = max(worst, res)
-        if not (out_path or args.out):
-            sys.stdout.write(text)
         print(f"job {index}: {seconds:.3f} s", file=sys.stderr)
     print(f"worst residual: {worst:.3e} (tolerance {tol:.1e})", file=sys.stderr)
     return 0 if worst < tol else 1

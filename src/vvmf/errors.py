@@ -1,116 +1,153 @@
 """Exception hierarchy for the vvmf package.
 
 Every contract violation raises a subclass of :class:`VvmfError`, so callers
-can distinguish usage errors from genuine numerical failures.
+can distinguish usage errors from genuine numerical failures.  Each class
+names the pipeline stage it belongs to (:data:`STEPS`), wherever it is
+raised; a :class:`ValidationError` belongs to none.
 """
+
+#: the pipeline stages, by the letter an error's ``stage`` names
+STEPS = {
+    "a": "determinant/parity extraction",
+    "b": "weight-case classification",
+    "c": "equation coefficients",
+    "d": "q-line solve",
+    "e": "series arithmetic",
+    "f": "eta rescale and basis assembly",
+}
 
 
 class VvmfError(Exception):
     """Base class for all vvmf contract errors."""
+    stage: str | None = None
 
 
 # --- series arithmetic -------------------------------------------------------
 
 class NomeMismatch(VvmfError):
     """Arithmetic attempted between series in different formal variables."""
+    stage = "e"
 
 
 class NonIntegralExponentGap(VvmfError):
     """Addition of series whose leading exponents do not differ by an integer."""
+    stage = "e"
 
 
 class NonUnitLeadingCoefficient(VvmfError):
     """Inversion of a series whose leading coefficient vanishes."""
+    stage = "e"
 
 
 class NonMonicLeadingCoefficient(VvmfError):
     """Binomial power of a series that is not of the form 1 + O(x)."""
+    stage = "e"
 
 
 class ZeroLeadingCoefficient(VvmfError):
     """Composition target has a vanishing leading coefficient."""
+    stage = "e"
 
 
 class WrongNome(VvmfError):
     """Operation applied to a series in the wrong formal variable."""
+    stage = "e"
 
 
 # --- representation data -----------------------------------------------------
 
 class InconsistentRep(VvmfError):
     """Representation parameters violate a structural constraint."""
+    stage = "a"
 
 
 class GroupMismatch(VvmfError):
     """Exponent data for different groups was mixed."""
+    stage = "a"
 
 
 class WrongRank(VvmfError):
     """Exponent data has the wrong rank for the requested functor."""
+    stage = "a"
 
 
 class ExponentMismatch(VvmfError):
     """Exponent multiset does not match the expected one."""
+    stage = "f"
 
 
 # --- differential-equation engine --------------------------------------------
 
 class NonIntegralThreeTrace(VvmfError):
     """Three times the exponent trace is not an integer."""
+    stage = "b"
 
 
 class TraceDCongruenceViolation(VvmfError):
     """3*Tr(L) is incompatible with the determinant invariant d mod 3."""
+    stage = "b"
 
 
 class ExponentSumMismatch(VvmfError):
     """Shifted indicial exponents have the wrong sum for the requested case."""
+    stage = "c"
 
 
 class NotAnExponent(VvmfError):
     """Frobenius start exponent is not a root of the indicial polynomial."""
+    stage = "d"
 
 
 class Resonance(VvmfError):
     """Indicial roots differ by a nonzero integer; log terms would be needed."""
+    stage = "d"
 
 
 class PoleInC(VvmfError):
     """Hypergeometric lower parameter hits a nonpositive integer."""
+    stage = "d"
 
 
 class ZeroForm(VvmfError):
     """A basis assembly was started from the zero form."""
+    stage = "f"
 
 
 class DegenerateC(VvmfError):
     """Noncyclic structure constant c vanishes."""
+    stage = "c"
 
 
 # --- construction pipelines ---------------------------------------------------
 
 class ReducibleRep(VvmfError):
     """Pipeline requires an irreducible representation."""
+    stage = "a"
 
 
 class NotIrreducible(VvmfError):
     """Constructed rank-4 representation is not irreducible."""
+    stage = "a"
 
 
 class ResonantExponents(VvmfError):
     """Exponent choice forces logarithmic solutions."""
+    stage = "d"
 
 
 class DegenerateU(VvmfError):
     """Induction family parameter u vanishes (double indicial root)."""
+    stage = "d"
 
 
 class NormalizationError(VvmfError):
     """Induction orbit is not presented with the restricting member first."""
+    stage = "a"
 
 
 class WeightParityMismatch(VvmfError):
     """Minimal weight and representation parity disagree mod 2."""
+    stage = "b"
 
 
 # --- CLI ----------------------------------------------------------------------

@@ -670,10 +670,11 @@ def _left_solve(m, p: int) -> list:
     return x
 
 
-def system_residuals(forms, derivatives, system) -> list[float]:
+def system_residuals(forms, derivatives, system, columns=None) -> list[float]:
     """Relative residual of each column j of D X = X M on emitted forms (the
     entries of X, each a vector series at its weight), given the modular
-    derivative D X_j of each.  Every differential relation a route records is
+    derivative D X_j of each; ``columns`` lists the columns to check, in
+    order (all by default).  Every differential relation a route records is
     one of these columns.  The system is the one the forms were solved from:
     its mpmath constants are rounded to complex once, here, and its other
     constants are used as they are.  A block whose series is the unit series
@@ -681,7 +682,8 @@ def system_residuals(forms, derivatives, system) -> list[float]:
     system = [({ij: as_complex(v) if isinstance(v, (mpmath.mpf, mpmath.mpc)) else v
                 for ij, v in S.items()}, e) for S, e in system]
     out = []
-    for j, lhs in enumerate(derivatives):
+    for j in range(len(derivatives)) if columns is None else columns:
+        lhs = derivatives[j]
         parts = [
             forms[i].scale(v) if _is_one(e) else forms[i].mul_series(e).scale(v)
             for S, e in system for (i, col), v in S.items() if col == j
@@ -740,8 +742,9 @@ def assemble_cyclic_basis(
     chain = [F]
     for _ in range(4):
         chain.append(modular_derivative(chain[-1], chain[-1].weight, catalog))
-    res = system_residuals(chain[:4], chain[1:], cyclic_system(co, catalog, F.nome))
-    return FormBasis(tuple(chain[:4]), case, {"cyclic_mlde": res[3]})
+    system = cyclic_system(co, catalog, F.nome)
+    (res,) = system_residuals(chain[:4], chain[1:], system, columns=[3])
+    return FormBasis(tuple(chain[:4]), case, {"cyclic_mlde": res})
 
 
 # ---------------------------------------------------------------------------

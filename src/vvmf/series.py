@@ -391,12 +391,6 @@ class PuiseuxSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, n: int):
-        """Coefficient of x^{lead_exponent + n}; zero outside the window."""
-        if 0 <= n <= self.order:
-            return self.coeffs[n]
-        return 0
-
     def max_abs(self) -> float:
         return max((float(abs(c)) for c in self.coeffs), default=0.0)
 

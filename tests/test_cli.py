@@ -15,14 +15,9 @@ import pytest
 import vvmf
 import vvmf.cli
 from vvmf.classical import ClassicalCatalog
-from vvmf.cli import JobSpec, PipelineStepError, ResultEnvelope, _step, emit, main, run
-from vvmf.errors import (
-    ExponentMismatch,
-    NonIntegralThreeTrace,
-    UnknownSeries,
-    ValidationError,
-    WeightParityMismatch,
-)
+from vvmf.cli import STEPS, JobSpec, ResultEnvelope, emit, main, run
+from vvmf.errors import UnknownSeries, ValidationError, VvmfError, WrongRank
+from vvmf.reps import rep_from_json
 
 
 def rank2_json(r1, r2):
@@ -90,6 +85,14 @@ def induction_job(order=12):
     }
 
 
+def library_errors(base=VvmfError):
+    """Every subclass of ``base`` that the package defines."""
+    for cls in base.__subclasses__():
+        if cls.__module__.startswith("vvmf"):
+            yield cls
+        yield from library_errors(cls)
+
+
 def sym3_job(order=15):
     r1, r2 = (1 / 6 + 0.21) / 2, (1 / 6 - 0.21) / 2
     return {
@@ -127,6 +130,13 @@ class TestJobSpec:
         job = JobSpec.from_json(sym3_job())
         assert job.construction == "sym3"
         assert len(job.reps) == 1 and len(job.exponents_list) == 1
+
+    def test_single_rep_fills_the_lists(self):
+        data = sym3_job(5)
+        data["rep"], data["exponents"] = data.pop("reps")[0], data.pop("exponents")[0]
+        job = JobSpec.from_json(data)
+        assert job.reps == [job.rep] and job.exponents_list == [job.exponents]
+        assert run(job).basis == run(JobSpec.from_json(sym3_job(5))).basis
 
 
 class TestRun:
@@ -292,25 +302,46 @@ class TestMain:
         assert err.startswith("error: [step (d) q-line solve] exponents ")
         assert "differ by the integer" in err
 
-    @pytest.mark.parametrize("error, letter", [
-        (ExponentMismatch, "f"),
-        (WeightParityMismatch, "b"),
-    ], ids=["exponent-mismatch", "weight-parity"])
-    def test_error_names_its_stage(self, error, letter):
-        # the induction route's exponent check runs at basis assembly and its
-        # parity check at the weight classification, whatever step wraps them
-        with pytest.raises(PipelineStepError) as info, _step("d"):
-            raise error("x")
-        assert info.value.step == letter
-        assert str(info.value).startswith(f"[step ({letter}) ")
+    @pytest.mark.parametrize("error", list(library_errors()), ids=lambda cls: cls.__name__)
+    def test_every_error_has_a_stage_and_pickles(self, error):
+        # the stage is the class's own, and a worker of --jobs N sends its
+        # error to the parent by pickle
+        if issubclass(error, ValidationError):
+            assert error.stage is None
+        else:
+            assert error.stage in STEPS
+        instance = error("x")
+        copy = pickle.loads(pickle.dumps(instance))
+        assert type(copy) is error and str(copy) == str(instance)
+        assert copy.stage == error.stage
 
-    def test_step_error_survives_pickling(self):
-        # a worker of --jobs N sends its error to the parent by pickle
-        error = PipelineStepError("b", NonIntegralThreeTrace("6*Tr(L)-1 = 0.2"))
-        copy = pickle.loads(pickle.dumps(error))
-        assert type(copy) is PipelineStepError and str(copy) == str(error)
-        assert copy.step == "b" and type(copy.cause) is NonIntegralThreeTrace
-        assert str(copy.cause) == str(error.cause)
+    def test_wrong_rank_names_the_rep_stage(self, tmp_path, capsys):
+        r1, r2 = TestGlobalPrecision.RANK2_PAIR
+        job = {"command": "minimal", "rep": rank2_json(r1, r2),
+               "exponents": exponents_json([r1, r2, 0.3]), "order": 10}
+        with pytest.raises(WrongRank):
+            run(JobSpec.from_json(job))
+        spec = tmp_path / "job.json"
+        spec.write_text(json.dumps(job))
+        assert main(["minimal", "--spec", str(spec)]) == 2
+        assert capsys.readouterr().err == (
+            "error: [step (a) determinant/parity extraction] need 2 exponent eigenvalues, got 3\n"
+        )
+
+    def test_rep_error_reads_the_same_wherever_raised(self, tmp_path, monkeypatch, capsys):
+        bad = {"kind": "rank2", "x": [1, 0], "y": [0.6, 0.8]}  # xy is no sixth root of 1
+        r1, r2 = TestGlobalPrecision.RANK2_PAIR
+        job = {"command": "minimal", "rep": rank2_json(r1, r2),
+               "exponents": exponents_json([r1, r2]), "order": 10}
+        spec = tmp_path / "job.json"
+        spec.write_text(json.dumps({**job, "rep": bad}))
+        assert main(["minimal", "--spec", str(spec)]) == 2
+        parsed = capsys.readouterr().err
+        spec.write_text(json.dumps(job))
+        monkeypatch.setattr(vvmf.cli, "rank2_minimal", lambda *args: rep_from_json(bad))
+        assert main(["minimal", "--spec", str(spec)]) == 2
+        assert capsys.readouterr().err == parsed
+        assert parsed.startswith("error: [step (a) determinant/parity extraction] xy = ")
 
     def test_failing_job_in_a_pool_exits_two(self, tmp_path, capsys):
         # the error of a pool worker reaches the parent, which exits as the
@@ -350,6 +381,50 @@ class TestMain:
         spec.write_text(json.dumps(jobs))
         assert main(["basis", "--spec", str(spec), "--jobs", "2"]) == 0
         assert (tmp_path / "a.json").exists() and (tmp_path / "b.json").exists()
+
+    @pytest.mark.parametrize("fmt, command, jobs", [
+        ("json", "classical", [{"name": "E4", "order": 3}, {"name": "E6", "order": 4}]),
+        ("csv", "basis", [sym3_job(3), sym3_job(4)]),
+    ], ids=["json", "csv"])
+    def test_out_holds_every_job_in_order(self, tmp_path, capsys, fmt, command, jobs):
+        spec = tmp_path / "jobs.json"
+        spec.write_text(json.dumps(jobs))
+        args = [command, "--spec", str(spec), "--format", fmt]
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / f"out.{fmt}"
+        assert main(args + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()
+        if fmt == "json":
+            names = [json.loads(line)["job"]["name"] for line in printed.splitlines()]
+            assert names == ["E4", "E6"]
+        else:
+            rows = printed.splitlines()
+            assert rows.count("form_index,component,n,re,im") == 2
+            assert len(rows) == 2 + 4 * 4 * (4 + 5)
+
+    def test_classical_jobs_have_no_csv_form(self, tmp_path, capsys):
+        # the CSV columns hold a basis; nothing is written when a job fails
+        spec = tmp_path / "jobs.json"
+        spec.write_text(json.dumps([{"name": "E4", "order": 3}, {"name": "E6", "order": 3}]))
+        out = tmp_path / "out.csv"
+        args = ["classical", "--spec", str(spec), "--format", "csv", "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: csv output requires a basis result\n"
+        assert not out.exists()
+
+    def test_own_output_path_keeps_its_job(self, tmp_path, capsys):
+        own = tmp_path / "own.json"
+        spec = tmp_path / "jobs.json"
+        spec.write_text(json.dumps([{"name": "E4", "order": 3, "output_path": str(own)},
+                                    {"name": "E6", "order": 3}, {"name": "Delta", "order": 3}]))
+        out = tmp_path / "out.json"
+        assert main(["classical", "--spec", str(spec), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert [json.loads(line)["job"]["name"] for line in own.read_text().splitlines()] == ["E4"]
+        names = [json.loads(line)["job"]["name"] for line in out.read_text().splitlines()]
+        assert names == ["E6", "Delta"]
 
     def test_timing_goes_to_stderr_only(self, tmp_path, capsys):
         spec = tmp_path / "jobs.json"

@@ -170,6 +170,16 @@ def test_identity_blocks_make_no_product(monkeypatch, route):
     assert unit_products == []
 
 
+@pytest.mark.parametrize("route, columns", [("sym3", 1), ("induction", 4)])
+def test_assembly_checks_only_its_equation_column(monkeypatch, route, columns):
+    # a cyclic basis records its equation column alone; the chain columns
+    # D X_j = X_{j+1} hold by construction.  Induction also checks both
+    # columns of its pair system.
+    calls = count_calls(monkeypatch, vvmf.series, "relative_residual")
+    run_route(route)
+    assert len(calls) == columns
+
+
 @pytest.mark.parametrize("m, d", [(7, 1), (8, 5)], ids=["cyclic", "noncyclic"])
 def test_generic_route_touches_no_hauptmodul(monkeypatch, m, d):
     catalog = ClassicalCatalog(20)
