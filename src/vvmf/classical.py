@@ -1,16 +1,27 @@
 """q- and q2-expansions of the classical level-one forms and the level-2
 generators.
 
-The catalog is built once at a fixed truncation order and cached: Eisenstein
-series, eta powers, Delta, j, the hauptmodul K = 1728/j, the theta fourth
-powers, the weight-two generators f and g of the index-two subgroup's ring of
-forms, and its hauptmodul Z.  All q-series carry integer coefficients exactly
-(Python ints), so double versus extended precision only enters through the
-four irrational constants xi = e^{2 pi i/6}, xi^5, sqrt(1728) and i, that is
-only into h, Z, f and g.  The precision is a setting of the catalog alone:
-it computes its constants at construction and, when extended, runs every
-build at :data:`EXTENDED_DPS` digits in an ``mpmath.workdps`` block of its
-own, so its series do not depend on the caller's mpmath precision.
+A catalog serves Eisenstein series, eta powers, Delta, j, the hauptmodul
+K = 1728/j, the theta fourth powers, the weight-two generators f and g of
+the index-two subgroup's ring of forms, and its hauptmodul Z, truncated at
+its order.  All q-series carry integer coefficients exactly (Python ints),
+so double versus extended precision only enters through the four irrational
+constants xi = e^{2 pi i/6}, xi^5, sqrt(1728) and i, that is only into h, Z,
+f and g.  The precision is a setting of the catalog alone: it computes its
+constants at construction and, when extended, runs every build of h, Z, f
+and g at :data:`EXTENDED_DPS` digits in an ``mpmath.workdps`` block of its
+own, so its series do not depend on the caller's mpmath precision.  Each
+catalog builds those four once.
+
+The exact-integer series are built once per process, at the largest order
+any catalog asks for, and each catalog reads a prefix (:data:`_EXACT_SERIES`).
+Every exact build is prefix-stable: the power recurrence, the divisor sums,
+the exact division and the truncated exact products give coefficient n
+independently of the order, so the prefix is the series a build at the
+smaller order gives.  A process keeps the series of the largest order asked
+for.  The largest entry is K, about 3.9 N^2 bits at order N: 0.3 MB at
+order 800, 1.25 MB at 1600.  Every key at order 800, all 48 eta powers
+included, holds about 2.5 MB of Python ints.
 
 The building blocks come from exact closed forms rather than products and
 inverses of series: every eta power, negative ones included, from one
@@ -23,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from itertools import takewhile
 from operator import mul
 
 import mpmath
@@ -93,12 +105,18 @@ _EISENSTEIN_FACTORS = {2: -24, 4: 240, 6: -504}
 #: digits of an extended catalog's constants and builds
 EXTENDED_DPS = 50
 
+#: every exact-integer series of the process, by catalog key, at the
+#: longest length any catalog built it; a catalog reads a prefix
+_EXACT_SERIES: dict = {}
+
 
 class ClassicalCatalog:
-    """Immutable cache of classical series at one truncation order.
+    """Classical series at one truncation order.
 
     q-series are expanded through q^order; q2-series through q2^(2*order),
-    so mixed level-one / level-two identities truncate consistently.
+    so mixed level-one / level-two identities truncate consistently.  The
+    exact-integer series are prefixes of the process-wide ones (see the
+    module docstring); f and g, h and Z are built once per catalog.
 
     ``precision`` is "double" (complex constants) or "extended" (mpmath
     constants at :data:`EXTENDED_DPS` digits, every build in a block at that
@@ -131,6 +149,8 @@ class ClassicalCatalog:
         return 2 * self.order
 
     def _memo(self, key, build):
+        """A series that depends on the precision (f and g, h, Z), built once
+        per catalog."""
         if key not in self._cache:
             if self.precision == "double":
                 self._cache[key] = build()
@@ -138,6 +158,23 @@ class ClassicalCatalog:
                 with mpmath.workdps(EXTENDED_DPS):
                     self._cache[key] = build()
         return self._cache[key]
+
+    def _order_in(self, nome: Nome) -> int:
+        return self.order if nome is Nome.Q else self.q2_order
+
+    def _exact(self, key, build):
+        """An exact-integer series, or tuple of them, of this catalog: the
+        prefix of the longest one built for ``key`` in the process
+        (:data:`_EXACT_SERIES`).  When that one is shorter than this
+        catalog's order, ``build`` runs at this order and replaces it.  The
+        builds need no working precision."""
+        stored = _EXACT_SERIES.get(key)
+        parts = stored if type(stored) is tuple else (stored,)
+        if stored is None or parts[0].order < self._order_in(parts[0].nome):
+            _EXACT_SERIES[key] = stored = build()
+            return stored
+        cut = tuple(s.truncate(self._order_in(s.nome)) for s in parts)
+        return cut if type(stored) is tuple else cut[0]
 
     # -- level one, nome q ----------------------------------------------------
 
@@ -152,13 +189,13 @@ class ClassicalCatalog:
             coeffs = [1] + [factor * sig[n] for n in range(1, self.order + 1)]
             return PuiseuxSeries.make(Nome.Q, 0.0, coeffs)
 
-        return self._memo(("E", k), build)
+        return self._exact(("E", k), build)
 
     def eta_power(self, m: int, nome: Nome = Nome.Q) -> PuiseuxSeries:
         """q^(m/24) * prod (1-q^n)^m; as a q2-series the lead exponent is m/12."""
         nome = Nome(nome)
         if nome is Nome.Q2:
-            return self._memo(
+            return self._exact(
                 ("eta2", m),
                 lambda: self.eta_power(m).retag_q2().truncate(self.q2_order),
             )
@@ -170,25 +207,25 @@ class ClassicalCatalog:
             # and must not perturb downstream ill-conditioned divisions
             return PuiseuxSeries.make(Nome.Q, Fraction(m, 24), _euler_power(m, self.order))
 
-        return self._memo(("eta", m), build)
+        return self._exact(("eta", m), build)
 
     def delta(self) -> PuiseuxSeries:
         return self.eta_power(24)
 
     def e4_cubed(self) -> PuiseuxSeries:
         """E_4^3, the numerator of j and the denominator of K."""
-        return self._memo("E4^3", lambda: self.eisenstein(4) ** 3)
+        return self._exact("E4^3", lambda: self.eisenstein(4) ** 3)
 
     def j_invariant(self) -> PuiseuxSeries:
         """j = E_4^3 / Delta = E_4^3 eta^-24; eta^-24 is Delta's exact inverse."""
-        return self._memo("J", lambda: self.e4_cubed() * self.eta_power(-24))
+        return self._exact("J", lambda: self.e4_cubed() * self.eta_power(-24))
 
     def k_hauptmodul(self) -> PuiseuxSeries:
         """K = 1728/j = 1728 Delta / E_4^3, leading term 1728 q.
 
         One exact division: the inverse (E_4^3)^-1, whose coefficients grow
         like 231^n, is never formed."""
-        return self._memo(
+        return self._exact(
             "K",
             lambda: self.delta().scale(1728).divide(self.e4_cubed()),
         )
@@ -196,7 +233,7 @@ class ClassicalCatalog:
     # -- level two, nome q2 ----------------------------------------------------
 
     def eisenstein_q2(self, k: int) -> PuiseuxSeries:
-        return self._memo(
+        return self._exact(
             ("E2nome", k),
             lambda: self.eisenstein(k).retag_q2().truncate(self.q2_order),
         )
@@ -225,7 +262,7 @@ class ClassicalCatalog:
                 PuiseuxSeries.make(Nome.Q2, 0.0, t4),
             )
 
-        return self._memo("theta4", build)
+        return self._exact("theta4", build)
 
     def fg_generators(self) -> tuple[PuiseuxSeries, PuiseuxSeries]:
         """Weight-two generators f and g = f|T of the level-2 ring of forms."""
@@ -269,16 +306,25 @@ class ClassicalCatalog:
             c = self.sqrt1728
             eta12 = self.eta_power(12, Nome.Q2)
             denom = eta12.scale(c) + self.eisenstein_q2(6).scale(self.i)
-            z = eta12.scale(2 * c) * denom.invert()
-            # coefficients grow ~15x per q2-order (~231x per order, like K's)
-            # and leave the double range at q2-order 256, so from order 128
-            # on, in either precision: the series is emitted as doubles
-            if not all(cmath.isfinite(complex(v)) for v in z.coeffs):
-                raise OverflowError(
-                    "hauptmodul coefficients exceed the double range at q2-order "
-                    f"{self.q2_order} (order {self.order})"
-                )
-            return z
+            terms = denom.inverse_terms()
+            if self.precision == "double":
+                # z_m has the term 2c inv_m, so a non-finite inv_m makes z
+                # non-finite: the double inverse stops there (from order
+                # 129 on, at q2-order 257)
+                terms = takewhile(cmath.isfinite, terms)
+            inverse = tuple(terms)
+            if len(inverse) > denom.order:
+                z = eta12.scale(2 * c) * PuiseuxSeries(Nome.Q2, -denom.lead_exponent, inverse)
+                # coefficients grow ~15x per q2-order (~231x per order, like
+                # K's) and leave the double range at q2-order 256, so from
+                # order 128 on, in either precision: the series is emitted
+                # as doubles
+                if all(cmath.isfinite(complex(v)) for v in z.coeffs):
+                    return z
+            raise OverflowError(
+                "hauptmodul coefficients exceed the double range at q2-order "
+                f"{self.q2_order} (order {self.order})"
+            )
 
         return self._memo("Z", build)
 

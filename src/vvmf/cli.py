@@ -242,7 +242,13 @@ def _require_rank4(job: JobSpec) -> None:
 
 def _classify_job(job: JobSpec) -> CaseReport:
     _require_rank4(job)
+    job.exponents.validate_against(job.rep.t_eigenvalues())
     return classify(job.rep, job.exponents)
+
+
+def _require_rank2(reps: list, construction: str) -> None:
+    if not all(isinstance(r, Rank2Rep) for r in reps):
+        raise ValidationError(f"{construction} builds on rank-2 representations")
 
 
 def _basis_job(job: JobSpec, catalog: ClassicalCatalog) -> FormBasis:
@@ -253,10 +259,12 @@ def _basis_job(job: JobSpec, catalog: ClassicalCatalog) -> FormBasis:
     if job.construction == "tensor":
         if not reps or len(reps) != 2 or not expos:
             raise ValidationError("tensor jobs need two reps and two exponent sets")
+        _require_rank2(reps, "tensor")
         return tensor_pipeline(reps[0], reps[1], expos[0], expos[1], job.order, catalog)
     if job.construction == "sym3":
         if not reps or not expos:
             raise ValidationError("sym3 jobs need one rep and one exponent set")
+        _require_rank2(reps[:1], "sym3")
         return sym3_pipeline(reps[0], expos[0], job.order, catalog)
     if job.construction == "induction":
         if not reps or not expos or job.u is None:

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     GroupMismatch,
     InconsistentRep,
+    ValidationError,
     WrongRank,
 )
 
@@ -364,6 +365,7 @@ class ExponentData:
 
     @staticmethod
     def from_json(data: dict) -> "ExponentData":
+        _require_keys(data, ("eigenvalues",), "exponent data")
         eigs = [complex(re, im) for re, im in data["eigenvalues"]]
         mat = None
         if data.get("matrix") is not None:
@@ -492,9 +494,24 @@ def as_complex_pair(value) -> complex:
     return complex(value)
 
 
+#: the keys of each representation kind's JSON object besides "kind"
+_REP_KEYS = {
+    "rank2": ("x", "y"),
+    "rank4": ("x", "y", "z", "w", "d", "e"),
+    "g-rank2": ("e", "zeta1", "zeta2", "zeta3", "a"),
+}
+
+
+def _require_keys(data: dict, keys, what: str) -> None:
+    for key in keys:
+        if key not in data:
+            raise ValidationError(f"{what} has no key {key!r}")
+
+
 def rep_from_json(data: dict):
     """Parse the RepSpec JSON schema: {"kind": "rank2"|"rank4"|"g-rank2", ...}."""
     kind = data.get("kind")
+    _require_keys(data, _REP_KEYS.get(kind, ()), f"{kind} representation")
     if kind == "rank2":
         return Rank2Rep.from_eigenvalues(
             as_complex_pair(data["x"]), as_complex_pair(data["y"])

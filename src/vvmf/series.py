@@ -76,7 +76,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import mpmath
 import numpy as np
@@ -525,6 +525,11 @@ class PuiseuxSeries:
         E_4^3, ...) are inverted in exact integer arithmetic, so identities
         like j * K = 1728 hold with zero residual at any order.
         """
+        return PuiseuxSeries(self.nome, -self.lead_exponent, tuple(self.inverse_terms()))
+
+    def inverse_terms(self) -> Iterator:
+        """The coefficients of :meth:`invert`, one at a time, so a caller can
+        stop at the first one it cannot use."""
         a0 = self.coeffs[0]
         if abs(a0) <= LEAD_TOL:
             raise NonUnitLeadingCoefficient(
@@ -537,11 +542,12 @@ class PuiseuxSeries:
         )
         inv0 = a0 if exact else 1 / a0
         out = [inv0]
+        yield inv0
         for n in range(1, self.order + 1):
             # 0 + a_1 out_{n-1} + a_2 out_{n-2} + ..., left to right
             s = reduce(operator.add, map(operator.mul, self.coeffs[1 : n + 1], reversed(out)), 0)
             out.append(-inv0 * s)
-        return PuiseuxSeries(self.nome, -self.lead_exponent, tuple(out))
+            yield out[-1]
 
     def divide(self, den: "PuiseuxSeries") -> "PuiseuxSeries":
         """Quotient self/den by forward substitution.

@@ -1,6 +1,16 @@
 import pytest
 
+import vvmf.classical
 from vvmf import ClassicalCatalog
+
+
+@pytest.fixture(autouse=True)
+def cleared_exact_series():
+    # the exact catalog series live for the process; a test that patches a
+    # builder, or counts the work of a build, must not read another test's
+    vvmf.classical._EXACT_SERIES.clear()
+    yield
+    vvmf.classical._EXACT_SERIES.clear()
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ constant-term evaluations for f, g and Z."""
 
 import cmath
 import json
+import random
 from fractions import Fraction
 
 import mpmath
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import vvmf.classical
 from vvmf.classical import ClassicalCatalog
+from vvmf.cli import JobSpec, emit, run
 from vvmf.series import Nome, PuiseuxSeries, relative_residual
 
 XI = cmath.exp(2j * cmath.pi / 6)
@@ -336,3 +338,102 @@ def test_catalog_building_blocks_at_order_800(catalog800):
                            PuiseuxSeries(Nome.Q, Fraction(m, 24), unit.coeffs))
     for got, want in zip(catalog800.theta_fourth_powers(), theta_fourth_powers_oracle(1600)):
         assert_same_series(got, want)
+
+
+def exact_series(catalog: ClassicalCatalog, m: int) -> dict:
+    """Every exact-integer series of the catalog, the eta power m standing
+    for all of them."""
+    out = {f"E{k}": catalog.eisenstein(k) for k in (2, 4, 6)}
+    out.update({f"E{k} in q2": catalog.eisenstein_q2(k) for k in (2, 4, 6)})
+    out.update(zip(("theta2^4", "theta3^4", "theta4^4"), catalog.theta_fourth_powers()))
+    out.update({
+        "eta": catalog.eta_power(m),
+        "eta in q2": catalog.eta_power(m, Nome.Q2),
+        "E4^3": catalog.e4_cubed(),
+        "j": catalog.j_invariant(),
+        "K": catalog.k_hauptmodul(),
+    })
+    return out
+
+
+class TestExactStore:
+    """The exact series are built once per process at the largest order
+    asked for, and each catalog reads a prefix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=119), st.integers(min_value=1, max_value=119),
+           st.integers(min_value=-24, max_value=24), st.booleans(),
+           st.sampled_from(["double", "extended"]), st.sampled_from(["double", "extended"]))
+    def test_a_lower_order_reads_the_prefix(self, n, gap, m, large_first, small_p, large_p):
+        # built cold at n, or read from the order-N build: the same series
+        big_n = min(n + gap, 120)
+        vvmf.classical._EXACT_SERIES.clear()
+        if large_first:
+            large = exact_series(ClassicalCatalog(big_n, large_p), m)
+            small = exact_series(ClassicalCatalog(n, small_p), m)
+        else:
+            small = exact_series(ClassicalCatalog(n, small_p), m)
+            large = exact_series(ClassicalCatalog(big_n, large_p), m)
+        for key, s in small.items():
+            assert s.order == (n if s.nome is Nome.Q else 2 * n), key
+            assert large[key].order == (big_n if s.nome is Nome.Q else 2 * big_n), key
+            assert_same_series(s, large[key].truncate(s.order))
+
+    def test_shuffled_jobs_give_the_bytes_of_cold_ones(self):
+        # one process, jobs in a shuffled order against each job run on a
+        # cleared store; error lines included
+        names = ["E2", "E4", "E6", "Delta", "j", "K", "theta2_4", "theta3_4", "theta4_4",
+                 "f", "g", "h", "Z", "Eta^-24", "Eta^-1", "Eta^5", "Eta^12"]
+        jobs = [{"command": "check", "order": n} for n in (1, 20, 127, 128, 200)]
+        jobs += [{"command": "classical", "name": name, "order": n, "precision": p}
+                 for name in names for n in (1, 20, 127, 128, 200)
+                 for p in ("double", "extended")]
+
+        def text(job):
+            try:
+                return emit(run(JobSpec.from_json(dict(job))))
+            except OverflowError as exc:
+                return f"error: {exc}"
+
+        cold = []
+        for job in jobs:
+            vvmf.classical._EXACT_SERIES.clear()
+            cold.append(text(job))
+        vvmf.classical._EXACT_SERIES.clear()
+        order = list(range(len(jobs)))
+        random.Random(20).shuffle(order)
+        warm = {i: text(jobs[i]) for i in order}
+        assert [warm[i] for i in range(len(jobs))] == cold
+        # K and Z at orders 128 and 200, in both precisions
+        assert sum(t.startswith("error: ") for t in cold) == 8
+
+    @pytest.mark.parametrize("order, terms", [(127, 255), (128, 257), (129, 258), (300, 258)])
+    def test_double_z_stops_its_inverse_at_the_first_non_finite_term(
+        self, monkeypatch, order, terms
+    ):
+        # z_m holds 2c inv_m: from order 129 on the inverse leaves the double
+        # range at q2-order 257 and stops there; at order 128 it stays
+        # finite and the product overflows at q2-order 256
+        drawn = []
+        inverse_terms = PuiseuxSeries.inverse_terms
+
+        def counting(s):
+            drawn.append(0)
+            for v in inverse_terms(s):
+                drawn[-1] += 1
+                yield v
+
+        monkeypatch.setattr(PuiseuxSeries, "inverse_terms", counting)
+        catalog = ClassicalCatalog(order)
+        if order < 128:
+            assert catalog.z_hauptmodul().order == 2 * order
+        else:
+            with pytest.raises(OverflowError) as info:
+                catalog.z_hauptmodul()
+            assert str(info.value) == (
+                "hauptmodul coefficients exceed the double range at q2-order "
+                f"{2 * order} (order {order})"
+            )
+            assert info.traceback[-1].path.name == "classical.py"
+            assert info.value.__cause__ is None
+        assert drawn == [terms]

@@ -343,6 +343,55 @@ class TestMain:
         assert capsys.readouterr().err == parsed
         assert parsed.startswith("error: [step (a) determinant/parity extraction] xy = ")
 
+    @pytest.mark.parametrize("job", [
+        {**sym3_job(10), "reps": [rank4_json(GENERIC_EIGS, 1, 0)],
+         "exponents": [exponents_json(GENERIC_EIGS)]},
+        {**tensor_job(10), "reps": [rank4_json(GENERIC_EIGS, 1, 0)] * 2,
+         "exponents": [exponents_json(GENERIC_EIGS)] * 2},
+    ], ids=["sym3", "tensor"])
+    def test_closed_construction_needs_rank2_reps(self, tmp_path, capsys, job):
+        spec = tmp_path / "job.json"
+        spec.write_text(json.dumps(job))
+        assert main(["basis", "--spec", str(spec)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {job['construction']} builds on rank-2 representations\n"
+        )
+
+    @pytest.mark.parametrize("command, job, line", [
+        ("minimal", {"rep": {"kind": "rank2", "x": [1, 0]},
+                     "exponents": exponents_json([(1 / 6 + 0.21) / 2, (1 / 6 - 0.21) / 2])},
+         "rank2 representation has no key 'y'"),
+        ("basis", {"rep": {k: v for k, v in rank4_json(GENERIC_EIGS, 1, 0).items() if k != "d"},
+                   "exponents": exponents_json(GENERIC_EIGS)},
+         "rank4 representation has no key 'd'"),
+        ("basis", {**induction_job(),
+                   "reps": [{k: v for k, v in induction_job()["reps"][0].items() if k != "a"}]},
+         "g-rank2 representation has no key 'a'"),
+        ("classify", {**generic_job("classify"), "exponents": {"group": "Gamma"}},
+         "exponent data has no key 'eigenvalues'"),
+    ], ids=["rank2", "rank4", "g-rank2", "exponents"])
+    def test_missing_key_names_the_object_and_key(self, tmp_path, capsys, command, job, line):
+        with pytest.raises(ValidationError):
+            JobSpec.from_json(job, command)
+        spec = tmp_path / "job.json"
+        spec.write_text(json.dumps(job))
+        assert main([command, "--spec", str(spec)]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+    @pytest.mark.parametrize("command", ["classify", "coeffs"])
+    def test_case_jobs_check_exponents_against_the_rep(self, tmp_path, capsys, command):
+        # e^{2 pi i 0.12} is no T-eigenvalue of the generic rep: the same
+        # line as the basis job's
+        bad = [0.12, 0.18, 0.31, 7 / 3 - 0.61]
+        spec = tmp_path / "job.json"
+        lines = []
+        for cmd in (command, "basis"):
+            spec.write_text(json.dumps({**generic_job(cmd), "exponents": exponents_json(bad)}))
+            assert main([cmd, "--spec", str(spec)]) == 2
+            lines.append(capsys.readouterr().err)
+        assert lines[0] == lines[1]
+        assert lines[0].startswith("error: [step (a) determinant/parity extraction] exp(2 pi i ")
+
     def test_failing_job_in_a_pool_exits_two(self, tmp_path, capsys):
         # the error of a pool worker reaches the parent, which exits as the
         # serial run does, instead of waiting for a result that never comes

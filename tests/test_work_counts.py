@@ -298,6 +298,19 @@ def test_k_is_one_exact_division(monkeypatch):
     assert all(type(c) is int for c in k.coeffs)
 
 
+def test_k_is_divided_once_per_process(monkeypatch):
+    # the exact series live for the process at the largest order asked for:
+    # K at 800 serves the order-50 level-two suite, the K job at 800 and the
+    # check at 200, whose catalogs read prefixes
+    divides = count_calls(monkeypatch, PuiseuxSeries, "divide")
+    vvmf.cli.run(vvmf.cli.JobSpec.from_json({"command": "check", "order": 800}))
+    with pytest.raises(OverflowError, match="coefficient 128 of an order-800 q-series"):
+        vvmf.cli.run(vvmf.cli.JobSpec.from_json({"command": "classical", "name": "K",
+                                                 "order": 800}))
+    vvmf.cli.run(vvmf.cli.JobSpec.from_json({"command": "check", "order": 200}))
+    assert len(divides) == 1
+
+
 @pytest.mark.parametrize("power, products", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3)])
 def test_power_starts_from_the_base(monkeypatch, power, products):
     # square and multiply from the lowest set bit of the exponent, with no
