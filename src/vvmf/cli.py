@@ -1,14 +1,17 @@
 """Batch front end: classify, coefficients, minimal forms, bases, classical
 series, and the identity check suite, with machine-readable JSON/CSV output.
 
-A job is a JSON object; results are written as canonical JSON (sorted keys,
-no whitespace) so identical jobs produce identical bytes.  A job's own
+A job is a JSON object with the keys and JSON types of :data:`JOBS`, checked
+before any pipeline code runs; a format error names its path, as in
+``reps[0].x: expected a pair of numbers [re, im]``.  Results are written as
+canonical JSON (sorted keys, no whitespace) so identical jobs produce
+identical bytes.  A job's own
 ``output_path`` takes its result; ``--out``, or else stdout, takes the
-others' in job order.  Residuals above tolerance (env VVMF_TOL, default
-1e-9) set a nonzero exit status.  A job that cannot run exits with status 2
-and one line ``error: [step (x) <stage>] <message>``, the stage being the
-one the error's class names (:data:`vvmf.errors.STEPS`), wherever it was
-raised; validation and output errors name none.
+others' in job order.  Residuals above tolerance (env VVMF_TOL, a finite
+number > 0, default 1e-9) set a nonzero exit status.  A job that cannot run
+exits with status 2 and one line ``error: [step (x) <stage>] <message>``,
+the stage being the one the error's class names (:data:`vvmf.errors.STEPS`),
+wherever it was raised; validation and output errors name none.
 """
 
 from __future__ import annotations
@@ -40,14 +43,7 @@ from .mlde import (
     modular_derivative,  # noqa: F401  (a binding site perfbench's tracer test patches)
     solve_minimal_form,
 )
-from .reps import (
-    ExponentData,
-    GRank2Rep,
-    Rank2Rep,
-    Rank4Rep,
-    as_complex_pair,
-    rep_from_json,
-)
+from .reps import ExponentData, Rank2Rep, rep_from_json
 
 DEFAULT_TOL = 1e-9
 DEFAULT_ORDER = 40
@@ -55,17 +51,114 @@ DEFAULT_ORDER = 40
 
 def tolerance() -> float:
     raw = os.environ.get("VVMF_TOL")
-    if not raw:
-        return DEFAULT_TOL
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise ValidationError(f"VVMF_TOL={raw!r} is not a number") from exc
+        tol = float(raw) if raw else DEFAULT_TOL
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise ValidationError(f"VVMF_TOL={raw!r}: expected a finite number > 0")
+    return tol
+
+
+# ---------------------------------------------------------------------------
+# the job format
+# ---------------------------------------------------------------------------
+
+# A JSON type in the tables below is one of: complex, a pair [re, im] of
+# finite numbers; int, an integer (not a boolean); range(lo, hi), an integer
+# in it; str; a tuple, one of its strings; a list, exactly its items, or any
+# number of its first one when it ends in ...; a dict, an object with exactly
+# these keys, "?" marking an optional one.  An object whose "kind" is one of
+# a tuple of representation kinds has, besides "kind", that kind's REP_KEYS.
+
+#: each representation kind's keys besides "kind"
+REP_KEYS = {
+    "rank2": {"x": complex, "y": complex},
+    "rank4": {"x": complex, "y": complex, "z": complex, "w": complex, "d": int, "e": int},
+    "g-rank2": {"e": int, "zeta1": complex, "zeta2": complex, "zeta3": complex, "a": complex},
+}
+
+EXPONENTS = {"eigenvalues": [complex, ...], "group?": ("Gamma", "G"),
+             "matrix?": [[complex, ...], ...]}
+COMMANDS = ("classify", "coeffs", "minimal", "basis", "classical", "check")
+CONSTRUCTIONS = ("sym3", "tensor", "induction")
+
+#: keys of every job; the caller may give the command instead
+COMMON = {"command?": COMMANDS, "order?": range(1, sys.maxsize), "output_path?": str}
+
+
+def _one(construction: str, rep: dict, **keys) -> tuple:
+    # a construction of one rep may give it, and its exponents, unlisted
+    keys["construction"] = (construction,)
+    return ({"reps": [rep], "exponents": [EXPONENTS], **keys},
+            {"rep": rep, "exponents": EXPONENTS, **keys})
+
+
+#: each job kind's keys besides COMMON's, as alternative key sets; the kind
+#: is a basis job's construction, else its command
+JOBS = {
+    "classify": ({"rep": {"kind": ("rank4",)}, "exponents": EXPONENTS},),
+    "coeffs": ({"rep": {"kind": ("rank4",)}, "exponents": EXPONENTS},),
+    "minimal": ({"rep": {"kind": ("rank2", "rank4")}, "exponents": EXPONENTS},),
+    "basis": ({"rep": {"kind": ("rank4",)}, "exponents": EXPONENTS},),
+    "sym3": _one("sym3", {"kind": ("rank2",)}),
+    "tensor": ({"construction": ("tensor",), "reps": [{"kind": ("rank2",)}] * 2,
+                "exponents": [EXPONENTS] * 2},),
+    "induction": _one("induction", {"kind": ("g-rank2",)}, u=complex),
+    "classical": ({"name": str, "precision?": ("double", "extended")},),
+    "check": ({},),
+}
+
+
+def _check(value, schema, path: str) -> None:
+    """Raise ValidationError naming ``path`` unless ``value`` has the JSON
+    type ``schema``."""
+    if isinstance(schema, dict):
+        ok, what = isinstance(value, dict), "an object"
+        if ok:
+            _check_object(value, schema, path)
+    elif isinstance(schema, list):
+        many = schema[-1] is ...
+        ok = isinstance(value, list) and (many or len(value) == len(schema))
+        what = "a list" if many else f"a list of {len(schema)}"
+        for i, item in enumerate(value if ok else ()):
+            _check(item, schema[0] if many else schema[i], f"{path}[{i}]")
+    elif schema is complex:  # type(), since a boolean is an int
+        ok = isinstance(value, list) and len(value) == 2 and all(
+            type(v) in (int, float) for v in value)
+        what = "a pair of numbers [re, im]"
+        if ok and not all(map(math.isfinite, value)):
+            raise ValidationError(f"{path}: expected finite numbers, got {json.dumps(value)}")
+    elif schema is str:
+        ok, what = isinstance(value, str), "a string"
+    elif isinstance(schema, tuple):
+        ok, what = isinstance(value, str) and value in schema, " or ".join(map(repr, schema))
+    else:  # int, or a range of them
+        ok = type(value) is int and (schema is int or value in schema)
+        what = "an integer" if schema is int else f"an integer >= {schema.start}"
+    if not ok:
+        raise ValidationError(f"{path or 'job'}: expected {what}")
+
+
+def _check_object(value: dict, schema: dict, path: str) -> None:
+    at = f"{path}." if path else ""
+    if "kind" in schema:  # a representation: its kind names its other keys
+        _check(value.get("kind"), schema["kind"], f"{at}kind")
+        schema = {"kind": str, **REP_KEYS[value["kind"]]}
+    names = {key.rstrip("?"): key for key in schema}
+    for key in value:
+        if key not in names:
+            raise ValidationError(f"{at}{key}: unexpected key")
+    for name, key in names.items():
+        if name in value:
+            _check(value[name], schema[key], at + name)
+        elif not key.endswith("?"):
+            raise ValidationError(f"{at}{name}: missing")
 
 
 @dataclass
 class JobSpec:
-    """Validated job description."""
+    """A job checked against :data:`JOBS`, with its representations built."""
 
     command: str
     rep: Any = None
@@ -82,44 +175,28 @@ class JobSpec:
 
     @classmethod
     def from_json(cls, data: dict, command: str | None = None) -> "JobSpec":
+        """Check ``data`` against :data:`JOBS` (the command may come apart), then build it."""
+        if not isinstance(data, dict):
+            raise ValidationError("job: expected an object")
         cmd = command or data.get("command")
-        if cmd not in ("classify", "coeffs", "minimal", "basis", "classical", "check"):
-            raise ValidationError(f"unknown command {cmd!r}")
-        order = int(data.get("order", DEFAULT_ORDER))
-        if order < 1:
-            raise ValidationError("order must be >= 1")
-        if "precision" in data and cmd != "classical":
-            raise ValidationError(
-                "precision is an option of classical jobs only; no other command reads it"
-            )
-        precision = data.get("precision", "double")
-        if precision not in ("double", "extended"):
-            raise ValidationError(f"unknown precision {precision!r}")
-        job = cls(
-            command=cmd,
-            order=order,
-            precision=precision,
-            name=data.get("name"),
-            construction=data.get("construction"),
-            output_path=data.get("output_path"),
-            raw=dict(data),
-        )
-        if "rep" in data:
-            job.rep = rep_from_json(data["rep"])
-        expo = data.get("exponents")
-        if isinstance(expo, dict):
-            job.exponents = ExponentData.from_json(expo)
-        elif isinstance(expo, list):
-            job.exponents_list = [ExponentData.from_json(e) for e in expo]
-        if "reps" in data:
-            job.reps = [rep_from_json(r) for r in data["reps"]]
-        if "u" in data and data["u"] is not None:
-            job.u = as_complex_pair(data["u"])
-        # a construction of one rep may give it, and its exponents, unlisted
-        if not job.reps and job.rep is not None:
-            job.reps = [job.rep]
-        if not job.exponents_list and job.exponents is not None:
-            job.exponents_list = [job.exponents]
+        _check(cmd, COMMANDS, "command")
+        kind = data.get("construction", cmd) if cmd == "basis" else cmd
+        if kind != cmd:
+            _check(kind, CONSTRUCTIONS, "construction")
+        alternatives = JOBS[kind]
+        keys = next((alt for alt in alternatives
+                     if all(k in data for k in alt if not k.endswith("?"))), alternatives[0])
+        _check(data, {**COMMON, **keys}, "")
+        job = cls(cmd, raw=dict(data), **{key: data[key] for key in (
+            "construction", "name", "order", "precision", "output_path") if key in data})
+        reps = data.get("reps", [data["rep"]] if "rep" in data else [])
+        expos = data.get("exponents", [])
+        job.reps = [rep_from_json(r) for r in reps]
+        job.exponents_list = [ExponentData.from_json(e)
+                              for e in ([expos] if isinstance(expos, dict) else expos)]
+        job.u = complex(*data["u"]) if "u" in data else None
+        job.rep = job.reps[0] if job.reps else None
+        job.exponents = job.exponents_list[0] if job.exponents_list else None
         return job
 
 
@@ -141,16 +218,9 @@ class ResultEnvelope:
 
     def to_json(self) -> dict:
         out: dict = {"job": self.job, "residuals": dict(self.residuals)}
-        if self.case is not None:
-            out["case"] = self.case
-        if self.coefficients is not None:
-            out["coefficients"] = self.coefficients
-        if self.basis is not None:
-            out["basis"] = self.basis
-        if self.minimal is not None:
-            out["minimal"] = self.minimal
-        if self.series is not None:
-            out["series"] = self.series
+        for key in ("case", "coefficients", "basis", "minimal", "series"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key)
         return out
 
 
@@ -181,8 +251,6 @@ def _dispatch(job: JobSpec) -> ResultEnvelope:
         env.residuals.update(ClassicalCatalog(50).level_two_residuals())
 
     elif job.command == "classical":
-        if not job.name:
-            raise ValidationError("classical requires a series name")
         catalog = ClassicalCatalog(job.order, job.precision)
         env.series = catalog.series(job.name).to_json()
 
@@ -198,8 +266,6 @@ def _dispatch(job: JobSpec) -> ResultEnvelope:
 
     elif job.command == "minimal":
         catalog = ClassicalCatalog(job.order)
-        if job.rep is None or job.exponents is None:
-            raise ValidationError("minimal needs a representation and exponent data")
         if isinstance(job.rep, Rank2Rep):
             form = rank2_minimal(job.rep, job.exponents, job.order, catalog)
             env.minimal = {
@@ -211,7 +277,6 @@ def _dispatch(job: JobSpec) -> ResultEnvelope:
             }
             env.residuals.update(form.residuals)
         else:
-            _require_rank4(job)
             F, report, co, residuals = solve_minimal_form(
                 job.rep, job.exponents, job.order, catalog
             )
@@ -233,51 +298,25 @@ def _dispatch(job: JobSpec) -> ResultEnvelope:
     return env
 
 
-def _require_rank4(job: JobSpec) -> None:
-    if not isinstance(job.rep, Rank4Rep):
-        raise ValidationError("this command needs a rank-4 representation")
-    if job.exponents is None:
-        raise ValidationError("missing exponent data")
-
-
 def _classify_job(job: JobSpec) -> CaseReport:
-    _require_rank4(job)
     job.exponents.validate_against(job.rep.t_eigenvalues())
     return classify(job.rep, job.exponents)
 
 
-def _require_rank2(reps: list, construction: str) -> None:
-    if not all(isinstance(r, Rank2Rep) for r in reps):
-        raise ValidationError(f"{construction} builds on rank-2 representations")
-
-
 def _basis_job(job: JobSpec, catalog: ClassicalCatalog) -> FormBasis:
-    if job.construction is None:
-        _require_rank4(job)
-        return generic_basis(job.rep, job.exponents, job.order, catalog)
     reps, expos = job.reps, job.exponents_list
+    if job.construction is None:
+        return generic_basis(job.rep, job.exponents, job.order, catalog)
     if job.construction == "tensor":
-        if not reps or len(reps) != 2 or not expos:
-            raise ValidationError("tensor jobs need two reps and two exponent sets")
-        _require_rank2(reps, "tensor")
         return tensor_pipeline(reps[0], reps[1], expos[0], expos[1], job.order, catalog)
     if job.construction == "sym3":
-        if not reps or not expos:
-            raise ValidationError("sym3 jobs need one rep and one exponent set")
-        _require_rank2(reps[:1], "sym3")
         return sym3_pipeline(reps[0], expos[0], job.order, catalog)
-    if job.construction == "induction":
-        if not reps or not expos or job.u is None:
-            raise ValidationError("induction jobs need a rep, exponents, and u")
-        if not isinstance(reps[0], GRank2Rep):
-            raise ValidationError("induction starts from a subgroup representation")
-        ijob = InductionJob.make(reps[0], expos[0], job.u)
-        first, second = induction_pipeline(ijob, job.order, catalog)
-        # emit the beta-twist basis; the beta^2 side is in the second slot
-        merged = dict(first.residuals)
-        merged.update({f"beta2_{k}": v for k, v in second.residuals.items()})
-        return FormBasis(first.forms + second.forms, first.case, merged)
-    raise ValidationError(f"unknown construction {job.construction!r}")
+    ijob = InductionJob.make(reps[0], expos[0], job.u)
+    first, second = induction_pipeline(ijob, job.order, catalog)
+    # emit the beta-twist basis; the beta^2 side is in the second slot
+    merged = dict(first.residuals)
+    merged.update({f"beta2_{k}": v for k, v in second.residuals.items()})
+    return FormBasis(first.forms + second.forms, first.case, merged)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +364,16 @@ def emit(env: ResultEnvelope | dict, fmt: str = "json", path: str | None = None)
 # entry point
 # ---------------------------------------------------------------------------
 
+def _read_spec(path: str) -> list:
+    """The jobs of a --spec file: one JSON job, or a list of them."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            data = json.load(handle)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
+    return data if isinstance(data, list) else [data]
+
+
 def _run_one(payload: dict) -> tuple[dict, float, str | None, float]:
     job = JobSpec.from_json(payload)
     env = run(job)
@@ -337,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
         description="free bases of vector-valued modular forms of rank <= 4",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("classify", "coeffs", "minimal", "basis", "classical", "check"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--spec", help="path to a JSON job file (or a list of jobs)")
         p.add_argument("--order", type=int, default=None)
@@ -350,13 +399,6 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument("--precision", choices=("double", "extended"), default=None)
 
     args = parser.parse_args(argv)
-    payloads: list[dict]
-    if args.spec:
-        with open(args.spec, encoding="utf-8") as handle:
-            data = json.load(handle)
-        payloads = data if isinstance(data, list) else [data]
-    else:
-        payloads = [{}]
     overrides = {"command": args.command}
     if args.order is not None:
         overrides["order"] = args.order
@@ -364,11 +406,12 @@ def main(argv: list[str] | None = None) -> int:
         overrides["precision"] = args.precision
     if getattr(args, "name", None):
         overrides["name"] = args.name
-    for p in payloads:
-        p.update(overrides)
 
     try:
         tol = tolerance()
+        payloads = _read_spec(args.spec) if args.spec else [{}]
+        # an entry that is no object goes to the table as it is, and fails there
+        payloads = [{**p, **overrides} if isinstance(p, dict) else p for p in payloads]
         if args.jobs > 1 and len(payloads) > 1:
             from multiprocessing import Pool
 

@@ -89,6 +89,9 @@ from .series import (
 
 XI = cmath.exp(2j * cmath.pi / 6)
 
+#: how far an induced form's even/odd q2-split may fail
+SPLIT_TOL = 1e-6
+
 HYPERGEOMETRIC = "hypergeometric"
 NU_CHI = "nu-chi"
 
@@ -475,7 +478,7 @@ def induction_system(u, xi, catalog: ClassicalCatalog) -> list:
 
 
 def induce_to_gamma(
-    F: VectorSeries, L: ExponentData | None = None, tol: float = 1e-6
+    F: VectorSeries, L: ExponentData | None = None, tol: float = SPLIT_TOL
 ) -> VectorSeries:
     """Stack F over F|T^{-1}, doubling the rank; the result transforms under
     the induced representation of the full group with exponents Ind L.
@@ -483,14 +486,7 @@ def induce_to_gamma(
     Verifies that the combinations F +- e^{pi i lam} F|T^{-1} have pure
     integer-spaced q-expansions (even/odd q2-offsets), and, when L is given,
     that the exhibited q-exponent multiset equals the induced exponents."""
-    if F.nome is not Nome.Q2:
-        raise WrongNome("induction to the full group acts on q2-expansions")
-    split = max(even_odd_residual(c) for c in F.components)
-    if split > tol:
-        raise ExponentMismatch(
-            f"even/odd q2-splitting fails at {split:.2e}; the components do "
-            "not sit on a single exponent lattice"
-        )
+    stacked, _ = _stack(F, tol)
     if L is not None:
         got = sorted(induced_exponent_multiset(F), key=lambda z: (z.real, z.imag))
         want = sorted(
@@ -503,8 +499,22 @@ def induce_to_gamma(
             raise ExponentMismatch(
                 f"exhibited q-exponents {got} do not match the induced set {want}"
             )
+    return stacked
+
+
+def _stack(F: VectorSeries, tol: float) -> tuple[VectorSeries, float]:
+    """F over F|T^{-1}, and how far F's even/odd q2-split fails, which must
+    be at most ``tol``."""
+    if F.nome is not Nome.Q2:
+        raise WrongNome("induction to the full group acts on q2-expansions")
+    split = max(even_odd_residual(c) for c in F.components)
+    if split > tol:
+        raise ExponentMismatch(
+            f"even/odd q2-splitting fails at {split:.2e}; the components do "
+            "not sit on a single exponent lattice"
+        )
     slashed = tuple(c.slash_t_inverse() for c in F.components)
-    return VectorSeries(F.components + slashed, F.weight)
+    return VectorSeries(F.components + slashed, F.weight), split
 
 
 def even_odd_residual(s: PuiseuxSeries) -> float:
@@ -562,7 +572,7 @@ def induction_pipeline(
     for F in (A, B):
         L_g = exhibited_exponents(F)
         ind_L = induced_exponents(L_g)
-        stacked = induce_to_gamma(F)
+        stacked, split = _stack(F, SPLIT_TOL)
         t3 = require_int(3 * ind_L.trace, "3*Tr(Ind L)")
         if t3 != job.k1 + 3:
             raise ExponentMismatch(
@@ -575,6 +585,6 @@ def induction_pipeline(
         basis = assemble_cyclic_basis(stacked, co, catalog, case)
         res = dict(basis.residuals)
         res["pair_relation"] = pair_res
-        res["even_odd_split"] = max(even_odd_residual(c) for c in F.components)
+        res["even_odd_split"] = split
         out.append(FormBasis(basis.forms, case, res))
     return tuple(out)

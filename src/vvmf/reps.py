@@ -4,7 +4,9 @@ functors (tensor product, symmetric cube, induction).
 Representations are stored by normal-form parameters only; the actual
 matrices are reconstructed on demand for validation.  Exponent data is a
 list of eigenvalues of a choice of exponents L with e^{2 pi i L} = rho(T),
-optionally with the full matrix attached.
+optionally with the full matrix attached.  :func:`rep_from_json` and
+:meth:`ExponentData.from_json` build from JSON that the job table of
+:mod:`vvmf.cli` has checked; the checks here are the mathematical ones.
 """
 
 from __future__ import annotations
@@ -15,12 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    GroupMismatch,
-    InconsistentRep,
-    ValidationError,
-    WrongRank,
-)
+from .errors import GroupMismatch, InconsistentRep, WrongRank
 
 TOL = 1e-9
 
@@ -365,14 +362,12 @@ class ExponentData:
 
     @staticmethod
     def from_json(data: dict) -> "ExponentData":
-        _require_keys(data, ("eigenvalues",), "exponent data")
-        eigs = [complex(re, im) for re, im in data["eigenvalues"]]
-        mat = None
-        if data.get("matrix") is not None:
-            mat = tuple(
-                tuple(complex(re, im) for re, im in row) for row in data["matrix"]
-            )
-        return ExponentData(tuple(eigs), Group(data.get("group", "Gamma")), mat)
+        """The inverse of :meth:`to_json`, on a checked object (:data:`vvmf.cli.JOBS`)."""
+        eigs = tuple(complex(*pair) for pair in data["eigenvalues"])
+        mat = data.get("matrix")
+        if mat is not None:
+            mat = tuple(tuple(complex(*pair) for pair in row) for row in mat)
+        return ExponentData(eigs, Group(data.get("group", "Gamma")), mat)
 
 
 def tensor_exponents(L1: ExponentData, L2: ExponentData) -> ExponentData:
@@ -485,52 +480,13 @@ def restriction_index(rep: GRank2Rep) -> int | None:
     raise InconsistentRep("multiple twists restrict; orbit is degenerate")
 
 
-def as_complex_pair(value) -> complex:
-    """Accept [re, im] pairs, numbers, or strings for JSON rep parameters."""
-    if isinstance(value, (list, tuple)):
-        return complex(value[0], value[1])
-    if isinstance(value, str):
-        return complex(value)
-    return complex(value)
-
-
-#: the keys of each representation kind's JSON object besides "kind"
-_REP_KEYS = {
-    "rank2": ("x", "y"),
-    "rank4": ("x", "y", "z", "w", "d", "e"),
-    "g-rank2": ("e", "zeta1", "zeta2", "zeta3", "a"),
-}
-
-
-def _require_keys(data: dict, keys, what: str) -> None:
-    for key in keys:
-        if key not in data:
-            raise ValidationError(f"{what} has no key {key!r}")
-
-
 def rep_from_json(data: dict):
-    """Parse the RepSpec JSON schema: {"kind": "rank2"|"rank4"|"g-rank2", ...}."""
-    kind = data.get("kind")
-    _require_keys(data, _REP_KEYS.get(kind, ()), f"{kind} representation")
-    if kind == "rank2":
-        return Rank2Rep.from_eigenvalues(
-            as_complex_pair(data["x"]), as_complex_pair(data["y"])
-        )
-    if kind == "rank4":
-        return Rank4Rep(
-            as_complex_pair(data["x"]),
-            as_complex_pair(data["y"]),
-            as_complex_pair(data["z"]),
-            as_complex_pair(data["w"]),
-            d=int(data["d"]),
-            e=int(data["e"]),
-        )
-    if kind == "g-rank2":
-        return GRank2Rep(
-            int(data["e"]),
-            as_complex_pair(data["zeta1"]),
-            as_complex_pair(data["zeta2"]),
-            as_complex_pair(data["zeta3"]),
-            as_complex_pair(data["a"]),
-        )
-    raise InconsistentRep(f"unknown representation kind {kind!r}")
+    """Build a representation from its JSON object, already checked against
+    the job table of :mod:`vvmf.cli`: {"kind": "rank2"|"rank4"|"g-rank2",
+    ...}, each complex parameter an [re, im] pair."""
+    p = {key: complex(*v) if isinstance(v, list) else v for key, v in data.items()}
+    if p["kind"] == "rank2":
+        return Rank2Rep.from_eigenvalues(p["x"], p["y"])
+    if p["kind"] == "rank4":
+        return Rank4Rep(p["x"], p["y"], p["z"], p["w"], d=p["d"], e=p["e"])
+    return GRank2Rep(p["e"], p["zeta1"], p["zeta2"], p["zeta3"], p["a"])

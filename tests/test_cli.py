@@ -1,16 +1,21 @@
 """Batch front end: job validation, envelopes, serialization, exit codes."""
 
 import cmath
+import contextlib
+import io
 import json
 import os
 import pickle
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vvmf
 import vvmf.cli
@@ -104,6 +109,10 @@ def sym3_job(order=15):
     }
 
 
+def with_rep(job, **keys):
+    return {**job, "rep": {**job["rep"], **keys}}
+
+
 class TestJobSpec:
     def test_unknown_command(self):
         with pytest.raises(ValidationError):
@@ -116,14 +125,14 @@ class TestJobSpec:
     def test_bad_precision(self):
         with pytest.raises(ValidationError):
             JobSpec.from_json({"command": "check", "precision": "quad"})
-        with pytest.raises(ValidationError, match="unknown precision 'quad'"):
+        with pytest.raises(ValidationError, match="^precision: expected 'double' or 'extended'$"):
             JobSpec.from_json({"command": "classical", "name": "h", "precision": "quad"})
 
     @pytest.mark.parametrize("command", ["classify", "coeffs", "minimal", "basis", "check"])
     @pytest.mark.parametrize("precision", ["double", "extended"])
     def test_precision_is_a_classical_option(self, command, precision):
         # no other command reads a precision, so setting one is refused
-        with pytest.raises(ValidationError, match="classical"):
+        with pytest.raises(ValidationError, match="^precision: unexpected key$"):
             JobSpec.from_json({"command": command, "precision": precision})
 
     def test_parses_construction_lists(self):
@@ -278,7 +287,7 @@ class TestMain:
         spec.write_text(json.dumps({**sym3_job(10), "precision": "double"}))
         capsys.readouterr()
         assert main(["basis", "--spec", str(spec)]) == 2
-        assert "classical" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: precision: unexpected key\n"
 
     def test_invalid_spec_exit_two(self, tmp_path):
         spec = tmp_path / "job.json"
@@ -353,22 +362,20 @@ class TestMain:
         spec = tmp_path / "job.json"
         spec.write_text(json.dumps(job))
         assert main(["basis", "--spec", str(spec)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {job['construction']} builds on rank-2 representations\n"
-        )
+        assert capsys.readouterr().err == "error: reps[0].kind: expected 'rank2'\n"
 
     @pytest.mark.parametrize("command, job, line", [
         ("minimal", {"rep": {"kind": "rank2", "x": [1, 0]},
                      "exponents": exponents_json([(1 / 6 + 0.21) / 2, (1 / 6 - 0.21) / 2])},
-         "rank2 representation has no key 'y'"),
+         "rep.y: missing"),
         ("basis", {"rep": {k: v for k, v in rank4_json(GENERIC_EIGS, 1, 0).items() if k != "d"},
                    "exponents": exponents_json(GENERIC_EIGS)},
-         "rank4 representation has no key 'd'"),
+         "rep.d: missing"),
         ("basis", {**induction_job(),
                    "reps": [{k: v for k, v in induction_job()["reps"][0].items() if k != "a"}]},
-         "g-rank2 representation has no key 'a'"),
+         "reps[0].a: missing"),
         ("classify", {**generic_job("classify"), "exponents": {"group": "Gamma"}},
-         "exponent data has no key 'eigenvalues'"),
+         "exponents.eigenvalues: missing"),
     ], ids=["rank2", "rank4", "g-rank2", "exponents"])
     def test_missing_key_names_the_object_and_key(self, tmp_path, capsys, command, job, line):
         with pytest.raises(ValidationError):
@@ -377,6 +384,69 @@ class TestMain:
         spec.write_text(json.dumps(job))
         assert main([command, "--spec", str(spec)]) == 2
         assert capsys.readouterr().err == f"error: {line}\n"
+
+    @pytest.mark.parametrize("command, job, line", [
+        ("minimal", with_rep(generic_job("minimal"), x=[1]),
+         "rep.x: expected a pair of numbers [re, im]"),
+        ("classify", {**generic_job("classify"), "exponents": {"eigenvalues": 5}},
+         "exponents.eigenvalues: expected a list"),
+        ("basis", {**sym3_job(), "reps": 5}, "reps: expected a list of 1"),
+        ("minimal", {**generic_job("minimal"), "rep": [1]}, "rep: expected an object"),
+        ("classical", {"name": 4, "order": 5}, "name: expected a string"),
+        ("classical", [1], "job: expected an object"),
+        ("basis", {**sym3_job(), "u": [1]}, "u: unexpected key"),
+        ("classical", {"name": "E4", "order": "20"}, "order: expected an integer >= 1"),
+        ("classical", {"name": "E4", "order": 20.5}, "order: expected an integer >= 1"),
+        ("classical", {"name": "E4", "order": True}, "order: expected an integer >= 1"),
+        ("classify", with_rep(generic_job("classify"), d="1"), "rep.d: expected an integer"),
+        ("minimal", with_rep(generic_job("minimal"), x=[float("nan"), 0]),
+         "rep.x: expected finite numbers, got [NaN, 0]"),
+        ("classify", {**generic_job("classify"), "exponents": {"eigenvalues": ["0.11"] * 4}},
+         "exponents.eigenvalues[0]: expected a pair of numbers [re, im]"),
+        ("classify", {**generic_job("classify"),
+                      "exponents": {**exponents_json(GENERIC_EIGS), "group": "H"}},
+         "exponents.group: expected 'Gamma' or 'G'"),
+        ("classify", {**generic_job("classify"), "exponents": 5}, "exponents: expected an object"),
+        # the spellings besides [re, im] that the parser used to take
+        ("minimal", with_rep(generic_job("minimal"), x="(1+0j)"),
+         "rep.x: expected a pair of numbers [re, im]"),
+        ("minimal", with_rep(generic_job("minimal"), x=1),
+         "rep.x: expected a pair of numbers [re, im]"),
+        ("minimal", with_rep(generic_job("minimal"), x=[1, 0, 5]),
+         "rep.x: expected a pair of numbers [re, im]"),
+        ("minimal", with_rep(generic_job("minimal"), kind="rank3"),
+         "rep.kind: expected 'rank2' or 'rank4'"),
+    ], ids=["x-one-number", "eigenvalues-number", "reps-number", "rep-list", "name-number",
+            "spec-entry-number", "u-on-sym3", "order-string", "order-fraction", "order-true",
+            "d-string", "x-nan", "eigenvalue-strings", "group-h", "exponents-number",
+            "x-string", "x-bare-number", "x-three-numbers", "kind-rank3"])
+    def test_bad_input_names_its_path(self, tmp_path, capsys, command, job, line):
+        # one error line that names the offending path, exit 2, before any
+        # pipeline code runs
+        spec = tmp_path / "job.json"
+        spec.write_text(json.dumps(job))
+        assert main([command, "--spec", str(spec)]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+    def test_unreadable_spec_exits_two(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        assert main(["check", "--spec", str(missing)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{missing}'\n")
+        spec = tmp_path / "job.json"
+        spec.write_text("{not json")
+        assert main(["check", "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec}: Expecting property name") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("raw", ["nan", "-1", "0", "inf"])
+    def test_tolerance_must_be_finite_and_positive(self, monkeypatch, capsys, raw):
+        # refused before any job runs
+        monkeypatch.setenv("VVMF_TOL", raw)
+        monkeypatch.setattr(vvmf.cli, "run", lambda job: pytest.fail("a job ran"))
+        assert main(["classical", "--name", "E4", "--order", "3"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: VVMF_TOL={raw!r}: expected a finite number > 0\n")
 
     @pytest.mark.parametrize("command", ["classify", "coeffs"])
     def test_case_jobs_check_exponents_against_the_rep(self, tmp_path, capsys, command):
@@ -552,3 +622,102 @@ class TestInductionJobCli:
         }
         with pytest.raises(ValidationError):
             run(JobSpec.from_json(job))
+
+
+
+#: the job builders of this file, at orders <= 15
+BUILDERS = {
+    "classify": lambda: generic_job("classify", 8),
+    "coeffs": lambda: generic_job("coeffs", 8),
+    "minimal": lambda: generic_job("minimal", 8),
+    "basis": lambda: generic_job("basis", 8),
+    "sym3": lambda: sym3_job(8),
+    "tensor": lambda: tensor_job(8),
+    "induction": lambda: induction_job(6),
+    "classical": lambda: {"command": "classical", "name": "E4", "order": 8},
+    "check": lambda: {"command": "check", "order": 8},
+}
+
+
+def json_type(value):
+    """The JSON type of a parsed value; an int and a float are both numbers."""
+    return float if type(value) is int else type(value)
+
+
+def value_paths(value, path=()):
+    """The path of every value inside ``value``, as tuples of keys and indices."""
+    if path:
+        yield path
+    items = value.items() if isinstance(value, dict) else enumerate(
+        value if isinstance(value, list) else ())
+    for step, item in items:
+        yield from value_paths(item, path + (step,))
+
+
+def spell(path) -> str:
+    """A path the way the job table's errors spell it: ``reps[0].x``."""
+    out = ""
+    for step in path:
+        out += f"[{step}]" if isinstance(step, int) else (f".{step}" if out else step)
+    return out
+
+
+@st.composite
+def mutated_jobs(draw):
+    """(builder, job, mutated path, whether the job table must refuse it)."""
+    builder = draw(st.sampled_from(sorted(BUILDERS)))
+    job = BUILDERS[builder]()
+    if draw(st.integers(0, 3)) == 0:  # a bad order, in a quarter of the cases
+        order = draw(st.sampled_from([0, -3, 20.5, "20", True]))
+        return builder, {**job, "order": order}, ("order",), True
+    path = draw(st.sampled_from(list(value_paths(job))))
+    parent = job
+    for step in path[:-1]:
+        parent = parent[step]
+    key = path[-1]
+    value = parent[key]
+    kinds = ["swap"]
+    if isinstance(parent, dict):
+        kinds.append("drop")
+    if isinstance(value, list):
+        kinds.append("resize")
+    if type(value) in (int, float):
+        kinds.append("non-finite")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "drop":
+        del parent[key]
+        # an optional key; main sets the command from its arguments
+        return builder, job, path, key not in ("order", "group", "command")
+    if kind == "swap":
+        others = [v for v in (None, True, 7, "s", [], {}) if json_type(v) is not json_type(value)]
+        parent[key] = draw(st.sampled_from(others))
+        return builder, job, path, path != ("command",)
+    if kind == "resize":
+        parent[key] = value[:-1] if draw(st.booleans()) else value + (value[-1:] or [0])
+        return builder, job, path, key != "eigenvalues"  # any number of eigenvalues parses
+    parent[key] = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    return builder, job, path, True
+
+
+class TestMutatedJobs:
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_jobs())
+    def test_main_refuses_or_runs_without_a_traceback(self, case):
+        # main never raises; a mutation the job table refuses exits 2 with
+        # one error line that names the mutated path (or the pair holding it)
+        builder, job, path, refused = case
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            spec = Path(tmp) / "job.json"
+            spec.write_text(json.dumps(job))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                status = main([BUILDERS[builder]()["command"], "--spec", str(spec)])
+        lines = err.getvalue().splitlines()
+        if status == 2:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        if refused:
+            assert status == 2, (job, lines)
+            where, mutated = lines[0].split(": ")[1], spell(path)
+            # without its construction, a construction job is a generic basis job
+            if path != ("construction",):
+                assert mutated == where or mutated.startswith((where + ".", where + "["))

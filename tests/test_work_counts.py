@@ -362,3 +362,12 @@ def test_h_inverts_once_on_the_q_series(monkeypatch):
     inverses = count_calls(monkeypatch, PuiseuxSeries, "invert")
     ClassicalCatalog(200).h_series()
     assert [(s.nome, s.order) for (s,) in inverses] == [(vvmf.series.Nome.Q, 200)]
+
+
+def test_induction_splits_each_component_once(monkeypatch):
+    # the even/odd split that the induction checks is the one its residuals
+    # record: one split per component of each form of the pair
+    calls = count_calls(monkeypatch, vvmf.series, "even_odd_parts")
+    first, _ = run_route("induction")
+    assert first.residuals["even_odd_split"] < 1e-12
+    assert len(calls) == 4 and len({id(args[0]) for args in calls}) == 4
