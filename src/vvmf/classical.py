@@ -9,19 +9,26 @@ so double versus extended precision only enters through the four irrational
 constants xi = e^{2 pi i/6}, xi^5, sqrt(1728) and i, that is only into h, Z,
 f and g.  The precision is a setting of the catalog alone: it computes its
 constants at construction and, when extended, runs every build of h, Z, f
-and g at :data:`EXTENDED_DPS` digits in an ``mpmath.workdps`` block of its
-own, so its series do not depend on the caller's mpmath precision.  Each
-catalog builds those four once.
+and g at the :data:`EXTENDED_DPS` digits in force when it was made, in an
+``mpmath.workdps`` block of its own, so its series do not depend on the
+caller's mpmath precision.
 
-The exact-integer series are built once per process, at the largest order
-any catalog asks for, and each catalog reads a prefix (:data:`_EXACT_SERIES`).
-Every exact build is prefix-stable: the power recurrence, the divisor sums,
-the exact division and the truncated exact products give coefficient n
-independently of the order, so the prefix is the series a build at the
-smaller order gives.  A process keeps the series of the largest order asked
-for.  The largest entry is K, about 3.9 N^2 bits at order N: 0.3 MB at
-order 800, 1.25 MB at 1600.  Every key at order 800, all 48 eta powers
-included, holds about 2.5 MB of Python ints.
+Every series is built once per process, at the largest order any catalog
+asks for, and each catalog reads a prefix (:data:`_EXACT_SERIES`); f and g,
+h and Z are kept apart per precision and, when extended, per digits.  Every
+build is prefix-stable.  The power recurrence, the divisor sums, the exact
+division and the truncated exact products give coefficient n independently
+of the order.  So do the floating-point builds: the forward substitution
+and the products add coefficient n's terms in an order n alone fixes, as
+long as no operand holds inf or nan (a non-finite h is not kept).  So the
+prefix is the series a build at the smaller order gives.  A process keeps
+the series of the largest order asked for.  The largest entry is K, about
+3.9 N^2 bits at order N: 0.3 MB at order 800, 1.25 MB at 1600.  Every exact
+key at order 800, all 48 eta powers included, holds about 2.5 MB of Python
+ints; f, g and h add 0.14 MB in double and 1.0 MB in extended.
+Z's build overflows the double range from order 128 on; the store records
+the lowest order that overflowed, per precision and digits, and a catalog at
+or above it raises without a build.
 
 The building blocks come from exact closed forms rather than products and
 inverses of series: every eta power, negative ones included, from one
@@ -33,6 +40,7 @@ power recurrence over the sparse pentagonal Euler product
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from itertools import takewhile
 from operator import mul
@@ -105,8 +113,9 @@ _EISENSTEIN_FACTORS = {2: -24, 4: 240, 6: -504}
 #: digits of an extended catalog's constants and builds
 EXTENDED_DPS = 50
 
-#: every exact-integer series of the process, by catalog key, at the
-#: longest length any catalog built it; a catalog reads a prefix
+#: every catalog series of the process, by catalog key, at the longest
+#: length any catalog built it (a catalog reads a prefix), and the lowest
+#: order at which Z overflowed
 _EXACT_SERIES: dict = {}
 
 
@@ -114,14 +123,13 @@ class ClassicalCatalog:
     """Classical series at one truncation order.
 
     q-series are expanded through q^order; q2-series through q2^(2*order),
-    so mixed level-one / level-two identities truncate consistently.  The
-    exact-integer series are prefixes of the process-wide ones (see the
-    module docstring); f and g, h and Z are built once per catalog.
+    so mixed level-one / level-two identities truncate consistently.  Every
+    series is a prefix of the process-wide one (see the module docstring).
 
     ``precision`` is "double" (complex constants) or "extended" (mpmath
-    constants at :data:`EXTENDED_DPS` digits, every build in a block at that
-    precision).  Arithmetic a caller does on the returned series runs at the
-    caller's precision.
+    constants at the :data:`EXTENDED_DPS` digits in force at construction,
+    its ``dps``, every build in a block at those digits).  Arithmetic a
+    caller does on the returned series runs at the caller's precision.
     """
 
     def __init__(self, order: int, precision: str = "double"):
@@ -131,50 +139,53 @@ class ClassicalCatalog:
             raise ValueError(f"unknown precision {precision!r}")
         self.order = order
         self.precision = precision
-        if precision == "double":
+        # the digits of the constants and of every build: none in double,
+        # else the EXTENDED_DPS in force when the catalog is made
+        self.dps = None if precision == "double" else EXTENDED_DPS
+        if self.dps is None:
             self.xi = cmath.exp(2j * cmath.pi / 6)
             self.xi5 = cmath.exp(2j * cmath.pi * 5 / 6)
             self.sqrt1728 = complex(1728) ** 0.5
             self.i = 1j
         else:
-            with mpmath.workdps(EXTENDED_DPS):
+            with mpmath.workdps(self.dps):
                 self.xi = mpmath.exp(2j * mpmath.pi * mpmath.mpf(1) / 6)
                 self.xi5 = mpmath.exp(2j * mpmath.pi * mpmath.mpf(5) / 6)
                 self.sqrt1728 = mpmath.sqrt(mpmath.mpf(1728))
                 self.i = mpmath.mpc(1j)
-        self._cache: dict = {}
 
     @property
     def q2_order(self) -> int:
         return 2 * self.order
 
-    def _memo(self, key, build):
-        """A series that depends on the precision (f and g, h, Z), built once
-        per catalog."""
-        if key not in self._cache:
-            if self.precision == "double":
-                self._cache[key] = build()
-            else:
-                with mpmath.workdps(EXTENDED_DPS):
-                    self._cache[key] = build()
-        return self._cache[key]
-
     def _order_in(self, nome: Nome) -> int:
         return self.order if nome is Nome.Q else self.q2_order
 
-    def _exact(self, key, build):
-        """An exact-integer series, or tuple of them, of this catalog: the
-        prefix of the longest one built for ``key`` in the process
-        (:data:`_EXACT_SERIES`).  When that one is shorter than this
-        catalog's order, ``build`` runs at this order and replaces it.  The
+    def _stored(self, key, build, keep=lambda built: True):
+        """A series, or tuple of them, of this catalog: the prefix of the
+        longest one built for ``key`` in the process (:data:`_EXACT_SERIES`).
+        When that one is shorter than this catalog's order, ``build`` runs at
+        this order and replaces it if ``keep`` holds for it.  The exact
         builds need no working precision."""
         stored = _EXACT_SERIES.get(key)
         parts = stored if type(stored) is tuple else (stored,)
         if stored is None or parts[0].order < self._order_in(parts[0].nome):
-            _EXACT_SERIES[key] = stored = build()
-            return stored
+            built = build()
+            if keep(built):
+                _EXACT_SERIES[key] = built
+            return built
         cut = tuple(s.truncate(self._order_in(s.nome)) for s in parts)
         return cut if type(stored) is tuple else cut[0]
+
+    def _at_precision(self, name: str, build, keep=lambda built: True):
+        """A series that depends on the precision (f and g, h, Z), stored as
+        :meth:`_stored` stores it, under its name, this catalog's precision
+        and its digits, and built in a block at those digits."""
+        key = (name, self.precision, self.dps)
+        if self.dps is None:
+            return self._stored(key, build, keep)
+        with mpmath.workdps(self.dps):
+            return self._stored(key, build, keep)
 
     # -- level one, nome q ----------------------------------------------------
 
@@ -189,13 +200,13 @@ class ClassicalCatalog:
             coeffs = [1] + [factor * sig[n] for n in range(1, self.order + 1)]
             return PuiseuxSeries.make(Nome.Q, 0.0, coeffs)
 
-        return self._exact(("E", k), build)
+        return self._stored(("E", k), build)
 
     def eta_power(self, m: int, nome: Nome = Nome.Q) -> PuiseuxSeries:
         """q^(m/24) * prod (1-q^n)^m; as a q2-series the lead exponent is m/12."""
         nome = Nome(nome)
         if nome is Nome.Q2:
-            return self._exact(
+            return self._stored(
                 ("eta2", m),
                 lambda: self.eta_power(m).retag_q2().truncate(self.q2_order),
             )
@@ -207,25 +218,35 @@ class ClassicalCatalog:
             # and must not perturb downstream ill-conditioned divisions
             return PuiseuxSeries.make(Nome.Q, Fraction(m, 24), _euler_power(m, self.order))
 
-        return self._exact(("eta", m), build)
+        return self._stored(("eta", m), build)
 
     def delta(self) -> PuiseuxSeries:
         return self.eta_power(24)
 
+    def e4_squared(self, nome: Nome = Nome.Q) -> PuiseuxSeries:
+        """E_4^2, the weight-eight series of the cyclic equation and of
+        Ramanujan's E_6 identity, as a q- or q2-series."""
+        if Nome(nome) is Nome.Q2:
+            return self._stored(
+                ("E4^2", Nome.Q2),
+                lambda: self.e4_squared().retag_q2().truncate(self.q2_order),
+            )
+        return self._stored("E4^2", lambda: self.eisenstein(4) ** 2)
+
     def e4_cubed(self) -> PuiseuxSeries:
-        """E_4^3, the numerator of j and the denominator of K."""
-        return self._exact("E4^3", lambda: self.eisenstein(4) ** 3)
+        """E_4^3 = E_4 E_4^2, the numerator of j and the denominator of K."""
+        return self._stored("E4^3", lambda: self.eisenstein(4) * self.e4_squared())
 
     def j_invariant(self) -> PuiseuxSeries:
         """j = E_4^3 / Delta = E_4^3 eta^-24; eta^-24 is Delta's exact inverse."""
-        return self._exact("J", lambda: self.e4_cubed() * self.eta_power(-24))
+        return self._stored("J", lambda: self.e4_cubed() * self.eta_power(-24))
 
     def k_hauptmodul(self) -> PuiseuxSeries:
         """K = 1728/j = 1728 Delta / E_4^3, leading term 1728 q.
 
         One exact division: the inverse (E_4^3)^-1, whose coefficients grow
         like 231^n, is never formed."""
-        return self._exact(
+        return self._stored(
             "K",
             lambda: self.delta().scale(1728).divide(self.e4_cubed()),
         )
@@ -233,7 +254,7 @@ class ClassicalCatalog:
     # -- level two, nome q2 ----------------------------------------------------
 
     def eisenstein_q2(self, k: int) -> PuiseuxSeries:
-        return self._exact(
+        return self._stored(
             ("E2nome", k),
             lambda: self.eisenstein(k).retag_q2().truncate(self.q2_order),
         )
@@ -262,7 +283,7 @@ class ClassicalCatalog:
                 PuiseuxSeries.make(Nome.Q2, 0.0, t4),
             )
 
-        return self._exact("theta4", build)
+        return self._stored("theta4", build)
 
     def fg_generators(self) -> tuple[PuiseuxSeries, PuiseuxSeries]:
         """Weight-two generators f and g = f|T of the level-2 ring of forms."""
@@ -278,7 +299,7 @@ class ClassicalCatalog:
             )
             return f, g
 
-        return self._memo("fg", build)
+        return self._at_precision("fg", build)
 
     def h_series(self) -> PuiseuxSeries:
         """h = E_6 / (12^{3/2} eta^12) as a q2-series (weight zero, pole at the cusp).
@@ -289,13 +310,18 @@ class ClassicalCatalog:
         of the q2 quotient.  There, every term with an odd q2-offset is an
         exact zero and every sum starts from int 0, so each even coefficient
         adds the same nonzero terms in the same order and is the same number;
-        the odd coefficients are zeros either way and emit as [0.0, 0.0]."""
+        the odd coefficients are zeros either way and emit as [0.0, 0.0].
+
+        From order 1720 on the double inverse holds inf, and a product with
+        such an operand runs in double, not long double
+        (:func:`vvmf.series._double_mul`).  Its head is then not the series
+        a shorter build gives, so the store does not keep a non-finite h."""
 
         def build():
             h = self.eisenstein(6) * self.eta_power(12).scale(self.sqrt1728).invert()
             return h.retag_q2().truncate(self.q2_order)
 
-        return self._memo("h", build)
+        return self._at_precision("h", build, keep=lambda h: all(map(cmath.isfinite, h.coeffs)))
 
     def z_hauptmodul(self) -> PuiseuxSeries:
         """Hauptmodul Z = 2 * 12^{3/2} eta^12 / (12^{3/2} eta^12 + i E_6) of the
@@ -321,24 +347,24 @@ class ClassicalCatalog:
                 # as doubles
                 if all(cmath.isfinite(complex(v)) for v in z.coeffs):
                     return z
-            raise OverflowError(
-                "hauptmodul coefficients exceed the double range at q2-order "
-                f"{self.q2_order} (order {self.order})"
-            )
+            raise self._z_overflow()
 
-        return self._memo("Z", build)
+        # the build is prefix-stable, so every order from the lowest one
+        # that overflowed overflows too, and raises without a build
+        overflowed = ("Z overflow", self.precision, self.dps)
+        if self.order >= _EXACT_SERIES.get(overflowed, math.inf):
+            raise self._z_overflow()
+        try:
+            return self._at_precision("Z", build)
+        except OverflowError:
+            _EXACT_SERIES[overflowed] = self.order
+            raise
 
-    def z_of_fg_check(self) -> float:
-        """Residual of (f^3 - g^3) - Z f^3, a self-test of the Z normalization.
-
-        Normalized against the Z-series scale: the hauptmodul's coefficients
-        grow exponentially (pole at the order-three elliptic point), so that
-        is the magnitude the convolution cancels from."""
-        f, g = self.fg_generators()
-        z = self.z_hauptmodul()
-        f3, g3 = f**3, g**3
-        residual = (f3 - g3) - z * f3
-        return relative_residual(residual, z, f3, g3)
+    def _z_overflow(self) -> OverflowError:
+        return OverflowError(
+            "hauptmodul coefficients exceed the double range at q2-order "
+            f"{self.q2_order} (order {self.order})"
+        )
 
     # -- derivatives ------------------------------------------------------------
 
@@ -418,16 +444,18 @@ class ClassicalCatalog:
         res["j*K=1728"] = relative_residual(
             jk - PuiseuxSeries.polynomial(Nome.Q, [1728], jk.order), jk
         )
-        d12 = self.theta_q(delta) - e2 * delta
-        res["D12(delta)=0"] = relative_residual(d12, delta, e2 * delta)
+        e2_delta = e2 * delta
+        d12 = self.theta_q(delta) - e2_delta
+        res["D12(delta)=0"] = relative_residual(d12, delta, e2_delta)
         res["ramanujan_e2"] = relative_residual(
             self.theta_q(e2) - (e2 * e2 - e4).scale(1 / 12), e4
         )
         res["ramanujan_e4"] = relative_residual(
             self.theta_q(e4) - (e2 * e4 - e6).scale(1 / 3), e6
         )
+        e4_sq = self.e4_squared()
         res["ramanujan_e6"] = relative_residual(
-            self.theta_q(e6) - (e2 * e6 - e4 * e4).scale(1 / 2), e4 * e4
+            self.theta_q(e6) - (e2 * e6 - e4_sq).scale(1 / 2), e4_sq
         )
         return res
 
@@ -437,15 +465,16 @@ class ClassicalCatalog:
         f, g = self.fg_generators()
         e4_2, e6_2 = self.eisenstein_q2(4), self.eisenstein_q2(6)
         xi = self.xi
-        res["f*g=-4xi*e4"] = relative_residual(f * g + e4_2.scale(4 * xi), f * g)
+        fg = f * g
+        res["f*g=-4xi*e4"] = relative_residual(fg + e4_2.scale(4 * xi), fg)
         f3, g3 = f**3, g**3
         res["f^3+g^3=16e6"] = relative_residual(f3 + g3 - e6_2.scale(16), f3)
         df = self.modular_derive(f, 2)
-        res["D(f)=(xi/12)g^2"] = relative_residual(df - (g * g).scale(xi / 12), g * g)
+        g2 = g * g
+        res["D(f)=(xi/12)g^2"] = relative_residual(df - g2.scale(xi / 12), g2)
         d2f = self.modular_derive(df, 4)
-        res["D^2(f)=(1/18)e4*f"] = relative_residual(
-            d2f - (e4_2 * f).scale(1 / 18), e4_2 * f
-        )
+        e4f = e4_2 * f
+        res["D^2(f)=(1/18)e4*f"] = relative_residual(d2f - e4f.scale(1 / 18), e4f)
         z = self.z_hauptmodul()
         k_q2 = self.k_hauptmodul().retag_q2().truncate(self.q2_order)
         zm1 = z + PuiseuxSeries.polynomial(Nome.Q2, [-1], z.order)
@@ -457,11 +486,14 @@ class ClassicalCatalog:
         h2 = h * h
         one = PuiseuxSeries.one(Nome.Q2, h2.order)
         res["h^2+1=1/K"] = relative_residual((h2 + one) * k_q2 - one, h2, k_q2)
-        res["Z=(f^3-g^3)/f^3"] = self.z_of_fg_check()
+        # normalized against the Z-series scale: the hauptmodul's
+        # coefficients grow exponentially (pole at the order-three elliptic
+        # point), so that is the magnitude the convolution cancels from
+        res["Z=(f^3-g^3)/f^3"] = relative_residual((f3 - g3) - z * f3, z, f3, g3)
         gf3 = (g * f.invert()) ** 3
         one = PuiseuxSeries.one(Nome.Q2, z.order)
         res["(g/f)^3=1-Z"] = relative_residual(gf3 + z - one, z, gf3)
         lhs = self.theta_q(z)
-        rhs = g * g * (f.scale(4 * (xi - 1))).invert() * z
+        rhs = g2 * (f.scale(4 * (xi - 1))).invert() * z
         res["theta_q=g^2/(4(xi-1)f)theta_Z"] = relative_residual(lhs - rhs, lhs)
         return res

@@ -154,6 +154,10 @@ def _check_object(value: dict, schema: dict, path: str) -> None:
             _check(value[name], schema[key], at + name)
         elif not key.endswith("?"):
             raise ValidationError(f"{at}{name}: missing")
+    if "matrix?" in schema and "matrix" in value:  # exponents: one row per eigenvalue
+        n = len(value["eigenvalues"])
+        if len(value["matrix"]) != n or any(len(row) != n for row in value["matrix"]):
+            raise ValidationError(f"{at}matrix: expected {n} rows of {n} pairs [re, im]")
 
 
 @dataclass

@@ -390,7 +390,7 @@ def cyclic_system(co: ODECoefficients, catalog: ClassicalCatalog, nome: Nome) ->
         ({(1, 0): 1, (2, 1): 1, (3, 2): 1}, one),
         ({(2, 3): -co.a}, e4),
         ({(1, 3): -co.b}, e6),
-        ({(0, 3): -co.c}, e4 * e4),
+        ({(0, 3): -co.c}, catalog.e4_squared(nome)),
     ]
 
 

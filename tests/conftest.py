@@ -6,7 +6,8 @@ from vvmf import ClassicalCatalog
 
 @pytest.fixture(autouse=True)
 def cleared_exact_series():
-    # the exact catalog series live for the process; a test that patches a
+    # every catalog series, f, g, h and Z included, and the lowest order at
+    # which Z overflowed live for the process; a test that patches a
     # builder, or counts the work of a build, must not read another test's
     vvmf.classical._EXACT_SERIES.clear()
     yield

@@ -179,7 +179,7 @@ class TestHauptmoduls:
         assert complex(z.lead_exponent).real > 0.5
 
     def test_z_of_fg(self, catalog40):
-        assert catalog40.z_of_fg_check() < 1e-12
+        assert catalog40.level_two_residuals()["Z=(f^3-g^3)/f^3"] < 1e-12
 
     def test_z_overflow_names_the_order(self):
         # Z's coefficients pass the double range at q2-offset 256, where
@@ -340,72 +340,139 @@ def test_catalog_building_blocks_at_order_800(catalog800):
         assert_same_series(got, want)
 
 
-def exact_series(catalog: ClassicalCatalog, m: int) -> dict:
-    """Every exact-integer series of the catalog, the eta power m standing
-    for all of them."""
+def stored_series(catalog: ClassicalCatalog, m: int) -> dict:
+    """Every series the process-wide store holds for the catalog, the eta
+    power m standing for all of them."""
     out = {f"E{k}": catalog.eisenstein(k) for k in (2, 4, 6)}
     out.update({f"E{k} in q2": catalog.eisenstein_q2(k) for k in (2, 4, 6)})
     out.update(zip(("theta2^4", "theta3^4", "theta4^4"), catalog.theta_fourth_powers()))
+    out.update(zip(("f", "g"), catalog.fg_generators()))
     out.update({
         "eta": catalog.eta_power(m),
         "eta in q2": catalog.eta_power(m, Nome.Q2),
+        "E4^2": catalog.e4_squared(),
+        "E4^2 in q2": catalog.e4_squared(Nome.Q2),
         "E4^3": catalog.e4_cubed(),
         "j": catalog.j_invariant(),
         "K": catalog.k_hauptmodul(),
+        "h": catalog.h_series(),
+        "Z": catalog.z_hauptmodul(),
     })
     return out
 
 
+#: the series that depend on the catalog's precision
+AT_PRECISION = ("f", "g", "h", "Z")
+
+#: the classical names of the benchmark's catalog workload
+NAMES = ["E2", "E4", "E6", "Delta", "j", "K", "theta2_4", "theta3_4", "theta4_4",
+         "f", "g", "h", "Z"]
+
+
+def job_text(job: dict) -> str:
+    """A job's emitted bytes, or its error line."""
+    try:
+        return emit(run(JobSpec.from_json(dict(job))))
+    except OverflowError as exc:
+        return f"error: {exc}"
+
+
+def shuffled_against_cold(orders, names, seed: int) -> list[str]:
+    """Every classical job of ``names`` at ``orders`` in both precisions, and
+    ``check`` at ``orders``, run in one process in a shuffled order; asserts
+    that each gives the bytes of its own run on a cleared store, and returns
+    those."""
+    jobs = [{"command": "check", "order": n} for n in orders]
+    jobs += [{"command": "classical", "name": name, "order": n, "precision": p}
+             for name in names for n in orders for p in ("double", "extended")]
+    cold = []
+    for job in jobs:
+        vvmf.classical._EXACT_SERIES.clear()
+        cold.append(job_text(job))
+    vvmf.classical._EXACT_SERIES.clear()
+    order = list(range(len(jobs)))
+    random.Random(seed).shuffle(order)
+    warm = {i: job_text(jobs[i]) for i in order}
+    assert [warm[i] for i in range(len(jobs))] == cold
+    return cold
+
+
 class TestExactStore:
-    """The exact series are built once per process at the largest order
-    asked for, and each catalog reads a prefix."""
+    """Every catalog series is built once per process at the largest order
+    asked for, and each catalog reads a prefix; f, g, h and Z are kept apart
+    per precision and digits."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=119), st.integers(min_value=1, max_value=119),
            st.integers(min_value=-24, max_value=24), st.booleans(),
            st.sampled_from(["double", "extended"]), st.sampled_from(["double", "extended"]))
     def test_a_lower_order_reads_the_prefix(self, n, gap, m, large_first, small_p, large_p):
-        # built cold at n, or read from the order-N build: the same series
+        # built cold at n, or read from the order-N build: the same series.
+        # The exact ones are shared by both precisions; f, g, h and Z are
+        # the prefix of the order-N build at their own precision only.
         big_n = min(n + gap, 120)
+        cold = {}
+        for job in ((n, small_p), (big_n, large_p)):
+            vvmf.classical._EXACT_SERIES.clear()
+            cold[job] = stored_series(ClassicalCatalog(*job), m)
         vvmf.classical._EXACT_SERIES.clear()
-        if large_first:
-            large = exact_series(ClassicalCatalog(big_n, large_p), m)
-            small = exact_series(ClassicalCatalog(n, small_p), m)
-        else:
-            small = exact_series(ClassicalCatalog(n, small_p), m)
-            large = exact_series(ClassicalCatalog(big_n, large_p), m)
+        jobs = [(big_n, large_p), (n, small_p)]
+        warm = {job: stored_series(ClassicalCatalog(*job), m)
+                for job in (jobs if large_first else jobs[::-1])}
+        small, large = warm[n, small_p], warm[big_n, large_p]
         for key, s in small.items():
             assert s.order == (n if s.nome is Nome.Q else 2 * n), key
             assert large[key].order == (big_n if s.nome is Nome.Q else 2 * big_n), key
-            assert_same_series(s, large[key].truncate(s.order))
+            assert_same_series(s, cold[n, small_p][key])
+            assert_same_series(large[key], cold[big_n, large_p][key])
+            if key not in AT_PRECISION or small_p == large_p:
+                assert_same_series(s, large[key].truncate(s.order))
+
+    @pytest.mark.parametrize("first, second", [((50, 40), (80, 30)), ((80, 40), (50, 30))])
+    def test_extended_series_are_kept_apart_by_digits(self, monkeypatch, first, second):
+        # a catalog made under other EXTENDED_DPS reads nothing built under
+        # the first one, whichever is longer: each gets its cold series
+        def level_two(dps, order):
+            monkeypatch.setattr(vvmf.classical, "EXTENDED_DPS", dps)
+            catalog = ClassicalCatalog(order, "extended")
+            return [*catalog.fg_generators(), catalog.h_series(), catalog.z_hauptmodul()]
+
+        cold = {}
+        for job in (first, second):
+            vvmf.classical._EXACT_SERIES.clear()
+            cold[job] = level_two(*job)
+        vvmf.classical._EXACT_SERIES.clear()
+        for job in (first, second):
+            for got, want in zip(level_two(*job), cold[job], strict=True):
+                assert_same_series(got, want)
+                assert emitted(got) == emitted(want)
+
+    def test_a_non_finite_h_is_not_kept(self):
+        # from order 1720 on, h's double inverse leaves the double range and
+        # its product with E6 runs in double, not long double; a later h of a
+        # lower order must not read that head (83 of its 401 coefficients
+        # at order 200 differ)
+        cold = emitted(ClassicalCatalog(200).h_series())
+        vvmf.classical._EXACT_SERIES.clear()
+        h = ClassicalCatalog(1720).h_series()
+        assert not all(map(cmath.isfinite, h.coeffs))
+        assert emitted(ClassicalCatalog(200).h_series()) == cold
 
     def test_shuffled_jobs_give_the_bytes_of_cold_ones(self):
         # one process, jobs in a shuffled order against each job run on a
         # cleared store; error lines included
-        names = ["E2", "E4", "E6", "Delta", "j", "K", "theta2_4", "theta3_4", "theta4_4",
-                 "f", "g", "h", "Z", "Eta^-24", "Eta^-1", "Eta^5", "Eta^12"]
-        jobs = [{"command": "check", "order": n} for n in (1, 20, 127, 128, 200)]
-        jobs += [{"command": "classical", "name": name, "order": n, "precision": p}
-                 for name in names for n in (1, 20, 127, 128, 200)
-                 for p in ("double", "extended")]
-
-        def text(job):
-            try:
-                return emit(run(JobSpec.from_json(dict(job))))
-            except OverflowError as exc:
-                return f"error: {exc}"
-
-        cold = []
-        for job in jobs:
-            vvmf.classical._EXACT_SERIES.clear()
-            cold.append(text(job))
-        vvmf.classical._EXACT_SERIES.clear()
-        order = list(range(len(jobs)))
-        random.Random(20).shuffle(order)
-        warm = {i: text(jobs[i]) for i in order}
-        assert [warm[i] for i in range(len(jobs))] == cold
+        names = NAMES + ["Eta^-24", "Eta^-1", "Eta^5", "Eta^12"]
+        cold = shuffled_against_cold((1, 20, 127, 128, 200), names, seed=20)
         # K and Z at orders 128 and 200, in both precisions
         assert sum(t.startswith("error: ") for t in cold) == 8
+
+    @pytest.mark.slow
+    def test_shuffled_jobs_at_the_benchmark_orders(self):
+        # the catalog workload's orders: Z overflows from 200 on, so its
+        # later jobs raise from the recorded bound
+        cold = shuffled_against_cold((200, 400, 800), NAMES, seed=22)
+        # K and Z at every order, in both precisions
+        assert sum(t.startswith("error: ") for t in cold) == 12
 
     @pytest.mark.parametrize("order, terms", [(127, 255), (128, 257), (129, 258), (300, 258)])
     def test_double_z_stops_its_inverse_at_the_first_non_finite_term(

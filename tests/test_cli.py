@@ -416,10 +416,18 @@ class TestMain:
          "rep.x: expected a pair of numbers [re, im]"),
         ("minimal", with_rep(generic_job("minimal"), kind="rank3"),
          "rep.kind: expected 'rank2' or 'rank4'"),
+        # a matrix has one row per eigenvalue, each as long as the list
+        ("classify", {**generic_job("classify"), "exponents": {
+            **exponents_json(GENERIC_EIGS), "matrix": [[[1, 0]], [[1, 0], [0, 0]]]}},
+         "exponents.matrix: expected 4 rows of 4 pairs [re, im]"),
+        ("basis", {**tensor_job(), "exponents": [
+            exponents_json([0.1, 0.2]), {**exponents_json([0.1, 0.2]), "matrix": [[[0.1, 0]]]}]},
+         "exponents[1].matrix: expected 2 rows of 2 pairs [re, im]"),
     ], ids=["x-one-number", "eigenvalues-number", "reps-number", "rep-list", "name-number",
             "spec-entry-number", "u-on-sym3", "order-string", "order-fraction", "order-true",
             "d-string", "x-nan", "eigenvalue-strings", "group-h", "exponents-number",
-            "x-string", "x-bare-number", "x-three-numbers", "kind-rank3"])
+            "x-string", "x-bare-number", "x-three-numbers", "kind-rank3", "matrix-ragged",
+            "matrix-one-row"])
     def test_bad_input_names_its_path(self, tmp_path, capsys, command, job, line):
         # one error line that names the offending path, exit 2, before any
         # pipeline code runs

@@ -335,6 +335,58 @@ def test_check_job_multiplies_out_e4_cubed_once(monkeypatch):
     assert len(cubes) == 1
 
 
+def count_products(monkeypatch) -> dict:
+    """Series products of exact ints, and of doubles (any other builtin
+    number among the coefficients)."""
+    counts = {"int": 0, "double": 0}
+    mul = PuiseuxSeries.__mul__
+
+    def counting_mul(a, b):
+        if isinstance(b, PuiseuxSeries):
+            types = {type(c) for c in a.coeffs + b.coeffs}
+            assert types <= {int, float, complex}
+            counts["int" if types == {int} else "double"] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(PuiseuxSeries, "__mul__", counting_mul)
+    return counts
+
+
+def test_check_job_forms_each_product_once(monkeypatch):
+    # on a cleared store the level-one suite makes E4^2, E4^3 and j and
+    # seven residual products, the level-two suite h, Z and 19 residual
+    # products; a second check job reads E4^2, E4^3, j, h and Z from the store
+    counts = count_products(monkeypatch)
+    job = {"command": "check", "order": 20}
+    vvmf.cli.run(vvmf.cli.JobSpec.from_json(job))
+    assert counts == {"int": 10, "double": 21}
+    vvmf.cli.run(vvmf.cli.JobSpec.from_json(job))
+    assert counts == {"int": 10 + 7, "double": 21 + 19}
+
+
+def test_h_inverts_once_per_process(monkeypatch):
+    # the h job at 800 builds h; the jobs at 400 and 200 read prefixes
+    inverses = count_calls(monkeypatch, PuiseuxSeries, "invert")
+    for order in (800, 400, 200):
+        job = {"command": "classical", "name": "h", "order": order}
+        series = vvmf.cli.run(vvmf.cli.JobSpec.from_json(job)).series
+        assert len(series["coeffs"]) == 2 * order + 1
+    assert [(s.nome, s.order) for (s,) in inverses] == [(vvmf.series.Nome.Q, 800)]
+
+
+def test_z_raises_from_the_lowest_order_that_overflowed(monkeypatch):
+    # Z at 200 overflows; Z at 400 and 800 raise their own line without an
+    # inverse, and Z at 127, below that order, still builds
+    inverses = count_calls(monkeypatch, PuiseuxSeries, "inverse_terms")
+    for order in (200, 400, 800):
+        job = {"command": "classical", "name": "Z", "order": order}
+        with pytest.raises(OverflowError, match=rf"q2-order {2 * order} \(order {order}\)$"):
+            vvmf.cli.run(vvmf.cli.JobSpec.from_json(job))
+    assert len(inverses) == 1
+    assert ClassicalCatalog(127).z_hauptmodul().order == 254
+    assert len(inverses) == 2
+
+
 def test_building_blocks_make_no_product_or_inverse(monkeypatch):
     # every eta power comes from the power recurrence and the theta fourth
     # powers from divisor sums: no series product and no inversion
