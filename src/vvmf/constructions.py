@@ -6,7 +6,10 @@ The rank-2 minimal form solves its first-order system on the q-line.  The
 Sym^3 pipeline forms the cube exactly on its fixed-point rows, rounds once
 and hands it to the cyclic basis assembler; the tensor pipeline forms its
 whole basis in closed form from the rows of its two rank-2 factors.
-The induction pair solves its defining first-order system on the q2-line.
+The induction pair solves its defining first-order system on the q2-line;
+each form of the pair is stacked over its T^{-1}-slash, and like the
+other routes the induced representation is classified by
+:func:`vvmf.mlde.classify` before its basis is assembled.
 Every defining differential relation is re-checked on the emitted series.
 The closed hypergeometric pair on the K-line (:func:`rank2_kline_pair`) and
 the Z-line equation (:func:`build_fuchsian_z`) are the oracles the tests
@@ -15,7 +18,6 @@ compare against.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,7 +39,6 @@ from .errors import (
 from .mlde import (
     CYCLIC,
     NONCYCLIC,
-    CaseReport,
     FormBasis,
     FuchsianOperator,
     NONCYCLIC_KEYS,
@@ -58,16 +59,19 @@ from .mlde import (
     system_residuals,
 )
 from .reps import (
+    XI,
     ExponentData,
     GRank2Rep,
     Group,
     Rank2Rep,
-    beta_twist_orbit,
     induced_exponents,
     induction_is_irreducible,
+    match_multisets,
     rank2_is_irreducible,
+    rank4_from_induction,
     rank4_from_sym3,
     rank4_from_tensor,
+    restriction_index,
     sym3_exponents,
     sym3_is_irreducible,
     tensor_exponents,
@@ -83,14 +87,8 @@ from .series import (
     clog,
     compose_frobenius,  # noqa: F401  (a binding site perfbench's tracer test patches)
     cpow,
-    even_odd_parts,
     pair_mul,
 )
-
-XI = cmath.exp(2j * cmath.pi / 6)
-
-#: how far an induced form's even/odd q2-split may fail
-SPLIT_TOL = 1e-6
 
 HYPERGEOMETRIC = "hypergeometric"
 NU_CHI = "nu-chi"
@@ -395,40 +393,46 @@ def local_exponent_from_u(u, xi=XI):
 class InductionJob:
     """Induction input: a normalized orbit representative, exponents for the
     subgroup, the family parameter u of the Z-line equation, and the minimal
-    weight k1: 3 Tr(L) or 3 Tr(L) + 1, whichever has the parity e of the
-    representation, so that the induced bases are cyclic."""
+    weight k1: by default 3 Tr(L) or 3 Tr(L) + 1, whichever has the parity e
+    of the representation, so that the induced bases are cyclic.  Every job,
+    made or built by hand, has u != 0 and k1 = e mod 2."""
 
     rep: GRank2Rep
     L: ExponentData
     u: complex
-    k1: int
+    k1: int | None = None
+
+    def __post_init__(self) -> None:
+        if abs(as_complex(self.u)) <= 1e-14:
+            raise DegenerateU("u = 0 makes the local exponents collide")
+        if self.k1 is None:
+            t3 = require_int(3 * self.L.trace, "3*Tr(L)")
+            object.__setattr__(self, "k1", t3 if (t3 - self.rep.e) % 2 == 0 else t3 + 1)
+        if (self.k1 - self.rep.e) % 2:
+            raise WeightParityMismatch(
+                f"induction needs k1 = e mod 2, got k1 = {self.k1} and e = {self.rep.e}"
+            )
 
     @classmethod
     def make(cls, rep: GRank2Rep, L: ExponentData, u) -> "InductionJob":
-        if not rep.restricts_from_gamma:
+        """The job of a checked orbit and subgroup exponents, at the default k1."""
+        if restriction_index(rep) != 0:
             raise NormalizationError(
                 "orbit must be presented with the restricting member first "
                 "(zeta1 + zeta2 + zeta3 = 0)"
             )
-        restricting = [r for r in beta_twist_orbit(rep) if r.restricts_from_gamma]
-        if len(restricting) != 1:
-            raise NormalizationError("twist orbit does not have a unique restricting member")
         for j in (1, 2):
             if not induction_is_irreducible(rep.twist(j)):
                 raise NotIrreducible(f"induction of the beta^{j} twist is reducible")
         if L.group is not Group.G:
             raise GroupMismatch("induction starts from exponents for the subgroup")
-        if abs(as_complex(u)) <= 1e-14:
-            raise DegenerateU("u = 0 makes the local exponents collide")
-        t3 = require_int(3 * L.trace, "3*Tr(L)")
-        k1 = t3 if (t3 - rep.e) % 2 == 0 else t3 + 1
-        return cls(rep, L, complex(u), k1)
+        return cls(rep, L, complex(u))
 
 
 def induction_minimal_pair(
     job: InductionJob, order: int, catalog: ClassicalCatalog
 ) -> tuple[VectorSeries, VectorSeries]:
-    """Minimal-weight pair (A, B) for the two nontrivial beta-twists."""
+    """Minimal-weight pair (A, B) for the beta- and beta^2-twists."""
     return _induction_stage(job, order, catalog)[0]
 
 
@@ -448,8 +452,6 @@ def _induction_stage(job: InductionJob, order: int, catalog: ClassicalCatalog):
         xi = mpmath.expjpi(mpmath.mpf(1) / 3)
         u = mpmath.mpc(job.u)
         r = local_exponent_from_u(u, xi)
-        if abs(as_complex(r)) <= 1e-12:
-            raise DegenerateU("u = 0 makes the local exponents collide")
         z_lead = mpmath.mpc(0, -2) * mpmath.sqrt(1728)
         exponents = (r, -r)
         seeds = []
@@ -477,61 +479,6 @@ def induction_system(u, xi, catalog: ClassicalCatalog) -> list:
     ]
 
 
-def induce_to_gamma(
-    F: VectorSeries, L: ExponentData | None = None, tol: float = SPLIT_TOL
-) -> VectorSeries:
-    """Stack F over F|T^{-1}, doubling the rank; the result transforms under
-    the induced representation of the full group with exponents Ind L.
-
-    Verifies that the combinations F +- e^{pi i lam} F|T^{-1} have pure
-    integer-spaced q-expansions (even/odd q2-offsets), and, when L is given,
-    that the exhibited q-exponent multiset equals the induced exponents."""
-    stacked, _ = _stack(F, tol)
-    if L is not None:
-        got = sorted(induced_exponent_multiset(F), key=lambda z: (z.real, z.imag))
-        want = sorted(
-            (as_complex(v) for v in induced_exponents(L).eigenvalues),
-            key=lambda z: (z.real, z.imag),
-        )
-        if len(got) != len(want) or any(
-            abs(g - w) > tol for g, w in zip(got, want)
-        ):
-            raise ExponentMismatch(
-                f"exhibited q-exponents {got} do not match the induced set {want}"
-            )
-    return stacked
-
-
-def _stack(F: VectorSeries, tol: float) -> tuple[VectorSeries, float]:
-    """F over F|T^{-1}, and how far F's even/odd q2-split fails, which must
-    be at most ``tol``."""
-    if F.nome is not Nome.Q2:
-        raise WrongNome("induction to the full group acts on q2-expansions")
-    split = max(even_odd_residual(c) for c in F.components)
-    if split > tol:
-        raise ExponentMismatch(
-            f"even/odd q2-splitting fails at {split:.2e}; the components do "
-            "not sit on a single exponent lattice"
-        )
-    slashed = tuple(c.slash_t_inverse() for c in F.components)
-    return VectorSeries(F.components + slashed, F.weight), split
-
-
-def even_odd_residual(s: PuiseuxSeries) -> float:
-    """How far the even/odd split fails: surviving coefficients must sit on
-    one parity of q2-offsets exactly."""
-    even, odd = even_odd_parts(s)
-    scale = max(1e-300, s.max_abs())
-    bad = 0.0
-    for n in range(even.order + 1):
-        if n % 2 == 1:
-            bad = max(bad, abs(even.coeffs[n]))
-    for n in range(odd.order + 1):
-        if n % 2 == 0:
-            bad = max(bad, abs(odd.coeffs[n]))
-    return float(bad / scale)
-
-
 def exhibited_exponents(F: VectorSeries) -> ExponentData:
     """Exponent data of the solved series: the declared leading exponent of
     each component.  The q-line seeds are nonzero by construction, so the
@@ -540,51 +487,52 @@ def exhibited_exponents(F: VectorSeries) -> ExponentData:
     return ExponentData(tuple(c.lead_exponent for c in F.components), Group.G)
 
 
-def induced_exponent_multiset(F: VectorSeries) -> list[complex]:
-    """q-exponents exhibited by the induced form: each component splits into
-    an even and an odd q2-part, contributing lam/2 and (lam+1)/2 from the
-    component's declared exponent lam (see :func:`exhibited_exponents`); a
-    part that is identically zero contributes nothing."""
-    out = []
-    for c in F.components:
-        lam = as_complex(c.lead_exponent)
-        for part, exponent in zip(even_odd_parts(c), (lam / 2, (lam + 1) / 2)):
-            if part.max_abs() > 0.0:
-                out.append(exponent)
-    return out
+def induce_to_gamma(F: VectorSeries, L: ExponentData | None = None) -> VectorSeries:
+    """Stack F over F|T^{-1}, doubling the rank; the result transforms under
+    the induced representation of the full group with exponents
+    Ind L = :func:`vvmf.reps.induced_exponents` of the exponents F exhibits.
+
+    F|T^{-1} multiplies the n-th coefficient of a component with declared
+    exponent lam by e^{-pi i lam} (-1)^n, so F +- e^{pi i lam} F|T^{-1}
+    keep only the even (odd) q2-offsets by algebra alone; nothing re-checks
+    it.  When L is given, the exponents F exhibits must induce the same
+    multiset as L."""
+    if F.nome is not Nome.Q2:
+        raise WrongNome("induction to the full group acts on q2-expansions")
+    if L is not None:
+        got = induced_exponents(exhibited_exponents(F)).eigenvalues
+        want = induced_exponents(L).eigenvalues
+        if not match_multisets(got, want, 1e-6):
+            raise ExponentMismatch(
+                f"exhibited q-exponents {list(got)} do not match the induced set {list(want)}"
+            )
+    slashed = tuple(c.slash_t_inverse() for c in F.components)
+    return VectorSeries(F.components + slashed, F.weight)
 
 
 def induction_pipeline(
     job: InductionJob, order: int, catalog: ClassicalCatalog
 ) -> tuple[FormBasis, FormBasis]:
-    """Full induction route: solve for the minimal pair, verify its defining
-    relation, induce both forms to the full group, and assemble the cyclic
-    bases of the exponents the series exhibit: k1/6 +- r induce
-    3 Tr(Ind L) = k1 + 3, of the other parity than k1 = e mod 2."""
-    if (job.k1 - job.rep.e) % 2:
-        raise WeightParityMismatch(
-            f"induction needs k1 = e mod 2, got k1 = {job.k1} and e = {job.rep.e}"
-        )
+    """Full induction route: solve for the minimal pair and verify its
+    defining relation; then, for the form of each beta-twist, induce it to
+    the full group, classify the induced representation
+    (:func:`vvmf.reps.rank4_from_induction`) at the exponents the form
+    exhibits, and assemble the cyclic basis.  k1/6 +- r induce
+    3 Tr(Ind L) = k1 + 3, of the other parity than k1 = e mod 2, so the
+    report is cyclic with the job's k1."""
     (A, B), system = _induction_stage(job, order, catalog)
     derivatives = [modular_derivative(X, X.weight, catalog) for X in (A, B)]
     pair_res = max(system_residuals((A, B), derivatives, system))
     out = []
-    for F in (A, B):
-        L_g = exhibited_exponents(F)
-        ind_L = induced_exponents(L_g)
-        stacked, split = _stack(F, SPLIT_TOL)
-        t3 = require_int(3 * ind_L.trace, "3*Tr(Ind L)")
-        if t3 != job.k1 + 3:
+    for j, F in ((1, A), (2, B)):
+        ind_L = induced_exponents(exhibited_exponents(F))
+        report = classify(rank4_from_induction(job.rep.twist(j)), ind_L)
+        if report.case != CYCLIC or report.k1 != job.k1:
+            t3 = require_int(3 * ind_L.trace, "3*Tr(Ind L)")
             raise ExponentMismatch(
                 f"exhibited exponents give 3 Tr(Ind L) = {t3}, not k1 + 3 = {job.k1 + 3}"
             )
-        d = t3 % 3 if (t3 % 3) % 2 != job.rep.e % 2 else t3 % 3 + 3
-        k1 = job.k1
-        case = CaseReport(CYCLIC, k1, (k1, k1 + 2, k1 + 4, k1 + 6), d, job.rep.e)
         co = cyclic_coeffs(indicial_shifts(ind_L.eigenvalues, CYCLIC))
-        basis = assemble_cyclic_basis(stacked, co, catalog, case)
-        res = dict(basis.residuals)
-        res["pair_relation"] = pair_res
-        res["even_odd_split"] = split
-        out.append(FormBasis(basis.forms, case, res))
+        basis = assemble_cyclic_basis(induce_to_gamma(F), co, catalog, report)
+        out.append(FormBasis(basis.forms, report, {**basis.residuals, "pair_relation": pair_res}))
     return tuple(out)

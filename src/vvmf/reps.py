@@ -1,6 +1,12 @@
 """Representation parameters, irreducibility criteria, and the three exponent
 functors (tensor product, symmetric cube, induction).
 
+Each functor has a rank-4 partner (:func:`rank4_from_tensor`,
+:func:`rank4_from_sym3`, :func:`rank4_from_induction`) that carries the
+invariants d and e of the constructed representation; every construction
+route classifies that partner at the functor's exponents with
+:func:`vvmf.mlde.classify`, so each route's d has one source here.
+
 Representations are stored by normal-form parameters only; the actual
 matrices are reconstructed on demand for validation.  Exponent data is a
 list of eigenvalues of a choice of exponents L with e^{2 pi i L} = rho(T),
@@ -30,7 +36,7 @@ class Group(str, Enum):
     G = "G"          # index-two subgroup; exponents for rho(T^2)
 
 
-def _match_multisets(left, right, tol: float = 1e-8) -> bool:
+def match_multisets(left, right, tol: float = 1e-8) -> bool:
     """Greedy matching of two complex multisets within tol."""
     if len(left) != len(right):
         return False
@@ -309,12 +315,15 @@ class ExponentData:
         if self.matrix is not None:
             mat = tuple(tuple(complex(v) for v in row) for row in self.matrix)
             object.__setattr__(self, "matrix", mat)
-            arr = np.array(mat, dtype=complex)
-            if arr.shape != (self.rank, self.rank):
+            # numpy's shape, with the distinct row lengths of a ragged matrix
+            widths = sorted({len(row) for row in mat})
+            shape = (len(mat), *widths) if len(widths) <= 1 else (len(mat), widths)
+            if shape != (self.rank, self.rank):
                 raise WrongRank(
-                    f"matrix shape {arr.shape} does not match {self.rank} eigenvalues"
+                    f"matrix shape {shape} does not match {self.rank} eigenvalues"
                 )
-            if not _match_multisets(np.linalg.eigvals(arr), self.eigenvalues, 1e-6):
+            arr = np.array(mat, dtype=complex)
+            if not match_multisets(np.linalg.eigvals(arr), self.eigenvalues, 1e-6):
                 raise InconsistentRep("matrix spectrum disagrees with eigenvalue list")
 
     @classmethod
@@ -404,7 +413,7 @@ def sym3_exponents(L: ExponentData) -> ExponentData:
     return ExponentData(eigs, L.group, mat)
 
 
-def induced_exponents(L: ExponentData, rho: GRank2Rep | None = None) -> ExponentData:
+def induced_exponents(L: ExponentData) -> ExponentData:
     """Exponents for the induction to the full modular group: eigenvalues
     {e_j/2} and {(e_j+1)/2}, trace Tr(L) + rank/2."""
     if L.group is not Group.G:
@@ -424,16 +433,7 @@ def induced_exponents(L: ExponentData, rho: GRank2Rep | None = None) -> Exponent
         inner = np.block([[arr, np.zeros((d, d))], [np.zeros((d, d)), arr + eye]])
         ind = 0.5 * (np.linalg.inv(C) @ inner @ C)
         mat = tuple(tuple(ind[i, j] for j in range(2 * d)) for i in range(2 * d))
-    out = ExponentData(eigs, Group.GAMMA, mat)
-    if rho is not None:
-        t2 = np.linalg.eigvals(rho.t2_matrix())
-        images = [cmath.exp(2j * cmath.pi * e) for e in out.eigenvalues]
-        targets = [s * cmath.sqrt(mu) for mu in t2 for s in (1, -1)]
-        if not _match_multisets(images, targets, 1e-6):
-            raise InconsistentRep(
-                "induced exponents do not exponentiate onto the induced T-spectrum"
-            )
-    return out
+    return ExponentData(eigs, Group.GAMMA, mat)
 
 
 def rank4_from_tensor(alpha: Rank2Rep, beta: Rank2Rep) -> Rank4Rep:
@@ -454,7 +454,8 @@ def rank4_from_sym3(alpha: Rank2Rep) -> Rank4Rep:
 def rank4_from_induction(rho: GRank2Rep) -> Rank4Rep:
     """Rank-4 data of Ind rho; the T-matrix is the block antidiagonal
     (0, rho(T^2); 1, 0), with eigenvalues the two square roots of each
-    eigenvalue of rho(T^2)."""
+    eigenvalue of rho(T^2).  d follows from their product, det rho(T^2),
+    which no beta-twist changes, and the parity e is rho's."""
     mu = np.linalg.eigvals(rho.t2_matrix())
     eigs = [s * cmath.sqrt(m) for m in mu for s in (1, -1)]
     prod = complex(np.prod(eigs))

@@ -136,7 +136,11 @@ def cpow(base, exponent):
 
 
 def as_complex(z) -> complex:
-    """Downcast to builtin complex; used only for tolerance tests."""
+    """Downcast to builtin complex, for tolerance tests and for emission.
+    The builtin types are tested first: an ABC check of every emitted
+    coefficient against ``Fraction`` costs more than the conversion."""
+    if type(z) in (complex, float, int):
+        return complex(z)
     if isinstance(z, Fraction):
         return complex(float(z))
     return complex(z)
@@ -661,16 +665,6 @@ class PuiseuxSeries:
         lam = complex(*data["lead_exponent"])
         coeffs = tuple(complex(re, im) for re, im in data["coeffs"])
         return PuiseuxSeries(Nome(data["nome"]), lam, coeffs)
-
-
-def even_odd_parts(s: PuiseuxSeries) -> tuple[PuiseuxSeries, PuiseuxSeries]:
-    """F + e^{pi i lam} F|T^{-1} (even q2-offsets survive) and
-    F - e^{pi i lam} F|T^{-1} (odd offsets survive)."""
-    lam = s.lead_exponent
-    pi = mpmath.pi if isinstance(lam, _MP_SCALARS) else cmath.pi
-    phase = cexp(1j * pi * lam)
-    sl = s.slash_t_inverse().scale(phase)
-    return s + sl, s - sl
 
 
 def downcast_to_complex(s: PuiseuxSeries) -> PuiseuxSeries:

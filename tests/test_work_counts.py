@@ -408,18 +408,19 @@ def test_j_multiplies_once_and_inverts_nothing(monkeypatch):
     assert len(products) == 1 and inverses == []
 
 
+def test_induction_slashes_each_component_once(monkeypatch):
+    # the induced form is (F, F|T^-1): one slash per component of each form
+    # of the pair, and no other pass over the q2-parts
+    calls = count_calls(monkeypatch, PuiseuxSeries, "slash_t_inverse")
+    bases = run_route("induction")
+    assert len(calls) == 4
+    assert {id(args[0]) for args in calls} == {
+        id(c) for fb in bases for c in fb.forms[0].components[:2]}
+
+
 def test_h_inverts_once_on_the_q_series(monkeypatch):
     # E6 and eta^12 are series in q = q2^2: the one inverse runs on the
     # order-200 q-series, not on the q2-series of order 400
     inverses = count_calls(monkeypatch, PuiseuxSeries, "invert")
     ClassicalCatalog(200).h_series()
     assert [(s.nome, s.order) for (s,) in inverses] == [(vvmf.series.Nome.Q, 200)]
-
-
-def test_induction_splits_each_component_once(monkeypatch):
-    # the even/odd split that the induction checks is the one its residuals
-    # record: one split per component of each form of the pair
-    calls = count_calls(monkeypatch, vvmf.series, "even_odd_parts")
-    first, _ = run_route("induction")
-    assert first.residuals["even_odd_split"] < 1e-12
-    assert len(calls) == 4 and len({id(args[0]) for args in calls}) == 4
