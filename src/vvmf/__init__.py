@@ -11,30 +11,23 @@ from .classical import ClassicalCatalog
 from .constructions import (
     InductionJob,
     Rank2MinimalForm,
-    build_fuchsian_z,
     induce_to_gamma,
     induction_minimal_pair,
     induction_pipeline,
     rank2_minimal,
     sym3_pipeline,
     tensor_pipeline,
-    u_from_local_exponent,
 )
 from .errors import VvmfError
 from .mlde import (
     CaseReport,
     FormBasis,
-    FuchsianOperator,
     ODECoefficients,
     assemble_cyclic_basis,
-    build_cyclic_operator,
-    build_noncyclic_operator,
     classify,
     cyclic_coeffs,
     dimension,
-    frobenius_solve,
     generic_basis,
-    hypergeom_2f1,
     modular_derivative,
     noncyclic_coeffs,
     qline_solve,
@@ -54,7 +47,7 @@ from .reps import (
     tensor_exponents,
     tensor_is_irreducible,
 )
-from .series import Nome, PuiseuxSeries, VectorSeries, compose_frobenius
+from .series import Nome, PuiseuxSeries, VectorSeries
 
 __version__ = "0.1.0"
 
@@ -63,7 +56,6 @@ __all__ = [
     "CaseReport",
     "ExponentData",
     "FormBasis",
-    "FuchsianOperator",
     "GRank2Rep",
     "Group",
     "InductionJob",
@@ -76,16 +68,10 @@ __all__ = [
     "VectorSeries",
     "VvmfError",
     "assemble_cyclic_basis",
-    "build_cyclic_operator",
-    "build_fuchsian_z",
-    "build_noncyclic_operator",
     "classify",
-    "compose_frobenius",
     "cyclic_coeffs",
     "dimension",
-    "frobenius_solve",
     "generic_basis",
-    "hypergeom_2f1",
     "induce_to_gamma",
     "induced_exponents",
     "induction_is_irreducible",
@@ -103,5 +89,4 @@ __all__ = [
     "tensor_exponents",
     "tensor_is_irreducible",
     "tensor_pipeline",
-    "u_from_local_exponent",
 ]

@@ -279,6 +279,8 @@ def _dispatch(job: JobSpec) -> ResultEnvelope:
                 if form.components is None
                 else [c.to_json() for c in form.components.components],
             }
+            if form.eta_component is not None:
+                env.minimal["eta_component"] = form.eta_component.to_json()
             env.residuals.update(form.residuals)
         else:
             F, report, co, residuals = solve_minimal_form(

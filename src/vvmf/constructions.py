@@ -11,9 +11,6 @@ each form of the pair is stacked over its T^{-1}-slash, and like the
 other routes the induced representation is classified by
 :func:`vvmf.mlde.classify` before its basis is assembled.
 Every defining differential relation is re-checked on the emitted series.
-The closed hypergeometric pair on the K-line (:func:`rank2_kline_pair`) and
-the Z-line equation (:func:`build_fuchsian_z`) are the oracles the tests
-compare against.
 """
 
 from __future__ import annotations
@@ -40,12 +37,10 @@ from .mlde import (
     CYCLIC,
     NONCYCLIC,
     FormBasis,
-    FuchsianOperator,
     NONCYCLIC_KEYS,
     assemble_cyclic_basis,
     classify,
     cyclic_coeffs,
-    hypergeom_2f1,
     indicial_shifts,
     modular_derivative,
     nearest_int,
@@ -130,22 +125,6 @@ def _rank2_shifts(L: ExponentData) -> tuple:
     return (6 * delta + 1) / 12, (-6 * delta + 1) / 12
 
 
-def rank2_kline_pair(L: ExponentData, order: int) -> tuple[PuiseuxSeries, PuiseuxSeries]:
-    """Weight-zero K-line solutions K^{f_i} 2F1(f_i, f_i + 1/3; 1 +- delta; K)
-    with f_i = (6(r_i - r_j) + 1)/12 the shifted exponents.
-
-    The closed form the q-line rank-2 solve is tested against.  The
-    parameters enter as mpmath numbers, so the series is accurate at the
-    ambient working precision (needed before substituting the hauptmodul,
-    which cancels catastrophically)."""
-    third = Fraction(1, 3)
-    out = []
-    for f in _rank2_shifts(L):
-        hyp = hypergeom_2f1(f, f + third, 2 * f + Fraction(5, 6), order)  # c = 1 +- delta
-        out.append(PuiseuxSeries(Nome.K, f, hyp.coeffs))
-    return tuple(out)
-
-
 def _rank2_weight(rep: Rank2Rep, L: ExponentData) -> int:
     """Validate a rank-2 input and return its minimal weight 6 Tr(L) - 1."""
     if not rank2_is_irreducible(rep):
@@ -176,7 +155,7 @@ def _rank2_stage(L: ExponentData, k1: int, order: int, catalog: ClassicalCatalog
     system.  The rows stay in fixed point, for the caller's exact products.
 
     F_j leads with 1728^{f_j}, the leading coefficient of the closed form
-    eta^{2 k1} K^{f_j} 2F1(...)(K) (:func:`rank2_kline_pair`)."""
+    eta^{2 k1} K^{f_j} 2F1(...)(K)."""
     fs = _rank2_shifts(L)
     a = rank2_coeff(*fs)
     system = rank2_system(a, catalog)
@@ -301,14 +280,10 @@ def tensor_pipeline(
 
 def _exponent_drop(G: VectorSeries, expected_leads) -> float:
     """How far any component of G starts below its expected leading exponent
-    (zero when the expansion is holomorphic relative to the exponents)."""
-    worst = 0.0
-    for comp, expect in zip(G.components, expected_leads, strict=True):
-        eff = comp.effective_lead_exponent()
-        if eff is None:
-            continue
-        worst = max(worst, as_complex(expect).real - as_complex(eff).real)
-    return worst
+    (zero when the expansion is holomorphic relative to the exponents), read
+    off the declared exponents, as in :func:`exhibited_exponents`."""
+    return max(0.0, *(as_complex(expect).real - as_complex(comp.lead_exponent).real
+                      for comp, expect in zip(G.components, expected_leads, strict=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -359,27 +334,6 @@ def _cube(f: FixedSeries, g: FixedSeries) -> tuple[FixedSeries, ...]:
 # ---------------------------------------------------------------------------
 # induction from the index-two subgroup
 # ---------------------------------------------------------------------------
-
-def build_fuchsian_z(u, xi=XI) -> FuchsianOperator:
-    """Second-order equation on the Z-line satisfied by the weight-zero
-    transported minimal pair, cleared by 81(1-Z)^2; the local exponents at
-    Z = 0 are the square roots of -16 e^{2 pi i/6} u.
-
-    The u-independent part of the zeroth-order coefficient is
-    (18 Z^2 - 27 Z)/(81 (1-Z)^2), re-derived from the defining derivative
-    relation of the pair: it gives local exponents +-1/3 at Z = 1 and
-    (1/3, 2/3) at infinity, as the order-three elliptic points require.
-    """
-    p0 = (1296 * xi * u, 0, 81)
-    p1 = (-(1296 * xi * u + 27), -81, -162)
-    p2 = (18, 81, 81)
-    return FuchsianOperator((p0, p1, p2), Nome.Z)
-
-
-def u_from_local_exponent(r, xi=XI):
-    """Invert the indicial relation r^2 = -16 e^{2 pi i/6} u."""
-    return -(r * r) / (16 * xi)
-
 
 def local_exponent_from_u(u, xi=XI):
     """Principal square root of -16 e^{2 pi i/6} u."""

@@ -103,11 +103,6 @@ class Resonance(VvmfError):
     stage = "d"
 
 
-class PoleInC(VvmfError):
-    """Hypergeometric lower parameter hits a nonpositive integer."""
-    stage = "d"
-
-
 class ZeroForm(VvmfError):
     """A basis assembly was started from the zero form."""
     stage = "f"

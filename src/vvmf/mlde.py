@@ -1,14 +1,9 @@
-"""Weight/case classification, Fuchsian operators in theta-polynomial form,
-Frobenius series solving, hypergeometric series, first-order systems on the
-q-line, the modular derivative, and free-basis assembly.
+"""Weight/case classification, equation coefficients, first-order systems
+on the q-line, the modular derivative, and free-basis assembly.
 
 Every route solves a first-order system D X = X M(q) with holomorphic
 coefficients directly on the q-line (:func:`qline_solve`), with no
-hauptmodul, in fixed-point integer arithmetic.  Fuchsian operators, stored
-as a list of polynomials P_0..P_r in the Euler operator theta representing
-sum_i x^i P_i(theta) (P_0 the indicial polynomial at x = 0), and their
-Frobenius solver are the K-line and Z-line oracles the tests compare
-against.
+hauptmodul, in fixed-point integer arithmetic.
 """
 
 from __future__ import annotations
@@ -20,17 +15,14 @@ from itertools import combinations
 from operator import mul
 
 import mpmath
-import numpy as np
 
 from .classical import ClassicalCatalog
 from .errors import (
     DegenerateC,
     ExponentSumMismatch,
     NotAnExponent,
-    PoleInC,
     Resonance,
     TraceDCongruenceViolation,
-    WrongNome,
     ZeroForm,
 )
 from .reps import ExponentData, Rank4Rep
@@ -202,150 +194,6 @@ def rank2_coeff(f1, f2):
     if abs(as_complex(f1 + f2) - Fraction(1, 6)) > 1e-9:
         raise ExponentSumMismatch(f"rank-2 exponents must sum to 1/6, got {f1 + f2}")
     return f1 * f2
-
-
-# ---------------------------------------------------------------------------
-# Fuchsian operators in theta form
-# ---------------------------------------------------------------------------
-
-def _poly_eval(coeffs, t):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
-
-
-def _poly_scale(coeffs, t) -> float:
-    m = max(1.0, abs(as_complex(t)))
-    return sum(float(abs(as_complex(c))) * m**k for k, c in enumerate(coeffs))
-
-
-@dataclass(frozen=True)
-class FuchsianOperator:
-    """sum_i x^i P_i(theta), with P_i given by ascending coefficient tuples."""
-
-    theta_polys: tuple[tuple, ...]
-    nome: Nome
-
-    @property
-    def order(self) -> int:
-        return len(self.theta_polys[0]) - 1
-
-    @property
-    def x_degree(self) -> int:
-        return len(self.theta_polys) - 1
-
-    def indicial(self, t):
-        return _poly_eval(self.theta_polys[0], t)
-
-    def indicial_roots(self) -> np.ndarray:
-        p0 = [as_complex(c) for c in self.theta_polys[0]]
-        return np.roots(list(reversed(p0)))
-
-    def apply(self, s: PuiseuxSeries) -> PuiseuxSeries:
-        """Apply the operator to a series in the same variable; exact through
-        the series' own truncation order."""
-        if s.nome is not self.nome:
-            raise WrongNome(
-                f"operator in {self.nome.value!r} applied to {s.nome.value!r}-series"
-            )
-        lam = s.lead_exponent
-        out = []
-        for n in range(s.order + 1):
-            acc = 0
-            for i in range(min(n, self.x_degree) + 1):
-                acc += _poly_eval(self.theta_polys[i], lam + n - i) * s.coeffs[n - i]
-            out.append(acc)
-        return PuiseuxSeries(s.nome, lam, tuple(out))
-
-
-def build_cyclic_operator(co: ODECoefficients) -> FuchsianOperator:
-    """Minimal-weight equation of the cyclic case on the K-line, cleared of
-    denominators by 36(1-K)^2; P_0 is 36 times the indicial polynomial."""
-    a, b, c = co.a, co.b, co.c
-    p0 = (36 * c, 36 * b - 6 * a - 1, 36 * a + 11, -36, 36)
-    p1 = (0, -(12 * a + 36 * b + 4), -(36 * a + 28), -36, -72)
-    p2 = (0, 8, 44, 72, 36)
-    return FuchsianOperator((p0, p1, p2), Nome.K)
-
-
-def build_noncyclic_operator(co: ODECoefficients) -> FuchsianOperator:
-    """Scalar (cyclic-vector) form of the noncyclic equation, cleared by
-    108(1-K)^2."""
-    a, b, c = co.a, co.b, co.c
-    p0 = (-6 * a - 108 * c, 54 * a + 18 * b - 1, 15 - 108 * (a + b), -72, 108)
-    p1 = (-12 * a, 36 * b - 22, 108 * (a + b) - 102, -180, -216)
-    p2 = (0, 32, 168, 252, 108)
-    return FuchsianOperator((p0, p1, p2), Nome.K)
-
-
-def build_hypergeometric_operator(a, b, c, nome: Nome = Nome.K) -> FuchsianOperator:
-    """theta(theta+c-1) - x(theta+a)(theta+b)."""
-    p0 = (0, c - 1, 1)
-    p1 = (-a * b, -(a + b), -1)
-    return FuchsianOperator((p0, p1), Nome(nome))
-
-
-def build_rank2_operator(a) -> FuchsianOperator:
-    """Weight-zero rank-2 equation on the K-line, cleared by 36(1-K);
-    indicial polynomial x^2 - x/6 + a."""
-    p0 = (36 * a, -6, 36)
-    p1 = (0, -12, -36)
-    return FuchsianOperator((p0, p1), Nome.K)
-
-
-def operator_residual(op: FuchsianOperator, s: PuiseuxSeries) -> float:
-    """Residual of op(s) = 0, relative to the natural scale of the applied
-    terms (the indicial polynomial evaluated at the top of the window times
-    the largest coefficient)."""
-    lam = abs(as_complex(s.lead_exponent))
-    scale = max(
-        _poly_scale(p, lam + s.order) for p in op.theta_polys
-    ) * max(1.0, s.max_abs())
-    return op.apply(s).max_abs() / scale
-
-
-# ---------------------------------------------------------------------------
-# Frobenius solving
-# ---------------------------------------------------------------------------
-
-def frobenius_solve(op: FuchsianOperator, r, order: int) -> PuiseuxSeries:
-    """Series solution x^r (1 + c_1 x + ...) with
-    c_n = -(sum_{i>=1} P_i(r+n-i) c_{n-i}) / P_0(r+n).
-
-    Raises NotAnExponent when P_0(r) != 0 and Resonance when the recursion
-    denominator vanishes for some n >= 1 (a logarithmic case this engine
-    rejects by design).
-    """
-    p0 = op.theta_polys[0]
-    if abs(as_complex(op.indicial(r))) > 1e-6 * _poly_scale(p0, r):
-        raise NotAnExponent(f"P0({r!r}) = {op.indicial(r)!r} does not vanish")
-    coeffs = [1]
-    for n in range(1, order + 1):
-        denom = op.indicial(r + n)
-        if abs(as_complex(denom)) < 1e-8 * _poly_scale(p0, r + n):
-            raise Resonance(
-                f"indicial polynomial vanishes again at offset {n}; "
-                "logarithmic solutions are out of scope"
-            )
-        acc = 0
-        for i in range(1, min(n, op.x_degree) + 1):
-            acc += _poly_eval(op.theta_polys[i], r + n - i) * coeffs[n - i]
-        coeffs.append(-acc / denom)
-    return PuiseuxSeries(op.nome, r, tuple(coeffs))
-
-
-def hypergeom_2f1(a, b, c, order: int, nome: Nome = Nome.K) -> PuiseuxSeries:
-    """Gauss series sum (a)_n (b)_n / ((c)_n n!) x^n by the term ratio."""
-    ci = nearest_int(c)
-    if ci is not None and ci <= 0 and -ci <= order - 1:
-        raise PoleInC(f"lower parameter c = {c!r} hits a nonpositive integer")
-    coeffs = [1]
-    term = 1
-    for n in range(order):
-        term = term * (a + n) * (b + n) / ((c + n) * (n + 1))
-        coeffs.append(term)
-    return PuiseuxSeries(Nome(nome), 0.0, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

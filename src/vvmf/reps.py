@@ -455,9 +455,15 @@ def rank4_from_induction(rho: GRank2Rep) -> Rank4Rep:
     """Rank-4 data of Ind rho; the T-matrix is the block antidiagonal
     (0, rho(T^2); 1, 0), with eigenvalues the two square roots of each
     eigenvalue of rho(T^2).  d follows from their product, det rho(T^2),
-    which no beta-twist changes, and the parity e is rho's."""
-    mu = np.linalg.eigvals(rho.t2_matrix())
-    eigs = [s * cmath.sqrt(m) for m in mu for s in (1, -1)]
+    which no beta-twist changes, and the parity e is rho's.  rho(T^2) has
+    trace (-1)^e (a zeta1 - (zeta3 + a) zeta2) and determinant
+    zeta1 zeta2 zeta3^2: mu1 is the root of larger modulus, mu2 = det / mu1."""
+    sign = (-1) ** rho.e
+    tr = sign * (rho.a * rho.zeta1 - (rho.zeta3 + rho.a) * rho.zeta2)
+    det = rho.zeta1 * rho.zeta2 * rho.zeta3**2
+    root = cmath.sqrt(tr * tr - 4 * det)
+    mu1 = max((tr + root) / 2, (tr - root) / 2, key=abs)
+    eigs = [s * cmath.sqrt(m) for m in (mu1, det / mu1) for s in (1, -1)]
     prod = complex(np.prod(eigs))
     best = min(range(3), key=lambda k: abs(prod - ZETA3**k))
     if abs(prod - ZETA3**best) > 1e-8:

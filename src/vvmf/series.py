@@ -4,9 +4,9 @@ A :class:`PuiseuxSeries` is a finite window ``x^lam * (a_0 + a_1 x + ... +
 a_N x^N) + O(x^{lam+N+1})`` with a complex leading exponent ``lam`` and a tag
 identifying the formal variable (q, q2, K or Z).  All higher modules build on
 this kernel: q-expansions of classical forms, the q-line solutions and the
-vector-valued forms built from them.  The K- and Z-line series, and their
-substitution into a hauptmodul (:func:`compose_frobenius`), serve the test
-oracles only.
+vector-valued forms built from them.  No route substitutes a hauptmodul;
+:func:`compose_frobenius` stays for the test oracles until the benchmark's
+tracer stops reading it at its binding sites.
 
 Coefficients are ordinary ``complex`` by default.  Passing mpmath numbers in
 switches the same code paths to extended precision; the arithmetic below
@@ -398,17 +398,6 @@ class PuiseuxSeries:
     def max_abs(self) -> float:
         return max((float(abs(c)) for c in self.coeffs), default=0.0)
 
-    def effective_lead_exponent(self, rel_tol: float = 1e-9):
-        """Exponent of the first coefficient that is nonzero relative to the
-        largest one, or None for the (numerically) zero series."""
-        scale = self.max_abs()
-        if scale == 0.0:
-            return None
-        for n, c in enumerate(self.coeffs):
-            if abs(c) > rel_tol * scale:
-                return self.lead_exponent + n
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         head = ", ".join(repr(as_complex(c)) for c in self.coeffs[:4])
         tail = ", ..." if self.order >= 4 else ""
@@ -665,12 +654,6 @@ class PuiseuxSeries:
         lam = complex(*data["lead_exponent"])
         coeffs = tuple(complex(re, im) for re, im in data["coeffs"])
         return PuiseuxSeries(Nome(data["nome"]), lam, coeffs)
-
-
-def downcast_to_complex(s: PuiseuxSeries) -> PuiseuxSeries:
-    return PuiseuxSeries(
-        s.nome, as_complex(s.lead_exponent), tuple(as_complex(c) for c in s.coeffs)
-    )
 
 
 def _shift_round(m: int, shift: int) -> int:
@@ -959,36 +942,6 @@ def pair_mul(x0: FixedSeries, x1: FixedSeries, y: FixedSeries) -> tuple[FixedSer
         out.append(FixedSeries(PuiseuxSeries(y.re.nome, lam, tuple(p[:n])),
                                PuiseuxSeries(y.re.nome, lam, (0,) * n), bits + y.bits))
     return out[0], out[1]
-
-
-def composition_dps(x_of_q: PuiseuxSeries, margin: int = 35) -> int:
-    """Working precision for substituting x(q) into a series.
-
-    Substitution sums a_n * [x^n]_m; the largest term is governed by the
-    per-order growth rate max_j |x_j|^(1/j) (the leading coefficient usually
-    dominates: 1728 for K, ~83i for Z), while the result stays at
-    modular-form scale.  The digits of headroom must absorb the full
-    cancellation between the two.
-    """
-    def lg(coeff) -> float | None:
-        if isinstance(coeff, int):
-            # exact for integers of any size (math.log10 takes Python ints)
-            return math.log10(abs(coeff)) if coeff else None
-        mag = abs(coeff)
-        if mag == 0:
-            return None
-        try:
-            return math.log10(float(mag))
-        except (OverflowError, ValueError):
-            return float(mpmath.log10(abs(mpmath.mpc(coeff))))
-
-    lead = lg(x_of_q.coeffs[0]) or 0.0
-    rate = max(lead, 0.0)
-    for j in range(1, x_of_q.order + 1):
-        v = lg(x_of_q.coeffs[j])
-        if v is not None:
-            rate = max(rate, (v - lead) / j)
-    return margin + int(rate * x_of_q.order) + 1
 
 
 def compose_frobenius(f: PuiseuxSeries, x_of_q: PuiseuxSeries) -> PuiseuxSeries:

@@ -1,0 +1,251 @@
+"""The K-line and Z-line oracles the tests compare the q-line routes against:
+the paper's rank-2 closed form eta^{2 k1} K^f 2F1(f, f + 1/3; 1 +- delta; K)
+with K = 1728/j, and the Z-line equation of the induction pair.  Fuchsian
+operators are lists of polynomials P_0..P_r in the Euler operator theta for
+sum_i x^i P_i(theta), P_0 the indicial polynomial at x = 0.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+import mpmath
+import numpy as np
+
+from vvmf.constructions import _rank2_shifts
+from vvmf.errors import NotAnExponent, Resonance, VvmfError, WrongNome
+from vvmf.mlde import ODECoefficients
+from vvmf.reps import XI, ExponentData
+from vvmf.series import Nome, PuiseuxSeries, as_complex, nearest_int
+
+
+class PoleInC(VvmfError):
+    """Hypergeometric lower parameter hits a nonpositive integer."""
+    stage = "d"
+
+
+# ---------------------------------------------------------------------------
+# substitution into a hauptmodul
+# ---------------------------------------------------------------------------
+
+def composition_dps(x_of_q: PuiseuxSeries, margin: int = 35) -> int:
+    """Working precision for substituting x(q) into a series.
+
+    Substitution sums a_n * [x^n]_m; the largest term is governed by the
+    per-order growth rate max_j |x_j|^(1/j) (the leading coefficient usually
+    dominates: 1728 for K, ~83i for Z), while the result stays at
+    modular-form scale.  The digits of headroom must absorb the full
+    cancellation between the two.
+    """
+    def lg(coeff) -> float | None:
+        if isinstance(coeff, int):
+            # exact for integers of any size (math.log10 takes Python ints)
+            return math.log10(abs(coeff)) if coeff else None
+        mag = abs(coeff)
+        if mag == 0:
+            return None
+        try:
+            return math.log10(float(mag))
+        except (OverflowError, ValueError):
+            return float(mpmath.log10(abs(mpmath.mpc(coeff))))
+
+    lead = lg(x_of_q.coeffs[0]) or 0.0
+    rate = max(lead, 0.0)
+    for j in range(1, x_of_q.order + 1):
+        v = lg(x_of_q.coeffs[j])
+        if v is not None:
+            rate = max(rate, (v - lead) / j)
+    return margin + int(rate * x_of_q.order) + 1
+
+
+def downcast_to_complex(s: PuiseuxSeries) -> PuiseuxSeries:
+    return PuiseuxSeries(
+        s.nome, as_complex(s.lead_exponent), tuple(as_complex(c) for c in s.coeffs)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Fuchsian operators in theta form
+# ---------------------------------------------------------------------------
+
+def _poly_eval(coeffs, t):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def _poly_scale(coeffs, t) -> float:
+    m = max(1.0, abs(as_complex(t)))
+    return sum(float(abs(as_complex(c))) * m**k for k, c in enumerate(coeffs))
+
+
+@dataclass(frozen=True)
+class FuchsianOperator:
+    """sum_i x^i P_i(theta), with P_i given by ascending coefficient tuples."""
+
+    theta_polys: tuple[tuple, ...]
+    nome: Nome
+
+    @property
+    def order(self) -> int:
+        return len(self.theta_polys[0]) - 1
+
+    @property
+    def x_degree(self) -> int:
+        return len(self.theta_polys) - 1
+
+    def indicial(self, t):
+        return _poly_eval(self.theta_polys[0], t)
+
+    def indicial_roots(self) -> np.ndarray:
+        p0 = [as_complex(c) for c in self.theta_polys[0]]
+        return np.roots(list(reversed(p0)))
+
+    def apply(self, s: PuiseuxSeries) -> PuiseuxSeries:
+        """Apply the operator to a series in the same variable; exact through
+        the series' own truncation order."""
+        if s.nome is not self.nome:
+            raise WrongNome(
+                f"operator in {self.nome.value!r} applied to {s.nome.value!r}-series"
+            )
+        lam = s.lead_exponent
+        out = []
+        for n in range(s.order + 1):
+            acc = 0
+            for i in range(min(n, self.x_degree) + 1):
+                acc += _poly_eval(self.theta_polys[i], lam + n - i) * s.coeffs[n - i]
+            out.append(acc)
+        return PuiseuxSeries(s.nome, lam, tuple(out))
+
+
+def build_cyclic_operator(co: ODECoefficients) -> FuchsianOperator:
+    """Minimal-weight equation of the cyclic case on the K-line, cleared of
+    denominators by 36(1-K)^2; P_0 is 36 times the indicial polynomial."""
+    a, b, c = co.a, co.b, co.c
+    p0 = (36 * c, 36 * b - 6 * a - 1, 36 * a + 11, -36, 36)
+    p1 = (0, -(12 * a + 36 * b + 4), -(36 * a + 28), -36, -72)
+    p2 = (0, 8, 44, 72, 36)
+    return FuchsianOperator((p0, p1, p2), Nome.K)
+
+
+def build_noncyclic_operator(co: ODECoefficients) -> FuchsianOperator:
+    """Scalar (cyclic-vector) form of the noncyclic equation, cleared by
+    108(1-K)^2."""
+    a, b, c = co.a, co.b, co.c
+    p0 = (-6 * a - 108 * c, 54 * a + 18 * b - 1, 15 - 108 * (a + b), -72, 108)
+    p1 = (-12 * a, 36 * b - 22, 108 * (a + b) - 102, -180, -216)
+    p2 = (0, 32, 168, 252, 108)
+    return FuchsianOperator((p0, p1, p2), Nome.K)
+
+
+def build_hypergeometric_operator(a, b, c, nome: Nome = Nome.K) -> FuchsianOperator:
+    """theta(theta+c-1) - x(theta+a)(theta+b)."""
+    p0 = (0, c - 1, 1)
+    p1 = (-a * b, -(a + b), -1)
+    return FuchsianOperator((p0, p1), Nome(nome))
+
+
+def build_rank2_operator(a) -> FuchsianOperator:
+    """Weight-zero rank-2 equation on the K-line, cleared by 36(1-K);
+    indicial polynomial x^2 - x/6 + a."""
+    p0 = (36 * a, -6, 36)
+    p1 = (0, -12, -36)
+    return FuchsianOperator((p0, p1), Nome.K)
+
+
+def operator_residual(op: FuchsianOperator, s: PuiseuxSeries) -> float:
+    """Residual of op(s) = 0, relative to the natural scale of the applied
+    terms (the indicial polynomial evaluated at the top of the window times
+    the largest coefficient)."""
+    lam = abs(as_complex(s.lead_exponent))
+    scale = max(
+        _poly_scale(p, lam + s.order) for p in op.theta_polys
+    ) * max(1.0, s.max_abs())
+    return op.apply(s).max_abs() / scale
+
+
+# ---------------------------------------------------------------------------
+# Frobenius solving
+# ---------------------------------------------------------------------------
+
+def frobenius_solve(op: FuchsianOperator, r, order: int) -> PuiseuxSeries:
+    """Series solution x^r (1 + c_1 x + ...) with
+    c_n = -(sum_{i>=1} P_i(r+n-i) c_{n-i}) / P_0(r+n).
+
+    Raises NotAnExponent when P_0(r) != 0 and Resonance when the recursion
+    denominator vanishes for some n >= 1 (a logarithmic case this engine
+    rejects by design).
+    """
+    p0 = op.theta_polys[0]
+    if abs(as_complex(op.indicial(r))) > 1e-6 * _poly_scale(p0, r):
+        raise NotAnExponent(f"P0({r!r}) = {op.indicial(r)!r} does not vanish")
+    coeffs = [1]
+    for n in range(1, order + 1):
+        denom = op.indicial(r + n)
+        if abs(as_complex(denom)) < 1e-8 * _poly_scale(p0, r + n):
+            raise Resonance(
+                f"indicial polynomial vanishes again at offset {n}; "
+                "logarithmic solutions are out of scope"
+            )
+        acc = 0
+        for i in range(1, min(n, op.x_degree) + 1):
+            acc += _poly_eval(op.theta_polys[i], r + n - i) * coeffs[n - i]
+        coeffs.append(-acc / denom)
+    return PuiseuxSeries(op.nome, r, tuple(coeffs))
+
+
+def hypergeom_2f1(a, b, c, order: int, nome: Nome = Nome.K) -> PuiseuxSeries:
+    """Gauss series sum (a)_n (b)_n / ((c)_n n!) x^n by the term ratio."""
+    ci = nearest_int(c)
+    if ci is not None and ci <= 0 and -ci <= order - 1:
+        raise PoleInC(f"lower parameter c = {c!r} hits a nonpositive integer")
+    coeffs = [1]
+    term = 1
+    for n in range(order):
+        term = term * (a + n) * (b + n) / ((c + n) * (n + 1))
+        coeffs.append(term)
+    return PuiseuxSeries(Nome(nome), 0.0, tuple(coeffs))
+
+
+# ---------------------------------------------------------------------------
+# the paper's closed forms on the K- and Z-lines
+# ---------------------------------------------------------------------------
+
+def rank2_kline_pair(L: ExponentData, order: int) -> tuple[PuiseuxSeries, PuiseuxSeries]:
+    """Weight-zero K-line solutions K^{f_i} 2F1(f_i, f_i + 1/3; 1 +- delta; K)
+    with f_i = (6(r_i - r_j) + 1)/12 the shifted exponents.
+
+    The closed form the q-line rank-2 solve is tested against.  The
+    parameters enter as mpmath numbers, so the series is accurate at the
+    ambient working precision (needed before substituting the hauptmodul,
+    which cancels catastrophically)."""
+    third = Fraction(1, 3)
+    out = []
+    for f in _rank2_shifts(L):
+        hyp = hypergeom_2f1(f, f + third, 2 * f + Fraction(5, 6), order)  # c = 1 +- delta
+        out.append(PuiseuxSeries(Nome.K, f, hyp.coeffs))
+    return tuple(out)
+
+
+def build_fuchsian_z(u, xi=XI) -> FuchsianOperator:
+    """Second-order equation on the Z-line satisfied by the weight-zero
+    transported minimal pair, cleared by 81(1-Z)^2; the local exponents at
+    Z = 0 are the square roots of -16 e^{2 pi i/6} u.
+
+    The u-independent part of the zeroth-order coefficient is
+    (18 Z^2 - 27 Z)/(81 (1-Z)^2), re-derived from the defining derivative
+    relation of the pair: it gives local exponents +-1/3 at Z = 1 and
+    (1/3, 2/3) at infinity, as the order-three elliptic points require.
+    """
+    p0 = (1296 * xi * u, 0, 81)
+    p1 = (-(1296 * xi * u + 27), -81, -162)
+    p2 = (18, 81, 81)
+    return FuchsianOperator((p0, p1, p2), Nome.Z)
+
+
+def u_from_local_exponent(r, xi=XI):
+    """Invert the indicial relation r^2 = -16 e^{2 pi i/6} u."""
+    return -(r * r) / (16 * xi)

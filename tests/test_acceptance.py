@@ -17,24 +17,16 @@ from vvmf.constructions import (
     exhibited_exponents,
     induction_pipeline,
     induction_system,
-    rank2_kline_pair,
     rank2_minimal,
     sym3_pipeline,
     tensor_pipeline,
-    u_from_local_exponent,
 )
 from vvmf.mlde import (
-    build_hypergeometric_operator,
-    build_noncyclic_operator,
-    build_rank2_operator,
     dimension,
     classify,
-    frobenius_solve,
-    hypergeom_2f1,
     indicial_shifts,
     modular_derivative,
     noncyclic_coeffs,
-    operator_residual,
     rank2_coeff,
     system_residuals,
 )
@@ -47,12 +39,19 @@ from vvmf.reps import (
     induced_exponents,
     tensor_exponents,
 )
-from vvmf.series import (
-    Nome,
-    VectorSeries,
-    compose_frobenius,
+from vvmf.series import Nome, VectorSeries, compose_frobenius
+
+from oracles import (
+    build_hypergeometric_operator,
+    build_noncyclic_operator,
+    build_rank2_operator,
     composition_dps,
     downcast_to_complex,
+    frobenius_solve,
+    hypergeom_2f1,
+    operator_residual,
+    rank2_kline_pair,
+    u_from_local_exponent,
 )
 
 ZETA = cmath.exp(2j * cmath.pi / 3)

@@ -173,6 +173,17 @@ class TestRun:
         assert env.minimal["source"] == "hypergeometric"
         assert list(env.residuals) == ["rank2_mlde"]
         assert env.residuals["rank2_mlde"] < 1e-12
+        assert "eta_component" not in env.minimal
+
+    def test_minimal_nu_chi_emits_its_eta_coordinate(self):
+        # x = y = e^{2 pi i/12}: k1 = 0, and the one coordinate with a
+        # q-expansion is eta^{2 k1 + 2} = eta^2
+        job = {"command": "minimal", "rep": rank2_json(1 / 12, 1 / 12),
+               "exponents": exponents_json([1 / 12, 1 / 12]), "order": 12}
+        out = json.loads(emit(run(JobSpec.from_json(job))))
+        assert out["minimal"]["source"] == "nu-chi" and out["minimal"]["components"] is None
+        want = ClassicalCatalog(12).eta_power(2).to_json()
+        assert out["minimal"]["eta_component"] == want
 
     def test_basis_generic(self):
         env = run(JobSpec.from_json(generic_job("basis")))

@@ -14,18 +14,15 @@ from vvmf.constructions import (
     NU_CHI,
     InductionJob,
     _rank2_shifts,
-    build_fuchsian_z,
     exhibited_exponents,
     induce_to_gamma,
     induction_minimal_pair,
     induction_pipeline,
     induction_system,
     local_exponent_from_u,
-    rank2_kline_pair,
     rank2_minimal,
     sym3_pipeline,
     tensor_pipeline,
-    u_from_local_exponent,
 )
 from vvmf.errors import (
     DegenerateC,
@@ -52,6 +49,7 @@ from vvmf.mlde import (
 from vvmf.reps import ExponentData, GRank2Rep, Group, Rank2Rep
 from vvmf.series import FixedSeries, Nome, relative_residual
 
+from oracles import build_fuchsian_z, rank2_kline_pair, u_from_local_exponent
 from test_acceptance import FREENESS_TOL, freeness_deviation, tensor_grid
 
 ZETA = cmath.exp(2j * cmath.pi / 3)
@@ -174,6 +172,17 @@ class TestTensorPipeline:
         assert basis.residuals["g_exponent_drop"] == 0.0
         assert freeness_deviation(basis.forms) < FREENESS_TOL
 
+    @pytest.mark.parametrize("member", [3, 9])
+    def test_g_exponent_drop_is_the_same_at_every_order(self, member):
+        # G's declared exponents differ from L1 + L2 in the last bit here; a
+        # window relative to the largest coefficient read G's exponent one
+        # higher at order 300, and the key 0 there
+        p1, p2 = tensor_grid()[member]
+        (a, L1), (b, L2) = rank2_data(*p1), rank2_data(*p2)
+        drops = {tensor_pipeline(a, b, L1, L2, order, ClassicalCatalog(order))
+                 .residuals["g_exponent_drop"] for order in (40, 300)}
+        assert len(drops) == 1
+
     def test_equation_from_the_factors(self):
         # the closed forms rest on a = -(a_alpha + a_beta) and
         # c = -(a_alpha - a_beta)^2, exact at working precision
@@ -279,6 +288,16 @@ class TestInductionJob:
         job = make_job(0.27)
         with pytest.raises(WeightParityMismatch, match="k1 = 3 and e = 0"):
             InductionJob(job.rep, job.L, job.u, job.k1 + 1)
+
+    def test_pipeline_makes_no_eigenvalue_call(self, monkeypatch, cat):
+        # the spectrum of rho(T^2) comes from its trace and determinant
+        job = make_job(0.27)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        induction_pipeline(job, 10, cat)
 
     def test_trace_congruent_to_d(self, cat):
         # d = 5 for this orbit; 3 Tr(L) = 5 gives k1 = 6 and 3 Tr(Ind L) = 9,

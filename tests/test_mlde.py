@@ -17,7 +17,6 @@ from vvmf.errors import (
     ExponentSumMismatch,
     NonIntegralThreeTrace,
     NotAnExponent,
-    PoleInC,
     Resonance,
     TraceDCongruenceViolation,
     WrongNome,
@@ -29,19 +28,13 @@ from vvmf.mlde import (
     _left_solve,
     _real_form,
     assemble_cyclic_basis,
-    build_cyclic_operator,
-    build_hypergeometric_operator,
-    build_noncyclic_operator,
     classify,
     cyclic_coeffs,
     dimension,
-    frobenius_solve,
     generic_basis,
-    hypergeom_2f1,
     modular_derivative,
     noncyclic_coeffs,
     noncyclic_system,
-    operator_residual,
     qline_precision,
     qline_solve,
     solve_minimal_form,
@@ -50,6 +43,15 @@ from vvmf.mlde import (
 from vvmf.reps import ExponentData, Rank4Rep
 from vvmf.series import Nome, PuiseuxSeries, VectorSeries, relative_residual, to_fixed
 
+from oracles import (
+    PoleInC,
+    build_cyclic_operator,
+    build_hypergeometric_operator,
+    build_noncyclic_operator,
+    frobenius_solve,
+    hypergeom_2f1,
+    operator_residual,
+)
 from test_acceptance import FREENESS_TOL, freeness_deviation
 
 

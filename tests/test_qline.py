@@ -18,16 +18,14 @@ import vvmf.mlde
 from vvmf.classical import ClassicalCatalog
 from vvmf.constructions import (
     InductionJob,
-    build_fuchsian_z,
     induction_minimal_pair,
     induction_pipeline,
     local_exponent_from_u,
     sym3_pipeline,
     tensor_pipeline,
-    u_from_local_exponent,
 )
 from vvmf.errors import Resonance
-from vvmf.mlde import frobenius_solve, generic_basis, qline_precision, qline_solve
+from vvmf.mlde import generic_basis, qline_precision, qline_solve
 from vvmf.reps import (
     ExponentData,
     GRank2Rep,
@@ -43,10 +41,10 @@ from vvmf.series import (
     PuiseuxSeries,
     as_complex,
     compose_frobenius,
-    downcast_to_complex,
     to_fixed,
 )
 
+from oracles import build_fuchsian_z, downcast_to_complex, frobenius_solve, u_from_local_exponent
 from test_acceptance import ZETA, deviation, rank2_data, sym3_grid, tensor_grid
 from test_constructions import make_job
 from test_mlde import admissible

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vvmf.errors import GroupMismatch, InconsistentRep, WrongRank
 from vvmf.reps import (
@@ -345,6 +347,19 @@ class TestConstructedRank4:
         r4 = rank4_from_induction(rep.twist(1))
         assert r4.e == rep.e
         assert r4.trace_residuals()["trace_R"] < 1e-8
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 1), *[st.sampled_from([1, ZETA, ZETA**2])] * 3,
+           *[st.floats(-3, 3, allow_nan=False)] * 2)
+    def test_t2_spectrum_from_trace_and_determinant(self, e, z1, z2, z3, re_a, im_a):
+        # the square of each induced T-eigenvalue is an eigenvalue of
+        # rho(T^2); the tolerance covers LAPACK's error at a near-double root
+        a = complex(re_a, im_a)
+        assume(abs(z1 - z2) > 1e-9 and abs(a**2 + z3 * a + z3**2) > 1e-6)
+        rep = GRank2Rep(e, z1, z2, z3, a)
+        squares = [x * x for x in rank4_from_induction(rep).t_eigenvalues()]
+        mu = np.linalg.eigvals(rep.t2_matrix())
+        assert match_multisets(squares, [m for m in mu for _ in (0, 1)], 1e-6)
 
     def test_restriction_index(self):
         rep = GRank2Rep(0, 1, ZETA, ZETA**2, 0.7 + 0.2j)

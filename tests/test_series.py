@@ -38,12 +38,13 @@ from vvmf.series import (
     _loop_mul,
     _limb_bits,
     compose_frobenius,
-    composition_dps,
     from_fixed,
     pair_mul,
     relative_residual,
     to_fixed,
 )
+
+from oracles import composition_dps
 
 
 finite = st.floats(min_value=-5, max_value=5, allow_nan=False)

@@ -49,11 +49,10 @@ def count_calls(monkeypatch, home, name: str) -> list:
 
 
 def count_hauptmodul_work(monkeypatch) -> dict:
-    """Calls of every function that substitutes, sizes or builds a
-    hauptmodul, or divides series."""
+    """Calls of every function that substitutes or builds a hauptmodul, or
+    divides series."""
     return {
         "compose_frobenius": count_calls(monkeypatch, vvmf.series, "compose_frobenius"),
-        "composition_dps": count_calls(monkeypatch, vvmf.series, "composition_dps"),
         "divide": count_calls(monkeypatch, PuiseuxSeries, "divide"),
         "k_hauptmodul": count_calls(monkeypatch, ClassicalCatalog, "k_hauptmodul"),
         "z_hauptmodul": count_calls(monkeypatch, ClassicalCatalog, "z_hauptmodul"),
