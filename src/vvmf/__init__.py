@@ -2,8 +2,9 @@
 
 The package computes q-expansions of minimal-weight vector-valued modular
 forms for irreducible representations of the modular group by solving the
-associated modular linear differential equations as truncated Frobenius
-series, and assembles free bases for the cyclic, noncyclic, tensor-product,
+associated modular linear differential equations as first-order systems on
+the q-line, term by term in the q-expansion (:func:`qline_solve`), and
+assembles free bases for the cyclic, noncyclic, tensor-product,
 symmetric-cube, and induction constructions.
 """
 

@@ -94,7 +94,8 @@ class ExponentSumMismatch(VvmfError):
 
 
 class NotAnExponent(VvmfError):
-    """Frobenius start exponent is not a root of the indicial polynomial."""
+    """A start exponent of the q-line solve is not one: its seed row is not a
+    left null vector of the system's indicial matrix there."""
     stage = "d"
 
 

@@ -7,10 +7,12 @@ invariants d and e of the constructed representation; every construction
 route classifies that partner at the functor's exponents with
 :func:`vvmf.mlde.classify`, so each route's d has one source here.
 
-Representations are stored by normal-form parameters only; the actual
-matrices are reconstructed on demand for validation.  Exponent data is a
-list of eigenvalues of a choice of exponents L with e^{2 pi i L} = rho(T),
-optionally with the full matrix attached.  :func:`rep_from_json` and
+Representations are stored by normal-form parameters only, and every
+invariant here is read off them in builtin complex arithmetic.  Exponent
+data is a list of eigenvalues of a choice of exponents L with
+e^{2 pi i L} = rho(T), optionally with the full matrix attached; only a
+matrix loads numpy (and scipy, for induced exponents), on first use, so
+``classify`` and ``coeffs`` jobs never load it.  :func:`rep_from_json` and
 :meth:`ExponentData.from_json` build from JSON that the job table of
 :mod:`vvmf.cli` has checked; the checks here are the mathematical ones.
 """
@@ -18,10 +20,9 @@ optionally with the full matrix attached.  :func:`rep_from_json` and
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import GroupMismatch, InconsistentRep, WrongRank
 
@@ -139,55 +140,6 @@ class Rank4Rep:
     def t_eigenvalues(self) -> tuple[complex, complex, complex, complex]:
         return (self.x, self.y, self.z, self.w)
 
-    def tuba_wenzl_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """The displayed normal-form matrices rho(T), rho(B) with
-        S = B^{-1} T^{-1} B^{-1}.  Reconstructed for validation only."""
-        x, y, z, w = self.x, self.y, self.z, self.w
-        D = XI**self.d / (x * w)
-        Di = 1 / D
-        T = np.array(
-            [
-                [x, (1 + Di + Di**2) * y, (1 + Di + Di**2) * z, w],
-                [0, y, (1 + Di) * z, w],
-                [0, 0, z, w],
-                [0, 0, 0, w],
-            ],
-            dtype=complex,
-        )
-        B = np.array(
-            [
-                [w, 0, 0, 0],
-                [-z, z, 0, 0],
-                [D * y, -(D + 1) * y, y, 0],
-                [-(D**3) * x, (D**3 + D**2 + D) * x, -(D**2 + D + 1) * x, x],
-            ],
-            dtype=complex,
-        )
-        return T, B
-
-    def trace_residuals(self) -> dict[str, float]:
-        """Deviations from Tr(S) = 0, Tr(R) = -xi^{-d} and rho(-I) = (-1)^e."""
-        T, B = self.tuba_wenzl_matrices()
-        Binv = np.linalg.inv(B)
-        S = Binv @ np.linalg.inv(T) @ Binv
-        R = S @ T
-        minus_id = S @ S
-        return {
-            "trace_S": abs(np.trace(S)),
-            "trace_R": abs(np.trace(R) + XI ** (-self.d)),
-            "minus_identity": float(
-                np.max(np.abs(minus_id - ((-1) ** self.e) * np.eye(4)))
-            ),
-        }
-
-
-def d_invariant(rep: Rank4Rep) -> int:
-    """The sign invariant d of the normal form, re-validated against xyzw."""
-    prod = rep.x * rep.y * rep.z * rep.w
-    if abs(prod - ZETA3**rep.d) > 1e-8:
-        raise InconsistentRep(f"xyzw = {prod} inconsistent with d = {rep.d}")
-    return rep.d
-
 
 # ---------------------------------------------------------------------------
 # rank 2 over the index-two subgroup
@@ -219,21 +171,6 @@ class GRank2Rep:
         object.__setattr__(self, "a", a)
         if abs(a**2 + self.zeta3 * a + self.zeta3**2) <= TOL:
             raise InconsistentRep("a^2 + zeta3 a + zeta3^2 = 0 is excluded")
-
-    def r0_matrix(self) -> np.ndarray:
-        s = (-1) ** self.e
-        return s * np.array([[self.zeta1, 0], [0, self.zeta2]], dtype=complex)
-
-    def r1_matrix(self) -> np.ndarray:
-        s = (-1) ** self.e
-        a, z3 = self.a, self.zeta3
-        return s * np.array(
-            [[a, 1], [-(a**2) - z3 * a - z3**2, -z3 - a]], dtype=complex
-        )
-
-    def t2_matrix(self) -> np.ndarray:
-        """rho(T^2); T^2 = -R1 R0 in the subgroup."""
-        return ((-1) ** self.e) * (self.r1_matrix() @ self.r0_matrix())
 
     def twist(self, j: int) -> "GRank2Rep":
         """Tensor with the j-th power of the cuspidal character beta."""
@@ -322,6 +259,8 @@ class ExponentData:
                 raise WrongRank(
                     f"matrix shape {shape} does not match {self.rank} eigenvalues"
                 )
+            import numpy as np
+
             arr = np.array(mat, dtype=complex)
             if not match_multisets(np.linalg.eigvals(arr), self.eigenvalues, 1e-6):
                 raise InconsistentRep("matrix spectrum disagrees with eigenvalue list")
@@ -343,9 +282,12 @@ class ExponentData:
     def trace(self) -> complex:
         return sum(self.eigenvalues)
 
-    def matrix_array(self) -> np.ndarray | None:
+    def matrix_array(self):
+        """The matrix as a complex numpy array, or None without one."""
         if self.matrix is None:
             return None
+        import numpy as np
+
         return np.array(self.matrix, dtype=complex)
 
     def validate_against(self, t_eigenvalues, tol: float = 1e-8) -> None:
@@ -388,6 +330,8 @@ def tensor_exponents(L1: ExponentData, L2: ExponentData) -> ExponentData:
     mat = None
     m1, m2 = L1.matrix_array(), L2.matrix_array()
     if m1 is not None and m2 is not None:
+        import numpy as np
+
         kron_sum = np.kron(m1, np.eye(L2.rank)) + np.kron(np.eye(L1.rank), m2)
         mat = tuple(tuple(kron_sum[i, j] for j in range(kron_sum.shape[1]))
                     for i in range(kron_sum.shape[0]))
@@ -424,6 +368,7 @@ def induced_exponents(L: ExponentData) -> ExponentData:
     mat = None
     arr = L.matrix_array()
     if arr is not None:
+        import numpy as np
         from scipy.linalg import expm
 
         d = L.rank
@@ -464,7 +409,7 @@ def rank4_from_induction(rho: GRank2Rep) -> Rank4Rep:
     root = cmath.sqrt(tr * tr - 4 * det)
     mu1 = max((tr + root) / 2, (tr - root) / 2, key=abs)
     eigs = [s * cmath.sqrt(m) for m in (mu1, det / mu1) for s in (1, -1)]
-    prod = complex(np.prod(eigs))
+    prod = math.prod(eigs)
     best = min(range(3), key=lambda k: abs(prod - ZETA3**k))
     if abs(prod - ZETA3**best) > 1e-8:
         raise InconsistentRep("induced determinant is not a cube root of unity")

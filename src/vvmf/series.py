@@ -65,6 +65,12 @@ jobs still give identical bytes on one installation; another numpy build or
 platform (where long double is double, or quad precision) may sum in
 another precision and change the last bits of derived forms and residuals.
 ``mpmath`` and ``Fraction`` coefficients keep the schoolbook loop.
+
+numpy is imported inside the two numpy kernels (:func:`_double_mul` and the
+FFT product :func:`_complex_mul`), so it loads at a process's first double
+or FFT product, not with the package.  Its import takes about 150 ms, more
+than a whole exact job: ``classify``, ``coeffs`` and ``classical`` (every
+name but h and Z in double precision) never load it.
 """
 
 from __future__ import annotations
@@ -79,7 +85,6 @@ from functools import reduce
 from typing import Callable, Iterator, Sequence
 
 import mpmath
-import numpy as np
 
 from .errors import (
     NomeMismatch,
@@ -352,6 +357,8 @@ def _double_mul(a: Sequence, b: Sequence, n_out: int, is_complex: bool) -> list:
     microcode assists, and Z's overflowing product at q2-order 1600 took
     3.9 s that way.  They propagate without a floating-point warning.
     Returns Python floats or complexes."""
+    import numpy as np
+
     narrow, wide = (np.complex128, np.clongdouble) if is_complex else (np.float64, np.longdouble)
     with np.errstate(all="ignore"):
         x, y = np.array(a, dtype=narrow), np.array(b, dtype=narrow)
@@ -778,7 +785,7 @@ def _limb_bits(n_terms: int, bits_a: int, bits_b: int) -> int:
     )
 
 
-def _balanced_limbs(cs: Sequence[int], n_limbs: int, limb_bits: int) -> np.ndarray:
+def _balanced_limbs(cs: Sequence[int], n_limbs: int, limb_bits: int):
     """The integers cs as rows of n_limbs balanced limbs in
     [-2^(w-1), 2^(w-1)], least significant first: row i sums to cs[i] in
     base 2^w.
@@ -787,6 +794,8 @@ def _balanced_limbs(cs: Sequence[int], n_limbs: int, limb_bits: int) -> np.ndarr
     u_j - 2^w h_j + h_(j-1), with h_j the top bit of u_j: each carry is read
     off its own digit, so no carry chain runs, and the carry out of the top
     digit cancels the sign's weight 2^(w n_limbs)."""
+    import numpy as np
+
     raw = b"".join([c.to_bytes(n_limbs * limb_bits // 8, "little", signed=True) for c in cs])
     u = np.frombuffer(raw, dtype=f"<u{limb_bits // 8}").reshape(len(cs), n_limbs).astype(np.int64)
     top = u >> (limb_bits - 1)
@@ -817,6 +826,8 @@ def _complex_mul(
     each of the real and imaginary parts, the packed integer
     sum_n c_n 2^(w slot n) modulo the n_out + 1 kept slots, which is read
     back slot by slot as in :func:`_kronecker_mul`."""
+    import numpy as np
+
     n_terms = n_out + 1
     a_re, a_im, b_re, b_im = (list(p[:n_terms]) for p in (a_re, a_im, b_re, b_im))
     bits_a = max(map(int.bit_length, a_re + a_im))

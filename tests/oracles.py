@@ -2,7 +2,9 @@
 the paper's rank-2 closed form eta^{2 k1} K^f 2F1(f, f + 1/3; 1 +- delta; K)
 with K = 1728/j, and the Z-line equation of the induction pair.  Fuchsian
 operators are lists of polynomials P_0..P_r in the Euler operator theta for
-sum_i x^i P_i(theta), P_0 the indicial polynomial at x = 0.
+sum_i x^i P_i(theta), P_0 the indicial polynomial at x = 0.  Also the
+matrices of the representations, which the tests rebuild from the
+normal-form parameters to check the invariants the library reads off them.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import mpmath
 import numpy as np
 
 from vvmf.constructions import _rank2_shifts
-from vvmf.errors import NotAnExponent, Resonance, VvmfError, WrongNome
+from vvmf.errors import InconsistentRep, NotAnExponent, Resonance, VvmfError, WrongNome
 from vvmf.mlde import ODECoefficients
-from vvmf.reps import XI, ExponentData
+from vvmf.reps import XI, ZETA3, ExponentData, GRank2Rep, Rank4Rep
 from vvmf.series import Nome, PuiseuxSeries, as_complex, nearest_int
 
 
@@ -249,3 +251,76 @@ def build_fuchsian_z(u, xi=XI) -> FuchsianOperator:
 def u_from_local_exponent(r, xi=XI):
     """Invert the indicial relation r^2 = -16 e^{2 pi i/6} u."""
     return -(r * r) / (16 * xi)
+
+
+# ---------------------------------------------------------------------------
+# representation matrices from the normal-form parameters
+# ---------------------------------------------------------------------------
+
+def tuba_wenzl_matrices(rep: Rank4Rep) -> tuple[np.ndarray, np.ndarray]:
+    """The displayed normal-form matrices rho(T), rho(B) of a rank-4 rep,
+    with S = B^{-1} T^{-1} B^{-1}."""
+    x, y, z, w = rep.x, rep.y, rep.z, rep.w
+    D = XI**rep.d / (x * w)
+    Di = 1 / D
+    T = np.array(
+        [
+            [x, (1 + Di + Di**2) * y, (1 + Di + Di**2) * z, w],
+            [0, y, (1 + Di) * z, w],
+            [0, 0, z, w],
+            [0, 0, 0, w],
+        ],
+        dtype=complex,
+    )
+    B = np.array(
+        [
+            [w, 0, 0, 0],
+            [-z, z, 0, 0],
+            [D * y, -(D + 1) * y, y, 0],
+            [-(D**3) * x, (D**3 + D**2 + D) * x, -(D**2 + D + 1) * x, x],
+        ],
+        dtype=complex,
+    )
+    return T, B
+
+
+def trace_residuals(rep: Rank4Rep) -> dict[str, float]:
+    """Deviations from Tr(S) = 0, Tr(R) = -xi^{-d} and rho(-I) = (-1)^e."""
+    T, B = tuba_wenzl_matrices(rep)
+    Binv = np.linalg.inv(B)
+    S = Binv @ np.linalg.inv(T) @ Binv
+    R = S @ T
+    minus_id = S @ S
+    return {
+        "trace_S": abs(np.trace(S)),
+        "trace_R": abs(np.trace(R) + XI ** (-rep.d)),
+        "minus_identity": float(
+            np.max(np.abs(minus_id - ((-1) ** rep.e) * np.eye(4)))
+        ),
+    }
+
+
+def d_invariant(rep: Rank4Rep) -> int:
+    """The sign invariant d of the normal form, re-validated against xyzw."""
+    prod = rep.x * rep.y * rep.z * rep.w
+    if abs(prod - ZETA3**rep.d) > 1e-8:
+        raise InconsistentRep(f"xyzw = {prod} inconsistent with d = {rep.d}")
+    return rep.d
+
+
+def r0_matrix(rep: GRank2Rep) -> np.ndarray:
+    s = (-1) ** rep.e
+    return s * np.array([[rep.zeta1, 0], [0, rep.zeta2]], dtype=complex)
+
+
+def r1_matrix(rep: GRank2Rep) -> np.ndarray:
+    s = (-1) ** rep.e
+    a, z3 = rep.a, rep.zeta3
+    return s * np.array(
+        [[a, 1], [-(a**2) - z3 * a - z3**2, -z3 - a]], dtype=complex
+    )
+
+
+def t2_matrix(rep: GRank2Rep) -> np.ndarray:
+    """rho(T^2); T^2 = -R1 R0 in the subgroup."""
+    return ((-1) ** rep.e) * (r1_matrix(rep) @ r0_matrix(rep))

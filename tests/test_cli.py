@@ -623,6 +623,51 @@ class TestGlobalPrecision:
             assert emit({"series": series.to_json()}) == want
 
 
+class TestColdStart:
+    """numpy loads at a job's first double or FFT product, so the exact jobs
+    never load it.  Each job runs through ``vvmf.cli.main`` in a fresh
+    interpreter, since this one has numpy loaded."""
+
+    PROBE = "import sys, vvmf.cli; print(vvmf.cli.main(sys.argv[1:]), 'numpy' in sys.modules)"
+
+    EXACT = {
+        **{name: (["classical", "--name", name, "--order", "20"], None)
+           for name in ("E4", "j", "K", "theta2_4", "f", "Eta^-24")},
+        "h-extended": (["classical", "--name", "h", "--order", "20", "--precision", "extended"],
+                       None),
+        "classify": (["classify"], generic_job("classify")),
+        "coeffs": (["coeffs"], generic_job("coeffs")),
+    }
+    NUMERIC = {
+        "h": (["classical", "--name", "h", "--order", "20"], None),
+        "check": (["check", "--order", "20"], None),
+        "basis-sym3": (["basis"], sym3_job(8)),
+    }
+
+    def loads_numpy(self, tmp_path, argv, job) -> bool:
+        if job is not None:
+            spec = tmp_path / "job.json"
+            spec.write_text(json.dumps(job))
+            argv = [*argv, "--spec", str(spec)]
+        env = dict(os.environ, PYTHONPATH=str(Path(vvmf.__file__).parents[1]))
+        probe = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *argv, "--out", str(tmp_path / "out.json")],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert probe.returncode == 0, probe.stderr
+        code, loaded = probe.stdout.split()
+        assert code == "0"
+        return loaded == "True"
+
+    @pytest.mark.parametrize("name", list(EXACT))
+    def test_exact_job_never_loads_numpy(self, tmp_path, name):
+        assert not self.loads_numpy(tmp_path, *self.EXACT[name])
+
+    @pytest.mark.parametrize("name", list(NUMERIC))
+    def test_numeric_job_loads_numpy(self, tmp_path, name):
+        assert self.loads_numpy(tmp_path, *self.NUMERIC[name])
+
+
 class TestInductionJobCli:
     def test_induction_basis(self):
         env = run(JobSpec.from_json(induction_job()))
