@@ -4,8 +4,9 @@ subgroup.
 
 The rank-2 minimal form solves its first-order system on the q-line.  The
 Sym^3 pipeline forms the cube exactly on its fixed-point rows, rounds once
-and hands it to the cyclic basis assembler; the tensor pipeline forms its
-whole basis in closed form from the rows of its two rank-2 factors.
+and hands it to the cyclic basis assembler; the tensor pipeline solves its
+noncyclic rank-4 system on the q-line with the generic route's code, seeded
+so that its rows are the paper's closed Kronecker basis.
 The induction pair solves its defining first-order system on the q2-line;
 each form of the pair is stacked over its T^{-1}-slash, and like the
 other routes the induced representation is classified by
@@ -37,20 +38,17 @@ from .mlde import (
     CYCLIC,
     NONCYCLIC,
     FormBasis,
-    NONCYCLIC_KEYS,
+    _recursive_stage,
     assemble_cyclic_basis,
     classify,
     cyclic_coeffs,
     indicial_shifts,
     modular_derivative,
     nearest_int,
-    noncyclic_coeffs,
-    noncyclic_system,
     qline_precision,
     qline_solve,
     rank2_coeff,
     require_int,
-    require_nonresonant,
     system_residuals,
 )
 from .reps import (
@@ -61,7 +59,6 @@ from .reps import (
     Rank2Rep,
     induced_exponents,
     induction_is_irreducible,
-    match_multisets,
     rank2_is_irreducible,
     rank4_from_induction,
     rank4_from_sym3,
@@ -202,16 +199,6 @@ def _downcast(comps, weight) -> VectorSeries:
     return VectorSeries(tuple(c.downcast() for c in comps), weight)
 
 
-def _kronecker(a, b) -> tuple[FixedSeries, ...]:
-    """Components a_i b_j of the Kronecker product of two rank-2 rows, exact
-    in fixed point.  a's two rows go against each b_j as one pair
-    (:func:`vvmf.series.pair_mul`): when every row is real, each pair is one
-    convolution, so the four products take two, with the mantissas and
-    rounded doubles of four plain products."""
-    pairs = [pair_mul(*a, cb) for cb in b]
-    return tuple(pair[i] for i in range(2) for pair in pairs)
-
-
 # ---------------------------------------------------------------------------
 # tensor products
 # ---------------------------------------------------------------------------
@@ -224,22 +211,18 @@ def tensor_pipeline(
     order: int,
     catalog: ClassicalCatalog,
 ) -> FormBasis:
-    """Noncyclic rank-4 basis for alpha (x) beta in closed form from the
-    rank-2 rows (A, DA) and (B, DB), where D(DA) = -a_alpha E_4 A and
-    D(DB) = -a_beta E_4 B.  In Kronecker order F = A (x) B,
-    DF = DA (x) B + A (x) DB, G = (DA (x) B - A (x) DB) / (a_beta - a_alpha)
-    (so DG = E_4 F) and H = D^2F - a E_4 F = 2 DA (x) DB, the noncyclic
+    """Noncyclic rank-4 basis (F, DF, G, H) for alpha (x) beta, solved on the
+    q-line at the four exponents of :func:`vvmf.reps.tensor_exponents` in one
+    call, as the generic route solves a noncyclic system.
+
+    F_j leads with 1728^{f_j}, the product of the rank-2 factors' leading
+    coefficients, so at a non-resonant exponent the rows are the paper's
+    closed basis in Kronecker order: F = A (x) B, DF = DA (x) B + A (x) DB,
+    G = (DA (x) B - A (x) DB) / (a_beta - a_alpha) and H = 2 DA (x) DB, the
     equation having a = -(a_alpha + a_beta) and c = -(a_alpha - a_beta)^2.
-    Each is formed exactly in fixed point and rounded once.  When both
-    factors have real rows, each Kronecker product pairs A's (or DA's) two
-    rows against each component of the other factor (:func:`_kronecker`),
-    so its four products take two convolutions and the basis eight instead
-    of sixteen; a factor with complex rows keeps one convolution per
-    product.  The pairing cannot change the emitted bytes: the mantissas
-    are exact, so every coefficient is the same rational, rounded once, and
-    each leading exponent is the same sum of two terms.  Records the
-    column relations of :func:`noncyclic_system` (``col1_df`` is the product
-    rule) and the exponent floor of G.
+    That closed basis is the route's test oracle.  Equal factor gaps make c
+    vanish: DegenerateC.  Records the column relations of
+    :func:`vvmf.mlde.noncyclic_system`.
     """
     if not tensor_is_irreducible(alpha, beta):
         raise NotIrreducible("tensor product representation is reducible")
@@ -248,42 +231,14 @@ def tensor_pipeline(
             "series output for the Jordan family is out of scope; both factors "
             "must be T-regular"
         )
-    ka = _rank2_weight(alpha, L1)
-    kb = _rank2_weight(beta, L2)
+    _rank2_weight(alpha, L1)
+    _rank2_weight(beta, L2)
     L12 = tensor_exponents(L1, L2)
     rep4 = rank4_from_tensor(alpha, beta)
     report = classify(rep4, L12)
     if report.case != NONCYCLIC:
         raise NotIrreducible("tensor products always land in the noncyclic case")
-    require_nonresonant(L12.eigenvalues)
-    # c = -(a_alpha - a_beta)^2: DegenerateC before G divides by the difference
-    co = noncyclic_coeffs(indicial_shifts(L12.eigenvalues, NONCYCLIC))
-    system = noncyclic_system(co, catalog)
-
-    k1 = report.k1
-    with qline_precision():
-        A, dA, a_alpha, _ = _rank2_stage(L1, ka, order, catalog)
-        B, dB, a_beta, _ = _rank2_stage(L2, kb, order, catalog)
-        dA_B, A_dB = _kronecker(dA, B), _kronecker(A, dB)
-        forms = (
-            _downcast(_kronecker(A, B), k1),
-            _downcast([x + y for x, y in zip(dA_B, A_dB)], k1 + 2),
-            _downcast([(x - y).scale(1 / (a_beta - a_alpha), mpmath.mp.prec)
-                       for x, y in zip(dA_B, A_dB)], k1 + 2),
-            _downcast([x + x for x in _kronecker(dA, dB)], k1 + 4),
-        )
-    derivatives = [modular_derivative(X, X.weight, catalog) for X in forms]
-    res = dict(zip(NONCYCLIC_KEYS, system_residuals(forms, derivatives, system)))
-    res["g_exponent_drop"] = _exponent_drop(forms[2], L12.eigenvalues)
-    return FormBasis(forms, report, res)
-
-
-def _exponent_drop(G: VectorSeries, expected_leads) -> float:
-    """How far any component of G starts below its expected leading exponent
-    (zero when the expansion is holomorphic relative to the exponents), read
-    off the declared exponents, as in :func:`exhibited_exponents`."""
-    return max(0.0, *(as_complex(expect).real - as_complex(comp.lead_exponent).real
-                      for comp, expect in zip(G.components, expected_leads, strict=True)))
+    return _recursive_stage(report, L12, order, catalog, kronecker_unit=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +396,7 @@ def exhibited_exponents(F: VectorSeries) -> ExponentData:
     return ExponentData(tuple(c.lead_exponent for c in F.components), Group.G)
 
 
-def induce_to_gamma(F: VectorSeries, L: ExponentData | None = None) -> VectorSeries:
+def induce_to_gamma(F: VectorSeries) -> VectorSeries:
     """Stack F over F|T^{-1}, doubling the rank; the result transforms under
     the induced representation of the full group with exponents
     Ind L = :func:`vvmf.reps.induced_exponents` of the exponents F exhibits.
@@ -449,17 +404,9 @@ def induce_to_gamma(F: VectorSeries, L: ExponentData | None = None) -> VectorSer
     F|T^{-1} multiplies the n-th coefficient of a component with declared
     exponent lam by e^{-pi i lam} (-1)^n, so F +- e^{pi i lam} F|T^{-1}
     keep only the even (odd) q2-offsets by algebra alone; nothing re-checks
-    it.  When L is given, the exponents F exhibits must induce the same
-    multiset as L."""
+    it."""
     if F.nome is not Nome.Q2:
         raise WrongNome("induction to the full group acts on q2-expansions")
-    if L is not None:
-        got = induced_exponents(exhibited_exponents(F)).eigenvalues
-        want = induced_exponents(L).eigenvalues
-        if not match_multisets(got, want, 1e-6):
-            raise ExponentMismatch(
-                f"exhibited q-exponents {list(got)} do not match the induced set {list(want)}"
-            )
     slashed = tuple(c.slash_t_inverse() for c in F.components)
     return VectorSeries(F.components + slashed, F.weight)
 

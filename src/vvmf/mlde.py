@@ -205,11 +205,11 @@ def rank2_coeff(f1, f2):
 #: and the products formed from its rows are exact, so the recursion's own
 #: rounding is the only error of a block.  The recursion divides by nothing
 #: but its own small matrices, so nothing cancels exponentially in it and a
-#: fixed margin over double precision suffices.  The products can cancel: at
-#: order 200 the tensor Kronecker product of ``tensor_grid`` member 5 was
-#: off by 9.8e-8 of its scale when its rank-2 factors carried 30 digits, and
-#: exact at 50, against a 120-digit run.  At 50 digits every route's doubles
-#: at order 200 are identical to a run with 30 more digits.
+#: fixed margin over double precision suffices: at order 800 the rank-4
+#: solves of ``tensor_grid`` members 1, 5 and 6 and of a generic cyclic input
+#: give the same doubles at 30, 40, 50 and 100 digits.  50 digits keep 20
+#: of margin over the least that held there.  At 50 digits every route's
+#: doubles at order 200 are identical to a run with 30 more digits.
 QLINE_DPS = 50
 
 
@@ -244,9 +244,11 @@ def cyclic_system(co: ODECoefficients, catalog: ClassicalCatalog, nome: Nome) ->
 
 def noncyclic_system(co: ODECoefficients, catalog: ClassicalCatalog) -> list:
     """D X = X M for X = (F, DF, G, H): D(DF) = a E_4 F + H, DG = E_4 F and
-    DH = b E_4 DF + c E_4 G (see :func:`cyclic_system` for the format)."""
+    DH = b E_4 DF + c E_4 G (see :func:`cyclic_system` for the format).
+    With sigma_1 = 2/3, c = -prod(f_j - 1/6): it vanishes exactly when a
+    shifted exponent is 1/6, where DG = E_4 F leaves F no leading term."""
     if abs(as_complex(co.c)) <= 1e-12:
-        raise DegenerateC("noncyclic system needs c != 0")
+        raise DegenerateC("noncyclic system needs c != 0, that is no shifted exponent 1/6")
     return [
         ({(1, 0): 1, (3, 1): 1}, PuiseuxSeries.one(Nome.Q, catalog.order)),
         ({(0, 1): co.a, (0, 2): 1, (1, 3): co.b, (2, 3): co.c}, catalog.eisenstein(4)),
@@ -255,7 +257,9 @@ def noncyclic_system(co: ODECoefficients, catalog: ClassicalCatalog) -> list:
 
 def _noncyclic_lead_row(f, a) -> list:
     """Leading coefficients of (F, DF, G, H) per unit of F at the shifted
-    exponent f: D multiplies a leading term of weight k1 + 2i by f - i/6."""
+    exponent f: D multiplies a leading term of weight k1 + 2i by f - i/6.
+    f = 1/6 makes c = -prod(f_j - 1/6) vanish, which :func:`noncyclic_system`
+    rejects first."""
     sixth = Fraction(1, 6)
     return [1, f, 1 / (f - sixth), f * (f - sixth) - a]
 
@@ -599,30 +603,39 @@ def assemble_cyclic_basis(
 # generic minimal-form pipeline (recursive route)
 # ---------------------------------------------------------------------------
 
+def _classified(rep: Rank4Rep, L: ExponentData) -> CaseReport:
+    """The case of a generic input, once L lands in the T-spectrum of rep."""
+    L.validate_against(rep.t_eigenvalues())
+    return classify(rep, L)
+
+
 def _recursive_stage(
-    rep: Rank4Rep,
+    report: CaseReport,
     L: ExponentData,
     order: int,
     catalog: ClassicalCatalog,
+    kronecker_unit: bool = False,
 ) -> tuple[ODECoefficients, FormBasis]:
-    """Validate, classify and shift, then solve the case's system D X = X M
-    on the q-line at all four exponents in one call (:func:`qline_solve`,
-    which rejects resonant exponents).
+    """Solve the case's system D X = X M on the q-line at all four exponents
+    of L in one call (:func:`qline_solve`, which rejects resonant
+    exponents).
 
     The rows of the solutions are the case's free basis, (F, DF, D^2F, D^3F)
     or (F, DF, G, H), with no row recomputed.  F_j leads with 1728^{f_j}
     (cyclic) or 1728^{f_j} / t_j (noncyclic, t_j the largest-modulus entry
     of the leading row per unit of F), the normalization of the closed
-    K-line form.  Every column relation of the solved system is re-checked
-    on the emitted doubles.  Returns the equation coefficients, at working
+    K-line form.  With ``kronecker_unit`` a noncyclic F_j leads with
+    1728^{f_j} itself, the normalization of the tensor route's basis
+    A (x) B.  The system is built before the seeds, so DegenerateC comes
+    first.  Every column relation of the solved system is re-checked on the
+    emitted doubles.  Returns the equation coefficients, at working
     precision (:func:`equation_coefficients`), and the basis.
     """
-    L.validate_against(rep.t_eigenvalues())
-    report = classify(rep, L)
     cyclic = report.case == CYCLIC
     with qline_precision():
         lams = [mpmath.mpc(as_complex(v)) for v in L.eigenvalues]
         co = equation_coefficients(L.eigenvalues, report.case)
+        system = cyclic_system(co, catalog, Nome.Q) if cyclic else noncyclic_system(co, catalog)
         seeds = []
         for f in co.f_exponents:
             if cyclic:
@@ -631,10 +644,11 @@ def _recursive_stage(
                     seed.append(seed[-1] * (f - Fraction(i, 6)))
             else:
                 lead = _noncyclic_lead_row(f, co.a)
-                unit = mpmath.mpf(1728) ** f / max(lead, key=abs)
+                unit = mpmath.mpf(1728) ** f
+                if not kronecker_unit:
+                    unit /= max(lead, key=abs)
                 seed = [unit * x for x in lead]
             seeds.append(seed)
-        system = cyclic_system(co, catalog, Nome.Q) if cyclic else noncyclic_system(co, catalog)
         rows = qline_solve(report.weight_tuple, system, lams, seeds, order, catalog)
     forms = tuple(
         VectorSeries(tuple(row[i].downcast() for row in rows), k)
@@ -663,7 +677,7 @@ def solve_minimal_form(
     form whose component j has leading q-exponent L.eigenvalues[j]; the
     residuals are those of :func:`generic_basis`.
     """
-    co, basis = _recursive_stage(rep, L, order, catalog)
+    co, basis = _recursive_stage(_classified(rep, L), L, order, catalog)
     return basis.forms[0], basis.case, co, dict(basis.residuals)
 
 
@@ -675,4 +689,4 @@ def generic_basis(
 ) -> FormBasis:
     """Recursive route end to end: the rows of the q-line solutions are the
     case-appropriate free basis."""
-    return _recursive_stage(rep, L, order, catalog)[1]
+    return _recursive_stage(_classified(rep, L), L, order, catalog)[1]

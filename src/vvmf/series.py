@@ -27,16 +27,16 @@ the limbs rebuild the product's mantissas.  Exactness rests on an a-priori
 bound, not a tolerance: the limb width (:func:`_limb_bits`) keeps
 Percival's bound on the FFT error (:func:`_fft_kappa`) below 1/4 of a unit,
 and a coefficient farther than that from its integer raises
-ArithmeticError.  On the tensor route's own operands a product takes
+ArithmeticError.  On the rank-2 rows of the tensor pool a product takes
 1.0-1.2 ms at order 80, against 1.9-2.6 ms for the three integer products
 of Gauss's trick it replaced, and 12.5-14 ms against 32-36 ms at order 400
 (2-core x86-64 VM, Python 3.11, numpy 2.4).  Real rows, whose imaginary
 mantissas are all zero, multiply two at a time (:func:`pair_mul`): x0 and
 x1 against one y are the real and imaginary parts of (x0 + i x1) y, one
 convolution for two products.  The mantissas are exact either way, so the
-pairing changes no rounded double; on the tensor route's rows a paired
-product takes 1.46 ms at order 80 and 13.2 ms at order 400, against 2.18
-and 24.9 ms for two plain ones (medians, same machine).
+pairing changes no rounded double; on those rows a paired product takes
+1.46 ms at order 80 and 13.2 ms at order 400, against 2.18 and 24.9 ms for
+two plain ones (medians, same machine).
 
 Exact-integer series (the classical catalog's) stay exact: their products,
 and their inverses and quotients over a unit leading coefficient, are
@@ -880,23 +880,14 @@ class FixedSeries:
     """A complex series in fixed point: x^lam sum_n (re_n + i im_n) 2^-bits x^n.
 
     ``re`` and ``im`` are exact-integer series sharing the nome and the
-    leading exponent lam.  Sums are exact at a common scale, and a product is
-    exact at the sum of the two scales: one complex limb convolution
-    (:func:`_complex_mul`).  :meth:`downcast` rounds every coefficient to a
-    complex double once (:func:`from_fixed`).
+    leading exponent lam.  A product is exact at the sum of the two scales:
+    one complex limb convolution (:func:`_complex_mul`).  :meth:`downcast`
+    rounds every coefficient to a complex double once (:func:`from_fixed`).
     """
 
     re: PuiseuxSeries
     im: PuiseuxSeries
     bits: int
-
-    def __add__(self, other: "FixedSeries") -> "FixedSeries":
-        if self.bits != other.bits:
-            raise ValueError(f"fixed-point scales differ: 2^-{self.bits} and 2^-{other.bits}")
-        return FixedSeries(self.re + other.re, self.im + other.im, self.bits)
-
-    def __sub__(self, other: "FixedSeries") -> "FixedSeries":
-        return self + FixedSeries(-other.re, -other.im, other.bits)
 
     def __mul__(self, other: "FixedSeries") -> "FixedSeries":
         self.re._require_same_nome(other.re)
@@ -908,13 +899,6 @@ class FixedSeries:
             PuiseuxSeries(self.re.nome, lam, tuple(im)),
             self.bits + other.bits,
         )
-
-    def scale(self, z, bits: int) -> "FixedSeries":
-        """Product with the scalar z rounded to the scale 2^-bits
-        (:func:`to_fixed`), exact from there, at the sum of the scales."""
-        u, v = to_fixed(z, bits)
-        return FixedSeries(self.re.scale(u) - self.im.scale(v),
-                           self.re.scale(v) + self.im.scale(u), self.bits + bits)
 
     def downcast(self) -> PuiseuxSeries:
         return PuiseuxSeries(

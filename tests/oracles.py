@@ -1,6 +1,7 @@
 """The K-line and Z-line oracles the tests compare the q-line routes against:
 the paper's rank-2 closed form eta^{2 k1} K^f 2F1(f, f + 1/3; 1 +- delta; K)
-with K = 1728/j, and the Z-line equation of the induction pair.  Fuchsian
+with K = 1728/j, the Z-line equation of the induction pair, and the
+closed tensor basis formed from Kronecker products of rank-2 rows.  Fuchsian
 operators are lists of polynomials P_0..P_r in the Euler operator theta for
 sum_i x^i P_i(theta), P_0 the indicial polynomial at x = 0.  Also the
 matrices of the representations, which the tests rebuild from the
@@ -16,11 +17,19 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from vvmf.constructions import _rank2_shifts
+from vvmf.constructions import _downcast, _rank2_shifts, _rank2_stage, _rank2_weight
 from vvmf.errors import InconsistentRep, NotAnExponent, Resonance, VvmfError, WrongNome
-from vvmf.mlde import ODECoefficients
-from vvmf.reps import XI, ZETA3, ExponentData, GRank2Rep, Rank4Rep
-from vvmf.series import Nome, PuiseuxSeries, as_complex, nearest_int
+from vvmf.mlde import ODECoefficients, qline_precision
+from vvmf.reps import XI, ZETA3, ExponentData, GRank2Rep, Rank2Rep, Rank4Rep
+from vvmf.series import (
+    FixedSeries,
+    Nome,
+    PuiseuxSeries,
+    VectorSeries,
+    as_complex,
+    nearest_int,
+    to_fixed,
+)
 
 
 class PoleInC(VvmfError):
@@ -251,6 +260,58 @@ def build_fuchsian_z(u, xi=XI) -> FuchsianOperator:
 def u_from_local_exponent(r, xi=XI):
     """Invert the indicial relation r^2 = -16 e^{2 pi i/6} u."""
     return -(r * r) / (16 * xi)
+
+
+# ---------------------------------------------------------------------------
+# the paper's closed tensor basis
+# ---------------------------------------------------------------------------
+
+def _fixed_sum(x: FixedSeries, y: FixedSeries, sign: int = 1) -> FixedSeries:
+    """x + sign * y, exact at their common scale."""
+    if x.bits != y.bits:
+        raise ValueError(f"fixed-point scales differ: 2^-{x.bits} and 2^-{y.bits}")
+    return FixedSeries(x.re + y.re.scale(sign), x.im + y.im.scale(sign), x.bits)
+
+
+def _fixed_scale(x: FixedSeries, z, bits: int) -> FixedSeries:
+    """Product with the scalar z rounded to the scale 2^-bits
+    (:func:`vvmf.series.to_fixed`), exact from there, at the sum of the
+    scales."""
+    u, v = to_fixed(z, bits)
+    return FixedSeries(x.re.scale(u) - x.im.scale(v), x.re.scale(v) + x.im.scale(u),
+                       x.bits + bits)
+
+
+def kronecker_tensor_basis(alpha: Rank2Rep, beta: Rank2Rep, L1: ExponentData,
+                           L2: ExponentData, order: int, catalog) -> tuple[VectorSeries, ...]:
+    """The paper's closed noncyclic basis for alpha (x) beta from the rank-2
+    rows (A, DA) and (B, DB), where D(DA) = -a_alpha E_4 A and
+    D(DB) = -a_beta E_4 B.  In Kronecker order F = A (x) B,
+    DF = DA (x) B + A (x) DB, G = (DA (x) B - A (x) DB) / (a_beta - a_alpha)
+    (so DG = E_4 F) and H = D^2F - a E_4 F = 2 DA (x) DB, the noncyclic
+    equation having a = -(a_alpha + a_beta) and c = -(a_alpha - a_beta)^2.
+    Each is formed exactly in fixed point from the rank-2 q-line rows and
+    rounded once, at weights k1, k1 + 2, k1 + 2, k1 + 4 with k1 the sum of
+    the factors' minimal weights.  The products cancel heavily at high
+    order (tensor_grid member 5 loses about 4 decades per 100 orders), so
+    this is a reference at low order only."""
+    ka, kb = _rank2_weight(alpha, L1), _rank2_weight(beta, L2)
+    k1 = ka + kb
+    with qline_precision():
+        A, dA, a_alpha, _ = _rank2_stage(L1, ka, order, catalog)
+        B, dB, a_beta, _ = _rank2_stage(L2, kb, order, catalog)
+
+        def kron(a, b):
+            return [x * y for x in a for y in b]
+
+        dA_B, A_dB = kron(dA, B), kron(A, dB)
+        return (
+            _downcast(kron(A, B), k1),
+            _downcast([_fixed_sum(x, y) for x, y in zip(dA_B, A_dB)], k1 + 2),
+            _downcast([_fixed_scale(_fixed_sum(x, y, -1), 1 / (a_beta - a_alpha),
+                                    mpmath.mp.prec) for x, y in zip(dA_B, A_dB)], k1 + 2),
+            _downcast([_fixed_sum(x, x) for x in kron(dA, dB)], k1 + 4),
+        )
 
 
 # ---------------------------------------------------------------------------

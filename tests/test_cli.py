@@ -322,6 +322,23 @@ class TestMain:
         assert err.startswith("error: [step (d) q-line solve] exponents ")
         assert "differ by the integer" in err
 
+    @pytest.mark.parametrize("command", ["basis", "minimal"])
+    def test_exponent_at_one_sixth_names_the_equation_stage(self, tmp_path, capsys, command):
+        # lambda_1 = Tr(L)/4 makes the first shifted noncyclic exponent exactly
+        # 1/6, so c = -prod(f_j - 1/6) vanishes; the job classifies, and the
+        # system is refused before a seed divides by f - 1/6
+        eigs = [0.25, 0.0625, 0.125, 0.5625]
+        job = {"command": command, "rep": rank4_json(eigs, 0, 1),
+               "exponents": exponents_json(eigs), "order": 10}
+        spec = tmp_path / "job.json"
+        spec.write_text(json.dumps(job))
+        assert main(["classify", "--spec", str(spec)]) == 0
+        capsys.readouterr()
+        assert main([command, "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [step (c) equation coefficients] noncyclic system needs c != 0")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("error", list(library_errors()), ids=lambda cls: cls.__name__)
     def test_every_error_has_a_stage_and_pickles(self, error):
         # the stage is the class's own, and a worker of --jobs N sends its

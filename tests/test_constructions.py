@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 import vvmf.constructions
+import vvmf.mlde
 from vvmf.classical import ClassicalCatalog
 from vvmf.constructions import (
     HYPERGEOMETRIC,
     NU_CHI,
     InductionJob,
     _rank2_shifts,
-    exhibited_exponents,
     induce_to_gamma,
     induction_minimal_pair,
     induction_pipeline,
@@ -39,6 +39,7 @@ from vvmf.errors import (
 )
 from vvmf.mlde import (
     CYCLIC,
+    NONCYCLIC_KEYS,
     CaseReport,
     modular_derivative,
     noncyclic_coeffs,
@@ -46,8 +47,8 @@ from vvmf.mlde import (
     rank2_coeff,
     system_residuals,
 )
-from vvmf.reps import ExponentData, GRank2Rep, Group, Rank2Rep
-from vvmf.series import FixedSeries, Nome, relative_residual
+from vvmf.reps import ExponentData, GRank2Rep, Group, Rank2Rep, tensor_exponents
+from vvmf.series import Nome, relative_residual
 
 from oracles import build_fuchsian_z, rank2_kline_pair, u_from_local_exponent
 from test_acceptance import FREENESS_TOL, freeness_deviation, tensor_grid
@@ -169,19 +170,21 @@ class TestTensorPipeline:
         assert basis.weights == (1, 3, 3, 5)
         for key in ("col1_df", "col2_d2f", "col3_dg_e4f", "col4_dh"):
             assert basis.residuals[key] < 1e-9, (key, basis.residuals)
-        assert basis.residuals["g_exponent_drop"] == 0.0
+        assert sorted(basis.residuals) == sorted(NONCYCLIC_KEYS)
         assert freeness_deviation(basis.forms) < FREENESS_TOL
 
     @pytest.mark.parametrize("member", [3, 9])
-    def test_g_exponent_drop_is_the_same_at_every_order(self, member):
-        # G's declared exponents differ from L1 + L2 in the last bit here; a
-        # window relative to the largest coefficient read G's exponent one
-        # higher at order 300, and the key 0 there
+    def test_declared_exponents_are_the_tensor_exponents(self, member):
+        # every component of every form leads exactly at the double sum
+        # L1 + L2 of tensor_exponents, at every order; members 3 and 9 have
+        # an exponent whose sum at working precision rounds to another double
         p1, p2 = tensor_grid()[member]
         (a, L1), (b, L2) = rank2_data(*p1), rank2_data(*p2)
-        drops = {tensor_pipeline(a, b, L1, L2, order, ClassicalCatalog(order))
-                 .residuals["g_exponent_drop"] for order in (40, 300)}
-        assert len(drops) == 1
+        want = tensor_exponents(L1, L2).eigenvalues
+        for order in (40, 300):
+            basis = tensor_pipeline(a, b, L1, L2, order, ClassicalCatalog(order))
+            for form in basis.forms:
+                assert tuple(c.lead_exponent for c in form.components) == want
 
     def test_equation_from_the_factors(self):
         # the closed forms rest on a = -(a_alpha + a_beta) and
@@ -196,15 +199,14 @@ class TestTensorPipeline:
 
     def test_equal_factor_gaps_rejected(self, monkeypatch, catalog40):
         # gaps 0.21 and 0.21 + 1e-7 give |a_beta - a_alpha| ~ 1e-8: the
-        # noncyclic c vanishes, and G is never divided by the difference
-        scales, solves = [], []
-        monkeypatch.setattr(FixedSeries, "scale", lambda *args: scales.append(args))
-        monkeypatch.setattr(vvmf.constructions, "qline_solve", lambda *args: solves.append(args))
+        # noncyclic c vanishes, and nothing is seeded or solved
+        solves = []
+        monkeypatch.setattr(vvmf.mlde, "qline_solve", lambda *args: solves.append(args))
         a, L1 = rank2_data((1 / 6 + 0.21) / 2, (1 / 6 - 0.21) / 2)
         b, L2 = rank2_data((2 / 6 + 0.21 + 1e-7) / 2, (2 / 6 - 0.21 - 1e-7) / 2)
         with pytest.raises(DegenerateC):
             tensor_pipeline(a, b, L1, L2, 10, catalog40)
-        assert scales == [] and solves == []
+        assert solves == []
 
     def test_jordan_pair_rejected(self, catalog40):
         nu = Rank2Rep.from_eigenvalues(1, 1)
@@ -339,16 +341,6 @@ class TestInductionPair:
             c.slash_t_inverse() for c in A.components
         )
 
-    def test_induce_with_exponent_check(self, cat):
-        job = make_job(0.27)
-        A, _ = induction_minimal_pair(job, 20, cat)
-        induce_to_gamma(A, exhibited_exponents(A))  # consistent: no raise
-        from vvmf.errors import ExponentMismatch
-        from vvmf.reps import ExponentData, Group
-        bad = ExponentData.diagonal([0.9, 0.8], Group.G)
-        with pytest.raises(ExponentMismatch):
-            induce_to_gamma(A, bad)
-
     def test_wrong_nome(self, cat, catalog40):
         from vvmf.series import PuiseuxSeries, VectorSeries
 
@@ -382,7 +374,7 @@ class TestInductionPair:
     def test_exponent_check_reads_the_declared_exponents(self, r):
         # the benchmark's induction members 2 and 4 at q-order 80: a leading
         # coefficient of a q2-part falls below 1e-9 of the largest one, yet
-        # the exhibited exponents pass the check against themselves
+        # each form of the pair is stacked at its declared exponents
         job = make_job(r, trace=Fraction(2, 3))
         for F in induction_minimal_pair(job, 80, ClassicalCatalog(80)):
-            assert induce_to_gamma(F, exhibited_exponents(F)).rank == 4
+            assert induce_to_gamma(F).rank == 4

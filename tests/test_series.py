@@ -531,10 +531,14 @@ class TestFixedPoint:
                 to_fixed(bad, 10)
 
     def test_sum_needs_one_scale(self):
+        # the closed tensor oracle's sums are exact at one common scale
+        from oracles import _fixed_sum
+
         a = fixed_series(Nome.Q, 0, [1, 2], 10)
-        assert (a + a).downcast().coeffs == (2, 4)
+        assert _fixed_sum(a, a).downcast().coeffs == (2, 4)
+        assert _fixed_sum(a, a, -1).downcast().coeffs == (0, 0)
         with pytest.raises(ValueError):
-            a + fixed_series(Nome.Q, 0, [1, 2], 11)
+            _fixed_sum(a, fixed_series(Nome.Q, 0, [1, 2], 11))
 
 
 def reference_complex_product(a_re, a_im, b_re, b_im, n_out):
@@ -586,10 +590,11 @@ class TestComplexLimbKernel:
     @pytest.mark.parametrize("order, limb_bits", [(80, 16), (400, 8)])
     def test_width_at_tensor_sizes(self, monkeypatch, order, limb_bits):
         # a pure function of (terms, bits of a, bits of b): every product of
-        # the benchmark's tensor member takes 16-bit limbs at order 80, and
-        # the bound asks for 8 at order 400; its rows are real, so its 16
-        # Kronecker components take 8 paired convolutions
-        from test_qline import tensor_route
+        # the rank-2 rows of the benchmark's tensor member takes 16-bit limbs
+        # at order 80, and the bound asks for 8 at order 400; the closed
+        # Kronecker basis forms 16 of them
+        from oracles import kronecker_tensor_basis
+        from test_acceptance import rank2_data, tensor_grid
 
         sizes = []
 
@@ -598,8 +603,9 @@ class TestComplexLimbKernel:
             return _limb_bits(*args)
 
         monkeypatch.setattr(vvmf.series, "_limb_bits", recording)
-        tensor_route(5)(order, ClassicalCatalog(order))
-        assert len(sizes) == 8 and all(n == order + 1 for n, _, _ in sizes)
+        (alpha, L1), (beta, L2) = (rank2_data(*p) for p in tensor_grid()[5])
+        kronecker_tensor_basis(alpha, beta, L1, L2, order, ClassicalCatalog(order))
+        assert len(sizes) == 16 and all(n == order + 1 for n, _, _ in sizes)
         assert {_limb_bits(*args) for args in sizes} == {limb_bits}
 
     def test_width_has_a_limit(self):
@@ -717,24 +723,28 @@ def catalog200():
 
 @pytest.mark.parametrize("member", [0, 1, 5, 8])
 def test_tensor_forms_match_the_int_product(monkeypatch, catalog200, member):
-    from test_qline import tensor_route
+    # the 16 Kronecker products of the closed tensor basis, on the rank-2
+    # rows of the tensor pool, give the bytes of Gauss's three int products
+    from oracles import kronecker_tensor_basis
+    from test_acceptance import rank2_data, tensor_grid
 
-    def emitted(basis):
-        return [form.to_json() for form in basis.forms], basis.residuals
+    (alpha, L1), (beta, L2) = (rank2_data(*p) for p in tensor_grid()[member])
 
-    pipeline = tensor_route(member)
-    got = emitted(pipeline(200, catalog200))
+    def emitted():
+        forms = kronecker_tensor_basis(alpha, beta, L1, L2, 200, catalog200)
+        return repr([form.to_json() for form in forms])
+
+    got = emitted()
     monkeypatch.setattr(FixedSeries, "__mul__", gauss_product)
-    monkeypatch.setattr(vvmf.constructions, "pair_mul", plain_pair)
-    assert repr(got) == repr(emitted(pipeline(200, catalog200)))
+    assert got == emitted()
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("order", [400, 800])
-@pytest.mark.parametrize("route", ["sym3", "tensor"])
+@pytest.mark.parametrize("route", ["sym3"])
 def test_pairing_keeps_the_bytes_at_high_order(monkeypatch, route, order):
-    # the benchmark's ladder members (sym3:3, tensor:5) have real rows, so
-    # every product of their cube or Kronecker products is paired
+    # the benchmark's ladder member sym3:3 has real rows, so every product
+    # of its cube is paired
     from test_qline import closed_route
 
     def emitted(basis):

@@ -86,15 +86,13 @@ def test_tensor_solves_each_exponent_once(monkeypatch, catalog40):
     # first member of the acceptance suite's tensor grid
     alpha, L1 = rank2_data(1, 0.21)
     beta, L2 = rank2_data(2, 0.13)
-    kroneckers = count_calls(monkeypatch, vvmf.constructions, "_kronecker")
     basis = tensor_pipeline(alpha, beta, L1, L2, 20, catalog40)
     assert basis.residuals["col3_dg_e4f"] < 1e-9
     assert calls == []
-    # one q-line solve per rank-2 factor at its two exponents; the basis is
-    # A (x) B, DA (x) B, A (x) DB and DA (x) DB combined, with no rank-4
-    # solve and no division by a series
-    assert len(solves) == 2 and distinct_exponents(solves) == 4
-    assert len(kroneckers) == 4
+    # one rank-4 q-line solve at the four tensor exponents: no rank-2
+    # factor is solved, no Kronecker product formed, no series divided
+    assert len(solves) == 1 and distinct_exponents(solves) == 4
+    assert not hasattr(vvmf.constructions, "_kronecker")
     assert divides == []
 
 
@@ -122,10 +120,10 @@ def run_route(route: str, order: int = 20):
 
 
 @pytest.mark.parametrize("route, solves", [
-    ("sym3", 1), ("tensor", 2), ("cyclic", 1), ("noncyclic", 1), ("induction", 1)])
+    ("sym3", 1), ("tensor", 1), ("cyclic", 1), ("noncyclic", 1), ("induction", 1)])
 def test_one_solve_per_system(monkeypatch, route, solves):
-    # every exponent of a system is solved in one call: the rank-2 pair (one
-    # per tensor factor), the rank-4 system of the generic routes, the
+    # every exponent of a system is solved in one call: the rank-2 pair of
+    # the cube, the rank-4 system of the tensor and generic routes, the
     # induction pair
     calls = count_calls(monkeypatch, vvmf.mlde, "qline_solve")
     run_route(route)
@@ -240,7 +238,7 @@ def induction_job() -> InductionJob:
 @pytest.mark.parametrize("route", ["cyclic", "noncyclic", "induction", "closed", "closed-complex"])
 def test_qline_block_runs_in_integers(monkeypatch, route):
     # the solve convolves and eliminates in fixed-point integers, and the
-    # cube and Kronecker products multiply fixed-point mantissas
+    # cube multiplies fixed-point mantissas
     catalog = ClassicalCatalog(20)
     counts = count_mp_work(monkeypatch)
     complex_products = count_calls(monkeypatch, vvmf.series, "_complex_mul")
@@ -258,13 +256,12 @@ def test_qline_block_runs_in_integers(monkeypatch, route):
     assert counts["fdot"] == [] and counts["mp_products"] == []
     if route == "closed":
         # real rows pair up: the cube's two squares and two paired products,
-        # and two paired products for each of the tensor's 4 Kronecker
-        # products, one complex limb convolution each
-        assert len(complex_products) == 4 + 8
+        # one complex limb convolution each; the tensor route's rank-4 solve
+        # makes none
+        assert len(complex_products) == 4
     elif route == "closed-complex":
-        # complex rows keep one convolution per product: the cube's 6 and
-        # the 4 Kronecker products of 4 components
-        assert len(complex_products) == 6 + 16
+        # complex rows keep one convolution per product: the cube's 6
+        assert len(complex_products) == 6
 
 
 def test_double_products_run_in_numpy(monkeypatch):
