@@ -28,7 +28,9 @@ key at order 800, all 48 eta powers included, holds about 2.5 MB of Python
 ints; f, g and h add 0.14 MB in double and 1.0 MB in extended.
 Z's build overflows the double range from order 128 on; the store records
 the lowest order that overflowed, per precision and digits, and a catalog at
-or above it raises without a build.
+or above it raises without a build.  Within one catalog a key reads the
+same prefix object every time, so the double check of a job converts each
+series it multiplies once (:meth:`ClassicalCatalog.as_stack`).
 
 The building blocks come from exact closed forms rather than products and
 inverses of series: every eta power, negative ones included, from one
@@ -48,7 +50,7 @@ from operator import mul
 import mpmath
 
 from .errors import UnknownSeries, WrongNome
-from .series import Nome, PuiseuxSeries, relative_residual
+from .series import FormStack, Nome, PuiseuxSeries, VectorSeries, relative_residual
 
 
 def _divisor_power_sums(power: int, n_max: int) -> list[int]:
@@ -139,6 +141,10 @@ class ClassicalCatalog:
             raise ValueError(f"unknown precision {precision!r}")
         self.order = order
         self.precision = precision
+        # per key, the process-wide series read and this catalog's prefix of
+        # it; and per series, by identity, its double stack (as_stack)
+        self._prefixes: dict = {}
+        self._stacks: dict = {}
         # the digits of the constants and of every build: none in double,
         # else the EXTENDED_DPS in force when the catalog is made
         self.dps = None if precision == "double" else EXTENDED_DPS
@@ -165,8 +171,9 @@ class ClassicalCatalog:
         """A series, or tuple of them, of this catalog: the prefix of the
         longest one built for ``key`` in the process (:data:`_EXACT_SERIES`).
         When that one is shorter than this catalog's order, ``build`` runs at
-        this order and replaces it if ``keep`` holds for it.  The exact
-        builds need no working precision."""
+        this order and replaces it if ``keep`` holds for it.  The prefix of
+        one stored series is cut once per catalog.  The exact builds need no
+        working precision."""
         stored = _EXACT_SERIES.get(key)
         parts = stored if type(stored) is tuple else (stored,)
         if stored is None or parts[0].order < self._order_in(parts[0].nome):
@@ -174,7 +181,10 @@ class ClassicalCatalog:
             if keep(built):
                 _EXACT_SERIES[key] = built
             return built
-        cut = tuple(s.truncate(self._order_in(s.nome)) for s in parts)
+        read, cut = self._prefixes.get(key, (None, None))
+        if read is not stored:
+            cut = tuple(s.truncate(self._order_in(s.nome)) for s in parts)
+            self._prefixes[key] = (stored, cut)
         return cut if type(stored) is tuple else cut[0]
 
     def _at_precision(self, name: str, build, keep=lambda built: True):
@@ -314,7 +324,7 @@ class ClassicalCatalog:
 
         From order 1720 on the double inverse holds inf, and a product with
         such an operand runs in double, not long double
-        (:func:`vvmf.series._double_mul`).  Its head is then not the series
+        (:func:`vvmf.series._convolve`).  Its head is then not the series
         a shorter build gives, so the store does not keep a non-finite h."""
 
         def build():
@@ -383,14 +393,25 @@ class ClassicalCatalog:
             return self.eisenstein_q2(2)
         raise WrongNome("no quasi-modular E_2 in this nome")
 
-    def modular_derive(self, s: PuiseuxSeries, k) -> PuiseuxSeries:
-        """Weight-k modular derivative theta_q - (k/12) E_2 on a scalar series.
+    def as_stack(self, s: PuiseuxSeries) -> FormStack:
+        """s as a stack of one form of one component, for the double check:
+        converted once per catalog, that is once per job, for each series
+        object.  The catalog reads one prefix object per key
+        (:meth:`_stored`), so every system of a job shares the stacks of its
+        catalog series."""
+        held = self._stacks.get(id(s))
+        if held is None or held[0] is not s:
+            held = (s, FormStack.of([VectorSeries((s,), 0)]))
+            self._stacks[id(s)] = held
+        return held[1]
 
-        The k/12 factor is an exact rational, so the derivative is exact on
-        exact input; it scales the product E_2 s, which keeps the convolution
-        in the integer-times-coefficient arithmetic of its operands."""
-        k = Fraction(k)
-        return self.theta_q(s) - (self.e2_for(s.nome) * s).scale(k / 12)
+    def modular_derive(self, s: PuiseuxSeries, k) -> PuiseuxSeries:
+        """Weight-k modular derivative theta_q - (k/12) E_2 on a scalar
+        series, in double precision: the one modular derivative of the
+        library (:meth:`vvmf.series.FormStack.derive`)."""
+        X = FormStack.of([VectorSeries((s,), k)])
+        (DX,) = X.derive(self.as_stack(self.e2_for(s.nome))).vectors()
+        return DX.components[0]
 
     # -- named access and self-test ----------------------------------------------
 

@@ -71,6 +71,7 @@ from .reps import (
 )
 from .series import (
     FixedSeries,
+    FormStack,
     Nome,
     PuiseuxSeries,
     VectorSeries,
@@ -189,8 +190,8 @@ def rank2_minimal(
     with qline_precision():
         F, DF, _, system = _rank2_stage(L, k1, order, catalog)
     forms = (_downcast(F, k1), _downcast(DF, k1 + 2))
-    derivatives = [modular_derivative(X, X.weight, catalog) for X in forms]
-    res = system_residuals(forms, derivatives, system)
+    X = FormStack.of(forms)
+    res = system_residuals(X, modular_derivative(X, catalog), system, catalog)
     return Rank2MinimalForm(k1, HYPERGEOMETRIC, forms[0], {"rank2_mlde": max(res)})
 
 
@@ -422,8 +423,9 @@ def induction_pipeline(
     3 Tr(Ind L) = k1 + 3, of the other parity than k1 = e mod 2, so the
     report is cyclic with the job's k1."""
     (A, B), system = _induction_stage(job, order, catalog)
-    derivatives = [modular_derivative(X, X.weight, catalog) for X in (A, B)]
-    pair_res = max(system_residuals((A, B), derivatives, system))
+    pair = FormStack.of((A, B))
+    d_pair = modular_derivative(pair, catalog)
+    pair_res = max(system_residuals(pair, d_pair, system, catalog))
     out = []
     for j, F in ((1, A), (2, B)):
         ind_L = induced_exponents(exhibited_exponents(F))
@@ -434,6 +436,11 @@ def induction_pipeline(
                 f"exhibited exponents give 3 Tr(Ind L) = {t3}, not k1 + 3 = {job.k1 + 3}"
             )
         co = cyclic_coeffs(indicial_shifts(ind_L.eigenvalues, CYCLIC))
-        basis = assemble_cyclic_basis(induce_to_gamma(F), co, catalog, report)
+        G = induce_to_gamma(F)
+        # D G is D F, taken for the pair check, over D of F|T^{-1}
+        slashed = FormStack.of([VectorSeries(G.components[F.rank:], G.weight)])
+        X = FormStack.join((pair.form(j - 1), slashed), 1)
+        DX = FormStack.join((d_pair.form(j - 1), modular_derivative(slashed, catalog)), 1)
+        basis = assemble_cyclic_basis(G, co, catalog, report, (X, DX))
         out.append(FormBasis(basis.forms, report, {**basis.residuals, "pair_relation": pair_res}))
     return tuple(out)

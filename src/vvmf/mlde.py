@@ -3,7 +3,12 @@ on the q-line, the modular derivative, and free-basis assembly.
 
 Every route solves a first-order system D X = X M(q) with holomorphic
 coefficients directly on the q-line (:func:`qline_solve`), with no
-hauptmodul, in fixed-point integer arithmetic.
+hauptmodul, in fixed-point integer arithmetic.  It then checks the emitted
+doubles against the same system: the modular derivatives of its forms
+(:func:`modular_derivative`) and the column relations
+(:func:`system_residuals`) are taken in one array pass over a
+:class:`vvmf.series.FormStack`, with the bytes of the series arithmetic
+that ``tests/oracles.py`` keeps as the reference.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .classical import ClassicalCatalog
 from .errors import (
     DegenerateC,
     ExponentSumMismatch,
+    NonIntegralExponentGap,
     NotAnExponent,
     Resonance,
     TraceDCongruenceViolation,
@@ -28,14 +34,16 @@ from .errors import (
 from .reps import ExponentData, Rank4Rep
 from .series import (
     FixedSeries,
+    FormStack,
     Nome,
     PuiseuxSeries,
     VectorSeries,
     as_complex,
     compose_frobenius,  # noqa: F401  (a binding site perfbench's tracer test patches)
+    max_modulus,
     nearest_int,
-    relative_residual,
     require_int,
+    residual_ratio,
     to_fixed,
 )
 
@@ -522,28 +530,52 @@ def _left_solve(m, p: int) -> list:
     return x
 
 
-def system_residuals(forms, derivatives, system, columns=None) -> list[float]:
+def system_residuals(forms: FormStack, derivatives: FormStack, system,
+                     catalog: ClassicalCatalog, columns=None) -> list[float]:
     """Relative residual of each column j of D X = X M on emitted forms (the
-    entries of X, each a vector series at its weight), given the modular
-    derivative D X_j of each; ``columns`` lists the columns to check, in
-    order (all by default).  Every differential relation a route records is
-    one of these columns.  The system is the one the forms were solved from:
-    its mpmath constants are rounded to complex once, here, and its other
-    constants are used as they are.  A block whose series is the unit series
-    adds v X_i with no product (x * 1 is exact in double)."""
-    system = [({ij: as_complex(v) if isinstance(v, (mpmath.mpf, mpmath.mpc)) else v
-                for ij, v in S.items()}, e) for S, e in system]
+    entries X_i of X, the forms of one stack), given their modular
+    derivatives D X_j, a stack in the same order; ``columns`` lists the
+    columns to check, in order (all by default).  Every differential
+    relation a route records is one of these columns.
+
+    The system is the one the forms were solved from, and its constants are
+    rounded to complex once, here.  Column j is D X_j - sum X_i e v over the
+    entries (i, j) of each block (v, e), in the order of the system: X_i e
+    is one :meth:`FormStack.times`, formed once for all columns, and a
+    block whose series is the unit series adds v X_i with no product.  A
+    series leading at x^s (theta_2^4 at q2^1) enters s coefficients up,
+    each difference then ending where its shorter operand does, as
+    ``PuiseuxSeries.__add__`` aligns it.  The residual is the largest
+    modulus of the difference over the largest of D X_j and of every
+    v X_i e (:func:`vvmf.series.residual_ratio`)."""
+    import numpy as np
+
+    blocks = []
+    for S, e in system:
+        unit = _is_one(e)
+        entries = [(i, col, as_complex(v)) for (i, col), v in S.items()]
+        blocks.append((e, unit, 0 if unit else _lead_shift(e), entries))
+    products = {}
     out = []
-    for j in range(len(derivatives)) if columns is None else columns:
-        lhs = derivatives[j]
-        parts = [
-            forms[i].scale(v) if _is_one(e) else forms[i].mul_series(e).scale(v)
-            for S, e in system for (i, col), v in S.items() if col == j
-        ]
-        residual = lhs
-        for p in parts:
-            residual = residual - p
-        out.append(relative_residual(residual, lhs, *parts))
+    with np.errstate(all="ignore"):
+        for j in range(len(derivatives.weights)) if columns is None else columns:
+            residual = derivatives.z[j]
+            sizes = [max_modulus(residual)]
+            for e, unit, shift, entries in blocks:
+                for i, col, v in entries:
+                    if col != j:
+                        continue
+                    x = forms.z[i] if unit else products.get((i, id(e)))
+                    if x is None:
+                        x = products[(i, id(e))] = forms.times(i, catalog.as_stack(e))
+                    part = np.empty_like(x)
+                    part.real = v.real * x.real - v.imag * x.imag
+                    part.imag = v.real * x.imag + v.imag * x.real
+                    sizes.append(max_modulus(part))
+                    end = min(residual.shape[-1], shift + part.shape[-1])
+                    diff = residual[:, shift:end] + -part[:, :end - shift]
+                    residual = np.concatenate((residual[:, :shift], diff), 1) if shift else diff
+            out.append(residual_ratio(max_modulus(residual), sizes))
     return out
 
 
@@ -551,16 +583,25 @@ def _is_one(e: PuiseuxSeries) -> bool:
     return e.lead_exponent == 0 and e.coeffs[0] == 1 and not any(e.coeffs[1:])
 
 
+def _lead_shift(e: PuiseuxSeries) -> int:
+    """The integer leading exponent of a system's series; the coefficients
+    of the system are holomorphic, so it is not negative."""
+    shift = nearest_int(e.lead_exponent)
+    if shift is None or shift < 0:
+        raise NonIntegralExponentGap(
+            f"a system's series leads at {as_complex(e.lead_exponent)}, not a power x^s, s >= 0"
+        )
+    return shift
+
+
 # ---------------------------------------------------------------------------
 # modular derivative and basis assembly
 # ---------------------------------------------------------------------------
 
-def modular_derivative(F: VectorSeries, k, catalog: ClassicalCatalog) -> VectorSeries:
-    """Componentwise theta_q - (k/12) E_2, raising the weight by two."""
-    k = Fraction(k)
-    return VectorSeries(
-        tuple(catalog.modular_derive(c, k) for c in F.components), k + 2
-    )
+def modular_derivative(X: FormStack, catalog: ClassicalCatalog) -> FormStack:
+    """D = theta_q - (k/12) E_2 of every form of the stack at its weight k,
+    raising the weight by two (:meth:`vvmf.series.FormStack.derive`)."""
+    return X.derive(catalog.as_stack(catalog.e2_for(X.nome)))
 
 
 @dataclass(frozen=True)
@@ -576,8 +617,8 @@ class FormBasis:
         return tuple(f.weight for f in self.forms)
 
 
-def _require_nonzero(F: VectorSeries) -> None:
-    if F.max_abs() <= 1e-14:
+def _require_nonzero(X: FormStack) -> None:
+    if max_modulus(X.z) <= 1e-14:
         raise ZeroForm("basis assembly started from the zero form")
 
 
@@ -586,17 +627,26 @@ def assemble_cyclic_basis(
     co: ODECoefficients,
     catalog: ClassicalCatalog,
     case: CaseReport | None = None,
+    stacks: tuple[FormStack, FormStack] | None = None,
 ) -> FormBasis:
     """Basis F, DF, D^2F, D^3F; records the relative residual of
     D^4 F + a E_4 D^2 F + b E_6 D F + c E_4^2 F, the last column of
-    :func:`cyclic_system` in the nome of F."""
-    _require_nonzero(F)
-    chain = [F]
-    for _ in range(4):
-        chain.append(modular_derivative(chain[-1], chain[-1].weight, catalog))
+    :func:`cyclic_system` in the nome of F.
+
+    The chain D F ... D^4 F stays in one :class:`FormStack` per level, and
+    only DF, D^2F and D^3F become tuples.  ``stacks`` holds F and DF when
+    the caller has them already (the induction route takes half of DF with
+    its pair check)."""
+    X, DX = stacks or (FormStack.of([F]), None)
+    _require_nonzero(X)
+    chain = [X, DX or modular_derivative(X, catalog)]
+    for _ in range(3):
+        chain.append(modular_derivative(chain[-1], catalog))
     system = cyclic_system(co, catalog, F.nome)
-    (res,) = system_residuals(chain[:4], chain[1:], system, columns=[3])
-    return FormBasis(tuple(chain[:4]), case, {"cyclic_mlde": res})
+    (res,) = system_residuals(FormStack.join(chain[:4], 0), FormStack.join(chain[1:], 0),
+                              system, catalog, columns=[3])
+    forms = (F, *(level.vectors()[0] for level in chain[1:4]))
+    return FormBasis(forms, case, {"cyclic_mlde": res})
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +704,8 @@ def _recursive_stage(
         VectorSeries(tuple(row[i].downcast() for row in rows), k)
         for i, k in enumerate(report.weight_tuple)
     )
-    derivatives = [modular_derivative(X, X.weight, catalog) for X in forms]
-    res = system_residuals(forms, derivatives, system)
+    X = FormStack.of(forms)
+    res = system_residuals(X, modular_derivative(X, catalog), system, catalog)
     if cyclic:
         residuals = {"cyclic_chain": max(res[:3]), "cyclic_mlde": res[3]}
     else:

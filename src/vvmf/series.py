@@ -58,19 +58,28 @@ its peak resident memory rose from 46.3 to 51.8 MB, past the benchmark's
 A product of builtin ``int``/``float``/``complex`` coefficients with at least
 one operand not all-``int`` is one ``numpy.convolve`` (:func:`_double_mul`):
 the operands are read as float64 (both real) or complex128 and convolved in
-numpy's long double, then rounded to double once.  The kernel follows from
-the coefficient types alone.  Its results differ from the interpreted
-double loop in the last bits, the rounding errors of that loop.  Identical
-jobs still give identical bytes on one installation; another numpy build or
-platform (where long double is double, or quad precision) may sum in
-another precision and change the last bits of derived forms and residuals.
-``mpmath`` and ``Fraction`` coefficients keep the schoolbook loop.
+numpy's long double, then rounded to double once (:func:`_convolve`).  The
+kernel follows from the coefficient types alone.  Its results differ from
+the interpreted double loop in the last bits, the rounding errors of that
+loop.  Identical jobs still give identical bytes on one installation;
+another numpy build or platform (where long double is double, or quad
+precision) may sum in another precision and change the last bits of
+derived forms and residuals.  ``mpmath`` and ``Fraction`` coefficients
+keep the schoolbook loop.
 
-numpy is imported inside the two numpy kernels (:func:`_double_mul` and the
-FFT product :func:`_complex_mul`), so it loads at a process's first double
-or FFT product, not with the package.  Its import takes about 150 ms, more
-than a whole exact job: ``classify``, ``coeffs`` and ``classical`` (every
-name but h and Z in double precision) never load it.
+The double check of every route runs on a :class:`FormStack`: the forms of
+one check as one complex128 array, converted once, whose modular
+derivatives (:meth:`FormStack.derive`, the library's one) and products
+(:meth:`FormStack.times`) are taken by the same kernel on array rows, and
+whose other steps repeat Python's complex arithmetic operation by
+operation in float64, so the bytes are those of the series arithmetic.
+
+numpy is imported inside the numpy kernels and :class:`FormStack` (the
+double products, the stack and the FFT product :func:`_complex_mul`), so it
+loads at a process's first double or FFT product, not with the package.
+Its import takes about 150 ms, more than a whole exact job: ``classify``,
+``coeffs`` and ``classical`` (every name but h and Z in double precision)
+never load it.
 """
 
 from __future__ import annotations
@@ -342,29 +351,52 @@ def _karatsuba_mul(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
     return out
 
 
+def _widened(x):
+    """The long double copy of a double array (complex or real, as x is)
+    that :func:`_convolve` sums in, or None when x holds inf or nan."""
+    import numpy as np
+
+    if not np.isfinite(x).all():
+        return None
+    return x.astype(np.clongdouble if x.dtype.kind == "c" else np.longdouble)
+
+
+def _convolve(x: tuple, y: tuple, n_out: int):
+    """The double kernel: the first n_out + 1 coefficients of x * y as one
+    ``numpy.convolve``, rounded to x's double type.
+
+    x and y are (double array, its :func:`_widened` copy) pairs of one
+    dtype, cut to n_out + 1 terms; the order of the two is the order of the
+    sums.  Two finite operands are convolved in numpy's long double.  numpy
+    sums a long double convolution in a fixed order by its own loop, never
+    through BLAS, whose dot kernel is picked per CPU; on x86-64 its 64-bit
+    mantissa holds every product and partial sum to 2^-64, so a double
+    result is rounded essentially once.  An operand holding inf or nan is
+    convolved in double instead: x87 long double arithmetic on them runs
+    through microcode assists, and Z's overflowing product at q2-order 1600
+    took 3.9 s that way.  The caller scopes floating-point warnings."""
+    import numpy as np
+
+    (xd, xw), (yd, yw) = x, y
+    if xw is None or yw is None:
+        return np.convolve(xd, yd)[: n_out + 1]
+    return np.convolve(xw, yw)[: n_out + 1].astype(xd.dtype)
+
+
 def _double_mul(a: Sequence, b: Sequence, n_out: int, is_complex: bool) -> list:
     """Truncated product of builtin int/float/complex coefficient sequences
-    as one ``numpy.convolve``.
+    by the double kernel (:func:`_convolve`).
 
     The operands are read as doubles (complex if either holds a complex), so
     an int beyond the double range raises OverflowError as in the
-    interpreted loop, and convolved in numpy's long double.  numpy sums a
-    long double convolution in a fixed order by its own loop, never through
-    BLAS, whose dot kernel is picked per CPU; on x86-64 its 64-bit mantissa
-    holds every product and partial sum to 2^-64, so a double result is
-    rounded essentially once.  An operand holding inf or nan is convolved
-    in double instead: x87 long double arithmetic on them runs through
-    microcode assists, and Z's overflowing product at q2-order 1600 took
-    3.9 s that way.  They propagate without a floating-point warning.
-    Returns Python floats or complexes."""
+    interpreted loop.  inf and nan propagate without a floating-point
+    warning.  Returns Python floats or complexes."""
     import numpy as np
 
-    narrow, wide = (np.complex128, np.clongdouble) if is_complex else (np.float64, np.longdouble)
+    narrow = np.complex128 if is_complex else np.float64
     with np.errstate(all="ignore"):
         x, y = np.array(a, dtype=narrow), np.array(b, dtype=narrow)
-        if np.isfinite(x).all() and np.isfinite(y).all():
-            x, y = x.astype(wide), y.astype(wide)
-        return np.convolve(x, y)[: n_out + 1].astype(narrow, copy=False).tolist()
+        return _convolve((x, _widened(x)), (y, _widened(y)), n_out).tolist()
 
 
 @dataclass(frozen=True)
@@ -403,7 +435,10 @@ class PuiseuxSeries:
         return len(self.coeffs) - 1
 
     def max_abs(self) -> float:
-        return max((float(abs(c)) for c in self.coeffs), default=0.0)
+        """The largest |coefficient|; nan when a coefficient is nan, which
+        Python's ``max`` would skip unless it came first."""
+        sizes = [float(abs(c)) for c in self.coeffs]
+        return math.nan if math.isnan(sum(sizes)) else max(sizes, default=0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         head = ", ".join(repr(as_complex(c)) for c in self.coeffs[:4])
@@ -1006,42 +1041,6 @@ class VectorSeries:
     def nome(self) -> Nome:
         return self.components[0].nome
 
-    @property
-    def order(self) -> int:
-        return self.components[0].order
-
-    def map(self, fn: Callable[[PuiseuxSeries], PuiseuxSeries], weight=None) -> "VectorSeries":
-        w = self.weight if weight is None else weight
-        return VectorSeries(tuple(fn(c) for c in self.components), w)
-
-    def __add__(self, other: "VectorSeries") -> "VectorSeries":
-        return VectorSeries(
-            tuple(a + b for a, b in zip(self.components, other.components, strict=True)),
-            self.weight,
-        )
-
-    def __sub__(self, other: "VectorSeries") -> "VectorSeries":
-        return VectorSeries(
-            tuple(a - b for a, b in zip(self.components, other.components, strict=True)),
-            self.weight,
-        )
-
-    def __neg__(self) -> "VectorSeries":
-        return self.map(lambda c: -c)
-
-    def scale(self, c) -> "VectorSeries":
-        return self.map(lambda s: s.scale(c))
-
-    def mul_series(self, s: PuiseuxSeries, weight_shift=0) -> "VectorSeries":
-        """Componentwise product with a scalar series of the given weight."""
-        return VectorSeries(
-            tuple(c * s for c in self.components),
-            self.weight + Fraction(weight_shift),
-        )
-
-    def max_abs(self) -> float:
-        return max(c.max_abs() for c in self.components)
-
     def to_json(self) -> dict:
         return {
             "weight": [self.weight.numerator, self.weight.denominator],
@@ -1049,14 +1048,159 @@ class VectorSeries:
         }
 
 
-def relative_residual(residual, *references) -> float:
-    """max |residual coefficient| over the max coefficient of the references.
+class FormStack:
+    """Vector-valued forms of one nome, rank and length as numpy arrays, the
+    data of every route's double-precision check: its modular derivatives
+    (:meth:`derive`) and column relations (:func:`vvmf.mlde.system_residuals`).
 
-    Works on scalar and vector series alike; the scale floor 1.0 keeps the
-    quotient meaningful for identities between O(1)-normalized series.
+    ``z[f, c, n]`` is coefficient n of component c of form f in complex128,
+    ``wide`` the same in long double, and ``finite[f, c]`` the index of that
+    component's first non-finite coefficient (its length if none), which
+    decides whether a product of a prefix is summed in long double
+    (:func:`_convolve`).  Each component has one leading exponent, shared
+    by every form (``leads``, the objects the forms carry); each form has a
+    weight.  Forms are converted once (:meth:`of`), derived and multiplied
+    as arrays, and only emitted ones go back to tuples (:meth:`vectors`).
+
+    The arithmetic reproduces that of the Python complex numbers the forms
+    hold, operation by operation, so every derivative coefficient and
+    residual keeps its bytes: a complex product is the real and imaginary
+    parts of (a + ib)(c + id) = (ac - bd) + i(ad + bc), each in its own
+    float64 operation, with a real factor x taken as x + 0i as Python takes
+    it; a difference is a + (-b).  That keeps the signed zeros, infs and
+    nans of the Python arithmetic too.
     """
-    def _max(x):
-        return x.max_abs()
 
-    scale = max([1.0] + [_max(r) for r in references])
-    return _max(residual) / scale
+    def __init__(self, z, leads, weights, nome: Nome, wide=None, finite=None):
+        import numpy as np
+
+        self.z, self.leads, self.weights, self.nome = z, tuple(leads), tuple(weights), nome
+        if wide is None:
+            wide = z.astype(np.clongdouble)
+            bad = ~np.isfinite(z)
+            finite = np.where(bad.any(-1), bad.argmax(-1), z.shape[-1])
+        self.wide, self.finite = wide, finite
+
+    @staticmethod
+    def of(forms: Sequence[VectorSeries]) -> "FormStack":
+        """The stack of forms of one nome, length and leading exponents."""
+        import numpy as np
+
+        first = forms[0]
+        leads = [as_complex(c.lead_exponent) for c in first.components]
+        for F in forms[1:]:
+            if F.nome is not first.nome or leads != [as_complex(c.lead_exponent)
+                                                     for c in F.components]:
+                raise ValueError("a stack's forms share their nome and leading exponents")
+        z = np.array([[c.coeffs for c in F.components] for F in forms], dtype=np.complex128)
+        return FormStack(z, (c.lead_exponent for c in first.components),
+                         [F.weight for F in forms], first.nome)
+
+    @staticmethod
+    def join(stacks: Sequence["FormStack"], axis: int) -> "FormStack":
+        """The forms of ``stacks`` one after another (axis 0; they share
+        their leading exponents), or the components of one form side by side
+        (axis 1; they share their weights), arrays and all."""
+        import numpy as np
+
+        first = stacks[0]
+        z, wide, finite = (np.concatenate([getattr(s, k) for s in stacks], axis)
+                           for k in ("z", "wide", "finite"))
+        if axis:
+            leads, weights = sum((s.leads for s in stacks), ()), first.weights
+        else:
+            leads, weights = first.leads, sum((s.weights for s in stacks), ())
+        return FormStack(z, leads, weights, first.nome, wide, finite)
+
+    def form(self, f: int) -> "FormStack":
+        """The stack of form f alone."""
+        cut = slice(f, f + 1)
+        return FormStack(self.z[cut], self.leads, self.weights[cut], self.nome,
+                         self.wide[cut], self.finite[cut])
+
+    def vectors(self) -> tuple[VectorSeries, ...]:
+        """The forms as tuples of Python complexes, for emission."""
+        return tuple(
+            VectorSeries(tuple(PuiseuxSeries(self.nome, lam, tuple(row))
+                               for lam, row in zip(self.leads, rows)), w)
+            for rows, w in zip(self.z.tolist(), self.weights))
+
+    def row(self, f: int, c: int, terms: int) -> tuple:
+        """Component c of form f cut to ``terms`` coefficients, as the
+        operand pair of :func:`_convolve`."""
+        wide = self.wide[f, c, :terms] if self.finite[f, c] >= terms else None
+        return self.z[f, c, :terms], wide
+
+    def times(self, f: int, e: "FormStack"):
+        """X_f e for the series e held as a stack of one component: each
+        component of form f times e over their common length, the component
+        first, as ``PuiseuxSeries.__mul__`` multiplies them."""
+        import numpy as np
+
+        terms = min(self.z.shape[-1], e.z.shape[-1])
+        y = e.row(0, 0, terms)
+        return np.array([_convolve(self.row(f, c, terms), y, terms - 1)
+                         for c in range(self.z.shape[1])])
+
+    def derive(self, e2: "FormStack") -> "FormStack":
+        """D = theta_q - (k/12) E_2 of every form at its weight k, raising the
+        weight by two; e2 holds E_2 in the forms' nome.
+
+        Component c at lead lam goes to (lam + n) a_n, then half of it in the
+        nome q2 (theta_q = theta_q2 / 2); E_2 a is one :func:`_convolve`
+        each, E_2 first, over the common length, then scaled by the double
+        k/12.  The derivative keeps every leading exponent."""
+        import numpy as np
+
+        m, r, size = self.z.shape
+        terms = min(size, e2.z.shape[-1])
+        t_re, t_im = np.empty((r, size)), np.empty((r, size))
+        for c, lam in enumerate(self.leads):
+            if type(lam) in (complex, float, int):
+                lam = complex(lam)
+                t_re[c] = lam.real + np.arange(size, dtype=float)
+                t_im[c] = lam.imag + 0.0
+            else:  # an exact lam + n is rounded once
+                t = np.array([as_complex(lam + n) for n in range(size)])
+                t_re[c], t_im[c] = t.real, t.imag
+        zr, zi = self.z.real, self.z.imag
+        e = e2.row(0, 0, terms)
+        with np.errstate(all="ignore"):
+            re, im = t_re * zr - t_im * zi, t_re * zi + t_im * zr
+            if self.nome is Nome.Q2:
+                re, im = 0.5 * re - 0.0 * im, 0.5 * im + 0.0 * re
+            prod = np.array([[_convolve(e, self.row(f, c, terms), terms - 1) for c in range(r)]
+                             for f in range(m)])
+            # the double nearest k/12, as float(Fraction(k) / 12) rounds it
+            w = np.array([p / (12 * q) for p, q in map(Fraction.as_integer_ratio, self.weights)])
+            w = w[:, None, None]
+            out = np.empty((m, r, terms), dtype=np.complex128)
+            out.real = re[..., :terms] + -(w * prod.real - 0.0 * prod.imag)
+            out.imag = im[..., :terms] + -(w * prod.imag + 0.0 * prod.real)
+        return FormStack(out, self.leads, [k + 2 for k in self.weights], self.nome)
+
+
+def relative_residual(residual, *references) -> float:
+    """max |residual coefficient| over the max coefficient of the references
+    (:func:`residual_ratio`).  The scale floor 1.0 keeps the quotient
+    meaningful for identities between O(1)-normalized series."""
+    return residual_ratio(residual.max_abs(), [r.max_abs() for r in references])
+
+
+def residual_ratio(top: float, sizes) -> float:
+    """top / max(1, sizes): the relative residual of a residual whose largest
+    magnitude is top against references whose largest magnitudes are sizes.
+    A magnitude that is inf or nan makes it inf, so that a residual or
+    reference holding a non-finite value reads non-finite, and a max over
+    residuals, or the exit gate, sees it."""
+    if not all(map(math.isfinite, (top, *sizes))):
+        return math.inf
+    return top / max([1.0, *sizes])
+
+
+def max_modulus(z) -> float:
+    """The largest |z_i| of a complex numpy array, from ``numpy.hypot`` as
+    ``abs`` of a Python complex takes it; nan when one is nan."""
+    import numpy as np
+
+    return float(np.hypot(z.real, z.imag).max())

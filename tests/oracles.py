@@ -5,7 +5,9 @@ closed tensor basis formed from Kronecker products of rank-2 rows.  Fuchsian
 operators are lists of polynomials P_0..P_r in the Euler operator theta for
 sum_i x^i P_i(theta), P_0 the indicial polynomial at x = 0.  Also the
 matrices of the representations, which the tests rebuild from the
-normal-form parameters to check the invariants the library reads off them.
+normal-form parameters to check the invariants the library reads off them,
+and the double check of the emitted forms component by component, in the
+series arithmetic the array pass of the library reproduces.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from vvmf.series import (
     VectorSeries,
     as_complex,
     nearest_int,
+    residual_ratio,
     to_fixed,
 )
 
@@ -312,6 +315,59 @@ def kronecker_tensor_basis(alpha: Rank2Rep, beta: Rank2Rep, L1: ExponentData,
                                     mpmath.mp.prec) for x, y in zip(dA_B, A_dB)], k1 + 2),
             _downcast([_fixed_sum(x, x) for x in kron(dA, dB)], k1 + 4),
         )
+
+
+# ---------------------------------------------------------------------------
+# the double check, component by component
+# ---------------------------------------------------------------------------
+
+def component_derivative(s: PuiseuxSeries, k, catalog) -> PuiseuxSeries:
+    """theta_q s - (k/12) E_2 s in the arithmetic of the series' own
+    coefficients: the reference :class:`vvmf.series.FormStack` keeps every
+    byte of (E_2 first in the product, the double k/12, and half of the
+    q2-Euler operator in the nome q2)."""
+    theta = s.theta() if s.nome is Nome.Q else s.theta().scale(0.5)
+    return theta - (catalog.e2_for(s.nome) * s).scale(Fraction(k) / 12)
+
+
+def oracle_derivative(F: VectorSeries, catalog) -> VectorSeries:
+    """The modular derivative of a vector form at its weight, component by
+    component (:func:`component_derivative`)."""
+    return VectorSeries(tuple(component_derivative(c, F.weight, catalog) for c in F.components),
+                        F.weight + 2)
+
+
+def _vector_max_abs(components) -> float:
+    sizes = [c.max_abs() for c in components]
+    return math.nan if any(map(math.isnan, sizes)) else max(sizes)
+
+
+def oracle_residuals(forms, derivatives, system, columns=None) -> list[float]:
+    """The column relations of D X = X M on vector forms, component by
+    component in series arithmetic: D X_j - sum (X_i e) v, each part the
+    component first times the series, then scaled by the constant rounded
+    to complex, a unit series taking no product; each difference
+    ``PuiseuxSeries.__sub__``, which aligns a series that leads at x^s.
+    The reference :func:`vvmf.mlde.system_residuals` keeps every byte of."""
+    system = [({ij: as_complex(v) if isinstance(v, (mpmath.mpf, mpmath.mpc)) else v
+                for ij, v in S.items()}, e) for S, e in system]
+    out = []
+    for j in range(len(derivatives)) if columns is None else columns:
+        lhs = derivatives[j].components
+        parts = [
+            [c.scale(v) if _is_unit(e) else (c * e).scale(v) for c in forms[i].components]
+            for S, e in system for (i, col), v in S.items() if col == j
+        ]
+        residual = lhs
+        for part in parts:
+            residual = [a - b for a, b in zip(residual, part, strict=True)]
+        out.append(residual_ratio(_vector_max_abs(residual),
+                                  [_vector_max_abs(lhs)] + [_vector_max_abs(p) for p in parts]))
+    return out
+
+
+def _is_unit(e: PuiseuxSeries) -> bool:
+    return e.lead_exponent == 0 and e.coeffs[0] == 1 and not any(e.coeffs[1:])
 
 
 # ---------------------------------------------------------------------------

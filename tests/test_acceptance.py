@@ -39,7 +39,7 @@ from vvmf.reps import (
     induced_exponents,
     tensor_exponents,
 )
-from vvmf.series import Nome, VectorSeries, compose_frobenius
+from vvmf.series import FormStack, Nome, VectorSeries, compose_frobenius
 
 from oracles import (
     build_hypergeometric_operator,
@@ -408,9 +408,10 @@ def test_criterion_7_induction_end_to_end():
                 worst_multiset,
                 *(abs(g - w) for g, w in zip(sorted_complex(got), sorted_complex(want))),
             )
-        derivatives = [modular_derivative(X, X.weight, catalog) for X in pair]
+        X = FormStack.of(pair)
         system = induction_system(job.u, catalog.xi, catalog)
-        worst_pair = max(worst_pair, *system_residuals(pair, derivatives, system))
+        worst_pair = max(worst_pair, *system_residuals(X, modular_derivative(X, catalog),
+                                                       system, catalog))
     report("criterion 7a (pair derivative relation, q2-order 40)", worst_pair, 1e-9)
     report(
         "criterion 7b (induced exponent multisets)", worst_multiset, 1e-9

@@ -8,6 +8,7 @@ series of mpmath numbers."""
 import cmath
 
 import mpmath
+import numpy as np
 import pytest
 
 import vvmf.cli
@@ -24,7 +25,7 @@ from vvmf.constructions import (
 )
 from vvmf.mlde import generic_basis, solve_minimal_form
 from vvmf.reps import ExponentData, GRank2Rep, Group, Rank2Rep, Rank4Rep
-from vvmf.series import PuiseuxSeries
+from vvmf.series import FormStack, PuiseuxSeries
 
 MODULES = (vvmf.series, vvmf.mlde, vvmf.constructions)
 
@@ -134,11 +135,15 @@ def test_one_solve_per_system(monkeypatch, route, solves):
 @pytest.mark.parametrize("route, derivatives", [("tensor", 4), ("induction", 10)])
 def test_modular_derivatives_are_taken_once(monkeypatch, route, derivatives):
     # the tensor route checks its relations on DF, D DF, DG and DH of its
-    # four emitted forms; induction takes D of the pair
-    # and of each induced F, DF, D^2F, D^3F
+    # four emitted forms, in one pass; induction takes D of the pair A, B,
+    # then of the lower half F|T^-1 of each induced form, whose upper half
+    # D F the pair check took, and DF, D^2F and D^3F of each induced form
     calls = count_calls(monkeypatch, vvmf.mlde, "modular_derivative")
     run_route(route)
-    assert len(calls) == derivatives
+    assert sum(len(X.weights) for X, _ in calls) == derivatives
+    # no component is differentiated twice
+    rows = [row.tobytes() for X, _ in calls for form in X.z for row in form]
+    assert len(rows) == len(set(rows)) == {"tensor": 16, "induction": 32}[route]
 
 
 def test_relations_are_checked_by_the_system_residual():
@@ -152,19 +157,14 @@ def test_relations_are_checked_by_the_system_residual():
 @pytest.mark.parametrize("route", ["sym3", "cyclic"])
 def test_identity_blocks_make_no_product(monkeypatch, route):
     # the chain columns D X_j = X_{j+1} of the cyclic system multiply by the
-    # unit series, which system_residuals skips
-    unit_products = []
-    mul = PuiseuxSeries.__mul__
-
-    def counting_mul(a, b):
-        if isinstance(b, PuiseuxSeries) and b == PuiseuxSeries.one(b.nome, b.order):
-            unit_products.append((a, b))
-        return mul(a, b)
-
-    monkeypatch.setattr(PuiseuxSeries, "__mul__", counting_mul)
+    # unit series, which system_residuals skips: no convolution has a unit
+    # operand, and the only series products are the catalog's exact ones
+    calls = count_calls(monkeypatch, vvmf.series, "_convolve")
+    products = count_calls(monkeypatch, PuiseuxSeries, "__mul__")
     basis = run_route(route)
     assert basis.case.case == "cyclic" and basis.residuals["cyclic_mlde"] < 1e-9
-    assert unit_products == []
+    assert calls and all(type(c) is int for a in products for s in a[:2] for c in s.coeffs)
+    assert not any(x[0] == 1 and not x[1:].any() for a in calls for x, _ in a[:2])
 
 
 @pytest.mark.parametrize("route, columns", [("sym3", 1), ("induction", 4)])
@@ -172,9 +172,19 @@ def test_assembly_checks_only_its_equation_column(monkeypatch, route, columns):
     # a cyclic basis records its equation column alone; the chain columns
     # D X_j = X_{j+1} hold by construction.  Induction also checks both
     # columns of its pair system.
-    calls = count_calls(monkeypatch, vvmf.series, "relative_residual")
+    checked = []
+    check = vvmf.mlde.system_residuals
+
+    def counting(*args, **kwargs):
+        out = check(*args, **kwargs)
+        checked.extend(out)
+        return out
+
+    for mod in MODULES:
+        if getattr(mod, "system_residuals", None) is check:
+            monkeypatch.setattr(mod, "system_residuals", counting)
     run_route(route)
-    assert len(calls) == columns
+    assert len(checked) == columns
 
 
 @pytest.mark.parametrize("m, d", [(7, 1), (8, 5)], ids=["cyclic", "noncyclic"])
@@ -265,24 +275,42 @@ def test_qline_block_runs_in_integers(monkeypatch, route):
 
 
 def test_double_products_run_in_numpy(monkeypatch):
-    # every product of builtin ints, floats and complexes with a non-int
-    # coefficient (the modular derivatives, column relations and residual
-    # checks on the emitted doubles) is one numpy convolution
-    calls = count_calls(monkeypatch, vvmf.series, "_double_mul")
-    double_products = []
-    mul = PuiseuxSeries.__mul__
+    # the products of the modular derivatives and column relations on the
+    # emitted doubles are long double numpy convolutions, each one call of
+    # the kernel: 16 components times E_2, and the 3 products of the
+    # equation column of each of the 4 forms
+    calls = count_calls(monkeypatch, vvmf.series, "_convolve")
+    operands = []
+    convolve = np.convolve
 
-    def counting_mul(a, b):
-        if isinstance(b, PuiseuxSeries):
-            types = {type(c) for c in a.coeffs + b.coeffs}
-            if types != {int} and types <= {int, float, complex}:
-                double_products.append((a, b))
-        return mul(a, b)
+    def counting_convolve(a, v, *args, **kwargs):
+        operands.append((a.dtype, v.dtype))
+        return convolve(a, v, *args, **kwargs)
 
-    monkeypatch.setattr(PuiseuxSeries, "__mul__", counting_mul)
+    monkeypatch.setattr(np, "convolve", counting_convolve)
     basis = generic_basis(*generic_data(7, 1), 40, ClassicalCatalog(40))
     assert basis.case.case == "cyclic"
-    assert len(double_products) > 0 and len(calls) == len(double_products)
+    assert len(calls) == len(operands) == 16 + 12
+    assert set(operands) == {(np.dtype(np.clongdouble),) * 2}
+
+
+@pytest.mark.parametrize("route", ["sym3", "tensor", "cyclic", "noncyclic", "induction"])
+def test_each_series_is_converted_once(monkeypatch, route):
+    # the double check reads each emitted form component and each catalog
+    # series into an array once per job; derivatives and products stay
+    # arrays from there
+    converted = []
+    of = FormStack.of
+
+    def counting_of(forms):
+        converted.extend(c.coeffs for F in forms for c in F.components)
+        return of(forms)
+
+    monkeypatch.setattr(FormStack, "of", staticmethod(counting_of))
+    run_route(route)
+    catalog_series = [c for c in converted if all(type(x) is int for x in c)]
+    assert len(catalog_series) == {"induction": 6, "noncyclic": 2, "tensor": 2}.get(route, 4)
+    assert len(set(converted)) == len(converted)
 
 
 def test_k_is_one_exact_division(monkeypatch):
@@ -350,14 +378,15 @@ def count_products(monkeypatch) -> dict:
 
 def test_check_job_forms_each_product_once(monkeypatch):
     # on a cleared store the level-one suite makes E4^2, E4^3 and j and
-    # seven residual products, the level-two suite h, Z and 19 residual
-    # products; a second check job reads E4^2, E4^3, j, h and Z from the store
+    # seven residual products, the level-two suite h, Z and 17 residual
+    # products (D f and D^2 f take theirs in the stack pass); a second
+    # check job reads E4^2, E4^3, j, h and Z from the store
     counts = count_products(monkeypatch)
     job = {"command": "check", "order": 20}
     vvmf.cli.run(vvmf.cli.JobSpec.from_json(job))
-    assert counts == {"int": 10, "double": 21}
+    assert counts == {"int": 10, "double": 19}
     vvmf.cli.run(vvmf.cli.JobSpec.from_json(job))
-    assert counts == {"int": 10 + 7, "double": 21 + 19}
+    assert counts == {"int": 10 + 7, "double": 19 + 17}
 
 
 def test_h_inverts_once_per_process(monkeypatch):
