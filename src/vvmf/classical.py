@@ -419,9 +419,9 @@ class ClassicalCatalog:
         """Look up a catalog series by name (e.g. 'E4', 'Delta', 'Eta^12', 'Z')."""
         key = name.strip()
         low = key.lower()
-        if low.startswith(("eta^", "etapow(")):
+        if low.startswith("eta^"):
             try:
-                m = int(low.split("^")[-1].rstrip(")").split("(")[-1])
+                m = int(low[len("eta^"):])
             except ValueError:
                 raise UnknownSeries(name) from None
             return self.eta_power(m)
@@ -436,13 +436,9 @@ class ClassicalCatalog:
             "theta3_4": lambda: self.theta_fourth_powers()[1],
             "theta4_4": lambda: self.theta_fourth_powers()[2],
             "f": lambda: self.fg_generators()[0],
-            "f_gen": lambda: self.fg_generators()[0],
             "g": lambda: self.fg_generators()[1],
-            "g_gen": lambda: self.fg_generators()[1],
             "h": self.h_series,
-            "h_haupt": self.h_series,
             "z": self.z_hauptmodul,
-            "z_haupt": self.z_hauptmodul,
         }
         if low not in table:
             raise UnknownSeries(name)

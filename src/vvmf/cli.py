@@ -78,8 +78,7 @@ REP_KEYS = {
     "g-rank2": {"e": int, "zeta1": complex, "zeta2": complex, "zeta3": complex, "a": complex},
 }
 
-EXPONENTS = {"eigenvalues": [complex, ...], "group?": ("Gamma", "G"),
-             "matrix?": [[complex, ...], ...]}
+EXPONENTS = {"eigenvalues": [complex, ...], "group?": ("Gamma", "G")}
 COMMANDS = ("classify", "coeffs", "minimal", "basis", "classical", "check")
 CONSTRUCTIONS = ("sym3", "tensor", "induction")
 
@@ -154,10 +153,6 @@ def _check_object(value: dict, schema: dict, path: str) -> None:
             _check(value[name], schema[key], at + name)
         elif not key.endswith("?"):
             raise ValidationError(f"{at}{name}: missing")
-    if "matrix?" in schema and "matrix" in value:  # exponents: one row per eigenvalue
-        n = len(value["eigenvalues"])
-        if len(value["matrix"]) != n or any(len(row) != n for row in value["matrix"]):
-            raise ValidationError(f"{at}matrix: expected {n} rows of {n} pairs [re, im]")
 
 
 @dataclass

@@ -24,7 +24,6 @@ import mpmath
 from .classical import ClassicalCatalog
 from .errors import (
     DegenerateU,
-    ExponentMismatch,
     GroupMismatch,
     NormalizationError,
     NotIrreducible,
@@ -430,11 +429,6 @@ def induction_pipeline(
     for j, F in ((1, A), (2, B)):
         ind_L = induced_exponents(exhibited_exponents(F))
         report = classify(rank4_from_induction(job.rep.twist(j)), ind_L)
-        if report.case != CYCLIC or report.k1 != job.k1:
-            t3 = require_int(3 * ind_L.trace, "3*Tr(Ind L)")
-            raise ExponentMismatch(
-                f"exhibited exponents give 3 Tr(Ind L) = {t3}, not k1 + 3 = {job.k1 + 3}"
-            )
         co = cyclic_coeffs(indicial_shifts(ind_L.eigenvalues, CYCLIC))
         G = induce_to_gamma(F)
         # D G is D F, taken for the pair check, over D of F|T^{-1}

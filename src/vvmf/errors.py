@@ -71,11 +71,6 @@ class WrongRank(VvmfError):
     stage = "a"
 
 
-class ExponentMismatch(VvmfError):
-    """Exponent multiset does not match the expected one."""
-    stage = "f"
-
-
 # --- differential-equation engine --------------------------------------------
 
 class NonIntegralThreeTrace(VvmfError):

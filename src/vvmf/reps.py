@@ -8,11 +8,11 @@ route classifies that partner at the functor's exponents with
 :func:`vvmf.mlde.classify`, so each route's d has one source here.
 
 Representations are stored by normal-form parameters only, and every
-invariant here is read off them in builtin complex arithmetic.  Exponent
-data is a list of eigenvalues of a choice of exponents L with
-e^{2 pi i L} = rho(T), optionally with the full matrix attached; only a
-matrix loads numpy (and scipy, for induced exponents), on first use, so
-``classify`` and ``coeffs`` jobs never load it.  :func:`rep_from_json` and
+invariant here is read off them in builtin complex arithmetic, so this
+module never loads numpy.  Exponent data is the list of eigenvalues of a
+choice of exponents L with e^{2 pi i L} = rho(T) (rho(T^2) on the
+subgroup): the case split, the minimal weight and the indicial exponents
+read L only through its eigenvalues.  :func:`rep_from_json` and
 :meth:`ExponentData.from_json` build from JSON that the job table of
 :mod:`vvmf.cli` has checked; the checks here are the mathematical ones.
 """
@@ -35,19 +35,6 @@ ZETA3 = cmath.exp(2j * cmath.pi / 3)
 class Group(str, Enum):
     GAMMA = "Gamma"  # SL2(Z); exponents for rho(T)
     G = "G"          # index-two subgroup; exponents for rho(T^2)
-
-
-def match_multisets(left, right, tol: float = 1e-8) -> bool:
-    """Greedy matching of two complex multisets within tol."""
-    if len(left) != len(right):
-        return False
-    pool = list(right)
-    for a in left:
-        hit = min(range(len(pool)), key=lambda i: abs(pool[i] - a), default=None)
-        if hit is None or abs(pool[hit] - a) > tol:
-            return False
-        pool.pop(hit)
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -238,41 +225,16 @@ def sym3_is_irreducible(alpha: Rank2Rep) -> bool:
 
 @dataclass(frozen=True)
 class ExponentData:
-    """Eigenvalues (and optionally the matrix) of a choice of exponents L."""
+    """Eigenvalues of a choice of exponents L, for rho(T) or rho(T^2)."""
 
     eigenvalues: tuple
     group: Group = Group.GAMMA
-    matrix: tuple | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "eigenvalues", tuple(complex(e) for e in self.eigenvalues)
         )
         object.__setattr__(self, "group", Group(self.group))
-        if self.matrix is not None:
-            mat = tuple(tuple(complex(v) for v in row) for row in self.matrix)
-            object.__setattr__(self, "matrix", mat)
-            # numpy's shape, with the distinct row lengths of a ragged matrix
-            widths = sorted({len(row) for row in mat})
-            shape = (len(mat), *widths) if len(widths) <= 1 else (len(mat), widths)
-            if shape != (self.rank, self.rank):
-                raise WrongRank(
-                    f"matrix shape {shape} does not match {self.rank} eigenvalues"
-                )
-            import numpy as np
-
-            arr = np.array(mat, dtype=complex)
-            if not match_multisets(np.linalg.eigvals(arr), self.eigenvalues, 1e-6):
-                raise InconsistentRep("matrix spectrum disagrees with eigenvalue list")
-
-    @classmethod
-    def diagonal(cls, eigenvalues, group: Group = Group.GAMMA) -> "ExponentData":
-        eigs = tuple(complex(e) for e in eigenvalues)
-        mat = tuple(
-            tuple(eigs[i] if i == j else 0j for j in range(len(eigs)))
-            for i in range(len(eigs))
-        )
-        return cls(eigs, group, mat)
 
     @property
     def rank(self) -> int:
@@ -282,60 +244,29 @@ class ExponentData:
     def trace(self) -> complex:
         return sum(self.eigenvalues)
 
-    def matrix_array(self):
-        """The matrix as a complex numpy array, or None without one."""
-        if self.matrix is None:
-            return None
-        import numpy as np
-
-        return np.array(self.matrix, dtype=complex)
-
-    def validate_against(self, t_eigenvalues, tol: float = 1e-8) -> None:
+    def validate_against(self, t_eigenvalues) -> None:
         """Check e^{2 pi i e_j} lands in the representation's T-spectrum."""
         targets = [complex(t) for t in t_eigenvalues]
         for ev in self.eigenvalues:
             image = cmath.exp(2j * cmath.pi * ev)
-            if min(abs(image - t) for t in targets) > tol:
+            if min(abs(image - t) for t in targets) > 1e-8:
                 raise InconsistentRep(
                     f"exp(2 pi i {ev}) = {image} is not a T-eigenvalue"
                 )
 
-    def to_json(self) -> dict:
-        out = {
-            "eigenvalues": [[e.real, e.imag] for e in self.eigenvalues],
-            "group": self.group.value,
-        }
-        if self.matrix is not None:
-            out["matrix"] = [
-                [[v.real, v.imag] for v in row] for row in self.matrix
-            ]
-        return out
-
     @staticmethod
     def from_json(data: dict) -> "ExponentData":
-        """The inverse of :meth:`to_json`, on a checked object (:data:`vvmf.cli.JOBS`)."""
-        eigs = tuple(complex(*pair) for pair in data["eigenvalues"])
-        mat = data.get("matrix")
-        if mat is not None:
-            mat = tuple(tuple(complex(*pair) for pair in row) for row in mat)
-        return ExponentData(eigs, Group(data.get("group", "Gamma")), mat)
+        """Exponent data of a checked object (:data:`vvmf.cli.JOBS`)."""
+        eigs = (complex(*pair) for pair in data["eigenvalues"])
+        return ExponentData(eigs, data.get("group", "Gamma"))
 
 
 def tensor_exponents(L1: ExponentData, L2: ExponentData) -> ExponentData:
-    """Kronecker-sum exponents: eigenvalues e_i + f_j, matrix
-    L1 (x) I + I (x) L2 when both matrices are present."""
+    """Kronecker-sum exponents: eigenvalues e_i + f_j."""
     if L1.group is not L2.group:
         raise GroupMismatch("tensor exponents need a common group")
     eigs = tuple(a + b for a in L1.eigenvalues for b in L2.eigenvalues)
-    mat = None
-    m1, m2 = L1.matrix_array(), L2.matrix_array()
-    if m1 is not None and m2 is not None:
-        import numpy as np
-
-        kron_sum = np.kron(m1, np.eye(L2.rank)) + np.kron(np.eye(L1.rank), m2)
-        mat = tuple(tuple(kron_sum[i, j] for j in range(kron_sum.shape[1]))
-                    for i in range(kron_sum.shape[0]))
-    return ExponentData(eigs, L1.group, mat)
+    return ExponentData(eigs, L1.group)
 
 
 def sym3_exponents(L: ExponentData) -> ExponentData:
@@ -344,17 +275,7 @@ def sym3_exponents(L: ExponentData) -> ExponentData:
     if L.rank != 2:
         raise WrongRank("symmetric cube exponents need rank 2")
     r, s = L.eigenvalues
-    eigs = (3 * r, 2 * r + s, r + 2 * s, 3 * s)
-    mat = None
-    if L.matrix is not None:
-        (e1, e2), (e3, e4) = L.matrix
-        mat = (
-            (3 * e1, e2, 0j, 0j),
-            (3 * e3, 2 * e1 + e4, 2 * e2, 0j),
-            (0j, 2 * e3, e1 + 2 * e4, 3 * e2),
-            (0j, 0j, e3, 3 * e4),
-        )
-    return ExponentData(eigs, L.group, mat)
+    return ExponentData((3 * r, 2 * r + s, r + 2 * s, 3 * s), L.group)
 
 
 def induced_exponents(L: ExponentData) -> ExponentData:
@@ -365,20 +286,7 @@ def induced_exponents(L: ExponentData) -> ExponentData:
     eigs = tuple(e / 2 for e in L.eigenvalues) + tuple(
         (e + 1) / 2 for e in L.eigenvalues
     )
-    mat = None
-    arr = L.matrix_array()
-    if arr is not None:
-        import numpy as np
-        from scipy.linalg import expm
-
-        d = L.rank
-        phase = expm(1j * np.pi * arr)
-        eye = np.eye(d)
-        C = np.block([[eye, phase], [eye, -phase]])
-        inner = np.block([[arr, np.zeros((d, d))], [np.zeros((d, d)), arr + eye]])
-        ind = 0.5 * (np.linalg.inv(C) @ inner @ C)
-        mat = tuple(tuple(ind[i, j] for j in range(2 * d)) for i in range(2 * d))
-    return ExponentData(eigs, Group.GAMMA, mat)
+    return ExponentData(eigs, Group.GAMMA)
 
 
 def rank4_from_tensor(alpha: Rank2Rep, beta: Rank2Rep) -> Rank4Rep:

@@ -414,10 +414,6 @@ class PuiseuxSeries:
         return PuiseuxSeries(Nome(nome), lead_exponent, tuple(coeffs))
 
     @staticmethod
-    def zero(nome: Nome, order: int) -> "PuiseuxSeries":
-        return PuiseuxSeries(Nome(nome), 0.0, (0,) * (order + 1))
-
-    @staticmethod
     def one(nome: Nome, order: int) -> "PuiseuxSeries":
         return PuiseuxSeries.polynomial(nome, [1], order)
 
@@ -514,12 +510,6 @@ class PuiseuxSeries:
         if type(c) is Fraction and all(type(a) in (float, complex) for a in self.coeffs):
             c = float(c)
         return PuiseuxSeries(self.nome, self.lead_exponent, tuple(c * a for a in self.coeffs))
-
-    def shift(self, m: int, c=1) -> "PuiseuxSeries":
-        """Multiply by the exact monomial c * x^m."""
-        return PuiseuxSeries(
-            self.nome, self.lead_exponent + m, tuple(c * a for a in self.coeffs)
-        )
 
     def __pow__(self, m: int) -> "PuiseuxSeries":
         if not isinstance(m, int):

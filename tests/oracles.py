@@ -6,8 +6,9 @@ operators are lists of polynomials P_0..P_r in the Euler operator theta for
 sum_i x^i P_i(theta), P_0 the indicial polynomial at x = 0.  Also the
 matrices of the representations, which the tests rebuild from the
 normal-form parameters to check the invariants the library reads off them,
-and the double check of the emitted forms component by component, in the
-series arithmetic the array pass of the library reproduces.
+with a greedy match of complex multisets for their spectra, and the double
+check of the emitted forms component by component, in the series
+arithmetic the array pass of the library reproduces.
 """
 
 from __future__ import annotations
@@ -441,3 +442,16 @@ def r1_matrix(rep: GRank2Rep) -> np.ndarray:
 def t2_matrix(rep: GRank2Rep) -> np.ndarray:
     """rho(T^2); T^2 = -R1 R0 in the subgroup."""
     return ((-1) ** rep.e) * (r1_matrix(rep) @ r0_matrix(rep))
+
+
+def match_multisets(left, right, tol: float = 1e-8) -> bool:
+    """Greedy matching of two complex multisets within tol."""
+    if len(left) != len(right):
+        return False
+    pool = list(right)
+    for a in left:
+        hit = min(range(len(pool)), key=lambda i: abs(pool[i] - a), default=None)
+        if hit is None or abs(pool[hit] - a) > tol:
+            return False
+        pool.pop(hit)
+    return True

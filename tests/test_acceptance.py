@@ -67,7 +67,7 @@ def rank2_data(r1, r2):
     rep = Rank2Rep.from_eigenvalues(
         cmath.exp(2j * cmath.pi * r1), cmath.exp(2j * cmath.pi * r2)
     )
-    return rep, ExponentData.diagonal([r1, r2])
+    return rep, ExponentData([r1, r2])
 
 
 def kline_closed_form(factors, order, catalog):
@@ -346,7 +346,7 @@ def test_criterion_6_weight_dimension_consistency():
         es = list(rng.uniform(-0.3, 0.5, 3) + 1j * rng.uniform(-0.05, 0.05, 3))
         eigs = es + [m / 3 - sum(es)]
         rep = Rank4Rep(*[cmath.exp(2j * cmath.pi * v) for v in eigs], d=d, e=e)
-        L = ExponentData.diagonal(eigs)
+        L = ExponentData(eigs)
         rep_case = classify(rep, L)
         top = rep_case.k1 + 24
         inv = [0] * (top + 1)
@@ -384,7 +384,7 @@ def test_criterion_7_induction_end_to_end():
     # slash by T^{-1}
     catalog = ClassicalCatalog(20)  # q2-order 40
     rep = GRank2Rep(0, 1, ZETA, ZETA**2, 0.7 + 0.2j)
-    L = ExponentData.diagonal([1 / 3 + 0.11, 1 / 3 - 0.11], Group.G)
+    L = ExponentData([1 / 3 + 0.11, 1 / 3 - 0.11], Group.G)
     worst_pair = 0.0
     worst_split = 0.0
     worst_multiset = 0.0

@@ -444,13 +444,13 @@ class TestMain:
          "rep.x: expected a pair of numbers [re, im]"),
         ("minimal", with_rep(generic_job("minimal"), kind="rank3"),
          "rep.kind: expected 'rank2' or 'rank4'"),
-        # a matrix has one row per eigenvalue, each as long as the list
+        # exponent data is its eigenvalue list: a matrix is no key of it
         ("classify", {**generic_job("classify"), "exponents": {
             **exponents_json(GENERIC_EIGS), "matrix": [[[1, 0]], [[1, 0], [0, 0]]]}},
-         "exponents.matrix: expected 4 rows of 4 pairs [re, im]"),
+         "exponents.matrix: unexpected key"),
         ("basis", {**tensor_job(), "exponents": [
             exponents_json([0.1, 0.2]), {**exponents_json([0.1, 0.2]), "matrix": [[[0.1, 0]]]}]},
-         "exponents[1].matrix: expected 2 rows of 2 pairs [re, im]"),
+         "exponents[1].matrix: unexpected key"),
     ], ids=["x-one-number", "eigenvalues-number", "reps-number", "rep-list", "name-number",
             "spec-entry-number", "u-on-sym3", "order-string", "order-fraction", "order-true",
             "d-string", "x-nan", "eigenvalue-strings", "group-h", "exponents-number",
@@ -518,6 +518,14 @@ class TestMain:
 
     @pytest.mark.parametrize("name", ["nope", "Eta^x"])
     def test_unknown_series_exit_two(self, capsys, name):
+        assert main(["classical", "--name", name, "--order", "10"]) == 2
+        assert capsys.readouterr().err == f"error: unknown classical series {name!r}\n"
+
+    @pytest.mark.parametrize("name", ["f_gen", "g_gen", "h_haupt", "z_haupt", "etapow(12)"])
+    def test_catalog_has_one_name_per_series(self, capsys, name):
+        # the benchmark's names f, g, h, Z and Eta^m are the only spellings
+        with pytest.raises(UnknownSeries):
+            ClassicalCatalog(10).series(name)
         assert main(["classical", "--name", name, "--order", "10"]) == 2
         assert capsys.readouterr().err == f"error: unknown classical series {name!r}\n"
 

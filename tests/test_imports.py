@@ -1,18 +1,26 @@
 """Every name a module of the package imports is used there, and every name
 the package exports resolves.  A name imported only so that a caller can
-patch it at that binding site is marked ``# noqa`` on its line.  numpy and
-scipy are imported inside the functions that call them, never when a module
-is imported."""
+patch it at that binding site is marked ``# noqa`` on its line.  numpy is
+imported inside the functions that call it, never when a module is
+imported, and the runtime dependencies are exactly the third-party packages
+the library imports."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import vvmf
 
-SOURCES = sorted((Path(__file__).parents[1] / "src" / "vvmf").glob("*.py"))
+ROOT = Path(__file__).parents[1]
+SOURCES = sorted((ROOT / "src" / "vvmf").glob("*.py"))
 
 #: packages the library loads on first use only
-ON_DEMAND = ("numpy", "scipy")
+ON_DEMAND = ("numpy",)
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -69,8 +77,63 @@ def test_every_import_is_used_and_every_export_resolves():
     assert [name for name in vvmf.__all__ if not hasattr(vvmf, name)] == []
 
 
-def test_numpy_and_scipy_load_on_first_use():
+def third_party_imports() -> set[str]:
+    """The top-level packages outside the standard library that the modules
+    of the package import, anywhere in their bodies."""
+    names = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return {name for name in names if name not in sys.stdlib_module_names} - {"vvmf"}
+
+
+def test_numpy_loads_on_first_use():
     assert [hit for path in SOURCES for hit in eager_imports(path)] == []
+
+
+def test_dependencies_are_the_imported_packages():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        deps = tomllib.load(handle)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in deps}
+    assert declared == third_party_imports() == {"numpy", "mpmath"}
+
+
+#: every exponent functor and the case split, in a fresh interpreter
+FUNCTOR_PROBE = """
+import cmath, sys
+from vvmf.mlde import classify
+from vvmf.reps import (ExponentData, GRank2Rep, Group, Rank2Rep, induced_exponents,
+                       rank4_from_induction, rank4_from_sym3, rank4_from_tensor,
+                       sym3_exponents, tensor_exponents)
+
+def rank2(r1, r2):
+    return Rank2Rep.from_eigenvalues(cmath.exp(2j * cmath.pi * r1), cmath.exp(2j * cmath.pi * r2))
+
+p = ((1 / 6 + 0.21) / 2, (1 / 6 - 0.21) / 2)
+q = ((2 / 6 + 0.13) / 2, (2 / 6 - 0.13) / 2)
+zeta = cmath.exp(2j * cmath.pi / 3)
+rho = GRank2Rep(0, 1, zeta, zeta**2, 0.7 + 0.2j)
+cases = [
+    classify(rank4_from_sym3(rank2(*p)), sym3_exponents(ExponentData(p))),
+    classify(rank4_from_tensor(rank2(*p), rank2(*q)),
+             tensor_exponents(ExponentData(p), ExponentData(q))),
+    classify(rank4_from_induction(rho.twist(1)),
+             induced_exponents(ExponentData((1 / 3 + 0.11, 1 / 3 - 0.11), Group.G))),
+]
+print(*(report.case for report in cases), "numpy" in sys.modules)
+"""
+
+
+def test_exponent_functors_and_classify_never_load_numpy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = subprocess.run([sys.executable, "-c", FUNCTOR_PROBE],
+                           capture_output=True, text=True, timeout=60, env=env)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split() == ["cyclic", "noncyclic", "cyclic", "False"]
 
 
 def test_eager_import_check_sees_guarded_imports(tmp_path):
@@ -78,11 +141,11 @@ def test_eager_import_check_sees_guarded_imports(tmp_path):
     module.write_text(
         "import os\n"
         "if os.name:\n    import numpy as np\n"
-        "try:\n    from scipy.linalg import expm\nexcept ImportError:\n    import scipy\n"
+        "try:\n    from numpy.linalg import eigvals\nexcept ImportError:\n    import numpy\n"
         "class C:\n    import numpy.fft\n"
         "def f():\n    import numpy\n"
     )
     assert eager_imports(module) == [
-        "guarded.py:3 numpy", "guarded.py:5 scipy.linalg", "guarded.py:7 scipy",
+        "guarded.py:3 numpy", "guarded.py:5 numpy.linalg", "guarded.py:7 numpy",
         "guarded.py:9 numpy.fft",
     ]

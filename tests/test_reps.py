@@ -1,7 +1,6 @@
 """Representation parameters, irreducibility criteria, exponent functors."""
 
 import cmath
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +18,6 @@ from vvmf.reps import (
     beta_twist_orbit,
     induced_exponents,
     induction_is_irreducible,
-    match_multisets,
     rank2_is_irreducible,
     rank4_from_induction,
     rank4_from_sym3,
@@ -31,7 +29,14 @@ from vvmf.reps import (
     tensor_is_irreducible,
 )
 
-from oracles import d_invariant, r0_matrix, r1_matrix, t2_matrix, trace_residuals
+from oracles import (
+    d_invariant,
+    match_multisets,
+    r0_matrix,
+    r1_matrix,
+    t2_matrix,
+    trace_residuals,
+)
 
 ZETA = cmath.exp(2j * cmath.pi / 3)
 XI = cmath.exp(2j * cmath.pi / 6)
@@ -178,55 +183,31 @@ class TestTensorSym3Irreducibility:
 
 
 class TestExponentData:
-    def test_matrix_spectrum_checked(self):
-        with pytest.raises(InconsistentRep):
-            ExponentData((1.0, 2.0), Group.GAMMA, ((1, 0), (0, 5)))
-
-    def test_wrong_shape(self):
-        with pytest.raises(WrongRank):
-            ExponentData((1.0,), Group.GAMMA, ((1, 0), (0, 1)))
-
-    @pytest.mark.parametrize("matrix, shape", [
-        (((0.1,), (0.0, 0.2)), "(2, [1, 2])"),
-        (((0.1, 0.0), (0.0, 0.2, 0.0)), "(2, [2, 3])"),
-    ])
-    def test_ragged_matrix(self, matrix, shape):
-        # rows of unequal length are a rank error, found before numpy sees them
-        with pytest.raises(WrongRank, match=re.escape(f"matrix shape {shape} does not match 2 eigenvalues")):
-            ExponentData((0.1, 0.2), matrix=matrix)
-
     def test_validate_against(self):
-        L = ExponentData.diagonal([0.25, 0.75])
+        L = ExponentData([0.25, 0.75])
         L.validate_against([1j, -1j])
         with pytest.raises(InconsistentRep):
             L.validate_against([1, -1])
 
-    def test_json_round_trip(self):
-        L = ExponentData.diagonal([0.25, 0.5 + 0.1j], Group.G)
-        back = ExponentData.from_json(L.to_json())
-        assert back.group is Group.G
-        assert back.eigenvalues == L.eigenvalues
-        assert back.matrix == L.matrix
-
 
 class TestTensorExponents:
     def test_pairwise_sums(self):
-        L1 = ExponentData.diagonal([Fraction(1, 3), Fraction(1, 6)])
-        L2 = ExponentData.diagonal([Fraction(1, 4), Fraction(1, 12)])
+        L1 = ExponentData([Fraction(1, 3), Fraction(1, 6)])
+        L2 = ExponentData([Fraction(1, 4), Fraction(1, 12)])
         out = tensor_exponents(L1, L2)
         got = sorted(e.real for e in out.eigenvalues)
         assert np.allclose(got, sorted([7 / 12, 5 / 12, 5 / 12, 1 / 4]))
         assert abs(out.trace - 5 / 3) < 1e-14
 
     def test_identity_factor(self):
-        L1 = ExponentData.diagonal([0.3, 0.7])
-        L2 = ExponentData.diagonal([0.0, 0.0])
+        L1 = ExponentData([0.3, 0.7])
+        L2 = ExponentData([0.0, 0.0])
         out = tensor_exponents(L1, L2)
         assert sorted(e.real for e in out.eigenvalues) == [0.3, 0.3, 0.7, 0.7]
 
     def test_cardinality_and_symmetry(self):
-        L1 = ExponentData.diagonal([0.1, 0.2])
-        L2 = ExponentData.diagonal([0.05, 0.4])
+        L1 = ExponentData([0.1, 0.2])
+        L2 = ExponentData([0.05, 0.4])
         a = tensor_exponents(L1, L2)
         b = tensor_exponents(L2, L1)
         assert len(a.eigenvalues) == 4
@@ -234,49 +215,34 @@ class TestTensorExponents:
             sorted(e.real for e in b.eigenvalues)
         )
 
-    def test_kronecker_matrix(self):
-        L1 = ExponentData.diagonal([0.1, 0.2])
-        L2 = ExponentData.diagonal([0.05, 0.4])
-        out = tensor_exponents(L1, L2)
-        eig = np.linalg.eigvals(out.matrix_array())
-        assert np.allclose(sorted(eig.real), sorted(e.real for e in out.eigenvalues))
-
     def test_group_mismatch(self):
         with pytest.raises(GroupMismatch):
             tensor_exponents(
-                ExponentData.diagonal([0.1, 0.2]),
-                ExponentData.diagonal([0.1, 0.2], Group.G),
+                ExponentData([0.1, 0.2]),
+                ExponentData([0.1, 0.2], Group.G),
             )
 
 
 class TestSym3Exponents:
     def test_formula(self):
-        L = ExponentData.diagonal([Fraction(1, 4), Fraction(1, 12)])
+        L = ExponentData([Fraction(1, 4), Fraction(1, 12)])
         out = sym3_exponents(L)
         got = sorted(e.real for e in out.eigenvalues)
         assert np.allclose(got, sorted([3 / 4, 7 / 12, 5 / 12, 1 / 4]))
         assert abs(out.trace - 2) < 1e-14
 
     def test_zero(self):
-        out = sym3_exponents(ExponentData.diagonal([0, 0]))
+        out = sym3_exponents(ExponentData([0, 0]))
         assert out.eigenvalues == (0j, 0j, 0j, 0j)
-
-    def test_matrix_first_row(self):
-        mat = ((0.1, 0.3), (0.2, 0.7))
-        eigs = tuple(np.linalg.eigvals(np.array(mat)))
-        L = ExponentData(eigs, Group.GAMMA, mat)
-        out = sym3_exponents(L)
-        assert out.matrix[0] == (3 * 0.1, 0.3, 0j, 0j)
-        assert abs(sum(np.diag(out.matrix_array())) - 6 * (0.1 + 0.7)) < 1e-12
 
     def test_wrong_rank(self):
         with pytest.raises(WrongRank):
-            sym3_exponents(ExponentData.diagonal([0.1, 0.2, 0.3]))
+            sym3_exponents(ExponentData([0.1, 0.2, 0.3]))
 
 
 class TestInducedExponents:
     def test_halving_rule(self):
-        L = ExponentData.diagonal([0.25, 0.5], Group.G)
+        L = ExponentData([0.25, 0.5], Group.G)
         out = induced_exponents(L)
         got = sorted(e.real for e in out.eigenvalues)
         assert np.allclose(got, [1 / 8, 1 / 4, 5 / 8, 3 / 4])
@@ -284,31 +250,19 @@ class TestInducedExponents:
         assert out.group is Group.GAMMA
 
     def test_rank_one_analogue(self):
-        out = induced_exponents(ExponentData.diagonal([0.0], Group.G))
+        out = induced_exponents(ExponentData([0.0], Group.G))
         assert sorted(e.real for e in out.eigenvalues) == [0.0, 0.5]
-
-    def test_matrix_exponentiates_to_block_t(self):
-        L = ExponentData.diagonal([0.3, 0.45 + 0.05j], Group.G)
-        out = induced_exponents(L)
-        from scipy.linalg import expm
-
-        img = expm(2j * np.pi * out.matrix_array())
-        t2 = np.diag([cmath.exp(2j * cmath.pi * e) for e in L.eigenvalues])
-        block = np.block(
-            [[np.zeros((2, 2)), t2], [np.eye(2), np.zeros((2, 2))]]
-        )
-        assert np.allclose(img, block, atol=1e-9)
 
     def test_group_mismatch(self):
         with pytest.raises(GroupMismatch):
-            induced_exponents(ExponentData.diagonal([0.1, 0.2]))
+            induced_exponents(ExponentData([0.1, 0.2]))
 
     def test_spectrum_validation_against_rep(self):
         rep = GRank2Rep(0, 1, ZETA, ZETA**2, 0.7 + 0.2j)
         mu = np.linalg.eigvals(t2_matrix(rep))
         eigs = [cmath.log(m) / (2j * cmath.pi) for m in mu]
-        L = ExponentData.diagonal(eigs, Group.G)
-        bad = ExponentData.diagonal([0.123, 0.456], Group.G)
+        L = ExponentData(eigs, Group.G)
+        bad = ExponentData([0.123, 0.456], Group.G)
         spectrum = rank4_from_induction(rep).t_eigenvalues()
 
         def lands(exponents):
@@ -386,8 +340,8 @@ class TestFunctorSpectrumInvariant:
             t1 = float(rng.uniform(-0.4, 0.6))
             t2 = s2 / 12 - t1
             alpha, beta = rank2(r1, r2), rank2(t1, t2)
-            L1 = ExponentData.diagonal([r1, r2])
-            L2 = ExponentData.diagonal([t1, t2])
+            L1 = ExponentData([r1, r2])
+            L2 = ExponentData([t1, t2])
             both = tensor_exponents(L1, L2)
             self.assert_spectrum(
                 both,
@@ -402,6 +356,6 @@ class TestFunctorSpectrumInvariant:
         rep = GRank2Rep(0, 1, ZETA, ZETA**2, 0.7 + 0.2j)
         mu = np.linalg.eigvals(t2_matrix(rep))
         eigs = [cmath.log(m) / (2j * cmath.pi) for m in mu]
-        out = induced_exponents(ExponentData.diagonal(eigs, Group.G))
+        out = induced_exponents(ExponentData(eigs, Group.G))
         targets = [s * cmath.sqrt(m) for m in mu for s in (1, -1)]
         self.assert_spectrum(out, targets)

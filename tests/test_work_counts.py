@@ -65,13 +65,13 @@ def rank2_data(s, delta):
     rep = Rank2Rep.from_eigenvalues(
         cmath.exp(2j * cmath.pi * r1), cmath.exp(2j * cmath.pi * r2)
     )
-    return rep, ExponentData.diagonal([r1, r2])
+    return rep, ExponentData([r1, r2])
 
 
 def generic_data(m, d):
     eigs = [0.11, 0.18, 0.31, m / 3 - 0.6]
     rep = Rank4Rep(*[cmath.exp(2j * cmath.pi * v) for v in eigs], d=d, e=0)
-    return rep, ExponentData.diagonal(eigs)
+    return rep, ExponentData(eigs)
 
 
 def distinct_exponents(calls) -> int:
@@ -240,7 +240,7 @@ def count_mp_work(monkeypatch) -> dict:
 def induction_job() -> InductionJob:
     zeta = cmath.exp(2j * cmath.pi / 3)
     rep = GRank2Rep(0, 1, zeta, zeta**2, 0.7 + 0.2j)
-    L = ExponentData.diagonal([1 / 3 + 0.11, 1 / 3 - 0.11], Group.G)
+    L = ExponentData([1 / 3 + 0.11, 1 / 3 - 0.11], Group.G)
     r = 0.27
     return InductionJob.make(rep, L, -(r * r) / (16 * cmath.exp(2j * cmath.pi / 6)))
 
