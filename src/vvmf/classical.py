@@ -53,6 +53,11 @@ from .errors import UnknownSeries, WrongNome
 from .series import FormStack, Nome, PuiseuxSeries, VectorSeries, relative_residual
 
 
+def _exact_ratio(m: int, n: int) -> int | Fraction:
+    """m/n exactly: an int when n divides m, else a Fraction."""
+    return m // n if m % n == 0 else Fraction(m, n)
+
+
 def _divisor_power_sums(power: int, n_max: int) -> list[int]:
     sig = [0] * (n_max + 1)
     for d in range(1, n_max + 1):
@@ -213,20 +218,24 @@ class ClassicalCatalog:
         return self._stored(("E", k), build)
 
     def eta_power(self, m: int, nome: Nome = Nome.Q) -> PuiseuxSeries:
-        """q^(m/24) * prod (1-q^n)^m; as a q2-series the lead exponent is m/12."""
+        """q^(m/24) * prod (1-q^n)^m; as a q2-series the lead exponent is m/12.
+
+        The lead exponent is exact: it enters Euler-operator factors and must
+        not perturb downstream ill-conditioned divisions.  It is an int when
+        it is integral (Delta's 1, eta^12's 1 in q2), so exact work on the
+        series stays in ints, and a Fraction otherwise."""
         nome = Nome(nome)
         if nome is Nome.Q2:
-            return self._stored(
-                ("eta2", m),
-                lambda: self.eta_power(m).retag_q2().truncate(self.q2_order),
-            )
+            def build_q2():
+                s = self.eta_power(m).retag_q2().truncate(self.q2_order)
+                return PuiseuxSeries(Nome.Q2, _exact_ratio(m, 12), s.coeffs)
+
+            return self._stored(("eta2", m), build_q2)
         if nome is not Nome.Q:
             raise WrongNome("eta powers live in nome q or q2")
 
         def build():
-            # exact rational lead exponent: it enters Euler-operator factors
-            # and must not perturb downstream ill-conditioned divisions
-            return PuiseuxSeries.make(Nome.Q, Fraction(m, 24), _euler_power(m, self.order))
+            return PuiseuxSeries.make(Nome.Q, _exact_ratio(m, 24), _euler_power(m, self.order))
 
         return self._stored(("eta", m), build)
 
@@ -416,14 +425,19 @@ class ClassicalCatalog:
     # -- named access and self-test ----------------------------------------------
 
     def series(self, name: str) -> PuiseuxSeries:
-        """Look up a catalog series by name (e.g. 'E4', 'Delta', 'Eta^12', 'Z')."""
+        """Look up a catalog series by name (e.g. 'E4', 'Delta', 'Eta^12', 'Z').
+        An eta power has one spelling, its exponent as ``str`` writes the
+        int: an optional '-' and ASCII digits with no leading zero."""
         key = name.strip()
         low = key.lower()
         if low.startswith("eta^"):
+            text = low[len("eta^"):]
             try:
-                m = int(low[len("eta^"):])
+                m = int(text)
             except ValueError:
                 raise UnknownSeries(name) from None
+            if text != str(m):
+                raise UnknownSeries(name)
             return self.eta_power(m)
         table = {
             "e2": lambda: self.eisenstein(2),

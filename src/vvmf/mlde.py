@@ -328,18 +328,22 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
     elimination on its Gaussian integers: both take the same pivots
     (u^2 against u^2 + 0^2) and the same floors (floor(u v 2^p / v^2) =
     floor(u 2^p / v)).  Each exponent's transposed step matrix is encoded
-    once; a step adds n s to its diagonal, appends the right-hand side and
-    eliminates in place.  NotAnExponent is decided exactly on the encoded
-    seeds and X_0 step matrices, still on the norm of each complex column
-    (:func:`_is_null_row`).
+    once, and each step adds s to its diagonal in place; the step solves a
+    copy with the right-hand side appended, eliminated in place by index
+    with no per-column list or slice.  NotAnExponent is decided exactly on
+    the encoded seeds and X_0 step matrices, still on the norm of each
+    complex column (:func:`_is_null_row`).
 
     All r exponents advance together.  Each real row keeps its history as
     one list of ints, whose lane l (the bits from width * l up) holds the
     mantissa of exponent l: sum_l X_n[l][i] 2^(width l).  A step makes one
-    dot product per series and source row for every exponent at once, the
-    series reversed against the forward history, and applies the constant
-    entries to the packed sums.  Only then are the lanes unpacked, each
-    shifted back to its exponent's scale and solved alone.  Packing is a
+    dot product per series and source row for every exponent at once: the
+    forward tail e_1, e_2, ... against the history read backwards from
+    X_{n-1}, so no slice is taken and the sum ends with the shorter of the
+    two.  It applies the constant entries to the packed sums.  Only then
+    are the lanes unpacked, each shifted back to its exponent's scale and
+    solved alone; the solved rows of a step are kept together and split
+    per exponent once, at the end.  Packing is a
     ring homomorphism, so a lane is exact while its value stays within
     [-2^(width-1), 2^(width-1)).  Its bound is
     width >= row + series + entry + bits(T) + 1: the largest mantissa bit
@@ -366,7 +370,7 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
     p = mpmath.libmp.dps_to_prec(QLINE_DPS) + 32
     kdiag = {(i, i): Fraction(k, 12) for i, k in enumerate(weights) if k}
     m0 = [[0] * r for _ in range(r)]
-    tails = []  # (constant matrix of (re, im) at 2^-p, tail reversed: ..., e_2, e_1)
+    tails = []  # (constant matrix of (re, im) at 2^-p, tail e_1, e_2, ...)
     for S, e in (*system, (kdiag, catalog.e2_for(nome))):
         coeffs = [0] * nearest_int(e.lead_exponent) + list(e.coeffs)
         if not all(type(c) is int for c in coeffs):
@@ -380,7 +384,7 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
         if tail:
             fixed = {ij: to_fixed(v, p) for ij, v in S.items()}
             tails.append(([[fixed.get((i, j), (0, 0)) for j in range(r)] for i in range(r)],
-                          tail[::-1]))
+                          tail))
     minus_m0 = [[to_fixed(-v, p) for v in row] for row in m0]  # off the diagonal of each b0
     b0s = [[[to_fixed(s * lam - m0[i][i], p) if i == j else minus_m0[i][j] for j in range(r)]
             for i in range(r)] for lam in lams]
@@ -394,53 +398,49 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
     for lam, x, bt in zip(lams, starts, bts):
         if not _is_null_row(x, bt, c, p):
             raise NotAnExponent(f"seed row is not a left null vector of the system at {lam!r}")
-    convolutions = []  # (real entries (i, j, v) at 2^-p, rows read, tail reversed)
-    for matrix, rev in tails:
-        entries = [(i, j, v) for i, row in enumerate(_real_form(matrix, c))
-                   for j, v in enumerate(row) if v]
-        convolutions.append((entries, sorted({i for i, _, _ in entries}), rev))
+    convolutions = []  # (tail, [(row read, [(column, real entry at 2^-p)])])
+    for matrix, tail in tails:
+        reads = []
+        for i, row in enumerate(_real_form(matrix, c)):
+            targets = [(j, v) for j, v in enumerate(row) if v]
+            if targets:
+                reads.append((i, targets))
+        convolutions.append((tail, reads))
 
     # the lane width is the row bits plus this margin (see the docstring)
-    series_bits = max((sum(map(abs, rev)).bit_length() for _, _, rev in convolutions), default=0)
-    entry_bits = max((abs(v).bit_length() for entries, _, _ in convolutions
-                      for _, _, v in entries), default=0)
-    terms = sum(len(entries) for entries, _, _ in convolutions)
-    margin = series_bits + entry_bits + terms.bit_length() + 1
-    x_rows = [[[u] for u in x] for x in starts]  # [exponent][real row]: X_0, X_1, ...
+    entries = [v for _, reads in convolutions for _, targets in reads for _, v in targets]
+    series_bits = max((sum(map(abs, tail)).bit_length() for tail, _ in convolutions), default=0)
+    entry_bits = max((abs(v).bit_length() for v in entries), default=0)
+    margin = series_bits + entry_bits + len(entries).bit_length() + 1
+    steps = [starts]  # X_0, X_1, ...: the real rows of every exponent
     row_bits = _row_bits(starts)
     width = row_bits + margin + LANE_HEADROOM
-    packed = _packed_history(x_rows, width)
+    packed = _packed_history(steps, width)
+    diagonal = [(row, j) for bt in bts for j, row in enumerate(bt)]  # advanced by s a step
     step = int(s * (1 << p))  # s (lam + n) - s (lam + n - 1) at the scale 2^-p
     for n in range(1, order + 1):
         acc = [0] * (c * r)
-        for entries, sources, rev in convolutions:
-            k = min(n, len(rev))
-            e = rev[len(rev) - k:]  # e_k, ..., e_1 against X_{n-k}, ..., X_{n-1}
-            conv = {i: sum(map(mul, e, packed[i] if k == n else packed[i][n - k:]))
-                    for i in sources}
-            for i, j, v in entries:
-                acc[j] += conv[i] * v
-        shift = n * step
-        xs = []
-        for bt, rhs in zip(bts, zip(*(_unpack(v, width, r) for v in acc))):
-            m = [[*row, u >> p] for row, u in zip(bt, rhs)]
-            for j, row in enumerate(m):
-                row[j] += shift
-            xs.append(_left_solve(m, p))
-        for x, rows in zip(xs, x_rows):
-            for u, history in zip(x, rows):
-                history.append(u)
+        for tail, reads in convolutions:
+            for i, targets in reads:
+                dot = sum(map(mul, tail, reversed(packed[i])))  # e_1 X_{n-1} + e_2 X_{n-2} + ...
+                for j, v in targets:
+                    acc[j] += dot * v
+        for row, j in diagonal:
+            row[j] += step
+        rhs = zip(*(_unpack(v, width, r, p) for v in acc))
+        xs = [_left_solve([[*row, u] for row, u in zip(bt, b)], p) for bt, b in zip(bts, rhs)]
+        steps.append(xs)
         row_bits = max(row_bits, _row_bits(xs))
         if row_bits + margin > width:
             width = row_bits + margin + LANE_HEADROOM
-            packed = _packed_history(x_rows, width)
+            packed = _packed_history(steps, width)
         else:
-            for i, history in enumerate(packed):
-                history.append(_pack([x[i] for x in xs], width))
+            for history, lanes in zip(packed, zip(*xs)):
+                history.append(_pack(lanes, width))
     out = []
-    for lam, bits, rows in zip(lams, scales, x_rows):
-        parts = [PuiseuxSeries(nome, lam, tuple(history)) for history in rows]
-        ims = parts[r:] or [PuiseuxSeries(nome, lam, (0,) * len(rows[0]))] * r
+    for lane, (lam, bits) in enumerate(zip(lams, scales)):
+        parts = [PuiseuxSeries(nome, lam, history) for history in zip(*(xs[lane] for xs in steps))]
+        ims = parts[r:] or [PuiseuxSeries(nome, lam, (0,) * len(steps))] * r
         out.append(tuple(FixedSeries(u, v, bits) for u, v in zip(parts[:r], ims)))
     return tuple(out)
 
@@ -476,11 +476,11 @@ def _row_bits(xs) -> int:
     return max(max(map(abs, x)) for x in xs).bit_length()
 
 
-def _packed_history(x_rows, width: int) -> list:
-    """Per row i, the history of x_rows[exponent][i], each X_n packed into
-    one int of lanes (:func:`_pack`)."""
-    return [[_pack(lanes, width) for lanes in zip(*(x[i] for x in x_rows))]
-            for i in range(len(x_rows[0]))]
+def _packed_history(steps, width: int) -> list:
+    """Per real row i, its history X_0, X_1, ...: each X_n of ``steps``
+    (steps[n][exponent][i]) packed into one int of lanes (:func:`_pack`)."""
+    return [list(history) for history in
+            zip(*([_pack(lanes, width) for lanes in zip(*xs)] for xs in steps))]
 
 
 def _pack(values, width: int) -> int:
@@ -491,14 +491,16 @@ def _pack(values, width: int) -> int:
     return out
 
 
-def _unpack(x: int, width: int, count: int) -> list:
-    """The ``count`` signed lanes of x, each in [-2^(width-1), 2^(width-1))."""
+def _unpack(x: int, width: int, count: int, p: int) -> list:
+    """The ``count`` signed lanes of x, each in [-2^(width-1), 2^(width-1)),
+    each shifted right by p bits (a floor)."""
     mask, half = (1 << width) - 1, 1 << (width - 1)
     out = []
-    for _ in range(count):
+    for _ in range(count - 1):
         v = ((x & mask) ^ half) - half
-        out.append(v)
+        out.append(v >> p)
         x = (x - v) >> width
+    out.append(x >> p)  # what is left is the top lane, which is in range
     return out
 
 
@@ -507,19 +509,29 @@ def _left_solve(m, p: int) -> list:
     one common scale.  m holds the rows of a's transpose, row j followed by
     rhs_j, and is eliminated in place: partial pivoting on the first largest
     |entry| of a column, each multiplier held at 2^-p, every quotient and
-    shift a floor.  The matrix is nonsingular by the gap rule of
-    :func:`qline_solve`, which rejects every exponent that would make a
-    step matrix singular."""
+    shift a floor.  Entries are found and updated by index, with no list
+    or slice per column.  The matrix is nonsingular by the gap rule of :func:`qline_solve`, which
+    rejects every exponent that would make a step matrix singular."""
     r = len(m)
     for col in range(r - 1):
-        sizes = [abs(row[col]) for row in m[col:]]
-        piv = col + sizes.index(max(sizes))
-        m[col], m[piv] = m[piv], m[col]
-        d, tail = m[col][col], m[col][col + 1:]
-        for row in m[col + 1:]:
-            if row[col]:
-                f = (row[col] << p) // d
-                row[col + 1:] = [u - (f * w >> p) for u, w in zip(row[col + 1:], tail)]
+        top = m[col]
+        piv, best = col, abs(top[col])
+        for i in range(col + 1, r):
+            size = abs(m[i][col])
+            if size > best:
+                piv, best = i, size
+        if piv != col:
+            m[col], m[piv] = m[piv], top
+            top = m[col]
+        d = top[col]
+        later = range(col + 1, r + 1)
+        for i in range(col + 1, r):
+            row = m[i]
+            u = row[col]
+            if u:
+                f = (u << p) // d
+                for j in later:
+                    row[j] -= f * top[j] >> p
     x = [0] * r
     for i in reversed(range(r)):
         row = m[i]

@@ -19,7 +19,7 @@ it with ``mpmath.workdps`` blocks; the library never sets ``mpmath.mp.dps``.
 The q-line block holds complex series in fixed point instead
 (:class:`FixedSeries`): integer mantissas of the real and imaginary parts at
 one binary scale, rounded to ``complex`` once (:func:`to_fixed`,
-:func:`from_fixed`).  Two of them multiply exactly in one complex FFT
+:meth:`FixedSeries.downcast`).  Two of them multiply exactly in one complex FFT
 convolution (:func:`_complex_mul`): each mantissa pair re + i im is split
 into balanced 16-bit limbs, or 8-bit ones when the operands are large, the
 limb sequences are convolved by ``numpy.fft`` and rounded to integers, and
@@ -661,20 +661,19 @@ class PuiseuxSeries:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
-        """Coefficients as [re, im] doubles; an exact coefficient beyond the
-        double range raises OverflowError naming its index (K's grow like
-        231^n and leave the range near n = 130)."""
+        """Coefficients as [re, im] doubles, converted in one pass; an exact
+        coefficient beyond the double range raises OverflowError naming its
+        index, which is looked for only then (K's grow like 231^n and leave
+        the range near n = 130)."""
         lam = as_complex(self.lead_exponent)
-        coeffs = []
-        for n, c in enumerate(self.coeffs):
-            try:
-                z = as_complex(c)
-            except OverflowError as exc:
-                raise OverflowError(
-                    f"coefficient {n} of an order-{self.order} {self.nome.value}-series"
-                    " exceeds the double range"
-                ) from exc
-            coeffs.append([z.real, z.imag])
+        try:
+            coeffs = [[z.real, z.imag] for z in map(as_complex, self.coeffs)]
+        except OverflowError as exc:
+            n = next(n for n, c in enumerate(self.coeffs) if _overflows(c))
+            raise OverflowError(
+                f"coefficient {n} of an order-{self.order} {self.nome.value}-series"
+                " exceeds the double range"
+            ) from exc
         return {
             "nome": self.nome.value,
             "lead_exponent": [lam.real, lam.imag],
@@ -686,6 +685,15 @@ class PuiseuxSeries:
         lam = complex(*data["lead_exponent"])
         coeffs = tuple(complex(re, im) for re, im in data["coeffs"])
         return PuiseuxSeries(Nome(data["nome"]), lam, coeffs)
+
+
+def _overflows(z) -> bool:
+    """Whether z is beyond the double range (:func:`as_complex` raises)."""
+    try:
+        as_complex(z)
+    except OverflowError:
+        return True
+    return False
 
 
 def _shift_round(m: int, shift: int) -> int:
@@ -727,17 +735,6 @@ def to_fixed(z, bits: int) -> tuple[int, int]:
     if isinstance(z, (complex, mpmath.mpc)):
         return _fixed_part(z.real, bits), _fixed_part(z.imag, bits)
     return _fixed_part(z, bits), 0
-
-
-def from_fixed(re: int, im: int, bits: int) -> complex:
-    """The complex double nearest to (re + i im) 2^-bits.
-
-    Exact int/int true division rounds half to even, as ``complex(mpc)``
-    does, so a value held exactly both ways downcasts to the same double."""
-    if bits < 0:
-        return complex(re << -bits, im << -bits)
-    den = 1 << bits
-    return complex(re / den, im / den)
 
 
 #: unit roundoff of IEEE double
@@ -907,7 +904,7 @@ class FixedSeries:
     ``re`` and ``im`` are exact-integer series sharing the nome and the
     leading exponent lam.  A product is exact at the sum of the two scales:
     one complex limb convolution (:func:`_complex_mul`).  :meth:`downcast`
-    rounds every coefficient to a complex double once (:func:`from_fixed`).
+    rounds every coefficient to a complex double once.
     """
 
     re: PuiseuxSeries
@@ -926,10 +923,18 @@ class FixedSeries:
         )
 
     def downcast(self) -> PuiseuxSeries:
+        """Every coefficient as the complex double nearest to
+        (re + i im) 2^-bits.  Exact int/int true division rounds half to
+        even, as ``complex(mpc)`` does, so a value held exactly both ways
+        downcasts to the same double; 2^bits is formed once per series."""
+        re, im, bits = self.re.coeffs, self.im.coeffs, self.bits
+        if bits < 0:
+            re, im, bits = [a << -bits for a in re], [b << -bits for b in im], 0
+        den = 1 << bits
         return PuiseuxSeries(
             self.re.nome,
             as_complex(self.re.lead_exponent),
-            tuple(from_fixed(a, b, self.bits) for a, b in zip(self.re.coeffs, self.im.coeffs)),
+            tuple(complex(a / den, b / den) for a, b in zip(re, im)),
         )
 
 

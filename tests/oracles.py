@@ -8,7 +8,9 @@ matrices of the representations, which the tests rebuild from the
 normal-form parameters to check the invariants the library reads off them,
 with a greedy match of complex multisets for their spectra, and the double
 check of the emitted forms component by component, in the series
-arithmetic the array pass of the library reproduces.
+arithmetic the array pass of the library reproduces.  And one q-line step
+elimination as first written, with per-column lists and slices, the
+reference for the library's in-place one.
 """
 
 from __future__ import annotations
@@ -264,6 +266,36 @@ def build_fuchsian_z(u, xi=XI) -> FuchsianOperator:
 def u_from_local_exponent(r, xi=XI):
     """Invert the indicial relation r^2 = -16 e^{2 pi i/6} u."""
     return -(r * r) / (16 * xi)
+
+
+# ---------------------------------------------------------------------------
+# one q-line step
+# ---------------------------------------------------------------------------
+
+def sliced_left_solve(m, p: int) -> list:
+    """:func:`vvmf.mlde._left_solve` as first written: the same pivots (the
+    first largest |entry| of a column), floored multipliers at 2^-p and
+    back substitution, each pivot found in a list of the column's sizes
+    and each row updated through slices of itself and of the pivot row.
+    Eliminates m in place."""
+    r = len(m)
+    for col in range(r - 1):
+        sizes = [abs(row[col]) for row in m[col:]]
+        piv = col + sizes.index(max(sizes))
+        m[col], m[piv] = m[piv], m[col]
+        d, tail = m[col][col], m[col][col + 1:]
+        for row in m[col + 1:]:
+            if row[col]:
+                f = (row[col] << p) // d
+                row[col + 1:] = [u - (f * w >> p) for u, w in zip(row[col + 1:], tail)]
+    x = [0] * r
+    for i in reversed(range(r)):
+        row = m[i]
+        rest = row[r]
+        for j in range(i + 1, r):
+            rest -= row[j] * x[j] >> p
+        x[i] = (rest << p) // row[i]
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,13 @@ def euler_product_oracle(order: int) -> PuiseuxSeries:
     return PuiseuxSeries.make(Nome.Q, 0.0, coeffs)
 
 
+def eta_lead(m: int) -> int | Fraction:
+    """m/24, eta^m's leading exponent: an int when 24 divides m, else a
+    Fraction."""
+    lead = Fraction(m, 24)
+    return lead.numerator if lead.denominator == 1 else lead
+
+
 def eta_power_oracle(m: int, order: int) -> PuiseuxSeries:
     """eta^m as a power of the Euler product, or the inverse of one."""
     euler = euler_product_oracle(order)
@@ -47,7 +54,7 @@ def eta_power_oracle(m: int, order: int) -> PuiseuxSeries:
         unit = euler**m
     else:
         unit = (euler**-m).invert()
-    return PuiseuxSeries(Nome.Q, Fraction(m, 24), unit.coeffs)
+    return PuiseuxSeries(Nome.Q, eta_lead(m), unit.coeffs)
 
 
 def theta_fourth_powers_oracle(n2: int) -> tuple:
@@ -108,6 +115,20 @@ class TestEta:
         delta = catalog40.delta()
         assert complex(delta.lead_exponent) == 1
         assert delta.coeffs[: len(TAU)] == tuple(TAU)
+
+    def test_integral_leads_are_ints(self):
+        # Delta leads with the int 1, so theta_q(Delta) and the check job's
+        # D12(Delta) = 0 residual stay in int arithmetic, not Fraction
+        catalog = ClassicalCatalog(30)
+        delta = catalog.delta()
+        assert type(delta.lead_exponent) is int and delta.lead_exponent == 1
+        assert all(type(c) is int for c in catalog.theta_q(delta).coeffs)
+        for m, nome, lead in [(-24, Nome.Q, -1), (0, Nome.Q, 0), (12, Nome.Q2, 1),
+                              (-36, Nome.Q2, -3)]:
+            s = catalog.eta_power(m, nome)
+            assert type(s.lead_exponent) is int and s.lead_exponent == lead
+        assert type(catalog.eta_power(12).lead_exponent) is Fraction
+        assert type(catalog.eta_power(6, Nome.Q2).lead_exponent) is Fraction
 
     def test_empty_product(self, catalog40):
         one = catalog40.eta_power(0)
@@ -335,7 +356,7 @@ def test_catalog_building_blocks_at_order_800(catalog800):
     for m in [m for m in range(-24, 25) if m]:
         unit = euler**m if m > 0 else (euler**-m).invert()
         assert_same_series(catalog800.eta_power(m),
-                           PuiseuxSeries(Nome.Q, Fraction(m, 24), unit.coeffs))
+                           PuiseuxSeries(Nome.Q, eta_lead(m), unit.coeffs))
     for got, want in zip(catalog800.theta_fourth_powers(), theta_fourth_powers_oracle(1600)):
         assert_same_series(got, want)
 

@@ -521,9 +521,12 @@ class TestMain:
         assert main(["classical", "--name", name, "--order", "10"]) == 2
         assert capsys.readouterr().err == f"error: unknown classical series {name!r}\n"
 
-    @pytest.mark.parametrize("name", ["f_gen", "g_gen", "h_haupt", "z_haupt", "etapow(12)"])
+    @pytest.mark.parametrize("name", ["f_gen", "g_gen", "h_haupt", "z_haupt", "etapow(12)",
+                                      "Eta^1_2", "Eta^+12", "Eta^ 12", "eta^\u0661\u0662",
+                                      "Eta^012", "Eta^-0"])
     def test_catalog_has_one_name_per_series(self, capsys, name):
-        # the benchmark's names f, g, h, Z and Eta^m are the only spellings
+        # the benchmark's names f, g, h, Z and Eta^m are the only spellings;
+        # an eta power's exponent is written as str writes the int
         with pytest.raises(UnknownSeries):
             ClassicalCatalog(10).series(name)
         assert main(["classical", "--name", name, "--order", "10"]) == 2

@@ -51,6 +51,7 @@ from oracles import (
     frobenius_solve,
     hypergeom_2f1,
     operator_residual,
+    sliced_left_solve,
 )
 from test_acceptance import FREENESS_TOL, freeness_deviation
 
@@ -377,10 +378,52 @@ class TestSystem:
             qline_solve(self.weights(), noncyclic_system(co, catalog40), self.lams(co),
                         seeds, 5, catalog40)
 
+
+def _signed(bits: int):
+    return st.integers(min_value=-(1 << bits) + 1, max_value=(1 << bits) - 1)
+
+
+@st.composite
+def step_systems(draw):
+    """(m, p): a step matrix a, r = 1-4, as the real form (c = 1 or 2) of
+    Gaussian integers at 2^-p, transposed and followed by right-hand sides
+    of 0-300 bits.  Entries are often 0 or +-1, +-2 units, so columns hold
+    zeros and tied pivots; a matrix may be singular."""
+    r, c = draw(st.integers(1, 4)), draw(st.sampled_from([1, 2]))
+    p = draw(st.sampled_from([8, 202]))
+    unit = 1 << p
+    part = st.one_of(st.sampled_from([0, unit, -unit, 2 * unit, -2 * unit]), _signed(p + 3))
+    rhs_part = st.integers(0, 300).flatmap(_signed)
+
+    def entry(values):
+        return (draw(values), draw(values) if c == 2 else 0)
+
+    a = [[entry(part) for _ in range(r)] for _ in range(r)]
+    rhs = [entry(rhs_part) for _ in range(r)]
+    return [[*col, u] for col, u in zip(zip(*_real_form(a, c)), _real_form([rhs], c)[0])], p
+
+
+def _solved(solve, m, p):
+    """x from an elimination of a copy of m, or the type of what it raised."""
+    try:
+        return solve([list(row) for row in m], p)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
 class TestLeftSolve:
     """One step of the q-line recursion: x a = rhs in fixed-point integers,
     on a real matrix or on the real form of a complex one, checked by its
-    exact complex residual."""
+    exact complex residual and against the sliced elimination of the
+    oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(step_systems())
+    def test_matches_the_sliced_elimination(self, system):
+        # the same first-largest pivots, floored multipliers and back
+        # substitution give the same x; a singular matrix raises the same
+        m, p = system
+        assert _solved(_left_solve, m, p) == _solved(sliced_left_solve, m, p)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=4),

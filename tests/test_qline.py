@@ -481,6 +481,24 @@ def test_lane_bound_counts_the_terms_of_one_column(monkeypatch, catalog40):
         assert mantissas(qline_solve(*args)) == per_exponent_solve(*args)
 
 
+
+@pytest.mark.parametrize("seed, r", [(11, 1), (12, 2), (13, 3), (14, 4)])
+def test_short_series_tail_ends_its_dot_products(catalog40, seed, r):
+    # 1 + 3q - 2q^2 carries a tail of two coefficients into a solve of order
+    # 24, so from X_3 on each of its dot products ends with the tail, not
+    # with the history; its constant term is taken back out of M_0, so the
+    # seeds stay left null vectors
+    order = 24
+    with qline_precision():
+        weights, system, lams, seeds = random_system(random.Random(seed), r, order, Nome.Q,
+                                                     10**6, real=True)
+        entries = {(0, r - 1): 0.75, (r - 1, 0): -1.25}
+        for ij, v in entries.items():
+            system[0][0][ij] = system[0][0].get(ij, 0) - v
+        system.append((entries, PuiseuxSeries.polynomial(Nome.Q, [1, 3, -2], order)))
+        args = (weights, system, lams, seeds, order, catalog40)
+        assert mantissas(qline_solve(*args)) == per_exponent_solve(*args, step=gaussian_step)
+
 # ---------------------------------------------------------------------------
 # order sweep
 # ---------------------------------------------------------------------------

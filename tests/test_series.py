@@ -38,7 +38,6 @@ from vvmf.series import (
     _loop_mul,
     _limb_bits,
     compose_frobenius,
-    from_fixed,
     pair_mul,
     relative_residual,
     to_fixed,
@@ -411,6 +410,12 @@ def exact_mpc(re: int, im: int, bits: int):
         return mpmath.mpc(mpmath.mpf((re, -bits)), mpmath.mpf((im, -bits)))
 
 
+def downcast(re: int, im: int, bits: int) -> complex:
+    """(re + i im) 2^-bits rounded by :meth:`FixedSeries.downcast`."""
+    parts = (PuiseuxSeries.make(Nome.Q, 0, [re]), PuiseuxSeries.make(Nome.Q, 0, [im]))
+    return FixedSeries(*parts, bits).downcast().coeffs[0]
+
+
 def fixed_series(nome, lead, coeffs, bits) -> FixedSeries:
     parts = [to_fixed(c, bits) for c in coeffs]
     return FixedSeries(
@@ -430,7 +435,7 @@ class TestFixedPoint:
         # the scale puts the larger part near 2^log2_size: 1e-30 to 1e30
         bits = max(abs(re), abs(im), 1).bit_length() - log2_size
         exact = exact_mpc(re, im, bits)
-        assert from_fixed(re, im, bits) == complex(exact)
+        assert downcast(re, im, bits) == complex(exact)
         assert to_fixed(exact, bits) == (re, im)
 
     @settings(max_examples=200, deadline=None)
@@ -451,11 +456,11 @@ class TestFixedPoint:
     def test_zero_and_exact_scalars(self):
         for zero in (0, 0.0, 0j, Fraction(0), mpmath.mpf(0), mpmath.mpc(0)):
             assert to_fixed(zero, 200) == (0, 0)
-        assert from_fixed(0, 0, 200) == 0j and from_fixed(0, 0, -7) == 0j
+        assert downcast(0, 0, 200) == 0j and downcast(0, 0, -7) == 0j
         assert to_fixed(Fraction(-3, 4), 2) == (-3, 0)
         assert to_fixed(-2.5 + 1j, 1) == (-5, 2)
         assert to_fixed(mpmath.mpf(-0.375), 3) == (-3, 0)
-        assert from_fixed(-5, 3, -2) == complex(-20, 12)
+        assert downcast(-5, 3, -2) == complex(-20, 12)
         with pytest.raises(ValueError):
             to_fixed(mpmath.mpf("inf"), 10)
 
