@@ -416,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.jobs > 1 and len(payloads) > 1:
             from multiprocessing import Pool
 
-            with Pool(args.jobs) as pool:
+            with Pool(min(args.jobs, len(payloads))) as pool:
                 results = pool.map(_run_one, payloads)
         else:
             results = [_run_one(p) for p in payloads]

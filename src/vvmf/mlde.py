@@ -13,6 +13,7 @@ that ``tests/oracles.py`` keeps as the reference.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -136,13 +137,14 @@ class ODECoefficients:
         }
 
 
-def elementary_symmetric(values, degree: int):
-    """e_degree(values) by the standard one-pass recurrence."""
+def elementary_symmetric(values, degree: int) -> list:
+    """e_0(values), ..., e_degree(values) by the standard one-pass
+    recurrence."""
     es = [1] + [0] * degree
     for v in values:
-        for j in range(min(degree, len(es) - 1), 0, -1):
+        for j in range(degree, 0, -1):
             es[j] = es[j] + v * es[j - 1]
-    return es[degree]
+    return es
 
 
 def indicial_shifts(eigenvalues, case: str) -> tuple:
@@ -164,9 +166,7 @@ def cyclic_coeffs(f) -> ODECoefficients:
     f = tuple(f)
     if abs(as_complex(sum(f)) - 1) > 1e-9:
         raise ExponentSumMismatch(f"cyclic exponents must sum to 1, got {sum(f)}")
-    s2 = elementary_symmetric(f, 2)
-    s3 = elementary_symmetric(f, 3)
-    s4 = elementary_symmetric(f, 4)
+    _, _, s2, s3, s4 = elementary_symmetric(f, 4)
     a = s2 - Fraction(11, 36)
     b = -s3 + a / 6 + Fraction(1, 36)
     return ODECoefficients(a, b, s4, CYCLIC, f)
@@ -178,9 +178,7 @@ def noncyclic_coeffs(f) -> ODECoefficients:
     f = tuple(f)
     if abs(as_complex(sum(f)) - Fraction(2, 3)) > 1e-9:
         raise ExponentSumMismatch(f"noncyclic exponents must sum to 2/3, got {sum(f)}")
-    s2 = elementary_symmetric(f, 2)
-    s3 = elementary_symmetric(f, 3)
-    s4 = elementary_symmetric(f, 4)
+    _, _, s2, s3, s4 = elementary_symmetric(f, 4)
     a = -3 * s3 + s2 / 2 - Fraction(1, 24)
     b = 3 * s3 - s2 * Fraction(3, 2) + Fraction(13, 72)
     c = -s4 - a / 18
@@ -268,8 +266,8 @@ def _noncyclic_lead_row(f, a) -> list:
     exponent f: D multiplies a leading term of weight k1 + 2i by f - i/6.
     f = 1/6 makes c = -prod(f_j - 1/6) vanish, which :func:`noncyclic_system`
     rejects first."""
-    sixth = Fraction(1, 6)
-    return [1, f, 1 / (f - sixth), f * (f - sixth) - a]
+    g = f - Fraction(1, 6)
+    return [1, f, 1 / g, f * g - a]
 
 
 def require_nonresonant(lams) -> None:
@@ -316,9 +314,8 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
     is the binary precision of :data:`QLINE_DPS` (read at call time) plus
     32 guard bits.  The series of the system enter as their exact integer
     coefficients, and the constant matrices are encoded once at the scale
-    2^-p, so each step is exact up to its pivoted elimination
-    (:func:`_left_solve`).  There is no hauptmodul and no division by a
-    series.
+    2^-p, so each step is exact up to its pivoted elimination.  There is no
+    hauptmodul and no division by a series.
 
     A system whose encoded imaginary parts (constant entries, M_0, s lam
     and seeds) are all zero runs as itself, on r real rows.  Any other runs
@@ -328,11 +325,9 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
     elimination on its Gaussian integers: both take the same pivots
     (u^2 against u^2 + 0^2) and the same floors (floor(u v 2^p / v^2) =
     floor(u 2^p / v)).  Each exponent's transposed step matrix is encoded
-    once, and each step adds s to its diagonal in place; the step solves a
-    copy with the right-hand side appended, eliminated in place by index
-    with no per-column list or slice.  NotAnExponent is decided exactly on
-    the encoded seeds and X_0 step matrices, still on the norm of each
-    complex column (:func:`_is_null_row`).
+    once, at n = 0; step n adds n s to its diagonal.  NotAnExponent is
+    decided exactly on the encoded seeds and X_0 step matrices, still on
+    the norm of each complex column (:func:`_is_null_row`).
 
     All r exponents advance together.  Each real row keeps its history as
     one list of ints, whose lane l (the bits from width * l up) holds the
@@ -340,19 +335,21 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
     dot product per series and source row for every exponent at once: the
     forward tail e_1, e_2, ... against the history read backwards from
     X_{n-1}, so no slice is taken and the sum ends with the shorter of the
-    two.  It applies the constant entries to the packed sums.  Only then
-    are the lanes unpacked, each shifted back to its exponent's scale and
-    solved alone; the solved rows of a step are kept together and split
-    per exponent once, at the end.  Packing is a
-    ring homomorphism, so a lane is exact while its value stays within
-    [-2^(width-1), 2^(width-1)).  Its bound is
-    width >= row + series + entry + bits(T) + 1: the largest mantissa bit
-    length of the rows so far, of the sum of |e_m| of a series tail, of a
-    real constant entry, and of the T real entries whose products are
-    summed, plus a sign bit.  When a new X_n raises the row bits past the
-    width, the history is repacked at the bound plus :data:`LANE_HEADROOM`
-    bits.  The width changes no value, so the bytes are those of one
-    recursion per exponent.
+    two.  It applies the constant entries to the packed sums.  The rest of
+    the step is straight-line code generated once per process for the
+    shape (R real rows, r exponents) of the system
+    (:func:`_compiled_step`): it unpacks the lanes into locals, each
+    shifted back to its exponent's scale, eliminates each exponent's step
+    matrix on locals, takes the row-bit bound and packs each real row's
+    new lanes for the history.  Packing is a ring homomorphism, so a lane
+    is exact while its value stays within [-2^(width-1), 2^(width-1)).
+    Its bound is width >= row + series + entry + bits(T) + 1: the largest
+    mantissa bit length of the rows so far, of the sum of |e_m| of a
+    series tail, of a real constant entry, and of the T real entries whose
+    products are summed, plus a sign bit.  When a new X_n raises the row
+    bits past the width, the history is repacked at the bound plus
+    :data:`LANE_HEADROOM` bits.  The width changes no value, so the bytes
+    are those of one recursion per exponent.
 
     The rows come back as :class:`FixedSeries`, for the caller to multiply
     exactly and downcast once; a real system's imaginary mantissas are 0.
@@ -385,9 +382,19 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
             fixed = {ij: to_fixed(v, p) for ij, v in S.items()}
             tails.append(([[fixed.get((i, j), (0, 0)) for j in range(r)] for i in range(r)],
                           tail))
-    minus_m0 = [[to_fixed(-v, p) for v in row] for row in m0]  # off the diagonal of each b0
-    b0s = [[[to_fixed(s * lam - m0[i][i], p) if i == j else minus_m0[i][j] for j in range(r)]
-            for i in range(r)] for lam in lams]
+    # -M_0 is encoded off the diagonal only.  On it, s lam - M_0[i][i] is
+    # formed per exponent; a Fraction entry that meets an mpc s lam is
+    # converted once here, as mpc - Fraction would convert it every time
+    minus_m0 = [[None if i == j else to_fixed(-v, p) for j, v in enumerate(row)]
+                for i, row in enumerate(m0)]
+    diagonal = [row[i] for i, row in enumerate(m0)]
+    mp_diagonal = [mpmath.mpmathify(v) if isinstance(v, Fraction) else v for v in diagonal]
+    b0s = []
+    for lam in lams:
+        slam = s * lam
+        diag = mp_diagonal if isinstance(slam, mpmath.mpc) else diagonal
+        b0s.append([[to_fixed(slam - diag[i], p) if i == j else v for j, v in enumerate(row)]
+                    for i, row in enumerate(minus_m0)])
     scales = [p - (math.frexp(max(abs(as_complex(v)) for v in seed))[1] - 1) for seed in seeds]
     heads = [[to_fixed(v, bits) for v in seed] for seed, bits in zip(seeds, scales)]
     encoded = [row for matrix, _ in tails for row in matrix] + [row for b0 in b0s for row in b0]
@@ -412,34 +419,34 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
     series_bits = max((sum(map(abs, tail)).bit_length() for tail, _ in convolutions), default=0)
     entry_bits = max((abs(v).bit_length() for v in entries), default=0)
     margin = series_bits + entry_bits + len(entries).bit_length() + 1
-    steps = [starts]  # X_0, X_1, ...: the real rows of every exponent
-    row_bits = _row_bits(starts)
+    rows = c * r
+    steps = [tuple(v for x in starts for v in x)]  # X_0, X_1, ...: exponent-major real rows
+    row_bits = max(map(abs, steps[0])).bit_length()
     width = row_bits + margin + LANE_HEADROOM
-    packed = _packed_history(steps, width)
-    diagonal = [(row, j) for bt in bts for j, row in enumerate(bt)]  # advanced by s a step
+    packed = _packed_history(steps, rows, width)
+    solve = _compiled_step(rows, r)
+    mats = [tuple(v for col in bt for v in col) for bt in bts]
     step = int(s * (1 << p))  # s (lam + n) - s (lam + n - 1) at the scale 2^-p
     for n in range(1, order + 1):
-        acc = [0] * (c * r)
+        acc = [0] * rows
         for tail, reads in convolutions:
             for i, targets in reads:
                 dot = sum(map(mul, tail, reversed(packed[i])))  # e_1 X_{n-1} + e_2 X_{n-2} + ...
                 for j, v in targets:
                     acc[j] += dot * v
-        for row, j in diagonal:
-            row[j] += step
-        rhs = zip(*(_unpack(v, width, r, p) for v in acc))
-        xs = [_left_solve([[*row, u] for row, u in zip(bt, b)], p) for bt, b in zip(bts, rhs)]
+        xs, bits, lanes = solve(acc, mats, n * step, width, p)
         steps.append(xs)
-        row_bits = max(row_bits, _row_bits(xs))
+        row_bits = max(row_bits, bits)
         if row_bits + margin > width:
             width = row_bits + margin + LANE_HEADROOM
-            packed = _packed_history(steps, width)
+            packed = _packed_history(steps, rows, width)
         else:
-            for history, lanes in zip(packed, zip(*xs)):
-                history.append(_pack(lanes, width))
+            for history, lane in zip(packed, lanes):
+                history.append(lane)
+    histories = list(zip(*steps))  # per exponent and real row: X_0, X_1, ...
     out = []
     for lane, (lam, bits) in enumerate(zip(lams, scales)):
-        parts = [PuiseuxSeries(nome, lam, history) for history in zip(*(xs[lane] for xs in steps))]
+        parts = [PuiseuxSeries(nome, lam, h) for h in histories[lane * rows:(lane + 1) * rows]]
         ims = parts[r:] or [PuiseuxSeries(nome, lam, (0,) * len(steps))] * r
         out.append(tuple(FixedSeries(u, v, bits) for u, v in zip(parts[:r], ims)))
     return tuple(out)
@@ -471,16 +478,11 @@ def _is_null_row(x, bt, c: int, p: int) -> bool:
     return miss * 10**18 <= size * norm(x)
 
 
-def _row_bits(xs) -> int:
-    """Largest bit length of a mantissa in xs."""
-    return max(max(map(abs, x)) for x in xs).bit_length()
-
-
-def _packed_history(steps, width: int) -> list:
+def _packed_history(steps, rows: int, width: int) -> list:
     """Per real row i, its history X_0, X_1, ...: each X_n of ``steps``
-    (steps[n][exponent][i]) packed into one int of lanes (:func:`_pack`)."""
-    return [list(history) for history in
-            zip(*([_pack(lanes, width) for lanes in zip(*xs)] for xs in steps))]
+    (exponent-major, steps[n][rows * exponent + i]) packed into one int of
+    lanes (:func:`_pack`)."""
+    return [[_pack(xs[i::rows], width) for xs in steps] for i in range(rows)]
 
 
 def _pack(values, width: int) -> int:
@@ -491,55 +493,75 @@ def _pack(values, width: int) -> int:
     return out
 
 
-def _unpack(x: int, width: int, count: int, p: int) -> list:
-    """The ``count`` signed lanes of x, each in [-2^(width-1), 2^(width-1)),
-    each shifted right by p bits (a floor)."""
-    mask, half = (1 << width) - 1, 1 << (width - 1)
-    out = []
-    for _ in range(count - 1):
-        v = ((x & mask) ^ half) - half
-        out.append(v >> p)
-        x = (x - v) >> width
-    out.append(x >> p)  # what is left is the top lane, which is in range
-    return out
+@functools.cache
+def _compiled_step(R: int, r: int):
+    """The q-line step for R real rows and r exponents, compiled once per
+    process from :func:`_step_source` (one entry per shape a process
+    solves, R = r or 2r): step(acc, mats, shift, width, p) -> (xs, bits,
+    lanes)."""
+    namespace = {}
+    exec(compile(_step_source(R, r), f"<q-line step {R}x{r}>", "exec"), namespace)
+    return namespace["step"]
 
 
-def _left_solve(m, p: int) -> list:
-    """Row x with x a = rhs in integers, a at the scale 2^-p, rhs and x at
-    one common scale.  m holds the rows of a's transpose, row j followed by
-    rhs_j, and is eliminated in place: partial pivoting on the first largest
-    |entry| of a column, each multiplier held at 2^-p, every quotient and
-    shift a floor.  Entries are found and updated by index, with no list
-    or slice per column.  The matrix is nonsingular by the gap rule of :func:`qline_solve`, which
-    rejects every exponent that would make a step matrix singular."""
-    r = len(m)
-    for col in range(r - 1):
-        top = m[col]
-        piv, best = col, abs(top[col])
-        for i in range(col + 1, r):
-            size = abs(m[i][col])
-            if size > best:
-                piv, best = i, size
-        if piv != col:
-            m[col], m[piv] = m[piv], top
-            top = m[col]
-        d = top[col]
-        later = range(col + 1, r + 1)
-        for i in range(col + 1, r):
-            row = m[i]
-            u = row[col]
-            if u:
-                f = (u << p) // d
-                for j in later:
-                    row[j] -= f * top[j] >> p
-    x = [0] * r
-    for i in reversed(range(r)):
-        row = m[i]
-        rest = row[r]
-        for j in range(i + 1, r):
-            rest -= row[j] * x[j] >> p
-        x[i] = (rest << p) // row[i]
-    return x
+def _step_source(R: int, r: int) -> str:
+    """Straight-line Python for one step of :func:`qline_solve` on R real
+    rows and r exponents, every value a local.
+
+    ``acc[i]`` holds row i's r packed right-hand sides at 2^-(Q + p) and
+    ``mats[l]`` exponent l's transposed step matrix at n = 0, row-major;
+    ``shift`` is what step n adds to its diagonal.  Lane l of each acc[i]
+    is split off as a signed value in [-2^(width-1), 2^(width-1)) and
+    shifted right by p (a floor); the top lane is what is left.  Then each
+    exponent's x with x a = rhs is found by one pivoted elimination of the
+    transposed matrix with rhs appended: partial pivoting on the first
+    largest |entry| of a column, the rows swapped whole, each multiplier
+    floor(u 2^p / d) at 2^-p, every update and back substitution term a
+    floor, the row of a zero multiplier left as it is.  A singular matrix
+    raises ZeroDivisionError in the back substitution.  Returns the x of
+    every exponent (exponent-major), the bit length of the largest |x|,
+    and per real row its r new lanes packed at ``width``."""
+    def row(i, start=0):
+        return [f"m{i}_{j}" for j in range(start, R + 1)]
+
+    body = [f"{', '.join(f'a{i}' for i in range(R))}, = acc"]
+    if r > 1:
+        body += ["mask = (1 << width) - 1", "half = 1 << (width - 1)"]
+    for l in range(r):
+        body.append(f"{', '.join(name for i in range(R) for name in row(i)[:R])}, = mats[{l}]")
+        for i in range(R):
+            body.append(f"m{i}_{i} += shift")
+            if l < r - 1:
+                body += [f"v = ((a{i} & mask) ^ half) - half",
+                         f"m{i}_{R} = v >> p",
+                         f"a{i} = (a{i} - v) >> width"]
+            else:
+                body.append(f"m{i}_{R} = a{i} >> p")
+        for col in range(R - 1):
+            body += [f"k = {col}", f"t = abs(m{col}_{col})"]
+            for i in range(col + 1, R):
+                body += [f"u = abs(m{i}_{col})", "if u > t:", f"    k, t = {i}, u"]
+            for i in range(col + 1, R):
+                mine, theirs = row(col, col), row(i, col)
+                body += [f"{'if' if i == col + 1 else 'elif'} k == {i}:",
+                         f"    {', '.join(mine + theirs)} = {', '.join(theirs + mine)}"]
+            body.append(f"d = m{col}_{col}")
+            for i in range(col + 1, R):
+                body += [f"if m{i}_{col}:", f"    f = (m{i}_{col} << p) // d"]
+                body += [f"    m{i}_{j} -= f * m{col}_{j} >> p" for j in range(col + 1, R + 1)]
+        for i in reversed(range(R)):
+            rest = "".join(f" - (m{i}_{j} * x{l}_{j} >> p)" for j in range(i + 1, R))
+            body.append(f"x{l}_{i} = ((m{i}_{R}{rest}) << p) // m{i}_{i}")
+    xs = [f"x{l}_{i}" for l in range(r) for i in range(R)]
+    body.append(f"bits = max({', '.join(f'{x}, -{x}' for x in xs)}).bit_length()")
+    lanes = []
+    for i in range(R):
+        lane = f"x{r - 1}_{i}"
+        for l in reversed(range(r - 1)):
+            lane = f"(({lane}) << width) + x{l}_{i}"
+        lanes.append(lane)
+    body.append(f"return ({', '.join(xs)},), bits, [{', '.join(lanes)}]")
+    return "def step(acc, mats, shift, width, p):\n" + "".join(f"    {line}\n" for line in body)
 
 
 def system_residuals(forms: FormStack, derivatives: FormStack, system,
@@ -698,12 +720,13 @@ def _recursive_stage(
         lams = [mpmath.mpc(as_complex(v)) for v in L.eigenvalues]
         co = equation_coefficients(L.eigenvalues, report.case)
         system = cyclic_system(co, catalog, Nome.Q) if cyclic else noncyclic_system(co, catalog)
+        sixths = [mpmath.mpmathify(Fraction(i, 6)) for i in range(3)]  # as f - i/6 converts
         seeds = []
         for f in co.f_exponents:
             if cyclic:
                 seed = [mpmath.mpf(1728) ** f]
-                for i in range(3):
-                    seed.append(seed[-1] * (f - Fraction(i, 6)))
+                for sixth in sixths:
+                    seed.append(seed[-1] * (f - sixth))
             else:
                 lead = _noncyclic_lead_row(f, co.a)
                 unit = mpmath.mpf(1728) ** f

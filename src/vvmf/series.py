@@ -721,7 +721,14 @@ def _fixed_part(x, bits: int) -> int:
             raise ValueError(f"cannot hold {x} in fixed point")
         num, den = x.as_integer_ratio()  # den is a power of two
         return _shift_round(num, bits - den.bit_length() + 1)
-    return round(Fraction(x) * Fraction(2) ** bits)
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    num, den = x.numerator, x.denominator
+    if bits >= 0:
+        num <<= bits
+    else:
+        den <<= -bits
+    q, rest = divmod(num, den)  # floor quotient, 0 <= rest < den
+    return q + (2 * rest > den or (2 * rest == den and q & 1))
 
 
 def to_fixed(z, bits: int) -> tuple[int, int]:
@@ -730,8 +737,8 @@ def to_fixed(z, bits: int) -> tuple[int, int]:
 
     z is an int, Fraction, float, complex or mpmath number.  An int, float
     or mpf is encoded by one exact shift of its binary mantissa (an mpf's
-    from the sign, mantissa and exponent of ``_mpf_``); a Fraction by exact
-    rational rounding.  inf and nan raise ValueError."""
+    from the sign, mantissa and exponent of ``_mpf_``); a Fraction by one
+    integer division, ties to even.  inf and nan raise ValueError."""
     if isinstance(z, (complex, mpmath.mpc)):
         return _fixed_part(z.real, bits), _fixed_part(z.imag, bits)
     return _fixed_part(z, bits), 0

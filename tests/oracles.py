@@ -8,9 +8,10 @@ matrices of the representations, which the tests rebuild from the
 normal-form parameters to check the invariants the library reads off them,
 with a greedy match of complex multisets for their spectra, and the double
 check of the emitted forms component by component, in the series
-arithmetic the array pass of the library reproduces.  And one q-line step
-elimination as first written, with per-column lists and slices, the
-reference for the library's in-place one.
+arithmetic the array pass of the library reproduces.  And the elimination
+of one q-line step as a loop (:func:`left_solve`), the reference for the
+straight-line step the library generates, beside that loop as first
+written, with per-column lists and slices.
 """
 
 from __future__ import annotations
@@ -272,8 +273,48 @@ def u_from_local_exponent(r, xi=XI):
 # one q-line step
 # ---------------------------------------------------------------------------
 
+def left_solve(m, p: int) -> list:
+    """Row x with x a = rhs in integers, a at the scale 2^-p, rhs and x at
+    one common scale: the elimination of one exponent in one step of
+    :func:`vvmf.mlde.qline_solve`, written as a loop (the library runs it as
+    generated straight-line code, :func:`vvmf.mlde._step_source`).  m holds
+    the rows of a's transpose, row j followed by rhs_j, and is eliminated in
+    place: partial pivoting on the first largest |entry| of a column, each
+    multiplier held at 2^-p, every quotient and shift a floor.  Entries are
+    found and updated by index, with no list or slice per column.  A
+    singular matrix raises ZeroDivisionError in the back substitution."""
+    r = len(m)
+    for col in range(r - 1):
+        top = m[col]
+        piv, best = col, abs(top[col])
+        for i in range(col + 1, r):
+            size = abs(m[i][col])
+            if size > best:
+                piv, best = i, size
+        if piv != col:
+            m[col], m[piv] = m[piv], top
+            top = m[col]
+        d = top[col]
+        later = range(col + 1, r + 1)
+        for i in range(col + 1, r):
+            row = m[i]
+            u = row[col]
+            if u:
+                f = (u << p) // d
+                for j in later:
+                    row[j] -= f * top[j] >> p
+    x = [0] * r
+    for i in reversed(range(r)):
+        row = m[i]
+        rest = row[r]
+        for j in range(i + 1, r):
+            rest -= row[j] * x[j] >> p
+        x[i] = (rest << p) // row[i]
+    return x
+
+
 def sliced_left_solve(m, p: int) -> list:
-    """:func:`vvmf.mlde._left_solve` as first written: the same pivots (the
+    """:func:`left_solve` as first written: the same pivots (the
     first largest |entry| of a column), floored multipliers at 2^-p and
     back substitution, each pivot found in a list of the column's sizes
     and each row updated through slices of itself and of the pivot row.

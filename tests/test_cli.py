@@ -548,6 +548,32 @@ class TestMain:
         assert main(["basis", "--spec", str(spec), "--jobs", "2"]) == 0
         assert (tmp_path / "a.json").exists() and (tmp_path / "b.json").exists()
 
+    @pytest.mark.parametrize("workers, started", [(2, 2), (3, 3), (8, 3)])
+    def test_pool_starts_no_more_workers_than_jobs(self, tmp_path, capsys, monkeypatch,
+                                                   workers, started):
+        # a fake pool records the count it is asked for and runs the jobs here
+        counts = []
+
+        class FakePool:
+            def __init__(self, processes):
+                counts.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, function, items):
+                return [function(item) for item in items]
+
+        monkeypatch.setattr("multiprocessing.Pool", FakePool)
+        spec = tmp_path / "jobs.json"
+        spec.write_text(json.dumps([{"name": name, "order": 3} for name in ("E4", "E6", "j")]))
+        assert main(["classical", "--spec", str(spec), "--jobs", str(workers)]) == 0
+        assert counts == [started]
+        assert capsys.readouterr().out.count('"name"') == 3
+
     @pytest.mark.parametrize("fmt, command, jobs", [
         ("json", "classical", [{"name": "E4", "order": 3}, {"name": "E6", "order": 4}]),
         ("csv", "basis", [sym3_job(3), sym3_job(4)]),

@@ -25,7 +25,8 @@ from vvmf.errors import (
 from vvmf.mlde import (
     CYCLIC,
     NONCYCLIC,
-    _left_solve,
+    _compiled_step,
+    _pack,
     _real_form,
     assemble_cyclic_basis,
     classify,
@@ -50,10 +51,25 @@ from oracles import (
     build_noncyclic_operator,
     frobenius_solve,
     hypergeom_2f1,
+    left_solve,
     operator_residual,
     sliced_left_solve,
 )
 from test_acceptance import FREENESS_TOL, freeness_deviation
+
+
+def record_eliminations(patch) -> list:
+    """Patch the q-line step so that each step appends one entry per
+    exponent it eliminates: the number R of real rows of its matrix."""
+    sizes = []
+    compiled = vvmf.mlde._compiled_step
+
+    def counted(R, r):
+        step = compiled(R, r)
+        return lambda *args: sizes.extend([R] * r) or step(*args)
+
+    patch.setattr(vvmf.mlde, "_compiled_step", counted)
+    return sizes
 
 
 def rank4_from_exponents(eigs, d, e):
@@ -327,10 +343,7 @@ class TestSystem:
     def test_integer_gap_is_resonance(self, monkeypatch, catalog40, gap, resonant):
         # M_0 = diag(0, gap) at weight zero: the exponents are 0 and gap; an
         # integer gap within 1e-9, 0 included, is rejected before any step
-        steps = []
-        solve_step = vvmf.mlde._left_solve
-        monkeypatch.setattr(vvmf.mlde, "_left_solve",
-                            lambda *args: steps.append(args) or solve_step(*args))
+        steps = record_eliminations(monkeypatch)
         system = [({(1, 1): gap}, PuiseuxSeries.one(Nome.Q, 40))]
         with qline_precision():
             if resonant:
@@ -403,6 +416,32 @@ def step_systems(draw):
     return [[*col, u] for col, u in zip(zip(*_real_form(a, c)), _real_form([rhs], c)[0])], p
 
 
+@st.composite
+def step_batches(draw):
+    """(R, mats, rhs, shift, p): the transposed step matrices of r = 1-3
+    exponents on R = 1, 2, 3, 4, 6 or 8 real rows, each the real form
+    (c = 1 or 2) of Gaussian integers at 2^-p drawn as in
+    :func:`step_systems`, flattened row by row; per exponent the R
+    right-hand sides of a step before its shift right by p (0-300 bits
+    above p); and what the step adds to every diagonal."""
+    R = draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
+    c = 2 if R > 4 else 1 if R % 2 else draw(st.sampled_from([1, 2]))
+    p = draw(st.sampled_from([8, 202]))
+    unit = 1 << p
+    part = st.one_of(st.sampled_from([0, unit, -unit, 2 * unit, -2 * unit]), _signed(p + 3))
+    rhs_part = st.integers(0, 300 + p).flatmap(_signed)
+
+    def entry():
+        return (draw(part), draw(part) if c == 2 else 0)
+
+    mats, rhs = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        a = [[entry() for _ in range(R // c)] for _ in range(R // c)]
+        mats.append(tuple(v for col in zip(*_real_form(a, c)) for v in col))
+        rhs.append([draw(rhs_part) for _ in range(R)])
+    return R, mats, rhs, draw(st.sampled_from([0, unit // 2, 3 * unit])), p
+
+
 def _solved(solve, m, p):
     """x from an elimination of a copy of m, or the type of what it raised."""
     try:
@@ -411,10 +450,19 @@ def _solved(solve, m, p):
         return type(exc)
 
 
+def generated_solve(m, p: int) -> list:
+    """x of m (as for :func:`oracles.left_solve`) by the generated q-line
+    step of one exponent, its right-hand side entering shifted up by p."""
+    R = len(m)
+    step = _compiled_step(R, 1)
+    xs, _, _ = step([row[R] << p for row in m], [tuple(v for row in m for v in row[:R])], 0, 0, p)
+    return list(xs)
+
+
 class TestLeftSolve:
     """One step of the q-line recursion: x a = rhs in fixed-point integers,
     on a real matrix or on the real form of a complex one, checked by its
-    exact complex residual and against the sliced elimination of the
+    exact complex residual and against the elimination loops of the
     oracles."""
 
     @settings(max_examples=300, deadline=None)
@@ -423,7 +471,35 @@ class TestLeftSolve:
         # the same first-largest pivots, floored multipliers and back
         # substitution give the same x; a singular matrix raises the same
         m, p = system
-        assert _solved(_left_solve, m, p) == _solved(sliced_left_solve, m, p)
+        assert _solved(left_solve, m, p) == _solved(sliced_left_solve, m, p)
+        assert _solved(generated_solve, m, p) == _solved(left_solve, m, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(step_batches())
+    def test_generated_step_matches_the_loop(self, batch):
+        # the packed right-hand sides at the narrowest lanes that hold them,
+        # unpacked and floored by p, each exponent's diagonal advanced by
+        # the shift, then one loop elimination per exponent in order: the
+        # same x, or the exception of the first singular matrix; the row
+        # bits and the lanes packed for the history follow from x
+        R, mats, rhs, shift, p = batch
+        width = max(abs(v) for row in rhs for v in row).bit_length() + 1
+        acc = [_pack([row[i] for row in rhs], width) for i in range(R)]
+        want = []
+        try:
+            for mat, row in zip(mats, rhs):
+                m = [[*mat[j * R:(j + 1) * R], row[j] >> p] for j in range(R)]
+                for j in range(R):
+                    m[j][j] += shift
+                want += left_solve(m, p)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                _compiled_step(R, len(mats))(acc, mats, shift, width, p)
+            return
+        xs, bits, lanes = _compiled_step(R, len(mats))(acc, mats, shift, width, p)
+        assert list(xs) == want
+        assert bits == max(map(abs, xs)).bit_length()
+        assert lanes == [_pack(xs[i::R], width) for i in range(R)]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=4),
@@ -439,7 +515,7 @@ class TestLeftSolve:
         a = [[entry() for _ in range(r)] for _ in range(r)]
         rhs = [entry() for _ in range(r)]
         m = [[*col, u] for col, u in zip(zip(*_real_form(a, c)), _real_form([rhs], c)[0])]
-        x = _left_solve(m, p)
+        x = generated_solve(m, p)
         x = [(x[i], x[r + i] if c == 2 else 0) for i in range(r)]
         # x a - rhs at the scale 2^-2p, against |x| |a| summed over the row
         for j in range(r):

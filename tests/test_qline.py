@@ -47,11 +47,12 @@ from oracles import (
     downcast_to_complex,
     frobenius_solve,
     kronecker_tensor_basis,
+    left_solve,
     u_from_local_exponent,
 )
 from test_acceptance import ZETA, deviation, rank2_data, sym3_grid, tensor_grid
 from test_constructions import make_job
-from test_mlde import admissible
+from test_mlde import admissible, record_eliminations
 
 GATE = 1e-9  # the CLI's default residual tolerance
 
@@ -159,8 +160,9 @@ def resonant_route(route: str, catalog):
 def test_every_route_reaches_the_gap_rule(monkeypatch, route):
     # one resonance rule for every route, before the first elimination step:
     # qline_solve rejects the integer gap of its system
-    raised, steps = [], []
-    solve, step = vvmf.mlde.qline_solve, vvmf.mlde._left_solve
+    raised = []
+    solve = vvmf.mlde.qline_solve
+    steps = record_eliminations(monkeypatch)
 
     def recording(*args):
         before = len(steps)
@@ -172,8 +174,6 @@ def test_every_route_reaches_the_gap_rule(monkeypatch, route):
 
     for module in (vvmf.mlde, vvmf.constructions):
         monkeypatch.setattr(module, "qline_solve", recording)
-    monkeypatch.setattr(vvmf.mlde, "_left_solve",
-                        lambda *args: steps.append(args) or step(*args))
     with pytest.raises(Resonance, match="differ by the integer") as info:
         resonant_route(route, ClassicalCatalog(10))
     assert raised == [(info.value, 0)]
@@ -234,10 +234,7 @@ def test_rows_hold_forty_digits_per_coefficient(monkeypatch, m, d, catalog40):
 def test_generic_systems_run_as_real_systems(monkeypatch, m, d, catalog40):
     # real exponents give real equation coefficients: the solve eliminates
     # r = 4 real rows per step and returns imaginary mantissas of exactly 0
-    sizes = []
-    step = vvmf.mlde._left_solve
-    monkeypatch.setattr(vvmf.mlde, "_left_solve",
-                        lambda matrix, p: sizes.append(len(matrix)) or step(matrix, p))
+    sizes = record_eliminations(monkeypatch)
     rep, L = admissible([0.11, 0.18, 0.31], m, d, 0)
     rows = solved_rows(monkeypatch, lambda: generic_basis(rep, L, 20, catalog40))
     assert sizes == [4] * (4 * 20)
@@ -268,7 +265,7 @@ def real_form_step(b, rhs, p, c) -> list:
     or on the real form (c = 2) of the Gaussian-integer matrix b."""
     r = len(b)
     rows = zip(zip(*vvmf.mlde._real_form(b, c)), vvmf.mlde._real_form([rhs], c)[0])
-    x = vvmf.mlde._left_solve([[*col, u] for col, u in rows], p)
+    x = left_solve([[*col, u] for col, u in rows], p)
     return [(x[i], x[r + i] if c == 2 else 0) for i in range(r)]
 
 
@@ -438,10 +435,8 @@ def test_real_system_keeps_exact_zero_imaginary_parts(catalog40, seed, r, order,
     # every encoded imaginary mantissa of a real system is exactly 0, so
     # each step eliminates r rows and every imaginary mantissa out is 0
     rng = random.Random(seed)
-    sizes = []
-    step = vvmf.mlde._left_solve
     with qline_precision(), pytest.MonkeyPatch.context() as patch:
-        patch.setattr(vvmf.mlde, "_left_solve", lambda m, p: sizes.append(len(m)) or step(m, p))
+        sizes = record_eliminations(patch)
         weights, system, lams, seeds = random_system(rng, r, order, nome, 10**6, real=True)
         rows = qline_solve(weights, system, lams, seeds, order, catalog40)
     assert sizes == [r] * (r * order)
@@ -454,7 +449,7 @@ def test_growing_rows_widen_the_lanes(monkeypatch, catalog40):
     repacks = []
     pack = vvmf.mlde._packed_history
     monkeypatch.setattr(vvmf.mlde, "_packed_history",
-                        lambda rows, width: repacks.append(width) or pack(rows, width))
+                        lambda steps, rows, width: repacks.append(width) or pack(steps, rows, width))
     with qline_precision():
         weights, system, lams, seeds = random_system(random.Random(7), 3, 24, Nome.Q, 1)
         system.append(({(0, 1): 1.5, (2, 0): -0.75j},

@@ -11,7 +11,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vvmf.constructions
@@ -505,9 +505,25 @@ class TestFixedPoint:
             st.builds(lambda k, e: (2 * k + 1) * 2 ** (e - 1),
                       st.integers(min_value=-(2**60), max_value=2**60),
                       st.integers(min_value=1, max_value=80)),
+            # Fractions, mostly non-dyadic, and odd numerators over powers of two
+            st.builds(Fraction, st.integers(min_value=-(2**200), max_value=2**200),
+                      st.integers(min_value=1, max_value=2**100)),
+            st.builds(lambda k, e: Fraction(2 * k + 1, 2**e),
+                      st.integers(min_value=-(2**60), max_value=2**60),
+                      st.integers(min_value=1, max_value=80)),
         ),
         st.integers(min_value=-300, max_value=300),
     )
+    # Fraction ties, also at negative bits: x 2^bits is an odd multiple of 1/2
+    @example(Fraction(5, 2), 0)
+    @example(Fraction(-7, 2), 0)
+    @example(Fraction(3, 8), 2)
+    @example(Fraction(-5, 8), 2)
+    @example(Fraction(5), -1)
+    @example(Fraction(-7), -1)
+    @example(Fraction(-3 * 2**40), -41)
+    @example(Fraction(1, 3), -2)
+    @example(Fraction(-2, 3), 5)
     def test_encode_matches_the_rational_formula(self, x, bits):
         # the exact formula: round(x 2^bits) on the rational value of x,
         # ties to even (round() of a Fraction)

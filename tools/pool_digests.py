@@ -1,0 +1,96 @@
+"""Digest of every benchmark pool job's emitted bytes, to show that a change
+keeps them.
+
+    python3 tools/pool_digests.py > digests.txt
+    python3 tools/pool_digests.py --diff parent.txt change.txt
+
+The first form runs, in one process and in a fixed order, every pool member
+of ``perfbench/inputs.py`` at each order the benchmark pools are checked at
+(302 jobs: sym3, tensor, cyclic and noncyclic at orders 20/40/80, induction
+at q2-orders 10/20/40/80, every classical name and ``check`` at
+200/400/800) and each route's ladder member at order 400 (induction at
+q2-order 400).  Each job goes through ``emit(run(JobSpec.from_json(job)))``
+of the ``src/`` of the checkout this file sits in, as ``perfbench/run.py``
+imports it.  It prints one line per job, ``<route>:<member>@<order>`` and the
+SHA-256 of the emitted text, or of ``raised <class>: <message>`` for a job
+that raises.  ``--diff`` compares two such outputs line by line and exits 1
+when any job differs or is missing from one of them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import inputs  # noqa: E402
+
+#: orders at which every member of a pool is digested; induction jobs are
+#: labelled by their q2-order, as in the benchmark
+POOL_ORDERS = {
+    "sym3": (20, 40, 80), "tensor": (20, 40, 80),
+    "cyclic": (20, 40, 80), "noncyclic": (20, 40, 80),
+    "induction": (10, 20, 40, 80),
+    "classical": (200, 400, 800), "check": (200, 400, 800),
+}
+LADDER_ORDER = 400
+
+
+def jobs() -> list:
+    """Every job digested, in the order they run."""
+    pools = inputs.pool_payloads()
+    out = [inputs.make_job(route, index, order, pools)
+           for route, orders in POOL_ORDERS.items()
+           for order in orders
+           for index in range(len(pools[route]))]
+    out += [inputs.make_job(route, index, LADDER_ORDER, pools)
+            for route, index in inputs.LADDER.items()]
+    return out
+
+
+def digest(cli, job) -> str:
+    try:
+        text = cli.emit(cli.run(cli.JobSpec.from_json(dict(job.payload))))
+    except Exception as exc:  # a job's failure is part of its output
+        text = f"raised {type(exc).__name__}: {exc}"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def read(path: str) -> dict:
+    with open(path, encoding="utf-8") as handle:
+        return dict(line.split() for line in handle if line.strip())
+
+
+def diff(a: str, b: str) -> int:
+    first, second = read(a), read(b)
+    differ = 0
+    for key in sorted(first.keys() | second.keys()):
+        x, y = first.get(key, "missing"), second.get(key, "missing")
+        if x != y:
+            differ += 1
+            print(f"{key}: {x} != {y}")
+    print(f"{len(first)} and {len(second)} jobs, {differ} differ")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--diff", nargs=2, metavar=("A", "B"),
+                        help="compare two outputs of this script")
+    args = parser.parse_args(argv)
+    if args.diff:
+        return diff(*args.diff)
+    import run
+
+    cli = run.import_program()
+    for job in jobs():
+        print(f"{job.input_id}@{job.order} {digest(cli, job)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
