@@ -37,13 +37,28 @@ inverses of series: every eta power, negative ones included, from one
 power recurrence over the sparse pentagonal Euler product
 (:func:`_euler_power`), and the theta fourth powers from divisor sums
 (Jacobi's four-square and Legendre's four-triangular-number theorems).
+
+The level-one check suite (:meth:`ClassicalCatalog.level_one_residuals`)
+checks E_4^3 - E_6^2 = 1728 Delta and Delta = (eta^12)^2 by exact products,
+whose operands stay below about 60 bits at order 800.  K's coefficients grow
+like 231^n, 6310 bits at order 800, so j K = 1728 is checked modulo a prime
+p first, drawn once per process from the primes in [2^60, 2^61]
+(:func:`_fingerprint_prime`), and j K is formed exactly only when that check
+fails.  A zero residual is so certified modulo p only: a nonzero coefficient
+of b bits has at most b/60 prime divisors above 2^60, among about 2^55
+primes there, so a broken identity reads zero modulo p with probability
+about b/(60 2^55) for any one of its nonzero coefficients, 2.9e-15 for one
+of K's width at order 800.  A true identity reads 0 for every p, so the
+output does not depend on the draw.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import random
 from fractions import Fraction
+from functools import cache
 from itertools import takewhile
 from operator import mul
 
@@ -113,6 +128,52 @@ def _euler_power(m: int, n_max: int) -> list[int]:
             raise ArithmeticError(f"eta^{m}: coefficient {n} is not an integer")
         a.append(an)
     return a
+
+
+#: the Miller-Rabin bases of :func:`_is_prime`, the primes 2 to 37
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin with the bases 2 to 37: exact for
+    every n below 3.18 * 10^23, the least strong pseudoprime to all twelve
+    (Sorenson and Webster, Math. Comp. 86, 2017), far above 2^61."""
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@cache
+def _fingerprint_prime() -> int:
+    """The prime of the process's fingerprint of j K = 1728
+    (:meth:`ClassicalCatalog.level_one_residuals`): drawn once, uniformly
+    among the primes in [2^60, 2^61], by drawing odd numbers of that range
+    from the system's random source until one is prime."""
+    draw = random.SystemRandom().getrandbits
+    while True:
+        n = (1 << 60) | draw(60) | 1
+        if _is_prime(n):
+            return n
+
+
+def _residues(s: PuiseuxSeries, p: int) -> PuiseuxSeries:
+    """The exact series s with every coefficient reduced modulo p."""
+    return PuiseuxSeries(s.nome, s.lead_exponent, tuple(c % p for c in s.coeffs))
 
 
 _EISENSTEIN_FACTORS = {2: -24, 4: 240, 6: -504}
@@ -459,7 +520,12 @@ class ClassicalCatalog:
         return table[low]()
 
     def level_one_residuals(self) -> dict[str, float]:
-        """Relative residuals of the level-one identity suite (nome q)."""
+        """Relative residuals of the level-one identity suite (nome q).
+
+        Every identity but j K = 1728 is checked by exact or double
+        products; that one by its fingerprint modulo a prime first
+        (:meth:`_j_times_k_residual`), so on a true identity j is never
+        multiplied by K at full width."""
         e2, e4, e6 = (self.eisenstein(k) for k in (2, 4, 6))
         delta = self.delta()
         res: dict[str, float] = {}
@@ -471,10 +537,7 @@ class ClassicalCatalog:
         # Delta is eta^24 from the power recurrence; its square root eta^12,
         # from the same recurrence, squared by the series product checks it
         res["delta=eta^24"] = relative_residual(delta - self.eta_power(12) ** 2, delta)
-        jk = self.j_invariant() * self.k_hauptmodul()
-        res["j*K=1728"] = relative_residual(
-            jk - PuiseuxSeries.polynomial(Nome.Q, [1728], jk.order), jk
-        )
+        res["j*K=1728"] = self._j_times_k_residual()
         e2_delta = e2 * delta
         d12 = self.theta_q(delta) - e2_delta
         res["D12(delta)=0"] = relative_residual(d12, delta, e2_delta)
@@ -489,6 +552,25 @@ class ClassicalCatalog:
             self.theta_q(e6) - (e2 * e6 - e4_sq).scale(1 / 2), e4_sq
         )
         return res
+
+    def _j_times_k_residual(self) -> float:
+        """The relative residual of j K = 1728, from a fingerprint first.
+
+        j and K are reduced modulo the process's prime p
+        (:func:`_fingerprint_prime`), each coefficient once, and multiplied
+        as series of coefficients below 2^61, which the packed kernel takes.
+        When that product reads 1728 modulo p, the residual is 0.0, as the
+        exact one of a true identity is.  Otherwise j K is formed exactly
+        and the residual is the one it gives, so a broken identity reports
+        its full magnitude (inf beyond the double range)."""
+        j, k = self.j_invariant(), self.k_hauptmodul()
+        p = _fingerprint_prime()
+        jk = _residues(j, p) * _residues(k, p)
+        target = PuiseuxSeries.polynomial(Nome.Q, [1728], jk.order)
+        if not any(c % p for c in (jk - target).coeffs):
+            return 0.0
+        jk = j * k
+        return relative_residual(jk - target, jk)
 
     def level_two_residuals(self) -> dict[str, float]:
         """Relative residuals of the level-two generator suite (nome q2)."""

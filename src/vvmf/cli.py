@@ -11,7 +11,9 @@ others' in job order.  Residuals above tolerance (env VVMF_TOL, a finite
 number > 0, default 1e-9) set a nonzero exit status.  A job that cannot run
 exits with status 2 and one line ``error: [step (x) <stage>] <message>``,
 the stage being the one the error's class names (:data:`vvmf.errors.STEPS`),
-wherever it was raised; validation and output errors name none.
+wherever it was raised; validation and output errors name none.  A residual
+of inf cannot be emitted either: it prints that line, and the residual gate
+sets the status.
 """
 
 from __future__ import annotations
@@ -408,6 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "name", None):
         overrides["name"] = args.name
 
+    results = []
     try:
         tol = tolerance()
         payloads = _read_spec(args.spec) if args.spec else [{}]
@@ -432,7 +435,11 @@ def main(argv: list[str] | None = None) -> int:
         stage = getattr(exc, "stage", None)
         prefix = f"[step ({stage}) {STEPS[stage]}] " if stage else ""
         print(f"error: {prefix}{exc}", file=sys.stderr)
-        return 2
+        # a residual of inf, which JSON cannot hold, fails the residual
+        # gate: every job ran, so the gate sets the status
+        if not any(res == math.inf for _, res, _, _ in results):
+            return 2
+        shared = ""
 
     if not args.out:
         sys.stdout.write(shared)

@@ -181,6 +181,14 @@ def _all_int(coeffs) -> bool:
     return all(type(c) is int for c in coeffs)
 
 
+def _magnitude(c) -> float:
+    """|c| as a float: inf for an int or Fraction beyond the double range."""
+    try:
+        return float(abs(c))
+    except OverflowError:
+        return math.inf
+
+
 def _slot_bytes(a: Sequence[int], b: Sequence[int]) -> int:
     """Bytes per coefficient slot of a packed product of a and b.
 
@@ -235,13 +243,17 @@ def _int_kernel(
     E4^3 * eta^-24 (j) 33-46 ms packed against 50-62 ms by Karatsuba and
     62-67 ms in the loop.  Packing loses when one operand's coefficients
     grow geometrically, because the small operand is padded to the large
-    slot: j * K takes 1.5-1.9 s packed, 0.31-0.41 s in the loop and
-    0.17-0.24 s by Karatsuba.  At order 400 j * K takes 34-44 ms by
+    slot: the exact j * K takes 1.5-1.9 s packed, 0.31-0.41 s in the loop
+    and 0.17-0.24 s by Karatsuba.  At order 400 it takes 34-44 ms by
     Karatsuba against 34-55 ms in the loop; at order 200 the loop is
-    faster (5.8-8.6 ms against 7.4-9.7 ms) and serves it.  Below about 20
-    terms the fixed costs of packing outweigh the loop; Karatsuba pays
-    only from about 130 terms on, and only on coefficients of hundreds of
-    bits.
+    faster (5.8-8.6 ms against 7.4-9.7 ms) and serves it.  The check job
+    forms it only when its fingerprint modulo a prime below 2^61 fails
+    (:meth:`vvmf.classical.ClassicalCatalog.level_one_residuals`).  The
+    fingerprint's own j * K, of coefficients below 2^61, is packed: 5.1 ms
+    at order 800, against 37 ms in the loop and 45 ms by Karatsuba (best
+    of five).  Below about 20 terms the fixed costs of packing outweigh the
+    loop; Karatsuba pays only from about 130 terms on, and only on
+    coefficients of hundreds of bits.
     """
     digits_a = 1 + bits_a / (30 * n_terms)
     digits_b = 1 + bits_b / (30 * n_terms)
@@ -432,8 +444,12 @@ class PuiseuxSeries:
 
     def max_abs(self) -> float:
         """The largest |coefficient|; nan when a coefficient is nan, which
-        Python's ``max`` would skip unless it came first."""
-        sizes = [float(abs(c)) for c in self.coeffs]
+        Python's ``max`` would skip unless it came first, and inf when an
+        int or Fraction lies beyond the double range."""
+        try:
+            sizes = [float(abs(c)) for c in self.coeffs]
+        except OverflowError:
+            sizes = [_magnitude(c) for c in self.coeffs]
         return math.nan if math.isnan(sum(sizes)) else max(sizes, default=0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

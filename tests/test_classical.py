@@ -6,6 +6,7 @@ constant-term evaluations for f, g and Z."""
 
 import cmath
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -15,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vvmf.classical
-from vvmf.classical import ClassicalCatalog
-from vvmf.cli import JobSpec, emit, run
+from vvmf.classical import ClassicalCatalog, _fingerprint_prime, _is_prime
+from vvmf.cli import JobSpec, emit, main, run
 from vvmf.series import Nome, PuiseuxSeries, relative_residual
 
 XI = cmath.exp(2j * cmath.pi / 6)
@@ -296,6 +297,52 @@ class TestFG:
             assert abs(complex(g.coeffs[n]) - (-1) ** n * complex(f.coeffs[n])) < 1e-12
 
 
+_TRUE_J_AND_K: dict = {}
+
+
+def true_j_and_k() -> dict:
+    """j and K at order 400, built once for the test process, by their
+    store keys."""
+    if not _TRUE_J_AND_K:
+        catalog = ClassicalCatalog(400)
+        _TRUE_J_AND_K.update(J=catalog.j_invariant(), K=catalog.k_hauptmodul())
+    return _TRUE_J_AND_K
+
+
+class TestFingerprintPrime:
+    def test_drawn_once_among_the_primes_of_61_bits(self):
+        assert _fingerprint_prime() == _fingerprint_prime()
+        for p in [_fingerprint_prime()] + [_fingerprint_prime.__wrapped__() for _ in range(20)]:
+            assert 2**60 <= p <= 2**61 and _is_prime(p)
+            assert all(pow(a, p - 1, p) == 1 for a in (2, 3, 41, 43, 47))
+
+    def test_miller_rabin_agrees_with_trial_division(self):
+        n_max = 10**5
+        sieve = [False, False] + [True] * (n_max - 1)
+        for d in range(2, math.isqrt(n_max) + 1):
+            if sieve[d]:
+                sieve[d * d :: d] = [False] * len(range(d * d, n_max + 1, d))
+        assert [_is_prime(n) for n in range(n_max + 1)] == sieve
+
+    @pytest.mark.parametrize("factors", [
+        (3, 11, 17), (7, 13, 19), (211, 421, 631), (271, 541, 811),
+    ])
+    def test_miller_rabin_rejects_carmichael_numbers(self, factors):
+        # Korselt's criterion: q - 1 divides n - 1 for each prime factor q,
+        # so every base prime to n is a Fermat liar
+        n = math.prod(factors)
+        assert all((n - 1) % (q - 1) == 0 for q in factors)
+        assert not _is_prime(n)
+
+    def test_miller_rabin_rejects_a_strong_pseudoprime_to_the_bases_up_to_31(self):
+        # the least strong pseudoprime to every prime base up to 31: only
+        # the base 37 exposes it
+        n = 3825123056546413051
+        assert n == 149491 * 747451 * 34233211
+        assert not _is_prime(n)
+        assert _is_prime(2**61 - 1) and not _is_prime(2**61 + 1)
+
+
 class TestIdentitySuites:
     def test_level_one_exact(self, catalog60):
         res = catalog60.level_one_residuals()
@@ -315,6 +362,48 @@ class TestIdentitySuites:
                             lambda m, n: [c + (i == 5) for i, c in enumerate(power(m, n))])
         res = ClassicalCatalog(40).level_one_residuals()
         assert res["delta=eta^24"] > 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["J", "K"]), st.sampled_from([200, 400]),
+           st.integers(min_value=0, max_value=400),
+           st.integers(min_value=-3, max_value=3).filter(bool),
+           st.booleans())
+    def test_a_perturbed_j_or_k_fails_the_fingerprint(self, key, order, index, small, wide):
+        # one coefficient off by a small integer, or by a multiple of the
+        # prime 2^61 - 1, which a fingerprint modulo that fixed prime would
+        # miss: the check reports the exact residual, nonzero each time
+        true = true_j_and_k()
+        series = true[key]
+        index = min(index, order)
+        delta = small * (2**61 - 1) if wide else small
+        coeffs = list(series.coeffs)
+        coeffs[index] += delta
+        vvmf.classical._EXACT_SERIES.update(true)
+        vvmf.classical._EXACT_SERIES[key] = PuiseuxSeries(series.nome, series.lead_exponent,
+                                                          tuple(coeffs))
+        catalog = ClassicalCatalog(order)
+        got = catalog.level_one_residuals()["j*K=1728"]
+        jk = catalog.j_invariant() * catalog.k_hauptmodul()
+        want = relative_residual(jk - PuiseuxSeries.polynomial(Nome.Q, [1728], jk.order), jk)
+        assert got > 0 and got == want
+
+    def test_a_j_beyond_the_double_range_fails_the_gate(self, monkeypatch, capsys):
+        # j off by one in coefficient 5 puts K's magnitude, 10^1900 at order
+        # 800, into j K: the residual reads inf, which JSON cannot hold, and
+        # the run exits through the residual gate with status 1
+        j = ClassicalCatalog(800).j_invariant()
+        coeffs = j.coeffs[:5] + (j.coeffs[5] + 1,) + j.coeffs[6:]
+        monkeypatch.setitem(vvmf.classical._EXACT_SERIES, "J",
+                            PuiseuxSeries(j.nome, j.lead_exponent, coeffs))
+        res = run(JobSpec.from_json({"command": "check", "order": 800})).residuals
+        assert res["j*K=1728"] == math.inf
+        assert all(math.isfinite(v) for k, v in res.items() if k != "j*K=1728")
+        assert main(["check", "--order", "800"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: the output holds a non-finite number (Infinity or NaN)\njob 0: ")
+        assert captured.err.endswith("\nworst residual: inf (tolerance 1.0e-09)\n")
 
     def test_level_two(self, catalog60):
         res = catalog60.level_two_residuals()

@@ -371,6 +371,12 @@ class TestDoubleKernel:
         with pytest.raises(OverflowError):
             series(Nome.Q, 0, [1.0, 2.0]) * series(Nome.Q, 0, [3, -(10**400)])
 
+    def test_max_abs_of_a_number_beyond_the_double_range_is_inf(self):
+        assert series(Nome.Q, 0, [1, -(10**400)]).max_abs() == math.inf
+        assert series(Nome.Q, 0, [Fraction(10**400, 3), 2]).max_abs() == math.inf
+        assert math.isnan(series(Nome.Q, 0, [10**400, math.nan]).max_abs())
+        assert relative_residual(series(Nome.Q, 0, [0, 10**400]), series(Nome.Q, 0, [1])) == math.inf
+
     def test_non_finite_values_raise_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -6,11 +6,13 @@ block runs in integers: no route makes an mpmath dot product or multiplies
 series of mpmath numbers."""
 
 import cmath
+import math
 
 import mpmath
 import numpy as np
 import pytest
 
+import vvmf.classical
 import vvmf.cli
 import vvmf.constructions
 import vvmf.mlde
@@ -387,6 +389,26 @@ def test_check_job_forms_each_product_once(monkeypatch):
     assert counts == {"int": 10, "double": 19}
     vvmf.cli.run(vvmf.cli.JobSpec.from_json(job))
     assert counts == {"int": 10 + 7, "double": 19 + 17}
+
+
+def test_check_job_forms_no_full_width_product_on_a_true_identity(monkeypatch):
+    # j K = 1728 reads 1728 modulo the process's prime, so the check never
+    # multiplies j by K at full width: every product at order 800 is packed
+    karatsuba = count_calls(monkeypatch, vvmf.series, "_karatsuba_mul")
+    env = vvmf.cli.run(vvmf.cli.JobSpec.from_json({"command": "check", "order": 800}))
+    assert env.residuals["j*K=1728"] == 0.0
+    assert karatsuba == []
+
+
+def test_check_job_forms_the_exact_j_times_k_once_on_a_broken_identity(monkeypatch):
+    catalog = ClassicalCatalog(800)
+    j, k = catalog.j_invariant(), catalog.k_hauptmodul()
+    broken = PuiseuxSeries(k.nome, k.lead_exponent, k.coeffs[:7] + (k.coeffs[7] - 1,) + k.coeffs[8:])
+    monkeypatch.setitem(vvmf.classical._EXACT_SERIES, "K", broken)
+    products = count_calls(monkeypatch, PuiseuxSeries, "__mul__")
+    env = vvmf.cli.run(vvmf.cli.JobSpec.from_json({"command": "check", "order": 800}))
+    assert 0 < env.residuals["j*K=1728"] < math.inf
+    assert [a for a in products if a[0] is j and a[1] is broken] == [(j, broken)]
 
 
 def test_h_inverts_once_per_process(monkeypatch):
