@@ -25,7 +25,8 @@ prefix is the series a build at the smaller order gives.  A process keeps
 the series of the largest order asked for.  The largest entry is K, about
 3.9 N^2 bits at order N: 0.3 MB at order 800, 1.25 MB at 1600.  Every exact
 key at order 800, all 48 eta powers included, holds about 2.5 MB of Python
-ints; f, g and h add 0.14 MB in double and 1.0 MB in extended.
+ints; f, g and h add 0.14 MB in double and 1.0 MB in extended, and the
+level-one suite's residues modulo p 0.11 MB.
 Z's build overflows the double range from order 128 on; the store records
 the lowest order that overflowed, per precision and digits, and a catalog at
 or above it raises without a build.  Within one catalog a key reads the
@@ -39,17 +40,22 @@ power recurrence over the sparse pentagonal Euler product
 (Jacobi's four-square and Legendre's four-triangular-number theorems).
 
 The level-one check suite (:meth:`ClassicalCatalog.level_one_residuals`)
-checks E_4^3 - E_6^2 = 1728 Delta and Delta = (eta^12)^2 by exact products,
-whose operands stay below about 60 bits at order 800.  K's coefficients grow
-like 231^n, 6310 bits at order 800, so j K = 1728 is checked modulo a prime
-p first, drawn once per process from the primes in [2^60, 2^61]
-(:func:`_fingerprint_prime`), and j K is formed exactly only when that check
-fails.  A zero residual is so certified modulo p only: a nonzero coefficient
-of b bits has at most b/60 prime divisors above 2^60, among about 2^55
-primes there, so a broken identity reads zero modulo p with probability
-about b/(60 2^55) for any one of its nonzero coefficients, 2.9e-15 for one
-of K's width at order 800.  A true identity reads 0 for every p, so the
-output does not depend on the draw.
+takes its seven identities in integer form (:data:`_LEVEL_ONE_FORMS`) and
+evaluates each at one point z modulo one prime p, both drawn once per
+process (:func:`_fingerprint_prime`, :func:`_fingerprint_point`): a series
+reads sum c_n z^n over the window its exact residual compares, and a
+truncated product reads sum_i a_i z^i P_{M-i}, with P_k the prefix sums of
+the other operand's b_j z^j (Freivalds, IFIP 1977; Schwartz, J. ACM 27,
+1980).  So no series is multiplied, and each identity costs O(N) small
+integer work.  Each stored series is reduced modulo p once per process.
+Only an identity that does not read 0 is evaluated exactly, so a broken one
+reports its full magnitude.  A zero is so certified modulo p at z only.  A
+nonzero coefficient of b bits has at most b/60 prime divisors above 2^60,
+among about 2^55 primes there, and a nonzero polynomial of degree N modulo p
+has at most N roots among the p >= 2^60 points: a broken identity reads 0
+with probability at most b/(60 2^55) + N/2^60, 2.9e-15 + 6.9e-16 for a
+coefficient of K's 6310 bits at order 800.  A true identity reads 0 for
+every p and z, so the output does not depend on the draw.
 """
 
 from __future__ import annotations
@@ -57,15 +63,23 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from array import array
 from fractions import Fraction
 from functools import cache
-from itertools import takewhile
+from itertools import accumulate, takewhile
 from operator import mul
 
 import mpmath
 
 from .errors import UnknownSeries, WrongNome
-from .series import FormStack, Nome, PuiseuxSeries, VectorSeries, relative_residual
+from .series import (
+    FormStack,
+    Nome,
+    PuiseuxSeries,
+    VectorSeries,
+    as_complex,
+    relative_residual,
+)
 
 
 def _exact_ratio(m: int, n: int) -> int | Fraction:
@@ -158,22 +172,152 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+#: the random source of the fingerprint's prime and point
+_SYSTEM_RANDOM = random.SystemRandom()
+
+
 @cache
 def _fingerprint_prime() -> int:
-    """The prime of the process's fingerprint of j K = 1728
+    """The prime p of the process's fingerprints of the level-one identities
     (:meth:`ClassicalCatalog.level_one_residuals`): drawn once, uniformly
     among the primes in [2^60, 2^61], by drawing odd numbers of that range
     from the system's random source until one is prime."""
-    draw = random.SystemRandom().getrandbits
     while True:
-        n = (1 << 60) | draw(60) | 1
+        n = (1 << 60) | _SYSTEM_RANDOM.getrandbits(60) | 1
         if _is_prime(n):
             return n
 
 
-def _residues(s: PuiseuxSeries, p: int) -> PuiseuxSeries:
-    """The exact series s with every coefficient reduced modulo p."""
-    return PuiseuxSeries(s.nome, s.lead_exponent, tuple(c % p for c in s.coeffs))
+@cache
+def _fingerprint_point() -> int:
+    """The point z of the process's fingerprints: drawn once, uniformly from
+    [0, p), from the same source as the prime p."""
+    return _SYSTEM_RANDOM.randrange(_fingerprint_prime())
+
+
+def _weighted_residues(coeffs, p: int, z: int) -> tuple[array, array]:
+    """The weighted residues c_n z^n mod p of a coefficient sequence, and
+    their prefix sums P_k = sum_{n <= k} c_n z^n mod p, each reduced once:
+    P_k is the value at z of the series cut after its k-th coefficient.
+    Both are arrays of 64-bit words, since p < 2^61: 0.11 MB for the nine
+    level-one series at order 800, against 0.61 MB as lists of ints."""
+    weights, power = array("Q"), 1
+    for c in coeffs:
+        weights.append(c % p * power % p)
+        power = power * z % p
+    return weights, array("Q", [s % p for s in accumulate(weights)])
+
+
+# the level-one series by store key, and the identities in integer form.  A
+# term is (factor, operation, store keys): "at" a series, "theta" its Euler
+# operator, "times" the truncated product of two, "one" the unit series.
+_E2, _E4, _E6, _DELTA, _ETA12 = ("E", 2), ("E", 4), ("E", 6), ("eta", 24), ("eta", 12)
+
+#: per check key: the terms of the identity's integer form, the terms of
+#: each series its residual is relative to, and the divisor that turns the
+#: form into the identity as the key writes it (12 theta E2 - E2^2 + E4 is
+#: 12 times theta E2 - (E2^2 - E4)/12)
+_LEVEL_ONE_FORMS = {
+    "e4^3-e6^2=1728delta": (
+        [(1, "at", "E4^3"), (-1, "times", _E6, _E6), (-1728, "at", _DELTA)],
+        [[(1, "at", "E4^3"), (-1, "times", _E6, _E6)]],
+        1,
+    ),
+    # Delta is eta^24 from the power recurrence; its square root eta^12,
+    # from the same recurrence, squared checks it
+    "delta=eta^24": (
+        [(1, "at", _DELTA), (-1, "times", _ETA12, _ETA12)], [[(1, "at", _DELTA)]], 1),
+    "j*K=1728": ([(1, "times", "J", "K"), (-1728, "one")], [[(1, "times", "J", "K")]], 1),
+    "D12(delta)=0": (
+        [(1, "theta", _DELTA), (-1, "times", _E2, _DELTA)],
+        [[(1, "at", _DELTA)], [(1, "times", _E2, _DELTA)]],
+        1,
+    ),
+    "ramanujan_e2": (
+        [(12, "theta", _E2), (-1, "times", _E2, _E2), (1, "at", _E4)], [[(1, "at", _E4)]], 12),
+    "ramanujan_e4": (
+        [(3, "theta", _E4), (-1, "times", _E2, _E4), (1, "at", _E6)], [[(1, "at", _E6)]], 3),
+    "ramanujan_e6": (
+        [(2, "theta", _E6), (-1, "times", _E2, _E6), (1, "at", "E4^2")],
+        [[(1, "at", "E4^2")]],
+        2,
+    ),
+}
+
+
+def _windows(terms, series) -> list[tuple[int, int]]:
+    """(shift, last index) of each term of a sum, as
+    :meth:`PuiseuxSeries.__add__` aligns them: the sum starts at the lowest
+    leading exponent, each term ``shift`` places above it, and ends at the
+    lowest last exponent.  A product ends at the shorter operand's order,
+    as :meth:`PuiseuxSeries.__mul__` truncates it; the unit series ends
+    nowhere."""
+    spans = []
+    for _, op, *keys in terms:
+        operands = [series[key] for key in keys]
+        lead = sum(s.lead_exponent for s in operands)
+        spans.append((as_complex(lead).real, min((s.order for s in operands), default=None)))
+    base = min(lead for lead, _ in spans)
+    shifts = [round(lead - base) for lead, _ in spans]
+    end = min(k + order for k, (_, order) in zip(shifts, spans) if order is not None)
+    return [(k, end - k) for k in shifts]
+
+
+def _fingerprint(terms, series, residues, p: int, z: int) -> int:
+    """The sum of the terms at z modulo p, over the window its exact sum
+    compares (:func:`_windows`), from the weighted residues and prefix sums
+    of each series (:func:`_weighted_residues`), by key: O(N) work a term.
+    A truncated product reads sum_{i <= M} a_i z^i P_{M-i}(b)."""
+    total = 0
+    for (factor, op, *keys), (shift, last) in zip(terms, _windows(terms, series)):
+        if last < 0:  # the term starts beyond the sum's end
+            continue
+        if op == "one":
+            value = 1
+        elif op == "times":
+            (_, prefix), (weights, _) = residues[keys[0]], residues[keys[1]]
+            value = sum(map(mul, weights, prefix[last::-1]))
+        else:
+            weights, prefix = residues[keys[0]]
+            value = prefix[last]
+            if op == "theta":  # (lam + n) c_n z^n, for an integral lead lam
+                lam = int(series[keys[0]].lead_exponent)
+                value = lam * value + sum(map(mul, range(last + 1), weights))
+        total += factor * pow(z, shift, p) * value
+    return total % p
+
+
+def _exact_sum(terms, series, products: dict) -> PuiseuxSeries:
+    """The sum of the terms as an exact series, over the same window; each
+    product is formed once per ``products``, by its keys."""
+    total = None
+    for (factor, op, *keys), (_, last) in zip(terms, _windows(terms, series)):
+        if op == "one":
+            term = PuiseuxSeries.one(Nome.Q, last)
+        elif op == "times":
+            if tuple(keys) not in products:
+                products[tuple(keys)] = series[keys[0]] * series[keys[1]]
+            term = products[tuple(keys)]
+        else:
+            term = series[keys[0]]
+            if op == "theta":
+                lam = int(term.lead_exponent)
+                term = PuiseuxSeries(term.nome, term.lead_exponent,
+                                     tuple((lam + n) * c for n, c in enumerate(term.coeffs)))
+        term = term.scale(factor)
+        total = term if total is None else total + term
+    return total
+
+
+def _exact_residual(form, series) -> float:
+    """The relative residual of one identity from its integer form, exactly:
+    the form over its divisor, against its reference series."""
+    terms, references, divisor = form
+    products: dict = {}
+    residual = _exact_sum(terms, series, products)
+    if divisor != 1:
+        residual = residual.scale(Fraction(1, divisor))
+    return relative_residual(residual, *(_exact_sum(r, series, products) for r in references))
 
 
 _EISENSTEIN_FACTORS = {2: -24, 4: 240, 6: -504}
@@ -182,9 +326,25 @@ _EISENSTEIN_FACTORS = {2: -24, 4: 240, 6: -504}
 EXTENDED_DPS = 50
 
 #: every catalog series of the process, by catalog key, at the longest
-#: length any catalog built it (a catalog reads a prefix), and the lowest
-#: order at which Z overflowed
+#: length any catalog built it (a catalog reads a prefix), the lowest order
+#: at which Z overflowed, and the fingerprint residues of each level-one
+#: series, by ("mod p", key), beside the series they were reduced from
 _EXACT_SERIES: dict = {}
+
+
+def _stored_residues(key) -> tuple[array, array]:
+    """The weighted residues and prefix sums modulo p of the series stored
+    for ``key`` (:func:`_weighted_residues`), made once per stored object
+    and kept beside it in :data:`_EXACT_SERIES`: a catalog reads their
+    prefix, as it reads the series', and a replaced entry is reduced
+    afresh."""
+    stored = _EXACT_SERIES[key]
+    held = _EXACT_SERIES.get(("mod p", key))
+    if held is None or held[0] is not stored:
+        p, z = _fingerprint_prime(), _fingerprint_point()
+        held = (stored, *_weighted_residues(stored.coeffs, p, z))
+        _EXACT_SERIES[("mod p", key)] = held
+    return held[1:]
 
 
 class ClassicalCatalog:
@@ -520,57 +680,30 @@ class ClassicalCatalog:
         return table[low]()
 
     def level_one_residuals(self) -> dict[str, float]:
-        """Relative residuals of the level-one identity suite (nome q).
+        """Relative residuals of the level-one identity suite (nome q), with
+        no series product on a true identity.
 
-        Every identity but j K = 1728 is checked by exact or double
-        products; that one by its fingerprint modulo a prime first
-        (:meth:`_j_times_k_residual`), so on a true identity j is never
-        multiplied by K at full width."""
-        e2, e4, e6 = (self.eisenstein(k) for k in (2, 4, 6))
-        delta = self.delta()
-        res: dict[str, float] = {}
-
-        discr = self.e4_cubed() - e6**2
-        res["e4^3-e6^2=1728delta"] = relative_residual(
-            discr - delta.scale(1728), discr
-        )
-        # Delta is eta^24 from the power recurrence; its square root eta^12,
-        # from the same recurrence, squared by the series product checks it
-        res["delta=eta^24"] = relative_residual(delta - self.eta_power(12) ** 2, delta)
-        res["j*K=1728"] = self._j_times_k_residual()
-        e2_delta = e2 * delta
-        d12 = self.theta_q(delta) - e2_delta
-        res["D12(delta)=0"] = relative_residual(d12, delta, e2_delta)
-        res["ramanujan_e2"] = relative_residual(
-            self.theta_q(e2) - (e2 * e2 - e4).scale(1 / 12), e4
-        )
-        res["ramanujan_e4"] = relative_residual(
-            self.theta_q(e4) - (e2 * e4 - e6).scale(1 / 3), e6
-        )
-        e4_sq = self.e4_squared()
-        res["ramanujan_e6"] = relative_residual(
-            self.theta_q(e6) - (e2 * e6 - e4_sq).scale(1 / 2), e4_sq
-        )
-        return res
-
-    def _j_times_k_residual(self) -> float:
-        """The relative residual of j K = 1728, from a fingerprint first.
-
-        j and K are reduced modulo the process's prime p
-        (:func:`_fingerprint_prime`), each coefficient once, and multiplied
-        as series of coefficients below 2^61, which the packed kernel takes.
-        When that product reads 1728 modulo p, the residual is 0.0, as the
-        exact one of a true identity is.  Otherwise j K is formed exactly
-        and the residual is the one it gives, so a broken identity reports
-        its full magnitude (inf beyond the double range)."""
-        j, k = self.j_invariant(), self.k_hauptmodul()
-        p = _fingerprint_prime()
-        jk = _residues(j, p) * _residues(k, p)
-        target = PuiseuxSeries.polynomial(Nome.Q, [1728], jk.order)
-        if not any(c % p for c in (jk - target).coeffs):
-            return 0.0
-        jk = j * k
-        return relative_residual(jk - target, jk)
+        Each identity of :data:`_LEVEL_ONE_FORMS` is evaluated in integer
+        form at the process's point z modulo its prime p
+        (:func:`_fingerprint`), from the weighted residues of the stored
+        series (:func:`_stored_residues`), over the window its exact residual
+        compares.  One that reads 0 has residual 0.0, as the exact one of a
+        true identity has.  Otherwise its residual is computed exactly from
+        the same form (:func:`_exact_residual`), so a broken identity
+        reports its full magnitude (inf beyond the double range)."""
+        series = {
+            _E2: self.eisenstein(2), _E4: self.eisenstein(4), _E6: self.eisenstein(6),
+            _DELTA: self.delta(), _ETA12: self.eta_power(12),
+            "E4^2": self.e4_squared(), "E4^3": self.e4_cubed(),
+            "J": self.j_invariant(), "K": self.k_hauptmodul(),
+        }
+        residues = {key: _stored_residues(key) for key in series}
+        p, z = _fingerprint_prime(), _fingerprint_point()
+        return {
+            name: 0.0 if _fingerprint(form[0], series, residues, p, z) == 0
+            else _exact_residual(form, series)
+            for name, form in _LEVEL_ONE_FORMS.items()
+        }
 
     def level_two_residuals(self) -> dict[str, float]:
         """Relative residuals of the level-two generator suite (nome q2)."""

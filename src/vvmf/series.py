@@ -247,13 +247,11 @@ def _int_kernel(
     and 0.17-0.24 s by Karatsuba.  At order 400 it takes 34-44 ms by
     Karatsuba against 34-55 ms in the loop; at order 200 the loop is
     faster (5.8-8.6 ms against 7.4-9.7 ms) and serves it.  The check job
-    forms it only when its fingerprint modulo a prime below 2^61 fails
-    (:meth:`vvmf.classical.ClassicalCatalog.level_one_residuals`).  The
-    fingerprint's own j * K, of coefficients below 2^61, is packed: 5.1 ms
-    at order 800, against 37 ms in the loop and 45 ms by Karatsuba (best
-    of five).  Below about 20 terms the fixed costs of packing outweigh the
-    loop; Karatsuba pays only from about 130 terms on, and only on
-    coefficients of hundreds of bits.
+    forms it only when its fingerprint at a point modulo a prime fails
+    (:meth:`vvmf.classical.ClassicalCatalog.level_one_residuals`), which
+    multiplies no series.  Below about 20 terms the fixed costs of packing
+    outweigh the loop; Karatsuba pays only from about 130 terms on, and
+    only on coefficients of hundreds of bits.
     """
     digits_a = 1 + bits_a / (30 * n_terms)
     digits_b = 1 + bits_b / (30 * n_terms)

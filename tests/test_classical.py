@@ -16,7 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vvmf.classical
-from vvmf.classical import ClassicalCatalog, _fingerprint_prime, _is_prime
+from vvmf.classical import (
+    ClassicalCatalog,
+    _exact_sum,
+    _fingerprint,
+    _fingerprint_point,
+    _fingerprint_prime,
+    _is_prime,
+    _weighted_residues,
+)
 from vvmf.cli import JobSpec, emit, main, run
 from vvmf.series import Nome, PuiseuxSeries, relative_residual
 
@@ -309,12 +317,110 @@ def true_j_and_k() -> dict:
     return _TRUE_J_AND_K
 
 
+#: the stored level-one building blocks and how a catalog reads each
+PERTURBED = {
+    ("E", 2): lambda c: c.eisenstein(2),
+    ("E", 4): lambda c: c.eisenstein(4),
+    ("E", 6): lambda c: c.eisenstein(6),
+    ("eta", 24): lambda c: c.delta(),
+    ("eta", 12): lambda c: c.eta_power(12),
+    "J": lambda c: c.j_invariant(),
+    "K": lambda c: c.k_hauptmodul(),
+}
+
+#: the stored series each level-one identity reads
+LEVEL_ONE_READS = {
+    "e4^3-e6^2=1728delta": {"E4^3", ("E", 6), ("eta", 24)},
+    "delta=eta^24": {("eta", 24), ("eta", 12)},
+    "j*K=1728": {"J", "K"},
+    "D12(delta)=0": {("E", 2), ("eta", 24)},
+    "ramanujan_e2": {("E", 2), ("E", 4)},
+    "ramanujan_e4": {("E", 2), ("E", 4), ("E", 6)},
+    "ramanujan_e6": {("E", 2), ("E", 6), "E4^2"},
+}
+
+
+def integer_theta(s: PuiseuxSeries) -> PuiseuxSeries:
+    """q d/dq of a series with an integral lead exponent, in integers."""
+    lam = int(s.lead_exponent)
+    return PuiseuxSeries(s.nome, s.lead_exponent,
+                         tuple((lam + n) * c for n, c in enumerate(s.coeffs)))
+
+
+def integer_form_residuals(catalog: ClassicalCatalog) -> dict:
+    """The level-one residuals by exact products: each identity multiplied
+    through to integer coefficients, and its residual divided back."""
+    e2, e4, e6 = (catalog.eisenstein(k) for k in (2, 4, 6))
+    delta, eta12, e4_sq = catalog.delta(), catalog.eta_power(12), catalog.e4_squared()
+    discr = catalog.e4_cubed() - e6 * e6
+    jk = catalog.j_invariant() * catalog.k_hauptmodul()
+    e2_delta = e2 * delta
+    return {
+        "e4^3-e6^2=1728delta": relative_residual(discr - delta.scale(1728), discr),
+        "delta=eta^24": relative_residual(delta - eta12 * eta12, delta),
+        "j*K=1728": relative_residual(
+            jk - PuiseuxSeries.polynomial(Nome.Q, [1728], jk.order), jk),
+        "D12(delta)=0": relative_residual(integer_theta(delta) - e2_delta, delta, e2_delta),
+        "ramanujan_e2": relative_residual(
+            (integer_theta(e2).scale(12) - e2 * e2 + e4).scale(Fraction(1, 12)), e4),
+        "ramanujan_e4": relative_residual(
+            (integer_theta(e4).scale(3) - e2 * e4 + e6).scale(Fraction(1, 3)), e6),
+        "ramanujan_e6": relative_residual(
+            (integer_theta(e6).scale(2) - e2 * e6 + e4_sq).scale(Fraction(1, 2)), e4_sq),
+    }
+
+
+def value_at(coeffs, p: int, z: int) -> int:
+    """sum c_n z^n modulo p, by Horner's rule."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value * z + c) % p
+    return value
+
+
+#: coefficients up to K's width at order 800, zeros among them
+WIDE_COEFFS = st.lists(
+    st.one_of(st.just(0), st.integers(min_value=-(2**7000), max_value=2**7000)),
+    min_size=1, max_size=80)
+LEADS = st.sampled_from([0, 1, -1, Fraction(1, 2)])
+
+
+class TestFingerprintEvaluation:
+    @settings(max_examples=60, deadline=None)
+    @given(WIDE_COEFFS, WIDE_COEFFS, WIDE_COEFFS, LEADS, LEADS,
+           st.integers(min_value=-2, max_value=2), st.integers(min_value=-3, max_value=3),
+           st.integers(min_value=0, max_value=2**61))
+    def test_a_truncated_product_reads_the_series_product_at_z(
+        self, a, b, c, lead_a, lead_b, gap, factor, z
+    ):
+        # the O(M) evaluation sum_i a_i z^i P_{M-i}(b) of the truncated
+        # product, and of a sum with a third series whose lead exponent
+        # differs by an integer, against __mul__ and __add__ evaluated at z
+        p = _fingerprint_prime()
+        z %= p
+        series = {
+            "a": PuiseuxSeries(Nome.Q, lead_a, tuple(a)),
+            "b": PuiseuxSeries(Nome.Q, lead_b, tuple(b)),
+            "c": PuiseuxSeries(Nome.Q, lead_a + lead_b + gap, tuple(c)),
+        }
+        residues = {k: _weighted_residues(s.coeffs, p, z) for k, s in series.items()}
+        product = series["a"] * series["b"]
+        got = _fingerprint([(1, "times", "a", "b")], series, residues, p, z)
+        assert got == value_at(product.coeffs, p, z)
+        terms = [(1, "times", "a", "b"), (factor, "at", "c")]
+        total = product + series["c"].scale(factor)
+        assert _fingerprint(terms, series, residues, p, z) == value_at(total.coeffs, p, z)
+        assert _exact_sum(terms, series, {}).coeffs == total.coeffs
+
+
 class TestFingerprintPrime:
     def test_drawn_once_among_the_primes_of_61_bits(self):
         assert _fingerprint_prime() == _fingerprint_prime()
         for p in [_fingerprint_prime()] + [_fingerprint_prime.__wrapped__() for _ in range(20)]:
             assert 2**60 <= p <= 2**61 and _is_prime(p)
             assert all(pow(a, p - 1, p) == 1 for a in (2, 3, 41, 43, 47))
+        assert _fingerprint_point() == _fingerprint_point()
+        assert 0 <= _fingerprint_point() < _fingerprint_prime()
 
     def test_miller_rabin_agrees_with_trial_division(self):
         n_max = 10**5
@@ -349,9 +455,39 @@ class TestIdentitySuites:
         assert max(res.values()) < 1e-12
 
     def test_level_one_exact_at_order_800(self, catalog800):
+        # every identity in integer form: E6's and theta E6's coefficients
+        # pass 2^53 at order 800, so a residual scaled in doubles would not
+        # read 0 there
         res = catalog800.level_one_residuals()
-        for key in ("e4^3-e6^2=1728delta", "delta=eta^24", "j*K=1728"):
-            assert res[key] == 0.0, key
+        assert res == dict.fromkeys(LEVEL_ONE_READS, 0.0)
+
+    @pytest.mark.parametrize("order", [200, 400])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("key", list(PERTURBED),
+                             ids=["E2", "E4", "E6", "Delta", "eta^12", "j", "K"])
+    def test_a_perturbed_building_block_fails_its_identities(self, key, where, order):
+        # one coefficient off by 1..3 or by 2^61 - 1, either sign: every
+        # identity that reads it reports its exact integer-form residual,
+        # nonzero, and every other one reads 0
+        true = {k: read(ClassicalCatalog(order)) for k, read in PERTURBED.items()}
+        index = {"first": 0, "middle": order // 2, "last": order}[where]
+        for delta in (1, -1, 2, -2, 3, -3, 2**61 - 1, -(2**61 - 1)):
+            series = true[key]
+            coeffs = list(series.coeffs)
+            coeffs[index] += delta
+            vvmf.classical._EXACT_SERIES.update(true)
+            vvmf.classical._EXACT_SERIES[key] = PuiseuxSeries(
+                series.nome, series.lead_exponent, tuple(coeffs))
+            catalog = ClassicalCatalog(order)
+            got = catalog.level_one_residuals()
+            want = integer_form_residuals(catalog)
+            assert got == want, (key, index, delta)
+            broken = {name for name, keys in LEVEL_ONE_READS.items() if key in keys}
+            if key == ("eta", 24) and where == "last":
+                # E4^3 - E6^2 - 1728 Delta reads Delta's coefficients
+                # through order - 1 only: the window ends at E4^3's order
+                broken.discard("e4^3-e6^2=1728delta")
+            assert {name for name, r in got.items() if r > 0} == broken, (key, index, delta)
 
     def test_delta_is_checked_against_a_square(self, monkeypatch):
         # Delta and eta^12 both come from the power recurrence; a recurrence

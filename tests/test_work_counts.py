@@ -379,16 +379,35 @@ def count_products(monkeypatch) -> dict:
 
 
 def test_check_job_forms_each_product_once(monkeypatch):
-    # on a cleared store the level-one suite makes E4^2, E4^3 and j and
-    # seven residual products, the level-two suite h, Z and 17 residual
-    # products (D f and D^2 f take theirs in the stack pass); a second
-    # check job reads E4^2, E4^3, j, h and Z from the store
+    # on a cleared store the level-one suite makes E4^2, E4^3 and j, and
+    # evaluates its residual products at a point modulo a prime; the
+    # level-two suite makes h, Z and 17 residual products (D f and D^2 f
+    # take theirs in the stack pass).  A second check job reads E4^2, E4^3,
+    # j, h and Z from the store
     counts = count_products(monkeypatch)
     job = {"command": "check", "order": 20}
     vvmf.cli.run(vvmf.cli.JobSpec.from_json(job))
-    assert counts == {"int": 10, "double": 19}
+    assert counts == {"int": 3, "double": 19}
     vvmf.cli.run(vvmf.cli.JobSpec.from_json(job))
-    assert counts == {"int": 10 + 7, "double": 19 + 17}
+    assert counts == {"int": 3, "double": 19 + 17}
+
+
+def test_warm_check_job_forms_no_exact_product(monkeypatch):
+    # every level-one identity reads 0 at the process's point modulo its
+    # prime, from residues reduced once per stored series: a warm check at
+    # order 800 multiplies no exact series and reduces none
+    job = vvmf.cli.JobSpec.from_json({"command": "check", "order": 800})
+    vvmf.cli.run(job)
+    counts = count_products(monkeypatch)
+    kernels = [count_calls(monkeypatch, vvmf.series, name)
+               for name in ("_kronecker_mul", "_karatsuba_mul")]
+    reductions = []
+    reduce = vvmf.classical._weighted_residues
+    monkeypatch.setattr(vvmf.classical, "_weighted_residues",
+                        lambda *args: reductions.append(args) or reduce(*args))
+    env = vvmf.cli.run(job)
+    assert all(env.residuals[key] == 0.0 for key in vvmf.classical._LEVEL_ONE_FORMS)
+    assert counts["int"] == 0 and kernels == [[], []] and reductions == []
 
 
 def test_check_job_forms_no_full_width_product_on_a_true_identity(monkeypatch):
