@@ -736,10 +736,11 @@ class ClassicalCatalog:
         # coefficients grow exponentially (pole at the order-three elliptic
         # point), so that is the magnitude the convolution cancels from
         res["Z=(f^3-g^3)/f^3"] = relative_residual((f3 - g3) - z * f3, z, f3, g3)
-        gf3 = (g * f.invert()) ** 3
+        f_inv = f.invert()
+        gf3 = (g * f_inv) ** 3
         one = PuiseuxSeries.one(Nome.Q2, z.order)
         res["(g/f)^3=1-Z"] = relative_residual(gf3 + z - one, z, gf3)
         lhs = self.theta_q(z)
-        rhs = g2 * (f.scale(4 * (xi - 1))).invert() * z
+        rhs = g2 * f_inv.scale(1 / (4 * (xi - 1))) * z
         res["theta_q=g^2/(4(xi-1)f)theta_Z"] = relative_residual(lhs - rhs, lhs)
         return res

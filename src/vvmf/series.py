@@ -40,16 +40,15 @@ two plain ones (medians, same machine).
 
 Exact-integer series (the classical catalog's) stay exact: their products,
 and their inverses and quotients over a unit leading coefficient, are
-ints.  A product of two all-``int`` series is computed by one of three
+ints.  A product of two all-``int`` series is computed by one of two
 kernels, with identical results.  The packed kernel (:func:`_kronecker_mul`)
 packs each operand into one big integer and multiplies once, so CPython's
 Karatsuba multiplication replaces the O(N^2) interpreted loop.  Packing
 pads every coefficient to the widest product's slot, so the lopsided
-products, where one operand's coefficients grow geometrically, take a
-Karatsuba short product on the coefficient lists instead
-(:func:`_karatsuba_mul`), or, below a few hundred terms, the schoolbook
-loop (:func:`_loop_mul`).  A fixed cost estimate from the operand lengths
-and coefficient bit lengths (:func:`_int_kernel`) picks the cheapest.
+products, where one operand's coefficients grow geometrically, take the
+schoolbook loop (:func:`_loop_mul`) instead.  A fixed cost estimate from
+the operand lengths and coefficient bit lengths (:func:`_int_kernel`)
+picks the cheaper.
 These products keep CPython's Karatsuba rather than the FFT kernel: sent
 through it in a prototype, the catalog benchmark ran 10-15% faster, but
 its peak resident memory rose from 46.3 to 51.8 MB, past the benchmark's
@@ -207,61 +206,39 @@ def _slot_bytes(a: Sequence[int], b: Sequence[int]) -> int:
     return (bits + 7) // 8
 
 
-def _int_operand_sizes(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int, int]:
-    """(terms, total coefficient bits of a, of b, slot bytes) of two
-    all-int operands cut to a common length: the input of
-    :func:`_int_kernel`."""
-    return (
-        len(a),
-        sum(map(int.bit_length, a)),
-        sum(map(int.bit_length, b)),
-        _slot_bytes(a, b),
-    )
-
-
 def _int_kernel(
-    n_terms: int, bits_a: int, bits_b: int, slot_bytes: int
+    a: Sequence[int], b: Sequence[int]
 ) -> Callable[[Sequence[int], Sequence[int], int], list[int]]:
-    """Cost rule: the cheapest of the packed, Karatsuba and schoolbook
-    kernels for an int x int product of these operand sizes.
+    """Cost rule: the cheaper of the packed kernel and the schoolbook loop
+    for the product of two all-int operands cut to a common length.
 
     The estimates are in nanoseconds.  The schoolbook loop does
     n(n+1)/2 interpreted multiply-adds, each about 150 ns plus 0.5 ns per
     pair of 30-bit CPython digits of the mean operand coefficients.  The
-    Karatsuba short product does about 2.8 n^1.585 of them at its leaves,
-    and list work at every level: about n^1.585 times (1 us + 1.9 ns per
-    digit pair).  The packed product costs about 6 us, 1 us per term to
-    pack and unpack, and 7.5 ns per (digit count of one packed
-    operand)^1.585, CPython's Karatsuba exponent.  The constants are
-    least-squares fits of each kernel over random operands of 3 to 1600
-    terms with flat and linearly growing bit lengths of 2 to 6000 bits
-    (Python 3.11, 2-core x86-64 VM).  The rule picks the fastest kernel
-    for each of the 32 distinct int x int product shapes of the catalog
-    benchmark workload (orders 200 to 800).  Measured at order 800 (three
-    runs, same machine): E4 * E4 takes 2.9-3.2 ms packed against 40-47 ms
-    in the loop, eta^12 * eta^12 1.7-2.6 ms against 31-41 ms, and
-    E4^3 * eta^-24 (j) 33-46 ms packed against 50-62 ms by Karatsuba and
-    62-67 ms in the loop.  Packing loses when one operand's coefficients
-    grow geometrically, because the small operand is padded to the large
-    slot: the exact j * K takes 1.5-1.9 s packed, 0.31-0.41 s in the loop
-    and 0.17-0.24 s by Karatsuba.  At order 400 it takes 34-44 ms by
-    Karatsuba against 34-55 ms in the loop; at order 200 the loop is
-    faster (5.8-8.6 ms against 7.4-9.7 ms) and serves it.  The check job
-    forms it only when its fingerprint at a point modulo a prime fails
+    packed product costs about 6 us, 1 us per term to pack and unpack, and
+    7.5 ns per (digit count of one packed operand)^1.585, CPython's
+    Karatsuba exponent.  The constants are least-squares fits of each
+    kernel over random operands of 3 to 1600 terms with flat and linearly
+    growing bit lengths of 2 to 6000 bits (Python 3.11, 2-core x86-64 VM).
+    Measured at order 800 (three runs, same machine): E4 * E4 takes
+    2.9-3.2 ms packed against 40-47 ms in the loop, eta^12 * eta^12
+    1.7-2.6 ms against 31-41 ms, and E4^3 * eta^-24 (j) 33-46 ms against
+    62-67 ms; at order 1600 j's product takes 137-142 ms packed.  Packing
+    loses when one operand's coefficients grow geometrically, because the
+    small operand is padded to the large slot: the exact j * K takes 33 ms,
+    0.24 s and 1.2 s packed at orders 200, 400 and 800, and 38 ms and
+    0.38 s in the loop at 400 and 800.  The check job forms it only when
+    its fingerprint at a point modulo a prime fails
     (:meth:`vvmf.classical.ClassicalCatalog.level_one_residuals`), which
     multiplies no series.  Below about 20 terms the fixed costs of packing
-    outweigh the loop; Karatsuba pays only from about 130 terms on, and
-    only on coefficients of hundreds of bits.
+    outweigh the loop.
     """
-    digits_a = 1 + bits_a / (30 * n_terms)
-    digits_b = 1 + bits_b / (30 * n_terms)
-    digit_pairs = digits_a * digits_b
-    schoolbook = n_terms * (n_terms + 1) / 2 * (150 + 0.5 * digit_pairs)
-    karatsuba = n_terms**1.585 * (1000 + 1.9 * digit_pairs)
-    packed = 6000 + 1000 * n_terms + 7.5 * (8 * slot_bytes * n_terms / 30) ** 1.585
-    if packed <= min(karatsuba, schoolbook):
-        return _kronecker_mul
-    return _karatsuba_mul if karatsuba < schoolbook else _loop_mul
+    n_terms = len(a)
+    digits_a = 1 + sum(map(int.bit_length, a)) / (30 * n_terms)
+    digits_b = 1 + sum(map(int.bit_length, b)) / (30 * n_terms)
+    schoolbook = n_terms * (n_terms + 1) / 2 * (150 + 0.5 * digits_a * digits_b)
+    packed = 6000 + 1000 * n_terms + 7.5 * (8 * _slot_bytes(a, b) * n_terms / 30) ** 1.585
+    return _kronecker_mul if packed <= schoolbook else _loop_mul
 
 
 def _kronecker_mul(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
@@ -297,11 +274,6 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
     return [int.from_bytes(buf[i : i + slot], "little") - half for i in range(0, width, slot)]
 
 
-#: operand length at and below which the Karatsuba recursion multiplies by
-#: the schoolbook loop
-_KARATSUBA_BASE = 24
-
-
 def _loop_mul(a: Sequence, b: Sequence, n_out: int) -> list:
     """Coefficients 0..n_out of a * b by the schoolbook loop: each one
     0 + a_0 b_n + a_1 b_{n-1} + ..., added left to right, so that doubles,
@@ -313,52 +285,6 @@ def _loop_mul(a: Sequence, b: Sequence, n_out: int) -> list:
     return [reduce(operator.add,
                    map(operator.mul, a[max(0, n - last) : n + 1], rb[max(0, last - n) :]), 0)
             for n in range(n_out + 1)]
-
-
-def _karatsuba_full(a: list[int], b: list[int]) -> list[int]:
-    """All 2n - 1 coefficients of the product of two length-n int lists:
-    with a = a0 + x^k a1 and b likewise, a b = p0 + x^k (p1 - p0 - p2)
-    + x^{2k} p2 for p0 = a0 b0, p2 = a1 b1 and p1 = (a0 + a1)(b0 + b1)."""
-    n = len(a)
-    if n <= _KARATSUBA_BASE:
-        return _loop_mul(a, b, 2 * n - 2)
-    k = n // 2
-    p0 = _karatsuba_full(a[:k], b[:k])
-    p2 = _karatsuba_full(a[k:], b[k:])
-    # a1 is one term longer than a0 for odd n
-    mid = _karatsuba_full(list(map(operator.add, a[:k], a[k:])) + a[2 * k :],
-                          list(map(operator.add, b[:k], b[k:])) + b[2 * k :])
-    mid[:] = map(operator.sub, mid, p2)
-    mid[: 2 * k - 1] = map(operator.sub, mid, p0)
-    out = p0 + [0] + p2
-    del p0, p2
-    out[k : k + len(mid)] = map(operator.add, out[k:], mid)
-    return out
-
-
-def _karatsuba_mul(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
-    """Truncated product of two exact-integer coefficient sequences by a
-    Karatsuba short product (Mulders, AAECC 11, 2000).
-
-    Both operands are cut to n = n_out + 1 terms.  With k = ceil(n/2), the
-    low halves a_<k and b_<k are multiplied in full by Karatsuba
-    (:func:`_karatsuba_full`; Karatsuba and Ofman, 1963).  The terms
-    a_i b_j with i + j < n that remain have i >= k or j >= k, not both:
-    they are the two short products a_>=k b_<n-k and a_<n-k b_>=k of
-    n - k terms, shifted by k.  At _KARATSUBA_BASE terms and below, the
-    schoolbook loop multiplies."""
-    n = n_out + 1
-    a, b = list(a[:n]), list(b[:n])
-    if n <= _KARATSUBA_BASE:
-        return _loop_mul(a, b, n_out)
-    k = (n + 1) // 2
-    out = _karatsuba_full(a[:k], b[:k])
-    out.append(0)  # the 2k - 1 terms reach x^(n-1) only for odd n
-    del out[n:]
-    # one short product at a time, so only one is held
-    out[k:] = map(operator.add, out[k:], _karatsuba_mul(a[k:], b, n - k - 1))
-    out[k:] = map(operator.add, out[k:], _karatsuba_mul(a, b[k:], n - k - 1))
-    return out
 
 
 def _widened(x):
@@ -502,7 +428,7 @@ class PuiseuxSeries:
         a, b = self.coeffs[: n_out + 1], other.coeffs[: n_out + 1]
         types = set(map(type, a)) | set(map(type, b))
         if types == {int}:
-            out = _int_kernel(*_int_operand_sizes(a, b))(a, b, n_out)
+            out = _int_kernel(a, b)(a, b, n_out)
         elif types <= _DOUBLE_KERNEL_TYPES:
             out = _double_mul(a, b, n_out, complex in types)
         else:

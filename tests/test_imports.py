@@ -77,6 +77,69 @@ def test_every_import_is_used_and_every_export_resolves():
     assert [name for name in vvmf.__all__ if not hasattr(vvmf, name)] == []
 
 
+def defined_names(statement: ast.stmt) -> list[str]:
+    """The names a module-level statement binds: a function or class, or
+    the plain-name targets of an assignment."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    else:
+        return []
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)]
+
+
+def unread_private_names(paths: list[Path]) -> list[str]:
+    """The module-level private names (one leading underscore, not dunders)
+    of the modules at paths that no statement of those modules reads, other
+    than the one that defines them: a name read only by its own body, or
+    only by tests, counts as unread."""
+    definitions = []
+    reads = []
+    for path in paths:
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            definitions.extend((path, statement, name) for name in defined_names(statement)
+                               if name.startswith("_") and not name.startswith("__"))
+            names = {node.id for node in ast.walk(statement)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            names.update(node.attr for node in ast.walk(statement)
+                         if isinstance(node, ast.Attribute))
+            names.update(alias.name for node in ast.walk(statement)
+                         if isinstance(node, ast.ImportFrom) for alias in node.names)
+            reads.append((statement, names))
+    return [f"{path.name}:{statement.lineno} {name}" for path, statement, name in definitions
+            if not any(name in names for other, names in reads if other is not statement)]
+
+
+def test_every_private_name_is_read_in_the_package():
+    # a helper whose only callers are tests belongs in tests/oracles.py
+    assert unread_private_names(SOURCES) == []
+
+
+def test_unread_private_check_sees_dead_helpers(tmp_path):
+    first, second = tmp_path / "first.py", tmp_path / "second.py"
+    first.write_text(
+        "_BASE = 24\n"
+        "_used_elsewhere = 1\n"
+        "def _recursive(n):\n    return _recursive(n - 1) if n else _BASE\n"
+        "class _Dead:\n    pass\n"
+        "def __getattr__(name):\n    raise AttributeError(name)\n"
+        "def public():\n    return _from_second()\n"
+    )
+    second.write_text(
+        "from first import _used_elsewhere\n"
+        "def _from_second():\n    return _used_elsewhere\n"
+        "def _only_by_attribute():\n    pass\n"
+        "import first\nfirst.x = first._BASE + 0\n"
+    )
+    assert unread_private_names([first, second]) == [
+        "first.py:3 _recursive", "first.py:5 _Dead", "second.py:4 _only_by_attribute",
+    ]
+
+
 def third_party_imports() -> set[str]:
     """The top-level packages outside the standard library that the modules
     of the package import, anywhere in their bodies."""

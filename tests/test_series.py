@@ -32,8 +32,6 @@ from vvmf.series import (
     VectorSeries,
     _complex_mul,
     _int_kernel,
-    _int_operand_sizes,
-    _karatsuba_mul,
     _kronecker_mul,
     _loop_mul,
     _limb_bits,
@@ -137,7 +135,7 @@ class TestMul:
         a = series(Nome.Q, 0, [2**60 + 2 * k + 1 for k in range(order + 1)])
         b = series(Nome.Q, 0, [-(2**61) + 3 * k + 1 for k in range(order + 1)])
         kernel = _kronecker_mul if order == 40 else _loop_mul
-        assert _int_kernel(*_int_operand_sizes(a.coeffs, b.coeffs)) is kernel
+        assert _int_kernel(a.coeffs, b.coeffs) is kernel
         out = a * b
         assert all(type(c) is int for c in out.coeffs)
         assert out.coeffs == tuple(reference_product(a.coeffs, b.coeffs, order))
@@ -200,77 +198,68 @@ def geometric(base: int, sign: int, lead: int, length: int) -> list[int]:
     return [lead * (sign * base) ** n for n in range(length)]
 
 
-karatsuba_operands = st.one_of(
-    st.lists(st.integers(min_value=-(10**30), max_value=10**30), min_size=1, max_size=120),
+# lengths drawn uniformly, so that products long enough to pack are common
+int_operands = st.one_of(
+    st.integers(1, 120).flatmap(lambda n: st.lists(
+        st.integers(min_value=-(10**30), max_value=10**30), min_size=n, max_size=n)),
     st.builds(geometric, st.integers(2, 2000), st.sampled_from([-1, 1]),
               st.integers(-(10**6), 10**6), st.integers(1, 120)),
 )
 
 
-class TestKaratsubaKernel:
-    """The Karatsuba short product, called directly so the cost rule cannot
-    route around it: the schoolbook loop's coefficients for every length,
-    truncation and operand growth.  Past _KARATSUBA_BASE = 24 terms it
-    recurses, three levels deep at 120 terms."""
-
-    @pytest.mark.parametrize("n", [1, 24, 25, 26, 49, 50, 97, 120])
-    def test_split_lengths(self, n):
-        # odd lengths give a0 one term shorter than a1 and an odd low half
-        a = geometric(1728, -1, 1, n)
-        b = [(-1) ** i * (10**29 + 7 * i) for i in range(n)]
-        assert _karatsuba_mul(a, b, n - 1) == loop_product(a, b)
-        assert _karatsuba_mul(b, a, n - 1) == loop_product(b, a)
+class TestIntProduct:
+    """``PuiseuxSeries.__mul__`` on all-int series gives the reference
+    convolution's ints whichever kernel the cost rule picks: balanced
+    operands up to 10^30, and operands that grow geometrically like K's."""
 
     @settings(max_examples=200, deadline=None)
-    @given(karatsuba_operands, karatsuba_operands, st.integers(min_value=0, max_value=119))
-    def test_matches_the_loop(self, a, b, cut):
-        n_out = min(len(a), len(b), cut + 1) - 1
-        got = _karatsuba_mul(a, b, n_out)
-        assert got == loop_product(a[: n_out + 1], b[: n_out + 1])
+    @given(int_operands, int_operands, st.integers(min_value=0, max_value=119))
+    def test_every_int_product_is_exact(self, a, b, cut):
+        x = series(Nome.Q, 0, a).truncate(min(len(a) - 1, cut))
+        y = series(Nome.Q, 0, b)
+        n_out = min(x.order, y.order)
+        got = (x * y).coeffs
+        assert got == tuple(reference_product(a[: n_out + 1], b[: n_out + 1], n_out))
         assert all(type(c) is int for c in got)
 
 
 class TestKroneckerDispatch:
-    """The cost rule, a pure function of the operand sizes, on the catalog
-    products at order 800 (theta fourth powers at q2-order 1600), and on
-    j * K at orders 200 to 800."""
+    """The cost rule, a pure function of the operands' lengths and bit
+    lengths, on the catalog products at order 800 (theta fourth powers at
+    q2-order 1600), on j's product at order 1600, and on j * K at orders
+    200 to 800."""
 
     @staticmethod
-    def sizes(x, y):
+    def operands(x, y):
         n = min(x.order, y.order)
-        return _int_operand_sizes(x.coeffs[: n + 1], y.coeffs[: n + 1])
+        return x.coeffs[: n + 1], y.coeffs[: n + 1]
 
     @pytest.mark.parametrize("name", ["Delta", "E4", "theta2_4", "theta3_4", "theta4_4"])
     def test_balanced_squarings_pack(self, catalog800, name):
         s = catalog800.series(name)
-        assert _int_kernel(*self.sizes(s, s)) is _kronecker_mul
+        assert _int_kernel(*self.operands(s, s)) is _kronecker_mul
 
     def test_lopsided_products_do_not_pack(self, catalog800):
         delta = catalog800.delta()
         e4_cubed_inverse = (catalog800.eisenstein(4) ** 3).invert()
-        assert _int_kernel(*self.sizes(delta, e4_cubed_inverse)) is not _kronecker_mul
-        j, k = catalog800.j_invariant(), catalog800.k_hauptmodul()
-        assert _int_kernel(*self.sizes(j, k)) is not _kronecker_mul
+        assert _int_kernel(*self.operands(delta, e4_cubed_inverse)) is _loop_mul
 
     def test_short_products_stay_schoolbook(self):
-        assert _int_kernel(*_int_operand_sizes([1, 2, 3], [4, 5, 6])) is _loop_mul
+        assert _int_kernel([1, 2, 3], [4, 5, 6]) is _loop_mul
 
-    @pytest.mark.parametrize(
-        "order, kernel", [(200, _loop_mul), (400, _karatsuba_mul), (800, _karatsuba_mul)])
-    def test_j_times_k_crossover(self, order, kernel):
+    @pytest.mark.parametrize("order", [200, 400, 800])
+    def test_j_times_k_crossover(self, order):
         # K's coefficients grow like 231^n, to 6,300 bits at order 800;
-        # j's reach 505
+        # j's reach 505: packing pads j to K's slot, so the loop serves
         catalog = ClassicalCatalog(order)
         j, k = catalog.j_invariant(), catalog.k_hauptmodul()
-        assert _int_kernel(*self.sizes(j, k)) is kernel
+        assert _int_kernel(*self.operands(j, k)) is _loop_mul
 
-    def test_balanced_products_never_take_karatsuba(self, catalog800):
-        # small coefficients: the list work of each Karatsuba level costs
-        # more than the multiply-adds it saves
-        e4 = catalog800.eisenstein(4)
-        for n in (30, 200, 800):
-            sizes = _int_operand_sizes(e4.coeffs[: n + 1], e4.coeffs[: n + 1])
-            assert _int_kernel(*sizes) is not _karatsuba_mul
+    def test_j_product_packs_at_order_1600(self):
+        # E4^3 * eta^-24: neither operand's coefficients grow geometrically
+        catalog = ClassicalCatalog(1600)
+        e4_cubed, eta_inv24 = catalog.e4_cubed(), catalog.eta_power(-24)
+        assert _int_kernel(*self.operands(e4_cubed, eta_inv24)) is _kronecker_mul
 
 
 def exact_parts(z) -> tuple[Fraction, Fraction]:
@@ -953,7 +942,7 @@ class TestLoopOrder:
         # its slot: the cost rule keeps the loop, which must give its sums
         a = [1728**n * (-1) ** n for n in range(200)]
         b = list(ClassicalCatalog(199).eisenstein(6).coeffs)
-        assert _int_kernel(*_int_operand_sizes(a, b)) is _loop_mul
+        assert _int_kernel(a, b) is _loop_mul
         monkeypatch.setattr(vvmf.series, "_kronecker_mul", None)
         assert (series(Nome.Q, 0, a) * series(Nome.Q, 0, b)).coeffs == tuple(loop_product(a, b))
 

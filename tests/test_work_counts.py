@@ -400,7 +400,7 @@ def test_warm_check_job_forms_no_exact_product(monkeypatch):
     vvmf.cli.run(job)
     counts = count_products(monkeypatch)
     kernels = [count_calls(monkeypatch, vvmf.series, name)
-               for name in ("_kronecker_mul", "_karatsuba_mul")]
+               for name in ("_kronecker_mul", "_loop_mul")]
     reductions = []
     reduce = vvmf.classical._weighted_residues
     monkeypatch.setattr(vvmf.classical, "_weighted_residues",
@@ -413,10 +413,10 @@ def test_warm_check_job_forms_no_exact_product(monkeypatch):
 def test_check_job_forms_no_full_width_product_on_a_true_identity(monkeypatch):
     # j K = 1728 reads 1728 modulo the process's prime, so the check never
     # multiplies j by K at full width: every product at order 800 is packed
-    karatsuba = count_calls(monkeypatch, vvmf.series, "_karatsuba_mul")
+    loop = count_calls(monkeypatch, vvmf.series, "_loop_mul")
     env = vvmf.cli.run(vvmf.cli.JobSpec.from_json({"command": "check", "order": 800}))
     assert env.residuals["j*K=1728"] == 0.0
-    assert karatsuba == []
+    assert loop == []
 
 
 def test_check_job_forms_the_exact_j_times_k_once_on_a_broken_identity(monkeypatch):
