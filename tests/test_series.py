@@ -222,6 +222,20 @@ class TestIntProduct:
         assert got == tuple(reference_product(a[: n_out + 1], b[: n_out + 1], n_out))
         assert all(type(c) is int for c in got)
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 21, 50, 81, 97, 120])
+    def test_both_kernels_at_fixed_lengths(self, n):
+        # called directly so the cost rule cannot route around either one:
+        # K-like growth against balanced 10^29 coefficients, both operand
+        # orders, full and half-length outputs
+        a = geometric(1728, -1, 1, n)
+        b = [(-1) ** i * (10**29 + 7 * i) for i in range(n)]
+        for kernel in (_kronecker_mul, _loop_mul):
+            for x, y in ((a, b), (b, a)):
+                assert kernel(x, y, n - 1) == loop_product(x, y)
+                half = n // 2
+                assert kernel(x, y, half) == loop_product(x[: half + 1], y[: half + 1])
+                assert all(type(c) is int for c in kernel(x, y, n - 1))
+
 
 class TestKroneckerDispatch:
     """The cost rule, a pure function of the operands' lengths and bit
@@ -254,6 +268,13 @@ class TestKroneckerDispatch:
         catalog = ClassicalCatalog(order)
         j, k = catalog.j_invariant(), catalog.k_hauptmodul()
         assert _int_kernel(*self.operands(j, k)) is _loop_mul
+
+    def test_balanced_products_pack_past_twenty_terms(self, catalog800):
+        # the benchmark passes square at 9 terms (the warm-up), 21 and 81
+        e4 = catalog800.eisenstein(4)
+        kernels = {n: _int_kernel(*self.operands(e4.truncate(n), e4)) for n in (8, 20, 80, 800)}
+        assert kernels == {8: _loop_mul, 20: _kronecker_mul, 80: _kronecker_mul,
+                           800: _kronecker_mul}
 
     def test_j_product_packs_at_order_1600(self):
         # E4^3 * eta^-24: neither operand's coefficients grow geometrically
