@@ -327,8 +327,10 @@ EXTENDED_DPS = 50
 
 #: every catalog series of the process, by catalog key, at the longest
 #: length any catalog built it (a catalog reads a prefix), the lowest order
-#: at which Z overflowed, and the fingerprint residues of each level-one
-#: series, by ("mod p", key), beside the series they were reduced from
+#: at which Z overflowed, the fingerprint residues of each level-one series,
+#: by ("mod p", key), beside the series they were reduced from, and the
+#: level-two residuals, by ("level two", order, precision, dps), beside the
+#: stored series the suite read
 _EXACT_SERIES: dict = {}
 
 
@@ -367,8 +369,9 @@ class ClassicalCatalog:
             raise ValueError(f"unknown precision {precision!r}")
         self.order = order
         self.precision = precision
-        # per key, the process-wide series read and this catalog's prefix of
-        # it; and per series, by identity, its double stack (as_stack)
+        # per key, the process-wide series read (or built) and this
+        # catalog's prefix of it; and per series, by identity, its double
+        # stack (as_stack)
         self._prefixes: dict = {}
         self._stacks: dict = {}
         # the digits of the constants and of every build: none in double,
@@ -398,14 +401,16 @@ class ClassicalCatalog:
         longest one built for ``key`` in the process (:data:`_EXACT_SERIES`).
         When that one is shorter than this catalog's order, ``build`` runs at
         this order and replaces it if ``keep`` holds for it.  The prefix of
-        one stored series is cut once per catalog.  The exact builds need no
-        working precision."""
+        one stored series is cut once per catalog, and the catalog records
+        each series it read or built (:meth:`level_two_residuals` keeps that
+        record).  The exact builds need no working precision."""
         stored = _EXACT_SERIES.get(key)
         parts = stored if type(stored) is tuple else (stored,)
         if stored is None or parts[0].order < self._order_in(parts[0].nome):
             built = build()
             if keep(built):
                 _EXACT_SERIES[key] = built
+            self._prefixes[key] = (built, built if type(built) is tuple else (built,))
             return built
         read, cut = self._prefixes.get(key, (None, None))
         if read is not stored:
@@ -706,7 +711,22 @@ class ClassicalCatalog:
         }
 
     def level_two_residuals(self) -> dict[str, float]:
-        """Relative residuals of the level-two generator suite (nome q2)."""
+        """Relative residuals of the level-two generator suite (nome q2), in
+        a fresh dict, computed once per process for each order, precision
+        and digits.  They are kept in :data:`_EXACT_SERIES` under
+        ("level two", order, precision, dps) beside the stored objects the
+        suite read, and computed afresh when one of those has been replaced
+        (a longer build, a test's monkeypatch), as :func:`_stored_residues`
+        keeps the level-one residues."""
+        key = ("level two", self.order, self.precision, self.dps)
+        held = _EXACT_SERIES.get(key)
+        if held is None or any(_EXACT_SERIES.get(k) is not s for k, s in held[0]):
+            res = self._level_two_suite()
+            read = tuple((k, stored) for k, (stored, _) in self._prefixes.items())
+            held = _EXACT_SERIES[key] = (read, res)
+        return dict(held[1])
+
+    def _level_two_suite(self) -> dict[str, float]:
         res: dict[str, float] = {}
         f, g = self.fg_generators()
         e4_2, e6_2 = self.eisenstein_q2(4), self.eisenstein_q2(6)

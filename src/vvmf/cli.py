@@ -331,8 +331,12 @@ _NON_FINITE = "the output holds a non-finite number (Infinity or NaN)"
 
 
 def canonical_json(data: dict) -> str:
+    """Sorted keys, no whitespace.  An envelope is a fresh tree of dicts and
+    lists, so the encoder skips its cycle check, which records and drops the
+    id of every [re, im] pair."""
     try:
-        return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+        return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                          check_circular=False) + "\n"
     except ValueError as exc:
         raise ValidationError(_NON_FINITE) from exc
 

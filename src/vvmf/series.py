@@ -149,13 +149,10 @@ def cpow(base, exponent):
 
 
 def as_complex(z) -> complex:
-    """Downcast to builtin complex, for tolerance tests and for emission.
-    The builtin types are tested first: an ABC check of every emitted
-    coefficient against ``Fraction`` costs more than the conversion."""
-    if type(z) in (complex, float, int):
-        return complex(z)
-    if isinstance(z, Fraction):
-        return complex(float(z))
+    """Downcast to builtin complex, for tolerance tests, lead exponents and
+    the overflow search of :meth:`PuiseuxSeries.to_json` (whose coefficients
+    are converted by a C-level map instead).  ``complex`` reads a
+    ``Fraction`` through its ``__float__``, as ``float`` does."""
     return complex(z)
 
 
@@ -601,13 +598,19 @@ class PuiseuxSeries:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
-        """Coefficients as [re, im] doubles, converted in one pass; an exact
+        """Coefficients as [re, im] doubles, converted in one pass by a C-level
+        map for their kind: ``float`` for a series of builtin ints and floats
+        (``float(n)`` rounds an int as ``complex(n).real`` does), else
+        ``complex`` (:func:`as_complex`).  No numpy is loaded.  An exact
         coefficient beyond the double range raises OverflowError naming its
         index, which is looked for only then (K's grow like 231^n and leave
         the range near n = 130)."""
         lam = as_complex(self.lead_exponent)
         try:
-            coeffs = [[z.real, z.imag] for z in map(as_complex, self.coeffs)]
+            if set(map(type, self.coeffs)) <= {int, float}:
+                coeffs = [[x, 0.0] for x in map(float, self.coeffs)]
+            else:
+                coeffs = [[z.real, z.imag] for z in map(complex, self.coeffs)]
         except OverflowError as exc:
             n = next(n for n, c in enumerate(self.coeffs) if _overflows(c))
             raise OverflowError(

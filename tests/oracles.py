@@ -11,7 +11,10 @@ check of the emitted forms component by component, in the series
 arithmetic the array pass of the library reproduces.  And the elimination
 of one q-line step as a loop (:func:`left_solve`), the reference for the
 straight-line step the library generates, beside that loop as first
-written, with per-column lists and slices.
+written, with per-column lists and slices.  And the emitted [re, im]
+doubles of a series as one downcast per coefficient, type by type
+(:func:`emitted_coeffs`), the reference for the conversion by coefficient
+kind of :meth:`vvmf.series.PuiseuxSeries.to_json`.
 """
 
 from __future__ import annotations
@@ -82,6 +85,32 @@ def downcast_to_complex(s: PuiseuxSeries) -> PuiseuxSeries:
     return PuiseuxSeries(
         s.nome, as_complex(s.lead_exponent), tuple(as_complex(c) for c in s.coeffs)
     )
+
+
+def downcast(z) -> complex:
+    """Builtin complex of a coefficient, a Fraction through its float."""
+    if isinstance(z, Fraction):
+        return complex(float(z))
+    return complex(z)
+
+
+def emitted_coeffs(s: PuiseuxSeries) -> list:
+    """The [re, im] doubles of s's coefficients, one :func:`downcast` per
+    coefficient; a coefficient beyond the double range raises the
+    OverflowError of :meth:`PuiseuxSeries.to_json`, naming the first such
+    index."""
+    try:
+        return [[z.real, z.imag] for z in map(downcast, s.coeffs)]
+    except OverflowError:
+        for n, c in enumerate(s.coeffs):
+            try:
+                downcast(c)
+            except OverflowError:
+                raise OverflowError(
+                    f"coefficient {n} of an order-{s.order} {s.nome.value}-series"
+                    " exceeds the double range"
+                ) from None
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ fourth powers by lattice summation and the four-squares theorem, and direct
 constant-term evaluations for f, g and Z."""
 
 import cmath
+import functools
 import json
 import math
 import random
@@ -347,26 +348,38 @@ def integer_theta(s: PuiseuxSeries) -> PuiseuxSeries:
                          tuple((lam + n) * c for n, c in enumerate(s.coeffs)))
 
 
+@functools.lru_cache(maxsize=64)
+def exact_product(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
+    """a * b, formed once for operands equal as series (nome, lead exponent
+    and coefficient tuple): the perturbed-block runs read the same
+    unperturbed series, j and K at orders 200 and 400 among them, run after
+    run."""
+    return a * b
+
+
 def integer_form_residuals(catalog: ClassicalCatalog) -> dict:
     """The level-one residuals by exact products: each identity multiplied
     through to integer coefficients, and its residual divided back."""
     e2, e4, e6 = (catalog.eisenstein(k) for k in (2, 4, 6))
     delta, eta12, e4_sq = catalog.delta(), catalog.eta_power(12), catalog.e4_squared()
-    discr = catalog.e4_cubed() - e6 * e6
-    jk = catalog.j_invariant() * catalog.k_hauptmodul()
-    e2_delta = e2 * delta
+    discr = catalog.e4_cubed() - exact_product(e6, e6)
+    jk = exact_product(catalog.j_invariant(), catalog.k_hauptmodul())
+    e2_delta = exact_product(e2, delta)
     return {
         "e4^3-e6^2=1728delta": relative_residual(discr - delta.scale(1728), discr),
-        "delta=eta^24": relative_residual(delta - eta12 * eta12, delta),
+        "delta=eta^24": relative_residual(delta - exact_product(eta12, eta12), delta),
         "j*K=1728": relative_residual(
             jk - PuiseuxSeries.polynomial(Nome.Q, [1728], jk.order), jk),
         "D12(delta)=0": relative_residual(integer_theta(delta) - e2_delta, delta, e2_delta),
         "ramanujan_e2": relative_residual(
-            (integer_theta(e2).scale(12) - e2 * e2 + e4).scale(Fraction(1, 12)), e4),
+            (integer_theta(e2).scale(12) - exact_product(e2, e2) + e4).scale(Fraction(1, 12)),
+            e4),
         "ramanujan_e4": relative_residual(
-            (integer_theta(e4).scale(3) - e2 * e4 + e6).scale(Fraction(1, 3)), e6),
+            (integer_theta(e4).scale(3) - exact_product(e2, e4) + e6).scale(Fraction(1, 3)),
+            e6),
         "ramanujan_e6": relative_residual(
-            (integer_theta(e6).scale(2) - e2 * e6 + e4_sq).scale(Fraction(1, 2)), e4_sq),
+            (integer_theta(e6).scale(2) - exact_product(e2, e6) + e4_sq).scale(Fraction(1, 2)),
+            e4_sq),
     }
 
 
@@ -544,6 +557,52 @@ class TestIdentitySuites:
     def test_level_two(self, catalog60):
         res = catalog60.level_two_residuals()
         assert max(res.values()) < 1e-10
+
+    @pytest.mark.parametrize("key, index, reads", [
+        (("E2nome", 4), 10, {"f*g=-4xi*e4", "D^2(f)=(1/18)e4*f"}),
+        (("fg", "double", None), 7, {
+            "f*g=-4xi*e4", "f^3+g^3=16e6", "D(f)=(xi/12)g^2", "D^2(f)=(1/18)e4*f",
+            "Z=(f^3-g^3)/f^3", "(g/f)^3=1-Z", "theta_q=g^2/(4(xi-1)f)theta_Z"}),
+        ("K", 50, {"K=Z^2/(4(Z-1))", "h^2+1=1/K"}),
+    ], ids=["E4", "f", "K"])
+    def test_a_replaced_input_is_read_by_the_next_check_job(self, monkeypatch, key, index,
+                                                            reads):
+        # the level-two residuals live for the process beside the stored
+        # series the suite read: after one of those is replaced, the next
+        # check job gives what a suite run from scratch on the new store
+        # gives, and only the identities that read it move
+        job = JobSpec.from_json({"command": "check", "order": 20})
+        first = run(job).residuals
+        stored = vvmf.classical._EXACT_SERIES[key]
+        parts = stored if type(stored) is tuple else (stored,)
+        coeffs = list(parts[0].coeffs)
+        coeffs[index] *= 2
+        changed = (PuiseuxSeries(parts[0].nome, parts[0].lead_exponent, tuple(coeffs)),
+                   *parts[1:])
+        monkeypatch.setitem(vvmf.classical._EXACT_SERIES, key,
+                            changed if type(stored) is tuple else changed[0])
+        second = run(job).residuals
+        moved = {name for name in second if second[name] != first[name]}
+        level_one = set(vvmf.classical._LEVEL_ONE_FORMS)
+        assert moved - level_one == reads
+        monkeypatch.delitem(vvmf.classical._EXACT_SERIES, ("level two", 50, "double", None))
+        assert run(job).residuals == second
+
+    def test_each_precision_and_digits_hold_their_own_level_two_suite(self, monkeypatch):
+        double = ClassicalCatalog(8).level_two_residuals()
+        extended = ClassicalCatalog(8, "extended").level_two_residuals()
+        monkeypatch.setattr(vvmf.classical, "EXTENDED_DPS", 30)
+        fewer = ClassicalCatalog(8, "extended").level_two_residuals()
+        held = {key: value[1] for key, value in vvmf.classical._EXACT_SERIES.items()
+                if type(key) is tuple and key[0] == "level two"}
+        assert held == {("level two", 8, "double", None): double,
+                        ("level two", 8, "extended", 50): extended,
+                        ("level two", 8, "extended", 30): fewer}
+        assert double != extended != fewer
+        # each call returns a dict of its own
+        want = dict(double)
+        double["f*g=-4xi*e4"] = 1.0
+        assert ClassicalCatalog(8).level_two_residuals() == want
 
     def test_modular_derive_weights(self, catalog40):
         # Ramanujan identities through the catalog derivative

@@ -4,6 +4,7 @@ import cmath
 import contextlib
 import io
 import json
+import math
 import os
 import pickle
 import re
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vvmf
@@ -225,6 +226,14 @@ class TestRun:
             run(JobSpec.from_json({"command": "classify", "order": 5}))
 
 
+#: trees of the JSON types an envelope holds, non-finite floats included
+JSON_TREES = st.recursive(
+    st.text() | st.integers() | st.floats(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children,
+                                                                      max_size=4),
+    max_leaves=40)
+
+
 class TestEmit:
     def test_json_deterministic(self):
         env1 = run(JobSpec.from_json(sym3_job()))
@@ -261,6 +270,24 @@ class TestEmit:
                          (ResultEnvelope(job={}, residuals={"x": bad}), "json")):
             with pytest.raises(ValidationError, match="non-finite"):
                 emit(env, fmt)
+
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_TREES)
+    @example({"pairs": [[1.0, 0.0]] * 3, "x": [[-0.0, 5e-324]]})
+    @example({"a": [1, [2.5, {"b": [math.inf]}]]})
+    @example([[math.nan]])
+    def test_canonical_json_is_the_cycle_checked_encoding(self, tree):
+        # skipping the encoder's cycle check changes no byte of a tree of
+        # dicts, lists, strings and numbers, shared lists included, and a
+        # non-finite number still raises
+        data = {"tree": tree}
+        try:
+            want = json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        except ValueError:
+            with pytest.raises(ValidationError, match="non-finite"):
+                vvmf.cli.canonical_json(data)
+        else:
+            assert vvmf.cli.canonical_json(data) == want + "\n"
 
 
 class TestMain:

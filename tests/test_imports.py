@@ -199,6 +199,30 @@ def test_exponent_functors_and_classify_never_load_numpy():
     assert probe.stdout.split() == ["cyclic", "noncyclic", "cyclic", "False"]
 
 
+#: the numpy-free catalog jobs, emitted, in a fresh interpreter: every
+#: classical series but h and Z
+CATALOG_PROBE = """
+import sys
+from vvmf.cli import JobSpec, emit, run
+
+names = ["E2", "E4", "E6", "Delta", "j", "K", "theta2_4", "theta3_4", "theta4_4", "f", "g",
+         "Eta^-3", "Eta^5"]
+texts = [emit(run(JobSpec.from_json({"command": "classical", "name": name, "order": 100})))
+         for name in names]
+print(len(texts), "numpy" in sys.modules)
+"""
+
+
+def test_catalog_series_emit_without_numpy():
+    # the benchmark's catalog set-up runs one of these jobs, so loading
+    # numpy on the way (about 150 ms) would show as set-up time
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = subprocess.run([sys.executable, "-c", CATALOG_PROBE],
+                           capture_output=True, text=True, timeout=60, env=env)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split() == ["13", "False"]
+
+
 def test_eager_import_check_sees_guarded_imports(tmp_path):
     module = tmp_path / "guarded.py"
     module.write_text(

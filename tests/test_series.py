@@ -41,7 +41,7 @@ from vvmf.series import (
     to_fixed,
 )
 
-from oracles import composition_dps
+from oracles import composition_dps, emitted_coeffs
 
 
 finite = st.floats(min_value=-5, max_value=5, allow_nan=False)
@@ -1101,6 +1101,23 @@ class TestVectorSeries:
         assert v.weight == 2
 
 
+#: every coefficient kind of the library's series: exact ints past the
+#: double range, doubles with signed zeros, subnormals, inf and nan, complex
+#: numbers, Fractions, mpmath numbers and bools
+COEFF_KINDS = {
+    "int": st.integers(min_value=-(2**1100), max_value=2**1100),
+    "float": st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, math.inf, math.nan]),
+    "complex": st.complex_numbers(),
+    "Fraction": st.fractions() | st.builds(
+        Fraction, st.integers(min_value=-(2**1100), max_value=2**1100),
+        st.integers(min_value=1, max_value=2**60)),
+    "mpf": st.builds(mpmath.mpf, st.floats() | st.integers(min_value=-(2**1100),
+                                                            max_value=2**1100)),
+    "mpc": st.builds(mpmath.mpc, st.floats(), st.floats()),
+    "bool": st.booleans(),
+}
+
+
 class TestSerialization:
     def test_round_trip(self):
         s = series(Nome.Q2, 0.25 + 0.5j, [1, -2j, 3.5])
@@ -1113,6 +1130,28 @@ class TestSerialization:
         s = series(Nome.Q, 1, [1728, -(10**400), 0])
         with pytest.raises(OverflowError, match="coefficient 1 of an order-2 q-series"):
             s.to_json()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sets(st.sampled_from(sorted(COEFF_KINDS)), min_size=1).flatmap(
+        lambda kinds: st.lists(st.one_of(*(COEFF_KINDS[k] for k in sorted(kinds))),
+                               min_size=1, max_size=24)),
+        st.sampled_from([Nome.Q, Nome.Q2]))
+    @example([2**1100, 1.0], Nome.Q)
+    @example([0.0, -0.0, 5e-324, math.nan, -math.inf, 7], Nome.Q)
+    @example([True, Fraction(-1, 3), mpmath.mpf(-0.0), mpmath.mpc(1, math.nan), -0j], Nome.Q2)
+    def test_every_coefficient_kind_emits_its_downcast(self, coeffs, nome):
+        # each coefficient kind, alone or mixed, emits the [re, im] of one
+        # as_complex per coefficient, by repr (signed zeros, nan); past the
+        # double range, the same error names the same index
+        s = PuiseuxSeries(nome, 0, tuple(coeffs))
+        try:
+            want = emitted_coeffs(s)
+        except OverflowError as exc:
+            with pytest.raises(OverflowError) as got:
+                s.to_json()
+            assert str(got.value) == str(exc)
+        else:
+            assert repr(s.to_json()["coeffs"]) == repr(want)
 
 
 # ---------------------------------------------------------------------------

@@ -383,13 +383,13 @@ def test_check_job_forms_each_product_once(monkeypatch):
     # evaluates its residual products at a point modulo a prime; the
     # level-two suite makes h, Z and 17 residual products (D f and D^2 f
     # take theirs in the stack pass).  A second check job reads E4^2, E4^3,
-    # j, h and Z from the store
+    # j, h and Z and the level-two residuals from the store
     counts = count_products(monkeypatch)
     job = {"command": "check", "order": 20}
     vvmf.cli.run(vvmf.cli.JobSpec.from_json(job))
     assert counts == {"int": 3, "double": 19}
     vvmf.cli.run(vvmf.cli.JobSpec.from_json(job))
-    assert counts == {"int": 3, "double": 19 + 17}
+    assert counts == {"int": 3, "double": 19}
 
 
 def test_warm_check_job_forms_no_exact_product(monkeypatch):
