@@ -39,7 +39,7 @@ from .errors import STEPS, ValidationError, VvmfError
 from .mlde import (
     CaseReport,
     FormBasis,
-    classify,
+    _classified,
     equation_coefficients,
     generic_basis,
     modular_derivative,  # noqa: F401  (a binding site perfbench's tracer test patches)
@@ -256,11 +256,11 @@ def _dispatch(job: JobSpec) -> ResultEnvelope:
         env.series = catalog.series(job.name).to_json()
 
     elif job.command == "classify":
-        report = _classify_job(job)
+        report = _classified(job.rep, job.exponents)
         env.case = _case_json(report)
 
     elif job.command == "coeffs":
-        report = _classify_job(job)
+        report = _classified(job.rep, job.exponents)
         env.case = _case_json(report)
         co = equation_coefficients(job.exponents.eigenvalues, report.case)
         env.coefficients = co.to_json()
@@ -294,16 +294,11 @@ def _dispatch(job: JobSpec) -> ResultEnvelope:
     elif job.command == "basis":
         catalog = ClassicalCatalog(job.order)
         basis = _basis_job(job, catalog)
-        env.case = None if basis.case is None else _case_json(basis.case)
+        env.case = _case_json(basis.case)
         env.basis = [f.to_json() for f in basis.forms]
         env.residuals.update(basis.residuals)
 
     return env
-
-
-def _classify_job(job: JobSpec) -> CaseReport:
-    job.exponents.validate_against(job.rep.t_eigenvalues())
-    return classify(job.rep, job.exponents)
 
 
 def _basis_job(job: JobSpec, catalog: ClassicalCatalog) -> FormBasis:

@@ -2,16 +2,19 @@
 and symmetric-cube bases of rank four, and induction from the index-two
 subgroup.
 
-The rank-2 minimal form solves its first-order system on the q-line.  The
-Sym^3 pipeline forms the cube exactly on its fixed-point rows, rounds once
-and hands it to the cyclic basis assembler; the tensor pipeline solves its
-noncyclic rank-4 system on the q-line with the generic route's code, seeded
-so that its rows are the paper's closed Kronecker basis.
-The induction pair solves its defining first-order system on the q2-line;
-each form of the pair is stacked over its T^{-1}-slash, and like the
-other routes the induced representation is classified by
-:func:`vvmf.mlde.classify` before its basis is assembled.
-Every defining differential relation is re-checked on the emitted series.
+The rank-2 minimal form solves the rank-2 cyclic system
+(:func:`vvmf.mlde.cyclic_system` from (a,)) on the q-line, seeded by the
+generic route's rule (:func:`vvmf.mlde.cyclic_seed`).  The Sym^3 pipeline
+forms the cube exactly on its fixed-point rows, rounds once and hands it to
+the cyclic basis assembler; the tensor pipeline solves its noncyclic rank-4
+system on the q-line with the generic route's code, seeded so that its rows
+are the paper's closed Kronecker basis.  The induction pair solves its
+defining first-order system on the q2-line; each form of the pair is
+stacked over its T^{-1}-slash, and like the other routes the induced
+representation is classified by :func:`vvmf.mlde.classify` before its
+basis is assembled.  Every defining differential relation is re-checked on
+the emitted series, by :func:`vvmf.mlde.solved_forms` for every solved
+system.
 """
 
 from __future__ import annotations
@@ -37,10 +40,13 @@ from .mlde import (
     CYCLIC,
     NONCYCLIC,
     FormBasis,
+    _downcast,
     _recursive_stage,
     assemble_cyclic_basis,
     classify,
     cyclic_coeffs,
+    cyclic_seed,
+    cyclic_system,
     indicial_shifts,
     modular_derivative,
     nearest_int,
@@ -48,7 +54,7 @@ from .mlde import (
     qline_solve,
     rank2_coeff,
     require_int,
-    system_residuals,
+    solved_forms,
 )
 from .reps import (
     XI,
@@ -97,8 +103,9 @@ class Rank2MinimalForm:
     In the T-regular case ``components`` holds the q-expansion.  In the
     Jordan (nu_chi) family the first coordinate is tau times an eta power and
     has no q-expansion, so only the eta-power second coordinate is emitted.
-    ``residuals`` holds the column relations of the solved system
-    (:func:`rank2_system`) as ``rank2_mlde``; the Jordan family has none.
+    ``residuals`` holds the column relations of the solved rank-2 cyclic
+    system (:func:`vvmf.mlde.cyclic_system`) as ``rank2_mlde``; the Jordan
+    family has none.
     """
 
     k1: int
@@ -135,30 +142,23 @@ def _rank2_weight(rep: Rank2Rep, L: ExponentData) -> int:
     return k1
 
 
-def rank2_system(a, catalog: ClassicalCatalog) -> list:
-    """D X = X M for X = (F, DF): D(DF) = -a E_4 F, the rank-2 weight-zero
-    equation with a = f_1 f_2 (format of :func:`vvmf.mlde.cyclic_system`)."""
-    return [
-        ({(1, 0): 1}, PuiseuxSeries.one(Nome.Q, catalog.order)),
-        ({(0, 1): -a}, catalog.eisenstein(4)),
-    ]
-
-
 def _rank2_stage(L: ExponentData, k1: int, order: int, catalog: ClassicalCatalog):
     """The components of the minimal form F and of DF, solved on the q-line
-    at both exponents in one call (:func:`rank2_system`,
-    :func:`qline_solve`), from seeds at the working precision of the
-    enclosing :func:`qline_precision` block, the equation's a and the solved
-    system.  The rows stay in fixed point, for the caller's exact products.
+    at both exponents in one call (:func:`qline_solve`), with the equation's
+    a and the solved system, the rank-2 :func:`vvmf.mlde.cyclic_system`.
+    The exponents, seeds and system are made in a :func:`qline_precision`
+    block of their own.  The rows stay in fixed point, for the caller's
+    exact products.
 
-    F_j leads with 1728^{f_j}, the leading coefficient of the closed form
-    eta^{2 k1} K^{f_j} 2F1(...)(K)."""
-    fs = _rank2_shifts(L)
-    a = rank2_coeff(*fs)
-    system = rank2_system(a, catalog)
-    seeds = [[mpmath.mpf(1728) ** f * x for x in (1, f)] for f in fs]
-    rows = qline_solve((k1, k1 + 2), system,
-                       [f + Fraction(k1, 12) for f in fs], seeds, order, catalog)
+    F_j leads with 1728^{f_j} (:func:`vvmf.mlde.cyclic_seed` at rank two),
+    the leading coefficient of the closed form eta^{2 k1} K^{f_j}
+    2F1(...)(K)."""
+    with qline_precision():
+        fs = _rank2_shifts(L)
+        a = rank2_coeff(*fs)
+        system = cyclic_system((a,), catalog, Nome.Q)
+        rows = qline_solve((k1, k1 + 2), system, [f + Fraction(k1, 12) for f in fs],
+                           [cyclic_seed(f, 2) for f in fs], order, catalog)
     F, DF = zip(*rows)
     return F, DF, a, system
 
@@ -186,17 +186,9 @@ def rank2_minimal(
             residuals={},
             eta_component=catalog.eta_power(2 * k1 + 2),
         )
-    with qline_precision():
-        F, DF, _, system = _rank2_stage(L, k1, order, catalog)
-    forms = (_downcast(F, k1), _downcast(DF, k1 + 2))
-    X = FormStack.of(forms)
-    res = system_residuals(X, modular_derivative(X, catalog), system, catalog)
+    F, DF, _, system = _rank2_stage(L, k1, order, catalog)
+    forms, _, _, res = solved_forms(tuple(zip(F, DF)), (k1, k1 + 2), system, catalog)
     return Rank2MinimalForm(k1, HYPERGEOMETRIC, forms[0], {"rank2_mlde": max(res)})
-
-
-def _downcast(comps, weight) -> VectorSeries:
-    """The vector form of fixed-point components, each rounded to double once."""
-    return VectorSeries(tuple(c.downcast() for c in comps), weight)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +259,7 @@ def sym3_pipeline(
         raise NotIrreducible("symmetric cubes always land in the cyclic case")
     co = cyclic_coeffs(indicial_shifts(S3L.eigenvalues, CYCLIC))
 
-    with qline_precision():
+    with qline_precision():  # the cube sums the rows' mpc leading exponents
         F = _downcast(_cube(*_rank2_stage(L, k1, order, catalog)[0]), report.k1)
     return assemble_cyclic_basis(F, co, catalog, report)
 
@@ -341,12 +333,15 @@ class InductionJob:
 def induction_minimal_pair(
     job: InductionJob, order: int, catalog: ClassicalCatalog
 ) -> tuple[VectorSeries, VectorSeries]:
-    """Minimal-weight pair (A, B) for the beta- and beta^2-twists."""
-    return _induction_stage(job, order, catalog)[0]
+    """Minimal-weight pair (A, B) for the beta- and beta^2-twists: the
+    rows of :func:`_induction_stage`, rounded once."""
+    rows, _ = _induction_stage(job, order, catalog)
+    return tuple(_downcast((row[i] for row in rows), job.k1) for i in range(2))
 
 
 def _induction_stage(job: InductionJob, order: int, catalog: ClassicalCatalog):
-    """The pair (A, B) and the system it solves.
+    """The q2-line rows of the pair (A, B), one (A_j, B_j) per exponent, in
+    fixed point, and the system they solve.
 
     Solves the defining relation :func:`induction_system`, built once in a
     :func:`qline_precision` block, on the q2-line at both exponents
@@ -371,8 +366,7 @@ def _induction_stage(job: InductionJob, order: int, catalog: ClassicalCatalog):
         system = induction_system(u, xi, catalog)
         rows = qline_solve((k1, k1), system,
                            [Fraction(k1, 6) + e for e in exponents], seeds, n2, catalog)
-    pair = (_downcast((row[0] for row in rows), k1), _downcast((row[1] for row in rows), k1))
-    return pair, system
+    return rows, system
 
 
 def induction_system(u, xi, catalog: ClassicalCatalog) -> list:
@@ -421,10 +415,9 @@ def induction_pipeline(
     exhibits, and assemble the cyclic basis.  k1/6 +- r induce
     3 Tr(Ind L) = k1 + 3, of the other parity than k1 = e mod 2, so the
     report is cyclic with the job's k1."""
-    (A, B), system = _induction_stage(job, order, catalog)
-    pair = FormStack.of((A, B))
-    d_pair = modular_derivative(pair, catalog)
-    pair_res = max(system_residuals(pair, d_pair, system, catalog))
+    rows, system = _induction_stage(job, order, catalog)
+    (A, B), pair, d_pair, res = solved_forms(rows, (job.k1, job.k1), system, catalog)
+    pair_res = max(res)
     out = []
     for j, F in ((1, A), (2, B)):
         ind_L = induced_exponents(exhibited_exponents(F))

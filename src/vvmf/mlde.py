@@ -3,8 +3,11 @@ on the q-line, the modular derivative, and free-basis assembly.
 
 Every route solves a first-order system D X = X M(q) with holomorphic
 coefficients directly on the q-line (:func:`qline_solve`), with no
-hauptmodul, in fixed-point integer arithmetic.  It then checks the emitted
-doubles against the same system: the modular derivatives of its forms
+hauptmodul, in fixed-point integer arithmetic.  The cyclic equations of
+rank two and four share one system builder (:func:`cyclic_system`) and one
+seed rule (:func:`cyclic_seed`).  Every route then checks the emitted
+doubles against the same system in one function (:func:`solved_forms`):
+it rounds the rows once, and the modular derivatives of the forms
 (:func:`modular_derivative`) and the column relations
 (:func:`system_residuals`) are taken in one array pass over a
 :class:`vvmf.series.FormStack`, with the bytes of the series arithmetic
@@ -94,12 +97,10 @@ _EULER_CORRECTION = {1: Fraction(0), 3: Fraction(1, 3), 5: Fraction(-1, 3)}
 def dimension(k: int, rep: Rank4Rep, L: ExponentData) -> int:
     """dim M_k: zero below weight 3Tr(L)-3 and in the wrong parity class,
     otherwise the Euler characteristic of the extended bundle, evaluated
-    with exact rational arithmetic."""
-    t3 = require_int(3 * L.trace, "3*Tr(L)")
-    if (t3 - rep.d) % 3 != 0:
-        raise TraceDCongruenceViolation(
-            f"3*Tr(L) = {t3} must be congruent to d = {rep.d} mod 3"
-        )
+    with exact rational arithmetic; 3 Tr(L) is k1 + 3 (cyclic) or k1 + 2
+    (noncyclic) of :func:`classify`, which validates it."""
+    report = classify(rep, L)
+    t3 = report.k1 + (3 if report.case == CYCLIC else 2)
     if (k - rep.d) % 2 == 0:
         return 0
     if k < t3 - 3:
@@ -160,12 +161,18 @@ def indicial_shifts(eigenvalues, case: str) -> tuple:
     return tuple(e + shift for e in eigenvalues)
 
 
+def _require_sum(total, want, what: str) -> None:
+    """ExponentSumMismatch unless the shifted exponents of an equation sum
+    to ``want`` within 1e-9."""
+    if abs(as_complex(total) - want) > 1e-9:
+        raise ExponentSumMismatch(f"{what} exponents must sum to {want}, got {total}")
+
+
 def cyclic_coeffs(f) -> ODECoefficients:
     """a = sigma_2 - 11/36, b = -sigma_3 + a/6 + 1/36, c = sigma_4 for
     exponents summing to 1."""
     f = tuple(f)
-    if abs(as_complex(sum(f)) - 1) > 1e-9:
-        raise ExponentSumMismatch(f"cyclic exponents must sum to 1, got {sum(f)}")
+    _require_sum(sum(f), 1, "cyclic")
     _, _, s2, s3, s4 = elementary_symmetric(f, 4)
     a = s2 - Fraction(11, 36)
     b = -s3 + a / 6 + Fraction(1, 36)
@@ -176,8 +183,7 @@ def noncyclic_coeffs(f) -> ODECoefficients:
     """a = -3 sigma_3 + sigma_2/2 - 1/24, b = 3 sigma_3 - 3 sigma_2/2 + 13/72,
     c = -sigma_4 - a/18 for exponents summing to 2/3."""
     f = tuple(f)
-    if abs(as_complex(sum(f)) - Fraction(2, 3)) > 1e-9:
-        raise ExponentSumMismatch(f"noncyclic exponents must sum to 2/3, got {sum(f)}")
+    _require_sum(sum(f), Fraction(2, 3), "noncyclic")
     _, _, s2, s3, s4 = elementary_symmetric(f, 4)
     a = -3 * s3 + s2 / 2 - Fraction(1, 24)
     b = 3 * s3 - s2 * Fraction(3, 2) + Fraction(13, 72)
@@ -197,8 +203,7 @@ def equation_coefficients(eigenvalues, case: str) -> ODECoefficients:
 def rank2_coeff(f1, f2):
     """Structure constant of the rank-2 weight-zero equation; the indicial
     polynomial is x^2 - x/6 + a with roots f1, f2 (sum 1/6)."""
-    if abs(as_complex(f1 + f2) - Fraction(1, 6)) > 1e-9:
-        raise ExponentSumMismatch(f"rank-2 exponents must sum to 1/6, got {f1 + f2}")
+    _require_sum(f1 + f2, Fraction(1, 6), "rank-2")
     return f1 * f2
 
 
@@ -227,25 +232,41 @@ def qline_precision():
     return mpmath.workdps(QLINE_DPS)
 
 
-def cyclic_system(co: ODECoefficients, catalog: ClassicalCatalog, nome: Nome) -> list:
-    """D X = X M for X = (F, DF, D^2F, D^3F): ones below the diagonal and the
-    last column (-c E_4^2, -b E_6, -a E_4, 0) of the minimal-weight equation,
-    in the nome of the forms (q, or q2 for an induced basis).
+def cyclic_system(coeffs, catalog: ClassicalCatalog, nome: Nome) -> list:
+    """D X = X M for X = (F, DF, ..., D^{r-1}F) of the cyclic equation of
+    rank r = 2 or 4, from its coefficients (a,) or (a, b, c): ones below the
+    diagonal and the last column of the equation, (-a E_4, 0) for
+    D^2F + a E_4 F = 0 and (-c E_4^2, -b E_6, -a E_4, 0) for
+    D^4F + a E_4 D^2F + b E_6 DF + c E_4^2 F = 0, in the nome of the forms
+    (q, or q2 for an induced basis).  Rank two reads only E_4.
 
     A system is a list of (sparse constant matrix {(i, j): value}, scalar
     exact-integer series) pairs whose sum of products is M."""
     if nome is Nome.Q:
-        one = PuiseuxSeries.one(nome, catalog.order)
-        e4, e6 = catalog.eisenstein(4), catalog.eisenstein(6)
+        order, eisenstein = catalog.order, catalog.eisenstein
     else:
-        one = PuiseuxSeries.one(nome, catalog.q2_order)
-        e4, e6 = catalog.eisenstein_q2(4), catalog.eisenstein_q2(6)
-    return [
-        ({(1, 0): 1, (2, 1): 1, (3, 2): 1}, one),
-        ({(2, 3): -co.a}, e4),
-        ({(1, 3): -co.b}, e6),
-        ({(0, 3): -co.c}, catalog.e4_squared(nome)),
+        order, eisenstein = catalog.q2_order, catalog.eisenstein_q2
+    r = len(coeffs) + 1
+    system = [
+        ({(i + 1, i): 1 for i in range(r - 1)}, PuiseuxSeries.one(nome, order)),
+        ({(r - 2, r - 1): -coeffs[0]}, eisenstein(4)),
     ]
+    if r == 4:
+        system += [({(1, 3): -coeffs[1]}, eisenstein(6)),
+                   ({(0, 3): -coeffs[2]}, catalog.e4_squared(nome))]
+    return system
+
+
+def cyclic_seed(f, rank: int) -> list:
+    """The leading row of (F, DF, ..., D^{rank-1}F) at the shifted exponent
+    f, 1728^f prod_{i<k} (f - i/6) for k < rank: F leads with 1728^f, the
+    leading coefficient of the closed K-line form, and D multiplies a
+    leading term of weight k1 + 2i by f - i/6.  In mpmath at the caller's
+    :func:`qline_precision`, where f - 0 is f exactly."""
+    seed = [mpmath.mpf(1728) ** f]
+    for i in range(rank - 1):
+        seed.append(seed[-1] * (f - mpmath.mpmathify(Fraction(i, 6))))
+    return seed
 
 
 def noncyclic_system(co: ODECoefficients, catalog: ClassicalCatalog) -> list:
@@ -564,6 +585,24 @@ def _step_source(R: int, r: int) -> str:
     return "def step(acc, mats, shift, width, p):\n" + "".join(f"    {line}\n" for line in body)
 
 
+def solved_forms(rows, weights, system, catalog: ClassicalCatalog) -> tuple:
+    """The forms of a :func:`qline_solve` and their check against its system.
+
+    Entry i of every exponent's row is rounded once into the form of weight
+    k_i (``weights``); the forms are stacked, and their modular derivatives
+    taken in one stack.  Returns the forms, both stacks (X, D X) and the
+    residual of every column of ``system`` (:func:`system_residuals`)."""
+    forms = tuple(_downcast((row[i] for row in rows), k) for i, k in enumerate(weights))
+    X = FormStack.of(forms)
+    DX = modular_derivative(X, catalog)
+    return forms, X, DX, system_residuals(X, DX, system, catalog)
+
+
+def _downcast(comps, weight) -> VectorSeries:
+    """The vector form of fixed-point components, each rounded to double once."""
+    return VectorSeries(tuple(c.downcast() for c in comps), weight)
+
+
 def system_residuals(forms: FormStack, derivatives: FormStack, system,
                      catalog: ClassicalCatalog, columns=None) -> list[float]:
     """Relative residual of each column j of D X = X M on emitted forms (the
@@ -643,7 +682,7 @@ class FormBasis:
     """Free basis of vector-valued forms with its diagnostics."""
 
     forms: tuple[VectorSeries, ...]
-    case: CaseReport | None
+    case: CaseReport
     residuals: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -660,12 +699,12 @@ def assemble_cyclic_basis(
     F: VectorSeries,
     co: ODECoefficients,
     catalog: ClassicalCatalog,
-    case: CaseReport | None = None,
+    case: CaseReport,
     stacks: tuple[FormStack, FormStack] | None = None,
 ) -> FormBasis:
-    """Basis F, DF, D^2F, D^3F; records the relative residual of
-    D^4 F + a E_4 D^2 F + b E_6 D F + c E_4^2 F, the last column of
-    :func:`cyclic_system` in the nome of F.
+    """Basis F, DF, D^2F, D^3F of the case ``case``; records the relative
+    residual of D^4 F + a E_4 D^2 F + b E_6 D F + c E_4^2 F, the last
+    column of the rank-4 :func:`cyclic_system` in the nome of F.
 
     The chain D F ... D^4 F stays in one :class:`FormStack` per level, and
     only DF, D^2F and D^3F become tuples.  ``stacks`` holds F and DF when
@@ -676,7 +715,7 @@ def assemble_cyclic_basis(
     chain = [X, DX or modular_derivative(X, catalog)]
     for _ in range(3):
         chain.append(modular_derivative(chain[-1], catalog))
-    system = cyclic_system(co, catalog, F.nome)
+    system = cyclic_system((co.a, co.b, co.c), catalog, F.nome)
     (res,) = system_residuals(FormStack.join(chain[:4], 0), FormStack.join(chain[1:], 0),
                               system, catalog, columns=[3])
     forms = (F, *(level.vectors()[0] for level in chain[1:4]))
@@ -705,42 +744,35 @@ def _recursive_stage(
     exponents).
 
     The rows of the solutions are the case's free basis, (F, DF, D^2F, D^3F)
-    or (F, DF, G, H), with no row recomputed.  F_j leads with 1728^{f_j}
-    (cyclic) or 1728^{f_j} / t_j (noncyclic, t_j the largest-modulus entry
-    of the leading row per unit of F), the normalization of the closed
-    K-line form.  With ``kronecker_unit`` a noncyclic F_j leads with
-    1728^{f_j} itself, the normalization of the tensor route's basis
-    A (x) B.  The system is built before the seeds, so DegenerateC comes
-    first.  Every column relation of the solved system is re-checked on the
-    emitted doubles.  Returns the equation coefficients, at working
-    precision (:func:`equation_coefficients`), and the basis.
+    or (F, DF, G, H), with no row recomputed.  A cyclic F_j leads with
+    1728^{f_j} (:func:`cyclic_seed`, the rule of the rank-2 stage too), a
+    noncyclic one with 1728^{f_j} / t_j (t_j the largest-modulus entry of
+    the leading row per unit of F), the normalization of the closed K-line
+    form.  With ``kronecker_unit`` a noncyclic F_j leads with 1728^{f_j}
+    itself, the normalization of the tensor route's basis A (x) B.  The
+    system is built before the seeds, so DegenerateC comes first.  Every
+    column relation of the solved system is re-checked on the emitted
+    doubles (:func:`solved_forms`).  Returns the equation coefficients, at
+    working precision (:func:`equation_coefficients`), and the basis.
     """
     cyclic = report.case == CYCLIC
     with qline_precision():
         lams = [mpmath.mpc(as_complex(v)) for v in L.eigenvalues]
         co = equation_coefficients(L.eigenvalues, report.case)
-        system = cyclic_system(co, catalog, Nome.Q) if cyclic else noncyclic_system(co, catalog)
-        sixths = [mpmath.mpmathify(Fraction(i, 6)) for i in range(3)]  # as f - i/6 converts
-        seeds = []
-        for f in co.f_exponents:
-            if cyclic:
-                seed = [mpmath.mpf(1728) ** f]
-                for sixth in sixths:
-                    seed.append(seed[-1] * (f - sixth))
-            else:
+        if cyclic:
+            system = cyclic_system((co.a, co.b, co.c), catalog, Nome.Q)
+            seeds = [cyclic_seed(f, 4) for f in co.f_exponents]
+        else:
+            system = noncyclic_system(co, catalog)
+            seeds = []
+            for f in co.f_exponents:
                 lead = _noncyclic_lead_row(f, co.a)
                 unit = mpmath.mpf(1728) ** f
                 if not kronecker_unit:
                     unit /= max(lead, key=abs)
-                seed = [unit * x for x in lead]
-            seeds.append(seed)
+                seeds.append([unit * x for x in lead])
         rows = qline_solve(report.weight_tuple, system, lams, seeds, order, catalog)
-    forms = tuple(
-        VectorSeries(tuple(row[i].downcast() for row in rows), k)
-        for i, k in enumerate(report.weight_tuple)
-    )
-    X = FormStack.of(forms)
-    res = system_residuals(X, modular_derivative(X, catalog), system, catalog)
+    forms, _, _, res = solved_forms(rows, report.weight_tuple, system, catalog)
     if cyclic:
         residuals = {"cyclic_chain": max(res[:3]), "cyclic_mlde": res[3]}
     else:

@@ -190,10 +190,10 @@ def induction_is_irreducible(rep: GRank2Rep) -> bool:
 # tensor / symmetric-cube irreducibility
 # ---------------------------------------------------------------------------
 
-def _pairwise_distinct(values, tol: float = TOL) -> bool:
+def _pairwise_distinct(values) -> bool:
     vals = list(values)
     return all(
-        abs(vals[i] - vals[j]) > tol
+        abs(vals[i] - vals[j]) > TOL
         for i in range(len(vals))
         for j in range(i + 1, len(vals))
     )

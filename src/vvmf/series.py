@@ -156,19 +156,20 @@ def as_complex(z) -> complex:
     return complex(z)
 
 
-def nearest_int(z, tol: float = INT_GAP_TOL) -> int | None:
-    """Nearest integer to z, or None if z is not integral within tol."""
+def nearest_int(z) -> int | None:
+    """Nearest integer to z, or None if z is not integral within
+    :data:`INT_GAP_TOL`."""
     zc = as_complex(z)
     n = round(zc.real)
-    if abs(zc - n) <= tol:
+    if abs(zc - n) <= INT_GAP_TOL:
         return int(n)
     return None
 
 
-def require_int(z, what: str, tol: float = INT_GAP_TOL) -> int:
-    n = nearest_int(z, tol)
+def require_int(z, what: str) -> int:
+    n = nearest_int(z)
     if n is None:
-        raise NonIntegralThreeTrace(f"{what} = {z!r} is not an integer within {tol}")
+        raise NonIntegralThreeTrace(f"{what} = {z!r} is not an integer within {INT_GAP_TOL}")
     return n
 
 

@@ -4,10 +4,12 @@ induction from the index-two subgroup."""
 import cmath
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import vvmf.constructions
 import vvmf.mlde
 from vvmf.classical import ClassicalCatalog
 from vvmf.constructions import (
@@ -40,6 +42,8 @@ from vvmf.mlde import (
     CYCLIC,
     NONCYCLIC_KEYS,
     CaseReport,
+    cyclic_seed,
+    cyclic_system,
     modular_derivative,
     noncyclic_coeffs,
     qline_precision,
@@ -47,7 +51,7 @@ from vvmf.mlde import (
     system_residuals,
 )
 from vvmf.reps import ExponentData, GRank2Rep, Group, Rank2Rep, tensor_exponents
-from vvmf.series import FormStack, Nome, max_modulus, relative_residual
+from vvmf.series import FormStack, Nome, PuiseuxSeries, max_modulus, relative_residual
 
 from oracles import build_fuchsian_z, rank2_kline_pair, u_from_local_exponent
 from test_acceptance import FREENESS_TOL, freeness_deviation, tensor_grid
@@ -95,16 +99,32 @@ class TestRank2Minimal:
     def test_recorded_relation_sees_the_coefficient(self, monkeypatch, catalog40):
         # rank2_mlde checks D(DF) = -a E_4 F, not only DF: checked against
         # the solved system with its a off by 1e-6, the forms fail
-        check = vvmf.constructions.system_residuals
+        check = vvmf.mlde.system_residuals
 
         def off(forms, derivatives, system, catalog):
             (unit, one), (entry, e4) = system
             return check(forms, derivatives,
                          [(unit, one), ({(0, 1): entry[0, 1] * (1 + 1e-6)}, e4)], catalog)
 
-        monkeypatch.setattr(vvmf.constructions, "system_residuals", off)
+        monkeypatch.setattr(vvmf.mlde, "system_residuals", off)
         rep, L = rank2_data((3 / 6 + 0.17) / 2, (3 / 6 - 0.17) / 2)
         assert rank2_minimal(rep, L, 25, catalog40).residuals["rank2_mlde"] > 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-4, 4), st.floats(-4, 4), st.booleans())
+    def test_rank_two_is_the_cyclic_system_and_seed_of_rank_two(self, catalog40, re, im,
+                                                                 real):
+        # the rank-2 route once had a system and a seed formula of its own,
+        # written out below; the shared builder and seed rule must give the
+        # same blocks and bitwise the same seeds, real and complex f alike
+        with qline_precision():
+            f = mpmath.mpf(re) if real else mpmath.mpc(re, im)
+            a = f * (mpmath.mpf(1) / 6 - f)
+            system = cyclic_system((a,), catalog40, Nome.Q)
+            assert [repr(S) for S, _ in system] == [repr({(1, 0): 1}), repr({(0, 1): -a})]
+            assert [e for _, e in system] == [PuiseuxSeries.one(Nome.Q, catalog40.order),
+                                              catalog40.eisenstein(4)]
+            assert repr(cyclic_seed(f, 2)) == repr([mpmath.mpf(1728) ** f * x for x in (1, f)])
 
     def test_reducible_rejected(self, catalog40):
         rep, L = rank2_data(1 / 4, 1 / 12)  # gap 1/6: x^2 - xy + y^2 = 0

@@ -83,8 +83,8 @@ def check_cyclic_chain(basis, co, catalog) -> None:
     forms = basis.forms
     assert_same_forms(forms[1:], [oracle_derivative(F, catalog) for F in forms[:3]])
     chain = list(forms) + [oracle_derivative(forms[3], catalog)]
-    want = oracle_residuals(chain[:4], chain[1:], cyclic_system(co, catalog, forms[0].nome),
-                            columns=[3])
+    system = cyclic_system((co.a, co.b, co.c), catalog, forms[0].nome)
+    want = oracle_residuals(chain[:4], chain[1:], system, columns=[3])
     assert_same_floats([basis.residuals["cyclic_mlde"]], want)
 
 
@@ -108,7 +108,8 @@ def check_member(route: str, index: int, order: int) -> None:
     elif route == "induction":
         ijob = InductionJob.make(job.reps[0], job.exponents_list[0], job.u)
         bases = induction_pipeline(ijob, job.order, catalog)
-        (A, B), system = _induction_stage(ijob, job.order, catalog)
+        rows, system = _induction_stage(ijob, job.order, catalog)
+        A, B = (VectorSeries(tuple(row[i].downcast() for row in rows), ijob.k1) for i in range(2))
         pair = [oracle_derivative(F, catalog) for F in (A, B)]
         (pair_res,) = {b.residuals["pair_relation"] for b in bases}
         assert_same_floats([pair_res], [max(oracle_residuals((A, B), pair, system))])
@@ -126,7 +127,8 @@ def check_member(route: str, index: int, order: int) -> None:
             eigenvalues = job.exponents.eigenvalues
         with qline_precision():
             co = equation_coefficients(eigenvalues, basis.case.case)
-            system = (cyclic_system(co, catalog, Nome.Q) if basis.case.case == CYCLIC
+            system = (cyclic_system((co.a, co.b, co.c), catalog, Nome.Q)
+                      if basis.case.case == CYCLIC
                       else noncyclic_system(co, catalog))
         res = check_solved_basis(basis, system, catalog)
         if basis.case.case == CYCLIC:

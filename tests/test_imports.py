@@ -1,11 +1,13 @@
 """Every name a module of the package imports is used there, and every name
 the package exports resolves.  A name imported only so that a caller can
-patch it at that binding site is marked ``# noqa`` on its line.  numpy is
+patch it at that binding site is marked ``# noqa: F401`` on its line, and
+only such names are.  numpy is
 imported inside the functions that call it, never when a module is
 imported, and the runtime dependencies are exactly the third-party packages
 the library imports."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -23,9 +25,27 @@ SOURCES = sorted((ROOT / "src" / "vvmf").glob("*.py"))
 ON_DEMAND = ("numpy",)
 
 
+#: the bindings perfbench's tracer test reads in each module, used there or
+#: not, and the module that defines each
+TRACED_BINDINGS = {
+    "mlde": {"compose_frobenius": "series", "modular_derivative": "mlde"},
+    "constructions": {"compose_frobenius": "series", "modular_derivative": "mlde"},
+    "cli": {"modular_derivative": "mlde"},
+}
+
+
+def marked_imports(path: Path) -> set[str]:
+    """The names path imports on lines marked ``# noqa: F401``."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    return {alias.asname or alias.name for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+            if "# noqa: F401" in lines[alias.lineno - 1]}
+
+
 def unused_imports(path: Path) -> list[str]:
-    """The names path imports and never reads, outside ``# noqa`` lines; a
-    name listed in the module's ``__all__`` counts as read."""
+    """The names path imports and never reads, outside ``# noqa: F401``
+    lines; a name listed in the module's ``__all__`` counts as read."""
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
     tree = ast.parse(text)
@@ -35,7 +55,7 @@ def unused_imports(path: Path) -> list[str]:
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                if "# noqa" not in lines[alias.lineno - 1]:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
                     name = alias.asname or alias.name.split(".")[0]
                     imported[name] = alias.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -75,6 +95,31 @@ def test_every_import_is_used_and_every_export_resolves():
     assert len(SOURCES) > 1
     assert [hit for path in SOURCES for hit in unused_imports(path)] == []
     assert [name for name in vvmf.__all__ if not hasattr(vvmf, name)] == []
+
+
+def test_marked_imports_are_the_traced_bindings():
+    # an unused import stays only as a binding site the tracer test patches,
+    # and every such site stays bound to the function its module defines
+    for path in SOURCES:
+        assert marked_imports(path) <= set(TRACED_BINDINGS.get(path.stem, {})), path.name
+    for module, names in TRACED_BINDINGS.items():
+        for name, home in names.items():
+            assert (getattr(importlib.import_module(f"vvmf.{module}"), name)
+                    is getattr(importlib.import_module(f"vvmf.{home}"), name))
+
+
+def test_unused_import_check_exempts_only_f401_marks(tmp_path):
+    module = tmp_path / "marked.py"
+    module.write_text(
+        "import os  # noqa: F401  (a binding site)\n"
+        "import sys  # noqa: E402\n"
+        "from json import dumps, loads  # noqa\n"
+        "from math import pi\n"
+        "__all__ = ['loads']\n"
+        "print(pi)\n"
+    )
+    assert unused_imports(module) == ["marked.py:2 sys", "marked.py:3 dumps"]
+    assert marked_imports(module) == {"os"}
 
 
 def defined_names(statement: ast.stmt) -> list[str]:

@@ -25,6 +25,7 @@ from vvmf.errors import (
 from vvmf.mlde import (
     CYCLIC,
     NONCYCLIC,
+    CaseReport,
     _compiled_step,
     _pack,
     _real_form,
@@ -575,7 +576,7 @@ class TestAssembly:
         co = cyclic_coeffs([0, Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)])
         zero = VectorSeries(tuple(PuiseuxSeries.polynomial(Nome.Q, [], 10) for _ in range(4)), 0)
         with pytest.raises(ZeroForm):
-            assemble_cyclic_basis(zero, co, catalog40)
+            assemble_cyclic_basis(zero, co, catalog40, CaseReport(CYCLIC, 0, (0, 2, 4, 6), 0, 0))
 
     def test_degenerate_c_rejected(self, catalog40):
         co = noncyclic_coeffs([0, Fraction(1, 6), Fraction(1, 6), Fraction(1, 3)])

@@ -1,7 +1,10 @@
-"""``tools/pool_digests.py --diff``: the comparison of two digest files that
-shows a change keeps the emitted bytes of every benchmark pool job."""
+"""``tools/pool_digests.py``: the digests of every benchmark pool job are
+the same in any two fresh interpreters, and ``--diff``, the comparison of
+two digest files, shows a change keeps the emitted bytes of every job."""
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,3 +50,22 @@ def test_a_changed_and_a_missing_job_are_named(pool_digests, tmp_path, capsys):
         "sym3:0@20: c3 != missing",
         "3 and 2 jobs, 2 differ",
     ]
+
+
+def test_two_fresh_interpreters_digest_every_job_alike(pool_digests, tmp_path, capsys):
+    # string hashing and the fingerprint's random prime and point differ
+    # between the two runs; no emitted byte may depend on them
+    runs = [subprocess.Popen([sys.executable, str(TOOL)], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True,
+                             env=dict(os.environ, PYTHONHASHSEED=str(seed)))
+            for seed in (1, 2)]
+    outputs = []
+    for seed, run in zip((1, 2), runs):
+        out, err = run.communicate(timeout=600)
+        assert run.returncode == 0, err
+        outputs.append(tmp_path / f"seed{seed}.txt")
+        outputs[-1].write_text(out)
+    assert pool_digests.main(["--diff", *map(str, outputs)]) == 0
+    jobs = len(pool_digests.jobs())
+    assert capsys.readouterr().out == f"{jobs} and {jobs} jobs, 0 differ\n"
+    assert jobs == 307
