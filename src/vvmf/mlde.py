@@ -29,13 +29,15 @@ from .classical import ClassicalCatalog
 from .errors import (
     DegenerateC,
     ExponentSumMismatch,
+    GroupMismatch,
     NonIntegralExponentGap,
     NotAnExponent,
     Resonance,
     TraceDCongruenceViolation,
+    WrongRank,
     ZeroForm,
 )
-from .reps import ExponentData, Rank4Rep
+from .reps import ExponentData, Group, Rank4Rep
 from .series import (
     FixedSeries,
     FormStack,
@@ -727,7 +729,12 @@ def assemble_cyclic_basis(
 # ---------------------------------------------------------------------------
 
 def _classified(rep: Rank4Rep, L: ExponentData) -> CaseReport:
-    """The case of a generic input, once L lands in the T-spectrum of rep."""
+    """The case of a generic input, once L holds four exponents for the
+    full group that land in the T-spectrum of rep."""
+    if L.group is not Group.GAMMA:
+        raise GroupMismatch("rank-4 exponents are for the full group")
+    if L.rank != 4:
+        raise WrongRank(f"need 4 exponent eigenvalues, got {L.rank}")
     L.validate_against(rep.t_eigenvalues())
     return classify(rep, L)
 

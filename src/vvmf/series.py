@@ -69,9 +69,12 @@ keep the schoolbook loop.
 The double check of every route runs on a :class:`FormStack`: the forms of
 one check as one complex128 array, converted once, whose modular
 derivatives (:meth:`FormStack.derive`, the library's one) and products
-(:meth:`FormStack.times`) are taken by the same kernel on array rows, and
-whose other steps repeat Python's complex arithmetic operation by
-operation in float64, so the bytes are those of the series arithmetic.
+(:meth:`FormStack.times`) are taken by the same kernel on slices of that
+array, and whose other steps repeat Python's complex arithmetic operation by
+operation in float64, so the bytes are those of the series arithmetic.  The
+kernel alone decides, from the two slices it is given, whether a product is
+summed in long double, so a series product and a stack product of the same
+coefficients agree.
 
 numpy is imported inside the numpy kernels and :class:`FormStack` (the
 double products, the stack and the FFT product :func:`_complex_mul`), so it
@@ -285,23 +288,13 @@ def _loop_mul(a: Sequence, b: Sequence, n_out: int) -> list:
             for n in range(n_out + 1)]
 
 
-def _widened(x):
-    """The long double copy of a double array (complex or real, as x is)
-    that :func:`_convolve` sums in, or None when x holds inf or nan."""
-    import numpy as np
-
-    if not np.isfinite(x).all():
-        return None
-    return x.astype(np.clongdouble if x.dtype.kind == "c" else np.longdouble)
-
-
-def _convolve(x: tuple, y: tuple, n_out: int):
+def _convolve(x, y, n_out: int):
     """The double kernel: the first n_out + 1 coefficients of x * y as one
     ``numpy.convolve``, rounded to x's double type.
 
-    x and y are (double array, its :func:`_widened` copy) pairs of one
-    dtype, cut to n_out + 1 terms; the order of the two is the order of the
-    sums.  Two finite operands are convolved in numpy's long double.  numpy
+    x and y are double arrays of one dtype, cut to n_out + 1 terms; the
+    order of the two is the order of the sums.  Two finite operands are
+    convolved as long double copies (complex or real, as they are).  numpy
     sums a long double convolution in a fixed order by its own loop, never
     through BLAS, whose dot kernel is picked per CPU; on x86-64 its 64-bit
     mantissa holds every product and partial sum to 2^-64, so a double
@@ -311,10 +304,10 @@ def _convolve(x: tuple, y: tuple, n_out: int):
     took 3.9 s that way.  The caller scopes floating-point warnings."""
     import numpy as np
 
-    (xd, xw), (yd, yw) = x, y
-    if xw is None or yw is None:
-        return np.convolve(xd, yd)[: n_out + 1]
-    return np.convolve(xw, yw)[: n_out + 1].astype(xd.dtype)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        return np.convolve(x, y)[: n_out + 1]
+    wide = np.clongdouble if x.dtype.kind == "c" else np.longdouble
+    return np.convolve(x.astype(wide), y.astype(wide))[: n_out + 1].astype(x.dtype)
 
 
 def _double_mul(a: Sequence, b: Sequence, n_out: int, is_complex: bool) -> list:
@@ -330,7 +323,7 @@ def _double_mul(a: Sequence, b: Sequence, n_out: int, is_complex: bool) -> list:
     narrow = np.complex128 if is_complex else np.float64
     with np.errstate(all="ignore"):
         x, y = np.array(a, dtype=narrow), np.array(b, dtype=narrow)
-        return _convolve((x, _widened(x)), (y, _widened(y)), n_out).tolist()
+        return _convolve(x, y, n_out).tolist()
 
 
 @dataclass(frozen=True)
@@ -396,8 +389,8 @@ class PuiseuxSeries:
             return NotImplemented
         self._require_same_nome(other)
         gap = as_complex(other.lead_exponent) - as_complex(self.lead_exponent)
-        k = round(gap.real)
-        if abs(gap - k) > INT_GAP_TOL:
+        k = nearest_int(gap)
+        if k is None:
             raise NonIntegralExponentGap(
                 f"leading exponents differ by {gap}, not an integer"
             )
@@ -938,8 +931,8 @@ def compose_frobenius(f: PuiseuxSeries, x_of_q: PuiseuxSeries) -> PuiseuxSeries:
     if abs(c0) <= LEAD_TOL:
         raise ZeroLeadingCoefficient("substituted series has vanishing leading coefficient")
     mu = as_complex(x_of_q.lead_exponent)
-    m = round(mu.real)
-    if m < 1 or abs(mu - m) > INT_GAP_TOL:
+    m = nearest_int(mu)
+    if m is None or m < 1:
         raise NonIntegralExponentGap(
             f"substituted series needs a positive integer leading exponent, got {mu}"
         )
@@ -999,12 +992,10 @@ class FormStack:
     data of every route's double-precision check: its modular derivatives
     (:meth:`derive`) and column relations (:func:`vvmf.mlde.system_residuals`).
 
-    ``z[f, c, n]`` is coefficient n of component c of form f in complex128,
-    ``wide`` the same in long double, and ``finite[f, c]`` the index of that
-    component's first non-finite coefficient (its length if none), which
-    decides whether a product of a prefix is summed in long double
-    (:func:`_convolve`).  Each component has one leading exponent, shared
-    by every form (``leads``, the objects the forms carry); each form has a
+    ``z[f, c, n]`` is coefficient n of component c of form f in complex128;
+    its products are slices of it, which the double kernel (:func:`_convolve`)
+    widens itself.  Each component has one leading exponent, shared by every
+    form (``leads``, the objects the forms carry); each form has a
     weight.  Forms are converted once (:meth:`of`), derived and multiplied
     as arrays, and only emitted ones go back to tuples (:meth:`vectors`).
 
@@ -1017,15 +1008,8 @@ class FormStack:
     nans of the Python arithmetic too.
     """
 
-    def __init__(self, z, leads, weights, nome: Nome, wide=None, finite=None):
-        import numpy as np
-
+    def __init__(self, z, leads, weights, nome: Nome):
         self.z, self.leads, self.weights, self.nome = z, tuple(leads), tuple(weights), nome
-        if wide is None:
-            wide = z.astype(np.clongdouble)
-            bad = ~np.isfinite(z)
-            finite = np.where(bad.any(-1), bad.argmax(-1), z.shape[-1])
-        self.wide, self.finite = wide, finite
 
     @staticmethod
     def of(forms: Sequence[VectorSeries]) -> "FormStack":
@@ -1046,23 +1030,21 @@ class FormStack:
     def join(stacks: Sequence["FormStack"], axis: int) -> "FormStack":
         """The forms of ``stacks`` one after another (axis 0; they share
         their leading exponents), or the components of one form side by side
-        (axis 1; they share their weights), arrays and all."""
+        (axis 1; they share their weights)."""
         import numpy as np
 
         first = stacks[0]
-        z, wide, finite = (np.concatenate([getattr(s, k) for s in stacks], axis)
-                           for k in ("z", "wide", "finite"))
+        z = np.concatenate([s.z for s in stacks], axis)
         if axis:
             leads, weights = sum((s.leads for s in stacks), ()), first.weights
         else:
             leads, weights = first.leads, sum((s.weights for s in stacks), ())
-        return FormStack(z, leads, weights, first.nome, wide, finite)
+        return FormStack(z, leads, weights, first.nome)
 
     def form(self, f: int) -> "FormStack":
         """The stack of form f alone."""
         cut = slice(f, f + 1)
-        return FormStack(self.z[cut], self.leads, self.weights[cut], self.nome,
-                         self.wide[cut], self.finite[cut])
+        return FormStack(self.z[cut], self.leads, self.weights[cut], self.nome)
 
     def vectors(self) -> tuple[VectorSeries, ...]:
         """The forms as tuples of Python complexes, for emission."""
@@ -1071,12 +1053,6 @@ class FormStack:
                                for lam, row in zip(self.leads, rows)), w)
             for rows, w in zip(self.z.tolist(), self.weights))
 
-    def row(self, f: int, c: int, terms: int) -> tuple:
-        """Component c of form f cut to ``terms`` coefficients, as the
-        operand pair of :func:`_convolve`."""
-        wide = self.wide[f, c, :terms] if self.finite[f, c] >= terms else None
-        return self.z[f, c, :terms], wide
-
     def times(self, f: int, e: "FormStack"):
         """X_f e for the series e held as a stack of one component: each
         component of form f times e over their common length, the component
@@ -1084,9 +1060,8 @@ class FormStack:
         import numpy as np
 
         terms = min(self.z.shape[-1], e.z.shape[-1])
-        y = e.row(0, 0, terms)
-        return np.array([_convolve(self.row(f, c, terms), y, terms - 1)
-                         for c in range(self.z.shape[1])])
+        return np.array([_convolve(x, e.z[0, 0, :terms], terms - 1)
+                         for x in self.z[f, :, :terms]])
 
     def derive(self, e2: "FormStack") -> "FormStack":
         """D = theta_q - (k/12) E_2 of every form at its weight k, raising the
@@ -1110,13 +1085,13 @@ class FormStack:
                 t = np.array([as_complex(lam + n) for n in range(size)])
                 t_re[c], t_im[c] = t.real, t.imag
         zr, zi = self.z.real, self.z.imag
-        e = e2.row(0, 0, terms)
+        e = e2.z[0, 0, :terms]
         with np.errstate(all="ignore"):
             re, im = t_re * zr - t_im * zi, t_re * zi + t_im * zr
             if self.nome is Nome.Q2:
                 re, im = 0.5 * re - 0.0 * im, 0.5 * im + 0.0 * re
-            prod = np.array([[_convolve(e, self.row(f, c, terms), terms - 1) for c in range(r)]
-                             for f in range(m)])
+            prod = np.array([[_convolve(e, x, terms - 1) for x in X]
+                             for X in self.z[..., :terms]])
             # the double nearest k/12, as float(Fraction(k) / 12) rounds it
             w = np.array([p / (12 * q) for p, q in map(Fraction.as_integer_ratio, self.weights)])
             w = w[:, None, None]

@@ -392,6 +392,32 @@ class TestMain:
             "error: [step (a) determinant/parity extraction] need 2 exponent eigenvalues, got 3\n"
         )
 
+    # rho(T^2) exponents, or three or five rho(T) exponents of a rank-4 rep
+    # whose T-spectrum holds each of them: each is refused before the case
+    # is classified, as the rank-2 and induction routes refuse theirs
+    WRONG_EXPONENTS = {
+        "group": (GENERIC_EIGS, GENERIC_EIGS, "G",
+                  "rank-4 exponents are for the full group"),
+        "three": ([0, 1 / 3, 0.45, 1.55], [0, 1 / 3, 1], "Gamma",
+                  "need 4 exponent eigenvalues, got 3"),
+        "five": ([0, 1 / 3, 0.45, 1.55], [0, 1 / 3, 0.45, 1.55, 1], "Gamma",
+                 "need 4 exponent eigenvalues, got 5"),
+    }
+
+    @pytest.mark.parametrize("wrong", list(WRONG_EXPONENTS))
+    @pytest.mark.parametrize("command", ["classify", "coeffs", "minimal", "basis"])
+    def test_generic_exponents_need_rank_four_and_the_full_group(self, tmp_path, capsys,
+                                                                  command, wrong):
+        rep_eigs, eigs, group, message = self.WRONG_EXPONENTS[wrong]
+        job = {"command": command, "rep": rank4_json(rep_eigs, 1, 0),
+               "exponents": exponents_json(eigs, group), "order": 10}
+        spec = tmp_path / "job.json"
+        spec.write_text(json.dumps(job))
+        assert main([command, "--spec", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [step (a) determinant/parity extraction] {message}\n"
+
     def test_rep_error_reads_the_same_wherever_raised(self, tmp_path, monkeypatch, capsys):
         bad = {"kind": "rank2", "x": [1, 0], "y": [0.6, 0.8]}  # xy is no sixth root of 1
         r1, r2 = TestGlobalPrecision.RANK2_PAIR

@@ -8,6 +8,7 @@ zeros, infs and nans count too."""
 import cmath
 import importlib.util
 import math
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -175,19 +176,25 @@ constants = st.one_of(
 def stacks(draw):
     """Forms of one nome and leading exponents with random coefficients,
     in half of the cases with one real or imaginary part inf or nan, and a
-    catalog long enough for their products."""
+    catalog of any order up to the forms' length.  When the forms outrun the
+    catalog's series, their products stop at the series' length and the inf
+    or nan lies past it: each product's finite prefix alone decides that it
+    is summed in long double."""
     nome = draw(st.sampled_from([Nome.Q, Nome.Q2]))
-    m, r, size = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 7))
+    m, r, size = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 9))
+    catalog = ClassicalCatalog(draw(st.integers(1, size)))
+    terms = min(size, len(catalog.e2_for(nome).coeffs))
     lams = [draw(leads) for _ in range(r)]
     parts = [[[[draw(finite), draw(finite)] for _ in range(size)] for _ in range(r)]
              for _ in range(m)]
     if draw(st.booleans()):
-        f, c, n, p = (draw(st.integers(0, k - 1)) for k in (m, r, size, 2))
+        f, c, p = (draw(st.integers(0, k - 1)) for k in (m, r, 2))
+        n = draw(st.integers(terms if terms < size else 0, size - 1))
         parts[f][c][n][p] = draw(non_finite)
     forms = [VectorSeries(tuple(PuiseuxSeries(nome, lam, tuple(complex(*z) for z in comp))
                                 for lam, comp in zip(lams, form)), draw(st.integers(-6, 12)))
              for form in parts]
-    return forms, ClassicalCatalog(size)
+    return forms, catalog
 
 
 def system_series(catalog: ClassicalCatalog, nome: Nome) -> list:
@@ -295,6 +302,32 @@ def test_system_residuals_of_non_finite_forms(bad, where):
     got = system_residuals(X, DX, system, catalog)
     assert got[1] == math.inf and math.isfinite(got[0])
     assert_same_floats(got, oracle_residuals(X.vectors(), dx, system))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("at", [3, 6])
+def test_only_a_product_prefix_decides_its_sum(bad, at):
+    # forms of 8 coefficients against a catalog of order 3 (series of 4):
+    # an inf or nan at 6 lies past every product, which is still summed in
+    # long double; one at 3 makes each product of its component sum in
+    # double.  The coefficients are drawn once from a fixed seed, for which
+    # the two sums of the coefficients before 3 differ in the last bits,
+    # which repr tells apart
+    catalog = ClassicalCatalog(3)
+    rng = random.Random(9)
+    rough = [complex(rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6)) for _ in range(8)]
+    spoilt = rough[:at] + [complex(bad, rough[at].imag)] + rough[at + 1:]
+    forms = [VectorSeries((PuiseuxSeries(Nome.Q, 0.25, tuple(comp)),
+                           PuiseuxSeries(Nome.Q, 0.5, tuple(x * 1j for x in rough))), k)
+             for comp, k in ((spoilt, 4), (rough[::-1], 2))]
+    X = FormStack.of(forms)
+    DX = modular_derivative(X, catalog)
+    assert_same_forms(DX.vectors(), [oracle_derivative(F, catalog) for F in forms])
+    system = [({(0, 1): cmath.exp(0.3j), (1, 0): 1.5}, catalog.eisenstein(4)),
+              ({(0, 0): -0.7j}, catalog.delta())]
+    got = system_residuals(X, DX, system, catalog)
+    assert_same_floats(got, oracle_residuals(forms, DX.vectors(), system))
+    assert all(map(math.isfinite, got)) == (at == 6)
 
 
 def test_derivative_of_a_fraction_lead_rounds_lam_plus_n_once():

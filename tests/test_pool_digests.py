@@ -68,4 +68,4 @@ def test_two_fresh_interpreters_digest_every_job_alike(pool_digests, tmp_path, c
     assert pool_digests.main(["--diff", *map(str, outputs)]) == 0
     jobs = len(pool_digests.jobs())
     assert capsys.readouterr().out == f"{jobs} and {jobs} jobs, 0 differ\n"
-    assert jobs == 307
+    assert jobs == 457

@@ -166,7 +166,7 @@ def test_identity_blocks_make_no_product(monkeypatch, route):
     basis = run_route(route)
     assert basis.case.case == "cyclic" and basis.residuals["cyclic_mlde"] < 1e-9
     assert calls and all(type(c) is int for a in products for s in a[:2] for c in s.coeffs)
-    assert not any(x[0] == 1 and not x[1:].any() for a in calls for x, _ in a[:2])
+    assert not any(x[0] == 1 and not x[1:].any() for a in calls for x in a[:2])
 
 
 @pytest.mark.parametrize("route, columns", [("sym3", 1), ("induction", 4)])

@@ -8,13 +8,19 @@ The first form runs, in one process and in a fixed order, every pool member
 of ``perfbench/inputs.py`` at each order the benchmark pools are checked at
 (302 jobs: sym3, tensor, cyclic and noncyclic at orders 20/40/80, induction
 at q2-orders 10/20/40/80, every classical name and ``check`` at
-200/400/800) and each route's ladder member at order 400 (induction at
-q2-order 400).  Each job goes through ``emit(run(JobSpec.from_json(job)))``
-of the ``src/`` of the checkout this file sits in, as ``perfbench/run.py``
-imports it.  It prints one line per job, ``<route>:<member>@<order>`` and the
-SHA-256 of the emitted text, or of ``raised <class>: <message>`` for a job
-that raises.  ``--diff`` compares two such outputs line by line and exits 1
-when any job differs or is missing from one of them.
+200/400/800), each route's ladder member at order 400 (induction at
+q2-order 400; 5 jobs), and the commands that stop short of a basis (150
+jobs): ``minimal`` at orders 20/40/80 for the rank-2 representation of each
+sym3 member, each factor of each tensor member and each cyclic and
+noncyclic member, and ``coeffs`` and ``classify`` for each cyclic and
+noncyclic member; 457 jobs in all.  Each job goes through
+``emit(run(JobSpec.from_json(job)))`` of the ``src/`` of the checkout this
+file sits in, as ``perfbench/run.py`` imports it.  It prints one line per
+job, ``<route>:<member>@<order>`` (no order for ``coeffs`` and
+``classify``, which take none) and the SHA-256 of the emitted text, or of
+``raised <class>: <message>`` for a job that raises.  ``--diff`` compares
+two such outputs line by line and exits 1 when any job differs or is
+missing from one of them.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ POOL_ORDERS = {
     "classical": (200, 400, 800), "check": (200, 400, 800),
 }
 LADDER_ORDER = 400
+#: orders of the minimal-form jobs
+MINIMAL_ORDERS = (20, 40, 80)
 
 
 def jobs() -> list:
@@ -49,6 +57,25 @@ def jobs() -> list:
            for index in range(len(pools[route]))]
     out += [inputs.make_job(route, index, LADDER_ORDER, pools)
             for route, index in inputs.LADDER.items()]
+    return out + short_jobs(pools)
+
+
+def short_jobs(pools: dict) -> list:
+    """The minimal, coeffs and classify jobs of the pool members' own
+    representations and exponents; a tensor factor is labelled
+    ``<member>.<factor>``."""
+    members = [(f"sym3:{i}", p["reps"][0], p["exponents"][0])
+               for i, p in enumerate(pools["sym3"])]
+    members += [(f"tensor:{i}.{j}", p["reps"][j], p["exponents"][j])
+                for i, p in enumerate(pools["tensor"]) for j in range(2)]
+    generic = [(f"{route}:{i}", p["rep"], p["exponents"])
+               for route in ("cyclic", "noncyclic") for i, p in enumerate(pools[route])]
+    out = [inputs.Job("minimal", order, f"minimal:{name}",
+                      {"command": "minimal", "rep": rep, "exponents": L, "order": order})
+           for order in MINIMAL_ORDERS for name, rep, L in members + generic]
+    out += [inputs.Job(command, None, f"{command}:{name}",
+                       {"command": command, "rep": rep, "exponents": L})
+            for command in ("coeffs", "classify") for name, rep, L in generic]
     return out
 
 
@@ -88,7 +115,8 @@ def main(argv=None) -> int:
 
     cli = run.import_program()
     for job in jobs():
-        print(f"{job.input_id}@{job.order} {digest(cli, job)}", flush=True)
+        at = "" if job.order is None else f"@{job.order}"
+        print(f"{job.input_id}{at} {digest(cli, job)}", flush=True)
     return 0
 
 
