@@ -52,7 +52,6 @@ from .mlde import (
     nearest_int,
     qline_precision,
     qline_solve,
-    rank2_coeff,
     require_int,
     solved_forms,
 )
@@ -155,12 +154,12 @@ def _rank2_stage(L: ExponentData, k1: int, order: int, catalog: ClassicalCatalog
     2F1(...)(K)."""
     with qline_precision():
         fs = _rank2_shifts(L)
-        a = rank2_coeff(*fs)
-        system = cyclic_system((a,), catalog, Nome.Q)
+        co = cyclic_coeffs(fs)
+        system = cyclic_system(co, catalog, Nome.Q)
         rows = qline_solve((k1, k1 + 2), system, [f + Fraction(k1, 12) for f in fs],
                            [cyclic_seed(f, 2) for f in fs], order, catalog)
     F, DF = zip(*rows)
-    return F, DF, a, system
+    return F, DF, co.a, system
 
 
 def rank2_minimal(

@@ -4,9 +4,11 @@ on the q-line, the modular derivative, and free-basis assembly.
 Every route solves a first-order system D X = X M(q) with holomorphic
 coefficients directly on the q-line (:func:`qline_solve`), with no
 hauptmodul, in fixed-point integer arithmetic.  The cyclic equations of
-rank two and four share one system builder (:func:`cyclic_system`) and one
-seed rule (:func:`cyclic_seed`).  Every route then checks the emitted
-doubles against the same system in one function (:func:`solved_forms`):
+every rank r <= 4 share one shift rule (:func:`indicial_shifts`), one
+coefficient rule (:func:`cyclic_coeffs`), one system builder
+(:func:`cyclic_system`) and one seed rule (:func:`cyclic_seed`).  Every
+route then checks the emitted doubles against the same system in one
+function (:func:`solved_forms`):
 it rounds the rows once, and the modular derivatives of the forms
 (:func:`modular_derivative`) and the column relations
 (:func:`system_residuals`) are taken in one array pass over a
@@ -152,10 +154,14 @@ def elementary_symmetric(values, degree: int) -> list:
 
 def indicial_shifts(eigenvalues, case: str) -> tuple:
     """Shift exponent eigenvalues into the weight-zero frame: the eta-rescale
-    by the minimal weight moves every exponent by -k1/12."""
+    by the minimal weight moves every exponent by -k1/12.  A cyclic
+    equation of rank r has k1 = 12 Tr(L)/r - (r - 1), so its r exponents
+    move by (r(r - 1)/12 - Tr(L))/r and sum to r(r - 1)/12; a noncyclic one
+    (rank four) moves by 1/6 - Tr(L)/4."""
     tr = sum(eigenvalues)
     if case == CYCLIC:
-        shift = (1 - tr) / 4
+        r = len(eigenvalues)
+        shift = (Fraction(r * (r - 1), 12) - tr) / r
     elif case == NONCYCLIC:
         shift = -tr / 4 + Fraction(1, 6)
     else:
@@ -171,13 +177,22 @@ def _require_sum(total, want, what: str) -> None:
 
 
 def cyclic_coeffs(f) -> ODECoefficients:
-    """a = sigma_2 - 11/36, b = -sigma_3 + a/6 + 1/36, c = sigma_4 for
-    exponents summing to 1."""
+    """The cyclic equation D^r F + a E_4 D^{r-2} F + b E_6 D^{r-3} F +
+    c E_4^2 D^{r-4} F = 0 of rank r = len(f) <= 4 whose shifted exponents
+    are f.  D^m multiplies a leading term x^f by P_m(f), P_m(x) =
+    prod_{i<m} (x - i/6), so the indicial polynomial P_r + a P_{r-2} +
+    b P_{r-3} + c P_{r-4} must be prod (x - f_j): with sigma_k the
+    elementary symmetric functions of f and t_k those of 0, 1/6, ...,
+    (r-1)/6, a = sigma_2 - t_2, b = -sigma_3 + (r-2)(r-3) a/12 + t_3 and
+    c = sigma_4, for exponents summing to t_1 = r(r-1)/12.  Rank four reads
+    a = sigma_2 - 11/36, b = -sigma_3 + a/6 + 1/36; rank two a = f_1 f_2."""
     f = tuple(f)
-    _require_sum(sum(f), 1, "cyclic")
+    r = len(f)
+    _, t1, t2, t3, _ = elementary_symmetric([Fraction(i, 6) for i in range(r)], 4)
+    _require_sum(sum(f), t1, "cyclic")
     _, _, s2, s3, s4 = elementary_symmetric(f, 4)
-    a = s2 - Fraction(11, 36)
-    b = -s3 + a / 6 + Fraction(1, 36)
+    a = s2 - t2
+    b = -s3 + (r - 2) * (r - 3) * a / 12 + t3
     return ODECoefficients(a, b, s4, CYCLIC, f)
 
 
@@ -200,13 +215,6 @@ def equation_coefficients(eigenvalues, case: str) -> ODECoefficients:
     with qline_precision():
         f = indicial_shifts([mpmath.mpc(as_complex(v)) for v in eigenvalues], case)
         return (cyclic_coeffs if case == CYCLIC else noncyclic_coeffs)(f)
-
-
-def rank2_coeff(f1, f2):
-    """Structure constant of the rank-2 weight-zero equation; the indicial
-    polynomial is x^2 - x/6 + a with roots f1, f2 (sum 1/6)."""
-    _require_sum(f1 + f2, Fraction(1, 6), "rank-2")
-    return f1 * f2
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +242,15 @@ def qline_precision():
     return mpmath.workdps(QLINE_DPS)
 
 
-def cyclic_system(coeffs, catalog: ClassicalCatalog, nome: Nome) -> list:
-    """D X = X M for X = (F, DF, ..., D^{r-1}F) of the cyclic equation of
-    rank r = 2 or 4, from its coefficients (a,) or (a, b, c): ones below the
-    diagonal and the last column of the equation, (-a E_4, 0) for
-    D^2F + a E_4 F = 0 and (-c E_4^2, -b E_6, -a E_4, 0) for
-    D^4F + a E_4 D^2F + b E_6 DF + c E_4^2 F = 0, in the nome of the forms
-    (q, or q2 for an induced basis).  Rank two reads only E_4.
+def cyclic_system(co: ODECoefficients, catalog: ClassicalCatalog, nome: Nome) -> list:
+    """D X = X M for X = (F, DF, ..., D^{r-1}F) of the cyclic equation
+    :func:`cyclic_coeffs` of rank r = len(co.f_exponents): ones below the
+    diagonal, and the equation in the last column, -a E_4, -b E_6 and
+    -c E_4^2 in rows r-2, r-3 and r-4 as far as there are rows, in the nome
+    of the forms (q, or q2 for an induced basis).  At rank two that is
+    (-a E_4, 0) for D^2F + a E_4 F = 0, and only E_4 is read; at rank four
+    (-c E_4^2, -b E_6, -a E_4, 0) for D^4F + a E_4 D^2F + b E_6 DF +
+    c E_4^2 F = 0.
 
     A system is a list of (sparse constant matrix {(i, j): value}, scalar
     exact-integer series) pairs whose sum of products is M."""
@@ -248,14 +258,11 @@ def cyclic_system(coeffs, catalog: ClassicalCatalog, nome: Nome) -> list:
         order, eisenstein = catalog.order, catalog.eisenstein
     else:
         order, eisenstein = catalog.q2_order, catalog.eisenstein_q2
-    r = len(coeffs) + 1
-    system = [
-        ({(i + 1, i): 1 for i in range(r - 1)}, PuiseuxSeries.one(nome, order)),
-        ({(r - 2, r - 1): -coeffs[0]}, eisenstein(4)),
-    ]
-    if r == 4:
-        system += [({(1, 3): -coeffs[1]}, eisenstein(6)),
-                   ({(0, 3): -coeffs[2]}, catalog.e4_squared(nome))]
+    r = len(co.f_exponents)
+    series = (lambda: eisenstein(4), lambda: eisenstein(6), lambda: catalog.e4_squared(nome))
+    system = [({(i + 1, i): 1 for i in range(r - 1)}, PuiseuxSeries.one(nome, order))]
+    for row, v, e in zip(range(r - 2, -1, -1), (co.a, co.b, co.c), series):
+        system.append(({(row, r - 1): -v}, e()))
     return system
 
 
@@ -717,7 +724,7 @@ def assemble_cyclic_basis(
     chain = [X, DX or modular_derivative(X, catalog)]
     for _ in range(3):
         chain.append(modular_derivative(chain[-1], catalog))
-    system = cyclic_system((co.a, co.b, co.c), catalog, F.nome)
+    system = cyclic_system(co, catalog, F.nome)
     (res,) = system_residuals(FormStack.join(chain[:4], 0), FormStack.join(chain[1:], 0),
                               system, catalog, columns=[3])
     forms = (F, *(level.vectors()[0] for level in chain[1:4]))
@@ -767,7 +774,7 @@ def _recursive_stage(
         lams = [mpmath.mpc(as_complex(v)) for v in L.eigenvalues]
         co = equation_coefficients(L.eigenvalues, report.case)
         if cyclic:
-            system = cyclic_system((co.a, co.b, co.c), catalog, Nome.Q)
+            system = cyclic_system(co, catalog, Nome.Q)
             seeds = [cyclic_seed(f, 4) for f in co.f_exponents]
         else:
             system = noncyclic_system(co, catalog)

@@ -28,7 +28,7 @@ import numpy as np
 
 from vvmf.constructions import _downcast, _rank2_shifts, _rank2_stage, _rank2_weight
 from vvmf.errors import InconsistentRep, NotAnExponent, Resonance, VvmfError, WrongNome
-from vvmf.mlde import ODECoefficients, qline_precision
+from vvmf.mlde import ODECoefficients, elementary_symmetric, qline_precision
 from vvmf.reps import XI, ZETA3, ExponentData, GRank2Rep, Rank2Rep, Rank4Rep
 from vvmf.series import (
     FixedSeries,
@@ -275,6 +275,25 @@ def rank2_kline_pair(L: ExponentData, order: int) -> tuple[PuiseuxSeries, Puiseu
         hyp = hypergeom_2f1(f, f + third, 2 * f + Fraction(5, 6), order)  # c = 1 +- delta
         out.append(PuiseuxSeries(Nome.K, f, hyp.coeffs))
     return tuple(out)
+
+
+def rank2_coeff(f1, f2):
+    """Structure constant of the rank-2 weight-zero equation D^2 F +
+    a E_4 F = 0: the indicial polynomial is x^2 - x/6 + a with roots f1,
+    f2 (sum 1/6), so a = f1 f2.  The rank-2 rule as first written, the
+    oracle of :func:`vvmf.mlde.cyclic_coeffs` at rank two."""
+    return f1 * f2
+
+
+def rank4_cyclic_coeffs(f) -> tuple:
+    """(a, b, c) of D^4 F + a E_4 D^2 F + b E_6 D F + c E_4^2 F = 0 for four
+    shifted exponents summing to 1: a = sigma_2 - 11/36, b = -sigma_3 +
+    a/6 + 1/36, c = sigma_4.  The rank-4 rule as first written, the oracle
+    of :func:`vvmf.mlde.cyclic_coeffs` at rank four."""
+    _, _, s2, s3, s4 = elementary_symmetric(tuple(f), 4)
+    a = s2 - Fraction(11, 36)
+    b = -s3 + a / 6 + Fraction(1, 36)
+    return a, b, s4
 
 
 def build_fuchsian_z(u, xi=XI) -> FuchsianOperator:

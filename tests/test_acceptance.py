@@ -27,7 +27,6 @@ from vvmf.mlde import (
     indicial_shifts,
     modular_derivative,
     noncyclic_coeffs,
-    rank2_coeff,
     system_residuals,
 )
 from vvmf.reps import (
@@ -50,6 +49,7 @@ from oracles import (
     frobenius_solve,
     hypergeom_2f1,
     operator_residual,
+    rank2_coeff,
     rank2_kline_pair,
     u_from_local_exponent,
 )

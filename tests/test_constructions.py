@@ -42,18 +42,18 @@ from vvmf.mlde import (
     CYCLIC,
     NONCYCLIC_KEYS,
     CaseReport,
+    cyclic_coeffs,
     cyclic_seed,
     cyclic_system,
     modular_derivative,
     noncyclic_coeffs,
     qline_precision,
-    rank2_coeff,
     system_residuals,
 )
 from vvmf.reps import ExponentData, GRank2Rep, Group, Rank2Rep, tensor_exponents
 from vvmf.series import FormStack, Nome, PuiseuxSeries, max_modulus, relative_residual
 
-from oracles import build_fuchsian_z, rank2_kline_pair, u_from_local_exponent
+from oracles import build_fuchsian_z, rank2_coeff, rank2_kline_pair, u_from_local_exponent
 from test_acceptance import FREENESS_TOL, freeness_deviation, tensor_grid
 
 ZETA = cmath.exp(2j * cmath.pi / 3)
@@ -120,7 +120,7 @@ class TestRank2Minimal:
         with qline_precision():
             f = mpmath.mpf(re) if real else mpmath.mpc(re, im)
             a = f * (mpmath.mpf(1) / 6 - f)
-            system = cyclic_system((a,), catalog40, Nome.Q)
+            system = cyclic_system(cyclic_coeffs((f, mpmath.mpf(1) / 6 - f)), catalog40, Nome.Q)
             assert [repr(S) for S, _ in system] == [repr({(1, 0): 1}), repr({(0, 1): -a})]
             assert [e for _, e in system] == [PuiseuxSeries.one(Nome.Q, catalog40.order),
                                               catalog40.eisenstein(4)]

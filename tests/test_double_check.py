@@ -84,7 +84,7 @@ def check_cyclic_chain(basis, co, catalog) -> None:
     forms = basis.forms
     assert_same_forms(forms[1:], [oracle_derivative(F, catalog) for F in forms[:3]])
     chain = list(forms) + [oracle_derivative(forms[3], catalog)]
-    system = cyclic_system((co.a, co.b, co.c), catalog, forms[0].nome)
+    system = cyclic_system(co, catalog, forms[0].nome)
     want = oracle_residuals(chain[:4], chain[1:], system, columns=[3])
     assert_same_floats([basis.residuals["cyclic_mlde"]], want)
 
@@ -128,7 +128,7 @@ def check_member(route: str, index: int, order: int) -> None:
             eigenvalues = job.exponents.eigenvalues
         with qline_precision():
             co = equation_coefficients(eigenvalues, basis.case.case)
-            system = (cyclic_system((co.a, co.b, co.c), catalog, Nome.Q)
+            system = (cyclic_system(co, catalog, Nome.Q)
                       if basis.case.case == CYCLIC
                       else noncyclic_system(co, catalog))
         res = check_solved_basis(basis, system, catalog)

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,8 +33,10 @@ from vvmf.mlde import (
     assemble_cyclic_basis,
     classify,
     cyclic_coeffs,
+    cyclic_system,
     dimension,
     generic_basis,
+    indicial_shifts,
     modular_derivative,
     noncyclic_coeffs,
     noncyclic_system,
@@ -54,6 +57,8 @@ from oracles import (
     hypergeom_2f1,
     left_solve,
     operator_residual,
+    rank2_coeff,
+    rank4_cyclic_coeffs,
     sliced_left_solve,
 )
 from test_acceptance import FREENESS_TOL, freeness_deviation
@@ -196,6 +201,125 @@ class TestCoefficients:
                 want = sorted(map(complex, f), key=lambda z: (z.real, z.imag))
                 assert np.allclose(roots, want, atol=1e-9)
 
+
+
+def poly_mul(p, q) -> list:
+    """Product of two coefficient lists, lowest degree first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def falling(m: int) -> list:
+    """P_m(x) = prod_{i<m} (x - i/6), what D^m multiplies a leading x^f by;
+    zero for m < 0."""
+    if m < 0:
+        return [0]
+    p = [Fraction(1)]
+    for i in range(m):
+        p = poly_mul(p, [-Fraction(i, 6), 1])
+    return p
+
+
+def poly_sum(*polys) -> list:
+    out = [0] * max(map(len, polys))
+    for p in polys:
+        for i, x in enumerate(p):
+            out[i] += x
+    return out
+
+
+@st.composite
+def shifted_exponents(draw, ranks=(2, 4), kinds=("mpc", "mpf", "float", "complex", "Fraction")):
+    """A rank r and r shifted exponents of one number kind summing to
+    r(r-1)/12: mpc at QLINE_DPS (full mantissas, from an added 1/7), mpf,
+    float, complex or Fraction, drawn from doubles with no -0.0 part."""
+    r = draw(st.sampled_from(ranks))
+    kind = draw(st.sampled_from(kinds))
+    # a float part -0.0 reads +0.0 in the symmetric functions, which start
+    # from the integer 0, where the hand product f1 f2 keeps its sign; the
+    # routes pass mpc, which has no signed zero
+    part = st.floats(-2, 2).map(lambda x: x or 0.0)
+    parts = draw(st.lists(st.tuples(part, part), min_size=r - 1, max_size=r - 1))
+    total = Fraction(r * (r - 1), 12)
+    with qline_precision():
+        if kind == "mpc":
+            f = [mpmath.mpc(re, im) + mpmath.mpf(1) / 7 for re, im in parts]
+            total = mpmath.mpf(r * (r - 1)) / 12
+        elif kind == "mpf":
+            f = [mpmath.mpf(re) + mpmath.mpf(1) / 7 for re, _ in parts]
+            total = mpmath.mpf(r * (r - 1)) / 12
+        elif kind == "float":
+            f, total = [re for re, _ in parts], r * (r - 1) / 12
+        elif kind == "complex":
+            f, total = [complex(re, im) for re, im in parts], r * (r - 1) / 12
+        else:
+            f = [Fraction(re) + Fraction(1, 7) for re, _ in parts]
+        return r, f + [total - sum(f)]
+
+
+class TestCyclicRule:
+    """One shift rule, one coefficient rule and one system builder for the
+    cyclic equations of rank r <= 4."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 4),
+           st.lists(st.fractions(-3, 3, max_denominator=1000), min_size=3, max_size=3))
+    def test_indicial_polynomial_is_the_product(self, r, free):
+        # P_r + a P_{r-2} + b P_{r-3} + c P_{r-4} = prod (x - f_j), exactly
+        f = free[:r - 1]
+        f.append(Fraction(r * (r - 1), 12) - sum(f))
+        co = cyclic_coeffs(f)
+        got = poly_sum(falling(r), *(poly_mul([v], falling(r - k))
+                                     for v, k in ((co.a, 2), (co.b, 3), (co.c, 4))))
+        want = [1]
+        for x in f:
+            want = poly_mul(want, [-x, 1])
+        assert got == want
+        assert all(v == 0 for v in (co.b, co.c)[r - 2:])  # no such term below rank 4
+
+    @settings(max_examples=600, deadline=None)
+    @given(shifted_exponents())
+    def test_coefficients_are_the_rank_by_rank_formulas(self, draw):
+        # a, b and c keep the bytes of the two rules first written, one for
+        # rank two and one for rank four, in every number kind
+        r, f = draw
+        with qline_precision():
+            co = cyclic_coeffs(f)
+            want = (rank2_coeff(*f),) if r == 2 else rank4_cyclic_coeffs(f)
+        assert repr((co.a, co.b, co.c)[:len(want)]) == repr(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(shifted_exponents(ranks=(4,), kinds=("mpc", "float", "complex", "Fraction")))
+    def test_rank_four_shift_is_the_rank_four_rule(self, draw):
+        # the eigenvalue kinds the routes pass (mpmath's mpf takes no
+        # Fraction from the left); the shift keeps the bytes of (1 - Tr)/4
+        _, eigs = draw
+        with qline_precision():
+            tr = sum(eigs)
+            assert repr(indicial_shifts(eigs, CYCLIC)) == repr(tuple(e + (1 - tr) / 4
+                                                                     for e in eigs))
+
+    @pytest.mark.parametrize("nome", [Nome.Q, Nome.Q2])
+    def test_systems_are_the_rank_two_and_rank_four_blocks(self, catalog40, nome):
+        # the blocks of the two builders first written, in their order, which
+        # the residual sums of system_residuals follow
+        e4, e6 = ((catalog40.eisenstein(k), catalog40.eisenstein_q2(k))[nome is Nome.Q2]
+                  for k in (4, 6))
+        one = PuiseuxSeries.one(nome, catalog40.order if nome is Nome.Q else catalog40.q2_order)
+        with qline_precision():
+            x = mpmath.mpc(0.31, -0.07) + mpmath.mpf(1) / 7
+            co2 = cyclic_coeffs((x, mpmath.mpf(1) / 6 - x))
+            co4 = cyclic_coeffs((x, x / 3, -x / 5, 1 - x - x / 3 + x / 5))
+        want2 = [({(1, 0): 1}, one), ({(0, 1): -co2.a}, e4)]
+        want4 = [({(1, 0): 1, (2, 1): 1, (3, 2): 1}, one), ({(2, 3): -co4.a}, e4),
+                 ({(1, 3): -co4.b}, e6), ({(0, 3): -co4.c}, catalog40.e4_squared(nome))]
+        for co, want in ((co2, want2), (co4, want4)):
+            system = cyclic_system(co, catalog40, nome)
+            assert [repr(S) for S, _ in system] == [repr(S) for S, _ in want]
+            assert [e for _, e in system] == [e for _, e in want]
 
 class TestOperators:
     def test_cyclic_p0_is_scaled_indicial(self):
