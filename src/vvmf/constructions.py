@@ -2,19 +2,19 @@
 and symmetric-cube bases of rank four, and induction from the index-two
 subgroup.
 
-The rank-2 minimal form solves the rank-2 cyclic system
-(:func:`vvmf.mlde.cyclic_system` from (a,)) on the q-line, seeded by the
-generic route's rule (:func:`vvmf.mlde.cyclic_seed`).  The Sym^3 pipeline
-forms the cube exactly on its fixed-point rows, rounds once and hands it to
-the cyclic basis assembler; the tensor pipeline solves its noncyclic rank-4
-system on the q-line with the generic route's code, seeded so that its rows
-are the paper's closed Kronecker basis.  The induction pair solves its
-defining first-order system on the q2-line; each form of the pair is
-stacked over its T^{-1}-slash, and like the other routes the induced
-representation is classified by :func:`vvmf.mlde.classify` before its
-basis is assembled.  Every defining differential relation is re-checked on
-the emitted series, by :func:`vvmf.mlde.solved_forms` for every solved
-system.
+The rank-2 minimal form solves the cyclic equation of rank two on the
+q-line at the job's own exponents, through the generic cyclic route's
+shift, coefficient, system and seed rules (:func:`vvmf.mlde._solved_rows`
+at weights k1, k1 + 2).  The Sym^3 pipeline forms the cube exactly on its
+fixed-point rows, rounds once and hands it to the cyclic basis assembler;
+the tensor pipeline solves its noncyclic rank-4 system on the q-line with
+the generic route's code, seeded so that its rows are the paper's closed
+Kronecker basis.  The induction pair solves its defining first-order
+system on the q2-line; each form of the pair is stacked over its
+T^{-1}-slash, and like the other routes the induced representation is
+classified by :func:`vvmf.mlde.classify` before its basis is assembled.
+Every defining differential relation is re-checked on the emitted series,
+by :func:`vvmf.mlde.solved_forms` for every solved system.
 """
 
 from __future__ import annotations
@@ -42,14 +42,12 @@ from .mlde import (
     FormBasis,
     _downcast,
     _recursive_stage,
+    _solved_rows,
     assemble_cyclic_basis,
     classify,
     cyclic_coeffs,
-    cyclic_seed,
-    cyclic_system,
     indicial_shifts,
     modular_derivative,
-    nearest_int,
     qline_precision,
     qline_solve,
     require_int,
@@ -114,20 +112,6 @@ class Rank2MinimalForm:
     eta_component: PuiseuxSeries | None = None
 
 
-def _rank2_shifts(L: ExponentData) -> tuple:
-    """Shifted exponents f = (1 +- 6 delta)/12, delta = r1 - r2, of the
-    weight-zero frame, as mpmath numbers at the ambient working precision,
-    where their sum is exactly 1/6."""
-    r1, r2 = L.eigenvalues
-    delta = r1 - r2
-    if nearest_int(delta) is not None:
-        raise ResonantExponents(
-            f"exponent gap {delta!r} is an integer; the rank-2 pair degenerates"
-        )
-    delta = mpmath.mpc(delta)
-    return (6 * delta + 1) / 12, (-6 * delta + 1) / 12
-
-
 def _rank2_weight(rep: Rank2Rep, L: ExponentData) -> int:
     """Validate a rank-2 input and return its minimal weight 6 Tr(L) - 1."""
     if not rank2_is_irreducible(rep):
@@ -142,24 +126,16 @@ def _rank2_weight(rep: Rank2Rep, L: ExponentData) -> int:
 
 
 def _rank2_stage(L: ExponentData, k1: int, order: int, catalog: ClassicalCatalog):
-    """The components of the minimal form F and of DF, solved on the q-line
-    at both exponents in one call (:func:`qline_solve`), with the equation's
-    a and the solved system, the rank-2 :func:`vvmf.mlde.cyclic_system`.
-    The exponents, seeds and system are made in a :func:`qline_precision`
-    block of their own.  The rows stay in fixed point, for the caller's
-    exact products.
-
-    F_j leads with 1728^{f_j} (:func:`vvmf.mlde.cyclic_seed` at rank two),
-    the leading coefficient of the closed form eta^{2 k1} K^{f_j}
-    2F1(...)(K)."""
-    with qline_precision():
-        fs = _rank2_shifts(L)
-        co = cyclic_coeffs(fs)
-        system = cyclic_system(co, catalog, Nome.Q)
-        rows = qline_solve((k1, k1 + 2), system, [f + Fraction(k1, 12) for f in fs],
-                           [cyclic_seed(f, 2) for f in fs], order, catalog)
-    F, DF = zip(*rows)
-    return F, DF, co.a, system
+    """The rank-2 cyclic equation D^2 F + a E_4 F = 0 solved on the q-line
+    for (F, DF) at weights (k1, k1 + 2), by the generic cyclic route's code
+    (:func:`vvmf.mlde._solved_rows`): at the job's own exponents, with
+    a = f_1 f_2 of the shifted exponents f_j = (1 +- 6 (r_1 - r_2))/12 and
+    F_j leading with 1728^{f_j} (:func:`vvmf.mlde.cyclic_seed` at rank
+    two), the leading coefficient of the closed form eta^{2 k1} K^{f_j}
+    2F1(...)(K).  An integer gap r_1 - r_2 raises Resonance.  Returns the
+    equation coefficients, the system and the rows (F_j, DF_j), which stay
+    in fixed point for the caller's exact products."""
+    return _solved_rows((k1, k1 + 2), L.eigenvalues, CYCLIC, order, catalog)
 
 
 def rank2_minimal(
@@ -185,8 +161,8 @@ def rank2_minimal(
             residuals={},
             eta_component=catalog.eta_power(2 * k1 + 2),
         )
-    F, DF, _, system = _rank2_stage(L, k1, order, catalog)
-    forms, _, _, res = solved_forms(tuple(zip(F, DF)), (k1, k1 + 2), system, catalog)
+    _, system, rows = _rank2_stage(L, k1, order, catalog)
+    forms, _, _, res = solved_forms(rows, (k1, k1 + 2), system, catalog)
     return Rank2MinimalForm(k1, HYPERGEOMETRIC, forms[0], {"rank2_mlde": max(res)})
 
 
@@ -258,8 +234,9 @@ def sym3_pipeline(
         raise NotIrreducible("symmetric cubes always land in the cyclic case")
     co = cyclic_coeffs(indicial_shifts(S3L.eigenvalues, CYCLIC))
 
+    _, _, rows = _rank2_stage(L, k1, order, catalog)
     with qline_precision():  # the cube sums the rows' mpc leading exponents
-        F = _downcast(_cube(*_rank2_stage(L, k1, order, catalog)[0]), report.k1)
+        F = _downcast(_cube(*(row[0] for row in rows)), report.k1)
     return assemble_cyclic_basis(F, co, catalog, report)
 
 

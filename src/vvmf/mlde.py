@@ -8,10 +8,9 @@ every rank r <= 4 share one shift rule (:func:`indicial_shifts`), one
 coefficient rule (:func:`cyclic_coeffs`), one system builder
 (:func:`cyclic_system`) and one seed rule (:func:`cyclic_seed`).  Every
 route then checks the emitted doubles against the same system in one
-function (:func:`solved_forms`):
-it rounds the rows once, and the modular derivatives of the forms
-(:func:`modular_derivative`) and the column relations
-(:func:`system_residuals`) are taken in one array pass over a
+function (:func:`solved_forms`): it rounds the rows once, and the modular
+derivatives of the forms (:func:`modular_derivative`) and the column
+relations (:func:`system_residuals`) are taken in one array pass over a
 :class:`vvmf.series.FormStack`, with the bytes of the series arithmetic
 that ``tests/oracles.py`` keeps as the reference.
 """
@@ -161,7 +160,7 @@ def indicial_shifts(eigenvalues, case: str) -> tuple:
     tr = sum(eigenvalues)
     if case == CYCLIC:
         r = len(eigenvalues)
-        shift = (Fraction(r * (r - 1), 12) - tr) / r
+        shift = (-tr + Fraction(r * (r - 1), 12)) / r  # an mpf takes no Fraction from the left
     elif case == NONCYCLIC:
         shift = -tr / 4 + Fraction(1, 6)
     else:
@@ -176,6 +175,13 @@ def _require_sum(total, want, what: str) -> None:
         raise ExponentSumMismatch(f"{what} exponents must sum to {want}, got {total}")
 
 
+@functools.cache
+def _falling_symmetric(r: int) -> tuple:
+    """t_1, t_2, t_3 of :func:`cyclic_coeffs`: the elementary symmetric
+    functions of 0, 1/6, ..., (r-1)/6, the roots of P_r, as Fractions."""
+    return tuple(elementary_symmetric([Fraction(i, 6) for i in range(r)], 3)[1:])
+
+
 def cyclic_coeffs(f) -> ODECoefficients:
     """The cyclic equation D^r F + a E_4 D^{r-2} F + b E_6 D^{r-3} F +
     c E_4^2 D^{r-4} F = 0 of rank r = len(f) <= 4 whose shifted exponents
@@ -188,7 +194,7 @@ def cyclic_coeffs(f) -> ODECoefficients:
     a = sigma_2 - 11/36, b = -sigma_3 + a/6 + 1/36; rank two a = f_1 f_2."""
     f = tuple(f)
     r = len(f)
-    _, t1, t2, t3, _ = elementary_symmetric([Fraction(i, 6) for i in range(r)], 4)
+    t1, t2, t3 = _falling_symmetric(r)
     _require_sum(sum(f), t1, "cyclic")
     _, _, s2, s3, s4 = elementary_symmetric(f, 4)
     a = s2 - t2
@@ -746,36 +752,30 @@ def _classified(rep: Rank4Rep, L: ExponentData) -> CaseReport:
     return classify(rep, L)
 
 
-def _recursive_stage(
-    report: CaseReport,
-    L: ExponentData,
-    order: int,
-    catalog: ClassicalCatalog,
-    kronecker_unit: bool = False,
-) -> tuple[ODECoefficients, FormBasis]:
-    """Solve the case's system D X = X M on the q-line at all four exponents
-    of L in one call (:func:`qline_solve`, which rejects resonant
-    exponents).
+def _solved_rows(weights, eigenvalues, case: str, order: int, catalog: ClassicalCatalog,
+                 kronecker_unit: bool = False) -> tuple:
+    """Solve the case's system D X = X M on the q-line at all exponents
+    ``eigenvalues`` in one call (:func:`qline_solve`, which rejects
+    resonant exponents), X holding the entries of ``weights``: the cyclic
+    system of rank r = len(eigenvalues) <= 4 or the noncyclic one.
 
-    The rows of the solutions are the case's free basis, (F, DF, D^2F, D^3F)
-    or (F, DF, G, H), with no row recomputed.  A cyclic F_j leads with
-    1728^{f_j} (:func:`cyclic_seed`, the rule of the rank-2 stage too), a
-    noncyclic one with 1728^{f_j} / t_j (t_j the largest-modulus entry of
-    the leading row per unit of F), the normalization of the closed K-line
-    form.  With ``kronecker_unit`` a noncyclic F_j leads with 1728^{f_j}
-    itself, the normalization of the tensor route's basis A (x) B.  The
-    system is built before the seeds, so DegenerateC comes first.  Every
-    column relation of the solved system is re-checked on the emitted
-    doubles (:func:`solved_forms`).  Returns the equation coefficients, at
-    working precision (:func:`equation_coefficients`), and the basis.
-    """
-    cyclic = report.case == CYCLIC
+    The exponents are the eigenvalues themselves, lifted to mpmath, and the
+    equation is :func:`equation_coefficients` of them.  A cyclic F_j leads
+    with 1728^{f_j} (:func:`cyclic_seed`), a noncyclic one with
+    1728^{f_j} / t_j (t_j the largest-modulus entry of the leading row per
+    unit of F), the normalization of the closed K-line form.  With
+    ``kronecker_unit`` a noncyclic F_j leads with 1728^{f_j} itself, the
+    normalization of the tensor route's basis A (x) B.  The system is built
+    before the seeds, so DegenerateC comes first.  Seeds, coefficients and
+    system are made in one :func:`qline_precision` block.  Returns the
+    equation coefficients, the system and the fixed-point rows, one row
+    tuple per exponent."""
     with qline_precision():
-        lams = [mpmath.mpc(as_complex(v)) for v in L.eigenvalues]
-        co = equation_coefficients(L.eigenvalues, report.case)
-        if cyclic:
+        lams = [mpmath.mpc(as_complex(v)) for v in eigenvalues]
+        co = equation_coefficients(eigenvalues, case)
+        if case == CYCLIC:
             system = cyclic_system(co, catalog, Nome.Q)
-            seeds = [cyclic_seed(f, 4) for f in co.f_exponents]
+            seeds = [cyclic_seed(f, len(lams)) for f in co.f_exponents]
         else:
             system = noncyclic_system(co, catalog)
             seeds = []
@@ -785,9 +785,28 @@ def _recursive_stage(
                 if not kronecker_unit:
                     unit /= max(lead, key=abs)
                 seeds.append([unit * x for x in lead])
-        rows = qline_solve(report.weight_tuple, system, lams, seeds, order, catalog)
+        rows = qline_solve(weights, system, lams, seeds, order, catalog)
+    return co, system, rows
+
+
+def _recursive_stage(
+    report: CaseReport,
+    L: ExponentData,
+    order: int,
+    catalog: ClassicalCatalog,
+    kronecker_unit: bool = False,
+) -> tuple[ODECoefficients, FormBasis]:
+    """The case's free basis at the four exponents of L, the rows of
+    :func:`_solved_rows` with no row recomputed: (F, DF, D^2F, D^3F) or
+    (F, DF, G, H).  Every column relation of the solved system is
+    re-checked on the emitted doubles (:func:`solved_forms`).  Returns the
+    equation coefficients, at working precision
+    (:func:`equation_coefficients`), and the basis.
+    """
+    co, system, rows = _solved_rows(report.weight_tuple, L.eigenvalues, report.case, order,
+                                    catalog, kronecker_unit)
     forms, _, _, res = solved_forms(rows, report.weight_tuple, system, catalog)
-    if cyclic:
+    if report.case == CYCLIC:
         residuals = {"cyclic_chain": max(res[:3]), "cyclic_mlde": res[3]}
     else:
         residuals = dict(zip(NONCYCLIC_KEYS, res))

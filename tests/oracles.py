@@ -14,7 +14,11 @@ straight-line step the library generates, beside that loop as first
 written, with per-column lists and slices.  And the emitted [re, im]
 doubles of a series as one downcast per coefficient, type by type
 (:func:`emitted_coeffs`), the reference for the conversion by coefficient
-kind of :meth:`vvmf.series.PuiseuxSeries.to_json`.
+kind of :meth:`vvmf.series.PuiseuxSeries.to_json`.  And the rank-2 shifted
+exponents and the cyclic equation's coefficients as first written, one
+formula for rank two and one for rank four (:func:`rank2_coeff`,
+:func:`rank4_cyclic_coeffs`), the references of the one rule of every rank
+in :mod:`vvmf.mlde`.
 """
 
 from __future__ import annotations
@@ -26,8 +30,15 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from vvmf.constructions import _downcast, _rank2_shifts, _rank2_stage, _rank2_weight
-from vvmf.errors import InconsistentRep, NotAnExponent, Resonance, VvmfError, WrongNome
+from vvmf.constructions import _downcast, _rank2_stage, _rank2_weight
+from vvmf.errors import (
+    InconsistentRep,
+    NotAnExponent,
+    Resonance,
+    ResonantExponents,
+    VvmfError,
+    WrongNome,
+)
 from vvmf.mlde import ODECoefficients, elementary_symmetric, qline_precision
 from vvmf.reps import XI, ZETA3, ExponentData, GRank2Rep, Rank2Rep, Rank4Rep
 from vvmf.series import (
@@ -261,6 +272,20 @@ def hypergeom_2f1(a, b, c, order: int, nome: Nome = Nome.K) -> PuiseuxSeries:
 # the paper's closed forms on the K- and Z-lines
 # ---------------------------------------------------------------------------
 
+def _rank2_shifts(L: ExponentData) -> tuple:
+    """Shifted exponents f = (1 +- 6 delta)/12, delta = r1 - r2, of the
+    weight-zero frame, as mpmath numbers at the ambient working precision,
+    where their sum is exactly 1/6."""
+    r1, r2 = L.eigenvalues
+    delta = r1 - r2
+    if nearest_int(delta) is not None:
+        raise ResonantExponents(
+            f"exponent gap {delta!r} is an integer; the rank-2 pair degenerates"
+        )
+    delta = mpmath.mpc(delta)
+    return (6 * delta + 1) / 12, (-6 * delta + 1) / 12
+
+
 def rank2_kline_pair(L: ExponentData, order: int) -> tuple[PuiseuxSeries, PuiseuxSeries]:
     """Weight-zero K-line solutions K^{f_i} 2F1(f_i, f_i + 1/3; 1 +- delta; K)
     with f_i = (6(r_i - r_j) + 1)/12 the shifted exponents.
@@ -423,8 +448,10 @@ def kronecker_tensor_basis(alpha: Rank2Rep, beta: Rank2Rep, L1: ExponentData,
     ka, kb = _rank2_weight(alpha, L1), _rank2_weight(beta, L2)
     k1 = ka + kb
     with qline_precision():
-        A, dA, a_alpha, _ = _rank2_stage(L1, ka, order, catalog)
-        B, dB, a_beta, _ = _rank2_stage(L2, kb, order, catalog)
+        alpha_co, _, alpha_rows = _rank2_stage(L1, ka, order, catalog)
+        beta_co, _, beta_rows = _rank2_stage(L2, kb, order, catalog)
+        (A, dA), (B, dB) = zip(*alpha_rows), zip(*beta_rows)
+        a_alpha, a_beta = alpha_co.a, beta_co.a
 
         def kron(a, b):
             return [x * y for x in a for y in b]

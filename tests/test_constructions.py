@@ -16,7 +16,7 @@ from vvmf.constructions import (
     HYPERGEOMETRIC,
     NU_CHI,
     InductionJob,
-    _rank2_shifts,
+    _rank2_stage,
     induce_to_gamma,
     induction_minimal_pair,
     induction_pipeline,
@@ -53,8 +53,14 @@ from vvmf.mlde import (
 from vvmf.reps import ExponentData, GRank2Rep, Group, Rank2Rep, tensor_exponents
 from vvmf.series import FormStack, Nome, PuiseuxSeries, max_modulus, relative_residual
 
-from oracles import build_fuchsian_z, rank2_coeff, rank2_kline_pair, u_from_local_exponent
-from test_acceptance import FREENESS_TOL, freeness_deviation, tensor_grid
+from oracles import (
+    _rank2_shifts,
+    build_fuchsian_z,
+    rank2_coeff,
+    rank2_kline_pair,
+    u_from_local_exponent,
+)
+from test_acceptance import FREENESS_TOL, freeness_deviation, sym3_grid, tensor_grid
 
 ZETA = cmath.exp(2j * cmath.pi / 3)
 
@@ -125,6 +131,25 @@ class TestRank2Minimal:
             assert [e for _, e in system] == [PuiseuxSeries.one(Nome.Q, catalog40.order),
                                               catalog40.eisenstein(4)]
             assert repr(cyclic_seed(f, 2)) == repr([mpmath.mpf(1728) ** f * x for x in (1, f)])
+
+    def test_declares_the_job_exponents_bit_for_bit(self, catalog40):
+        # the rank-2 form of every Sym^3 member and tensor factor solves at
+        # the job's own exponents, not at f_j + k1/12 rebuilt from them a
+        # few ulps away (once 0.021666666666666678 for 0.021666666666666667)
+        pairs = sym3_grid() + [p for pair in tensor_grid() for p in pair]
+        for r1, r2 in pairs:
+            rep, L = rank2_data(r1, r2)
+            form = rank2_minimal(rep, L, 20, catalog40)
+            assert ([repr(complex(c.lead_exponent)) for c in form.components.components]
+                    == [repr(complex(e)) for e in L.eigenvalues]), (r1, r2)
+
+    def test_integer_gap_is_resonant_in_the_solve(self, catalog40):
+        # the rank-2 stage has no gap rule of its own: qline_solve's
+        # require_nonresonant rejects the gap, at step (d)
+        L = ExponentData([Fraction(13, 12), Fraction(1, 12)])
+        with pytest.raises(Resonance, match="differ by the integer 1") as info:
+            _rank2_stage(L, 6, 10, catalog40)
+        assert info.value.stage == "d"
 
     def test_reducible_rejected(self, catalog40):
         rep, L = rank2_data(1 / 4, 1 / 12)  # gap 1/6: x^2 - xy + y^2 = 0

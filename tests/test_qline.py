@@ -16,6 +16,7 @@ import vvmf.classical
 import vvmf.constructions
 import vvmf.mlde
 from vvmf.classical import ClassicalCatalog
+from vvmf.cli import JobSpec, emit, run
 from vvmf.constructions import (
     InductionJob,
     induction_minimal_pair,
@@ -52,6 +53,7 @@ from oracles import (
 )
 from test_acceptance import ZETA, deviation, rank2_data, sym3_grid, tensor_grid
 from test_constructions import make_job
+from test_double_check import POOLS, inputs
 from test_mlde import admissible, record_eliminations
 
 GATE = 1e-9  # the CLI's default residual tolerance
@@ -606,3 +608,18 @@ def test_tensor_grid_holds_at_more_digits_at_high_order(monkeypatch, member, ord
     gate([basis], order)
     monkeypatch.setattr(vvmf.mlde, "QLINE_DPS", vvmf.mlde.QLINE_DPS + 50)
     assert pipeline(order, catalog).forms == basis.forms
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("order", [200, 800])
+def test_sym3_bytes_do_not_follow_the_working_precision(monkeypatch, order):
+    # the cube of the benchmark's ladder member once followed QLINE_DPS in
+    # its last bits (6 coefficients off the 100-digit run at 30, 50 and 80
+    # digits), when its rank-2 form solved at exponents rebuilt a few ulps
+    # from the job's; at the job's own exponents it emits the same bytes
+    payload = inputs.make_job("sym3", inputs.LADDER["sym3"], order, POOLS).payload
+    texts = set()
+    for dps in (30, 40, 50, 80, 100):
+        monkeypatch.setattr(vvmf.mlde, "QLINE_DPS", dps)
+        texts.add(emit(run(JobSpec.from_json(dict(payload)))))
+    assert len(texts) == 1
