@@ -21,6 +21,13 @@ job, ``<route>:<member>@<order>`` (no order for ``coeffs`` and
 ``raised <class>: <message>`` for a job that raises.  ``--diff`` compares
 two such outputs line by line and exits 1 when any job differs or is
 missing from one of them.
+
+``tests/pool_digests.txt`` holds the first form's output for the
+committed code, and ``tests/test_pool_digests.py`` compares a fresh run
+with it on x86-64's 64-bit long double.  A change that changes emitted
+bytes on purpose writes the new output there:
+
+    python3 tools/pool_digests.py > tests/pool_digests.txt
 """
 
 from __future__ import annotations
