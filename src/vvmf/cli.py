@@ -309,7 +309,7 @@ def _basis_job(job: JobSpec, catalog: ClassicalCatalog) -> FormBasis:
         return tensor_pipeline(reps[0], reps[1], expos[0], expos[1], job.order, catalog)
     if job.construction == "sym3":
         return sym3_pipeline(reps[0], expos[0], job.order, catalog)
-    ijob = InductionJob.make(reps[0], expos[0], job.u)
+    ijob = InductionJob(reps[0], expos[0], job.u)
     first, second = induction_pipeline(ijob, job.order, catalog)
     # emit the beta-twist basis; the beta^2 side is in the second slot
     merged = dict(first.residuals)

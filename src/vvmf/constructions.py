@@ -19,20 +19,17 @@ by :func:`vvmf.mlde.solved_forms` for every solved system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
 
 from .classical import ClassicalCatalog
 from .errors import (
-    DegenerateU,
     GroupMismatch,
     NormalizationError,
     NotIrreducible,
-    ResonantExponents,
-    ReducibleRep,
-    WeightParityMismatch,
+    Resonance,
     WrongNome,
     WrongRank,
 )
@@ -115,7 +112,7 @@ class Rank2MinimalForm:
 def _rank2_weight(rep: Rank2Rep, L: ExponentData) -> int:
     """Validate a rank-2 input and return its minimal weight 6 Tr(L) - 1."""
     if not rank2_is_irreducible(rep):
-        raise ReducibleRep("rank-2 minimal forms require an irreducible representation")
+        raise NotIrreducible("rank-2 minimal forms require an irreducible representation")
     if L.group is not Group.GAMMA:
         raise GroupMismatch("rank-2 minimal forms use exponents for the full group")
     if L.rank != 2:
@@ -123,19 +120,6 @@ def _rank2_weight(rep: Rank2Rep, L: ExponentData) -> int:
     k1 = require_int(6 * L.trace - 1, "6*Tr(L)-1")
     L.validate_against([rep.x] if rep.jordan else rep.t_eigenvalues())
     return k1
-
-
-def _rank2_stage(L: ExponentData, k1: int, order: int, catalog: ClassicalCatalog):
-    """The rank-2 cyclic equation D^2 F + a E_4 F = 0 solved on the q-line
-    for (F, DF) at weights (k1, k1 + 2), by the generic cyclic route's code
-    (:func:`vvmf.mlde._solved_rows`): at the job's own exponents, with
-    a = f_1 f_2 of the shifted exponents f_j = (1 +- 6 (r_1 - r_2))/12 and
-    F_j leading with 1728^{f_j} (:func:`vvmf.mlde.cyclic_seed` at rank
-    two), the leading coefficient of the closed form eta^{2 k1} K^{f_j}
-    2F1(...)(K).  An integer gap r_1 - r_2 raises Resonance.  Returns the
-    equation coefficients, the system and the rows (F_j, DF_j), which stay
-    in fixed point for the caller's exact products."""
-    return _solved_rows((k1, k1 + 2), L.eigenvalues, CYCLIC, order, catalog)
 
 
 def rank2_minimal(
@@ -147,10 +131,16 @@ def rank2_minimal(
     """Minimal-weight form at k1 = 6 Tr(L) - 1.
 
     T-regular representations get the solution of D^2 F + a E_4 F = 0 on
-    the q-line; the paper's closed hypergeometric form in K is its test
-    oracle.  The Jordan family has first coordinate tau * eta^{2k1+2},
-    which is not a q-series; only the second coordinate is emitted, flagged
-    by ``source``.
+    the q-line, solved for (F, DF) at weights (k1, k1 + 2) by the generic
+    cyclic route's code (:func:`vvmf.mlde._solved_rows`) at the job's own
+    exponents: a = f_1 f_2 of the shifted exponents
+    f_j = (1 +- 6 (r_1 - r_2))/12, and F_j leads with 1728^{f_j}
+    (:func:`vvmf.mlde.cyclic_seed` at rank two), the leading coefficient of
+    the closed form eta^{2 k1} K^{f_j} 2F1(...)(K).  That closed
+    hypergeometric form in K is the route's test oracle.  An integer gap
+    r_1 - r_2 raises Resonance in the solve.  The Jordan family has first
+    coordinate tau * eta^{2k1+2}, which is not a q-series; only the second
+    coordinate is emitted, flagged by ``source``.
     """
     k1 = _rank2_weight(rep, L)
     if rep.jordan:
@@ -161,7 +151,7 @@ def rank2_minimal(
             residuals={},
             eta_component=catalog.eta_power(2 * k1 + 2),
         )
-    _, system, rows = _rank2_stage(L, k1, order, catalog)
+    _, system, rows = _solved_rows((k1, k1 + 2), L.eigenvalues, CYCLIC, order, catalog)
     forms, _, _, res = solved_forms(rows, (k1, k1 + 2), system, catalog)
     return Rank2MinimalForm(k1, HYPERGEOMETRIC, forms[0], {"rank2_mlde": max(res)})
 
@@ -194,7 +184,7 @@ def tensor_pipeline(
     if not tensor_is_irreducible(alpha, beta):
         raise NotIrreducible("tensor product representation is reducible")
     if not (alpha.t_regular and beta.t_regular):
-        raise ResonantExponents(
+        raise Resonance(
             "series output for the Jordan family is out of scope; both factors "
             "must be T-regular"
         )
@@ -223,9 +213,7 @@ def sym3_pipeline(
     if not sym3_is_irreducible(alpha):
         raise NotIrreducible("symmetric cube representation is reducible")
     if not alpha.t_regular:
-        raise ResonantExponents(
-            "series output for the Jordan family is out of scope"
-        )
+        raise Resonance("series output for the Jordan family is out of scope")
     k1 = _rank2_weight(alpha, L)
     S3L = sym3_exponents(L)
     rep4 = rank4_from_sym3(alpha)
@@ -234,7 +222,7 @@ def sym3_pipeline(
         raise NotIrreducible("symmetric cubes always land in the cyclic case")
     co = cyclic_coeffs(indicial_shifts(S3L.eigenvalues, CYCLIC))
 
-    _, _, rows = _rank2_stage(L, k1, order, catalog)
+    _, _, rows = _solved_rows((k1, k1 + 2), L.eigenvalues, CYCLIC, order, catalog)
     with qline_precision():  # the cube sums the rows' mpc leading exponents
         F = _downcast(_cube(*(row[0] for row in rows)), report.k1)
     return assemble_cyclic_basis(F, co, catalog, report)
@@ -269,41 +257,38 @@ def local_exponent_from_u(u, xi=XI):
 @dataclass(frozen=True)
 class InductionJob:
     """Induction input: a normalized orbit representative, exponents for the
-    subgroup, the family parameter u of the Z-line equation, and the minimal
-    weight k1: by default 3 Tr(L) or 3 Tr(L) + 1, whichever has the parity e
-    of the representation, so that the induced bases are cyclic.  Every job,
-    made or built by hand, has u != 0 and k1 = e mod 2."""
+    subgroup and the family parameter u of the Z-line equation.
+
+    Checked at construction, in this order: the orbit leads with its
+    restricting member (NormalizationError), both nontrivial twists induce
+    irreducibly (NotIrreducible), L is for the subgroup (GroupMismatch) and
+    u != 0 (Resonance: u = 0 makes the local exponents collide).  u is
+    stored as a builtin complex, and the minimal weight k1 is derived:
+    3 Tr(L) or 3 Tr(L) + 1, whichever has the parity e of the
+    representation, so that the induced bases are cyclic."""
 
     rep: GRank2Rep
     L: ExponentData
     u: complex
-    k1: int | None = None
+    k1: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if abs(as_complex(self.u)) <= 1e-14:
-            raise DegenerateU("u = 0 makes the local exponents collide")
-        if self.k1 is None:
-            t3 = require_int(3 * self.L.trace, "3*Tr(L)")
-            object.__setattr__(self, "k1", t3 if (t3 - self.rep.e) % 2 == 0 else t3 + 1)
-        if (self.k1 - self.rep.e) % 2:
-            raise WeightParityMismatch(
-                f"induction needs k1 = e mod 2, got k1 = {self.k1} and e = {self.rep.e}"
-            )
-
-    @classmethod
-    def make(cls, rep: GRank2Rep, L: ExponentData, u) -> "InductionJob":
-        """The job of a checked orbit and subgroup exponents, at the default k1."""
-        if restriction_index(rep) != 0:
+        if restriction_index(self.rep) != 0:
             raise NormalizationError(
                 "orbit must be presented with the restricting member first "
                 "(zeta1 + zeta2 + zeta3 = 0)"
             )
         for j in (1, 2):
-            if not induction_is_irreducible(rep.twist(j)):
+            if not induction_is_irreducible(self.rep.twist(j)):
                 raise NotIrreducible(f"induction of the beta^{j} twist is reducible")
-        if L.group is not Group.G:
+        if self.L.group is not Group.G:
             raise GroupMismatch("induction starts from exponents for the subgroup")
-        return cls(rep, L, complex(u))
+        u = complex(self.u)
+        if abs(u) <= 1e-14:
+            raise Resonance("u = 0 makes the local exponents collide")
+        object.__setattr__(self, "u", u)
+        t3 = require_int(3 * self.L.trace, "3*Tr(L)")
+        object.__setattr__(self, "k1", t3 + (t3 - self.rep.e) % 2)
 
 
 def induction_minimal_pair(
@@ -387,18 +372,19 @@ def induction_pipeline(
     """Full induction route: solve for the minimal pair and verify its
     defining relation; then, for the form of each beta-twist, induce it to
     the full group, classify the induced representation
-    (:func:`vvmf.reps.rank4_from_induction`) at the exponents the form
-    exhibits, and assemble the cyclic basis.  k1/6 +- r induce
+    (:func:`vvmf.reps.rank4_from_induction`) at the induced exponents the
+    pair exhibits, taken once (A and B declare the same ones), and assemble
+    the cyclic basis.  k1/6 +- r induce
     3 Tr(Ind L) = k1 + 3, of the other parity than k1 = e mod 2, so the
     report is cyclic with the job's k1."""
     rows, system = _induction_stage(job, order, catalog)
     (A, B), pair, d_pair, res = solved_forms(rows, (job.k1, job.k1), system, catalog)
     pair_res = max(res)
+    ind_L = induced_exponents(exhibited_exponents(A))
+    co = cyclic_coeffs(indicial_shifts(ind_L.eigenvalues, CYCLIC))
     out = []
     for j, F in ((1, A), (2, B)):
-        ind_L = induced_exponents(exhibited_exponents(F))
         report = classify(rank4_from_induction(job.rep.twist(j)), ind_L)
-        co = cyclic_coeffs(indicial_shifts(ind_L.eigenvalues, CYCLIC))
         G = induce_to_gamma(F)
         # D G is D F, taken for the pair check, over D of F|T^{-1}
         slashed = FormStack.of([VectorSeries(G.components[F.rank:], G.weight)])

@@ -34,18 +34,15 @@ class NonIntegralExponentGap(VvmfError):
     stage = "e"
 
 
-class NonUnitLeadingCoefficient(VvmfError):
-    """Inversion of a series whose leading coefficient vanishes."""
-    stage = "e"
-
-
 class NonMonicLeadingCoefficient(VvmfError):
     """Binomial power of a series that is not of the form 1 + O(x)."""
     stage = "e"
 
 
 class ZeroLeadingCoefficient(VvmfError):
-    """Composition target has a vanishing leading coefficient."""
+    """A step divides by a series' leading coefficient, and it vanishes: the
+    inverse, the divisor of a quotient or the substituted series of a
+    composition."""
     stage = "e"
 
 
@@ -95,7 +92,10 @@ class NotAnExponent(VvmfError):
 
 
 class Resonance(VvmfError):
-    """Indicial roots differ by a nonzero integer; log terms would be needed."""
+    """Exponents differ by an integer, 0 included, so log terms would be
+    needed: an integer gap of the q-line solve, a T-irregular (Jordan)
+    factor of a symmetric cube or tensor product, or an induction job's
+    u = 0, which makes its two local exponents collide."""
     stage = "d"
 
 
@@ -111,34 +111,15 @@ class DegenerateC(VvmfError):
 
 # --- construction pipelines ---------------------------------------------------
 
-class ReducibleRep(VvmfError):
-    """Pipeline requires an irreducible representation."""
-    stage = "a"
-
-
 class NotIrreducible(VvmfError):
-    """Constructed rank-4 representation is not irreducible."""
+    """A representation a pipeline needs irreducible is not: a rank-2
+    input, or the rank-4 representation a construction builds."""
     stage = "a"
-
-
-class ResonantExponents(VvmfError):
-    """Exponent choice forces logarithmic solutions."""
-    stage = "d"
-
-
-class DegenerateU(VvmfError):
-    """Induction family parameter u vanishes (double indicial root)."""
-    stage = "d"
 
 
 class NormalizationError(VvmfError):
     """Induction orbit is not presented with the restricting member first."""
     stage = "a"
-
-
-class WeightParityMismatch(VvmfError):
-    """Minimal weight and representation parity disagree mod 2."""
-    stage = "b"
 
 
 # --- CLI ----------------------------------------------------------------------

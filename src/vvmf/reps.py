@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import GroupMismatch, InconsistentRep, WrongRank
@@ -45,19 +45,21 @@ class Group(str, Enum):
 class Rank2Rep:
     """Irreducible rank-2 representation, by the eigenvalues x, y of rho(T).
 
-    ``a`` is the determinant invariant: x*y = e^{2 pi i a / 12} (always even,
-    since rho(-I) = +-I forces det rho(-I) = 1).  ``jordan`` marks the x = y
-    single-Jordan-block family nu_chi.
+    x and y are stored as builtin complex numbers, and the constructor
+    derives the rest from them: ``a`` is the determinant invariant,
+    x*y = e^{2 pi i a / 12} (always even, since rho(-I) = +-I forces
+    det rho(-I) = 1), and ``jordan`` marks the x = y single-Jordan-block
+    family nu_chi.  A product xy that is not a sixth root of unity raises
+    InconsistentRep.
     """
 
     x: complex
     y: complex
-    a: int
-    jordan: bool
+    a: int = field(init=False)
+    jordan: bool = field(init=False)
 
-    @classmethod
-    def from_eigenvalues(cls, x, y) -> "Rank2Rep":
-        x, y = complex(x), complex(y)
+    def __post_init__(self) -> None:
+        x, y = complex(self.x), complex(self.y)
         prod = x * y
         if abs(abs(prod) - 1) > 1e-8:
             raise InconsistentRep(f"|xy| = {abs(prod)} but det rho(T) must be unimodular")
@@ -65,7 +67,8 @@ class Rank2Rep:
         a = round(12 * ang) % 12
         if abs(prod - cmath.exp(2j * cmath.pi * a / 12)) > 1e-8 or a % 2:
             raise InconsistentRep(f"xy = {prod} is not a sixth root of unity")
-        return cls(x, y, a, jordan=abs(x - y) <= TOL)
+        for name, value in (("x", x), ("y", y), ("a", a), ("jordan", abs(x - y) <= TOL)):
+            object.__setattr__(self, name, value)
 
     @property
     def t_regular(self) -> bool:
@@ -294,14 +297,14 @@ def rank4_from_tensor(alpha: Rank2Rep, beta: Rank2Rep) -> Rank4Rep:
     Kronecker order, d = a6(alpha)+a6(beta)+3 mod 6, parity the sum."""
     eigs = [xv * yv for xv in alpha.t_eigenvalues() for yv in beta.t_eigenvalues()]
     s = alpha.det_power + beta.det_power
-    return Rank4Rep(*eigs, d=(s + 3) % 6, e=s % 2)
+    return Rank4Rep(*eigs, d=(s + 3) % 6, e=(alpha.parity + beta.parity) % 2)
 
 
 def rank4_from_sym3(alpha: Rank2Rep) -> Rank4Rep:
     x, y = alpha.t_eigenvalues()
     eigs = [x**3, x**2 * y, x * y**2, y**3]
     d = 0 if alpha.det_power % 2 == 0 else 3
-    return Rank4Rep(*eigs, d=d, e=(alpha.det_power + 1) % 2)
+    return Rank4Rep(*eigs, d=d, e=alpha.parity)
 
 
 def rank4_from_induction(rho: GRank2Rep) -> Rank4Rep:
@@ -346,7 +349,7 @@ def rep_from_json(data: dict):
     ...}, each complex parameter an [re, im] pair."""
     p = {key: complex(*v) if isinstance(v, list) else v for key, v in data.items()}
     if p["kind"] == "rank2":
-        return Rank2Rep.from_eigenvalues(p["x"], p["y"])
+        return Rank2Rep(p["x"], p["y"])
     if p["kind"] == "rank4":
         return Rank4Rep(p["x"], p["y"], p["z"], p["w"], d=p["d"], e=p["e"])
     return GRank2Rep(p["e"], p["zeta1"], p["zeta2"], p["zeta3"], p["a"])

@@ -102,7 +102,6 @@ from .errors import (
     NonIntegralExponentGap,
     NonIntegralThreeTrace,
     NonMonicLeadingCoefficient,
-    NonUnitLeadingCoefficient,
     WrongNome,
     ZeroLeadingCoefficient,
 )
@@ -488,7 +487,7 @@ class PuiseuxSeries:
         stop at the first one it cannot use."""
         a0 = self.coeffs[0]
         if abs(a0) <= LEAD_TOL:
-            raise NonUnitLeadingCoefficient(
+            raise ZeroLeadingCoefficient(
                 f"leading coefficient {a0!r} too small to invert"
             )
         exact = (
@@ -517,7 +516,7 @@ class PuiseuxSeries:
         self._require_same_nome(den)
         b0 = den.coeffs[0]
         if abs(b0) <= LEAD_TOL:
-            raise NonUnitLeadingCoefficient(
+            raise ZeroLeadingCoefficient(
                 f"denominator leading coefficient {b0!r} too small"
             )
         n_out = min(self.order, den.order)

@@ -30,16 +30,15 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from vvmf.constructions import _downcast, _rank2_stage, _rank2_weight
+from vvmf.constructions import _downcast, _rank2_weight
 from vvmf.errors import (
     InconsistentRep,
     NotAnExponent,
     Resonance,
-    ResonantExponents,
     VvmfError,
     WrongNome,
 )
-from vvmf.mlde import ODECoefficients, elementary_symmetric, qline_precision
+from vvmf.mlde import CYCLIC, ODECoefficients, _solved_rows, elementary_symmetric, qline_precision
 from vvmf.reps import XI, ZETA3, ExponentData, GRank2Rep, Rank2Rep, Rank4Rep
 from vvmf.series import (
     FixedSeries,
@@ -279,7 +278,7 @@ def _rank2_shifts(L: ExponentData) -> tuple:
     r1, r2 = L.eigenvalues
     delta = r1 - r2
     if nearest_int(delta) is not None:
-        raise ResonantExponents(
+        raise Resonance(
             f"exponent gap {delta!r} is an integer; the rank-2 pair degenerates"
         )
     delta = mpmath.mpc(delta)
@@ -448,8 +447,10 @@ def kronecker_tensor_basis(alpha: Rank2Rep, beta: Rank2Rep, L1: ExponentData,
     ka, kb = _rank2_weight(alpha, L1), _rank2_weight(beta, L2)
     k1 = ka + kb
     with qline_precision():
-        alpha_co, _, alpha_rows = _rank2_stage(L1, ka, order, catalog)
-        beta_co, _, beta_rows = _rank2_stage(L2, kb, order, catalog)
+        alpha_co, _, alpha_rows = _solved_rows((ka, ka + 2), L1.eigenvalues, CYCLIC, order,
+                                               catalog)
+        beta_co, _, beta_rows = _solved_rows((kb, kb + 2), L2.eigenvalues, CYCLIC, order,
+                                             catalog)
         (A, dA), (B, dB) = zip(*alpha_rows), zip(*beta_rows)
         a_alpha, a_beta = alpha_co.a, beta_co.a
 

@@ -64,7 +64,7 @@ def report(name: str, worst: float, tol: float, extra: str = "") -> None:
 
 
 def rank2_data(r1, r2):
-    rep = Rank2Rep.from_eigenvalues(
+    rep = Rank2Rep(
         cmath.exp(2j * cmath.pi * r1), cmath.exp(2j * cmath.pi * r2)
     )
     return rep, ExponentData([r1, r2])
@@ -389,7 +389,7 @@ def test_criterion_7_induction_end_to_end():
     worst_split = 0.0
     worst_multiset = 0.0
     for r in (0.27, 0.13 + 0.21j, 0.41, 0.05, 0.33 - 0.14j):
-        job = InductionJob.make(rep, L, u_from_local_exponent(r))
+        job = InductionJob(rep, L, u_from_local_exponent(r))
         pair = []
         for fb in induction_pipeline(job, 20, catalog):
             G = fb.forms[0]

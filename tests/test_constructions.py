@@ -16,7 +16,6 @@ from vvmf.constructions import (
     HYPERGEOMETRIC,
     NU_CHI,
     InductionJob,
-    _rank2_stage,
     induce_to_gamma,
     induction_minimal_pair,
     induction_pipeline,
@@ -28,20 +27,18 @@ from vvmf.constructions import (
 )
 from vvmf.errors import (
     DegenerateC,
-    DegenerateU,
+    GroupMismatch,
     NormalizationError,
     NotIrreducible,
-    ReducibleRep,
     Resonance,
-    ResonantExponents,
     TraceDCongruenceViolation,
-    WeightParityMismatch,
     WrongNome,
 )
 from vvmf.mlde import (
     CYCLIC,
     NONCYCLIC_KEYS,
     CaseReport,
+    _solved_rows,
     cyclic_coeffs,
     cyclic_seed,
     cyclic_system,
@@ -66,7 +63,7 @@ ZETA = cmath.exp(2j * cmath.pi / 3)
 
 
 def rank2_data(r1, r2):
-    rep = Rank2Rep.from_eigenvalues(
+    rep = Rank2Rep(
         cmath.exp(2j * cmath.pi * r1), cmath.exp(2j * cmath.pi * r2)
     )
     return rep, ExponentData([r1, r2])
@@ -148,22 +145,22 @@ class TestRank2Minimal:
         # require_nonresonant rejects the gap, at step (d)
         L = ExponentData([Fraction(13, 12), Fraction(1, 12)])
         with pytest.raises(Resonance, match="differ by the integer 1") as info:
-            _rank2_stage(L, 6, 10, catalog40)
+            _solved_rows((6, 8), L.eigenvalues, CYCLIC, 10, catalog40)
         assert info.value.stage == "d"
 
     def test_reducible_rejected(self, catalog40):
         rep, L = rank2_data(1 / 4, 1 / 12)  # gap 1/6: x^2 - xy + y^2 = 0
-        with pytest.raises(ReducibleRep):
+        with pytest.raises(NotIrreducible):
             rank2_minimal(rep, L, 10, catalog40)
 
     def test_resonant_gap_rejected(self, catalog40):
         rep, _ = rank2_data(0.3, 1 / 6 - 0.3)
         L = ExponentData([0.3 + 1, 0.3])
-        with pytest.raises(ResonantExponents):
+        with pytest.raises(Resonance):
             rank2_kline_pair(L, 10)
 
     def test_jordan_family(self, catalog40):
-        rep = Rank2Rep.from_eigenvalues(1, 1)
+        rep = Rank2Rep(1, 1)
         L = ExponentData([0.0, 0.0])
         form = rank2_minimal(rep, L, 10, catalog40)
         assert form.source == NU_CHI
@@ -195,9 +192,9 @@ class TestSym3Pipeline:
         assert relative_residual(diff, cube) < 1e-12
 
     def test_jordan_rejected(self, catalog40):
-        rep = Rank2Rep.from_eigenvalues(1, 1)
+        rep = Rank2Rep(1, 1)
         L = ExponentData([0.0, 0.0])
-        with pytest.raises(ResonantExponents):
+        with pytest.raises(Resonance):
             sym3_pipeline(rep, L, 10, catalog40)
 
     def test_reducible_rejected(self, catalog40):
@@ -256,7 +253,7 @@ class TestTensorPipeline:
         assert solves == []
 
     def test_jordan_pair_rejected(self, catalog40):
-        nu = Rank2Rep.from_eigenvalues(1, 1)
+        nu = Rank2Rep(1, 1)
         L = ExponentData([0.0, 0.0])
         with pytest.raises(NotIrreducible):
             tensor_pipeline(nu, nu, L, L, 10, catalog40)
@@ -264,9 +261,9 @@ class TestTensorPipeline:
     def test_jordan_factor_needs_series(self, catalog40):
         # irreducible tensor, but the Jordan factor has no q-expansion route
         reg, L1 = rank2_data(0.3, 1 / 6 - 0.3)
-        nu = Rank2Rep.from_eigenvalues(1, 1)
+        nu = Rank2Rep(1, 1)
         L2 = ExponentData([0.0, 0.0])
-        with pytest.raises(ResonantExponents):
+        with pytest.raises(Resonance):
             tensor_pipeline(reg, nu, L1, L2, 10, catalog40)
 
 
@@ -299,7 +296,14 @@ def make_job(r=0.27, e=0, a=0.7 + 0.2j, trace=Fraction(1, 3), spread=0.11):
     L = ExponentData(
         [complex(trace) / 2 + spread, complex(trace) / 2 - spread], Group.G
     )
-    return InductionJob.make(rep, L, u_from_local_exponent(r))
+    return InductionJob(rep, L, u_from_local_exponent(r))
+
+
+def cli_orbit():
+    """The zeta-orbit of tests/test_cli.py's induction job, its exponents
+    for the subgroup and its u."""
+    rep = GRank2Rep(0, 1, ZETA, ZETA**2, 0.7 + 0.2j)
+    return rep, ExponentData([1 / 3 + 0.11, 1 / 3 - 0.11], Group.G), -0.00455 - 0.00263j
 
 
 class TestInductionJob:
@@ -312,7 +316,7 @@ class TestInductionJob:
         rep = GRank2Rep(0, 1, ZETA, 1, 0.7 + 0.2j)  # sum != 0: not restricting
         L = ExponentData([0.2, 0.3], Group.G)
         with pytest.raises(NormalizationError):
-            InductionJob.make(rep, L, 0.05)
+            InductionJob(rep, L, 0.05)
 
     def test_reducible_twist_rejected(self):
         # for the odd-parity orbit, a = -1 hits the excluded value of both
@@ -320,23 +324,46 @@ class TestInductionJob:
         rep = GRank2Rep(1, 1, ZETA, ZETA**2, -1.0)
         L = ExponentData([0.2, 0.3], Group.G)
         with pytest.raises(NotIrreducible):
-            InductionJob.make(rep, L, 0.05)
+            InductionJob(rep, L, 0.05)
 
     def test_degenerate_u(self):
         rep = GRank2Rep(0, 1, ZETA, ZETA**2, 0.7 + 0.2j)
         L = ExponentData([0.2, 0.3], Group.G)
-        with pytest.raises(DegenerateU):
-            InductionJob.make(rep, L, 0)
-        # a hand-built job is checked at construction too
-        with pytest.raises(DegenerateU, match="u = 0 makes the local exponents collide"):
-            InductionJob(rep, L, 0j, 2)
+        with pytest.raises(Resonance, match="u = 0 makes the local exponents collide") as info:
+            InductionJob(rep, L, 0)
+        assert info.value.stage == "d"
 
-    def test_weight_parity_checked_first(self):
-        # make picks k1 = e mod 2; a hand-built job of the other parity is
-        # rejected at construction, before anything can be solved
-        job = make_job(0.27)
-        with pytest.raises(WeightParityMismatch, match="k1 = 3 and e = 0"):
-            InductionJob(job.rep, job.L, job.u, job.k1 + 1)
+    def test_gamma_exponents_rejected(self):
+        # the orbit, exponents and u of tests/test_cli.py's induction job,
+        # with the exponents for the full group: once built by hand, such a
+        # job ran to a basis
+        rep, L, u = cli_orbit()
+        with pytest.raises(GroupMismatch):
+            InductionJob(rep, ExponentData(L.eigenvalues, Group.GAMMA), u)
+
+    def test_twisted_orbit_rejected(self):
+        rep, L, u = cli_orbit()
+        with pytest.raises(NormalizationError):
+            InductionJob(rep.twist(1), L, u)
+
+    def test_checks_run_in_order(self):
+        # normalization, then the twists, then the group, then u
+        rep, L, u = cli_orbit()
+        gamma = ExponentData(L.eigenvalues, Group.GAMMA)
+        with pytest.raises(NormalizationError):
+            InductionJob(rep.twist(1), gamma, 0)
+        with pytest.raises(NotIrreducible):
+            InductionJob(GRank2Rep(1, 1, ZETA, ZETA**2, -1.0), gamma, 0)
+        with pytest.raises(GroupMismatch):
+            InductionJob(rep, gamma, 0)
+
+    def test_u_is_complex_and_k1_is_derived(self):
+        rep, L, u = cli_orbit()
+        job = InductionJob(rep, L, mpmath.mpc(u))
+        assert type(job.u) is complex and job.u == u
+        assert job.k1 == 2  # 3 Tr(L) = 2 has the parity e = 0
+        with pytest.raises(TypeError):
+            InductionJob(rep, L, u, 2)
 
     def test_pipeline_makes_no_eigenvalue_call(self, monkeypatch, cat):
         # the spectrum of rho(T^2) comes from its trace and determinant
@@ -375,7 +402,7 @@ class TestInductionPair:
 
     def test_resonant_u_rejected(self, cat):
         job = make_job(0.27)
-        resonant = InductionJob(job.rep, job.L, u_from_local_exponent(0.5), job.k1)
+        resonant = InductionJob(job.rep, job.L, u_from_local_exponent(0.5))
         with pytest.raises(Resonance):
             induction_minimal_pair(resonant, 20, cat)
 

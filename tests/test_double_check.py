@@ -107,7 +107,7 @@ def check_member(route: str, index: int, order: int) -> None:
         check_cyclic_chain(basis, cyclic_coeffs(indicial_shifts(S3L.eigenvalues, CYCLIC)),
                            catalog)
     elif route == "induction":
-        ijob = InductionJob.make(job.reps[0], job.exponents_list[0], job.u)
+        ijob = InductionJob(job.reps[0], job.exponents_list[0], job.u)
         bases = induction_pipeline(ijob, job.order, catalog)
         rows, system = _induction_stage(ijob, job.order, catalog)
         A, B = (VectorSeries(tuple(row[i].downcast() for row in rows), ijob.k1) for i in range(2))

@@ -185,6 +185,49 @@ def test_unread_private_check_sees_dead_helpers(tmp_path):
     ]
 
 
+def unraised_errors(errors: Path, paths: list[Path]) -> list[str]:
+    """The exception classes errors defines, but its base class ``VvmfError``,
+    that no ``raise`` statement of the other modules at paths names, as
+    ``raise Name(...)`` or ``raise Name``."""
+    defined = [node.name for node in ast.parse(errors.read_text(encoding="utf-8")).body
+               if isinstance(node, ast.ClassDef) and node.name != "VvmfError"]
+    raised = set()
+    for path in paths:
+        if path == errors:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    return [name for name in defined if name not in raised]
+
+
+def test_every_error_class_is_raised():
+    # one class per input failure: a class that nothing raises is dead, and
+    # a merged class cannot come back unraised
+    errors = ROOT / "src" / "vvmf" / "errors.py"
+    assert unraised_errors(errors, SOURCES) == []
+
+
+def test_unraised_error_check_sees_dead_classes(tmp_path):
+    errors, user = tmp_path / "errors.py", tmp_path / "user.py"
+    errors.write_text(
+        "class VvmfError(Exception):\n    pass\n"
+        "class Raised(VvmfError):\n    pass\n"
+        "class Bare(VvmfError):\n    pass\n"
+        "class OnlyCaught(VvmfError):\n    pass\n"
+        "class OnlyInItsModule(VvmfError):\n    pass\n"
+        "def f():\n    raise OnlyInItsModule()\n"
+    )
+    user.write_text(
+        "from errors import Bare, OnlyCaught, Raised\n"
+        "def g():\n    try:\n        raise Raised('x')\n    except OnlyCaught:\n        raise\n"
+        "def h():\n    raise Bare\n"
+    )
+    assert unraised_errors(errors, [errors, user]) == ["OnlyCaught", "OnlyInItsModule"]
+
+
 def third_party_imports() -> set[str]:
     """The top-level packages outside the standard library that the modules
     of the package import, anywhere in their bodies."""
@@ -219,7 +262,7 @@ from vvmf.reps import (ExponentData, GRank2Rep, Group, Rank2Rep, induced_exponen
                        sym3_exponents, tensor_exponents)
 
 def rank2(r1, r2):
-    return Rank2Rep.from_eigenvalues(cmath.exp(2j * cmath.pi * r1), cmath.exp(2j * cmath.pi * r2))
+    return Rank2Rep(cmath.exp(2j * cmath.pi * r1), cmath.exp(2j * cmath.pi * r2))
 
 p = ((1 / 6 + 0.21) / 2, (1 / 6 - 0.21) / 2)
 q = ((2 / 6 + 0.13) / 2, (2 / 6 - 0.13) / 2)

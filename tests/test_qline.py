@@ -132,7 +132,7 @@ def test_induction_pair_matches_zline_oracle():
     L = ExponentData([1 / 3 + 0.11, 1 / 3 - 0.11], Group.G)
     worst = 0.0
     for r in (0.27, 0.13 + 0.21j, 0.41, 0.05, 0.33 - 0.14j):
-        job = InductionJob.make(rep, L, u_from_local_exponent(r))
+        job = InductionJob(rep, L, u_from_local_exponent(r))
         pair = induction_minimal_pair(job, 20, catalog)
         for form, oracle in zip(pair, zline_pair(job, 20), strict=True):
             for got, want in zip(form.components, oracle, strict=True):
@@ -148,7 +148,7 @@ def resonant_route(route: str, catalog):
         return generic_basis(rep, L, 10, catalog)
     if route == "induction":
         job = make_job(0.27)
-        resonant = InductionJob(job.rep, job.L, u_from_local_exponent(0.5), job.k1)  # 2r = 1
+        resonant = InductionJob(job.rep, job.L, u_from_local_exponent(0.5))  # 2r = 1
         return induction_minimal_pair(resonant, 10, catalog)
     # factor gaps 0.6 and 0.4 + 5e-10: the tensor exponents r1 + s1 and r2 + s2
     # differ by 1 + 5e-10, an integer within 1e-9, while their T-eigenvalues

@@ -43,20 +43,20 @@ XI = cmath.exp(2j * cmath.pi / 6)
 
 
 def rank2(r1, r2):
-    return Rank2Rep.from_eigenvalues(
+    return Rank2Rep(
         cmath.exp(2j * cmath.pi * r1), cmath.exp(2j * cmath.pi * r2)
     )
 
 
 class TestRank2:
     def test_irreducible_examples(self):
-        assert rank2_is_irreducible(Rank2Rep.from_eigenvalues(1, -1))
+        assert rank2_is_irreducible(Rank2Rep(1, -1))
         # x/y a primitive sixth root kills x^2 - xy + y^2
-        bad = Rank2Rep.from_eigenvalues(1, cmath.exp(1j * cmath.pi / 3))
+        bad = Rank2Rep(1, cmath.exp(1j * cmath.pi / 3))
         assert not rank2_is_irreducible(bad)
 
     def test_jordan_family_irreducible(self):
-        nu = Rank2Rep.from_eigenvalues(1, 1)
+        nu = Rank2Rep(1, 1)
         assert nu.jordan and rank2_is_irreducible(nu)
 
     def test_determinant_invariant(self):
@@ -66,12 +66,33 @@ class TestRank2:
         assert rep.det_power == 2
         assert rep.parity == (2 + 1) % 2
 
+    def test_derives_a_and_jordan(self):
+        rep = rank2((1 / 6 + 0.21) / 2, (1 / 6 - 0.21) / 2)
+        assert (rep.a, rep.jordan) == (2, False)
+        assert Rank2Rep(1, -1).t_eigenvalues() == (1 + 0j, -1 + 0j)
+        assert type(Rank2Rep(1, -1).x) is complex
+        # a and jordan are derived, never given
+        with pytest.raises(TypeError):
+            Rank2Rep(rep.x, rep.y, 2, False)
+
+    @pytest.mark.parametrize("a", range(0, 12, 2))
+    def test_parity_is_the_det_power_rule(self, a):
+        # the rank-4 parities of Sym^3 and of a tensor product read
+        # Rank2Rep.parity; they once read (det_power + 1) % 2 and the sum
+        # of the factors' det powers mod 2
+        alpha = rank2(a / 12 + 0.13, -0.13)
+        beta = rank2(0.21, 1 / 6 - 0.21)
+        assert alpha.a == a
+        assert alpha.parity == (alpha.det_power + 1) % 2
+        assert rank4_from_sym3(alpha).e == (alpha.det_power + 1) % 2
+        assert rank4_from_tensor(alpha, beta).e == (alpha.det_power + beta.det_power) % 2
+
     def test_rejects_non_sixth_root_product(self):
         # a genuine twelfth root (odd power) and a non-unimodular product
         with pytest.raises(InconsistentRep):
-            Rank2Rep.from_eigenvalues(cmath.exp(2j * cmath.pi / 12), 1)
+            Rank2Rep(cmath.exp(2j * cmath.pi / 12), 1)
         with pytest.raises(InconsistentRep):
-            Rank2Rep.from_eigenvalues(1.3, 1.0)
+            Rank2Rep(1.3, 1.0)
 
 
 class TestRank4:
@@ -166,7 +187,7 @@ class TestGRank2:
 class TestTensorSym3Irreducibility:
     def test_tensor_cases(self):
         regular = rank2(0.3, 1 / 6 - 0.3)
-        nu = Rank2Rep.from_eigenvalues(1, 1)
+        nu = Rank2Rep(1, 1)
         assert tensor_is_irreducible(regular, nu)  # exactly one T-regular
         assert not tensor_is_irreducible(nu, nu)  # nu (x) nu splits
         # coincident products: alpha = diag(i,-i)-type against itself
@@ -174,7 +195,7 @@ class TestTensorSym3Irreducibility:
         assert not tensor_is_irreducible(half, half)
 
     def test_sym3_cases(self):
-        nu = Rank2Rep.from_eigenvalues(1, 1)
+        nu = Rank2Rep(1, 1)
         assert sym3_is_irreducible(nu)
         quarter = rank2(5 / 24, -1 / 24)  # x/y = i: all six ratios distinct
         assert sym3_is_irreducible(quarter)

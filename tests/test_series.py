@@ -21,7 +21,6 @@ from vvmf.errors import (
     NomeMismatch,
     NonIntegralExponentGap,
     NonMonicLeadingCoefficient,
-    NonUnitLeadingCoefficient,
     WrongNome,
     ZeroLeadingCoefficient,
 )
@@ -819,7 +818,7 @@ class TestInvert:
         coeffs_close(out, [0.5])
 
     def test_zero_lead_rejected(self):
-        with pytest.raises(NonUnitLeadingCoefficient):
+        with pytest.raises(ZeroLeadingCoefficient):
             series(Nome.Q, 0, [0, 1]).invert()
 
     def test_exact_for_unit_integer_series(self):
@@ -844,7 +843,7 @@ class TestDivide:
         coeffs_close(q, [1, 0])
 
     def test_zero_denominator(self):
-        with pytest.raises(NonUnitLeadingCoefficient):
+        with pytest.raises(ZeroLeadingCoefficient):
             series(Nome.Q, 0, [1]).divide(series(Nome.Q, 0, [0]))
 
     def test_exact_over_unit_integer_lead(self):

@@ -64,7 +64,7 @@ def count_hauptmodul_work(monkeypatch) -> dict:
 
 def rank2_data(s, delta):
     r1, r2 = (s / 6 + delta) / 2, (s / 6 - delta) / 2
-    rep = Rank2Rep.from_eigenvalues(
+    rep = Rank2Rep(
         cmath.exp(2j * cmath.pi * r1), cmath.exp(2j * cmath.pi * r2)
     )
     return rep, ExponentData([r1, r2])
@@ -244,7 +244,7 @@ def induction_job() -> InductionJob:
     rep = GRank2Rep(0, 1, zeta, zeta**2, 0.7 + 0.2j)
     L = ExponentData([1 / 3 + 0.11, 1 / 3 - 0.11], Group.G)
     r = 0.27
-    return InductionJob.make(rep, L, -(r * r) / (16 * cmath.exp(2j * cmath.pi / 6)))
+    return InductionJob(rep, L, -(r * r) / (16 * cmath.exp(2j * cmath.pi / 6)))
 
 
 @pytest.mark.parametrize("route", ["cyclic", "noncyclic", "induction", "closed", "closed-complex"])
@@ -482,6 +482,14 @@ def test_induction_slashes_each_component_once(monkeypatch):
     assert len(calls) == 4
     assert {id(args[0]) for args in calls} == {
         id(c) for fb in bases for c in fb.forms[0].components[:2]}
+
+
+def test_induction_forms_the_induced_equation_once(monkeypatch):
+    # A and B come from the same rows and declare the same exponents, so
+    # both twists assemble against one set of induced cyclic coefficients
+    calls = count_calls(monkeypatch, vvmf.mlde, "cyclic_coeffs")
+    run_route("induction")
+    assert len(calls) == 1
 
 
 def test_h_inverts_once_on_the_q_series(monkeypatch):
