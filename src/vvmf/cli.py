@@ -3,7 +3,10 @@ series, and the identity check suite, with machine-readable JSON/CSV output.
 
 A job is a JSON object with the keys and JSON types of :data:`JOBS`, checked
 before any pipeline code runs; a format error names its path, as in
-``reps[0].x: expected a pair of numbers [re, im]``.  Results are written as
+``reps[0].x: expected a pair of numbers [re, im]``.  Each representation is
+then built by keyword from :data:`REP_KEYS`, whose keys are its type's
+constructor arguments, and each exponents object as :class:`ExponentData`;
+the constructors run the mathematical checks.  Results are written as
 canonical JSON (sorted keys, no whitespace) so identical jobs produce
 identical bytes.  A job's own
 ``output_path`` takes its result; ``--out``, or else stdout, takes the
@@ -25,7 +28,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any
 
 from .classical import ClassicalCatalog
 from .constructions import (
@@ -45,7 +47,7 @@ from .mlde import (
     modular_derivative,  # noqa: F401  (a binding site perfbench's tracer test patches)
     solve_minimal_form,
 )
-from .reps import ExponentData, Rank2Rep, rep_from_json
+from .reps import ExponentData, GRank2Rep, Rank2Rep, Rank4Rep
 
 DEFAULT_TOL = 1e-9
 DEFAULT_ORDER = 40
@@ -73,11 +75,14 @@ def tolerance() -> float:
 # these keys, "?" marking an optional one.  An object whose "kind" is one of
 # a tuple of representation kinds has, besides "kind", that kind's REP_KEYS.
 
-#: each representation kind's keys besides "kind"
+#: each representation kind's type and its keys besides "kind", which are
+#: the type's constructor arguments
 REP_KEYS = {
-    "rank2": {"x": complex, "y": complex},
-    "rank4": {"x": complex, "y": complex, "z": complex, "w": complex, "d": int, "e": int},
-    "g-rank2": {"e": int, "zeta1": complex, "zeta2": complex, "zeta3": complex, "a": complex},
+    "rank2": (Rank2Rep, {"x": complex, "y": complex}),
+    "rank4": (Rank4Rep, {"x": complex, "y": complex, "z": complex, "w": complex,
+                         "d": int, "e": int}),
+    "g-rank2": (GRank2Rep, {"e": int, "zeta1": complex, "zeta2": complex,
+                            "zeta3": complex, "a": complex}),
 }
 
 EXPONENTS = {"eigenvalues": [complex, ...], "group?": ("Gamma", "G")}
@@ -87,27 +92,21 @@ CONSTRUCTIONS = ("sym3", "tensor", "induction")
 #: keys of every job; the caller may give the command instead
 COMMON = {"command?": COMMANDS, "order?": range(1, sys.maxsize), "output_path?": str}
 
-
-def _one(construction: str, rep: dict, **keys) -> tuple:
-    # a construction of one rep may give it, and its exponents, unlisted
-    keys["construction"] = (construction,)
-    return ({"reps": [rep], "exponents": [EXPONENTS], **keys},
-            {"rep": rep, "exponents": EXPONENTS, **keys})
-
-
-#: each job kind's keys besides COMMON's, as alternative key sets; the kind
-#: is a basis job's construction, else its command
+#: each job kind's keys besides COMMON's; the kind is a basis job's
+#: construction, else its command
 JOBS = {
-    "classify": ({"rep": {"kind": ("rank4",)}, "exponents": EXPONENTS},),
-    "coeffs": ({"rep": {"kind": ("rank4",)}, "exponents": EXPONENTS},),
-    "minimal": ({"rep": {"kind": ("rank2", "rank4")}, "exponents": EXPONENTS},),
-    "basis": ({"rep": {"kind": ("rank4",)}, "exponents": EXPONENTS},),
-    "sym3": _one("sym3", {"kind": ("rank2",)}),
-    "tensor": ({"construction": ("tensor",), "reps": [{"kind": ("rank2",)}] * 2,
-                "exponents": [EXPONENTS] * 2},),
-    "induction": _one("induction", {"kind": ("g-rank2",)}, u=complex),
-    "classical": ({"name": str, "precision?": ("double", "extended")},),
-    "check": ({},),
+    "classify": {"rep": {"kind": ("rank4",)}, "exponents": EXPONENTS},
+    "coeffs": {"rep": {"kind": ("rank4",)}, "exponents": EXPONENTS},
+    "minimal": {"rep": {"kind": ("rank2", "rank4")}, "exponents": EXPONENTS},
+    "basis": {"rep": {"kind": ("rank4",)}, "exponents": EXPONENTS},
+    "sym3": {"construction": ("sym3",), "reps": [{"kind": ("rank2",)}],
+             "exponents": [EXPONENTS]},
+    "tensor": {"construction": ("tensor",), "reps": [{"kind": ("rank2",)}] * 2,
+               "exponents": [EXPONENTS] * 2},
+    "induction": {"construction": ("induction",), "reps": [{"kind": ("g-rank2",)}],
+                  "exponents": [EXPONENTS], "u": complex},
+    "classical": {"name": str, "precision?": ("double", "extended")},
+    "check": {},
 }
 
 
@@ -145,7 +144,7 @@ def _check_object(value: dict, schema: dict, path: str) -> None:
     at = f"{path}." if path else ""
     if "kind" in schema:  # a representation: its kind names its other keys
         _check(value.get("kind"), schema["kind"], f"{at}kind")
-        schema = {"kind": str, **REP_KEYS[value["kind"]]}
+        schema = {"kind": str, **REP_KEYS[value["kind"]][1]}
     names = {key.rstrip("?"): key for key in schema}
     for key in value:
         if key not in names:
@@ -159,14 +158,13 @@ def _check_object(value: dict, schema: dict, path: str) -> None:
 
 @dataclass
 class JobSpec:
-    """A job checked against :data:`JOBS`, with its representations built."""
+    """A job checked against :data:`JOBS`, with its representations and
+    exponents built, in job order (a job with one ``rep`` has one of each)."""
 
     command: str
-    rep: Any = None
-    exponents: Any = None
     construction: str | None = None
-    reps: list | None = None
-    exponents_list: list | None = None
+    reps: list = field(default_factory=list)
+    exponents: list = field(default_factory=list)
     u: complex | None = None
     name: str | None = None
     order: int = DEFAULT_ORDER
@@ -184,20 +182,18 @@ class JobSpec:
         kind = data.get("construction", cmd) if cmd == "basis" else cmd
         if kind != cmd:
             _check(kind, CONSTRUCTIONS, "construction")
-        alternatives = JOBS[kind]
-        keys = next((alt for alt in alternatives
-                     if all(k in data for k in alt if not k.endswith("?"))), alternatives[0])
-        _check(data, {**COMMON, **keys}, "")
+        _check(data, {**COMMON, **JOBS[kind]}, "")
         job = cls(cmd, raw=dict(data), **{key: data[key] for key in (
             "construction", "name", "order", "precision", "output_path") if key in data})
-        reps = data.get("reps", [data["rep"]] if "rep" in data else [])
+        for rep in data.get("reps", [data["rep"]] if "rep" in data else []):
+            rep_type, keys = REP_KEYS[rep["kind"]]
+            job.reps.append(rep_type(**{key: complex(*rep[key]) if t is complex else rep[key]
+                                        for key, t in keys.items()}))
         expos = data.get("exponents", [])
-        job.reps = [rep_from_json(r) for r in reps]
-        job.exponents_list = [ExponentData.from_json(e)
-                              for e in ([expos] if isinstance(expos, dict) else expos)]
+        job.exponents = [ExponentData([complex(*v) for v in e["eigenvalues"]],
+                                      e.get("group", "Gamma"))
+                         for e in ([expos] if isinstance(expos, dict) else expos)]
         job.u = complex(*data["u"]) if "u" in data else None
-        job.rep = job.reps[0] if job.reps else None
-        job.exponents = job.exponents_list[0] if job.exponents_list else None
         return job
 
 
@@ -256,19 +252,20 @@ def _dispatch(job: JobSpec) -> ResultEnvelope:
         env.series = catalog.series(job.name).to_json()
 
     elif job.command == "classify":
-        report = _classified(job.rep, job.exponents)
+        report = _classified(job.reps[0], job.exponents[0])
         env.case = _case_json(report)
 
     elif job.command == "coeffs":
-        report = _classified(job.rep, job.exponents)
+        report = _classified(job.reps[0], job.exponents[0])
         env.case = _case_json(report)
-        co = equation_coefficients(job.exponents.eigenvalues, report.case)
+        co = equation_coefficients(job.exponents[0].eigenvalues, report.case)
         env.coefficients = co.to_json()
 
     elif job.command == "minimal":
         catalog = ClassicalCatalog(job.order)
-        if isinstance(job.rep, Rank2Rep):
-            form = rank2_minimal(job.rep, job.exponents, job.order, catalog)
+        rep, L = job.reps[0], job.exponents[0]
+        if isinstance(rep, Rank2Rep):
+            form = rank2_minimal(rep, L, job.order, catalog)
             env.minimal = {
                 "k1": form.k1,
                 "source": form.source,
@@ -280,9 +277,7 @@ def _dispatch(job: JobSpec) -> ResultEnvelope:
                 env.minimal["eta_component"] = form.eta_component.to_json()
             env.residuals.update(form.residuals)
         else:
-            F, report, co, residuals = solve_minimal_form(
-                job.rep, job.exponents, job.order, catalog
-            )
+            F, report, co, residuals = solve_minimal_form(rep, L, job.order, catalog)
             env.case = _case_json(report)
             env.coefficients = co.to_json()
             env.minimal = {
@@ -302,15 +297,14 @@ def _dispatch(job: JobSpec) -> ResultEnvelope:
 
 
 def _basis_job(job: JobSpec, catalog: ClassicalCatalog) -> FormBasis:
-    reps, expos = job.reps, job.exponents_list
+    rep, L = job.reps[0], job.exponents[0]
     if job.construction is None:
-        return generic_basis(job.rep, job.exponents, job.order, catalog)
+        return generic_basis(rep, L, job.order, catalog)
     if job.construction == "tensor":
-        return tensor_pipeline(reps[0], reps[1], expos[0], expos[1], job.order, catalog)
+        return tensor_pipeline(rep, job.reps[1], L, job.exponents[1], job.order, catalog)
     if job.construction == "sym3":
-        return sym3_pipeline(reps[0], expos[0], job.order, catalog)
-    ijob = InductionJob(reps[0], expos[0], job.u)
-    first, second = induction_pipeline(ijob, job.order, catalog)
+        return sym3_pipeline(rep, L, job.order, catalog)
+    first, second = induction_pipeline(InductionJob(rep, L, job.u), job.order, catalog)
     # emit the beta-twist basis; the beta^2 side is in the second slot
     merged = dict(first.residuals)
     merged.update({f"beta2_{k}": v for k, v in second.residuals.items()})

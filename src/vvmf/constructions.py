@@ -62,7 +62,6 @@ from .reps import (
     rank4_from_induction,
     rank4_from_sym3,
     rank4_from_tensor,
-    restriction_index,
     sym3_exponents,
     sym3_is_irreducible,
     tensor_exponents,
@@ -74,7 +73,6 @@ from .series import (
     Nome,
     PuiseuxSeries,
     VectorSeries,
-    as_complex,
     cexp,
     clog,
     compose_frobenius,  # noqa: F401  (a binding site perfbench's tracer test patches)
@@ -248,10 +246,7 @@ def _cube(f: FixedSeries, g: FixedSeries) -> tuple[FixedSeries, ...]:
 
 def local_exponent_from_u(u, xi=XI):
     """Principal square root of -16 e^{2 pi i/6} u."""
-    val = -16 * xi * u
-    if abs(as_complex(val)) == 0:
-        return 0j
-    return cexp(0.5 * clog(val))
+    return cexp(0.5 * clog(-16 * xi * u))
 
 
 @dataclass(frozen=True)
@@ -260,8 +255,11 @@ class InductionJob:
     subgroup and the family parameter u of the Z-line equation.
 
     Checked at construction, in this order: the orbit leads with its
-    restricting member (NormalizationError), both nontrivial twists induce
-    irreducibly (NotIrreducible), L is for the subgroup (GroupMismatch) and
+    restricting member (NormalizationError; at most one member of a
+    beta-twist orbit restricts, since for a restricting rho the twist by
+    omega sums to zeta3 omega (omega - 1), which is 0 only for omega = 1),
+    both nontrivial twists induce irreducibly (NotIrreducible), L is for
+    the subgroup (GroupMismatch) and holds 2 eigenvalues (WrongRank), and
     u != 0 (Resonance: u = 0 makes the local exponents collide).  u is
     stored as a builtin complex, and the minimal weight k1 is derived:
     3 Tr(L) or 3 Tr(L) + 1, whichever has the parity e of the
@@ -273,7 +271,7 @@ class InductionJob:
     k1: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if restriction_index(self.rep) != 0:
+        if not self.rep.restricts_from_gamma:
             raise NormalizationError(
                 "orbit must be presented with the restricting member first "
                 "(zeta1 + zeta2 + zeta3 = 0)"
@@ -283,6 +281,8 @@ class InductionJob:
                 raise NotIrreducible(f"induction of the beta^{j} twist is reducible")
         if self.L.group is not Group.G:
             raise GroupMismatch("induction starts from exponents for the subgroup")
+        if self.L.rank != 2:
+            raise WrongRank(f"need 2 exponent eigenvalues, got {self.L.rank}")
         u = complex(self.u)
         if abs(u) <= 1e-14:
             raise Resonance("u = 0 makes the local exponents collide")

@@ -12,9 +12,8 @@ invariant here is read off them in builtin complex arithmetic, so this
 module never loads numpy.  Exponent data is the list of eigenvalues of a
 choice of exponents L with e^{2 pi i L} = rho(T) (rho(T^2) on the
 subgroup): the case split, the minimal weight and the indicial exponents
-read L only through its eigenvalues.  :func:`rep_from_json` and
-:meth:`ExponentData.from_json` build from JSON that the job table of
-:mod:`vvmf.cli` has checked; the checks here are the mathematical ones.
+read L only through its eigenvalues.  The constructors here run the
+mathematical checks; the job format, and its checks, are :mod:`vvmf.cli`'s.
 """
 
 from __future__ import annotations
@@ -257,12 +256,6 @@ class ExponentData:
                     f"exp(2 pi i {ev}) = {image} is not a T-eigenvalue"
                 )
 
-    @staticmethod
-    def from_json(data: dict) -> "ExponentData":
-        """Exponent data of a checked object (:data:`vvmf.cli.JOBS`)."""
-        eigs = (complex(*pair) for pair in data["eigenvalues"])
-        return ExponentData(eigs, data.get("group", "Gamma"))
-
 
 def tensor_exponents(L1: ExponentData, L2: ExponentData) -> ExponentData:
     """Kronecker-sum exponents: eigenvalues e_i + f_j."""
@@ -327,29 +320,3 @@ def rank4_from_induction(rho: GRank2Rep) -> Rank4Rep:
     d = best if best % 2 != rho.e % 2 else best + 3
     return Rank4Rep(*eigs, d=d % 6, e=rho.e)
 
-
-def beta_twist_orbit(rep: GRank2Rep) -> tuple[GRank2Rep, GRank2Rep, GRank2Rep]:
-    return (rep, rep.twist(1), rep.twist(2))
-
-
-def restriction_index(rep: GRank2Rep) -> int | None:
-    """Index j in {0,1,2} of the unique beta-twist that restricts from the
-    full group, or None if no twist does."""
-    hits = [j for j, r in enumerate(beta_twist_orbit(rep)) if r.restricts_from_gamma]
-    if len(hits) == 1:
-        return hits[0]
-    if not hits:
-        return None
-    raise InconsistentRep("multiple twists restrict; orbit is degenerate")
-
-
-def rep_from_json(data: dict):
-    """Build a representation from its JSON object, already checked against
-    the job table of :mod:`vvmf.cli`: {"kind": "rank2"|"rank4"|"g-rank2",
-    ...}, each complex parameter an [re, im] pair."""
-    p = {key: complex(*v) if isinstance(v, list) else v for key, v in data.items()}
-    if p["kind"] == "rank2":
-        return Rank2Rep(p["x"], p["y"])
-    if p["kind"] == "rank4":
-        return Rank4Rep(p["x"], p["y"], p["z"], p["w"], d=p["d"], e=p["e"])
-    return GRank2Rep(p["e"], p["zeta1"], p["zeta2"], p["zeta3"], p["a"])

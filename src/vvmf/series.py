@@ -616,12 +616,6 @@ class PuiseuxSeries:
             "coeffs": coeffs,
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "PuiseuxSeries":
-        lam = complex(*data["lead_exponent"])
-        coeffs = tuple(complex(re, im) for re, im in data["coeffs"])
-        return PuiseuxSeries(Nome(data["nome"]), lam, coeffs)
-
 
 def _overflows(z) -> bool:
     """Whether z is beyond the double range (:func:`as_complex` raises)."""

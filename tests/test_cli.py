@@ -2,6 +2,7 @@
 
 import cmath
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -23,7 +24,7 @@ import vvmf.cli
 from vvmf.classical import ClassicalCatalog
 from vvmf.cli import STEPS, JobSpec, ResultEnvelope, emit, main, run
 from vvmf.errors import UnknownSeries, ValidationError, VvmfError, WrongRank
-from vvmf.reps import rep_from_json
+from vvmf.reps import GRank2Rep, Rank2Rep, Rank4Rep
 
 
 def rank2_json(r1, r2):
@@ -114,6 +115,13 @@ def with_rep(job, **keys):
     return {**job, "rep": {**job["rep"], **keys}}
 
 
+def unlisted(job):
+    """``job`` with its one rep and exponents given unlisted, as ``rep`` and
+    one exponents object, the spelling of a generic job."""
+    reps, expos = job.pop("reps"), job.pop("exponents")
+    return {**job, "rep": reps[0], "exponents": expos[0]}
+
+
 class TestJobSpec:
     def test_unknown_command(self):
         with pytest.raises(ValidationError):
@@ -139,14 +147,7 @@ class TestJobSpec:
     def test_parses_construction_lists(self):
         job = JobSpec.from_json(sym3_job())
         assert job.construction == "sym3"
-        assert len(job.reps) == 1 and len(job.exponents_list) == 1
-
-    def test_single_rep_fills_the_lists(self):
-        data = sym3_job(5)
-        data["rep"], data["exponents"] = data.pop("reps")[0], data.pop("exponents")[0]
-        job = JobSpec.from_json(data)
-        assert job.reps == [job.rep] and job.exponents_list == [job.exponents]
-        assert run(job).basis == run(JobSpec.from_json(sym3_job(5))).basis
+        assert len(job.reps) == 1 and len(job.exponents) == 1
 
 
 class TestRun:
@@ -428,7 +429,7 @@ class TestMain:
         assert main(["minimal", "--spec", str(spec)]) == 2
         parsed = capsys.readouterr().err
         spec.write_text(json.dumps(job))
-        monkeypatch.setattr(vvmf.cli, "rank2_minimal", lambda *args: rep_from_json(bad))
+        monkeypatch.setattr(vvmf.cli, "rank2_minimal", lambda *args: Rank2Rep(1, 0.6 + 0.8j))
         assert main(["minimal", "--spec", str(spec)]) == 2
         assert capsys.readouterr().err == parsed
         assert parsed.startswith("error: [step (a) determinant/parity extraction] xy = ")
@@ -476,6 +477,7 @@ class TestMain:
         ("classical", {"name": 4, "order": 5}, "name: expected a string"),
         ("classical", [1], "job: expected an object"),
         ("basis", {**sym3_job(), "u": [1]}, "u: unexpected key"),
+        ("basis", unlisted(sym3_job()), "rep: unexpected key"),
         ("classical", {"name": "E4", "order": "20"}, "order: expected an integer >= 1"),
         ("classical", {"name": "E4", "order": 20.5}, "order: expected an integer >= 1"),
         ("classical", {"name": "E4", "order": True}, "order: expected an integer >= 1"),
@@ -505,7 +507,7 @@ class TestMain:
             exponents_json([0.1, 0.2]), {**exponents_json([0.1, 0.2]), "matrix": [[[0.1, 0]]]}]},
          "exponents[1].matrix: unexpected key"),
     ], ids=["x-one-number", "eigenvalues-number", "reps-number", "rep-list", "name-number",
-            "spec-entry-number", "u-on-sym3", "order-string", "order-fraction", "order-true",
+            "spec-entry-number", "u-on-sym3", "rep-on-sym3", "order-string", "order-fraction", "order-true",
             "d-string", "x-nan", "eigenvalue-strings", "group-h", "exponents-number",
             "x-string", "x-bare-number", "x-three-numbers", "kind-rank3", "matrix-ragged",
             "matrix-one-row"])
@@ -794,6 +796,45 @@ class TestInductionJobCli:
         with pytest.raises(ValidationError):
             run(JobSpec.from_json(job))
 
+    def test_exponents_need_two_eigenvalues(self, tmp_path, capsys):
+        # the orbit of the induction pool with one exponent of the pair's
+        # trace: L was read only through its trace, so this ran to a basis
+        job = {**induction_job(10), "exponents": [{"eigenvalues": [[2 / 3, 0]], "group": "G"}]}
+        spec = tmp_path / "job.json"
+        spec.write_text(json.dumps(job))
+        assert main(["basis", "--spec", str(spec)]) == 2
+        assert capsys.readouterr().err == (
+            "error: [step (a) determinant/parity extraction] need 2 exponent eigenvalues, got 1\n"
+        )
+
+
+class TestRepTable:
+    """Every representation kind is built by keyword from REP_KEYS."""
+
+    @pytest.mark.parametrize("kind", list(vvmf.cli.REP_KEYS))
+    def test_keys_are_the_constructor_arguments(self, kind):
+        rep_type, keys = vvmf.cli.REP_KEYS[kind]
+        assert list(keys) == list(inspect.signature(rep_type).parameters)
+
+    ZETA = cmath.exp(2j * cmath.pi / 3)
+    R1, R2 = (1 / 6 + 0.21) / 2, (1 / 6 - 0.21) / 2
+    BUILT = {
+        "rank2": ({"command": "minimal", "rep": rank2_json(R1, R2),
+                   "exponents": exponents_json([R1, R2])},
+                  Rank2Rep(cmath.exp(2j * cmath.pi * R1), cmath.exp(2j * cmath.pi * R2))),
+        "rank4": (generic_job("classify"),
+                  Rank4Rep(*(cmath.exp(2j * cmath.pi * v) for v in GENERIC_EIGS), d=1, e=0)),
+        "g-rank2": (induction_job(), GRank2Rep(0, 1, ZETA, ZETA**2, 0.7 + 0.2j)),
+    }
+
+    def test_every_kind_is_built(self):
+        assert sorted(self.BUILT) == sorted(vvmf.cli.REP_KEYS)
+
+    @pytest.mark.parametrize("kind", list(BUILT))
+    def test_builds_what_the_constructor_builds(self, kind):
+        job, want = self.BUILT[kind]
+        (rep,) = JobSpec.from_json(job).reps
+        assert type(rep) is type(want) and rep == want
 
 
 #: the job builders of this file, at orders <= 15

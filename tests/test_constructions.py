@@ -33,6 +33,7 @@ from vvmf.errors import (
     Resonance,
     TraceDCongruenceViolation,
     WrongNome,
+    WrongRank,
 )
 from vvmf.mlde import (
     CYCLIC,
@@ -356,6 +357,22 @@ class TestInductionJob:
             InductionJob(GRank2Rep(1, 1, ZETA, ZETA**2, -1.0), gamma, 0)
         with pytest.raises(GroupMismatch):
             InductionJob(rep, gamma, 0)
+
+    @pytest.mark.parametrize("eigs", [[2 / 3], [1 / 3 + 0.11, 1 / 3 - 0.11, 0]],
+                             ids=["one", "three"])
+    def test_exponents_need_two_eigenvalues(self, eigs):
+        # L was read only through its trace: one or three eigenvalues of the
+        # pair's trace ran to the pair's basis.  The rank is checked after
+        # the group and before u.
+        rep, L, u = cli_orbit()
+        message = f"^need 2 exponent eigenvalues, got {len(eigs)}$"
+        with pytest.raises(WrongRank, match=message) as info:
+            InductionJob(rep, ExponentData(eigs, Group.G), u)
+        assert info.value.stage == "a"
+        with pytest.raises(GroupMismatch):
+            InductionJob(rep, ExponentData(eigs, Group.GAMMA), 0)
+        with pytest.raises(WrongRank):
+            InductionJob(rep, ExponentData(eigs, Group.G), 0)
 
     def test_u_is_complex_and_k1_is_derived(self):
         rep, L, u = cli_orbit()

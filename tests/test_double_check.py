@@ -102,12 +102,12 @@ def check_member(route: str, index: int, order: int) -> None:
     job = JobSpec.from_json(inputs.make_job(route, index, order, POOLS).payload)
     catalog = ClassicalCatalog(job.order)
     if route == "sym3":
-        basis = sym3_pipeline(job.reps[0], job.exponents_list[0], job.order, catalog)
-        S3L = sym3_exponents(job.exponents_list[0])
+        basis = sym3_pipeline(job.reps[0], job.exponents[0], job.order, catalog)
+        S3L = sym3_exponents(job.exponents[0])
         check_cyclic_chain(basis, cyclic_coeffs(indicial_shifts(S3L.eigenvalues, CYCLIC)),
                            catalog)
     elif route == "induction":
-        ijob = InductionJob(job.reps[0], job.exponents_list[0], job.u)
+        ijob = InductionJob(job.reps[0], job.exponents[0], job.u)
         bases = induction_pipeline(ijob, job.order, catalog)
         rows, system = _induction_stage(ijob, job.order, catalog)
         A, B = (VectorSeries(tuple(row[i].downcast() for row in rows), ijob.k1) for i in range(2))
@@ -120,12 +120,12 @@ def check_member(route: str, index: int, order: int) -> None:
             check_cyclic_chain(basis, co, catalog)
     else:
         if route == "tensor":
-            L1, L2 = job.exponents_list
+            L1, L2 = job.exponents
             basis = tensor_pipeline(job.reps[0], job.reps[1], L1, L2, job.order, catalog)
             eigenvalues = tensor_exponents(L1, L2).eigenvalues
         else:
-            basis = generic_basis(job.rep, job.exponents, job.order, catalog)
-            eigenvalues = job.exponents.eigenvalues
+            basis = generic_basis(job.reps[0], job.exponents[0], job.order, catalog)
+            eigenvalues = job.exponents[0].eigenvalues
         with qline_precision():
             co = equation_coefficients(eigenvalues, basis.case.case)
             system = (cyclic_system(co, catalog, Nome.Q)

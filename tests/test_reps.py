@@ -15,14 +15,12 @@ from vvmf.reps import (
     Group,
     Rank2Rep,
     Rank4Rep,
-    beta_twist_orbit,
     induced_exponents,
     induction_is_irreducible,
     rank2_is_irreducible,
     rank4_from_induction,
     rank4_from_sym3,
     rank4_from_tensor,
-    restriction_index,
     sym3_exponents,
     sym3_is_irreducible,
     tensor_exponents,
@@ -170,7 +168,7 @@ class TestGRank2:
             except InconsistentRep:
                 continue
             hits = [
-                r for r in beta_twist_orbit(rep) if r.restricts_from_gamma
+                r for r in (rep, rep.twist(1), rep.twist(2)) if r.restricts_from_gamma
             ]
             assert len(hits) == 1
             count += 1
@@ -337,10 +335,10 @@ class TestConstructedRank4:
         mu = np.linalg.eigvals(t2_matrix(rep))
         assert match_multisets(squares, [m for m in mu for _ in (0, 1)], 1e-6)
 
-    def test_restriction_index(self):
+    def test_one_twist_closes_the_orbit(self):
         rep = GRank2Rep(0, 1, ZETA, ZETA**2, 0.7 + 0.2j)
-        assert restriction_index(rep) == 0
-        assert restriction_index(rep.twist(1)) == 2  # one more twist closes the orbit
+        assert rep.restricts_from_gamma
+        assert rep.twist(1).twist(2).restricts_from_gamma  # one more twist closes the orbit
 
 
 class TestFunctorSpectrumInvariant:

@@ -1120,10 +1120,8 @@ COEFF_KINDS = {
 class TestSerialization:
     def test_round_trip(self):
         s = series(Nome.Q2, 0.25 + 0.5j, [1, -2j, 3.5])
-        back = PuiseuxSeries.from_json(s.to_json())
-        assert back.nome is s.nome
-        assert abs(back.lead_exponent - complex(s.lead_exponent)) == 0
-        coeffs_close(back, list(s.coeffs), tol=0)
+        assert s.to_json() == {"nome": "q2", "lead_exponent": [0.25, 0.5],
+                               "coeffs": [[1.0, 0.0], [0.0, -2.0], [3.5, 0.0]]}
 
     def test_overflow_names_coefficient_and_order(self):
         s = series(Nome.Q, 1, [1728, -(10**400), 0])
