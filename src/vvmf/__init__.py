@@ -32,7 +32,6 @@ from .mlde import (
     modular_derivative,
     noncyclic_coeffs,
     qline_solve,
-    solve_minimal_form,
 )
 from .reps import (
     ExponentData,
@@ -83,7 +82,6 @@ __all__ = [
     "qline_solve",
     "rank2_is_irreducible",
     "rank2_minimal",
-    "solve_minimal_form",
     "sym3_exponents",
     "sym3_is_irreducible",
     "sym3_pipeline",

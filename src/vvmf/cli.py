@@ -6,10 +6,14 @@ before any pipeline code runs; a format error names its path, as in
 ``reps[0].x: expected a pair of numbers [re, im]``.  Each representation is
 then built by keyword from :data:`REP_KEYS`, whose keys are its type's
 constructor arguments, and each exponents object as :class:`ExponentData`;
-the constructors run the mathematical checks.  Results are written as
-canonical JSON (sorted keys, no whitespace) so identical jobs produce
-identical bytes.  A job's own
-``output_path`` takes its result; ``--out``, or else stdout, takes the
+the constructors run the mathematical checks.  Every rank-4 job runs
+through the staged driver :func:`vvmf.mlde.staged` on its construction's
+route in :data:`ROUTES` and stops after the stage its command names:
+``classify`` after the case, ``coeffs`` after the equation coefficients,
+``minimal`` and ``basis`` after the basis; only the rank-2 ``minimal`` job
+has a path of its own.  Results are written as canonical JSON (sorted
+keys, no whitespace) so identical jobs produce identical bytes.  A job's
+own ``output_path`` takes its result; ``--out``, or else stdout, takes the
 others' in job order.  Residuals above tolerance (env VVMF_TOL, a finite
 number > 0, default 1e-9) set a nonzero exit status.  A job that cannot run
 exits with status 2 and one line ``error: [step (x) <stage>] <message>``,
@@ -31,21 +35,19 @@ from dataclasses import dataclass, field
 
 from .classical import ClassicalCatalog
 from .constructions import (
+    INDUCTION_ROUTE,
+    SYM3_ROUTE,
+    TENSOR_ROUTE,
     InductionJob,
-    induction_pipeline,
     rank2_minimal,
-    sym3_pipeline,
-    tensor_pipeline,
 )
 from .errors import STEPS, ValidationError, VvmfError
 from .mlde import (
+    GENERIC_ROUTE,
     CaseReport,
-    FormBasis,
-    _classified,
-    equation_coefficients,
-    generic_basis,
+    generic_basis,  # noqa: F401  (a binding site perfbench's tracer test reads)
     modular_derivative,  # noqa: F401  (a binding site perfbench's tracer test patches)
-    solve_minimal_form,
+    staged,
 )
 from .reps import ExponentData, GRank2Rep, Rank2Rep, Rank4Rep
 
@@ -84,6 +86,11 @@ REP_KEYS = {
     "g-rank2": (GRank2Rep, {"e": int, "zeta1": complex, "zeta2": complex,
                             "zeta3": complex, "a": complex}),
 }
+
+#: each rank-4 route of :func:`vvmf.mlde.staged`, by the job's construction
+#: (None for a generic job): its input checks, its case and its solve
+ROUTES = {None: GENERIC_ROUTE, "sym3": SYM3_ROUTE, "tensor": TENSOR_ROUTE,
+          "induction": INDUCTION_ROUTE}
 
 EXPONENTS = {"eigenvalues": [complex, ...], "group?": ("Gamma", "G")}
 COMMANDS = ("classify", "coeffs", "minimal", "basis", "classical", "check")
@@ -251,64 +258,37 @@ def _dispatch(job: JobSpec) -> ResultEnvelope:
         catalog = ClassicalCatalog(job.order, job.precision)
         env.series = catalog.series(job.name).to_json()
 
-    elif job.command == "classify":
-        report = _classified(job.reps[0], job.exponents[0])
-        env.case = _case_json(report)
+    elif job.command == "minimal" and isinstance(job.reps[0], Rank2Rep):
+        form = rank2_minimal(job.reps[0], job.exponents[0], job.order, ClassicalCatalog(job.order))
+        env.minimal = {
+            "k1": form.k1,
+            "source": form.source,
+            "components": None
+            if form.components is None
+            else [c.to_json() for c in form.components.components],
+        }
+        if form.eta_component is not None:
+            env.minimal["eta_component"] = form.eta_component.to_json()
+        env.residuals.update(form.residuals)
 
-    elif job.command == "coeffs":
-        report = _classified(job.reps[0], job.exponents[0])
+    else:  # a rank-4 route, run to the stage the command stops after
+        inputs = (*job.reps, *job.exponents)
+        if job.construction == "induction":
+            inputs = (InductionJob(*inputs, job.u),)
+        report, co, basis = staged(ROUTES[job.construction], inputs, job.order,
+                                   ClassicalCatalog(job.order), job.command)
         env.case = _case_json(report)
-        co = equation_coefficients(job.exponents[0].eigenvalues, report.case)
-        env.coefficients = co.to_json()
-
-    elif job.command == "minimal":
-        catalog = ClassicalCatalog(job.order)
-        rep, L = job.reps[0], job.exponents[0]
-        if isinstance(rep, Rank2Rep):
-            form = rank2_minimal(rep, L, job.order, catalog)
-            env.minimal = {
-                "k1": form.k1,
-                "source": form.source,
-                "components": None
-                if form.components is None
-                else [c.to_json() for c in form.components.components],
-            }
-            if form.eta_component is not None:
-                env.minimal["eta_component"] = form.eta_component.to_json()
-            env.residuals.update(form.residuals)
-        else:
-            F, report, co, residuals = solve_minimal_form(rep, L, job.order, catalog)
-            env.case = _case_json(report)
+        if job.command in ("coeffs", "minimal"):
             env.coefficients = co.to_json()
-            env.minimal = {
-                "k1": report.k1,
-                "components": [c.to_json() for c in F.components],
-            }
-            env.residuals.update(residuals)
-
-    elif job.command == "basis":
-        catalog = ClassicalCatalog(job.order)
-        basis = _basis_job(job, catalog)
-        env.case = _case_json(basis.case)
-        env.basis = [f.to_json() for f in basis.forms]
-        env.residuals.update(basis.residuals)
+        if basis is not None:
+            env.residuals.update(basis.residuals)
+            if job.command == "minimal":
+                env.minimal = {"k1": report.k1,
+                               "components": [c.to_json() for c in basis.forms[0].components]}
+            else:
+                env.basis = [f.to_json() for f in basis.forms]
 
     return env
-
-
-def _basis_job(job: JobSpec, catalog: ClassicalCatalog) -> FormBasis:
-    rep, L = job.reps[0], job.exponents[0]
-    if job.construction is None:
-        return generic_basis(rep, L, job.order, catalog)
-    if job.construction == "tensor":
-        return tensor_pipeline(rep, job.reps[1], L, job.exponents[1], job.order, catalog)
-    if job.construction == "sym3":
-        return sym3_pipeline(rep, L, job.order, catalog)
-    first, second = induction_pipeline(InductionJob(rep, L, job.u), job.order, catalog)
-    # emit the beta-twist basis; the beta^2 side is in the second slot
-    merged = dict(first.residuals)
-    merged.update({f"beta2_{k}": v for k, v in second.residuals.items()})
-    return FormBasis(first.forms + second.forms, first.case, merged)
 
 
 # ---------------------------------------------------------------------------

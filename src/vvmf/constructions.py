@@ -5,22 +5,26 @@ subgroup.
 The rank-2 minimal form solves the cyclic equation of rank two on the
 q-line at the job's own exponents, through the generic cyclic route's
 shift, coefficient, system and seed rules (:func:`vvmf.mlde._solved_rows`
-at weights k1, k1 + 2).  The Sym^3 pipeline forms the cube exactly on its
-fixed-point rows, rounds once and hands it to the cyclic basis assembler;
-the tensor pipeline solves its noncyclic rank-4 system on the q-line with
-the generic route's code, seeded so that its rows are the paper's closed
-Kronecker basis.  The induction pair solves its defining first-order
-system on the q2-line; each form of the pair is stacked over its
-T^{-1}-slash, and like the other routes the induced representation is
-classified by :func:`vvmf.mlde.classify` before its basis is assembled.
-Every defining differential relation is re-checked on the emitted series,
-by :func:`vvmf.mlde.solved_forms` for every solved system.
+at weights k1, k1 + 2).  Each rank-4 construction is a
+:class:`vvmf.mlde.Route` of the staged driver :func:`vvmf.mlde.staged`,
+which classifies the constructed representation and forms the rank-4
+equation coefficients once, at working precision; a route supplies only
+its input checks, its case and its solve.  The Sym^3 solve forms the cube
+exactly on its fixed-point rows, rounds once and hands it to the cyclic
+basis assembler; the tensor solve is the generic route's noncyclic one,
+seeded so that its rows are the paper's closed Kronecker basis.  The
+induction pair solves its defining first-order system on the q2-line;
+each form of the pair is stacked over its T^{-1}-slash and assembled
+into the cyclic basis of its twist.  Every defining differential relation
+is re-checked on the emitted series, by :func:`vvmf.mlde.solved_forms`
+for every solved system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 
@@ -37,18 +41,18 @@ from .mlde import (
     CYCLIC,
     NONCYCLIC,
     FormBasis,
+    Route,
     _downcast,
-    _recursive_stage,
+    _solved_basis,
     _solved_rows,
     assemble_cyclic_basis,
-    classify,
-    cyclic_coeffs,
-    indicial_shifts,
+    equation_coefficients,
     modular_derivative,
     qline_precision,
     qline_solve,
     require_int,
     solved_forms,
+    staged,
 )
 from .reps import (
     XI,
@@ -73,6 +77,7 @@ from .series import (
     Nome,
     PuiseuxSeries,
     VectorSeries,
+    as_complex,
     cexp,
     clog,
     compose_frobenius,  # noqa: F401  (a binding site perfbench's tracer test patches)
@@ -149,7 +154,8 @@ def rank2_minimal(
             residuals={},
             eta_component=catalog.eta_power(2 * k1 + 2),
         )
-    _, system, rows = _solved_rows((k1, k1 + 2), L.eigenvalues, CYCLIC, order, catalog)
+    co = equation_coefficients(L.eigenvalues, CYCLIC)
+    system, rows = _solved_rows((k1, k1 + 2), L.eigenvalues, co, order, catalog)
     forms, _, _, res = solved_forms(rows, (k1, k1 + 2), system, catalog)
     return Rank2MinimalForm(k1, HYPERGEOMETRIC, forms[0], {"rank2_mlde": max(res)})
 
@@ -157,6 +163,29 @@ def rank2_minimal(
 # ---------------------------------------------------------------------------
 # tensor products
 # ---------------------------------------------------------------------------
+
+def _tensor_inputs(alpha: Rank2Rep, beta: Rank2Rep, L1: ExponentData,
+                   L2: ExponentData) -> tuple:
+    """Step (a) of the tensor route: both factors T-regular, their product
+    irreducible and each factor's exponents valid (:func:`_rank2_weight`);
+    returns alpha (x) beta and the exponents of
+    :func:`vvmf.reps.tensor_exponents`."""
+    if not tensor_is_irreducible(alpha, beta):
+        raise NotIrreducible("tensor product representation is reducible")
+    if not (alpha.t_regular and beta.t_regular):
+        raise Resonance(
+            "series output for the Jordan family is out of scope; both factors "
+            "must be T-regular"
+        )
+    _rank2_weight(alpha, L1)
+    _rank2_weight(beta, L2)
+    return rank4_from_tensor(alpha, beta), tensor_exponents(L1, L2)
+
+
+#: the tensor route: noncyclic, solved as the generic route solves, with
+#: the Kronecker seeds
+TENSOR_ROUTE = Route(_tensor_inputs, NONCYCLIC, partial(_solved_basis, kronecker_unit=True))
+
 
 def tensor_pipeline(
     alpha: Rank2Rep,
@@ -166,9 +195,10 @@ def tensor_pipeline(
     order: int,
     catalog: ClassicalCatalog,
 ) -> FormBasis:
-    """Noncyclic rank-4 basis (F, DF, G, H) for alpha (x) beta, solved on the
-    q-line at the four exponents of :func:`vvmf.reps.tensor_exponents` in one
-    call, as the generic route solves a noncyclic system.
+    """Noncyclic rank-4 basis (F, DF, G, H) for alpha (x) beta
+    (:func:`vvmf.mlde.staged`), solved on the q-line at the four exponents
+    of :func:`vvmf.reps.tensor_exponents` in one call, as the generic route
+    solves a noncyclic system.
 
     F_j leads with 1728^{f_j}, the product of the rank-2 factors' leading
     coefficients, so at a non-resonant exponent the rows are the paper's
@@ -179,26 +209,41 @@ def tensor_pipeline(
     vanish: DegenerateC.  Records the column relations of
     :func:`vvmf.mlde.noncyclic_system`.
     """
-    if not tensor_is_irreducible(alpha, beta):
-        raise NotIrreducible("tensor product representation is reducible")
-    if not (alpha.t_regular and beta.t_regular):
-        raise Resonance(
-            "series output for the Jordan family is out of scope; both factors "
-            "must be T-regular"
-        )
-    _rank2_weight(alpha, L1)
-    _rank2_weight(beta, L2)
-    L12 = tensor_exponents(L1, L2)
-    rep4 = rank4_from_tensor(alpha, beta)
-    report = classify(rep4, L12)
-    if report.case != NONCYCLIC:
-        raise NotIrreducible("tensor products always land in the noncyclic case")
-    return _recursive_stage(report, L12, order, catalog, kronecker_unit=True)[1]
+    return staged(TENSOR_ROUTE, (alpha, beta, L1, L2), order, catalog)[2]
 
 
 # ---------------------------------------------------------------------------
 # symmetric cubes
 # ---------------------------------------------------------------------------
+
+def _sym3_inputs(alpha: Rank2Rep, L: ExponentData) -> tuple:
+    """Step (a) of the Sym^3 route: alpha T-regular, its cube irreducible
+    and L valid for alpha (:func:`_rank2_weight`); returns Sym^3(alpha)
+    and the exponents of :func:`vvmf.reps.sym3_exponents`."""
+    if not sym3_is_irreducible(alpha):
+        raise NotIrreducible("symmetric cube representation is reducible")
+    if not alpha.t_regular:
+        raise Resonance("series output for the Jordan family is out of scope")
+    _rank2_weight(alpha, L)
+    return rank4_from_sym3(alpha), sym3_exponents(L)
+
+
+def _sym3_solve(inputs, _, report, co, order: int, catalog: ClassicalCatalog) -> FormBasis:
+    """Steps (d)-(f) of the Sym^3 route: the rank-2 rows (f, g) of alpha at
+    weights k1, k1 + 2, k1 = report.k1 / 3, cubed exactly, rounded once and
+    handed to the cyclic basis assembler with the driver's coefficients."""
+    L = inputs[1]
+    k1 = report.k1 // 3
+    _, rows = _solved_rows((k1, k1 + 2), L.eigenvalues,
+                           equation_coefficients(L.eigenvalues, CYCLIC), order, catalog)
+    with qline_precision():  # the cube sums the rows' mpc leading exponents
+        F = _downcast(_cube(*(row[0] for row in rows)), report.k1)
+    return assemble_cyclic_basis(F, co, catalog, report)
+
+
+#: the Sym^3 route: cyclic, the cube of the rank-2 minimal form
+SYM3_ROUTE = Route(_sym3_inputs, CYCLIC, _sym3_solve)
+
 
 def sym3_pipeline(
     alpha: Rank2Rep,
@@ -207,23 +252,9 @@ def sym3_pipeline(
     catalog: ClassicalCatalog,
 ) -> FormBasis:
     """Cyclic rank-4 basis for Sym^3(alpha) from the cube of the rank-2
-    minimal form: F = (f^3, f^2 g, f g^2, g^3) at weight 3 k1."""
-    if not sym3_is_irreducible(alpha):
-        raise NotIrreducible("symmetric cube representation is reducible")
-    if not alpha.t_regular:
-        raise Resonance("series output for the Jordan family is out of scope")
-    k1 = _rank2_weight(alpha, L)
-    S3L = sym3_exponents(L)
-    rep4 = rank4_from_sym3(alpha)
-    report = classify(rep4, S3L)
-    if report.case != CYCLIC:
-        raise NotIrreducible("symmetric cubes always land in the cyclic case")
-    co = cyclic_coeffs(indicial_shifts(S3L.eigenvalues, CYCLIC))
-
-    _, _, rows = _solved_rows((k1, k1 + 2), L.eigenvalues, CYCLIC, order, catalog)
-    with qline_precision():  # the cube sums the rows' mpc leading exponents
-        F = _downcast(_cube(*(row[0] for row in rows)), report.k1)
-    return assemble_cyclic_basis(F, co, catalog, report)
+    minimal form (:func:`vvmf.mlde.staged`): F = (f^3, f^2 g, f g^2, g^3)
+    at weight 3 k1."""
+    return staged(SYM3_ROUTE, (alpha, L), order, catalog)[2]
 
 
 def _cube(f: FixedSeries, g: FixedSeries) -> tuple[FixedSeries, ...]:
@@ -261,14 +292,18 @@ class InductionJob:
     both nontrivial twists induce irreducibly (NotIrreducible), L is for
     the subgroup (GroupMismatch) and holds 2 eigenvalues (WrongRank), and
     u != 0 (Resonance: u = 0 makes the local exponents collide).  u is
-    stored as a builtin complex, and the minimal weight k1 is derived:
-    3 Tr(L) or 3 Tr(L) + 1, whichever has the parity e of the
-    representation, so that the induced bases are cyclic."""
+    stored as a builtin complex, and two values are derived: the minimal
+    weight k1, 3 Tr(L) or 3 Tr(L) + 1, whichever has the parity e of the
+    representation, so that the induced bases are cyclic; and the local
+    exponent r of u (:func:`local_exponent_from_u`), in a
+    :func:`vvmf.mlde.qline_precision` block, so that the pair's
+    q2-exponents are k1/6 +- r."""
 
     rep: GRank2Rep
     L: ExponentData
     u: complex
     k1: int = field(init=False)
+    r: mpmath.mpc = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.rep.restricts_from_gamma:
@@ -289,6 +324,9 @@ class InductionJob:
         object.__setattr__(self, "u", u)
         t3 = require_int(3 * self.L.trace, "3*Tr(L)")
         object.__setattr__(self, "k1", t3 + (t3 - self.rep.e) % 2)
+        with qline_precision():
+            r = local_exponent_from_u(mpmath.mpc(u), mpmath.expjpi(mpmath.mpf(1) / 3))
+        object.__setattr__(self, "r", r)
 
 
 def induction_minimal_pair(
@@ -315,16 +353,14 @@ def _induction_stage(job: InductionJob, order: int, catalog: ClassicalCatalog):
     k1 = job.k1
     with qline_precision():
         xi = mpmath.expjpi(mpmath.mpf(1) / 3)
-        u = mpmath.mpc(job.u)
-        r = local_exponent_from_u(u, xi)
         z_lead = mpmath.mpc(0, -2) * mpmath.sqrt(1728)
-        exponents = (r, -r)
+        exponents = (job.r, -job.r)
         seeds = []
         for exponent in exponents:
             a0 = cpow(z_lead, exponent)
             # D A = g B at the leading q2-power: (exponent / 2) a0 = g_0 b0, g_0 = -2 xi^5
             seeds.append((a0, a0 * exponent / (-4 * xi**5)))
-        system = induction_system(u, xi, catalog)
+        system = induction_system(mpmath.mpc(job.u), xi, catalog)
         rows = qline_solve((k1, k1), system,
                            [Fraction(k1, 6) + e for e in exponents], seeds, n2, catalog)
     return rows, system
@@ -366,30 +402,49 @@ def induce_to_gamma(F: VectorSeries) -> VectorSeries:
     return VectorSeries(F.components + slashed, F.weight)
 
 
-def induction_pipeline(
-    job: InductionJob, order: int, catalog: ClassicalCatalog
-) -> tuple[FormBasis, FormBasis]:
-    """Full induction route: solve for the minimal pair and verify its
-    defining relation; then, for the form of each beta-twist, induce it to
-    the full group, classify the induced representation
-    (:func:`vvmf.reps.rank4_from_induction`) at the induced exponents the
-    pair exhibits, taken once (A and B declare the same ones), and assemble
-    the cyclic basis.  k1/6 +- r induce
-    3 Tr(Ind L) = k1 + 3, of the other parity than k1 = e mod 2, so the
-    report is cyclic with the job's k1."""
+def _induction_inputs(job: InductionJob) -> tuple:
+    """Step (a) of the induction route, whose input checks ran in
+    :class:`InductionJob`: the induced representation of the beta-twist
+    (:func:`vvmf.reps.rank4_from_induction`) and the induced exponents of
+    k1/6 +- r, the complex values of the mpc exponents the solved pair
+    declares (:func:`exhibited_exponents`).  The beta^2-twist has the same
+    d and e, so the same report.  k1/6 +- r induce 3 Tr(Ind L) = k1 + 3,
+    of the other parity than k1 = e mod 2, so the report is cyclic with
+    the job's k1."""
+    with qline_precision():
+        pair = [as_complex(Fraction(job.k1, 6) + e) for e in (job.r, -job.r)]
+    return rank4_from_induction(job.rep.twist(1)), induced_exponents(ExponentData(pair, Group.G))
+
+
+def _induction_solve(inputs, _, report, co, order: int, catalog: ClassicalCatalog) -> FormBasis:
+    """Steps (d)-(f) of the induction route: solve for the minimal pair and
+    verify its defining relation; then induce the form of each beta-twist
+    to the full group and assemble its cyclic basis with the driver's
+    coefficients.  One basis holds both twists' forms, the beta^2 side's
+    residual keys prefixed ``beta2_``."""
+    (job,) = inputs
     rows, system = _induction_stage(job, order, catalog)
     (A, B), pair, d_pair, res = solved_forms(rows, (job.k1, job.k1), system, catalog)
-    pair_res = max(res)
-    ind_L = induced_exponents(exhibited_exponents(A))
-    co = cyclic_coeffs(indicial_shifts(ind_L.eigenvalues, CYCLIC))
-    out = []
-    for j, F in ((1, A), (2, B)):
-        report = classify(rank4_from_induction(job.rep.twist(j)), ind_L)
+    forms, residuals, pair_res = (), {}, max(res)
+    for j, F in enumerate((A, B)):
         G = induce_to_gamma(F)
         # D G is D F, taken for the pair check, over D of F|T^{-1}
         slashed = FormStack.of([VectorSeries(G.components[F.rank:], G.weight)])
-        X = FormStack.join((pair.form(j - 1), slashed), 1)
-        DX = FormStack.join((d_pair.form(j - 1), modular_derivative(slashed, catalog)), 1)
+        X = FormStack.join((pair.form(j), slashed), 1)
+        DX = FormStack.join((d_pair.form(j), modular_derivative(slashed, catalog)), 1)
         basis = assemble_cyclic_basis(G, co, catalog, report, (X, DX))
-        out.append(FormBasis(basis.forms, report, {**basis.residuals, "pair_relation": pair_res}))
-    return tuple(out)
+        forms += basis.forms
+        prefix = "beta2_" if j else ""
+        for key, value in {**basis.residuals, "pair_relation": pair_res}.items():
+            residuals[prefix + key] = value
+    return FormBasis(forms, report, residuals)
+
+
+#: the induction route: cyclic, from the solved minimal pair
+INDUCTION_ROUTE = Route(_induction_inputs, CYCLIC, _induction_solve)
+
+
+def induction_pipeline(job: InductionJob, order: int, catalog: ClassicalCatalog) -> FormBasis:
+    """Full induction route (:func:`vvmf.mlde.staged`): the bases of the
+    beta- and beta^2-twists, in one basis of eight forms."""
+    return staged(INDUCTION_ROUTE, (job,), order, catalog)[2]

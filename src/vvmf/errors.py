@@ -13,7 +13,7 @@ STEPS = {
     "c": "equation coefficients",
     "d": "q-line solve",
     "e": "series arithmetic",
-    "f": "eta rescale and basis assembly",
+    "f": "basis assembly",
 }
 
 

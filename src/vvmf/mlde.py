@@ -1,5 +1,13 @@
 """Weight/case classification, equation coefficients, first-order systems
-on the q-line, the modular derivative, and free-basis assembly.
+on the q-line, the modular derivative, free-basis assembly, and the staged
+driver of every rank-4 route.
+
+Every rank-4 job, generic or constructed, runs through one driver
+(:func:`staged`) in the order of :data:`vvmf.errors.STEPS`: the route's
+input checks, :func:`classify`, :func:`equation_coefficients` at
+:data:`QLINE_DPS`, and the route's solve, which takes those coefficients.
+A route (:class:`Route`) supplies only its input checks, its case and its
+solve; the command names the stage the driver stops after.
 
 Every route solves a first-order system D X = X M(q) with holomorphic
 coefficients directly on the q-line (:func:`qline_solve`), with no
@@ -23,6 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
+from typing import Callable, NamedTuple
 
 import mpmath
 
@@ -33,6 +42,7 @@ from .errors import (
     GroupMismatch,
     NonIntegralExponentGap,
     NotAnExponent,
+    NotIrreducible,
     Resonance,
     TraceDCongruenceViolation,
     WrongRank,
@@ -143,12 +153,14 @@ class ODECoefficients:
 
 def elementary_symmetric(values, degree: int) -> list:
     """e_0(values), ..., e_degree(values) by the standard one-pass
-    recurrence."""
-    es = [1] + [0] * degree
+    recurrence.  Each e_j starts from its first term, e_1 from the value
+    itself, not from 0 + term or 1 * value, so a product that is a signed
+    zero keeps its sign; an e_j of more factors than values is 0."""
+    es = [1]
     for v in values:
-        for j in range(degree, 0, -1):
-            es[j] = es[j] + v * es[j - 1]
-    return es
+        terms = ([v] + [v * e for e in es[1:degree]])[:degree]  # v e_{j-1}, j = 1, 2, ...
+        es = [1] + [e + t for e, t in zip(es[1:], terms)] + terms[len(es) - 1:]
+    return es + [0] * (degree + 1 - len(es))
 
 
 def indicial_shifts(eigenvalues, case: str) -> tuple:
@@ -738,42 +750,82 @@ def assemble_cyclic_basis(
 
 
 # ---------------------------------------------------------------------------
-# generic minimal-form pipeline (recursive route)
+# the staged driver of every rank-4 route
 # ---------------------------------------------------------------------------
 
-def _classified(rep: Rank4Rep, L: ExponentData) -> CaseReport:
-    """The case of a generic input, once L holds four exponents for the
-    full group that land in the T-spectrum of rep."""
+class Route(NamedTuple):
+    """A rank-4 route of :func:`staged`.  ``check`` is its step (a): it
+    checks the route's inputs and returns the rank-4 representation it
+    classifies and that representation's exponents.  ``case`` is the case
+    its module always lands in, or None for either.  ``solve`` is its
+    steps (d)-(f): solve(inputs, exponents, report, coefficients, order,
+    catalog) returns the basis, from the driver's coefficients."""
+
+    check: Callable
+    case: str | None
+    solve: Callable
+
+
+#: the stops of :func:`staged`, by the command that names each
+STOPS = ("classify", "coeffs", "minimal", "basis")
+
+
+def staged(route: Route, inputs: tuple, order: int, catalog: ClassicalCatalog,
+           last: str = "basis") -> tuple:
+    """Run a rank-4 route's stages in the order of
+    :data:`vvmf.errors.STEPS`: (a) the route's input checks, (b)
+    :func:`classify` and the route's case, (c) the equation coefficients
+    at :data:`QLINE_DPS` (:func:`equation_coefficients`), and (d)-(f) the
+    route's solve.  Stops after the stage the command ``last`` names:
+    ``classify`` after (b), ``coeffs`` after (c), ``minimal`` and
+    ``basis`` at the end.  Returns (report, coefficients, basis), None for
+    what was not reached."""
+    if last not in STOPS:
+        raise ValueError(f"unknown stop {last!r}")
+    rep, L = route.check(*inputs)
+    report = classify(rep, L)
+    if route.case not in (None, report.case):
+        raise NotIrreducible(f"this construction lands in the {route.case} case, "
+                             f"not the {report.case} one")
+    if last == "classify":
+        return report, None, None
+    co = equation_coefficients(L.eigenvalues, report.case)
+    if last == "coeffs":
+        return report, co, None
+    return report, co, route.solve(inputs, L, report, co, order, catalog)
+
+
+def _generic_inputs(rep: Rank4Rep, L: ExponentData) -> tuple[Rank4Rep, ExponentData]:
+    """Step (a) of the generic route: L holds four exponents for the full
+    group that land in the T-spectrum of rep."""
     if L.group is not Group.GAMMA:
         raise GroupMismatch("rank-4 exponents are for the full group")
     if L.rank != 4:
         raise WrongRank(f"need 4 exponent eigenvalues, got {L.rank}")
     L.validate_against(rep.t_eigenvalues())
-    return classify(rep, L)
+    return rep, L
 
 
-def _solved_rows(weights, eigenvalues, case: str, order: int, catalog: ClassicalCatalog,
-                 kronecker_unit: bool = False) -> tuple:
-    """Solve the case's system D X = X M on the q-line at all exponents
-    ``eigenvalues`` in one call (:func:`qline_solve`, which rejects
-    resonant exponents), X holding the entries of ``weights``: the cyclic
-    system of rank r = len(eigenvalues) <= 4 or the noncyclic one.
+def _solved_rows(weights, eigenvalues, co: ODECoefficients, order: int,
+                 catalog: ClassicalCatalog, kronecker_unit: bool = False) -> tuple:
+    """Solve the system D X = X M of the equation ``co`` on the q-line at
+    all exponents ``eigenvalues`` in one call (:func:`qline_solve`, which
+    rejects resonant exponents), X holding the entries of ``weights``: the
+    cyclic system of rank r = len(eigenvalues) <= 4 or the noncyclic one.
 
-    The exponents are the eigenvalues themselves, lifted to mpmath, and the
-    equation is :func:`equation_coefficients` of them.  A cyclic F_j leads
+    The exponents are the eigenvalues themselves, lifted to mpmath, and
+    ``co`` is :func:`equation_coefficients` of them.  A cyclic F_j leads
     with 1728^{f_j} (:func:`cyclic_seed`), a noncyclic one with
     1728^{f_j} / t_j (t_j the largest-modulus entry of the leading row per
     unit of F), the normalization of the closed K-line form.  With
     ``kronecker_unit`` a noncyclic F_j leads with 1728^{f_j} itself, the
     normalization of the tensor route's basis A (x) B.  The system is built
-    before the seeds, so DegenerateC comes first.  Seeds, coefficients and
-    system are made in one :func:`qline_precision` block.  Returns the
-    equation coefficients, the system and the fixed-point rows, one row
-    tuple per exponent."""
+    before the seeds, so DegenerateC comes first.  Seeds and system are
+    made in one :func:`qline_precision` block.  Returns the system and the
+    fixed-point rows, one row tuple per exponent."""
     with qline_precision():
         lams = [mpmath.mpc(as_complex(v)) for v in eigenvalues]
-        co = equation_coefficients(eigenvalues, case)
-        if case == CYCLIC:
+        if co.case == CYCLIC:
             system = cyclic_system(co, catalog, Nome.Q)
             seeds = [cyclic_seed(f, len(lams)) for f in co.f_exponents]
         else:
@@ -786,49 +838,28 @@ def _solved_rows(weights, eigenvalues, case: str, order: int, catalog: Classical
                     unit /= max(lead, key=abs)
                 seeds.append([unit * x for x in lead])
         rows = qline_solve(weights, system, lams, seeds, order, catalog)
-    return co, system, rows
+    return system, rows
 
 
-def _recursive_stage(
-    report: CaseReport,
-    L: ExponentData,
-    order: int,
-    catalog: ClassicalCatalog,
-    kronecker_unit: bool = False,
-) -> tuple[ODECoefficients, FormBasis]:
-    """The case's free basis at the four exponents of L, the rows of
-    :func:`_solved_rows` with no row recomputed: (F, DF, D^2F, D^3F) or
-    (F, DF, G, H).  Every column relation of the solved system is
-    re-checked on the emitted doubles (:func:`solved_forms`).  Returns the
-    equation coefficients, at working precision
-    (:func:`equation_coefficients`), and the basis.
-    """
-    co, system, rows = _solved_rows(report.weight_tuple, L.eigenvalues, report.case, order,
-                                    catalog, kronecker_unit)
+def _solved_basis(inputs, L: ExponentData, report: CaseReport, co: ODECoefficients, order: int,
+                 catalog: ClassicalCatalog, kronecker_unit: bool = False) -> FormBasis:
+    """Steps (d)-(f) of the generic and tensor routes: the case's free
+    basis at the four exponents of L, the rows of :func:`_solved_rows`
+    with no row recomputed: (F, DF, D^2F, D^3F) or (F, DF, G, H).  Every
+    column relation of the solved system is re-checked on the emitted
+    doubles (:func:`solved_forms`)."""
+    system, rows = _solved_rows(report.weight_tuple, L.eigenvalues, co, order, catalog,
+                                kronecker_unit)
     forms, _, _, res = solved_forms(rows, report.weight_tuple, system, catalog)
     if report.case == CYCLIC:
         residuals = {"cyclic_chain": max(res[:3]), "cyclic_mlde": res[3]}
     else:
         residuals = dict(zip(NONCYCLIC_KEYS, res))
-    return co, FormBasis(forms, report, residuals)
+    return FormBasis(forms, report, residuals)
 
 
-def solve_minimal_form(
-    rep: Rank4Rep,
-    L: ExponentData,
-    order: int,
-    catalog: ClassicalCatalog,
-):
-    """Recursive pipeline for a generic rank-4 representation: classify,
-    derive the equation coefficients and solve the case's first-order system
-    on the q-line at each indicial exponent.
-
-    Returns (F, report, coefficients, residuals) with F the minimal-weight
-    form whose component j has leading q-exponent L.eigenvalues[j]; the
-    residuals are those of :func:`generic_basis`.
-    """
-    co, basis = _recursive_stage(_classified(rep, L), L, order, catalog)
-    return basis.forms[0], basis.case, co, dict(basis.residuals)
+#: the generic rank-4 route: either case, solved on the q-line
+GENERIC_ROUTE = Route(_generic_inputs, None, _solved_basis)
 
 
 def generic_basis(
@@ -837,6 +868,6 @@ def generic_basis(
     order: int,
     catalog: ClassicalCatalog,
 ) -> FormBasis:
-    """Recursive route end to end: the rows of the q-line solutions are the
-    case-appropriate free basis."""
-    return _recursive_stage(_classified(rep, L), L, order, catalog)[1]
+    """The generic route end to end (:func:`staged`): the rows of the
+    q-line solutions are the case-appropriate free basis."""
+    return staged(GENERIC_ROUTE, (rep, L), order, catalog)[2]

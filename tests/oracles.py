@@ -38,7 +38,14 @@ from vvmf.errors import (
     VvmfError,
     WrongNome,
 )
-from vvmf.mlde import CYCLIC, ODECoefficients, _solved_rows, elementary_symmetric, qline_precision
+from vvmf.mlde import (
+    CYCLIC,
+    ODECoefficients,
+    _solved_rows,
+    elementary_symmetric,
+    equation_coefficients,
+    qline_precision,
+)
 from vvmf.reps import XI, ZETA3, ExponentData, GRank2Rep, Rank2Rep, Rank4Rep
 from vvmf.series import (
     FixedSeries,
@@ -447,10 +454,10 @@ def kronecker_tensor_basis(alpha: Rank2Rep, beta: Rank2Rep, L1: ExponentData,
     ka, kb = _rank2_weight(alpha, L1), _rank2_weight(beta, L2)
     k1 = ka + kb
     with qline_precision():
-        alpha_co, _, alpha_rows = _solved_rows((ka, ka + 2), L1.eigenvalues, CYCLIC, order,
-                                               catalog)
-        beta_co, _, beta_rows = _solved_rows((kb, kb + 2), L2.eigenvalues, CYCLIC, order,
-                                             catalog)
+        alpha_co = equation_coefficients(L1.eigenvalues, CYCLIC)
+        beta_co = equation_coefficients(L2.eigenvalues, CYCLIC)
+        _, alpha_rows = _solved_rows((ka, ka + 2), L1.eigenvalues, alpha_co, order, catalog)
+        _, beta_rows = _solved_rows((kb, kb + 2), L2.eigenvalues, beta_co, order, catalog)
         (A, dA), (B, dB) = zip(*alpha_rows), zip(*beta_rows)
         a_alpha, a_beta = alpha_co.a, beta_co.a
 

@@ -43,6 +43,7 @@ from vvmf.mlde import (
     cyclic_coeffs,
     cyclic_seed,
     cyclic_system,
+    equation_coefficients,
     modular_derivative,
     noncyclic_coeffs,
     qline_precision,
@@ -146,7 +147,8 @@ class TestRank2Minimal:
         # require_nonresonant rejects the gap, at step (d)
         L = ExponentData([Fraction(13, 12), Fraction(1, 12)])
         with pytest.raises(Resonance, match="differ by the integer 1") as info:
-            _solved_rows((6, 8), L.eigenvalues, CYCLIC, 10, catalog40)
+            _solved_rows((6, 8), L.eigenvalues, equation_coefficients(L.eigenvalues, CYCLIC), 10,
+                         catalog40)
         assert info.value.stage == "d"
 
     def test_reducible_rejected(self, catalog40):
@@ -441,15 +443,15 @@ class TestInductionPair:
 
     def test_pipeline_bases(self, cat):
         job = make_job(0.27)
-        first, second = induction_pipeline(job, 20, cat)
+        basis = induction_pipeline(job, 20, cat)
         k1 = job.k1
-        for fb in (first, second):
-            # the induced representation of either twist has d = 5, e = 0
-            assert fb.case == CaseReport(CYCLIC, k1, (k1, k1 + 2, k1 + 4, k1 + 6), 5, 0)
-            assert sorted(fb.residuals) == ["cyclic_mlde", "pair_relation"]
-            assert fb.residuals["pair_relation"] < 1e-9
-            assert fb.residuals["cyclic_mlde"] < 1e-9
-            assert freeness_deviation(fb.forms) < FREENESS_TOL
+        # the induced representation of either twist has d = 5, e = 0
+        assert basis.case == CaseReport(CYCLIC, k1, (k1, k1 + 2, k1 + 4, k1 + 6), 5, 0)
+        assert sorted(basis.residuals) == ["beta2_cyclic_mlde", "beta2_pair_relation",
+                                           "cyclic_mlde", "pair_relation"]
+        assert max(basis.residuals.values()) < 1e-9
+        for twist in (basis.forms[:4], basis.forms[4:]):
+            assert freeness_deviation(twist) < FREENESS_TOL
 
     @pytest.mark.parametrize("r", [0.41, 0.33 - 0.14j])
     def test_small_leading_coefficient_keeps_its_exponent(self, r):
@@ -457,9 +459,9 @@ class TestInductionPair:
         # 1e-9 of the largest one; the exponents are still the declared
         # ones, so both members assemble and pass the gate
         job = make_job(r)
-        for fb in induction_pipeline(job, 80, ClassicalCatalog(80)):
-            assert fb.case.weight_tuple == (job.k1, job.k1 + 2, job.k1 + 4, job.k1 + 6)
-            assert max(fb.residuals.values()) < 1e-9
+        basis = induction_pipeline(job, 80, ClassicalCatalog(80))
+        assert basis.weights == (job.k1, job.k1 + 2, job.k1 + 4, job.k1 + 6) * 2
+        assert max(basis.residuals.values()) < 1e-9
 
     @pytest.mark.parametrize("r", [0.41, 0.33 - 0.14j], ids=["induction:2", "induction:4"])
     def test_exponent_check_reads_the_declared_exponents(self, r):

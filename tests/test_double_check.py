@@ -31,11 +31,9 @@ from vvmf.constructions import (
 from vvmf.mlde import (
     CYCLIC,
     NONCYCLIC_KEYS,
-    cyclic_coeffs,
     cyclic_system,
     equation_coefficients,
     generic_basis,
-    indicial_shifts,
     modular_derivative,
     noncyclic_system,
     qline_precision,
@@ -78,15 +76,14 @@ def assert_same_floats(got, want) -> None:
     assert list(map(repr, got)) == list(map(repr, want))
 
 
-def check_cyclic_chain(basis, co, catalog) -> None:
+def check_cyclic_chain(forms, cyclic_mlde, co, catalog) -> None:
     """F, DF, D^2F, D^3F of an assembled basis are the oracle's derivatives
-    of the level before, and its cyclic_mlde is the oracle's."""
-    forms = basis.forms
+    of the level before, and its residual cyclic_mlde is the oracle's."""
     assert_same_forms(forms[1:], [oracle_derivative(F, catalog) for F in forms[:3]])
     chain = list(forms) + [oracle_derivative(forms[3], catalog)]
     system = cyclic_system(co, catalog, forms[0].nome)
     want = oracle_residuals(chain[:4], chain[1:], system, columns=[3])
-    assert_same_floats([basis.residuals["cyclic_mlde"]], want)
+    assert_same_floats([cyclic_mlde], want)
 
 
 def check_solved_basis(basis, system, catalog) -> list:
@@ -104,20 +101,20 @@ def check_member(route: str, index: int, order: int) -> None:
     if route == "sym3":
         basis = sym3_pipeline(job.reps[0], job.exponents[0], job.order, catalog)
         S3L = sym3_exponents(job.exponents[0])
-        check_cyclic_chain(basis, cyclic_coeffs(indicial_shifts(S3L.eigenvalues, CYCLIC)),
-                           catalog)
+        check_cyclic_chain(basis.forms, basis.residuals["cyclic_mlde"],
+                           equation_coefficients(S3L.eigenvalues, CYCLIC), catalog)
     elif route == "induction":
         ijob = InductionJob(job.reps[0], job.exponents[0], job.u)
-        bases = induction_pipeline(ijob, job.order, catalog)
+        basis = induction_pipeline(ijob, job.order, catalog)
         rows, system = _induction_stage(ijob, job.order, catalog)
         A, B = (VectorSeries(tuple(row[i].downcast() for row in rows), ijob.k1) for i in range(2))
         pair = [oracle_derivative(F, catalog) for F in (A, B)]
-        (pair_res,) = {b.residuals["pair_relation"] for b in bases}
+        (pair_res,) = {basis.residuals[k] for k in ("pair_relation", "beta2_pair_relation")}
         assert_same_floats([pair_res], [max(oracle_residuals((A, B), pair, system))])
         ind_L = induced_exponents(exhibited_exponents(A))
-        co = cyclic_coeffs(indicial_shifts(ind_L.eigenvalues, CYCLIC))
-        for basis in bases:
-            check_cyclic_chain(basis, co, catalog)
+        co = equation_coefficients(ind_L.eigenvalues, CYCLIC)
+        for prefix, forms in (("", basis.forms[:4]), ("beta2_", basis.forms[4:])):
+            check_cyclic_chain(forms, basis.residuals[prefix + "cyclic_mlde"], co, catalog)
     else:
         if route == "tensor":
             L1, L2 = job.exponents

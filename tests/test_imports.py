@@ -30,7 +30,7 @@ ON_DEMAND = ("numpy",)
 TRACED_BINDINGS = {
     "mlde": {"compose_frobenius": "series", "modular_derivative": "mlde"},
     "constructions": {"compose_frobenius": "series", "modular_derivative": "mlde"},
-    "cli": {"modular_derivative": "mlde"},
+    "cli": {"modular_derivative": "mlde", "generic_basis": "mlde"},
 }
 
 

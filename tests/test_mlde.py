@@ -9,7 +9,7 @@ from itertools import combinations
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vvmf.mlde
@@ -25,6 +25,7 @@ from vvmf.errors import (
 )
 from vvmf.mlde import (
     CYCLIC,
+    GENERIC_ROUTE,
     NONCYCLIC,
     CaseReport,
     _compiled_step,
@@ -42,7 +43,7 @@ from vvmf.mlde import (
     noncyclic_system,
     qline_precision,
     qline_solve,
-    solve_minimal_form,
+    staged,
     system_residuals,
 )
 from vvmf.reps import ExponentData, Rank4Rep
@@ -235,13 +236,11 @@ def poly_sum(*polys) -> list:
 def shifted_exponents(draw, ranks=(2, 4)):
     """A rank r and r shifted exponents of one number kind summing to
     r(r-1)/12: mpc at QLINE_DPS (full mantissas, from an added 1/7), mpf,
-    float, complex or Fraction, drawn from doubles with no -0.0 part."""
+    float, complex or Fraction, drawn from doubles, signed zeros and
+    subnormals included."""
     r = draw(st.sampled_from(ranks))
     kind = draw(st.sampled_from(("mpc", "mpf", "float", "complex", "Fraction")))
-    # a float part -0.0 reads +0.0 in the symmetric functions, which start
-    # from the integer 0, where the hand product f1 f2 keeps its sign; the
-    # routes pass mpc, which has no signed zero
-    part = st.floats(-2, 2).map(lambda x: x or 0.0)
+    part = st.floats(-2, 2)
     parts = draw(st.lists(st.tuples(part, part), min_size=r - 1, max_size=r - 1))
     total = Fraction(r * (r - 1), 12)
     with qline_precision():
@@ -282,9 +281,14 @@ class TestCyclicRule:
 
     @settings(max_examples=600, deadline=None)
     @given(shifted_exponents())
+    # f1 f2 is a signed zero: a float product that underflows, and a complex
+    # one whose sign 1 * f1 would drop
+    @example((2, [-5e-324, 0.16666666666666666]))
+    @example((2, [complex(-0.0, -0.0), 1 / 6 + 0j]))
     def test_coefficients_are_the_rank_by_rank_formulas(self, draw):
         # a, b and c keep the bytes of the two rules first written, one for
-        # rank two and one for rank four, in every number kind
+        # rank two and one for rank four, in every number kind, signed
+        # zeros included
         r, f = draw
         with qline_precision():
             co = cyclic_coeffs(f)
@@ -709,7 +713,8 @@ class TestAssembly:
 class TestGenericPipeline:
     def test_cyclic_route(self, catalog40):
         rep, L = admissible([0.11, 0.18, 0.31], 7, 1, 0)
-        F, report, co, res = solve_minimal_form(rep, L, 25, catalog40)
+        report, co, basis = staged(GENERIC_ROUTE, (rep, L), 25, catalog40, "minimal")
+        F, res = basis.forms[0], basis.residuals
         assert report.case == CYCLIC
         assert [complex(c.lead_exponent) for c in F.components] == pytest.approx(
             [complex(v) for v in L.eigenvalues]
@@ -748,4 +753,4 @@ class TestGenericPipeline:
         # the first two exponents differ by 1 and share their T-eigenvalue
         rep, L = admissible([0.11, 1.11, 0.31], 7, 1, 0)
         with pytest.raises(Resonance):
-            solve_minimal_form(rep, L, 10, catalog40)
+            staged(GENERIC_ROUTE, (rep, L), 10, catalog40, "minimal")

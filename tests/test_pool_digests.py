@@ -8,9 +8,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+import vvmf.cli
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "pool_digests.py"
 #: the tool's output for the committed code
@@ -29,31 +32,69 @@ def pool_digests(monkeypatch):
 
 
 def write(path: Path, lines: dict) -> str:
-    path.write_text("".join(f"{job} {digest}\n" for job, digest in lines.items()))
+    path.write_text("".join(f"{job} {' '.join(digests)}\n" for job, digests in lines.items()))
     return str(path)
 
 
-DIGESTS = {"check:0@200": "a1", "check:0@800": "b2", "sym3:0@20": "c3"}
+#: per job, the digest of its emitted text and of that text with its
+#: residual values nulled
+DIGESTS = {"check:0@200": ("a1", "a2"), "check:0@800": ("b1", "b2"), "sym3:0@20": ("c1", "c2")}
 
 
 def test_identical_files_differ_nowhere(pool_digests, tmp_path, capsys):
     first = write(tmp_path / "a.txt", DIGESTS)
     second = write(tmp_path / "b.txt", DIGESTS)
     assert pool_digests.main(["--diff", first, second]) == 0
-    assert capsys.readouterr().out == "3 and 3 jobs, 0 differ\n"
+    assert capsys.readouterr().out == "3 and 3 jobs, 0 differ, 0 of them only in residual values\n"
 
 
 def test_a_changed_and_a_missing_job_are_named(pool_digests, tmp_path, capsys):
-    changed = {**DIGESTS, "check:0@800": "ff"}
+    changed = {**DIGESTS, "check:0@800": ("ff", "fe")}
     del changed["sym3:0@20"]
     first = write(tmp_path / "a.txt", DIGESTS)
     second = write(tmp_path / "b.txt", changed)
     assert pool_digests.main(["--diff", first, second]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "check:0@800: b2 != ff",
-        "sym3:0@20: c3 != missing",
-        "3 and 2 jobs, 2 differ",
+        "check:0@800: b1 != ff",
+        "sym3:0@20: c1 != missing",
+        "3 and 2 jobs, 2 differ, 0 of them only in residual values",
     ]
+
+
+def test_a_job_that_differs_only_in_residual_values_is_counted(pool_digests, tmp_path,
+                                                                capsys):
+    # the second digests agree: the emitted text differs in residual values alone
+    changed = {**DIGESTS, "check:0@200": ("a9", "a2"), "check:0@800": ("b9", "b9")}
+    first = write(tmp_path / "a.txt", DIGESTS)
+    second = write(tmp_path / "b.txt", changed)
+    assert pool_digests.main(["--diff", first, second]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "check:0@200: a1 != a9 (residual values only)",
+        "check:0@800: b1 != b9",
+        "3 and 3 jobs, 2 differ, 1 of them only in residual values",
+    ]
+
+
+def fake_cli(text):
+    """The calls :func:`digests` makes of ``vvmf.cli``, on a canned emitted
+    text, or raising a canned error."""
+    def run(job):
+        if isinstance(text, Exception):
+            raise text
+        return job
+
+    return SimpleNamespace(JobSpec=SimpleNamespace(from_json=dict), run=run,
+                           emit=lambda env: text, canonical_json=vvmf.cli.canonical_json)
+
+
+def test_second_digest_nulls_residual_values_and_keeps_keys(pool_digests):
+    job = SimpleNamespace(payload={})
+    text = '{"basis":[1.5],"job":{},"residuals":{"a":1e-15,"b":2e-16}}\n'
+    blind = '{"basis":[1.5],"job":{},"residuals":{"a":null,"b":null}}\n'
+    assert pool_digests.digests(fake_cli(text), job) == (pool_digests.sha256(text),
+                                                       pool_digests.sha256(blind))
+    raised = pool_digests.digests(fake_cli(ValueError("bad")), job)
+    assert raised == (pool_digests.sha256("raised ValueError: bad"),) * 2
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +119,8 @@ def test_two_fresh_interpreters_digest_every_job_alike(pool_digests, fresh_runs,
     # between the two runs; no emitted byte may depend on them
     assert pool_digests.main(["--diff", *map(str, fresh_runs)]) == 0
     jobs = len(pool_digests.jobs())
-    assert capsys.readouterr().out == f"{jobs} and {jobs} jobs, 0 differ\n"
+    assert capsys.readouterr().out == (
+        f"{jobs} and {jobs} jobs, 0 differ, 0 of them only in residual values\n")
     assert jobs == 457
 
 

@@ -26,7 +26,7 @@ from vvmf.constructions import (
     tensor_pipeline,
 )
 from vvmf.errors import Resonance
-from vvmf.mlde import generic_basis, qline_precision, qline_solve
+from vvmf.mlde import CYCLIC, equation_coefficients, generic_basis, qline_precision, qline_solve
 from vvmf.reps import (
     ExponentData,
     GRank2Rep,
@@ -156,6 +156,21 @@ def resonant_route(route: str, catalog):
     (alpha, L1), (beta, L2) = (rank2_data((s / 6 + d) / 2, (s / 6 - d) / 2)
                                for s, d in ((1, 0.6), (2, 0.4 + 5e-10)))
     return tensor_pipeline(alpha, beta, L1, L2, 10, catalog)
+
+
+@pytest.mark.parametrize("order", [80, 400, 1600])
+@pytest.mark.parametrize("k", [6, 12])
+def test_rank_one_solve_is_the_exact_eta_power(k, order):
+    # D F = 0 at weight k with seed 1728^0 = 1 is solved by eta^{2k}, which
+    # the catalog holds exactly; at the exponents 1/2 and 1, exact in binary,
+    # every emitted double is that integer
+    catalog = ClassicalCatalog(order)
+    co = equation_coefficients([k / 12], CYCLIC)
+    _, rows = vvmf.mlde._solved_rows((k,), [k / 12], co, order, catalog)
+    F = rows[0][0].downcast()
+    eta = catalog.eta_power(2 * k)
+    assert as_complex(F.lead_exponent) == eta.lead_exponent == k / 12
+    assert F.coeffs == tuple(map(complex, eta.coeffs)) and len(F.coeffs) == order + 1
 
 
 @pytest.mark.parametrize("route", ["generic", "induction", "tensor"])
@@ -520,7 +535,7 @@ def closed_route(route):
 
 
 def induction_route(order, catalog):
-    return induction_pipeline(make_job(0.27), order, catalog)
+    return [induction_pipeline(make_job(0.27), order, catalog)]
 
 
 def gate(bases, order) -> None:

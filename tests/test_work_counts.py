@@ -25,9 +25,11 @@ from vvmf.constructions import (
     sym3_pipeline,
     tensor_pipeline,
 )
-from vvmf.mlde import generic_basis, solve_minimal_form
+from vvmf.mlde import GENERIC_ROUTE, generic_basis, staged
 from vvmf.reps import ExponentData, GRank2Rep, Group, Rank2Rep, Rank4Rep
 from vvmf.series import FormStack, PuiseuxSeries
+
+from test_cli import generic_job
 
 MODULES = (vvmf.series, vvmf.mlde, vvmf.constructions)
 
@@ -134,6 +136,20 @@ def test_one_solve_per_system(monkeypatch, route, solves):
     assert all(len(a[2]) == len(a[0]) for a in calls)
 
 
+@pytest.mark.parametrize("route", ["sym3", "tensor", "cyclic", "noncyclic", "induction",
+                                   "classify", "coeffs", "minimal"])
+def test_every_rank4_job_classifies_once(monkeypatch, route):
+    # the driver classifies the rank-4 representation of every route and
+    # command once, before any solve; the induction route's beta^2-twist
+    # shares the beta-twist's report
+    calls = count_calls(monkeypatch, vvmf.mlde, "classify")
+    if route in ("classify", "coeffs", "minimal"):
+        vvmf.cli.run(vvmf.cli.JobSpec.from_json(generic_job(route)))
+    else:
+        run_route(route)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("route, derivatives", [("tensor", 4), ("induction", 10)])
 def test_modular_derivatives_are_taken_once(monkeypatch, route, derivatives):
     # the tensor route checks its relations on DF, D DF, DG and DH of its
@@ -195,7 +211,7 @@ def test_generic_route_touches_no_hauptmodul(monkeypatch, m, d):
     counts = count_hauptmodul_work(monkeypatch)
     rep, L = generic_data(m, d)
     generic_basis(rep, L, 20, catalog)
-    solve_minimal_form(rep, L, 20, catalog)
+    staged(GENERIC_ROUTE, (rep, L), 20, catalog, "minimal")
     assert {k: len(v) for k, v in counts.items()} == dict.fromkeys(counts, 0)
 
 
@@ -478,10 +494,10 @@ def test_induction_slashes_each_component_once(monkeypatch):
     # the induced form is (F, F|T^-1): one slash per component of each form
     # of the pair, and no other pass over the q2-parts
     calls = count_calls(monkeypatch, PuiseuxSeries, "slash_t_inverse")
-    bases = run_route("induction")
+    basis = run_route("induction")
     assert len(calls) == 4
     assert {id(args[0]) for args in calls} == {
-        id(c) for fb in bases for c in fb.forms[0].components[:2]}
+        id(c) for F in basis.forms[::4] for c in F.components[:2]}
 
 
 def test_induction_forms_the_induced_equation_once(monkeypatch):

@@ -17,10 +17,14 @@ noncyclic member; 457 jobs in all.  Each job goes through
 ``emit(run(JobSpec.from_json(job)))`` of the ``src/`` of the checkout this
 file sits in, as ``perfbench/run.py`` imports it.  It prints one line per
 job, ``<route>:<member>@<order>`` (no order for ``coeffs`` and
-``classify``, which take none) and the SHA-256 of the emitted text, or of
-``raised <class>: <message>`` for a job that raises.  ``--diff`` compares
-two such outputs line by line and exits 1 when any job differs or is
-missing from one of them.
+``classify``, which take none), the SHA-256 of the emitted text, or of
+``raised <class>: <message>`` for a job that raises, and a second SHA-256:
+of the emitted text with every ``residuals`` value replaced by null and
+the keys kept (a raising job repeats its first digest).  ``--diff``
+compares two such outputs line by line, names each job that differs and
+whether it differs only in residual values (its second digests agree),
+prints the counts of both, and exits 1 when any job differs or is missing
+from one of them.
 
 ``tests/pool_digests.txt`` holds the first form's output for the
 committed code, and ``tests/test_pool_digests.py`` compares a fresh run
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -86,28 +91,41 @@ def short_jobs(pools: dict) -> list:
     return out
 
 
-def digest(cli, job) -> str:
+def digests(cli, job) -> tuple[str, str]:
+    """The digests of a job's emitted text and of that text with its
+    residual values nulled."""
     try:
         text = cli.emit(cli.run(cli.JobSpec.from_json(dict(job.payload))))
     except Exception as exc:  # a job's failure is part of its output
         text = f"raised {type(exc).__name__}: {exc}"
+        return (sha256(text),) * 2
+    data = json.loads(text)
+    data["residuals"] = dict.fromkeys(data["residuals"])
+    return sha256(text), sha256(cli.canonical_json(data))
+
+
+def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def read(path: str) -> dict:
+    """Per job, its digests."""
     with open(path, encoding="utf-8") as handle:
-        return dict(line.split() for line in handle if line.strip())
+        return {job: tuple(rest) for job, *rest in (line.split() for line in handle if line.strip())}
 
 
 def diff(a: str, b: str) -> int:
     first, second = read(a), read(b)
-    differ = 0
+    differ = residual_only = 0
     for key in sorted(first.keys() | second.keys()):
-        x, y = first.get(key, "missing"), second.get(key, "missing")
+        x, y = first.get(key, ("missing",) * 2), second.get(key, ("missing",) * 2)
         if x != y:
             differ += 1
-            print(f"{key}: {x} != {y}")
-    print(f"{len(first)} and {len(second)} jobs, {differ} differ")
+            only = len(x) == len(y) == 2 and x[1] == y[1]  # a missing job's reads "missing"
+            residual_only += only
+            print(f"{key}: {x[0]} != {y[0]}" + (" (residual values only)" if only else ""))
+    print(f"{len(first)} and {len(second)} jobs, {differ} differ, "
+          f"{residual_only} of them only in residual values")
     return 1 if differ else 0
 
 
@@ -123,7 +141,7 @@ def main(argv=None) -> int:
     cli = run.import_program()
     for job in jobs():
         at = "" if job.order is None else f"@{job.order}"
-        print(f"{job.input_id}{at} {digest(cli, job)}", flush=True)
+        print(f"{job.input_id}{at}", *digests(cli, job), flush=True)
     return 0
 
 
