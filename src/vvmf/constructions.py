@@ -379,14 +379,6 @@ def induction_system(u, xi, catalog: ClassicalCatalog) -> list:
     ]
 
 
-def exhibited_exponents(F: VectorSeries) -> ExponentData:
-    """Exponent data of the solved series: the declared leading exponent of
-    each component.  The q-line seeds are nonzero by construction, so the
-    declared exponents are the true ones; a window relative to the largest
-    coefficient would move them by an integer once the coefficients grow."""
-    return ExponentData(tuple(c.lead_exponent for c in F.components), Group.G)
-
-
 def induce_to_gamma(F: VectorSeries) -> VectorSeries:
     """Stack F over F|T^{-1}, doubling the rank; the result transforms under
     the induced representation of the full group with exponents
@@ -407,7 +399,7 @@ def _induction_inputs(job: InductionJob) -> tuple:
     :class:`InductionJob`: the induced representation of the beta-twist
     (:func:`vvmf.reps.rank4_from_induction`) and the induced exponents of
     k1/6 +- r, the complex values of the mpc exponents the solved pair
-    declares (:func:`exhibited_exponents`).  The beta^2-twist has the same
+    declares as its leading exponents.  The beta^2-twist has the same
     d and e, so the same report.  k1/6 +- r induce 3 Tr(Ind L) = k1 + 3,
     of the other parity than k1 = e mod 2, so the report is cyclic with
     the job's k1."""

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, NamedTuple
 
 import mpmath
@@ -380,12 +381,18 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
     All r exponents advance together.  Each real row keeps its history as
     one list of ints, whose lane l (the bits from width * l up) holds the
     mantissa of exponent l: sum_l X_n[l][i] 2^(width l).  A step makes one
-    dot product per series and source row for every exponent at once: the
-    forward tail e_1, e_2, ... against the history read backwards from
-    X_{n-1}, so no slice is taken and the sum ends with the shorter of the
-    two.  It applies the constant entries to the packed sums.  The rest of
-    the step is straight-line code generated once per process for the
-    shape (R real rows, r exponents) of the system
+    dot product per series of the system and source row for every exponent
+    at once: the forward tail e_1, e_2, ... against the history read
+    backwards from X_{n-1}, so no slice is taken and the sum ends with the
+    shorter of the two.  The K E_2 block goes through the Euler product P
+    instead (:func:`_euler_terms`): each row it reads also keeps Y = X / P
+    as packed ints at the same width (:func:`_over_euler`, rebuilt when the
+    history is repacked), and its dot product is 24 sum k g_k Y_{n-k} over
+    the c(n) ~ 1.6 sqrt(n) lags k <= n, the same int as the dense sum; the
+    same words give the sum g_k Y_{n-k} that makes Y_n once X_n is known.
+    No Y lane is ever unpacked.  The step applies the constant entries to
+    the packed sums.  The rest of the step is straight-line code generated
+    once per process for the shape (R real rows, r exponents) of the system
     (:func:`_compiled_step`): it unpacks the lanes into locals, each
     shifted back to its exponent's scale, eliminates each exponent's step
     matrix on locals, takes the row-bit bound and packs each real row's
@@ -467,11 +474,15 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
     series_bits = max((sum(map(abs, tail)).bit_length() for tail, _ in convolutions), default=0)
     entry_bits = max((abs(v).bit_length() for v in entries), default=0)
     margin = series_bits + entry_bits + len(entries).bit_length() + 1
+    # the K E_2 block, the last one, is taken through Y = X / P instead
+    *convolutions, (_, euler_reads) = convolutions
+    gs, ws, lagged = _euler_terms(catalog, nome, order)
     rows = c * r
     steps = [tuple(v for x in starts for v in x)]  # X_0, X_1, ...: exponent-major real rows
     row_bits = max(map(abs, steps[0])).bit_length()
     width = row_bits + margin + LANE_HEADROOM
     packed = _packed_history(steps, rows, width)
+    ys = [_over_euler(packed[i], gs, lagged) for i, _ in euler_reads]  # Y = X / P
     solve = _compiled_step(rows, r)
     mats = [tuple(v for col in bt for v in col) for bt in bts]
     step = int(s * (1 << p))  # s (lam + n) - s (lam + n - 1) at the scale 2^-p
@@ -482,15 +493,26 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
                 dot = sum(map(mul, tail, reversed(packed[i])))  # e_1 X_{n-1} + e_2 X_{n-2} + ...
                 for j, v in targets:
                     acc[j] += dot * v
+        past = lagged[n]
+        carries = []
+        for y, (_, targets) in zip(ys, euler_reads):
+            words = past(y)  # Y_{n-k} for the lags k <= n
+            carries.append(sum(map(mul, gs, words)))
+            dot = sum(map(mul, ws, words))  # E2_1 X_{n-1} + E2_2 X_{n-2} + ...
+            for j, v in targets:
+                acc[j] += dot * v
         xs, bits, lanes = solve(acc, mats, n * step, width, p)
         steps.append(xs)
         row_bits = max(row_bits, bits)
         if row_bits + margin > width:
             width = row_bits + margin + LANE_HEADROOM
             packed = _packed_history(steps, rows, width)
+            ys = [_over_euler(packed[i], gs, lagged) for i, _ in euler_reads]
         else:
             for history, lane in zip(packed, lanes):
                 history.append(lane)
+            for y, (i, _), carry in zip(ys, euler_reads, carries):
+                y.append(lanes[i] - carry)
     histories = list(zip(*steps))  # per exponent and real row: X_0, X_1, ...
     out = []
     for lane, (lam, bits) in enumerate(zip(lams, scales)):
@@ -498,6 +520,37 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
         ims = parts[r:] or [PuiseuxSeries(nome, lam, (0,) * len(steps))] * r
         out.append(tuple(FixedSeries(u, v, bits) for u, v in zip(parts[:r], ims)))
     return tuple(out)
+
+
+def _euler_terms(catalog: ClassicalCatalog, nome: Nome, order: int) -> tuple:
+    """The K E_2 block of :func:`qline_solve` through P = prod (1 - q^n),
+    in the nome x of the solve (P(q2^2) in q2).  With X = P Y and E_2 =
+    1 + 24 theta_q P / P, sum_{m >= 1} E2_m X_{n-m} = 24 sum k g_k Y_{n-k}
+    over the nonzero P_k = g_k = +-1, k >= 1 (the lags; theta_q weighs x^k
+    by its q-index k, half of k in q2).
+
+    Returns the g_k, the 24 k g_k (both in lag order), and per step n <= order
+    a function that reads Y_{n-k} for the lags k <= n from a history
+    Y_0, ..., Y_{n-1} (:func:`_over_euler`)."""
+    half = 2 if nome is Nome.Q2 else 1
+    coeffs = catalog.eta_power(1, nome).coeffs[:order + 1]
+    lags = [k for k, g in enumerate(coeffs) if k and g]
+    gs = [coeffs[k] for k in lags]
+    ws = [24 * (k // half) * g for k, g in zip(lags, gs)]
+    # an itemgetter of one index returns no tuple, so none and one lag read slices
+    getters = [itemgetter(slice(0, 0))]
+    getters += [itemgetter(slice(-k, -k + 1 or None)) for k in lags[:1]]
+    getters += [itemgetter(*(-k for k in lags[:t])) for t in range(2, len(lags) + 1)]
+    return gs, ws, [getters[bisect_right(lags, n)] for n in range(order + 1)]
+
+
+def _over_euler(history, gs, lagged) -> list:
+    """Y = H / P for a packed history H: Y_n = H_n - sum g_k Y_{n-k} over
+    the lags k <= n (:func:`_euler_terms`), each Y_n an int."""
+    y = []
+    for h, past in zip(history, lagged):
+        y.append(h - sum(map(mul, gs, past(y))))
+    return y
 
 
 def _real_form(b, c: int) -> list:

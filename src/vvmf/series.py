@@ -69,12 +69,17 @@ keep the schoolbook loop.
 The double check of every route runs on a :class:`FormStack`: the forms of
 one check as one complex128 array, converted once, whose modular
 derivatives (:meth:`FormStack.derive`, the library's one) and products
-(:meth:`FormStack.times`) are taken by the same kernel on slices of that
-array, and whose other steps repeat Python's complex arithmetic operation by
-operation in float64, so the bytes are those of the series arithmetic.  The
-kernel alone decides, from the two slices it is given, whether a product is
-summed in long double, so a series product and a stack product of the same
-coefficients agree.
+(:meth:`FormStack.times`) are taken on slices of that array, and whose other
+steps repeat Python's complex arithmetic operation by operation in float64,
+so the bytes are those of the series arithmetic.  A stack times one series
+is one call of the row kernel (:func:`_convolve_rows`), which checks
+finiteness and widens once.  When the series is real, as every catalog
+series is, it convolves the real and imaginary parts of each row as real
+long doubles, skipping a part that is all zero, and gives the bytes of the
+complex kernel with a quarter of its long double arithmetic for a real
+form; otherwise each row takes :func:`_convolve`, which alone decides from
+the two slices it is given whether a product is summed in long double.  So
+a series product and a stack product of the same coefficients agree.
 
 numpy is imported inside the numpy kernels and :class:`FormStack` (the
 double products, the stack and the FFT product :func:`_complex_mul`), so it
@@ -93,6 +98,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
+from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
 import mpmath
@@ -307,6 +313,37 @@ def _convolve(x, y, n_out: int):
         return np.convolve(x, y)[: n_out + 1]
     wide = np.clongdouble if x.dtype.kind == "c" else np.longdouble
     return np.convolve(x.astype(wide), y.astype(wide))[: n_out + 1].astype(x.dtype)
+
+
+def _convolve_rows(rows, e, n_out: int, series_first: bool):
+    """The double kernel on a stack: every row of ``rows`` (complex128,
+    any leading shape) times the one complex128 series e, each as
+    :func:`_convolve` of the row and e (of e and the row with
+    ``series_first``), in one call that checks finiteness and widens once.
+
+    When e is real (its imaginary part is all zero, as every catalog
+    series is) and every operand finite, the real and imaginary parts of
+    each row are convolved with Re e as real long doubles, one
+    ``numpy.convolve`` per row and part, and a part that is all zero gives
+    +0 with no convolution.  That is the complex kernel's result bit for
+    bit: each term x_r e - x_i 0 (x_r 0 + x_i e) of its long double sums is
+    the same rounded product x_r e (x_i e) or a zero, and a zero term never
+    changes a long double sum that starts at +0, which never becomes -0.
+    Otherwise each row takes :func:`_convolve` as it is."""
+    import numpy as np
+
+    flat = rows.reshape(-1, rows.shape[-1])
+    if e.imag.any() or not (np.isfinite(flat).all() and np.isfinite(e).all()):
+        pairs = ((e, x) if series_first else (x, e) for x in flat)
+        out = np.array([_convolve(x, y, n_out) for x, y in pairs])
+    else:
+        wide = e.real.astype(np.longdouble)
+        out = np.zeros((len(flat), n_out + 1), dtype=np.complex128)
+        for part, xs in ((out.real, flat.real), (out.imag, flat.imag)):
+            for o, x in zip(part, xs.astype(np.longdouble)):
+                if x.any():
+                    o[:] = np.convolve(*((wide, x) if series_first else (x, wide)))[:n_out + 1]
+    return out.reshape(rows.shape[:-1] + (n_out + 1,))
 
 
 def _double_mul(a: Sequence, b: Sequence, n_out: int, is_complex: bool) -> list:
@@ -863,16 +900,23 @@ class FixedSeries:
         """Every coefficient as the complex double nearest to
         (re + i im) 2^-bits.  Exact int/int true division rounds half to
         even, as ``complex(mpc)`` does, so a value held exactly both ways
-        downcasts to the same double; 2^bits is formed once per series."""
+        downcasts to the same double.
+
+        A series whose mantissas are all below 2^1023, at a scale of at
+        most 2^1022, takes ``math.ldexp(float(m), -bits)`` instead:
+        ``float(int)`` rounds half to even too, and every nonzero result is
+        then a normal double, so the scaling by 2^-bits is exact and gives
+        the same double.  Any other series divides, with 2^bits formed once."""
         re, im, bits = self.re.coeffs, self.im.coeffs, self.bits
         if bits < 0:
             re, im, bits = [a << -bits for a in re], [b << -bits for b in im], 0
-        den = 1 << bits
-        return PuiseuxSeries(
-            self.re.nome,
-            as_complex(self.re.lead_exponent),
-            tuple(complex(a / den, b / den) for a, b in zip(re, im)),
-        )
+        if bits <= 1022 and max(max(re), -min(re), max(im), -min(im)) < 1 << 1023:
+            values = map(complex, *(map(math.ldexp, map(float, part), repeat(-bits))
+                                    for part in (re, im)))
+        else:
+            den = 1 << bits
+            values = (complex(a / den, b / den) for a, b in zip(re, im))
+        return PuiseuxSeries(self.re.nome, as_complex(self.re.lead_exponent), tuple(values))
 
 
 def pair_mul(x0: FixedSeries, x1: FixedSeries, y: FixedSeries) -> tuple[FixedSeries, FixedSeries]:
@@ -986,11 +1030,12 @@ class FormStack:
     (:meth:`derive`) and column relations (:func:`vvmf.mlde.system_residuals`).
 
     ``z[f, c, n]`` is coefficient n of component c of form f in complex128;
-    its products are slices of it, which the double kernel (:func:`_convolve`)
-    widens itself.  Each component has one leading exponent, shared by every
-    form (``leads``, the objects the forms carry); each form has a
-    weight.  Forms are converted once (:meth:`of`), derived and multiplied
-    as arrays, and only emitted ones go back to tuples (:meth:`vectors`).
+    its products are slices of it, which the row kernel
+    (:func:`_convolve_rows`) widens once per product.  Each component has
+    one leading exponent, shared by every form (``leads``, the objects the
+    forms carry); each form has a weight.  Forms are converted once
+    (:meth:`of`), derived and multiplied as arrays, and only emitted ones go
+    back to tuples (:meth:`vectors`).
 
     The arithmetic reproduces that of the Python complex numbers the forms
     hold, operation by operation, so every derivative coefficient and
@@ -1050,19 +1095,17 @@ class FormStack:
         """X_f e for the series e held as a stack of one component: each
         component of form f times e over their common length, the component
         first, as ``PuiseuxSeries.__mul__`` multiplies them."""
-        import numpy as np
-
         terms = min(self.z.shape[-1], e.z.shape[-1])
-        return np.array([_convolve(x, e.z[0, 0, :terms], terms - 1)
-                         for x in self.z[f, :, :terms]])
+        return _convolve_rows(self.z[f, :, :terms], e.z[0, 0, :terms], terms - 1, False)
 
     def derive(self, e2: "FormStack") -> "FormStack":
         """D = theta_q - (k/12) E_2 of every form at its weight k, raising the
         weight by two; e2 holds E_2 in the forms' nome.
 
         Component c at lead lam goes to (lam + n) a_n, then half of it in the
-        nome q2 (theta_q = theta_q2 / 2); E_2 a is one :func:`_convolve`
-        each, E_2 first, over the common length, then scaled by the double
+        nome q2 (theta_q = theta_q2 / 2); E_2 a is the double kernel on
+        each component (:func:`_convolve_rows`, one call for the stack), E_2
+        first, over the common length, then scaled by the double
         k/12.  The derivative keeps every leading exponent."""
         import numpy as np
 
@@ -1083,8 +1126,7 @@ class FormStack:
             re, im = t_re * zr - t_im * zi, t_re * zi + t_im * zr
             if self.nome is Nome.Q2:
                 re, im = 0.5 * re - 0.0 * im, 0.5 * im + 0.0 * re
-            prod = np.array([[_convolve(e, x, terms - 1) for x in X]
-                             for X in self.z[..., :terms]])
+            prod = _convolve_rows(self.z[..., :terms], e, terms - 1, True)
             # the double nearest k/12, as float(Fraction(k) / 12) rounds it
             w = np.array([p / (12 * q) for p, q in map(Fraction.as_integer_ratio, self.weights)])
             w = w[:, None, None]

@@ -46,7 +46,7 @@ from vvmf.mlde import (
     equation_coefficients,
     qline_precision,
 )
-from vvmf.reps import XI, ZETA3, ExponentData, GRank2Rep, Rank2Rep, Rank4Rep
+from vvmf.reps import XI, ZETA3, ExponentData, GRank2Rep, Group, Rank2Rep, Rank4Rep
 from vvmf.series import (
     FixedSeries,
     Nome,
@@ -346,6 +346,15 @@ def build_fuchsian_z(u, xi=XI) -> FuchsianOperator:
 def u_from_local_exponent(r, xi=XI):
     """Invert the indicial relation r^2 = -16 e^{2 pi i/6} u."""
     return -(r * r) / (16 * xi)
+
+
+def exhibited_exponents(F: VectorSeries) -> ExponentData:
+    """Exponent data of a solved series for the index-two group: the
+    declared leading exponent of each component.  The q-line seeds are
+    nonzero by construction, so the declared exponents are the true ones; a
+    window relative to the largest coefficient would move them by an
+    integer once the coefficients grow."""
+    return ExponentData(tuple(c.lead_exponent for c in F.components), Group.G)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import numpy as np
 from vvmf.classical import ClassicalCatalog
 from vvmf.constructions import (
     InductionJob,
-    exhibited_exponents,
     induction_pipeline,
     induction_system,
     rank2_minimal,
@@ -46,6 +45,7 @@ from oracles import (
     build_rank2_operator,
     composition_dps,
     downcast_to_complex,
+    exhibited_exponents,
     frobenius_solve,
     hypergeom_2f1,
     operator_residual,

@@ -23,7 +23,6 @@ from vvmf.cli import JobSpec
 from vvmf.constructions import (
     InductionJob,
     _induction_stage,
-    exhibited_exponents,
     induction_pipeline,
     sym3_pipeline,
     tensor_pipeline,
@@ -49,7 +48,7 @@ from vvmf.series import (
     residual_ratio,
 )
 
-from oracles import oracle_derivative, oracle_residuals
+from oracles import exhibited_exponents, oracle_derivative, oracle_residuals
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")

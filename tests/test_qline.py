@@ -173,6 +173,31 @@ def test_rank_one_solve_is_the_exact_eta_power(k, order):
     assert F.coeffs == tuple(map(complex, eta.coeffs)) and len(F.coeffs) == order + 1
 
 
+@pytest.mark.parametrize("order", [80, 400, pytest.param(1600, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("k", range(1, 14))
+def test_rank_one_solve_is_eta_within_one_ulp(k, order):
+    # D F = 0 at weight k has only the K E_2 block, so its solution eta^{2k}
+    # (seed 1) is the exact oracle of that block, solved here at the mpmath
+    # exponent k/12 of the q-line precision.  At k = 6 and 12 (exponents
+    # 1/2 and 1, exact in binary) every emitted double is eta^{2k}'s
+    # integer; at the other k each nonzero coefficient is within one ulp of
+    # it, and each zero coefficient below 1e-38 (7.3e-59 for eta^2 and
+    # 1.0e-40 for eta^26 at order 1600)
+    catalog = ClassicalCatalog(order)
+    with qline_precision():
+        lam = mpmath.mpf(k) / 12
+        (row,) = qline_solve((k,), [({}, PuiseuxSeries.one(Nome.Q, order))], [lam],
+                             [[mpmath.mpf(1)]], order, catalog)
+    F = row[0].downcast()
+    eta = catalog.eta_power(2 * k)
+    assert len(F.coeffs) == len(eta.coeffs) == order + 1
+    assert not any(f.imag for f in F.coeffs)
+    if k in (6, 12):
+        assert F.coeffs == tuple(map(complex, eta.coeffs))
+    for f, c in zip(F.coeffs, eta.coeffs):
+        assert abs(f.real - c) <= math.ulp(float(c)) if c else abs(f.real) < 1e-38
+
+
 @pytest.mark.parametrize("route", ["generic", "induction", "tensor"])
 def test_every_route_reaches_the_gap_rule(monkeypatch, route):
     # one resonance rule for every route, before the first elimination step:
@@ -492,6 +517,35 @@ def test_lane_bound_counts_the_terms_of_one_column(monkeypatch, catalog40):
         args = ((0,), system, [0.25], [[2 - mpmath.mpf(2) ** -50]], order, catalog40)
         assert mantissas(qline_solve(*args)) == per_exponent_solve(*args)
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=200),
+       st.sampled_from([Nome.Q, Nome.Q2]), st.integers(min_value=1, max_value=8),
+       st.integers(min_value=2, max_value=300))
+def test_euler_block_is_the_dense_dot(catalog800, seed, order, nome, lanes, bits):
+    # the K E_2 block through Y = X / P: at every step n the dot 24 sum k g_k
+    # Y_{n-k} is the dense sum_{m >= 1} E2_m H_{n-m} as the same int, on a
+    # random packed history H, and Y_n follows from H_n; mid-history H is
+    # repacked at a wider width and Y rebuilt from the repacked words
+    rng = random.Random(seed)
+    e2 = catalog800.e2_for(nome).coeffs[1:order + 1]
+    gs, ws, lagged = vvmf.mlde._euler_terms(catalog800, nome, order)
+    values = [[rng.randint(-(1 << (bits - 2)), 1 << (bits - 2)) for _ in range(lanes)]
+              for _ in range(order + 1)]
+    width, repack = bits, rng.randint(1, order)
+    history = [vvmf.mlde._pack(values[0], width)]
+    y = vvmf.mlde._over_euler(history, gs, lagged)
+    for n in range(1, order + 1):
+        words = lagged[n](y)
+        assert sum(map(mul, ws, words)) == sum(map(mul, e2, reversed(history)))
+        history.append(vvmf.mlde._pack(values[n], width))
+        y.append(history[-1] - sum(map(mul, gs, words)))
+        if n == repack:
+            width += rng.randint(1, 64)
+            history = [vvmf.mlde._pack(v, width) for v in values[:n + 1]]
+            y = vvmf.mlde._over_euler(history, gs, lagged)
+    assert y == vvmf.mlde._over_euler(history, gs, lagged)
 
 
 @pytest.mark.parametrize("seed, r", [(11, 1), (12, 2), (13, 3), (14, 4)])

@@ -344,6 +344,40 @@ class TestDoubleKernel:
         assert all(type(c) is want_type for c in out.coeffs)
         check_within_kernel_bound(a, b, out.coeffs)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=12), st.booleans(), st.booleans(),
+           st.sampled_from(["finite", "zero-imag", "signed-zeros", "non-finite"]), st.data())
+    def test_row_kernel_is_the_complex_kernel_per_row(self, forms, comps, terms, series_first,
+                                                       complex_e, kind, data):
+        # the row kernel of FormStack.times and .derive against one
+        # _convolve per row, by repr: real series convolve each part as
+        # real, a complex series or a non-finite operand keeps _convolve
+        values = {"finite": [0.0, -0.0, 1.5, -2.25, 1e-300, -3e300, 0.1, 7.0],
+                  "zero-imag": [0.0, 1.5, -2.25, 0.1, 1e30, -1e-30],
+                  "signed-zeros": [0.0, -0.0],
+                  "non-finite": [0.0, -0.0, 1.0, math.inf, -math.inf, math.nan]}[kind]
+        part = st.lists(st.sampled_from(values), min_size=terms, max_size=terms)
+        re = np.array(data.draw(st.lists(part, min_size=forms * comps, max_size=forms * comps)))
+        im = np.array(data.draw(st.lists(part, min_size=forms * comps, max_size=forms * comps)))
+        if kind == "zero-imag":
+            im = np.where(np.array(data.draw(st.lists(st.booleans(), min_size=forms * comps,
+                                                      max_size=forms * comps)))[:, None], 0.0, im)
+        rows = np.empty((forms, comps, terms), dtype=np.complex128)
+        rows.real, rows.imag = re.reshape(rows.shape), im.reshape(rows.shape)
+        e = np.array(data.draw(part), dtype=np.complex128)
+        if complex_e:
+            e.imag = data.draw(part)
+        elif data.draw(st.booleans()):
+            e.imag = -0.0
+        n_out = data.draw(st.integers(min_value=0, max_value=terms - 1))
+        with np.errstate(all="ignore"):
+            got = vvmf.series._convolve_rows(rows, e, n_out, series_first)
+            want = np.array([[vvmf.series._convolve(*((e, x) if series_first else (x, e)), n_out)
+                              for x in X] for X in rows])
+        assert got.shape == want.shape == (forms, comps, n_out + 1)
+        assert repr(got.tolist()) == repr(want.tolist())
+
     def test_cancelling_product_is_rounded_once(self, catalog40):
         # Delta times the modular derivative of E6, the product of the graded
         # Leibniz test: its coefficients cancel by up to five digits
@@ -467,6 +501,56 @@ class TestFixedPoint:
                 assert im == -re and (re <= 0 if sign > 0 else re >= 0)
                 with mpmath.workprec(max(abs(re).bit_length(), 1) + 200):
                     assert abs(re - (-x) * mpmath.mpf(2) ** bits) <= 0.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**64), st.integers(min_value=0, max_value=2**64),
+           st.sampled_from([1, -1]), st.sampled_from([1, -1]),
+           st.sampled_from([1020, 1021, 1022, 1023, 1024]),
+           st.sampled_from([0, 1, 30, 1020, 1021, 1022, 1023, 1060, 1074, 1080]),
+           st.integers(min_value=1, max_value=8), st.booleans())
+    def test_downcast_divides_at_the_edges_of_the_double_range(self, top, low, s1, s2,
+                                                                 length, bits, terms, full):
+        # mantissas of 1020-1024 bits (near 2^1023 and 2^1024, just above a
+        # power of two or just below the next) and scales that put the
+        # results near the largest double or at the subnormal edge: the
+        # series downcasts as int / int, and raises where it does
+        m = (1 << length) - 1 - low if full else (1 << (length - 1)) + (top << 900) + low
+        re = [s1 * m >> n for n in range(terms)]
+        im = [s2 * (low >> n) for n in range(terms)]
+        series = FixedSeries(PuiseuxSeries.make(Nome.Q, 0, re),
+                             PuiseuxSeries.make(Nome.Q, 0, im), bits)
+        den = 1 << bits
+        try:
+            want = tuple(complex(a / den, b / den) for a, b in zip(re, im))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                series.downcast()
+            return
+        assert series.downcast().coeffs == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=1200),
+           st.integers(min_value=-20, max_value=20))
+    def test_downcast_at_the_subnormal_edge(self, size, bits, shift):
+        # results just above and below the smallest normal 2^-1022
+        m = (1 << size) - 1 + (size & 1)
+        exponent = bits - 1022 - size + shift
+        re = [m, -m, m << max(exponent, 0)]
+        series = FixedSeries(PuiseuxSeries.make(Nome.Q, 0, re),
+                             PuiseuxSeries.make(Nome.Q, 0, [0, m, -1]), bits)
+        den = 1 << bits
+        assert series.downcast().coeffs == tuple(complex(a / den, b / den)
+                                                 for a, b in zip(re, [0, m, -1]))
+
+    @pytest.mark.parametrize("bits", [0, 200, 1022, 1030])
+    def test_downcast_ties_round_to_even(self, bits):
+        # 61-bit mantissas whose 8 dropped bits are exactly half a unit
+        re = [(1 << 60) + (1 << 7), (1 << 60) + (3 << 7), -(1 << 60) - (1 << 7)]
+        series = FixedSeries(PuiseuxSeries.make(Nome.Q, 0, re),
+                             PuiseuxSeries.make(Nome.Q, 0, [0] * 3), bits)
+        want = [math.ldexp(float(1 << 60), -bits), math.ldexp(float((1 << 60) + (4 << 7)), -bits)]
+        assert [c.real for c in series.downcast().coeffs] == [*want, -want[0]]
+        assert [c.real for c in series.downcast().coeffs] == [a / (1 << bits) for a in re]
 
     def test_zero_and_exact_scalars(self):
         for zero in (0, 0.0, 0j, Fraction(0), mpmath.mpf(0), mpmath.mpc(0)):

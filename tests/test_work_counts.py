@@ -25,9 +25,9 @@ from vvmf.constructions import (
     sym3_pipeline,
     tensor_pipeline,
 )
-from vvmf.mlde import GENERIC_ROUTE, generic_basis, staged
+from vvmf.mlde import GENERIC_ROUTE, generic_basis, qline_precision, staged
 from vvmf.reps import ExponentData, GRank2Rep, Group, Rank2Rep, Rank4Rep
-from vvmf.series import FormStack, PuiseuxSeries
+from vvmf.series import FormStack, Nome, PuiseuxSeries
 
 from test_cli import generic_job
 
@@ -172,17 +172,31 @@ def test_relations_are_checked_by_the_system_residual():
     assert not hasattr(vvmf.mlde, "assemble_noncyclic_basis")
 
 
+def count_convolutions(monkeypatch) -> list:
+    """Replace ``numpy.convolve`` by a wrapper that records the operands of
+    every call."""
+    operands = []
+    convolve = np.convolve
+
+    def counting_convolve(a, v, *args, **kwargs):
+        operands.append((a, v))
+        return convolve(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "convolve", counting_convolve)
+    return operands
+
+
 @pytest.mark.parametrize("route", ["sym3", "cyclic"])
 def test_identity_blocks_make_no_product(monkeypatch, route):
     # the chain columns D X_j = X_{j+1} of the cyclic system multiply by the
     # unit series, which system_residuals skips: no convolution has a unit
     # operand, and the only series products are the catalog's exact ones
-    calls = count_calls(monkeypatch, vvmf.series, "_convolve")
+    operands = count_convolutions(monkeypatch)
     products = count_calls(monkeypatch, PuiseuxSeries, "__mul__")
     basis = run_route(route)
     assert basis.case.case == "cyclic" and basis.residuals["cyclic_mlde"] < 1e-9
-    assert calls and all(type(c) is int for a in products for s in a[:2] for c in s.coeffs)
-    assert not any(x[0] == 1 and not x[1:].any() for a in calls for x in a[:2])
+    assert operands and all(type(c) is int for a in products for s in a[:2] for c in s.coeffs)
+    assert not any(x[0] == 1 and not x[1:].any() for pair in operands for x in pair)
 
 
 @pytest.mark.parametrize("route, columns", [("sym3", 1), ("induction", 4)])
@@ -294,24 +308,67 @@ def test_qline_block_runs_in_integers(monkeypatch, route):
 
 def test_double_products_run_in_numpy(monkeypatch):
     # the products of the modular derivatives and column relations on the
-    # emitted doubles are long double numpy convolutions, each one call of
-    # the kernel: 16 components times E_2, and the 3 products of the
-    # equation column of each of the 4 forms
+    # emitted doubles are long double numpy convolutions.  The forms of a
+    # real generic cyclic basis and every catalog series are real, so each
+    # product is one real convolution per component and no complex one is
+    # made: 16 components times E_2 (E_2 first), and the 3 products of the
+    # equation column of each of the 4 forms (the form first); the
+    # all-zero imaginary parts are convolved with nothing
     calls = count_calls(monkeypatch, vvmf.series, "_convolve")
-    operands = []
-    convolve = np.convolve
-
-    def counting_convolve(a, v, *args, **kwargs):
-        operands.append((a.dtype, v.dtype))
-        return convolve(a, v, *args, **kwargs)
-
-    monkeypatch.setattr(np, "convolve", counting_convolve)
-    basis = generic_basis(*generic_data(7, 1), 40, ClassicalCatalog(40))
+    operands = count_convolutions(monkeypatch)
+    catalog = ClassicalCatalog(40)
+    basis = generic_basis(*generic_data(7, 1), 40, catalog)
     assert basis.case.case == "cyclic"
-    assert len(calls) == len(operands) == 16 + 12
-    assert set(operands) == {(np.dtype(np.clongdouble),) * 2}
+    assert not any(c.coeffs[n].imag for F in basis.forms for c in F.components
+                   for n in range(41))
+    assert calls == [] and len(operands) == 16 + 12
+    assert {(a.dtype, v.dtype) for a, v in operands} == {(np.dtype(np.longdouble),) * 2}
+    e2 = np.array(catalog.eisenstein(2).coeffs, dtype=np.longdouble)
+    assert sum(np.array_equal(a, e2[:len(a)]) for a, _ in operands) == 16
+    assert not any(x[0] == 1 and not x[1:].any() for pair in operands for x in pair)
 
 
+def test_complex_series_keep_the_complex_kernel(monkeypatch, catalog40):
+    # a series with an imaginary part, or a non-finite operand, takes the
+    # complex kernel of each row as it is
+    stack = FormStack.of(generic_basis(*generic_data(7, 1), 20, catalog40).forms)
+    calls = count_calls(monkeypatch, vvmf.series, "_convolve")
+    e = FormStack.of([vvmf.series.VectorSeries(
+        (PuiseuxSeries(Nome.Q, 0, tuple(complex(1, n) for n in range(21))),), 0)])
+    stack.times(0, e)
+    assert len(calls) == 4
+    stack.z[0, 0, 3] = np.inf
+    stack.derive(catalog40.as_stack(catalog40.eisenstein(2)))
+    assert len(calls) == 4 + 16
+
+
+def test_euler_block_reads_a_square_root_of_the_history(monkeypatch, catalog800):
+    # the K E_2 block of a q-line step n reads each row's Y = X / P at the
+    # c(n) lags k <= n of the Euler product's nonzero coefficients (once,
+    # for its 2 c(n) products: the dot and the next Y), where the dense
+    # block read all n words X_{n-1}, ..., X_0: at order N, sum c(n) words
+    # a row against N (N + 1) / 2
+    reads = []
+
+    class Counted(list):
+        def __getitem__(self, index):
+            words = list.__getitem__(self, index)
+            reads.append(len(words) if isinstance(index, slice) else 1)
+            return words
+
+    over = vvmf.mlde._over_euler
+    monkeypatch.setattr(vvmf.mlde, "_over_euler", lambda *args: Counted(over(*args)))
+    pentagonal = sorted(k * (3 * k + s) // 2 for k in range(1, 30) for s in (-1, 1))
+    for nome, order, spacing in ((Nome.Q, 800, 1), (Nome.Q2, 800, 2)):
+        reads.clear()
+        with qline_precision():
+            lam = mpmath.mpf(spacing) / 12  # (1/12) / s, s = 1/2 in q2
+            vvmf.mlde.qline_solve((1,), [({}, PuiseuxSeries.one(nome, order))], [lam],
+                                  [[mpmath.mpf(1)]], order, catalog800)
+        lags = [spacing * k for k in pentagonal]
+        want = sum(sum(k <= n for k in lags) for n in range(1, order + 1))
+        assert sum(reads) == want
+        assert want * 10 < order * (order + 1) // 2
 @pytest.mark.parametrize("route", ["sym3", "tensor", "cyclic", "noncyclic", "induction"])
 def test_each_series_is_converted_once(monkeypatch, route):
     # the double check reads each emitted form component and each catalog

@@ -2,6 +2,7 @@
 keeps them.
 
     python3 tools/pool_digests.py > digests.txt
+    python3 tools/pool_digests.py --high > high.txt
     python3 tools/pool_digests.py --diff parent.txt change.txt
 
 The first form runs, in one process and in a fixed order, every pool member
@@ -26,12 +27,19 @@ whether it differs only in residual values (its second digests agree),
 prints the counts of both, and exits 1 when any job differs or is missing
 from one of them.
 
+``--high`` prints the same lines for the high-order section instead: each
+route's ladder member at order 800 (induction at q2-order 800) and the
+cyclic ladder member at order 1600 (6 jobs, about 8 s), where the q-line
+recursion and the double check do most of their work.
+
 ``tests/pool_digests.txt`` holds the first form's output for the
 committed code, and ``tests/test_pool_digests.py`` compares a fresh run
-with it on x86-64's 64-bit long double.  A change that changes emitted
-bytes on purpose writes the new output there:
+with it on x86-64's 64-bit long double; ``tests/high_digests.txt`` holds
+the ``--high`` output, compared under ``pytest -m slow``.  A change that
+changes emitted bytes on purpose writes the new output there:
 
     python3 tools/pool_digests.py > tests/pool_digests.txt
+    python3 tools/pool_digests.py --high > tests/high_digests.txt
 """
 
 from __future__ import annotations
@@ -58,6 +66,9 @@ POOL_ORDERS = {
 LADDER_ORDER = 400
 #: orders of the minimal-form jobs
 MINIMAL_ORDERS = (20, 40, 80)
+#: orders of the high-order section: every ladder member at the first, the
+#: cyclic one at the second too
+HIGH_ORDERS = (800, 1600)
 
 
 def jobs() -> list:
@@ -70,6 +81,14 @@ def jobs() -> list:
     out += [inputs.make_job(route, index, LADDER_ORDER, pools)
             for route, index in inputs.LADDER.items()]
     return out + short_jobs(pools)
+
+
+def high_jobs() -> list:
+    """The high-order section's jobs, in the order they run."""
+    pools = inputs.pool_payloads()
+    low, high = HIGH_ORDERS
+    out = [inputs.make_job(route, index, low, pools) for route, index in inputs.LADDER.items()]
+    return out + [inputs.make_job("cyclic", inputs.LADDER["cyclic"], high, pools)]
 
 
 def short_jobs(pools: dict) -> list:
@@ -133,13 +152,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--diff", nargs=2, metavar=("A", "B"),
                         help="compare two outputs of this script")
+    parser.add_argument("--high", action="store_true",
+                        help="digest the high-order section instead of the pools")
     args = parser.parse_args(argv)
     if args.diff:
         return diff(*args.diff)
     import run
 
     cli = run.import_program()
-    for job in jobs():
+    for job in high_jobs() if args.high else jobs():
         at = "" if job.order is None else f"@{job.order}"
         print(f"{job.input_id}{at}", *digests(cli, job), flush=True)
     return 0
