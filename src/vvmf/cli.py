@@ -11,7 +11,9 @@ through the staged driver :func:`vvmf.mlde.staged` on its construction's
 route in :data:`ROUTES` and stops after the stage its command names:
 ``classify`` after the case, ``coeffs`` after the equation coefficients,
 ``minimal`` and ``basis`` after the basis; only the rank-2 ``minimal`` job
-has a path of its own.  Results are written as canonical JSON (sorted
+has a path of its own.  A basis or minimal form is emitted from the stack
+its route checked it in (:meth:`vvmf.series.FormStack.to_json`), in the
+layout of its tuple forms.  Results are written as canonical JSON (sorted
 keys, no whitespace) so identical jobs produce identical bytes.  A job's
 own ``output_path`` takes its result; ``--out``, or else stdout, takes the
 others' in job order.  Residuals above tolerance (env VVMF_TOL, a finite
@@ -263,9 +265,7 @@ def _dispatch(job: JobSpec) -> ResultEnvelope:
         env.minimal = {
             "k1": form.k1,
             "source": form.source,
-            "components": None
-            if form.components is None
-            else [c.to_json() for c in form.components.components],
+            "components": None if form.stack is None else form.stack.to_json()[0]["components"],
         }
         if form.eta_component is not None:
             env.minimal["eta_component"] = form.eta_component.to_json()
@@ -284,9 +284,9 @@ def _dispatch(job: JobSpec) -> ResultEnvelope:
             env.residuals.update(basis.residuals)
             if job.command == "minimal":
                 env.minimal = {"k1": report.k1,
-                               "components": [c.to_json() for c in basis.forms[0].components]}
+                               "components": basis.stack.form(0).to_json()[0]["components"]}
             else:
-                env.basis = [f.to_json() for f in basis.forms]
+                env.basis = basis.stack.to_json()
 
     return env
 

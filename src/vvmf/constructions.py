@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 import mpmath
 
@@ -42,7 +42,6 @@ from .mlde import (
     NONCYCLIC,
     FormBasis,
     Route,
-    _downcast,
     _solved_basis,
     _solved_rows,
     assemble_cyclic_basis,
@@ -97,9 +96,11 @@ NU_CHI = "nu-chi"
 class Rank2MinimalForm:
     """Minimal-weight form for a rank-2 representation.
 
-    In the T-regular case ``components`` holds the q-expansion.  In the
-    Jordan (nu_chi) family the first coordinate is tau times an eta power and
-    has no q-expansion, so only the eta-power second coordinate is emitted.
+    In the T-regular case ``stack`` holds the q-expansion as the one form of
+    a :class:`vvmf.series.FormStack`, which is what is emitted, and
+    ``components`` turns it into a tuple form when read.  In the Jordan
+    (nu_chi) family the first coordinate is tau times an eta power and has
+    no q-expansion, so only the eta-power second coordinate is emitted.
     ``residuals`` holds the column relations of the solved rank-2 cyclic
     system (:func:`vvmf.mlde.cyclic_system`) as ``rank2_mlde``; the Jordan
     family has none.
@@ -107,9 +108,13 @@ class Rank2MinimalForm:
 
     k1: int
     source: str
-    components: VectorSeries | None
+    stack: FormStack | None
     residuals: dict
     eta_component: PuiseuxSeries | None = None
+
+    @cached_property
+    def components(self) -> VectorSeries | None:
+        return None if self.stack is None else self.stack.vectors()[0]
 
 
 def _rank2_weight(rep: Rank2Rep, L: ExponentData) -> int:
@@ -150,14 +155,14 @@ def rank2_minimal(
         return Rank2MinimalForm(
             k1,
             NU_CHI,
-            components=None,
+            stack=None,
             residuals={},
             eta_component=catalog.eta_power(2 * k1 + 2),
         )
     co = equation_coefficients(L.eigenvalues, CYCLIC)
     system, rows = _solved_rows((k1, k1 + 2), L.eigenvalues, co, order, catalog)
-    forms, _, _, res = solved_forms(rows, (k1, k1 + 2), system, catalog)
-    return Rank2MinimalForm(k1, HYPERGEOMETRIC, forms[0], {"rank2_mlde": max(res)})
+    X, _, res = solved_forms(rows, (k1, k1 + 2), system, catalog)
+    return Rank2MinimalForm(k1, HYPERGEOMETRIC, X.form(0), {"rank2_mlde": max(res)})
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +242,8 @@ def _sym3_solve(inputs, _, report, co, order: int, catalog: ClassicalCatalog) ->
     _, rows = _solved_rows((k1, k1 + 2), L.eigenvalues,
                            equation_coefficients(L.eigenvalues, CYCLIC), order, catalog)
     with qline_precision():  # the cube sums the rows' mpc leading exponents
-        F = _downcast(_cube(*(row[0] for row in rows)), report.k1)
-    return assemble_cyclic_basis(F, co, catalog, report)
+        F = _cube(*(row[0] for row in rows))
+    return assemble_cyclic_basis(FormStack.downcast([F], [report.k1]), co, catalog, report)
 
 
 #: the Sym^3 route: cyclic, the cube of the rank-2 minimal form
@@ -335,7 +340,7 @@ def induction_minimal_pair(
     """Minimal-weight pair (A, B) for the beta- and beta^2-twists: the
     rows of :func:`_induction_stage`, rounded once."""
     rows, _ = _induction_stage(job, order, catalog)
-    return tuple(_downcast((row[i] for row in rows), job.k1) for i in range(2))
+    return FormStack.downcast(list(zip(*rows)), (job.k1, job.k1)).vectors()
 
 
 def _induction_stage(job: InductionJob, order: int, catalog: ClassicalCatalog):
@@ -416,20 +421,21 @@ def _induction_solve(inputs, _, report, co, order: int, catalog: ClassicalCatalo
     residual keys prefixed ``beta2_``."""
     (job,) = inputs
     rows, system = _induction_stage(job, order, catalog)
-    (A, B), pair, d_pair, res = solved_forms(rows, (job.k1, job.k1), system, catalog)
-    forms, residuals, pair_res = (), {}, max(res)
-    for j, F in enumerate((A, B)):
+    pair, d_pair, res = solved_forms(rows, (job.k1, job.k1), system, catalog)
+    stacks, residuals, pair_res = [], {}, max(res)
+    for j, F in enumerate(pair.vectors()):
         G = induce_to_gamma(F)
-        # D G is D F, taken for the pair check, over D of F|T^{-1}
+        # G's stack is the pair's form over F|T^{-1}, and D G is D F, taken
+        # for the pair check, over D of F|T^{-1}
         slashed = FormStack.of([VectorSeries(G.components[F.rank:], G.weight)])
         X = FormStack.join((pair.form(j), slashed), 1)
         DX = FormStack.join((d_pair.form(j), modular_derivative(slashed, catalog)), 1)
-        basis = assemble_cyclic_basis(G, co, catalog, report, (X, DX))
-        forms += basis.forms
+        basis = assemble_cyclic_basis(X, co, catalog, report, DX)
+        stacks.append(basis.stack)
         prefix = "beta2_" if j else ""
         for key, value in {**basis.residuals, "pair_relation": pair_res}.items():
             residuals[prefix + key] = value
-    return FormBasis(forms, report, residuals)
+    return FormBasis(FormStack.join(stacks, 0), report, residuals)
 
 
 #: the induction route: cyclic, from the solved minimal pair

@@ -16,11 +16,13 @@ every rank r <= 4 share one shift rule (:func:`indicial_shifts`), one
 coefficient rule (:func:`cyclic_coeffs`), one system builder
 (:func:`cyclic_system`) and one seed rule (:func:`cyclic_seed`).  Every
 route then checks the emitted doubles against the same system in one
-function (:func:`solved_forms`): it rounds the rows once, and the modular
-derivatives of the forms (:func:`modular_derivative`) and the column
-relations (:func:`system_residuals`) are taken in one array pass over a
-:class:`vvmf.series.FormStack`, with the bytes of the series arithmetic
-that ``tests/oracles.py`` keeps as the reference.
+function (:func:`solved_forms`): it rounds the rows once, into one
+:class:`vvmf.series.FormStack`, and the modular derivatives of the forms
+(:func:`modular_derivative`) and the column relations
+(:func:`system_residuals`) are taken in one array pass over it, with the
+bytes of the series arithmetic that ``tests/oracles.py`` keeps as the
+reference.  A basis (:class:`FormBasis`) keeps that stack up to the
+emitted bytes.
 """
 
 from __future__ import annotations
@@ -356,55 +358,75 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
     exponents pass :func:`require_nonresonant`.  The r distinct exponents
     are then the whole spectrum of K + M_0 over s, so every step matrix is
     nonsingular.  Returns one row tuple per exponent, each truncated to the
-    shortest series of the system.
+    shortest series of the system.  Each series of the system enters at its
+    power x^s (NonIntegralExponentGap unless s is an integer >= 0, the
+    rule of :func:`system_residuals`).
 
     The recursion runs in integers.  Every X_n is held as integer mantissas
     at one scale 2^-Q per exponent, Q = p - floor(log2 max|seed|), where p
     is the binary precision of :data:`QLINE_DPS` (read at call time) plus
     32 guard bits.  The series of the system enter as their exact integer
     coefficients, and the constant matrices are encoded once at the scale
-    2^-p, so each step is exact up to its pivoted elimination.  There is no
-    hauptmodul and no division by a series.
+    2^-p, so each step is exact up to its solve (:func:`_step_source`, whose
+    docstring bounds the error of each x).  There is no hauptmodul and no
+    division by a series.
 
     A system whose encoded imaginary parts (constant entries, M_0, s lam
     and seeds) are all zero runs as itself, on r real rows.  Any other runs
     as its real form on 2r rows: the row (Re X, Im X) against the matrix
     [[Re A, Im A], [-Im A, Re A]], in which each complex entry is a 2 x 2
-    block (:func:`_real_form`).  A real system gives the bytes of pivoted
-    elimination on its Gaussian integers: both take the same pivots
-    (u^2 against u^2 + 0^2) and the same floors (floor(u v 2^p / v^2) =
-    floor(u 2^p / v)).  Each exponent's transposed step matrix is encoded
-    once, at n = 0; step n adds n s to its diagonal.  NotAnExponent is
-    decided exactly on the encoded seeds and X_0 step matrices, still on
-    the norm of each complex column (:func:`_is_null_row`).
+    block (:func:`_real_form`).  Each exponent's transposed step matrix is
+    encoded once, at n = 0; step n adds n s to its diagonal.  Its entry
+    pattern over all exponents (:func:`_step_pattern`: units +-2^p, zeros,
+    other values) fixes the step's unit chain (:func:`_unit_chain`): the
+    ones of D X_i = X_{i+1} leave a real cyclic or noncyclic system one
+    free variable, found by one floor division, and the real form of a
+    complex one a 2 x 2 block; a system with no unit, as the induction
+    pair, is eliminated whole.  A real system gives the bytes of the same
+    rule on its Gaussian integers: the units are real, so both read the
+    same chain; a one-variable block divides floor(N v / v^2) =
+    floor(N / v); and a larger block takes the same pivots (u^2 against
+    u^2 + 0^2) and the same floors (floor(u v 2^p / v^2) =
+    floor(u 2^p / v)).  NotAnExponent is decided exactly on the encoded
+    seeds and X_0 step matrices, still on the norm of each complex column
+    (:func:`_is_null_row`).
 
     All r exponents advance together.  Each real row keeps its history as
     one list of ints, whose lane l (the bits from width * l up) holds the
     mantissa of exponent l: sum_l X_n[l][i] 2^(width l).  A step makes one
-    dot product per series of the system and source row for every exponent
-    at once: the forward tail e_1, e_2, ... against the history read
-    backwards from X_{n-1}, so no slice is taken and the sum ends with the
-    shorter of the two.  The K E_2 block goes through the Euler product P
-    instead (:func:`_euler_terms`): each row it reads also keeps Y = X / P
+    dot product per cover vertex of each series block for every exponent
+    at once (:func:`_cover_block`): a row vertex dots row i's history and
+    applies each target's entry; a column vertex j dots a merged history
+    H_j = sum v_ij X_i kept beside the rows (extended from each step's new
+    lanes, rebuilt on a repack) into acc[j], the same int by
+    distributivity.  A dot reads the forward tail e_1, e_2, ... against
+    the history backwards from X_{n-1}, so no slice is taken and the sum
+    ends with the shorter of the two; a tail with a zero coefficient within
+    the order (theta_2^4, theta_3^4 + theta_4^4 on the q2-line) reads only
+    the words at its nonzero lags (:func:`_lag_readers`).  The K E_2 block
+    goes through the Euler product P instead (:func:`_euler_terms`): each
+    row it reads also keeps Y = X / P
     as packed ints at the same width (:func:`_over_euler`, rebuilt when the
     history is repacked), and its dot product is 24 sum k g_k Y_{n-k} over
     the c(n) ~ 1.6 sqrt(n) lags k <= n, the same int as the dense sum; the
     same words give the sum g_k Y_{n-k} that makes Y_n once X_n is known.
     No Y lane is ever unpacked.  The step applies the constant entries to
     the packed sums.  The rest of the step is straight-line code generated
-    once per process for the shape (R real rows, r exponents) of the system
-    (:func:`_compiled_step`): it unpacks the lanes into locals, each
-    shifted back to its exponent's scale, eliminates each exponent's step
-    matrix on locals, takes the row-bit bound and packs each real row's
-    new lanes for the history.  Packing is a ring homomorphism, so a lane
-    is exact while its value stays within [-2^(width-1), 2^(width-1)).
+    once per process for the shape (R real rows, r exponents, pattern) of
+    the system (:func:`_compiled_step`): it unpacks the lanes into locals,
+    each shifted back to its exponent's scale, solves each exponent's step
+    matrix on locals along its unit chain, takes the row-bit bound and
+    packs each real row's new lanes for the history.  Packing is a ring
+    homomorphism, so a lane is exact while its value stays within
+    [-2^(width-1), 2^(width-1)).
     Its bound is width >= row + series + entry + bits(T) + 1: the largest
     mantissa bit length of the rows so far, of the sum of |e_m| of a
     series tail, of a real constant entry, and of the T real entries whose
     products are summed, plus a sign bit.  When a new X_n raises the row
     bits past the width, the history is repacked at the bound plus
     :data:`LANE_HEADROOM` bits.  The width changes no value, so the bytes
-    are those of one recursion per exponent.
+    are those of one recursion per exponent.  The merged histories and the
+    lag reads sum the same ints, so the T of the bound is unchanged.
 
     The rows come back as :class:`FixedSeries`, for the caller to multiply
     exactly and downcast once; a real system's imaginary mantissas are 0.
@@ -424,7 +446,7 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
     m0 = [[0] * r for _ in range(r)]
     tails = []  # (constant matrix of (re, im) at 2^-p, tail e_1, e_2, ...)
     for S, e in (*system, (kdiag, catalog.e2_for(nome))):
-        coeffs = [0] * nearest_int(e.lead_exponent) + list(e.coeffs)
+        coeffs = [0] * _lead_shift(e) + list(e.coeffs)
         if not all(type(c) is int for c in coeffs):
             raise TypeError("q-line systems take exact-integer q-series")
         order = min(order, len(coeffs) - 1)
@@ -477,22 +499,27 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
     # the K E_2 block, the last one, is taken through Y = X / P instead
     *convolutions, (_, euler_reads) = convolutions
     gs, ws, lagged = _euler_terms(catalog, nome, order)
+    blocks = [_cover_block(tail, reads, order) for tail, reads in convolutions]
     rows = c * r
     steps = [tuple(v for x in starts for v in x)]  # X_0, X_1, ...: exponent-major real rows
     row_bits = max(map(abs, steps[0])).bit_length()
     width = row_bits + margin + LANE_HEADROOM
     packed = _packed_history(steps, rows, width)
     ys = [_over_euler(packed[i], gs, lagged) for i, _ in euler_reads]  # Y = X / P
-    solve = _compiled_step(rows, r)
+    dots = _dot_plan(blocks, packed)
     mats = [tuple(v for col in bt for v in col) for bt in bts]
+    solve = _compiled_step(rows, r, _step_pattern(mats, rows, p))
     step = int(s * (1 << p))  # s (lam + n) - s (lam + n - 1) at the scale 2^-p
     for n in range(1, order + 1):
         acc = [0] * rows
-        for tail, reads in convolutions:
-            for i, targets in reads:
-                dot = sum(map(mul, tail, reversed(packed[i])))  # e_1 X_{n-1} + e_2 X_{n-2} + ...
+        for coeffs, readers, row_dots, column_dots in dots:
+            read = reversed if readers is None else readers[n]
+            for history, targets in row_dots:
+                dot = sum(map(mul, coeffs, read(history)))  # e_1 X_{n-1} + e_2 X_{n-2} + ...
                 for j, v in targets:
                     acc[j] += dot * v
+            for history, j, _ in column_dots:
+                acc[j] += sum(map(mul, coeffs, read(history)))
         past = lagged[n]
         carries = []
         for y, (_, targets) in zip(ys, euler_reads):
@@ -508,9 +535,13 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
             width = row_bits + margin + LANE_HEADROOM
             packed = _packed_history(steps, rows, width)
             ys = [_over_euler(packed[i], gs, lagged) for i, _ in euler_reads]
+            dots = _dot_plan(blocks, packed)
         else:
             for history, lane in zip(packed, lanes):
                 history.append(lane)
+            for *_, column_dots in dots:
+                for history, _, sources in column_dots:
+                    history.append(sum(v * lanes[i] for i, v in sources))
             for y, (i, _), carry in zip(ys, euler_reads, carries):
                 y.append(lanes[i] - carry)
     histories = list(zip(*steps))  # per exponent and real row: X_0, X_1, ...
@@ -531,17 +562,25 @@ def _euler_terms(catalog: ClassicalCatalog, nome: Nome, order: int) -> tuple:
 
     Returns the g_k, the 24 k g_k (both in lag order), and per step n <= order
     a function that reads Y_{n-k} for the lags k <= n from a history
-    Y_0, ..., Y_{n-1} (:func:`_over_euler`)."""
+    Y_0, ..., Y_{n-1} (:func:`_lag_readers`, :func:`_over_euler`)."""
     half = 2 if nome is Nome.Q2 else 1
     coeffs = catalog.eta_power(1, nome).coeffs[:order + 1]
     lags = [k for k, g in enumerate(coeffs) if k and g]
     gs = [coeffs[k] for k in lags]
     ws = [24 * (k // half) * g for k, g in zip(lags, gs)]
+    return gs, ws, _lag_readers(lags, order)
+
+
+def _lag_readers(lags, order: int) -> list:
+    """Per step n <= order, a function that reads the words H_{n-k} of a
+    history H_0, ..., H_{n-1} at the lags k <= n (``lags`` ascending), in
+    lag order."""
     # an itemgetter of one index returns no tuple, so none and one lag read slices
+    back = [-k for k in lags]
     getters = [itemgetter(slice(0, 0))]
-    getters += [itemgetter(slice(-k, -k + 1 or None)) for k in lags[:1]]
-    getters += [itemgetter(*(-k for k in lags[:t])) for t in range(2, len(lags) + 1)]
-    return gs, ws, [getters[bisect_right(lags, n)] for n in range(order + 1)]
+    getters += [itemgetter(slice(k, k + 1 or None)) for k in back[:1]]
+    getters += [itemgetter(*back[:t]) for t in range(2, len(lags) + 1)]
+    return [getters[bisect_right(lags, n)] for n in range(order + 1)]
 
 
 def _over_euler(history, gs, lagged) -> list:
@@ -551,6 +590,77 @@ def _over_euler(history, gs, lagged) -> list:
     for h, past in zip(history, lagged):
         y.append(h - sum(map(mul, gs, past(y))))
     return y
+
+
+def _cover_block(tail, reads, order: int) -> tuple:
+    """The dot products of one series block of :func:`qline_solve`: the
+    block's entries are the edges of a bipartite graph from the real rows
+    it reads to the columns it writes, and its dots are the vertices of a
+    minimum vertex cover of that graph (:func:`_vertex_cover`).  Each edge
+    goes to its row when the row is in the cover, else to its column.
+    Returns (coefficients, readers, row vertices [(i, [(j, v)])], column
+    vertices [(j, [(i, v)])]).  A tail with a zero coefficient within the
+    order is read at its nonzero lags (:func:`_lag_readers`; readers per
+    step, coefficients in lag order); any other is read backwards whole
+    (readers None, the tail as it is)."""
+    rows, columns = _vertex_cover([(i, j) for i, targets in reads for j, _ in targets])
+    row_vertices = [(i, targets) for i, targets in reads if i in rows]
+    column_vertices = [(j, [(i, v) for i, targets in reads if i not in rows
+                            for col, v in targets if col == j]) for j in columns]
+    if 0 not in tail[:order]:
+        return tail, None, row_vertices, column_vertices
+    lags = [k for k, e in enumerate(tail[:order], 1) if e]
+    return [tail[k - 1] for k in lags], _lag_readers(lags, order), row_vertices, column_vertices
+
+
+def _vertex_cover(edges) -> tuple:
+    """(rows, columns) of a minimum vertex cover of the bipartite graph of
+    ``edges`` (row, column), by Konig's theorem: a maximum matching by
+    augmenting paths, rows and edges taken in order; Z the vertices
+    reached from the unmatched rows by alternating paths; the cover is the
+    rows outside Z and the columns in Z."""
+    adjacent = {}
+    for i, j in edges:
+        adjacent.setdefault(i, []).append(j)
+    match = {}  # column -> row
+
+    def augment(i, seen) -> bool:
+        for j in adjacent[i]:
+            if j not in seen:
+                seen.add(j)
+                if j not in match or augment(match[j], seen):
+                    match[j] = i
+                    return True
+        return False
+
+    for i in adjacent:
+        augment(i, set())
+    reached = [i for i in adjacent if i not in match.values()]
+    rows, columns = set(reached), set()
+    while reached:
+        for j in adjacent[reached.pop()]:
+            if j not in columns:
+                columns.add(j)
+                if match[j] not in rows:
+                    rows.add(match[j])
+                    reached.append(match[j])
+    return set(adjacent) - rows, sorted(columns)
+
+
+def _dot_plan(blocks, packed) -> list:
+    """Per block of :func:`_cover_block`, the histories its dots read at
+    the current lanes: (coefficients, readers, [(row history, targets)],
+    [(merged history, column, sources)]).  A column vertex's merged
+    history is H_j = sum v_ij X_i over its sources, word by word: the same
+    ints the rows' dots would sum into acc[j], by distributivity, at the
+    same lane width."""
+    def merged(sources) -> list:
+        vs = [v for _, v in sources]
+        return [sum(map(mul, vs, words)) for words in zip(*(packed[i] for i, _ in sources))]
+
+    return [(coeffs, readers, [(packed[i], targets) for i, targets in row_vertices],
+             [(merged(sources), j, sources) for j, sources in column_vertices])
+            for coeffs, readers, row_vertices, column_vertices in blocks]
 
 
 def _real_form(b, c: int) -> list:
@@ -594,42 +704,144 @@ def _pack(values, width: int) -> int:
     return out
 
 
+def _step_pattern(mats, R: int, p: int) -> tuple:
+    """The entry pattern of the transposed step matrices ``mats`` (one per
+    exponent, row-major): per entry 1 or -1 for an off-diagonal unit, +2^p
+    or -2^p at every exponent; 0 for an off-diagonal entry that is 0 at
+    every exponent; None for any other entry, the diagonal included (step
+    n adds to it)."""
+    unit = 1 << p
+    out = []
+    for k, values in enumerate(zip(*mats)):
+        first = values[0]
+        same = first in (0, unit, -unit) and values.count(first) == len(values)
+        out.append(first >> p if same and k // R != k % R else None)
+    return tuple(out)
+
+
 @functools.cache
-def _compiled_step(R: int, r: int):
-    """The q-line step for R real rows and r exponents, compiled once per
-    process from :func:`_step_source` (one entry per shape a process
-    solves, R = r or 2r): step(acc, mats, shift, width, p) -> (xs, bits,
-    lanes)."""
+def _unit_chain(R: int, pattern: tuple) -> tuple:
+    """The unit chain of a step pattern (:func:`_step_pattern`): (free,
+    chain, left).  Row i of the transposed matrix is the equation
+    sum_j m_ij x_j = rhs_i 2^p.  An equation whose other nonzero entries
+    are all known determines the one unknown left in it when that entry is
+    a unit.  ``free`` is the smallest set of variables from which such
+    equations determine every other one, the first in index order of its
+    size; ``chain`` the (variable, equation) pairs in the order they are
+    read, each step taking the first equation that determines a variable;
+    ``left`` the equations no variable was read off, as many as ``free``
+    holds."""
+    nonzero = [[j for j in range(R) if pattern[i * R + j] != 0] for i in range(R)]
+    for size in range(1, R + 1):
+        for free in combinations(range(R), size):
+            known, chain, used = set(free), [], set()
+            while len(known) < R:
+                for i in range(R):
+                    unknown = [j for j in nonzero[i] if j not in known]
+                    if i not in used and len(unknown) == 1 and pattern[i * R + unknown[0]]:
+                        chain.append((unknown[0], i))
+                        known.add(unknown[0])
+                        used.add(i)
+                        break
+                else:
+                    break
+            if len(known) == R:
+                return free, tuple(chain), tuple(i for i in range(R) if i not in used)
+    raise AssertionError("the whole matrix is always a free block")
+
+
+@functools.cache
+def _compiled_step(R: int, r: int, pattern: tuple):
+    """The q-line step for R real rows, r exponents and the entry pattern of
+    their step matrices (:func:`_step_pattern`), compiled once per process
+    from :func:`_step_source`: step(acc, mats, shift, width, p) -> (xs,
+    bits, lanes)."""
     namespace = {}
-    exec(compile(_step_source(R, r), f"<q-line step {R}x{r}>", "exec"), namespace)
+    exec(compile(_step_source(R, r, pattern), f"<q-line step {R}x{r}>", "exec"), namespace)
     return namespace["step"]
 
 
-def _step_source(R: int, r: int) -> str:
+def _step_source(R: int, r: int, pattern: tuple) -> str:
     """Straight-line Python for one step of :func:`qline_solve` on R real
-    rows and r exponents, every value a local.
+    rows and r exponents whose step matrices have the entry pattern
+    ``pattern``, every value a local.
 
     ``acc[i]`` holds row i's r packed right-hand sides at 2^-(Q + p) and
-    ``mats[l]`` exponent l's transposed step matrix at n = 0, row-major;
+    ``mats[l]`` exponent l's transposed step matrix m at n = 0, row-major;
     ``shift`` is what step n adds to its diagonal.  Lane l of each acc[i]
     is split off as a signed value in [-2^(width-1), 2^(width-1)) and
-    shifted right by p (a floor); the top lane is what is left.  Then each
-    exponent's x with x a = rhs is found by one pivoted elimination of the
-    transposed matrix with rhs appended: partial pivoting on the first
-    largest |entry| of a column, the rows swapped whole, each multiplier
-    floor(u 2^p / d) at 2^-p, every update and back substitution term a
-    floor, the row of a zero multiplier left as it is.  A singular matrix
-    raises ZeroDivisionError in the back substitution.  Returns the x of
-    every exponent (exponent-major), the bit length of the largest |x|,
-    and per real row its r new lanes packed at ``width``."""
-    def row(i, start=0):
-        return [f"m{i}_{j}" for j in range(start, R + 1)]
+    shifted right by p (a floor): rhs_i at 2^-Q.  Each exponent's x, at
+    2^-Q, then solves sum_j m_ij x_j = rhs_i 2^p along the unit chain of
+    the pattern (:func:`_unit_chain`):
+
+    - every chained variable x_u, read off equation i through its unit
+      entry e 2^p, is first an exact integer affine expression in the free
+      variables: E_u = 2^(p k_u) x_u = e (rhs_i 2^(p k_u) - sum_j m_ij E_j
+      2^(p (k_u - 1 - k_j))), k_u one more than the largest depth k_j of
+      the other variables of the equation (0 for a free one);
+    - each left equation, times 2^(p K), K the largest depth in it, is then
+      exact and affine in the free variables: sum_f A_f x_f = N;
+    - a free block of one variable takes one floor division,
+      x_f = floor(N / A): xi_f - 1 < x_f <= xi_f for the exact solution xi
+      of the step's equations (A is the determinant of the matrix over the
+      product of its units, nonzero where the matrix is);
+    - a larger block takes a pivoted elimination (:func:`_elimination`) on
+      A rounded to 2^-p and N to 2^-Q (floors), and its x carry that
+      elimination's rounding, with no bound stated here;
+    - then the chain is back-substituted in order with one floor at 2^-p
+      each, x_u = floor(e (rhs_i 2^p - sum_j m_ij x_j) / 2^p), so
+      |x_u - xi_u| < 1 + sum_j |m_ij| 2^-p |x_j - xi_j|.
+
+    With no unit the free block is the whole matrix, eliminated as it is.
+    Returns the x of every exponent (exponent-major), the bit length of
+    the largest |x|, and per real row its r new lanes packed at ``width``."""
+    free, chain, left = _unit_chain(R, pattern)
+
+    def kind(i, j):
+        return pattern[i * R + j]
+
+    depth = dict.fromkeys(free, 0)
+    for u, i in chain:
+        depth[u] = 1 + max(depth[j] for j in range(R) if kind(i, j) != 0 and j != u)
+
+    def term(i, j, value, k):
+        """m_ij value 2^(p k), parenthesized; value None is 1.  A unit is a
+        shift."""
+        if kind(i, j):
+            return f"({'' if kind(i, j) == 1 else '-'}({value or 1} << p{k + 1}))"
+        product = f"m{i}_{j}" if value is None else f"m{i}_{j} * {value}"
+        return f"({product} << p{k})" if k else f"({product})"
+
+    def signed(plus, minus, sign=1):
+        """sign (plus[0] + ... - minus[0] - ...)."""
+        plus, minus = (plus, minus) if sign == 1 else (minus, plus)
+        text = " + ".join(plus)
+        for t in minus:
+            text = f"{text} - {t}" if text else f"-{t}"
+        return text or "0"
+
+    def affine(i, skip, k):
+        """sum_j m_ij E_j 2^(p (k - k_j)) over row i's nonzero j but skip,
+        as its constant terms and per free variable its coefficient's."""
+        const, coeffs = [], {f: [] for f in free}
+        for j in range(R):
+            if j != skip and kind(i, j) != 0:
+                if j in coeffs:
+                    coeffs[j].append(term(i, j, None, k - depth[j]))
+                    continue
+                const.append(term(i, j, f"c{j}", k - depth[j]))
+                for f in free:
+                    coeffs[f].append(term(i, j, f"d{j}_{f}", k - depth[j]))
+        return const, coeffs
 
     body = [f"{', '.join(f'a{i}' for i in range(R))}, = acc"]
     if r > 1:
         body += ["mask = (1 << width) - 1", "half = 1 << (width - 1)"]
+    body += ["p1 = p"] + [f"p{k} = p * {k}" for k in range(2, max(depth.values()) + 2)]
+    load = [f"m{i}_{j}" if kind(i, j) is None or not chain else "_"
+            for i in range(R) for j in range(R)]
     for l in range(r):
-        body.append(f"{', '.join(name for i in range(R) for name in row(i)[:R])}, = mats[{l}]")
+        body.append(f"{', '.join(load)}, = mats[{l}]")
         for i in range(R):
             body.append(f"m{i}_{i} += shift")
             if l < r - 1:
@@ -638,21 +850,33 @@ def _step_source(R: int, r: int) -> str:
                          f"a{i} = (a{i} - v) >> width"]
             else:
                 body.append(f"m{i}_{R} = a{i} >> p")
-        for col in range(R - 1):
-            body += [f"k = {col}", f"t = abs(m{col}_{col})"]
-            for i in range(col + 1, R):
-                body += [f"u = abs(m{i}_{col})", "if u > t:", f"    k, t = {i}, u"]
-            for i in range(col + 1, R):
-                mine, theirs = row(col, col), row(i, col)
-                body += [f"{'if' if i == col + 1 else 'elif'} k == {i}:",
-                         f"    {', '.join(mine + theirs)} = {', '.join(theirs + mine)}"]
-            body.append(f"d = m{col}_{col}")
-            for i in range(col + 1, R):
-                body += [f"if m{i}_{col}:", f"    f = (m{i}_{col} << p) // d"]
-                body += [f"    m{i}_{j} -= f * m{col}_{j} >> p" for j in range(col + 1, R + 1)]
-        for i in reversed(range(R)):
-            rest = "".join(f" - (m{i}_{j} * x{l}_{j} >> p)" for j in range(i + 1, R))
-            body.append(f"x{l}_{i} = ((m{i}_{R}{rest}) << p) // m{i}_{i}")
+        xs = [f"x{l}_{j}" for j in range(R)]
+        if not chain:  # the whole matrix is the free block
+            body += _elimination("m", R, xs)
+            continue
+        for u, i in chain:  # c{u} and d{u}_{f}: E_u's constant and coefficients
+            const, coeffs = affine(i, u, depth[u] - 1)
+            body.append(f"c{u} = {signed([f'(m{i}_{R} << p{depth[u]})'], const, kind(i, u))}")
+            body += [f"d{u}_{f} = {signed([], coeffs[f], kind(i, u))}" for f in free]
+        block = []  # per left equation: K, N and the A_f
+        for i in left:
+            K = max(depth[j] for j in range(R) if kind(i, j) != 0)
+            const, coeffs = affine(i, None, K)
+            block.append((K, signed([f"(m{i}_{R} << p{K + 1})"], const),
+                          [signed(coeffs[f], []) for f in free]))
+        if len(free) == 1:
+            ((K, N, (A,)),) = block
+            body.append(f"{xs[free[0]]} = ({N}) // ({A})")
+        else:
+            B = len(free)
+            for t, (K, N, As) in enumerate(block):
+                body += [f"b{t}_{s} = ({A}) >> p{K}" if K else f"b{t}_{s} = {A}"
+                         for s, A in enumerate(As)]
+                body.append(f"b{t}_{B} = ({N}) >> p{K + 1}")
+            body += _elimination("b", B, [xs[f] for f in free])
+        for u, i in chain:
+            others = [term(i, j, xs[j], 0) for j in range(R) if j != u and kind(i, j) != 0]
+            body.append(f"{xs[u]} = ({signed([f'(m{i}_{R} << p)'], others, kind(i, u))}) >> p")
     xs = [f"x{l}_{i}" for l in range(r) for i in range(R)]
     body.append(f"bits = max({', '.join(f'{x}, -{x}' for x in xs)}).bit_length()")
     lanes = []
@@ -665,22 +889,47 @@ def _step_source(R: int, r: int) -> str:
     return "def step(acc, mats, shift, width, p):\n" + "".join(f"    {line}\n" for line in body)
 
 
+def _elimination(name: str, B: int, xs: list) -> list:
+    """Lines that solve the B x B block {name}{t}_{s}, right-hand sides
+    {name}{t}_{B}, for the variables ``xs``: partial pivoting on the first
+    largest |entry| of a column, the rows swapped whole, each multiplier
+    floor(u 2^p / d) at 2^-p, every update and back substitution term a
+    floor, the row of a zero multiplier left as it is.  A singular block
+    raises ZeroDivisionError in the back substitution."""
+    def row(i, start=0):
+        return [f"{name}{i}_{j}" for j in range(start, B + 1)]
+
+    body = []
+    for col in range(B - 1):
+        body += [f"k = {col}", f"t = abs({name}{col}_{col})"]
+        for i in range(col + 1, B):
+            body += [f"u = abs({name}{i}_{col})", "if u > t:", f"    k, t = {i}, u"]
+        for i in range(col + 1, B):
+            mine, theirs = row(col, col), row(i, col)
+            body += [f"{'if' if i == col + 1 else 'elif'} k == {i}:",
+                     f"    {', '.join(mine + theirs)} = {', '.join(theirs + mine)}"]
+        body.append(f"d = {name}{col}_{col}")
+        for i in range(col + 1, B):
+            body += [f"if {name}{i}_{col}:", f"    f = ({name}{i}_{col} << p) // d"]
+            body += [f"    {name}{i}_{j} -= f * {name}{col}_{j} >> p"
+                     for j in range(col + 1, B + 1)]
+    for i in reversed(range(B)):
+        rest = "".join(f" - ({name}{i}_{j} * {xs[j]} >> p)" for j in range(i + 1, B))
+        body.append(f"{xs[i]} = (({name}{i}_{B}{rest}) << p) // {name}{i}_{i}")
+    return body
+
+
 def solved_forms(rows, weights, system, catalog: ClassicalCatalog) -> tuple:
     """The forms of a :func:`qline_solve` and their check against its system.
 
     Entry i of every exponent's row is rounded once into the form of weight
-    k_i (``weights``); the forms are stacked, and their modular derivatives
-    taken in one stack.  Returns the forms, both stacks (X, D X) and the
-    residual of every column of ``system`` (:func:`system_residuals`)."""
-    forms = tuple(_downcast((row[i] for row in rows), k) for i, k in enumerate(weights))
-    X = FormStack.of(forms)
+    k_i (``weights``), all in one stack (:meth:`FormStack.downcast`), and
+    their modular derivatives taken in one stack.  Returns both stacks
+    (X, D X) and the residual of every column of ``system``
+    (:func:`system_residuals`)."""
+    X = FormStack.downcast(list(zip(*rows)), weights)
     DX = modular_derivative(X, catalog)
-    return forms, X, DX, system_residuals(X, DX, system, catalog)
-
-
-def _downcast(comps, weight) -> VectorSeries:
-    """The vector form of fixed-point components, each rounded to double once."""
-    return VectorSeries(tuple(c.downcast() for c in comps), weight)
+    return X, DX, system_residuals(X, DX, system, catalog)
 
 
 def system_residuals(forms: FormStack, derivatives: FormStack, system,
@@ -759,15 +1008,21 @@ def modular_derivative(X: FormStack, catalog: ClassicalCatalog) -> FormStack:
 
 @dataclass(frozen=True)
 class FormBasis:
-    """Free basis of vector-valued forms with its diagnostics."""
+    """Free basis of vector-valued forms with its diagnostics.  The forms
+    are held as the one :class:`FormStack` they were checked in, which is
+    what is emitted; ``forms`` turns them into tuples when read."""
 
-    forms: tuple[VectorSeries, ...]
+    stack: FormStack
     case: CaseReport
     residuals: dict[str, float] = field(default_factory=dict)
 
+    @functools.cached_property
+    def forms(self) -> tuple[VectorSeries, ...]:
+        return self.stack.vectors()
+
     @property
     def weights(self) -> tuple:
-        return tuple(f.weight for f in self.forms)
+        return self.stack.weights
 
 
 def _require_nonzero(X: FormStack) -> None:
@@ -776,30 +1031,29 @@ def _require_nonzero(X: FormStack) -> None:
 
 
 def assemble_cyclic_basis(
-    F: VectorSeries,
+    X: FormStack,
     co: ODECoefficients,
     catalog: ClassicalCatalog,
     case: CaseReport,
-    stacks: tuple[FormStack, FormStack] | None = None,
+    DX: FormStack | None = None,
 ) -> FormBasis:
-    """Basis F, DF, D^2F, D^3F of the case ``case``; records the relative
-    residual of D^4 F + a E_4 D^2 F + b E_6 D F + c E_4^2 F, the last
-    column of the rank-4 :func:`cyclic_system` in the nome of F.
+    """Basis F, DF, D^2F, D^3F of the case ``case`` from the stack X of F
+    alone; records the relative residual of D^4 F + a E_4 D^2 F +
+    b E_6 D F + c E_4^2 F, the last column of the rank-4
+    :func:`cyclic_system` in the nome of F.
 
     The chain D F ... D^4 F stays in one :class:`FormStack` per level, and
-    only DF, D^2F and D^3F become tuples.  ``stacks`` holds F and DF when
-    the caller has them already (the induction route takes half of DF with
-    its pair check)."""
-    X, DX = stacks or (FormStack.of([F]), None)
+    the basis holds the stack of F ... D^3 F the residual reads.  ``DX``
+    holds DF when the caller has it already (the induction route takes
+    half of DF with its pair check)."""
     _require_nonzero(X)
     chain = [X, DX or modular_derivative(X, catalog)]
     for _ in range(3):
         chain.append(modular_derivative(chain[-1], catalog))
-    system = cyclic_system(co, catalog, F.nome)
-    (res,) = system_residuals(FormStack.join(chain[:4], 0), FormStack.join(chain[1:], 0),
-                              system, catalog, columns=[3])
-    forms = (F, *(level.vectors()[0] for level in chain[1:4]))
-    return FormBasis(forms, case, {"cyclic_mlde": res})
+    system = cyclic_system(co, catalog, X.nome)
+    basis = FormStack.join(chain[:4], 0)
+    (res,) = system_residuals(basis, FormStack.join(chain[1:], 0), system, catalog, columns=[3])
+    return FormBasis(basis, case, {"cyclic_mlde": res})
 
 
 # ---------------------------------------------------------------------------
@@ -903,12 +1157,12 @@ def _solved_basis(inputs, L: ExponentData, report: CaseReport, co: ODECoefficien
     doubles (:func:`solved_forms`)."""
     system, rows = _solved_rows(report.weight_tuple, L.eigenvalues, co, order, catalog,
                                 kronecker_unit)
-    forms, _, _, res = solved_forms(rows, report.weight_tuple, system, catalog)
+    X, _, res = solved_forms(rows, report.weight_tuple, system, catalog)
     if report.case == CYCLIC:
         residuals = {"cyclic_chain": max(res[:3]), "cyclic_mlde": res[3]}
     else:
         residuals = dict(zip(NONCYCLIC_KEYS, res))
-    return FormBasis(forms, report, residuals)
+    return FormBasis(X, report, residuals)
 
 
 #: the generic rank-4 route: either case, solved on the q-line

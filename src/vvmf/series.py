@@ -71,7 +71,11 @@ one check as one complex128 array, converted once, whose modular
 derivatives (:meth:`FormStack.derive`, the library's one) and products
 (:meth:`FormStack.times`) are taken on slices of that array, and whose other
 steps repeat Python's complex arithmetic operation by operation in float64,
-so the bytes are those of the series arithmetic.  A stack times one series
+so the bytes are those of the series arithmetic.  The rows of a q-line
+solve enter a stack in one numpy pass (:meth:`FormStack.downcast`), with
+the doubles :meth:`FixedSeries.downcast` gives, and a solved basis is
+emitted from its stack (:meth:`FormStack.to_json`) with the bytes of its
+tuple forms.  A stack times one series
 is one call of the row kernel (:func:`_convolve_rows`), which checks
 finiteness and widens once.  When the series is real, as every catalog
 series is, it convolves the real and imaginary parts of each row as real
@@ -1033,9 +1037,11 @@ class FormStack:
     its products are slices of it, which the row kernel
     (:func:`_convolve_rows`) widens once per product.  Each component has
     one leading exponent, shared by every form (``leads``, the objects the
-    forms carry); each form has a weight.  Forms are converted once
-    (:meth:`of`), derived and multiplied as arrays, and only emitted ones go
-    back to tuples (:meth:`vectors`).
+    forms carry); each form has a weight.  Forms are converted once: solved
+    rows straight from their fixed-point mantissas (:meth:`downcast`), other
+    forms from their tuples (:meth:`of`).  They are derived and multiplied
+    as arrays, emitted from the array (:meth:`to_json`), and go back to
+    tuples only when a caller reads them so (:meth:`vectors`).
 
     The arithmetic reproduces that of the Python complex numbers the forms
     hold, operation by operation, so every derivative coefficient and
@@ -1065,6 +1071,40 @@ class FormStack:
                          [F.weight for F in forms], first.nome)
 
     @staticmethod
+    def downcast(forms: Sequence[Sequence[FixedSeries]], weights) -> "FormStack":
+        """The stack of fixed-point forms, ``forms[f][c]`` component c of
+        form f, every coefficient rounded to the complex double
+        :meth:`FixedSeries.downcast` gives, in one numpy pass: the mantissas
+        become one float64 array (``numpy.array`` rounds an int below
+        2^1024 half to even, as ``float`` does) scaled by ``numpy.ldexp``.
+        The pass runs when every |mantissa| is below 2^1023 and every scale
+        2^-bits has 0 <= bits <= 1022, the conditions under which the
+        scaling is exact; otherwise every series takes its own
+        :meth:`FixedSeries.downcast`.  Each component has the leading
+        exponent of form 0's, as a complex; ``weights`` are the forms'."""
+        import numpy as np
+
+        first = forms[0]
+        terms = min(len(x.re.coeffs) for F in forms for x in F)
+        bits = np.array([[x.bits for x in F] for F in forms])
+        z = None
+        if 0 <= bits.min() and bits.max() <= 1022:
+            try:
+                m = np.array([[(x.re.coeffs[:terms], x.im.coeffs[:terms]) for x in F]
+                              for F in forms], dtype=np.float64)
+            except OverflowError:
+                m = None
+            if m is not None and np.abs(m).max(initial=0.0) < 2.0**1023:
+                m = np.ldexp(m, -bits[:, :, None, None])
+                z = np.empty(m.shape[:2] + (terms,), dtype=np.complex128)
+                z.real, z.imag = m[:, :, 0], m[:, :, 1]
+        if z is None:
+            z = np.array([[x.downcast().coeffs[:terms] for x in F] for F in forms],
+                         dtype=np.complex128)
+        return FormStack(z, (as_complex(x.re.lead_exponent) for x in first),
+                         map(Fraction, weights), first[0].re.nome)
+
+    @staticmethod
     def join(stacks: Sequence["FormStack"], axis: int) -> "FormStack":
         """The forms of ``stacks`` one after another (axis 0; they share
         their leading exponents), or the components of one form side by side
@@ -1090,6 +1130,22 @@ class FormStack:
             VectorSeries(tuple(PuiseuxSeries(self.nome, lam, tuple(row))
                                for lam, row in zip(self.leads, rows)), w)
             for rows, w in zip(self.z.tolist(), self.weights))
+
+    def to_json(self) -> list:
+        """Each form as :meth:`VectorSeries.to_json` lays out its tuple
+        form, with the same numbers: the [re, im] pairs are the float64
+        pairs of the array, read by one ``tolist``."""
+        import numpy as np
+
+        z = np.ascontiguousarray(self.z)
+        pairs = z.view(np.float64).reshape(z.shape + (2,)).tolist()
+        leads = list(map(as_complex, self.leads))
+        out = []
+        for w, form in zip(map(Fraction, self.weights), pairs):
+            out.append({"weight": [w.numerator, w.denominator], "components": [
+                {"nome": self.nome.value, "lead_exponent": [lam.real, lam.imag], "coeffs": coeffs}
+                for lam, coeffs in zip(leads, form)]})
+        return out
 
     def times(self, f: int, e: "FormStack"):
         """X_f e for the series e held as a stack of one component: each

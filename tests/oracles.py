@@ -8,10 +8,12 @@ matrices of the representations, which the tests rebuild from the
 normal-form parameters to check the invariants the library reads off them,
 with a greedy match of complex multisets for their spectra, and the double
 check of the emitted forms component by component, in the series
-arithmetic the array pass of the library reproduces.  And the elimination
-of one q-line step as a loop (:func:`left_solve`), the reference for the
-straight-line step the library generates, beside that loop as first
-written, with per-column lists and slices.  And the emitted [re, im]
+arithmetic the array pass of the library reproduces.  And one q-line step
+as loops (:func:`left_solve`: the unit chain of :func:`step_pattern` and
+:func:`unit_chain`, then the pivoted elimination :func:`pivoted_solve` of
+what is left), the reference for the straight-line step the library
+generates, beside that elimination as first written, with per-column lists
+and slices.  And the emitted [re, im]
 doubles of a series as one downcast per coefficient, type by type
 (:func:`emitted_coeffs`), the reference for the conversion by coefficient
 kind of :meth:`vvmf.series.PuiseuxSeries.to_json`.  And the rank-2 shifted
@@ -26,11 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath
 import numpy as np
 
-from vvmf.constructions import _downcast, _rank2_weight
+from vvmf.constructions import _rank2_weight
 from vvmf.errors import (
     InconsistentRep,
     NotAnExponent,
@@ -361,16 +364,131 @@ def exhibited_exponents(F: VectorSeries) -> ExponentData:
 # one q-line step
 # ---------------------------------------------------------------------------
 
-def left_solve(m, p: int) -> list:
+def step_pattern(ms, p: int) -> tuple:
+    """The entry pattern of the transposed step matrices ``ms`` (rows of R
+    entries, a right-hand side after them ignored), row-major: 1 or -1
+    for an off-diagonal entry that is +2^p or -2^p in every matrix, 0 for
+    one that is 0 in every matrix, None for any other, the diagonal
+    included.  Gaussian entries (re, im) count as units when they are
+    (+-2^p, 0) and as zeros when they are (0, 0)."""
+    R = len(ms[0])
+    unit = 1 << p
+    names = {0: 0, unit: 1, -unit: -1, (0, 0): 0, (unit, 0): 1, (-unit, 0): -1}
+    pattern = []
+    for i in range(R):
+        for j in range(R):
+            values = {m[i][j] for m in ms}
+            kind = None
+            if i != j and len(values) == 1:
+                kind = names.get(values.pop())
+            pattern.append(kind)
+    return tuple(pattern)
+
+
+def unit_chain(pattern, R: int) -> tuple:
+    """(free, chain, left) of a step pattern, by search: the first free set
+    in order of size, then of index, from which the chain reads every other
+    variable, each link the first equation in index order whose nonzero
+    entries are known but one unit entry; the equations no link used are
+    left."""
+    for size in range(1, R + 1):
+        for free in combinations(range(R), size):
+            known, chain = list(free), []
+            used = []
+            grew = True
+            while grew:
+                grew = False
+                for i in range(R):
+                    if i in used:
+                        continue
+                    unknown = [j for j in range(R)
+                               if pattern[i * R + j] != 0 and j not in known]
+                    if len(unknown) == 1 and pattern[i * R + unknown[0]] in (1, -1):
+                        chain.append((unknown[0], i))
+                        known.append(unknown[0])
+                        used.append(i)
+                        grew = True
+                        break
+            if len(known) == R:
+                return free, chain, [i for i in range(R) if i not in used]
+    raise AssertionError("unreachable: the whole matrix is a free block")
+
+
+def left_solve(m, p: int, pattern=None) -> list:
     """Row x with x a = rhs in integers, a at the scale 2^-p, rhs and x at
-    one common scale: the elimination of one exponent in one step of
-    :func:`vvmf.mlde.qline_solve`, written as a loop (the library runs it as
+    one common scale: one exponent in one step of
+    :func:`vvmf.mlde.qline_solve`, written as loops (the library runs it as
     generated straight-line code, :func:`vvmf.mlde._step_source`).  m holds
-    the rows of a's transpose, row j followed by rhs_j, and is eliminated in
-    place: partial pivoting on the first largest |entry| of a column, each
-    multiplier held at 2^-p, every quotient and shift a floor.  Entries are
-    found and updated by index, with no list or slice per column.  A
-    singular matrix raises ZeroDivisionError in the back substitution."""
+    the rows of a's transpose, row j followed by rhs_j: the equations
+    sum_j m_ij x_j = rhs_i 2^p.  ``pattern`` is that of every exponent's
+    matrix (:func:`step_pattern`; m's own by default).
+
+    Along the unit chain of the pattern (:func:`unit_chain`), each chained
+    x_u is an exact affine expression E_u = 2^(p k_u) x_u in the free
+    variables, k_u one more than the deepest other variable of its
+    equation; each left equation times 2^(p K) is exact in them.  A free
+    block of one variable is one floor division; a larger one is rounded
+    to 2^-p (entries) and to x's scale (right-hand sides) and eliminated
+    by :func:`pivoted_solve`.  The chain is then back-substituted with one
+    floor at 2^-p per link.  With no unit m is eliminated whole."""
+    R = len(m)
+    pattern = step_pattern([m], p) if pattern is None else pattern
+    free, chain, left = unit_chain(pattern, R)
+    if not chain:
+        return pivoted_solve(m, p)
+    depth = dict.fromkeys(free, 0)
+    const = dict.fromkeys(free, 0)
+    coeff = {f: {g: int(f == g) for g in free} for f in free}
+    for u, i in chain:
+        others = [j for j in range(R) if j != u and pattern[i * R + j] != 0]
+        k = 1 + max(depth[j] for j in others)
+        c = m[i][R] << p * k
+        d = dict.fromkeys(free, 0)
+        for j in others:
+            shift = p * (k - 1 - depth[j])
+            c -= m[i][j] * const[j] << shift
+            for f in free:
+                d[f] -= m[i][j] * coeff[j][f] << shift
+        sign = pattern[i * R + u]
+        depth[u], const[u], coeff[u] = k, sign * c, {f: sign * v for f, v in d.items()}
+    block = []
+    for i in left:
+        nonzero = [j for j in range(R) if pattern[i * R + j] != 0]
+        K = max(depth[j] for j in nonzero)
+        a = dict.fromkeys(free, 0)
+        n = m[i][R] << p * (K + 1)
+        for j in nonzero:
+            shift = p * (K - depth[j])
+            n -= m[i][j] * const[j] << shift
+            for f in free:
+                a[f] += m[i][j] * coeff[j][f] << shift
+        block.append((K, [a[f] for f in free], n))
+    x = [0] * R
+    if len(free) == 1:
+        (_, (a,), n), = block
+        x[free[0]] = n // a
+    else:
+        solved = pivoted_solve([[v >> p * K for v in a] + [n >> p * (K + 1)]
+                                for K, a, n in block], p)
+        for f, v in zip(free, solved):
+            x[f] = v
+    for u, i in chain:
+        rest = m[i][R] << p
+        for j in range(R):
+            if j != u:
+                rest -= m[i][j] * x[j]
+        x[u] = pattern[i * R + u] * rest >> p
+    return x
+
+
+def pivoted_solve(m, p: int) -> list:
+    """The pivoted elimination of a step's whole matrix or free block, as a
+    loop: x with sum_j m_ij x_j = rhs_i 2^p, m's rows followed by rhs_i,
+    eliminated in place: partial pivoting on the first largest |entry| of
+    a column, each multiplier held at 2^-p, every quotient and shift a
+    floor.  Entries are found and updated by index, with no list or slice
+    per column.  A singular matrix raises ZeroDivisionError in the back
+    substitution."""
     r = len(m)
     for col in range(r - 1):
         top = m[col]
@@ -402,7 +520,7 @@ def left_solve(m, p: int) -> list:
 
 
 def sliced_left_solve(m, p: int) -> list:
-    """:func:`left_solve` as first written: the same pivots (the
+    """:func:`pivoted_solve` as first written: the same pivots (the
     first largest |entry| of a column), floored multipliers at 2^-p and
     back substitution, each pivot found in a list of the column's sizes
     and each row updated through slices of itself and of the pivot row.
@@ -447,6 +565,12 @@ def _fixed_scale(x: FixedSeries, z, bits: int) -> FixedSeries:
                        x.bits + bits)
 
 
+def downcast_form(comps, weight) -> VectorSeries:
+    """The vector form of fixed-point components, each rounded to double
+    once by its own :meth:`FixedSeries.downcast`."""
+    return VectorSeries(tuple(c.downcast() for c in comps), weight)
+
+
 def kronecker_tensor_basis(alpha: Rank2Rep, beta: Rank2Rep, L1: ExponentData,
                            L2: ExponentData, order: int, catalog) -> tuple[VectorSeries, ...]:
     """The paper's closed noncyclic basis for alpha (x) beta from the rank-2
@@ -475,11 +599,11 @@ def kronecker_tensor_basis(alpha: Rank2Rep, beta: Rank2Rep, L1: ExponentData,
 
         dA_B, A_dB = kron(dA, B), kron(A, dB)
         return (
-            _downcast(kron(A, B), k1),
-            _downcast([_fixed_sum(x, y) for x, y in zip(dA_B, A_dB)], k1 + 2),
-            _downcast([_fixed_scale(_fixed_sum(x, y, -1), 1 / (a_beta - a_alpha),
+            downcast_form(kron(A, B), k1),
+            downcast_form([_fixed_sum(x, y) for x, y in zip(dA_B, A_dB)], k1 + 2),
+            downcast_form([_fixed_scale(_fixed_sum(x, y, -1), 1 / (a_beta - a_alpha),
                                     mpmath.mp.prec) for x, y in zip(dA_B, A_dB)], k1 + 2),
-            _downcast([_fixed_sum(x, x) for x in kron(dA, dB)], k1 + 4),
+            downcast_form([_fixed_sum(x, x) for x in kron(dA, dB)], k1 + 4),
         )
 
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import vvmf
 import vvmf.cli
+import vvmf.series
 from vvmf.classical import ClassicalCatalog
 from vvmf.cli import STEPS, JobSpec, ResultEnvelope, emit, main, run
 from vvmf.errors import UnknownSeries, ValidationError, VvmfError, WrongRank
@@ -52,6 +53,7 @@ def exponents_json(eigs, group="Gamma"):
 
 
 GENERIC_EIGS = [0.11, 0.18, 0.31, 7 / 3 - 0.6]
+NONCYCLIC_EIGS = [0.11, 0.18, 0.31, 8 / 3 - 0.6]
 
 
 def generic_job(command, order=15):
@@ -255,6 +257,29 @@ class TestEmit:
         rows = text.strip().splitlines()
         assert rows[0] == "form_index,component,n,re,im"
         assert len(rows) - 1 == 4 * 4 * (order + 1)
+
+    @pytest.mark.parametrize("job, fmt", [
+        (generic_job("basis"), "json"), (generic_job("basis"), "csv"),
+        (generic_job("minimal"), "json"),
+        ({**generic_job("basis"), "rep": rank4_json(NONCYCLIC_EIGS, 5, 0),
+          "exponents": exponents_json(NONCYCLIC_EIGS)}, "json"),
+        (tensor_job(), "json"), (tensor_job(), "csv"), (sym3_job(), "json"),
+        (sym3_job(), "csv"), (induction_job(), "json"), (induction_job(), "csv"),
+        ({key: v for key, v in unlisted(sym3_job()).items() if key != "construction"}
+         | {"command": "minimal"}, "json")],
+        ids=["cyclic", "cyclic-csv", "minimal", "noncyclic", "tensor", "tensor-csv", "sym3",
+             "sym3-csv", "induction", "induction-csv", "rank2-minimal"])
+    def test_stacks_emit_the_bytes_of_their_tuple_forms(self, monkeypatch, job, fmt):
+        # bases and minimal forms are emitted from the stack they were
+        # checked in; the tuple forms they materialize, each emitted by
+        # VectorSeries.to_json, give the same text
+        text = emit(run(JobSpec.from_json(dict(job))), fmt)
+        monkeypatch.setattr(vvmf.series.FormStack, "to_json",
+                            lambda stack: [F.to_json() for F in stack.vectors()])
+        assert emit(run(JobSpec.from_json(dict(job))), fmt) == text
+        if fmt == "json":
+            data = json.loads(text)
+            assert "basis" in data or data["minimal"]["components"]
 
     def test_csv_needs_basis(self):
         env = run(JobSpec.from_json({"command": "check", "order": 50}))

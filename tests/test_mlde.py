@@ -1,6 +1,7 @@
 """Classification, equation coefficients, Frobenius solving, derivative and
 basis assembly, with symmetric-polynomial and term-ratio oracles."""
 
+import ast
 import cmath
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ import vvmf.mlde
 from vvmf.errors import (
     DegenerateC,
     ExponentSumMismatch,
+    NonIntegralExponentGap,
     NonIntegralThreeTrace,
     NotAnExponent,
     Resonance,
@@ -58,22 +60,27 @@ from oracles import (
     hypergeom_2f1,
     left_solve,
     operator_residual,
+    pivoted_solve,
     rank2_coeff,
     rank4_cyclic_coeffs,
     sliced_left_solve,
+    step_pattern,
+    unit_chain,
 )
 from test_acceptance import FREENESS_TOL, freeness_deviation
 
 
 def record_eliminations(patch) -> list:
     """Patch the q-line step so that each step appends one entry per
-    exponent it eliminates: the number R of real rows of its matrix."""
+    exponent it solves: the size of its free block, the variables its unit
+    chain leaves to a floor division (one) or an elimination (more)."""
     sizes = []
     compiled = vvmf.mlde._compiled_step
 
-    def counted(R, r):
-        step = compiled(R, r)
-        return lambda *args: sizes.extend([R] * r) or step(*args)
+    def counted(R, r, pattern):
+        step = compiled(R, r, pattern)
+        free = len(unit_chain(pattern, R)[0])
+        return lambda *args: sizes.extend([free] * r) or step(*args)
 
     patch.setattr(vvmf.mlde, "_compiled_step", counted)
     return sizes
@@ -500,6 +507,18 @@ class TestSystem:
                 qline_solve(self.weights(), [(const, one), (e4_part, e4.scale(1.0))],
                             self.lams(co), self.seeds(co), 5, catalog40)
 
+    @pytest.mark.parametrize("lead", [-1, Fraction(1, 2), 0.5], ids=["q^-1", "q^1/2", "q^0.5"])
+    def test_series_must_lead_at_a_power(self, catalog40, lead):
+        # the system's series are read through the shift rule of the double
+        # check: a series leading at q^-1 was solved as if it led at q^0,
+        # and one leading at q^(1/2) raised a bare TypeError
+        co = self.co()
+        (const, one), (e4_part, e4) = noncyclic_system(co, catalog40)
+        shifted = PuiseuxSeries(Nome.Q, lead, e4.coeffs)
+        with pytest.raises(NonIntegralExponentGap, match="not a power"), qline_precision():
+            qline_solve(self.weights(), [(const, one), (e4_part, shifted)],
+                        self.lams(co), self.seeds(co), 5, catalog40)
+
     def test_not_left_eigenvector(self, catalog40):
         co = self.co()
         seeds = [(1, 1, 1, 1)] + self.seeds(co)[1:]
@@ -523,22 +542,54 @@ def _signed(bits: int):
     return st.integers(min_value=-(1 << bits) + 1, max_value=(1 << bits) - 1)
 
 
+#: the unit entries (i, j) of the step matrix b of a cyclic system of rank
+#: r (ones below the diagonal) and of the noncyclic one; the other entries
+#: of those shapes are the equation's column (cyclic), or the entries a, b,
+#: c (noncyclic), and the diagonal
+SHAPES = {
+    "cyclic": lambda r: ([(i + 1, i) for i in range(r - 1)], [(i, r - 1) for i in range(r - 1)]),
+    "noncyclic": lambda r: ([(1, 0), (3, 1), (0, 2)], [(0, 1), (1, 3), (2, 3)]),
+}
+
+
+def _shaped(draw, shape: str, r: int, entry, unit: int, signs) -> list:
+    """A step matrix b of r x r Gaussian entries (re, im): every entry drawn
+    by ``entry`` for the shape "random"; for "cyclic" and "noncyclic" the
+    units of :data:`SHAPES`, +-2^p by ``signs``, the shape's other entries
+    and the diagonal drawn, and zeros elsewhere."""
+    if shape == "random":
+        return [[entry() for _ in range(r)] for _ in range(r)]
+    units, others = SHAPES[shape](r)
+    b = [[(0, 0)] * r for _ in range(r)]
+    for (i, j), sign in zip(units, signs):
+        b[i][j] = (sign * unit, 0)
+    for i, j in others + [(i, i) for i in range(r)]:
+        b[i][j] = entry()
+    return b
+
+
+def _shape(draw, r: int):
+    return draw(st.sampled_from(["random", "cyclic"] + ["noncyclic"] * (r == 4)))
+
+
 @st.composite
 def step_systems(draw):
     """(m, p): a step matrix a, r = 1-4, as the real form (c = 1 or 2) of
     Gaussian integers at 2^-p, transposed and followed by right-hand sides
     of 0-300 bits.  Entries are often 0 or +-1, +-2 units, so columns hold
-    zeros and tied pivots; a matrix may be singular."""
+    zeros, unit chains and tied pivots; the matrix is random, or of the
+    cyclic or noncyclic shape (:func:`_shaped`); it may be singular."""
     r, c = draw(st.integers(1, 4)), draw(st.sampled_from([1, 2]))
     p = draw(st.sampled_from([8, 202]))
     unit = 1 << p
     part = st.one_of(st.sampled_from([0, unit, -unit, 2 * unit, -2 * unit]), _signed(p + 3))
     rhs_part = st.integers(0, 300).flatmap(_signed)
 
-    def entry(values):
+    def entry(values=part):
         return (draw(values), draw(values) if c == 2 else 0)
 
-    a = [[entry(part) for _ in range(r)] for _ in range(r)]
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=3, max_size=3))
+    a = _shaped(draw, _shape(draw, r), r, entry, unit, signs)
     rhs = [entry(rhs_part) for _ in range(r)]
     return [[*col, u] for col, u in zip(zip(*_real_form(a, c)), _real_form([rhs], c)[0])], p
 
@@ -548,9 +599,9 @@ def step_batches(draw):
     """(R, mats, rhs, shift, p): the transposed step matrices of r = 1-3
     exponents on R = 1, 2, 3, 4, 6 or 8 real rows, each the real form
     (c = 1 or 2) of Gaussian integers at 2^-p drawn as in
-    :func:`step_systems`, flattened row by row; per exponent the R
-    right-hand sides of a step before its shift right by p (0-300 bits
-    above p); and what the step adds to every diagonal."""
+    :func:`step_systems`, all of one shape, flattened row by row; per
+    exponent the R right-hand sides of a step before its shift right by p
+    (0-300 bits above p); and what the step adds to every diagonal."""
     R = draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
     c = 2 if R > 4 else 1 if R % 2 else draw(st.sampled_from([1, 2]))
     p = draw(st.sampled_from([8, 202]))
@@ -561,16 +612,18 @@ def step_batches(draw):
     def entry():
         return (draw(part), draw(part) if c == 2 else 0)
 
+    shape = _shape(draw, R // c)
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=3, max_size=3))
     mats, rhs = [], []
     for _ in range(draw(st.integers(1, 3))):
-        a = [[entry() for _ in range(R // c)] for _ in range(R // c)]
+        a = _shaped(draw, shape, R // c, entry, unit, signs)
         mats.append(tuple(v for col in zip(*_real_form(a, c)) for v in col))
         rhs.append([draw(rhs_part) for _ in range(R)])
     return R, mats, rhs, draw(st.sampled_from([0, unit // 2, 3 * unit])), p
 
 
 def _solved(solve, m, p):
-    """x from an elimination of a copy of m, or the type of what it raised."""
+    """x from a solve of a copy of m, or the type of what it raised."""
     try:
         return solve([list(row) for row in m], p)
     except ArithmeticError as exc:
@@ -579,26 +632,50 @@ def _solved(solve, m, p):
 
 def generated_solve(m, p: int) -> list:
     """x of m (as for :func:`oracles.left_solve`) by the generated q-line
-    step of one exponent, its right-hand side entering shifted up by p."""
+    step of one exponent with m's own pattern, its right-hand side entering
+    shifted up by p."""
     R = len(m)
-    step = _compiled_step(R, 1)
-    xs, _, _ = step([row[R] << p for row in m], [tuple(v for row in m for v in row[:R])], 0, 0, p)
+    mat = tuple(v for row in m for v in row[:R])
+    pattern = vvmf.mlde._step_pattern([mat], R, p)
+    assert pattern == step_pattern([m], p)
+    xs, _, _ = _compiled_step(R, 1, pattern)([row[R] << p for row in m], [mat], 0, 0, p)
     return list(xs)
+
+
+def exact_step(m, p: int) -> list:
+    """The exact solution xi of sum_j m_ij xi_j = rhs_i 2^p, in Fractions."""
+    R = len(m)
+    rows = [[Fraction(v) for v in row[:R]] + [Fraction(row[R] << p)] for row in m]
+    for col in range(R):
+        piv = next(i for i in range(col, R) if rows[i][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        for i in range(R):
+            if i != col and rows[i][col]:
+                f = rows[i][col] / rows[col][col]
+                rows[i] = [u - f * w for u, w in zip(rows[i], rows[col])]
+    return [row[R] / row[i] for i, row in enumerate(rows)]
+
+
+def floor_divisions(R: int, r: int, pattern) -> int:
+    """The floor divisions in the source of the generated step."""
+    tree = ast.parse(vvmf.mlde._step_source(R, r, pattern))
+    return sum(isinstance(node, ast.FloorDiv) for node in ast.walk(tree))
 
 
 class TestLeftSolve:
     """One step of the q-line recursion: x a = rhs in fixed-point integers,
     on a real matrix or on the real form of a complex one, checked by its
-    exact complex residual and against the elimination loops of the
-    oracles."""
+    exact complex residual, against the exact solution and against the
+    loops of the oracles."""
 
     @settings(max_examples=300, deadline=None)
     @given(step_systems())
     def test_matches_the_sliced_elimination(self, system):
         # the same first-largest pivots, floored multipliers and back
-        # substitution give the same x; a singular matrix raises the same
+        # substitution give the same x; a singular matrix raises the same.
+        # The generated step takes the unit chain of the loop oracle
         m, p = system
-        assert _solved(left_solve, m, p) == _solved(sliced_left_solve, m, p)
+        assert _solved(pivoted_solve, m, p) == _solved(sliced_left_solve, m, p)
         assert _solved(generated_solve, m, p) == _solved(left_solve, m, p)
 
     @settings(max_examples=300, deadline=None)
@@ -606,27 +683,83 @@ class TestLeftSolve:
     def test_generated_step_matches_the_loop(self, batch):
         # the packed right-hand sides at the narrowest lanes that hold them,
         # unpacked and floored by p, each exponent's diagonal advanced by
-        # the shift, then one loop elimination per exponent in order: the
-        # same x, or the exception of the first singular matrix; the row
-        # bits and the lanes packed for the history follow from x
+        # the shift, then one loop solve per exponent in order, on the
+        # pattern of all of them: the same x, or the exception of the first
+        # singular matrix; the row bits and the lanes packed for the
+        # history follow from x
         R, mats, rhs, shift, p = batch
         width = max(abs(v) for row in rhs for v in row).bit_length() + 1
         acc = [_pack([row[i] for row in rhs], width) for i in range(R)]
+        pattern = vvmf.mlde._step_pattern(mats, R, p)
+        assert pattern == step_pattern([[mat[j * R:(j + 1) * R] for j in range(R)]
+                                        for mat in mats], p)
         want = []
         try:
             for mat, row in zip(mats, rhs):
                 m = [[*mat[j * R:(j + 1) * R], row[j] >> p] for j in range(R)]
                 for j in range(R):
                     m[j][j] += shift
-                want += left_solve(m, p)
+                want += left_solve(m, p, pattern)
         except ZeroDivisionError:
             with pytest.raises(ZeroDivisionError):
-                _compiled_step(R, len(mats))(acc, mats, shift, width, p)
+                _compiled_step(R, len(mats), pattern)(acc, mats, shift, width, p)
             return
-        xs, bits, lanes = _compiled_step(R, len(mats))(acc, mats, shift, width, p)
+        xs, bits, lanes = _compiled_step(R, len(mats), pattern)(acc, mats, shift, width, p)
         assert list(xs) == want
         assert bits == max(map(abs, xs)).bit_length()
         assert lanes == [_pack(xs[i::R], width) for i in range(R)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(step_systems())
+    def test_each_x_is_within_its_stated_bound(self, system):
+        # against the exact solution xi of the step's equations: a free
+        # block of one variable is the floor of its xi, xi - 1 < x <= xi;
+        # a chained x_u, read off equation i, is within 1 + sum_j
+        # |m_ij| 2^-p |x_j - xi_j| of its xi, the errors of the variables
+        # it is read from
+        m, p = system
+        R = len(m)
+        try:
+            x, xi = generated_solve(m, p), exact_step(m, p)
+        except (ZeroDivisionError, StopIteration):
+            return  # a singular matrix or free block
+        free, chain, _ = unit_chain(step_pattern([m], p), R)
+        error = [abs(u - v) for u, v in zip(x, xi)]
+        if len(free) == 1:
+            assert xi[free[0]] - 1 < x[free[0]] <= xi[free[0]]
+        for u, i in chain:
+            bound = 1 + sum(Fraction(abs(m[i][j]), 1 << p) * error[j] for j in range(R) if j != u)
+            assert error[u] < bound
+
+    @pytest.mark.parametrize("shape, R, free", [
+        ("cyclic", 4, (0,)), ("noncyclic", 4, (2,)), ("cyclic", 2, (0,)), ("cyclic", 1, (0,)),
+        ("cyclic", 8, (0, 4)), ("noncyclic", 8, (2, 6))])
+    def test_chains_of_the_systems(self, shape, R, free):
+        # the real rank-4 cyclic chain x1, x2, x3 from rows 0, 1, 2; the
+        # noncyclic x0, x1, x3 from rows 2, 0, 1; rank 2 x1 from row 0;
+        # rank 1 no chain; the complex real forms (R = 8) leave a 2 x 2 block
+        c, r = (2, R // 2) if R == 8 else (1, R)
+        p = 8
+        units = SHAPES[shape](r)[0]
+        b = [[(3 << p, 3 << p if c == 2 else 0)] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(r):
+                if (i, j) in units:
+                    b[i][j] = (-(1 << p), 0)
+                elif (i, j) not in SHAPES[shape](r)[1] and i != j:
+                    b[i][j] = (0, 0)
+        mat = tuple(v for col in zip(*_real_form(b, c)) for v in col)
+        pattern = vvmf.mlde._step_pattern([mat], R, p)
+        got_free, chain, left = vvmf.mlde._unit_chain(R, pattern)
+        assert got_free == free
+        if R == 4:
+            assert chain == {"cyclic": ((1, 0), (2, 1), (3, 2)),
+                             "noncyclic": ((0, 2), (1, 0), (3, 1))}[shape] and left == (3,)
+        if R in (1, 2):
+            assert chain == ((1, 0),)[:R - 1] and left == (R - 1,)
+        # one floor division per exponent when the block is one variable
+        if len(free) == 1:
+            assert floor_divisions(R, 3, pattern) == 3
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=4),
@@ -702,7 +835,8 @@ class TestAssembly:
         co = cyclic_coeffs([0, Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)])
         zero = VectorSeries(tuple(PuiseuxSeries.polynomial(Nome.Q, [], 10) for _ in range(4)), 0)
         with pytest.raises(ZeroForm):
-            assemble_cyclic_basis(zero, co, catalog40, CaseReport(CYCLIC, 0, (0, 2, 4, 6), 0, 0))
+            assemble_cyclic_basis(FormStack.of([zero]), co, catalog40,
+                                  CaseReport(CYCLIC, 0, (0, 2, 4, 6), 0, 0))
 
     def test_degenerate_c_rejected(self, catalog40):
         co = noncyclic_coeffs([0, Fraction(1, 6), Fraction(1, 6), Fraction(1, 3)])

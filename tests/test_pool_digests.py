@@ -1,7 +1,7 @@
 """``tools/pool_digests.py``: the digests of every benchmark pool job are
 the same in any two fresh interpreters and equal the committed ones of
-``tests/pool_digests.txt`` (and, under ``slow``, those of the high-order
-section, ``tests/high_digests.txt``), and ``--diff``, the comparison of two
+``tests/pool_digests.txt`` (and those of the high-order section,
+``tests/high_digests.txt``), and ``--diff``, the comparison of two
 digest files, shows a change keeps the emitted bytes of every job."""
 
 import importlib.util
@@ -137,14 +137,14 @@ def test_every_job_emits_the_committed_bytes(pool_digests, fresh_runs, capsys):
     assert status == 0, capsys.readouterr().out
 
 
-@pytest.mark.slow
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
                     reason="the committed digests are of x86-64's 64-bit long double; "
                            "other long double types change the last bits of the double check")
 def test_high_order_ladder_emits_the_committed_bytes(pool_digests, tmp_path, capsys):
     # every ladder member at order 800 (induction at q2-order 800) and the
     # cyclic one at 1600, where the q-line recursion and the double check
-    # do the most work, against tests/high_digests.txt
+    # do the most work and a changed last bit of the step's rounding would
+    # show first, against tests/high_digests.txt
     run = subprocess.run([sys.executable, str(TOOL), "--high"], capture_output=True,
                          text=True, timeout=900)
     assert run.returncode == 0, run.stderr

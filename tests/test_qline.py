@@ -26,7 +26,14 @@ from vvmf.constructions import (
     tensor_pipeline,
 )
 from vvmf.errors import Resonance
-from vvmf.mlde import CYCLIC, equation_coefficients, generic_basis, qline_precision, qline_solve
+from vvmf.mlde import (
+    CYCLIC,
+    NONCYCLIC,
+    equation_coefficients,
+    generic_basis,
+    qline_precision,
+    qline_solve,
+)
 from vvmf.reps import (
     ExponentData,
     GRank2Rep,
@@ -49,7 +56,10 @@ from oracles import (
     frobenius_solve,
     kronecker_tensor_basis,
     left_solve,
+    pivoted_solve,
+    step_pattern,
     u_from_local_exponent,
+    unit_chain,
 )
 from test_acceptance import ZETA, deviation, rank2_data, sym3_grid, tensor_grid
 from test_constructions import make_job
@@ -274,12 +284,14 @@ def test_rows_hold_forty_digits_per_coefficient(monkeypatch, m, d, catalog40):
 
 @pytest.mark.parametrize("m, d", [(7, 1), (8, 5)], ids=["cyclic", "noncyclic"])
 def test_generic_systems_run_as_real_systems(monkeypatch, m, d, catalog40):
-    # real exponents give real equation coefficients: the solve eliminates
-    # r = 4 real rows per step and returns imaginary mantissas of exactly 0
+    # real exponents give real equation coefficients: the solve runs on
+    # r = 4 real rows, whose unit chain leaves one free variable per
+    # exponent and step (two on a complex system's real form), and returns
+    # imaginary mantissas of exactly 0
     sizes = record_eliminations(monkeypatch)
     rep, L = admissible([0.11, 0.18, 0.31], m, d, 0)
     rows = solved_rows(monkeypatch, lambda: generic_basis(rep, L, 20, catalog40))
-    assert sizes == [4] * (4 * 20)
+    assert sizes == [1] * (4 * 20)
     assert all(not any(x.im.coeffs) for x in rows)
 
 
@@ -302,20 +314,105 @@ def test_tensor_forms_hold_at_more_digits(monkeypatch, member):
 # packed lanes against one recursion per exponent
 # ---------------------------------------------------------------------------
 
-def real_form_step(b, rhs, p, c) -> list:
-    """x b = rhs by the elimination of qline_solve: on the real parts (c = 1)
-    or on the real form (c = 2) of the Gaussian-integer matrix b."""
+def real_form_step(b, rhs, p, c, b0s=None) -> list:
+    """x b = rhs by the step of qline_solve: on the real parts (c = 1) or
+    on the real form (c = 2) of the Gaussian-integer matrix b, along the
+    unit chain of the pattern of every exponent's matrix (``b0s``, b's
+    own by default)."""
     r = len(b)
+    pattern = step_pattern([list(zip(*vvmf.mlde._real_form(b0, c))) for b0 in b0s or [b]], p)
     rows = zip(zip(*vvmf.mlde._real_form(b, c)), vvmf.mlde._real_form([rhs], c)[0])
-    x = left_solve([[*col, u] for col, u in rows], p)
+    x = left_solve([[*col, u] for col, u in rows], p, pattern)
     return [(x[i], x[r + i] if c == 2 else 0) for i in range(r)]
 
 
-def gaussian_step(b, rhs, p, c) -> list:
-    """x b = rhs by pivoted elimination on the Gaussian integers themselves:
-    the transposed system, pivots of largest norm, multipliers at 2^-p."""
+def _gmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gshift(a, s):
+    """a 2^s, floored part by part when s < 0."""
+    return (a[0] << s, a[1] << s) if s >= 0 else (a[0] >> -s, a[1] >> -s)
+
+
+def _gadd(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _gsub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def gaussian_step(b, rhs, p, c, b0s=None) -> list:
+    """x b = rhs on the Gaussian integers themselves, along the unit chain
+    of the pattern of every exponent's matrix (``b0s``, b's own by
+    default; a unit is (+-2^p, 0)), written out in Gaussian arithmetic
+    like :func:`oracles.left_solve`: a free variable of a one-variable
+    block is N / A by one division of each part by |A|^2, and a larger
+    block is rounded part by part and eliminated by
+    :func:`gaussian_elimination`."""
     r = len(rhs)
     m = [[b[i][j] for i in range(r)] + [rhs[j]] for j in range(r)]
+    pattern = step_pattern([[[b0[i][j] for i in range(r)] for j in range(r)]
+                            for b0 in b0s or [b]], p)
+    free, chain, left = unit_chain(pattern, r)
+    if not chain:
+        return gaussian_elimination(m, p)
+    depth = dict.fromkeys(free, 0)
+    const = dict.fromkeys(free, (0, 0))
+    coeff = {f: {g: (int(f == g), 0) for g in free} for f in free}
+    for u, i in chain:
+        others = [j for j in range(r) if j != u and pattern[i * r + j] != 0]
+        k = 1 + max(depth[j] for j in others)
+        cu = _gshift(m[i][r], p * k)
+        d = dict.fromkeys(free, (0, 0))
+        for j in others:
+            shift = p * (k - 1 - depth[j])
+            cu = _gsub(cu, _gshift(_gmul(m[i][j], const[j]), shift))
+            for f in free:
+                d[f] = _gsub(d[f], _gshift(_gmul(m[i][j], coeff[j][f]), shift))
+        sign = pattern[i * r + u]
+        depth[u] = k
+        const[u] = (sign * cu[0], sign * cu[1])
+        coeff[u] = {f: (sign * v[0], sign * v[1]) for f, v in d.items()}
+    block = []
+    for i in left:
+        nonzero = [j for j in range(r) if pattern[i * r + j] != 0]
+        K = max(depth[j] for j in nonzero)
+        a = dict.fromkeys(free, (0, 0))
+        n = _gshift(m[i][r], p * (K + 1))
+        for j in nonzero:
+            shift = p * (K - depth[j])
+            n = _gsub(n, _gshift(_gmul(m[i][j], const[j]), shift))
+            for f in free:
+                a[f] = _gadd(a[f], _gshift(_gmul(m[i][j], coeff[j][f]), shift))
+        block.append((K, [a[f] for f in free], n))
+    x = [(0, 0)] * r
+    if len(free) == 1:
+        (_, ((ar, ai),), (nr, ni)), = block
+        norm = ar * ar + ai * ai
+        x[free[0]] = ((nr * ar + ni * ai) // norm, (ni * ar - nr * ai) // norm)
+    else:
+        solved = gaussian_elimination(
+            [[(u >> p * K, v >> p * K) for u, v in a] + [_gshift(n, -p * (K + 1))]
+             for K, a, n in block], p)
+        for f, v in zip(free, solved):
+            x[f] = v
+    for u, i in chain:
+        rest = _gshift(m[i][r], p)
+        for j in range(r):
+            if j != u:
+                rest = _gsub(rest, _gmul(m[i][j], x[j]))
+        sign = pattern[i * r + u]
+        x[u] = (sign * rest[0] >> p, sign * rest[1] >> p)
+    return x
+
+
+def gaussian_elimination(m, p) -> list:
+    """x with sum_j m_ij x_j = rhs_i 2^p by pivoted elimination on the
+    Gaussian integers (re, im) themselves, m's rows followed by rhs_i:
+    pivots of largest norm, multipliers at 2^-p."""
+    r = len(m)
     for col in range(r):
         norms = [u * u + v * v for u, v in (m[i][col] for i in range(col, r))]
         norm = max(norms)
@@ -352,6 +449,10 @@ def test_tied_pivots_take_the_first_row():
          [(-one, 0), (3 * one, 0), (one, 0)],
          [(one, 0), (one, 0), (-3 * one, 0)]]
     rhs = [(7 << 90, 0), (-(5 << 90), 0), (3 << 90, 0)]
+    m = [[b[i][j] for i in range(3)] + [rhs[j]] for j in range(3)]
+    x = pivoted_solve([[u for u, _ in row] for row in m], p)
+    assert [(u, 0) for u in x] == gaussian_elimination(m, p)
+    # and with the unit entries of b as a chain, both steps read it alike
     assert real_form_step(b, rhs, p, 1) == gaussian_step(b, rhs, p, 1)
 
 
@@ -359,8 +460,9 @@ def per_exponent_solve(weights, system, lams, seeds, order, catalog, step=real_f
     """The recursion of qline_solve written out once per exponent in
     Gaussian integers, with the same encodings: each row's reversed history
     against each series tail, per constant entry, and each step solved by
-    ``step``.  The system is real (c = 1) when every encoded imaginary part
-    is zero.  Returns (re, im, bits) per entry."""
+    ``step`` on the pattern of every exponent's matrix at n = 0.  The
+    system is real (c = 1) when every encoded imaginary part is zero.
+    Returns (re, im, bits) per entry."""
     r = len(weights)
     nome = system[0][1].nome
     s = Fraction(1, 2) if nome is Nome.Q2 else 1
@@ -394,7 +496,7 @@ def per_exponent_solve(weights, system, lams, seeds, order, catalog, step=real_f
             b = [list(row) for row in b0]
             for i in range(r):
                 b[i][i] = (b0[i][i][0] + n * int(s * (1 << p)), b0[i][i][1])
-            x = step(b, [(u >> p, v >> p) for u, v in acc], p, c)
+            x = step(b, [(u >> p, v >> p) for u, v in acc], p, c, b0s)
             for i, (u, v) in enumerate(x):
                 res[i].append(u)
                 ims[i].append(v)
@@ -475,7 +577,9 @@ def test_real_system_matches_gaussian_elimination(catalog40, seed, r, order, nom
        st.integers(min_value=1, max_value=24), st.sampled_from([Nome.Q, Nome.Q2]))
 def test_real_system_keeps_exact_zero_imaginary_parts(catalog40, seed, r, order, nome):
     # every encoded imaginary mantissa of a real system is exactly 0, so
-    # each step eliminates r rows and every imaginary mantissa out is 0
+    # each step eliminates r rows (a random system has no unit entry, so
+    # its free block is the whole matrix) and every imaginary mantissa
+    # out is 0
     rng = random.Random(seed)
     with qline_precision(), pytest.MonkeyPatch.context() as patch:
         sizes = record_eliminations(patch)
@@ -546,6 +650,57 @@ def test_euler_block_is_the_dense_dot(catalog800, seed, order, nome, lanes, bits
             history = [vvmf.mlde._pack(v, width) for v in values[:n + 1]]
             y = vvmf.mlde._over_euler(history, gs, lagged)
     assert y == vvmf.mlde._over_euler(history, gs, lagged)
+
+
+def equation_args(rng, shape: str, real: bool, order: int, catalog) -> tuple:
+    """The arguments of the q-line solve of a random equation of the shape
+    "cyclic1" ... "cyclic4" (rank 1-4) or "noncyclic", at exponents with an
+    integer minimal weight k1 (cyclic: 12 Tr / r - (r - 1); noncyclic:
+    3 Tr - 2), real or complex, no two within 0.05 of an integer gap, as
+    :func:`vvmf.mlde._solved_rows` makes them."""
+    r = 4 if shape == "noncyclic" else int(shape[-1])
+    k1 = rng.randint(0, 9)
+    trace = Fraction(k1 + 2, 3) if shape == "noncyclic" else Fraction(r * (k1 + r - 1), 12)
+    while True:
+        eigs = [complex(rng.uniform(-0.5, 1), 0 if real else rng.uniform(-0.3, 0.3))
+                for _ in range(r - 1)]
+        eigs.append(float(trace) - sum(eigs))
+        gaps = [a - b for i, a in enumerate(eigs) for b in eigs[:i]]
+        if all(abs(g - round(g.real)) > 0.05 for g in gaps):
+            break
+    case = NONCYCLIC if shape == "noncyclic" else CYCLIC
+    co = equation_coefficients(eigs, case)
+    weights = (k1, k1 + 2, k1 + 2, k1 + 4) if case == NONCYCLIC else tuple(
+        k1 + 2 * i for i in range(r))
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        solve = vvmf.mlde.qline_solve
+        patch.setattr(vvmf.mlde, "qline_solve", lambda *args: calls.append(args) or solve(*args))
+        vvmf.mlde._solved_rows(weights, eigs, co, order, catalog)
+    return calls[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32),
+       st.sampled_from(["cyclic1", "cyclic2", "cyclic3", "cyclic4", "noncyclic"]),
+       st.booleans(), st.integers(min_value=1, max_value=16))
+def test_unit_chains_match_one_recursion_per_exponent(catalog40, seed, shape, real, order):
+    # the cyclic and noncyclic systems have unit entries, so each step
+    # solves along their chain: real systems on r real rows with one free
+    # variable, complex ones in real form with a free block of two.  Both
+    # give the rows of the loop oracle, and a real system those of the
+    # chain rule on its Gaussian integers
+    with qline_precision():
+        args = equation_args(random.Random(seed), shape, real, order, catalog40)
+        with pytest.MonkeyPatch.context() as patch:
+            sizes = record_eliminations(patch)
+            got = mantissas(qline_solve(*args))
+        assert got == per_exponent_solve(*args)
+        if real:
+            assert got == per_exponent_solve(*args, step=gaussian_step)
+    # rank 1 has one exponent, k1 / 12, so its system is real
+    r = len(args[0])
+    assert sizes == [1 if real or r == 1 else 2] * (r * order)
 
 
 @pytest.mark.parametrize("seed, r", [(11, 1), (12, 2), (13, 3), (14, 4)])

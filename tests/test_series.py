@@ -26,6 +26,7 @@ from vvmf.errors import (
 )
 from vvmf.series import (
     FixedSeries,
+    FormStack,
     Nome,
     PuiseuxSeries,
     VectorSeries,
@@ -551,6 +552,35 @@ class TestFixedPoint:
         want = [math.ldexp(float(1 << 60), -bits), math.ldexp(float((1 << 60) + (4 << 7)), -bits)]
         assert [c.real for c in series.downcast().coeffs] == [*want, -want[0]]
         assert [c.real for c in series.downcast().coeffs] == [a / (1 << bits) for a in re]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_stack_downcast_is_the_series_downcast(self, data):
+        # one numpy pass over a block of rows (np.array of the mantissas,
+        # then np.ldexp) gives each coefficient's FixedSeries.downcast, by
+        # repr: mantissas up to +-2^1100 and scales 2^-bits, bits from -5
+        # to 1100, so that blocks beyond the pass's conditions divide; zeros
+        # and results at the subnormal edge
+        forms, comps = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        terms = data.draw(st.integers(1, 4))
+        top = data.draw(st.sampled_from([60, 240, 1022, 1023, 1100]))
+        mantissa = st.one_of(st.just(0), st.integers(-(1 << top), 1 << top),
+                             st.sampled_from([1, -1, (1 << 53) + 1, 3 << 1020]))
+        bits = st.one_of(st.integers(-5, 1100), st.sampled_from([0, 1022, 1023, 1074, 1075]))
+        if data.draw(st.booleans()):  # every block within the pass's scales
+            bits = st.one_of(st.integers(0, 1022), st.sampled_from([0, 1022]))
+        block = [[FixedSeries(*(PuiseuxSeries.make(Nome.Q, 0.25, data.draw(
+                     st.lists(mantissa, min_size=terms, max_size=terms))) for _ in range(2)),
+                  data.draw(bits)) for _ in range(comps)] for _ in range(forms)]
+        try:
+            want = [[list(map(repr, x.downcast().coeffs)) for x in F] for F in block]
+        except OverflowError:  # beyond the double range: the block raises too
+            with pytest.raises(OverflowError):
+                FormStack.downcast(block, range(forms))
+            return
+        stack = FormStack.downcast(block, range(forms))
+        assert [[list(map(repr, row)) for row in F] for F in stack.z.tolist()] == want
+        assert stack.leads == (0.25,) * comps and stack.weights == tuple(range(forms))
 
     def test_zero_and_exact_scalars(self):
         for zero in (0, 0.0, 0j, Fraction(0), mpmath.mpf(0), mpmath.mpc(0)):

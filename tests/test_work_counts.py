@@ -5,6 +5,7 @@ induction routes are counted at every module that binds them.  The q-line
 block runs in integers: no route makes an mpmath dot product or multiplies
 series of mpmath numbers."""
 
+import ast
 import cmath
 import math
 
@@ -549,12 +550,14 @@ def test_j_multiplies_once_and_inverts_nothing(monkeypatch):
 
 def test_induction_slashes_each_component_once(monkeypatch):
     # the induced form is (F, F|T^-1): one slash per component of each form
-    # of the pair, and no other pass over the q2-parts
+    # of the pair, and no other pass over the q2-parts.  The basis holds
+    # its forms as one stack, so the slashed series are the upper halves
+    # of its two induced forms by value
     calls = count_calls(monkeypatch, PuiseuxSeries, "slash_t_inverse")
     basis = run_route("induction")
     assert len(calls) == 4
-    assert {id(args[0]) for args in calls} == {
-        id(c) for F in basis.forms[::4] for c in F.components[:2]}
+    assert [(s.lead_exponent, s.coeffs) for (s,) in calls] == [
+        (c.lead_exponent, c.coeffs) for F in basis.forms[::4] for c in F.components[:2]]
 
 
 def test_induction_forms_the_induced_equation_once(monkeypatch):
@@ -571,3 +574,107 @@ def test_h_inverts_once_on_the_q_series(monkeypatch):
     inverses = count_calls(monkeypatch, PuiseuxSeries, "invert")
     ClassicalCatalog(200).h_series()
     assert [(s.nome, s.order) for (s,) in inverses] == [(vvmf.series.Nome.Q, 200)]
+
+
+def recorded_patterns(monkeypatch) -> list:
+    """The (R, r, pattern) of every q-line step compiled or read from the
+    cache of compiled steps."""
+    shapes = []
+    compiled = vvmf.mlde._compiled_step
+    monkeypatch.setattr(vvmf.mlde, "_compiled_step",
+                        lambda *shape: shapes.append(shape) or compiled(*shape))
+    return shapes
+
+
+def floor_divisions(source: str) -> int:
+    return sum(isinstance(node, ast.FloorDiv) for node in ast.walk(ast.parse(source)))
+
+
+@pytest.mark.parametrize("route", ["cyclic", "noncyclic", "rank2"])
+def test_real_steps_make_one_floor_division_per_exponent(monkeypatch, route):
+    # the unit chain of a real rank-4 cyclic or noncyclic system, and of a
+    # real rank-2 one, leaves one free variable, found by one floor
+    # division per exponent; every other variable is read off a unit entry
+    # with a shift.  The pivoted elimination made 7-9 floor divisions
+    shapes = recorded_patterns(monkeypatch)
+    if route == "rank2":
+        rank2_minimal(*rank2_data(1, 0.21), 20, ClassicalCatalog(20))
+    else:
+        run_route(route)
+    (R, r, pattern), = shapes
+    assert R == r == (2 if route == "rank2" else 4)
+    assert floor_divisions(vvmf.mlde._step_source(R, r, pattern)) == r
+
+
+def count_dense_reads(monkeypatch) -> list:
+    """Patch the q-line solve so that every history its series blocks read
+    (the rows of :func:`vvmf.mlde._packed_history` and the merged histories
+    of :func:`vvmf.mlde._dot_plan`) records the words each dot takes from
+    it: one entry per backwards read (its word count) and one word per
+    index a lag reader takes."""
+    reads = []
+
+    class Counted(list):
+        def __reversed__(self):
+            count = [0]
+            reads.append(count)
+            for word in list.__reversed__(self):
+                count[0] += 1
+                yield word
+
+        def __getitem__(self, index):
+            words = list.__getitem__(self, index)
+            reads.append([len(words) if isinstance(index, slice) else 1])
+            return words
+
+    packed, plan = vvmf.mlde._packed_history, vvmf.mlde._dot_plan
+    monkeypatch.setattr(vvmf.mlde, "_packed_history",
+                        lambda *args: [Counted(h) for h in packed(*args)])
+    monkeypatch.setattr(vvmf.mlde, "_dot_plan", lambda *args: [
+        (coeffs, readers, rows, [(Counted(h), j, sources) for h, j, sources in columns])
+        for coeffs, readers, rows, columns in plan(*args)])
+    return reads
+
+
+@pytest.mark.parametrize("route, dots", [
+    ("cyclic", 3), ("noncyclic", 2), ("tensor", 2), ("noncyclic-complex", 4)])
+def test_series_blocks_make_one_dot_per_cover_vertex(monkeypatch, route, dots):
+    # a block's dots are a minimum vertex cover of its entries: the
+    # noncyclic E_4 block (a, 1, b, c at (0, 1), (0, 2), (1, 3), (2, 3))
+    # reads row 0 and the merged history of column 3, two dense dots where
+    # the three rows it reads made three (four against six in the real
+    # form of a complex system); each block of the cyclic system has one
+    # entry, so its E_4, E_6 and E_4^2 blocks keep their three dots.  Each
+    # dot at step n reads the n words X_{n-1}, ..., X_0
+    reads = count_dense_reads(monkeypatch)
+    order = 20
+    if route == "noncyclic-complex":
+        eigs = [0.11 + 0.05j, 0.18 - 0.02j, 0.31, 8 / 3 - 0.6 - 0.03j]
+        rep = Rank4Rep(*[cmath.exp(2j * cmath.pi * v) for v in eigs], d=5, e=0)
+        basis = generic_basis(rep, ExponentData(eigs), order, ClassicalCatalog(order))
+    else:
+        basis = run_route(route, order)
+    assert basis.case.case == ("cyclic" if route == "cyclic" else "noncyclic")
+    assert sorted(count for count, in reads) == sorted(
+        n for n in range(1, order + 1) for _ in range(dots))
+
+
+def test_theta_blocks_read_their_nonzero_lags(monkeypatch):
+    # on the q2-line theta_2^4 has only odd powers and theta_3^4 + theta_4^4
+    # only even ones, so each dot of their blocks at step n reads the words
+    # at the c(n) nonzero lags k <= n of its tail, about half of the n
+    # words a backwards read takes: sum c(n) words a dot over the solve
+    # against N (N + 1) / 2.  Each block's four real rows are its cover
+    reads = count_dense_reads(monkeypatch)
+    order = 40
+    catalog = ClassicalCatalog(order)
+    rows, system = vvmf.constructions._induction_stage(induction_job(), order // 2, catalog)
+    N = len(rows[0][0].re.coeffs) - 1
+    want = 0
+    for _, e in system:
+        tail = ([0] * vvmf.mlde._lead_shift(e) + list(e.coeffs))[1:N + 1]
+        assert 0 in tail
+        lagged = sum(sum(1 for e_k in tail[:n] if e_k) for n in range(1, N + 1))
+        assert 2 * lagged <= N * (N + 1) // 2 + N
+        want += 4 * lagged
+    assert sum(count for count, in reads) == want

@@ -29,13 +29,14 @@ from one of them.
 
 ``--high`` prints the same lines for the high-order section instead: each
 route's ladder member at order 800 (induction at q2-order 800) and the
-cyclic ladder member at order 1600 (6 jobs, about 8 s), where the q-line
-recursion and the double check do most of their work.
+cyclic ladder member at order 1600 (6 jobs, about 3 s on a 2-core x86-64
+VM), where the q-line recursion and the double check do most of their
+work.
 
 ``tests/pool_digests.txt`` holds the first form's output for the
 committed code, and ``tests/test_pool_digests.py`` compares a fresh run
 with it on x86-64's 64-bit long double; ``tests/high_digests.txt`` holds
-the ``--high`` output, compared under ``pytest -m slow``.  A change that
+the ``--high`` output, compared there too.  A change that
 changes emitted bytes on purpose writes the new output there:
 
     python3 tools/pool_digests.py > tests/pool_digests.txt
