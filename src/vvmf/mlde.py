@@ -730,9 +730,10 @@ def _unit_chain(R: int, pattern: tuple) -> tuple:
     size; ``chain`` the (variable, equation) pairs in the order they are
     read, each step taking the first equation that determines a variable;
     ``left`` the equations no variable was read off, as many as ``free``
-    holds."""
+    holds.  With no such chain every variable is free and every equation
+    left."""
     nonzero = [[j for j in range(R) if pattern[i * R + j] != 0] for i in range(R)]
-    for size in range(1, R + 1):
+    for size in range(1, R):
         for free in combinations(range(R), size):
             known, chain, used = set(free), [], set()
             while len(known) < R:
@@ -747,7 +748,7 @@ def _unit_chain(R: int, pattern: tuple) -> tuple:
                     break
             if len(known) == R:
                 return free, tuple(chain), tuple(i for i in range(R) if i not in used)
-    raise AssertionError("the whole matrix is always a free block")
+    return tuple(range(R)), (), tuple(range(R))
 
 
 @functools.cache

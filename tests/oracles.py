@@ -390,8 +390,8 @@ def unit_chain(pattern, R: int) -> tuple:
     in order of size, then of index, from which the chain reads every other
     variable, each link the first equation in index order whose nonzero
     entries are known but one unit entry; the equations no link used are
-    left."""
-    for size in range(1, R + 1):
+    left.  With no chain every variable is free."""
+    for size in range(1, R):
         for free in combinations(range(R), size):
             known, chain = list(free), []
             used = []
@@ -411,7 +411,7 @@ def unit_chain(pattern, R: int) -> tuple:
                         break
             if len(known) == R:
                 return free, chain, [i for i in range(R) if i not in used]
-    raise AssertionError("unreachable: the whole matrix is a free block")
+    return tuple(range(R)), [], list(range(R))
 
 
 def left_solve(m, p: int, pattern=None) -> list:
