@@ -391,27 +391,31 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
     seeds and X_0 step matrices, still on the norm of each complex column
     (:func:`_is_null_row`).
 
-    All r exponents advance together.  Each real row keeps its history as
-    one list of ints, whose lane l (the bits from width * l up) holds the
-    mantissa of exponent l: sum_l X_n[l][i] 2^(width l).  A step makes one
-    dot product per cover vertex of each series block for every exponent
-    at once (:func:`_cover_block`): a row vertex dots row i's history and
-    applies each target's entry; a column vertex j dots a merged history
-    H_j = sum v_ij X_i kept beside the rows (extended from each step's new
-    lanes, rebuilt on a repack) into acc[j], the same int by
-    distributivity.  A dot reads the forward tail e_1, e_2, ... against
-    the history backwards from X_{n-1}, so no slice is taken and the sum
-    ends with the shorter of the two; a tail with a zero coefficient within
-    the order (theta_2^4, theta_3^4 + theta_4^4 on the q2-line) reads only
-    the words at its nonzero lags (:func:`_lag_readers`).  The K E_2 block
-    goes through the Euler product P instead (:func:`_euler_terms`): each
-    row it reads also keeps Y = X / P
-    as packed ints at the same width (:func:`_over_euler`, rebuilt when the
-    history is repacked), and its dot product is 24 sum k g_k Y_{n-k} over
-    the c(n) ~ 1.6 sqrt(n) lags k <= n, the same int as the dense sum; the
-    same words give the sum g_k Y_{n-k} that makes Y_n once X_n is known.
-    No Y lane is ever unpacked.  The step applies the constant entries to
-    the packed sums.  The rest of the step is straight-line code generated
+    All r exponents advance together.  Each real row's X_n packs into one
+    int whose lane l (the bits from width * l up) holds the mantissa of
+    exponent l: sum_l X_n[l][i] 2^(width l).  Every series block, the
+    K E_2 block included, is a list of dots (coefficients, readers,
+    history, targets), one per vertex of a minimum vertex cover of its
+    entries (:func:`_cover_block`): a row vertex i dots the history
+    ((i, 1),) and applies each target's entry, a column vertex j dots the
+    merged history ((i, v_ij), ...) into acc[j], the same int by
+    distributivity.  A dot reads the words H_{n-k} at the nonzero lags
+    k <= n of its tail, in lag order, through its reader for step n
+    (:func:`_lag_readers`): one slice for every n when the lags are an
+    arithmetic progression (a dense tail, read backwards from H_{n-1};
+    theta_2^4 and theta_3^4 + theta_4^4 on the q2-line, every other
+    power), so the sum ends with the shorter of tail and history.  The
+    K E_2 block goes through the Euler product P (:func:`_euler_terms`):
+    its histories are over P, Y = H / P, and its dot is 24 sum k g_k
+    Y_{n-k} over the c(n) ~ 1.6 sqrt(n) lags k <= n, the same int as the
+    dense sum; the same words give the carry sum g_k Y_{n-k} that makes
+    Y_n once X_n is known.  A history is named by its key (sources,
+    over P), shared by every dot that reads it, and built from the packed
+    rows (:func:`_histories`) at the start and on every repack; each step
+    appends to it sum v lanes[i] over its sources (the lane itself for
+    ((i, 1),)), less its carry when over P.  No Y lane is ever unpacked.
+    The step applies the constant entries to the packed sums.  The rest of
+    the step is straight-line code generated
     once per process for the shape (R real rows, r exponents, pattern) of
     the system (:func:`_compiled_step`): it unpacks the lanes into locals,
     each shifted back to its exponent's scale, solves each exponent's step
@@ -425,8 +429,9 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
     products are summed, plus a sign bit.  When a new X_n raises the row
     bits past the width, the history is repacked at the bound plus
     :data:`LANE_HEADROOM` bits.  The width changes no value, so the bytes
-    are those of one recursion per exponent.  The merged histories and the
-    lag reads sum the same ints, so the T of the bound is unchanged.
+    are those of one recursion per exponent.  The merged histories, the
+    lag reads and the histories over P sum the same ints, so the T of the
+    bound is unchanged.
 
     The rows come back as :class:`FixedSeries`, for the caller to multiply
     exactly and downcast once; a real system's imaginary mantissas are 0.
@@ -496,36 +501,32 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
     series_bits = max((sum(map(abs, tail)).bit_length() for tail, _ in convolutions), default=0)
     entry_bits = max((abs(v).bit_length() for v in entries), default=0)
     margin = series_bits + entry_bits + len(entries).bit_length() + 1
-    # the K E_2 block, the last one, is taken through Y = X / P instead
-    *convolutions, (_, euler_reads) = convolutions
     gs, ws, lagged = _euler_terms(catalog, nome, order)
-    blocks = [_cover_block(tail, reads, order) for tail, reads in convolutions]
+    *convolutions, (_, k_reads) = convolutions  # K E_2, the last block, reads Y = X / P
+    blocks = []
+    for tail, reads in convolutions:
+        lags = [k for k, e in enumerate(tail[:order], 1) if e]
+        blocks += _cover_block([tail[k - 1] for k in lags], _lag_readers(lags, order), reads, False)
+    blocks += _cover_block(ws, lagged, k_reads, True)
+    keys = list(dict.fromkeys(key for _, _, key, _ in blocks))
+    dots = [(coeffs, readers, keys.index(key), targets, gs if key[1] else ())
+            for coeffs, readers, key, targets in blocks]
+    merges = [_lane_word(sources) for sources, _ in keys]
     rows = c * r
     steps = [tuple(v for x in starts for v in x)]  # X_0, X_1, ...: exponent-major real rows
     row_bits = max(map(abs, steps[0])).bit_length()
     width = row_bits + margin + LANE_HEADROOM
-    packed = _packed_history(steps, rows, width)
-    ys = [_over_euler(packed[i], gs, lagged) for i, _ in euler_reads]  # Y = X / P
-    dots = _dot_plan(blocks, packed)
+    histories = _histories(_packed_history(steps, rows, width), keys, gs, lagged)
+    carries = [0] * len(keys)
     mats = [tuple(v for col in bt for v in col) for bt in bts]
     solve = _compiled_step(rows, r, _step_pattern(mats, rows, p))
     step = int(s * (1 << p))  # s (lam + n) - s (lam + n - 1) at the scale 2^-p
     for n in range(1, order + 1):
         acc = [0] * rows
-        for coeffs, readers, row_dots, column_dots in dots:
-            read = reversed if readers is None else readers[n]
-            for history, targets in row_dots:
-                dot = sum(map(mul, coeffs, read(history)))  # e_1 X_{n-1} + e_2 X_{n-2} + ...
-                for j, v in targets:
-                    acc[j] += dot * v
-            for history, j, _ in column_dots:
-                acc[j] += sum(map(mul, coeffs, read(history)))
-        past = lagged[n]
-        carries = []
-        for y, (_, targets) in zip(ys, euler_reads):
-            words = past(y)  # Y_{n-k} for the lags k <= n
-            carries.append(sum(map(mul, gs, words)))
-            dot = sum(map(mul, ws, words))  # E2_1 X_{n-1} + E2_2 X_{n-2} + ...
+        for coeffs, readers, h, targets, carry_gs in dots:
+            words = readers[n](histories[h])  # the words H_{n-k} at the block's lags k <= n
+            carries[h] = sum(map(mul, carry_gs, words))  # sum g_k Y_{n-k} over P, else 0
+            dot = sum(map(mul, coeffs, words))  # e_1 H_{n-1} + e_2 H_{n-2} + ...
             for j, v in targets:
                 acc[j] += dot * v
         xs, bits, lanes = solve(acc, mats, n * step, width, p)
@@ -533,21 +534,14 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
         row_bits = max(row_bits, bits)
         if row_bits + margin > width:
             width = row_bits + margin + LANE_HEADROOM
-            packed = _packed_history(steps, rows, width)
-            ys = [_over_euler(packed[i], gs, lagged) for i, _ in euler_reads]
-            dots = _dot_plan(blocks, packed)
+            histories = _histories(_packed_history(steps, rows, width), keys, gs, lagged)
         else:
-            for history, lane in zip(packed, lanes):
-                history.append(lane)
-            for *_, column_dots in dots:
-                for history, _, sources in column_dots:
-                    history.append(sum(v * lanes[i] for i, v in sources))
-            for y, (i, _), carry in zip(ys, euler_reads, carries):
-                y.append(lanes[i] - carry)
-    histories = list(zip(*steps))  # per exponent and real row: X_0, X_1, ...
+            for history, merge, carry in zip(histories, merges, carries):
+                history.append(merge(lanes) - carry)
+    series = list(zip(*steps))  # per exponent and real row: X_0, X_1, ...
     out = []
     for lane, (lam, bits) in enumerate(zip(lams, scales)):
-        parts = [PuiseuxSeries(nome, lam, h) for h in histories[lane * rows:(lane + 1) * rows]]
+        parts = [PuiseuxSeries(nome, lam, h) for h in series[lane * rows:(lane + 1) * rows]]
         ims = parts[r:] or [PuiseuxSeries(nome, lam, (0,) * len(steps))] * r
         out.append(tuple(FixedSeries(u, v, bits) for u, v in zip(parts[:r], ims)))
     return tuple(out)
@@ -562,7 +556,7 @@ def _euler_terms(catalog: ClassicalCatalog, nome: Nome, order: int) -> tuple:
 
     Returns the g_k, the 24 k g_k (both in lag order), and per step n <= order
     a function that reads Y_{n-k} for the lags k <= n from a history
-    Y_0, ..., Y_{n-1} (:func:`_lag_readers`, :func:`_over_euler`)."""
+    Y_0, ..., Y_{n-1} (:func:`_lag_readers`, :func:`_histories`)."""
     half = 2 if nome is Nome.Q2 else 1
     coeffs = catalog.eta_power(1, nome).coeffs[:order + 1]
     lags = [k for k, g in enumerate(coeffs) if k and g]
@@ -574,93 +568,77 @@ def _euler_terms(catalog: ClassicalCatalog, nome: Nome, order: int) -> tuple:
 def _lag_readers(lags, order: int) -> list:
     """Per step n <= order, a function that reads the words H_{n-k} of a
     history H_0, ..., H_{n-1} at the lags k <= n (``lags`` ascending), in
-    lag order."""
-    # an itemgetter of one index returns no tuple, so none and one lag read slices
-    back = [-k for k in lags]
-    getters = [itemgetter(slice(0, 0))]
-    getters += [itemgetter(slice(k, k + 1 or None)) for k in back[:1]]
-    getters += [itemgetter(*back[:t]) for t in range(2, len(lags) + 1)]
+    lag order.  Lags in one arithmetic progression k_0, k_0 + d, ... (none
+    or one lag, a dense tail, every other power) share one slice for every
+    n; any other set (the pentagonal lags of P) takes one getter per count
+    of lags."""
+    gaps = {b - a for a, b in zip(lags, lags[1:])}
+    if len(gaps) <= 1:
+        k, d = (lags or [0])[0], min(gaps, default=1)
+        return [itemgetter(slice(-k, -k - d * len(lags), -d))] * (order + 1)
+    # an itemgetter of one index returns no tuple, so none or one lag read a slice
+    getters = [itemgetter(slice(-lags[0], -lags[0] - t, -1)) for t in (0, 1)]
+    getters += [itemgetter(*(-k for k in lags[:t])) for t in range(2, len(lags) + 1)]
     return [getters[bisect_right(lags, n)] for n in range(order + 1)]
 
 
-def _over_euler(history, gs, lagged) -> list:
-    """Y = H / P for a packed history H: Y_n = H_n - sum g_k Y_{n-k} over
-    the lags k <= n (:func:`_euler_terms`), each Y_n an int."""
-    y = []
-    for h, past in zip(history, lagged):
-        y.append(h - sum(map(mul, gs, past(y))))
-    return y
+def _cover_block(coeffs, readers, reads, over_p: bool) -> list:
+    """The dots of one block of :func:`qline_solve`, each (coefficients,
+    readers, history key, targets [(j, v)]).  The block's entries are the
+    edges of a bipartite graph from the real rows it reads to the columns
+    it writes, and its dots are the vertices of a minimum vertex cover of
+    that graph (:func:`_cover_rows`).  A row vertex i reads the history
+    ((i, 1),) and adds its dot times v to each column j of row i; a column
+    vertex j reads the merged history ((i, v_ij), ...) of the rows outside
+    the cover and adds its dot to column j, the same int by
+    distributivity.  ``over_p`` keys the histories divided by the Euler
+    product (:func:`_histories`)."""
+    rows = _cover_rows(tuple((i, j) for i, targets in reads for j, _ in targets))
+    dots = [(coeffs, readers, (((i, 1),), over_p), targets) for i, targets in reads if i in rows]
+    columns = {}
+    for i, targets in reads:
+        if i not in rows:
+            for j, v in targets:
+                columns.setdefault(j, []).append((i, v))
+    return dots + [(coeffs, readers, (tuple(sources), over_p), [(j, 1)])
+                   for j, sources in sorted(columns.items())]
 
 
-def _cover_block(tail, reads, order: int) -> tuple:
-    """The dot products of one series block of :func:`qline_solve`: the
-    block's entries are the edges of a bipartite graph from the real rows
-    it reads to the columns it writes, and its dots are the vertices of a
-    minimum vertex cover of that graph (:func:`_vertex_cover`).  Each edge
-    goes to its row when the row is in the cover, else to its column.
-    Returns (coefficients, readers, row vertices [(i, [(j, v)])], column
-    vertices [(j, [(i, v)])]).  A tail with a zero coefficient within the
-    order is read at its nonzero lags (:func:`_lag_readers`; readers per
-    step, coefficients in lag order); any other is read backwards whole
-    (readers None, the tail as it is)."""
-    rows, columns = _vertex_cover([(i, j) for i, targets in reads for j, _ in targets])
-    row_vertices = [(i, targets) for i, targets in reads if i in rows]
-    column_vertices = [(j, [(i, v) for i, targets in reads if i not in rows
-                            for col, v in targets if col == j]) for j in columns]
-    if 0 not in tail[:order]:
-        return tail, None, row_vertices, column_vertices
-    lags = [k for k, e in enumerate(tail[:order], 1) if e]
-    return [tail[k - 1] for k in lags], _lag_readers(lags, order), row_vertices, column_vertices
+@functools.cache
+def _cover_rows(edges: tuple) -> frozenset:
+    """The rows of a minimum vertex cover of the bipartite graph of
+    ``edges`` (row, column); the columns of the edges of the other rows
+    complete it.  Searched over the row subsets, the largest first, so that
+    a tie keeps rows, whose plain histories the blocks share."""
+    rows = sorted({i for i, _ in edges})
+    subsets = (frozenset(s) for t in range(len(rows), -1, -1) for s in combinations(rows, t))
+    return min(subsets, key=lambda s: len(s) + len({j for i, j in edges if i not in s}))
 
 
-def _vertex_cover(edges) -> tuple:
-    """(rows, columns) of a minimum vertex cover of the bipartite graph of
-    ``edges`` (row, column), by Konig's theorem: a maximum matching by
-    augmenting paths, rows and edges taken in order; Z the vertices
-    reached from the unmatched rows by alternating paths; the cover is the
-    rows outside Z and the columns in Z."""
-    adjacent = {}
-    for i, j in edges:
-        adjacent.setdefault(i, []).append(j)
-    match = {}  # column -> row
-
-    def augment(i, seen) -> bool:
-        for j in adjacent[i]:
-            if j not in seen:
-                seen.add(j)
-                if j not in match or augment(match[j], seen):
-                    match[j] = i
-                    return True
-        return False
-
-    for i in adjacent:
-        augment(i, set())
-    reached = [i for i in adjacent if i not in match.values()]
-    rows, columns = set(reached), set()
-    while reached:
-        for j in adjacent[reached.pop()]:
-            if j not in columns:
-                columns.add(j)
-                if match[j] not in rows:
-                    rows.add(match[j])
-                    reached.append(match[j])
-    return set(adjacent) - rows, sorted(columns)
+def _histories(packed, keys, gs, lagged) -> list:
+    """The history of each key (sources, over_p) of :func:`qline_solve`
+    from the packed rows: H = sum v X_i over the sources (i, v), word by
+    word (:func:`_lane_word`), and when ``over_p`` Y = H / P, Y_n = H_n -
+    sum g_k Y_{n-k} over the lags k <= n (:func:`_euler_terms`), each word
+    an int."""
+    out = []
+    for sources, over_p in keys:
+        history = list(map(_lane_word(sources), zip(*packed)))
+        if over_p:
+            y = []
+            for h, past in zip(history, lagged):
+                y.append(h - sum(map(mul, gs, past(y))))
+            history = y
+        out.append(history)
+    return out
 
 
-def _dot_plan(blocks, packed) -> list:
-    """Per block of :func:`_cover_block`, the histories its dots read at
-    the current lanes: (coefficients, readers, [(row history, targets)],
-    [(merged history, column, sources)]).  A column vertex's merged
-    history is H_j = sum v_ij X_i over its sources, word by word: the same
-    ints the rows' dots would sum into acc[j], by distributivity, at the
-    same lane width."""
-    def merged(sources) -> list:
-        vs = [v for _, v in sources]
-        return [sum(map(mul, vs, words)) for words in zip(*(packed[i] for i, _ in sources))]
-
-    return [(coeffs, readers, [(packed[i], targets) for i, targets in row_vertices],
-             [(merged(sources), j, sources) for j, sources in column_vertices])
-            for coeffs, readers, row_vertices, column_vertices in blocks]
+def _lane_word(sources):
+    """lanes -> sum v lanes[i] over the sources (i, v) of a history key:
+    the word a step appends to the history, the lane itself for ((i, 1),)."""
+    if len(sources) == 1 == sources[0][1]:
+        return itemgetter(sources[0][0])
+    return lambda lanes: sum(v * lanes[i] for i, v in sources)
 
 
 def _real_form(b, c: int) -> list:
@@ -699,7 +677,7 @@ def _packed_history(steps, rows: int, width: int) -> list:
 def _pack(values, width: int) -> int:
     """sum_l values[l] 2^(width l): signed lanes of one int."""
     out = 0
-    for v in reversed(values):
+    for v in values[::-1]:
         out = (out << width) + v
     return out
 
@@ -787,8 +765,10 @@ def _step_source(R: int, r: int, pattern: tuple) -> str:
       of the step's equations (A is the determinant of the matrix over the
       product of its units, nonzero where the matrix is);
     - a larger block takes a pivoted elimination (:func:`_elimination`) on
-      A rounded to 2^-p and N to 2^-Q (floors), and its x carry that
-      elimination's rounding, with no bound stated here;
+      A rounded to 2^-p and N to 2^-Q (floors): |x_f - xi_f| <= 2^12 (1 +
+      2^-p max|xi|), a bound tested, not proved (it grows with the
+      conditioning of the block), on the 2 x 2 blocks of complex rank-4
+      cyclic and noncyclic steps and the 4 x 4 induction pair;
     - then the chain is back-substituted in order with one floor at 2^-p
       each, x_u = floor(e (rhs_i 2^p - sum_j m_ij x_j) / 2^p), so
       |x_u - xi_u| < 1 + sum_j |m_ij| 2^-p |x_j - xi_j|.
@@ -883,7 +863,7 @@ def _step_source(R: int, r: int, pattern: tuple) -> str:
     lanes = []
     for i in range(R):
         lane = f"x{r - 1}_{i}"
-        for l in reversed(range(r - 1)):
+        for l in range(r - 2, -1, -1):
             lane = f"(({lane}) << width) + x{l}_{i}"
         lanes.append(lane)
     body.append(f"return ({', '.join(xs)},), bits, [{', '.join(lanes)}]")
@@ -914,7 +894,7 @@ def _elimination(name: str, B: int, xs: list) -> list:
             body += [f"if {name}{i}_{col}:", f"    f = ({name}{i}_{col} << p) // d"]
             body += [f"    {name}{i}_{j} -= f * {name}{col}_{j} >> p"
                      for j in range(col + 1, B + 1)]
-    for i in reversed(range(B)):
+    for i in range(B - 1, -1, -1):
         rest = "".join(f" - ({name}{i}_{j} * {xs[j]} >> p)" for j in range(i + 1, B))
         body.append(f"{xs[i]} = (({name}{i}_{B}{rest}) << p) // {name}{i}_{i}")
     return body

@@ -102,7 +102,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
 import mpmath
@@ -904,23 +903,15 @@ class FixedSeries:
         """Every coefficient as the complex double nearest to
         (re + i im) 2^-bits.  Exact int/int true division rounds half to
         even, as ``complex(mpc)`` does, so a value held exactly both ways
-        downcasts to the same double.
-
-        A series whose mantissas are all below 2^1023, at a scale of at
-        most 2^1022, takes ``math.ldexp(float(m), -bits)`` instead:
-        ``float(int)`` rounds half to even too, and every nonzero result is
-        then a normal double, so the scaling by 2^-bits is exact and gives
-        the same double.  Any other series divides, with 2^bits formed once."""
+        downcasts to the same double; 2^bits is formed once.  The numpy
+        pass of :meth:`FormStack.downcast` gives the same doubles where its
+        scaling is exact."""
         re, im, bits = self.re.coeffs, self.im.coeffs, self.bits
         if bits < 0:
             re, im, bits = [a << -bits for a in re], [b << -bits for b in im], 0
-        if bits <= 1022 and max(max(re), -min(re), max(im), -min(im)) < 1 << 1023:
-            values = map(complex, *(map(math.ldexp, map(float, part), repeat(-bits))
-                                    for part in (re, im)))
-        else:
-            den = 1 << bits
-            values = (complex(a / den, b / den) for a, b in zip(re, im))
-        return PuiseuxSeries(self.re.nome, as_complex(self.re.lead_exponent), tuple(values))
+        den = 1 << bits
+        values = tuple(complex(a / den, b / den) for a, b in zip(re, im))
+        return PuiseuxSeries(self.re.nome, as_complex(self.re.lead_exponent), values)
 
 
 def pair_mul(x0: FixedSeries, x1: FixedSeries, y: FixedSeries) -> tuple[FixedSeries, FixedSeries]:
@@ -1020,12 +1011,6 @@ class VectorSeries:
     @property
     def nome(self) -> Nome:
         return self.components[0].nome
-
-    def to_json(self) -> dict:
-        return {
-            "weight": [self.weight.numerator, self.weight.denominator],
-            "components": [c.to_json() for c in self.components],
-        }
 
 
 class FormStack:
@@ -1132,9 +1117,11 @@ class FormStack:
             for rows, w in zip(self.z.tolist(), self.weights))
 
     def to_json(self) -> list:
-        """Each form as :meth:`VectorSeries.to_json` lays out its tuple
-        form, with the same numbers: the [re, im] pairs are the float64
-        pairs of the array, read by one ``tolist``."""
+        """Each form as {"weight": [numerator, denominator], "components":
+        [...]}, each component laid out as :meth:`PuiseuxSeries.to_json`
+        lays out the tuple form (:meth:`vectors`), with the same numbers:
+        the [re, im] pairs are the float64 pairs of the array, read by one
+        ``tolist``."""
         import numpy as np
 
         z = np.ascontiguousarray(self.z)

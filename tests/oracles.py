@@ -13,10 +13,13 @@ as loops (:func:`left_solve`: the unit chain of :func:`step_pattern` and
 :func:`unit_chain`, then the pivoted elimination :func:`pivoted_solve` of
 what is left), the reference for the straight-line step the library
 generates, beside that elimination as first written, with per-column lists
-and slices.  And the emitted [re, im]
+and slices, and the size of a minimum vertex cover of a step's block by
+brute force (:func:`min_cover_size`).  And the emitted [re, im]
 doubles of a series as one downcast per coefficient, type by type
 (:func:`emitted_coeffs`), the reference for the conversion by coefficient
-kind of :meth:`vvmf.series.PuiseuxSeries.to_json`.  And the rank-2 shifted
+kind of :meth:`vvmf.series.PuiseuxSeries.to_json`, and the layout of one
+emitted form (:func:`emitted_form`), the reference for
+:meth:`vvmf.series.FormStack.to_json`.  And the rank-2 shifted
 exponents and the cyclic equation's coefficients as first written, one
 formula for rank two and one for rank four (:func:`rank2_coeff`,
 :func:`rank4_cyclic_coeffs`), the references of the one rule of every rank
@@ -131,6 +134,15 @@ def emitted_coeffs(s: PuiseuxSeries) -> list:
                     " exceeds the double range"
                 ) from None
         raise
+
+
+def emitted_form(F: VectorSeries) -> dict:
+    """The emitted layout of one form, each component laid out by
+    :meth:`PuiseuxSeries.to_json`: the reference for
+    :meth:`vvmf.series.FormStack.to_json`, which emits a stack's forms
+    without materializing them."""
+    return {"weight": [F.weight.numerator, F.weight.denominator],
+            "components": [c.to_json() for c in F.components]}
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +424,18 @@ def unit_chain(pattern, R: int) -> tuple:
             if len(known) == R:
                 return free, chain, [i for i in range(R) if i not in used]
     return tuple(range(R)), [], list(range(R))
+
+
+def min_cover_size(edges) -> int:
+    """The size of a minimum vertex cover of the bipartite graph of
+    ``edges`` (row, column), by brute force: the fewest rows and columns,
+    searched over every subset of both in order of size, that meet every
+    edge."""
+    vertices = sorted({("row", i) for i, _ in edges} | {("column", j) for _, j in edges})
+    for size in range(len(vertices) + 1):
+        for chosen in map(set, combinations(vertices, size)):
+            if all(("row", i) in chosen or ("column", j) in chosen for i, j in edges):
+                return size
 
 
 def left_solve(m, p: int, pattern=None) -> list:

@@ -27,6 +27,8 @@ from vvmf.cli import STEPS, JobSpec, ResultEnvelope, emit, main, run
 from vvmf.errors import UnknownSeries, ValidationError, VvmfError, WrongRank
 from vvmf.reps import GRank2Rep, Rank2Rep, Rank4Rep
 
+from oracles import emitted_form
+
 
 def rank2_json(r1, r2):
     x = cmath.exp(2j * cmath.pi * r1)
@@ -271,11 +273,11 @@ class TestEmit:
              "sym3-csv", "induction", "induction-csv", "rank2-minimal"])
     def test_stacks_emit_the_bytes_of_their_tuple_forms(self, monkeypatch, job, fmt):
         # bases and minimal forms are emitted from the stack they were
-        # checked in; the tuple forms they materialize, each emitted by
-        # VectorSeries.to_json, give the same text
+        # checked in; the tuple forms they materialize, each laid out by
+        # the reference emitter, give the same text
         text = emit(run(JobSpec.from_json(dict(job))), fmt)
         monkeypatch.setattr(vvmf.series.FormStack, "to_json",
-                            lambda stack: [F.to_json() for F in stack.vectors()])
+                            lambda stack: list(map(emitted_form, stack.vectors())))
         assert emit(run(JobSpec.from_json(dict(job))), fmt) == text
         if fmt == "json":
             data = json.loads(text)

@@ -56,6 +56,7 @@ from oracles import (
     frobenius_solve,
     kronecker_tensor_basis,
     left_solve,
+    min_cover_size,
     pivoted_solve,
     step_pattern,
     u_from_local_exponent,
@@ -64,7 +65,7 @@ from oracles import (
 from test_acceptance import ZETA, deviation, rank2_data, sym3_grid, tensor_grid
 from test_constructions import make_job
 from test_double_check import POOLS, inputs
-from test_mlde import admissible, record_eliminations
+from test_mlde import admissible, exact_step, record_eliminations
 
 GATE = 1e-9  # the CLI's default residual tolerance
 
@@ -631,15 +632,17 @@ def test_euler_block_is_the_dense_dot(catalog800, seed, order, nome, lanes, bits
     # the K E_2 block through Y = X / P: at every step n the dot 24 sum k g_k
     # Y_{n-k} is the dense sum_{m >= 1} E2_m H_{n-m} as the same int, on a
     # random packed history H, and Y_n follows from H_n; mid-history H is
-    # repacked at a wider width and Y rebuilt from the repacked words
+    # repacked at a wider width and Y rebuilt from the repacked words.  Y
+    # is the history of the key (((0, 1),), over P) of the one packed row
     rng = random.Random(seed)
     e2 = catalog800.e2_for(nome).coeffs[1:order + 1]
     gs, ws, lagged = vvmf.mlde._euler_terms(catalog800, nome, order)
+    keys = [(((0, 1),), True)]
     values = [[rng.randint(-(1 << (bits - 2)), 1 << (bits - 2)) for _ in range(lanes)]
               for _ in range(order + 1)]
     width, repack = bits, rng.randint(1, order)
     history = [vvmf.mlde._pack(values[0], width)]
-    y = vvmf.mlde._over_euler(history, gs, lagged)
+    (y,) = vvmf.mlde._histories([history], keys, gs, lagged)
     for n in range(1, order + 1):
         words = lagged[n](y)
         assert sum(map(mul, ws, words)) == sum(map(mul, e2, reversed(history)))
@@ -648,8 +651,82 @@ def test_euler_block_is_the_dense_dot(catalog800, seed, order, nome, lanes, bits
         if n == repack:
             width += rng.randint(1, 64)
             history = [vvmf.mlde._pack(v, width) for v in values[:n + 1]]
-            y = vvmf.mlde._over_euler(history, gs, lagged)
-    assert y == vvmf.mlde._over_euler(history, gs, lagged)
+            (y,) = vvmf.mlde._histories([history], keys, gs, lagged)
+    assert [y] == vvmf.mlde._histories([history], keys, gs, lagged)
+
+
+def pentagonal(bound: int) -> list:
+    """The generalized pentagonal numbers 1, 2, 5, 7, ... up to bound: the
+    lags of the Euler product."""
+    return sorted(k * (3 * k + s) // 2 for k in range(1, bound + 1) for s in (-1, 1)
+                  if k * (3 * k + s) // 2 <= bound)
+
+
+@st.composite
+def lag_sets(draw) -> list:
+    """An ascending set of lags >= 1: empty, one lag, an arithmetic
+    progression (step 1-3), the pentagonal lags (in q, or doubled in q2)
+    or any."""
+    kind = draw(st.sampled_from(["empty", "single", "arithmetic", "pentagonal", "any"]))
+    if kind == "empty":
+        return []
+    if kind == "single":
+        return [draw(st.integers(1, 60))]
+    if kind == "arithmetic":
+        k, d, count = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(2, 40))
+        return list(range(k, k + d * count, d))
+    if kind == "pentagonal":
+        spacing = draw(st.sampled_from([1, 2]))
+        return [spacing * k for k in pentagonal(draw(st.integers(1, 60)))]
+    return sorted(draw(st.sets(st.integers(1, 90), max_size=30)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lag_sets(), st.integers(min_value=0, max_value=100))
+def test_lag_readers_read_the_words_at_the_lags(lags, order):
+    # at step n the history holds the n words H_0, ..., H_{n-1}, and its
+    # reader takes H_{n-k} for the lags k <= n, in lag order
+    readers = vvmf.mlde._lag_readers(lags, order)
+    assert len(readers) == order + 1
+    for n in range(order + 1):
+        history = [f"H{m}" for m in range(n)]
+        assert list(readers[n](history)) == [history[n - k] for k in lags if k <= n]
+
+
+def test_arithmetic_lags_share_one_reader():
+    # the 800 odd lags of theta_2^4 on the q2-line at q2-order 1600 read
+    # through one slice at every step, where one getter per count of lags
+    # held about 800^2 / 2 indices
+    readers = vvmf.mlde._lag_readers(list(range(1, 1600, 2)), 1600)
+    assert len(readers) == 1601 and len(set(map(id, readers))) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.data())
+def test_cover_is_a_minimum_vertex_cover(rows, columns, data):
+    # the dots of a block on a random bipartite graph of entries up to
+    # 8 x 8: each edge (i, j, v) reaches acc[j] as v X_i exactly once,
+    # through its row's dot or its column's merged one, and there are as
+    # many dots as a minimum vertex cover has vertices; when every row is
+    # such a cover the rows are taken
+    edges = data.draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, columns - 1)),
+                               unique=True))
+    values = {edge: data.draw(st.integers(1, 9)) for edge in edges}
+    reads = {}
+    for (i, j), v in values.items():
+        reads.setdefault(i, []).append((j, v))
+    dots = vvmf.mlde._cover_block([1], None, sorted(reads.items()), False)
+    X = [10**i for i in range(rows)]
+    acc = [0] * columns
+    for _, _, (sources, over_p), targets in dots:
+        assert not over_p
+        for j, v in targets:
+            acc[j] += v * sum(w * X[i] for i, w in sources)
+    assert acc == [sum(v * X[i] for (i, c), v in values.items() if c == j)
+                   for j in range(columns)]
+    assert len(dots) == min_cover_size(edges)
+    if len(reads) == len(dots):
+        assert [sources for _, _, (sources, _), _ in dots] == [((i, 1),) for i in sorted(reads)]
 
 
 def equation_args(rng, shape: str, real: bool, order: int, catalog) -> tuple:
@@ -701,6 +778,64 @@ def test_unit_chains_match_one_recursion_per_exponent(catalog40, seed, shape, re
     # rank 1 has one exponent, k1 / 12, so its system is real
     r = len(args[0])
     assert sizes == [1 if real or r == 1 else 2] * (r * order)
+
+
+def record_steps(patch) -> list:
+    """Patch the q-line step so that each step appends, per exponent, the
+    rows of its equations (:func:`test_mlde.exact_step`: the transposed
+    step matrix at step n, then the right-hand side at 2^-Q as the step
+    unpacks it) and its x."""
+    steps = []
+    compiled = vvmf.mlde._compiled_step
+
+    def recorded(R, r, pattern):
+        step = compiled(R, r, pattern)
+
+        def run(acc, mats, shift, width, p):
+            out = step(acc, mats, shift, width, p)
+            acc, mask, half = list(acc), (1 << width) - 1, 1 << (width - 1)
+            for l, mat in enumerate(mats):
+                rhs = [((a & mask) ^ half) - half if l < r - 1 else a for a in acc]
+                acc = [(a - v) >> width for a, v in zip(acc, rhs)]
+                m = [[mat[i * R + j] + shift * (i == j) for j in range(R)] + [rhs[i] >> p]
+                     for i in range(R)]
+                steps.append((pattern, m, p, out[0][l * R:(l + 1) * R]))
+            return out
+        return run
+
+    patch.setattr(vvmf.mlde, "_compiled_step", recorded)
+    return steps
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32),
+       st.sampled_from(["cyclic4", "noncyclic", "induction"]))
+def test_free_blocks_are_within_their_tested_bound(catalog40, seed, shape):
+    # the free block of a complex rank-4 cyclic or noncyclic step is 2 x 2
+    # and the induction pair's is its whole 4 x 4 matrix, eliminated on
+    # rounded entries: each of its x is within 2^12 (1 + 2^-p max|xi|) of
+    # the exact solution xi of the step's equations, the bound the
+    # docstring of vvmf.mlde._step_source states as tested.  Over 300
+    # draws of each shape the largest ratio was about 1030 (2 x 2, at
+    # exponent gaps near 0.05 from an integer) and 164 (4 x 4)
+    rng = random.Random(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        steps = record_steps(patch)
+        if shape == "induction":
+            a = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            job = make_job(r=rng.uniform(0.05, 0.45), a=a, trace=Fraction(rng.randint(1, 6), 3))
+            vvmf.constructions._induction_stage(job, 6, catalog40)
+        else:
+            with qline_precision():
+                qline_solve(*equation_args(rng, shape, False, 12, catalog40))
+    assert steps
+    for pattern, m, p, x in steps:
+        R = len(m)
+        free, _, _ = unit_chain(pattern, R)
+        assert len(free) == (R if shape == "induction" else 2)
+        xi = exact_step(m, p)
+        bound = 2**12 * (1 + Fraction(max(map(abs, xi)), 1 << p))
+        assert all(abs(x[f] - xi[f]) <= bound for f in free)
 
 
 @pytest.mark.parametrize("seed, r", [(11, 1), (12, 2), (13, 3), (14, 4)])

@@ -41,7 +41,7 @@ from vvmf.series import (
     to_fixed,
 )
 
-from oracles import composition_dps, emitted_coeffs
+from oracles import composition_dps, emitted_coeffs, emitted_form
 
 
 finite = st.floats(min_value=-5, max_value=5, allow_nan=False)
@@ -883,7 +883,7 @@ def test_tensor_forms_match_the_int_product(monkeypatch, catalog200, member):
 
     def emitted():
         forms = kronecker_tensor_basis(alpha, beta, L1, L2, 200, catalog200)
-        return repr([form.to_json() for form in forms])
+        return repr(list(map(emitted_form, forms)))
 
     got = emitted()
     monkeypatch.setattr(FixedSeries, "__mul__", gauss_product)
@@ -899,7 +899,7 @@ def test_pairing_keeps_the_bytes_at_high_order(monkeypatch, route, order):
     from test_qline import closed_route
 
     def emitted(basis):
-        return [form.to_json() for form in basis.forms], basis.residuals
+        return list(map(emitted_form, basis.forms)), basis.residuals
 
     pipeline, catalog = closed_route(route), ClassicalCatalog(order)
     got = repr(emitted(pipeline(order, catalog)))

@@ -357,8 +357,7 @@ def test_euler_block_reads_a_square_root_of_the_history(monkeypatch, catalog800)
             reads.append(len(words) if isinstance(index, slice) else 1)
             return words
 
-    over = vvmf.mlde._over_euler
-    monkeypatch.setattr(vvmf.mlde, "_over_euler", lambda *args: Counted(over(*args)))
+    count_histories(monkeypatch, Counted, over_p=True)
     pentagonal = sorted(k * (3 * k + s) // 2 for k in range(1, 30) for s in (-1, 1))
     for nome, order, spacing in ((Nome.Q, 800, 1), (Nome.Q2, 800, 2)):
         reads.clear()
@@ -606,33 +605,31 @@ def test_real_steps_make_one_floor_division_per_exponent(monkeypatch, route):
     assert floor_divisions(vvmf.mlde._step_source(R, r, pattern)) == r
 
 
+def count_histories(monkeypatch, counted, over_p: bool) -> None:
+    """Patch the q-line solve so that every history it builds
+    (:func:`vvmf.mlde._histories`) whose key is over P or not, as
+    ``over_p``, is the list subclass ``counted`` of its words."""
+    histories = vvmf.mlde._histories
+    monkeypatch.setattr(vvmf.mlde, "_histories", lambda packed, keys, *rest: [
+        counted(h) if over == over_p else h
+        for h, (_, over) in zip(histories(packed, keys, *rest), keys)])
+
+
 def count_dense_reads(monkeypatch) -> list:
     """Patch the q-line solve so that every history its series blocks read
-    (the rows of :func:`vvmf.mlde._packed_history` and the merged histories
-    of :func:`vvmf.mlde._dot_plan`) records the words each dot takes from
-    it: one entry per backwards read (its word count) and one word per
-    index a lag reader takes."""
+    (the plain rows and merged columns of :func:`vvmf.mlde._histories`, not
+    those over P of the K E_2 block) records the words each dot takes from
+    it: one entry per slice read (its word count) and one word per index a
+    lag reader takes."""
     reads = []
 
     class Counted(list):
-        def __reversed__(self):
-            count = [0]
-            reads.append(count)
-            for word in list.__reversed__(self):
-                count[0] += 1
-                yield word
-
         def __getitem__(self, index):
             words = list.__getitem__(self, index)
             reads.append([len(words) if isinstance(index, slice) else 1])
             return words
 
-    packed, plan = vvmf.mlde._packed_history, vvmf.mlde._dot_plan
-    monkeypatch.setattr(vvmf.mlde, "_packed_history",
-                        lambda *args: [Counted(h) for h in packed(*args)])
-    monkeypatch.setattr(vvmf.mlde, "_dot_plan", lambda *args: [
-        (coeffs, readers, rows, [(Counted(h), j, sources) for h, j, sources in columns])
-        for coeffs, readers, rows, columns in plan(*args)])
+    count_histories(monkeypatch, Counted, over_p=False)
     return reads
 
 
