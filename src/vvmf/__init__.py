@@ -12,7 +12,6 @@ from .classical import ClassicalCatalog
 from .constructions import (
     InductionJob,
     Rank2MinimalForm,
-    induce_to_gamma,
     induction_minimal_pair,
     induction_pipeline,
     rank2_minimal,
@@ -72,7 +71,6 @@ __all__ = [
     "cyclic_coeffs",
     "dimension",
     "generic_basis",
-    "induce_to_gamma",
     "induced_exponents",
     "induction_is_irreducible",
     "induction_minimal_pair",

@@ -13,11 +13,11 @@ its input checks, its case and its solve.  The Sym^3 solve forms the cube
 exactly on its fixed-point rows, rounds once and hands it to the cyclic
 basis assembler; the tensor solve is the generic route's noncyclic one,
 seeded so that its rows are the paper's closed Kronecker basis.  The
-induction pair solves its defining first-order system on the q2-line;
-each form of the pair is stacked over its T^{-1}-slash and assembled
-into the cyclic basis of its twist.  Every defining differential relation
-is re-checked on the emitted series, by :func:`vvmf.mlde.solved_forms`
-for every solved system.
+induction pair solves its defining first-order system on the q2-line and
+is slashed by T^{-1} in the stack it was checked in; each form, stacked
+over its slash, is assembled into the cyclic basis of its twist.  Every
+defining differential relation is re-checked on the emitted series, by
+:func:`vvmf.mlde.solved_forms` for every solved system.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ import mpmath
 from .classical import ClassicalCatalog
 from .errors import (
     GroupMismatch,
+    InconsistentRep,
     NormalizationError,
     NotIrreducible,
     Resonance,
-    WrongNome,
     WrongRank,
 )
 from .mlde import (
@@ -73,7 +73,6 @@ from .reps import (
 from .series import (
     FixedSeries,
     FormStack,
-    Nome,
     PuiseuxSeries,
     VectorSeries,
     as_complex,
@@ -81,6 +80,7 @@ from .series import (
     clog,
     compose_frobenius,  # noqa: F401  (a binding site perfbench's tracer test patches)
     cpow,
+    nearest_int,
     pair_mul,
 )
 
@@ -118,14 +118,18 @@ class Rank2MinimalForm:
 
 
 def _rank2_weight(rep: Rank2Rep, L: ExponentData) -> int:
-    """Validate a rank-2 input and return its minimal weight 6 Tr(L) - 1."""
+    """Validate a rank-2 input and return its minimal weight 6 Tr(L) - 1.
+    An L whose 6 Tr(L) - 1 is not an integer is inconsistent with the
+    determinant of any rank-2 representation: InconsistentRep."""
     if not rank2_is_irreducible(rep):
         raise NotIrreducible("rank-2 minimal forms require an irreducible representation")
     if L.group is not Group.GAMMA:
         raise GroupMismatch("rank-2 minimal forms use exponents for the full group")
     if L.rank != 2:
         raise WrongRank(f"need 2 exponent eigenvalues, got {L.rank}")
-    k1 = require_int(6 * L.trace - 1, "6*Tr(L)-1")
+    k1 = nearest_int(6 * L.trace - 1)
+    if k1 is None:
+        raise InconsistentRep(f"6*Tr(L)-1 = {6 * L.trace - 1!r} is not an integer")
     L.validate_against([rep.x] if rep.jordan else rep.t_eigenvalues())
     return k1
 
@@ -384,21 +388,6 @@ def induction_system(u, xi, catalog: ClassicalCatalog) -> list:
     ]
 
 
-def induce_to_gamma(F: VectorSeries) -> VectorSeries:
-    """Stack F over F|T^{-1}, doubling the rank; the result transforms under
-    the induced representation of the full group with exponents
-    Ind L = :func:`vvmf.reps.induced_exponents` of the exponents F exhibits.
-
-    F|T^{-1} multiplies the n-th coefficient of a component with declared
-    exponent lam by e^{-pi i lam} (-1)^n, so F +- e^{pi i lam} F|T^{-1}
-    keep only the even (odd) q2-offsets by algebra alone; nothing re-checks
-    it."""
-    if F.nome is not Nome.Q2:
-        raise WrongNome("induction to the full group acts on q2-expansions")
-    slashed = tuple(c.slash_t_inverse() for c in F.components)
-    return VectorSeries(F.components + slashed, F.weight)
-
-
 def _induction_inputs(job: InductionJob) -> tuple:
     """Step (a) of the induction route, whose input checks ran in
     :class:`InductionJob`: the induced representation of the beta-twist
@@ -418,18 +407,24 @@ def _induction_solve(inputs, _, report, co, order: int, catalog: ClassicalCatalo
     verify its defining relation; then induce the form of each beta-twist
     to the full group and assemble its cyclic basis with the driver's
     coefficients.  One basis holds both twists' forms, the beta^2 side's
-    residual keys prefixed ``beta2_``."""
+    residual keys prefixed ``beta2_``.
+
+    The induced form of F is F over its T^{-1}-slash F|T^{-1}, whose
+    exponents are Ind L (:func:`vvmf.reps.induced_exponents`) of the
+    exponents F declares: F +- e^{pi i lam} F|T^{-1} keep only the even
+    (odd) q2-offsets by algebra alone, and nothing re-checks it.  The pair
+    is slashed in one stack (:meth:`vvmf.series.FormStack.slash_t_inverse`)
+    and that stack derived once; D of the induced form is D F, taken for
+    the pair check, over D of F|T^{-1}."""
     (job,) = inputs
     rows, system = _induction_stage(job, order, catalog)
     pair, d_pair, res = solved_forms(rows, (job.k1, job.k1), system, catalog)
+    slashed = pair.slash_t_inverse()
+    d_slashed = modular_derivative(slashed, catalog)
     stacks, residuals, pair_res = [], {}, max(res)
-    for j, F in enumerate(pair.vectors()):
-        G = induce_to_gamma(F)
-        # G's stack is the pair's form over F|T^{-1}, and D G is D F, taken
-        # for the pair check, over D of F|T^{-1}
-        slashed = FormStack.of([VectorSeries(G.components[F.rank:], G.weight)])
-        X = FormStack.join((pair.form(j), slashed), 1)
-        DX = FormStack.join((d_pair.form(j), modular_derivative(slashed, catalog)), 1)
+    for j in (0, 1):
+        X = FormStack.join((pair.form(j), slashed.form(j)), 1)
+        DX = FormStack.join((d_pair.form(j), d_slashed.form(j)), 1)
         basis = assemble_cyclic_basis(X, co, catalog, report, DX)
         stacks.append(basis.stack)
         prefix = "beta2_" if j else ""

@@ -105,8 +105,9 @@ class ZeroForm(VvmfError):
 
 
 class DegenerateC(VvmfError):
-    """Noncyclic structure constant c vanishes."""
-    stage = "c"
+    """Noncyclic structure constant c vanishes: the system of the q-line
+    solve is refused when it is built."""
+    stage = "d"
 
 
 # --- construction pipelines ---------------------------------------------------

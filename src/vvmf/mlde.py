@@ -381,15 +381,15 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
     other values) fixes the step's unit chain (:func:`_unit_chain`): the
     ones of D X_i = X_{i+1} leave a real cyclic or noncyclic system one
     free variable, found by one floor division, and the real form of a
-    complex one a 2 x 2 block; a system with no unit, as the induction
-    pair, is eliminated whole.  A real system gives the bytes of the same
-    rule on its Gaussian integers: the units are real, so both read the
-    same chain; a one-variable block divides floor(N v / v^2) =
-    floor(N / v); and a larger block takes the same pivots (u^2 against
-    u^2 + 0^2) and the same floors (floor(u v 2^p / v^2) =
-    floor(u 2^p / v)).  NotAnExponent is decided exactly on the encoded
-    seeds and X_0 step matrices, still on the norm of each complex column
-    (:func:`_is_null_row`).
+    complex one a 2 x 2 block; in a system with no unit, as the induction
+    pair, every variable is free, and its block takes the same lines.  A
+    real system gives the bytes of the same rule on its Gaussian
+    integers: the units are real, so both read the same chain; a
+    one-variable block divides floor(N v / v^2) = floor(N / v); and a
+    larger block takes the same pivots (u^2 against u^2 + 0^2) and the
+    same floors (floor(u v 2^p / v^2) = floor(u 2^p / v)).  NotAnExponent
+    is decided exactly on the encoded seeds and X_0 step matrices, still on
+    the norm of each complex column (:func:`_is_null_row`).
 
     All r exponents advance together.  Each real row's X_n packs into one
     int whose lane l (the bits from width * l up) holds the mantissa of
@@ -773,9 +773,12 @@ def _step_source(R: int, r: int, pattern: tuple) -> str:
       each, x_u = floor(e (rhs_i 2^p - sum_j m_ij x_j) / 2^p), so
       |x_u - xi_u| < 1 + sum_j |m_ij| 2^-p |x_j - xi_j|.
 
-    With no unit the free block is the whole matrix, eliminated as it is.
-    Returns the x of every exponent (exponent-major), the bit length of
-    the largest |x|, and per real row its r new lanes packed at ``width``."""
+    A system with no unit (the induction pair, a complex rank-1 system)
+    has every variable free and every equation left, K = 0: its block
+    entries are the entries m_ij and its right-hand sides rhs_i, and it
+    takes the lines of any other free block.  Returns the x of every
+    exponent (exponent-major), the bit length of the largest |x|, and per
+    real row its r new lanes packed at ``width``."""
     free, chain, left = _unit_chain(R, pattern)
 
     def kind(i, j):
@@ -819,8 +822,7 @@ def _step_source(R: int, r: int, pattern: tuple) -> str:
     if r > 1:
         body += ["mask = (1 << width) - 1", "half = 1 << (width - 1)"]
     body += ["p1 = p"] + [f"p{k} = p * {k}" for k in range(2, max(depth.values()) + 2)]
-    load = [f"m{i}_{j}" if kind(i, j) is None or not chain else "_"
-            for i in range(R) for j in range(R)]
+    load = [f"m{i}_{j}" if kind(i, j) is None else "_" for i in range(R) for j in range(R)]
     for l in range(r):
         body.append(f"{', '.join(load)}, = mats[{l}]")
         for i in range(R):
@@ -832,9 +834,6 @@ def _step_source(R: int, r: int, pattern: tuple) -> str:
             else:
                 body.append(f"m{i}_{R} = a{i} >> p")
         xs = [f"x{l}_{j}" for j in range(R)]
-        if not chain:  # the whole matrix is the free block
-            body += _elimination("m", R, xs)
-            continue
         for u, i in chain:  # c{u} and d{u}_{f}: E_u's constant and coefficients
             const, coeffs = affine(i, u, depth[u] - 1)
             body.append(f"c{u} = {signed([f'(m{i}_{R} << p{depth[u]})'], const, kind(i, u))}")
@@ -854,7 +853,7 @@ def _step_source(R: int, r: int, pattern: tuple) -> str:
                 body += [f"b{t}_{s} = ({A}) >> p{K}" if K else f"b{t}_{s} = {A}"
                          for s, A in enumerate(As)]
                 body.append(f"b{t}_{B} = ({N}) >> p{K + 1}")
-            body += _elimination("b", B, [xs[f] for f in free])
+            body += _elimination(B, [xs[f] for f in free])
         for u, i in chain:
             others = [term(i, j, xs[j], 0) for j in range(R) if j != u and kind(i, j) != 0]
             body.append(f"{xs[u]} = ({signed([f'(m{i}_{R} << p)'], others, kind(i, u))}) >> p")
@@ -870,33 +869,33 @@ def _step_source(R: int, r: int, pattern: tuple) -> str:
     return "def step(acc, mats, shift, width, p):\n" + "".join(f"    {line}\n" for line in body)
 
 
-def _elimination(name: str, B: int, xs: list) -> list:
-    """Lines that solve the B x B block {name}{t}_{s}, right-hand sides
-    {name}{t}_{B}, for the variables ``xs``: partial pivoting on the first
-    largest |entry| of a column, the rows swapped whole, each multiplier
+def _elimination(B: int, xs: list) -> list:
+    """Lines that solve the B x B block b{t}_{s}, right-hand sides b{t}_{B},
+    for the variables ``xs``: partial pivoting on the first largest
+    |entry| of a column, the rows swapped whole, each multiplier
     floor(u 2^p / d) at 2^-p, every update and back substitution term a
     floor, the row of a zero multiplier left as it is.  A singular block
     raises ZeroDivisionError in the back substitution."""
     def row(i, start=0):
-        return [f"{name}{i}_{j}" for j in range(start, B + 1)]
+        return [f"b{i}_{j}" for j in range(start, B + 1)]
 
     body = []
     for col in range(B - 1):
-        body += [f"k = {col}", f"t = abs({name}{col}_{col})"]
+        body += [f"k = {col}", f"t = abs(b{col}_{col})"]
         for i in range(col + 1, B):
-            body += [f"u = abs({name}{i}_{col})", "if u > t:", f"    k, t = {i}, u"]
+            body += [f"u = abs(b{i}_{col})", "if u > t:", f"    k, t = {i}, u"]
         for i in range(col + 1, B):
             mine, theirs = row(col, col), row(i, col)
             body += [f"{'if' if i == col + 1 else 'elif'} k == {i}:",
                      f"    {', '.join(mine + theirs)} = {', '.join(theirs + mine)}"]
-        body.append(f"d = {name}{col}_{col}")
+        body.append(f"d = b{col}_{col}")
         for i in range(col + 1, B):
-            body += [f"if {name}{i}_{col}:", f"    f = ({name}{i}_{col} << p) // d"]
-            body += [f"    {name}{i}_{j} -= f * {name}{col}_{j} >> p"
+            body += [f"if b{i}_{col}:", f"    f = (b{i}_{col} << p) // d"]
+            body += [f"    b{i}_{j} -= f * b{col}_{j} >> p"
                      for j in range(col + 1, B + 1)]
     for i in range(B - 1, -1, -1):
-        rest = "".join(f" - ({name}{i}_{j} * {xs[j]} >> p)" for j in range(i + 1, B))
-        body.append(f"{xs[i]} = (({name}{i}_{B}{rest}) << p) // {name}{i}_{i}")
+        rest = "".join(f" - (b{i}_{j} * {xs[j]} >> p)" for j in range(i + 1, B))
+        body.append(f"{xs[i]} = ((b{i}_{B}{rest}) << p) // b{i}_{i}")
     return body
 
 

@@ -68,8 +68,9 @@ keep the schoolbook loop.
 
 The double check of every route runs on a :class:`FormStack`: the forms of
 one check as one complex128 array, converted once, whose modular
-derivatives (:meth:`FormStack.derive`, the library's one) and products
-(:meth:`FormStack.times`) are taken on slices of that array, and whose other
+derivatives (:meth:`FormStack.derive`, the library's one), products
+(:meth:`FormStack.times`) and T^{-1}-slash (:meth:`FormStack.slash_t_inverse`,
+the induction route's) are taken on that array, and whose other
 steps repeat Python's complex arithmetic operation by operation in float64,
 so the bytes are those of the series arithmetic.  The rows of a q-line
 solve enter a stack in one numpy pass (:meth:`FormStack.downcast`), with
@@ -601,24 +602,6 @@ class PuiseuxSeries:
             out.append(s / n)
         return PuiseuxSeries(self.nome, 0.0, tuple(out))
 
-    def slash_t_inverse(self) -> "PuiseuxSeries":
-        """Action of tau -> tau - 1 on a q2-series: a_n picks up e^{-pi i (lam+n)}.
-
-        The integer part of the phase is applied as an exact sign alternation
-        so that even/odd coefficient patterns survive at machine precision.
-        """
-        if self.nome is not Nome.Q2:
-            raise WrongNome("slash_t_inverse acts on q2-series only")
-        lam = self.lead_exponent
-        pi = mpmath.pi if isinstance(lam, _MP_SCALARS) else cmath.pi
-        phase0 = cexp(-1j * pi * lam)
-        out = []
-        sign = 1
-        for c in self.coeffs:
-            out.append(c * phase0 * sign)
-            sign = -sign
-        return PuiseuxSeries(self.nome, lam, tuple(out))
-
     def retag_q2(self) -> "PuiseuxSeries":
         """Re-express a q-series as a q2-series via q = q2^2 (index doubling)."""
         if self.nome is not Nome.Q:
@@ -1108,6 +1091,28 @@ class FormStack:
         """The stack of form f alone."""
         cut = slice(f, f + 1)
         return FormStack(self.z[cut], self.leads, self.weights[cut], self.nome)
+
+    def slash_t_inverse(self) -> "FormStack":
+        """The action of tau -> tau - 1 on q2-forms: coefficient n of a
+        component with leading exponent lam picks up e^{-pi i (lam + n)}.
+
+        The phase e^{-pi i lam} is the double ``cmath`` gives for lam as a
+        complex, and the integer part is an exact sign alternation (-1)^n,
+        so that even and odd offsets separate at machine precision.  Each
+        coefficient c goes to the Python complex ``c * phase * sign``: a
+        complex product, then one by (+-1 + 0i), written out as the class
+        writes every product, signed zeros, infs and nans included."""
+        import numpy as np
+
+        if self.nome is not Nome.Q2:
+            raise WrongNome("slash_t_inverse acts on q2-series only")
+        p = np.array([cmath.exp(-1j * cmath.pi * complex(lam)) for lam in self.leads])[:, None]
+        a, b, sign = self.z.real, self.z.imag, (-1.0) ** np.arange(self.z.shape[-1])
+        out = np.empty_like(self.z)
+        with np.errstate(all="ignore"):
+            re, im = a * p.real - b * p.imag, a * p.imag + b * p.real
+            out.real, out.imag = re * sign - im * 0.0, re * 0.0 + im * sign
+        return FormStack(out, self.leads, self.weights, self.nome)
 
     def vectors(self) -> tuple[VectorSeries, ...]:
         """The forms as tuples of Python complexes, for emission."""

@@ -19,8 +19,11 @@ doubles of a series as one downcast per coefficient, type by type
 (:func:`emitted_coeffs`), the reference for the conversion by coefficient
 kind of :meth:`vvmf.series.PuiseuxSeries.to_json`, and the layout of one
 emitted form (:func:`emitted_form`), the reference for
-:meth:`vvmf.series.FormStack.to_json`.  And the rank-2 shifted
-exponents and the cyclic equation's coefficients as first written, one
+:meth:`vvmf.series.FormStack.to_json`.  And the T^{-1}-slash of one
+q2-series coefficient by coefficient (:func:`slash_t_inverse`), the
+reference for :meth:`vvmf.series.FormStack.slash_t_inverse`.  And the
+rank-2 shifted exponents and the cyclic equation's coefficients as first
+written, one
 formula for rank two and one for rank four (:func:`rank2_coeff`,
 :func:`rank4_cyclic_coeffs`), the references of the one rule of every rank
 in :mod:`vvmf.mlde`.
@@ -28,6 +31,7 @@ in :mod:`vvmf.mlde`.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +63,7 @@ from vvmf.series import (
     PuiseuxSeries,
     VectorSeries,
     as_complex,
+    cexp,
     nearest_int,
     residual_ratio,
     to_fixed,
@@ -143,6 +148,24 @@ def emitted_form(F: VectorSeries) -> dict:
     without materializing them."""
     return {"weight": [F.weight.numerator, F.weight.denominator],
             "components": [c.to_json() for c in F.components]}
+
+
+def slash_t_inverse(s: PuiseuxSeries) -> PuiseuxSeries:
+    """Action of tau -> tau - 1 on a q2-series, one coefficient at a time:
+    a_n picks up e^{-pi i (lam + n)}, the integer part as an exact sign
+    alternation.  The reference for
+    :meth:`vvmf.series.FormStack.slash_t_inverse`."""
+    if s.nome is not Nome.Q2:
+        raise WrongNome("slash_t_inverse acts on q2-series only")
+    lam = s.lead_exponent
+    pi = mpmath.pi if isinstance(lam, (mpmath.mpf, mpmath.mpc)) else cmath.pi
+    phase0 = cexp(-1j * pi * lam)
+    out = []
+    sign = 1
+    for c in s.coeffs:
+        out.append(c * phase0 * sign)
+        sign = -sign
+    return PuiseuxSeries(s.nome, lam, tuple(out))
 
 
 # ---------------------------------------------------------------------------

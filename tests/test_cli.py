@@ -378,20 +378,22 @@ class TestMain:
         assert "differ by the integer" in err
 
     @pytest.mark.parametrize("command", ["basis", "minimal"])
-    def test_exponent_at_one_sixth_names_the_equation_stage(self, tmp_path, capsys, command):
+    def test_exponent_at_one_sixth_names_the_qline_solve(self, tmp_path, capsys, command):
         # lambda_1 = Tr(L)/4 makes the first shifted noncyclic exponent exactly
-        # 1/6, so c = -prod(f_j - 1/6) vanishes; the job classifies, and the
-        # system is refused before a seed divides by f - 1/6
+        # 1/6, so c = -prod(f_j - 1/6) vanishes; the job classifies and its
+        # coefficients are emitted, and the solve's system is refused before
+        # a seed divides by f - 1/6
         eigs = [0.25, 0.0625, 0.125, 0.5625]
         job = {"command": command, "rep": rank4_json(eigs, 0, 1),
                "exponents": exponents_json(eigs), "order": 10}
         spec = tmp_path / "job.json"
         spec.write_text(json.dumps(job))
         assert main(["classify", "--spec", str(spec)]) == 0
+        assert main(["coeffs", "--spec", str(spec)]) == 0
         capsys.readouterr()
         assert main([command, "--spec", str(spec)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: [step (c) equation coefficients] noncyclic system needs c != 0")
+        assert err.startswith("error: [step (d) q-line solve] noncyclic system needs c != 0")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("error", list(library_errors()), ids=lambda cls: cls.__name__)
@@ -589,7 +591,7 @@ class TestMain:
         spec.write_text(json.dumps([sym3_job(10), bad]))
         assert main(["basis", "--spec", str(spec)]) == 2
         serial = capsys.readouterr().err.splitlines()[-1]
-        assert serial.startswith("error: [step (b) weight-case classification] ")
+        assert serial.startswith("error: [step (a) determinant/parity extraction] 6*Tr(L)-1 = ")
         env = dict(os.environ, PYTHONPATH=str(Path(vvmf.__file__).parents[1]))
         pooled = subprocess.run(
             [sys.executable, "-m", "vvmf.cli", "basis", "--spec", str(spec), "--jobs", "2"],

@@ -16,7 +16,6 @@ from vvmf.constructions import (
     HYPERGEOMETRIC,
     NU_CHI,
     InductionJob,
-    induce_to_gamma,
     induction_minimal_pair,
     induction_pipeline,
     induction_system,
@@ -28,6 +27,7 @@ from vvmf.constructions import (
 from vvmf.errors import (
     DegenerateC,
     GroupMismatch,
+    InconsistentRep,
     NormalizationError,
     NotIrreducible,
     Resonance,
@@ -50,13 +50,21 @@ from vvmf.mlde import (
     system_residuals,
 )
 from vvmf.reps import ExponentData, GRank2Rep, Group, Rank2Rep, tensor_exponents
-from vvmf.series import FormStack, Nome, PuiseuxSeries, max_modulus, relative_residual
+from vvmf.series import (
+    FormStack,
+    Nome,
+    PuiseuxSeries,
+    VectorSeries,
+    max_modulus,
+    relative_residual,
+)
 
 from oracles import (
     _rank2_shifts,
     build_fuchsian_z,
     rank2_coeff,
     rank2_kline_pair,
+    slash_t_inverse,
     u_from_local_exponent,
 )
 from test_acceptance import FREENESS_TOL, freeness_deviation, sym3_grid, tensor_grid
@@ -155,6 +163,14 @@ class TestRank2Minimal:
         rep, L = rank2_data(1 / 4, 1 / 12)  # gap 1/6: x^2 - xy + y^2 = 0
         with pytest.raises(NotIrreducible):
             rank2_minimal(rep, L, 10, catalog40)
+
+    def test_non_integral_weight_is_an_inconsistent_rep(self, catalog40):
+        # 6 Tr(L) - 1 = 0.06: no rank-2 determinant has such exponents, and
+        # the input checks of step (a) say so
+        rep, _ = rank2_data(1 / 4, -1 / 12)
+        with pytest.raises(InconsistentRep, match="is not an integer") as info:
+            rank2_minimal(rep, ExponentData([1 / 4 + 0.01, -1 / 12]), 10, catalog40)
+        assert info.value.stage == "a"
 
     def test_resonant_gap_rejected(self, catalog40):
         rep, _ = rank2_data(0.3, 1 / 6 - 0.3)
@@ -425,21 +441,21 @@ class TestInductionPair:
         with pytest.raises(Resonance):
             induction_minimal_pair(resonant, 20, cat)
 
-    def test_induce_to_gamma(self, cat):
+    def test_induced_forms_stack_each_form_over_its_slash(self, cat):
+        # form 0 of each twist's basis is (F, F|T^-1) for the form F of the
+        # pair, its slash that of the coefficient-by-coefficient oracle
         job = make_job(0.27)
-        A, _ = induction_minimal_pair(job, 20, cat)
-        stacked = induce_to_gamma(A)
-        assert stacked.rank == 4 and stacked.weight == A.weight
-        assert stacked.components == A.components + tuple(
-            c.slash_t_inverse() for c in A.components
-        )
+        basis = induction_pipeline(job, 20, cat)
+        for F, G in zip(induction_minimal_pair(job, 20, cat), basis.forms[::4]):
+            assert G.rank == 4 and G.weight == F.weight
+            assert G.components == F.components + tuple(
+                slash_t_inverse(c) for c in F.components
+            )
 
     def test_wrong_nome(self, cat, catalog40):
-        from vvmf.series import PuiseuxSeries, VectorSeries
-
         q_form = VectorSeries((PuiseuxSeries.one(Nome.Q, 5),), 0)
         with pytest.raises(WrongNome):
-            induce_to_gamma(q_form)
+            FormStack.of([q_form]).slash_t_inverse()
 
     def test_pipeline_bases(self, cat):
         job = make_job(0.27)
@@ -469,5 +485,8 @@ class TestInductionPair:
         # coefficient of a q2-part falls below 1e-9 of the largest one, yet
         # each form of the pair is stacked at its declared exponents
         job = make_job(r, trace=Fraction(2, 3))
-        for F in induction_minimal_pair(job, 80, ClassicalCatalog(80)):
-            assert induce_to_gamma(F).rank == 4
+        A, _ = induction_minimal_pair(job, 80, ClassicalCatalog(80))
+        declared = tuple(c.lead_exponent for c in A.components)
+        basis = induction_pipeline(job, 80, ClassicalCatalog(80))
+        assert basis.stack.leads == declared * 2
+        assert [F.rank for F in basis.forms] == [4] * 8

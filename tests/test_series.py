@@ -41,7 +41,7 @@ from vvmf.series import (
     to_fixed,
 )
 
-from oracles import composition_dps, emitted_coeffs, emitted_form
+from oracles import composition_dps, emitted_coeffs, emitted_form, slash_t_inverse
 
 
 finite = st.floats(min_value=-5, max_value=5, allow_nan=False)
@@ -1110,25 +1110,74 @@ class TestPowBinomial:
 parts = st.floats(-1, 1).filter(lambda x: x == 0 or abs(x) >= 1e-3)
 
 
+def one_series_stack(nome, lam, coeffs) -> FormStack:
+    """The stack of one form whose one component is x^lam sum c_n x^n."""
+    return FormStack.of([VectorSeries((series(nome, lam, coeffs),), 0)])
+
+
+def slashed_coeffs(lam, coeffs) -> list:
+    """The coefficients of that q2-series' stack slash, as Python complexes."""
+    return one_series_stack(Nome.Q2, lam, coeffs).slash_t_inverse().z[0, 0].tolist()
+
+
+#: a part of a drawn coefficient: every double, the specials drawn often
+special_parts = st.floats() | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308, -1e-310])
+#: a component's leading exponent: complex, float or Fraction
+slash_leads = (st.builds(complex, st.floats(-8, 8), st.floats(-3, 3))
+               | st.floats(-8, 8) | st.fractions(-8, 8, max_denominator=60))
+
+
+@st.composite
+def slash_stacks(draw) -> FormStack:
+    """1-3 forms of 1-4 components and one length, even or odd, over shared
+    leading exponents, with any complex coefficients."""
+    leads = draw(st.lists(slash_leads, min_size=1, max_size=4))
+    size = draw(st.integers(1, 9))
+    coeffs = st.lists(st.builds(complex, special_parts, special_parts),
+                      min_size=size, max_size=size)
+    forms = [VectorSeries(tuple(series(Nome.Q2, lam, draw(coeffs)) for lam in leads),
+                          draw(st.integers(0, 12)))
+             for _ in range(draw(st.integers(1, 3)))]
+    return FormStack.of(forms)
+
+
 class TestSlashTInverse:
+    """:meth:`FormStack.slash_t_inverse` against the coefficient-by-coefficient
+    slash of ``tests/oracles.py``."""
+
     def test_sign_flip(self):
-        out = series(Nome.Q2, 0, [1, 1]).slash_t_inverse()
-        coeffs_close(out, [1, -1])
+        assert slashed_coeffs(0, [1, 1]) == [1, -1]
 
     def test_half_exponent_phase(self):
-        out = series(Nome.Q2, 0.5, [1]).slash_t_inverse()
-        coeffs_close(out, [-1j], tol=1e-14)
+        (c,) = slashed_coeffs(0.5, [1])
+        assert abs(c - -1j) <= 1e-14
 
     def test_twice_is_global_phase(self):
-        lam = 0.37
-        s = series(Nome.Q2, lam, [1, 2, 3, 4])
-        twice = s.slash_t_inverse().slash_t_inverse()
+        lam, coeffs = 0.37, [1, 2, 3, 4]
+        twice = one_series_stack(Nome.Q2, lam, coeffs).slash_t_inverse().slash_t_inverse()
         phase = cmath.exp(-2j * cmath.pi * lam)
-        coeffs_close(twice, [phase * c for c in s.coeffs], tol=1e-13)
+        for got, c in zip(twice.z[0, 0].tolist(), coeffs):
+            assert abs(got - phase * c) <= 1e-13
 
     def test_wrong_nome(self):
         with pytest.raises(WrongNome):
-            series(Nome.Q, 0, [1]).slash_t_inverse()
+            one_series_stack(Nome.Q, 0, [1]).slash_t_inverse()
+        with pytest.raises(WrongNome):
+            slash_t_inverse(series(Nome.Q, 0, [1]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(slash_stacks())
+    def test_matches_the_oracle_bit_for_bit(self, X):
+        # every coefficient is the Python complex c * e^{-pi i lam} * (-1)^n,
+        # signed zeros, infs, nans and subnormals included; the leads,
+        # weights and nome are kept
+        Y = X.slash_t_inverse()
+        assert (Y.leads, Y.weights, Y.nome) == (X.leads, X.weights, X.nome)
+        for F, G in zip(X.vectors(), Y.vectors()):
+            for c, d in zip(F.components, G.components):
+                assert d.lead_exponent is c.lead_exponent
+                assert list(map(repr, d.coeffs)) == list(map(repr, slash_t_inverse(c).coeffs))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1145,7 +1194,7 @@ class TestSlashTInverse:
         # s - e^{pi i lam} s|T^-1 the odd ones: what is left at the other
         # parity is rounding, a few ulps of |c_n| (2.6 at most in 120,000
         # random coefficients), whatever lam and the scale of c_n
-        slashed = series(Nome.Q2, lam, coeffs).slash_t_inverse().coeffs
+        slashed = slashed_coeffs(lam, coeffs)
         phase = cmath.exp(1j * cmath.pi * lam)
         for sign, wrong_parity in ((1, 1), (-1, 0)):
             for n in range(wrong_parity, len(coeffs), 2):
@@ -1320,7 +1369,8 @@ def test_compose_linear(a):
 @given(coeff_lists, st.floats(min_value=-1, max_value=1))
 def test_slash_twice(a, lam):
     s = series(Nome.Q2, lam, a)
-    twice = s.slash_t_inverse().slash_t_inverse()
+    X = FormStack.of([VectorSeries((s,), 0)])
+    (twice,) = X.slash_t_inverse().slash_t_inverse().vectors()[0].components
     phase = cmath.exp(-2j * cmath.pi * lam)
     expect = s.scale(phase)
     assert relative_residual(twice - expect, s) < 1e-11

@@ -51,15 +51,12 @@ def driver_errors():
     eigs = [0.11, 1.11, 0.31, 7 / 3 - 1.53]
     yield pytest.param({"command": "basis", "rep": rank4_json(eigs, 1, 0),
                         "exponents": exponents_json(eigs), "order": 10}, id="resonant-basis")
-    # test_exponent_at_one_sixth_names_the_equation_stage
+    # test_exponent_at_one_sixth_names_the_qline_solve
     eigs = [0.25, 0.0625, 0.125, 0.5625]
     for command in ("basis", "minimal"):
         yield pytest.param(
             {"command": command, "rep": rank4_json(eigs, 0, 1), "exponents": exponents_json(eigs),
-             "order": 10}, id=f"one-sixth-{command}",
-            marks=pytest.mark.xfail(strict=True, reason=(
-                "DegenerateC names step (c), but _solved_rows raises it in the solve, when it "
-                "builds the noncyclic system")))
+             "order": 10}, id=f"one-sixth-{command}")
     # test_generic_exponents_need_rank_four_and_the_full_group
     for wrong, (rep_eigs, eigs, group, _) in test_cli.TestMain.WRONG_EXPONENTS.items():
         for command in ("classify", "coeffs", "minimal", "basis"):
@@ -73,10 +70,7 @@ def driver_errors():
                            id=f"off-spectrum-{command}")
     # test_failing_job_in_a_pool_exits_two
     yield pytest.param(
-        {**sym3_job(10), "exponents": [exponents_json([0.1, 0.1])]}, id="sym3-trace",
-        marks=pytest.mark.xfail(strict=True, reason=(
-            "NonIntegralThreeTrace names step (b), but _rank2_weight raises it in the Sym^3 "
-            "route's input checks, step (a)")))
+        {**sym3_job(10), "exponents": [exponents_json([0.1, 0.1])]}, id="sym3-trace")
 
 
 @pytest.mark.parametrize("job", driver_errors())

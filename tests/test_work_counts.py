@@ -155,8 +155,9 @@ def test_every_rank4_job_classifies_once(monkeypatch, route):
 def test_modular_derivatives_are_taken_once(monkeypatch, route, derivatives):
     # the tensor route checks its relations on DF, D DF, DG and DH of its
     # four emitted forms, in one pass; induction takes D of the pair A, B,
-    # then of the lower half F|T^-1 of each induced form, whose upper half
-    # D F the pair check took, and DF, D^2F and D^3F of each induced form
+    # then of the slashed pair, the halves F|T^-1 of the induced forms (the
+    # pair check took D of the halves F), and DF, D^2F and D^3F of each
+    # induced form
     calls = count_calls(monkeypatch, vvmf.mlde, "modular_derivative")
     run_route(route)
     assert sum(len(X.weights) for X, _ in calls) == derivatives
@@ -547,16 +548,27 @@ def test_j_multiplies_once_and_inverts_nothing(monkeypatch):
     assert len(products) == 1 and inverses == []
 
 
-def test_induction_slashes_each_component_once(monkeypatch):
-    # the induced form is (F, F|T^-1): one slash per component of each form
-    # of the pair, and no other pass over the q2-parts.  The basis holds
-    # its forms as one stack, so the slashed series are the upper halves
-    # of its two induced forms by value
-    calls = count_calls(monkeypatch, PuiseuxSeries, "slash_t_inverse")
+def test_induction_slashes_the_pair_once(monkeypatch):
+    # the induced form is (F, F|T^-1): one slash of the pair's checked
+    # stack and one modular derivative of the slashed pair, and no other
+    # pass over the q2-parts.  The basis holds its forms as one stack, so
+    # the pair and its slash are the halves of its two induced forms by
+    # value
+    slashes = []
+    slash = FormStack.slash_t_inverse
+
+    def recorded(X):
+        slashes.append((X, slash(X)))
+        return slashes[-1][1]
+
+    monkeypatch.setattr(FormStack, "slash_t_inverse", recorded)
+    derivatives = count_calls(monkeypatch, vvmf.mlde, "modular_derivative")
     basis = run_route("induction")
-    assert len(calls) == 4
-    assert [(s.lead_exponent, s.coeffs) for (s,) in calls] == [
-        (c.lead_exponent, c.coeffs) for F in basis.forms[::4] for c in F.components[:2]]
+    ((pair, slashed),) = slashes
+    induced = basis.stack.z[::4]
+    assert pair.z.tobytes() == induced[:, :2].tobytes()
+    assert slashed.z.tobytes() == induced[:, 2:].tobytes()
+    assert [X is slashed for X, _ in derivatives].count(True) == 1
 
 
 def test_induction_forms_the_induced_equation_once(monkeypatch):
