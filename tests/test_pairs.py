@@ -58,20 +58,37 @@ def test_summary_pairs_by_seed_in_each_metric_direction():
     assert wall["change_better_pairs"] == 3
     # higher is better: the change's 1.0 wins pairs 1 and 3
     assert summary["ok_frac"]["change_better_pairs"] == 2
+    assert wall["change_beats_every_parent_run"] is False
     assert list(wall) == ["parent_median", "parent_quartiles", "change_median",
-                          "change_quartiles", "change_better_pairs"]
+                          "change_quartiles", "change_better_pairs",
+                          "change_beats_every_parent_run"]
+    # each change run below every parent run; ties and overlaps are not
+    runs = canned_runs([((p, 0.9), (p - 0.5, 0.9)) for p in parent])
+    assert tool.summarize(runs, SPECS)["wall_s"]["change_beats_every_parent_run"] is True
+    runs = canned_runs([((p, 0.9), (0.9, 0.9)) for p in parent])
+    assert tool.summarize(runs, SPECS)["wall_s"]["change_beats_every_parent_run"] is False
 
 
 def test_verdict_reads_the_quartiles_and_the_bound_in_the_worse_direction():
     tool = load_tool()
-    entry = {"parent_median": 1.0, "parent_quartiles": [0.9, 1.0, 1.1], "change_median": 1.15}
-    assert tool.verdict(entry, SPECS[0]) == (False, True)
-    assert tool.verdict({**entry, "change_median": 1.25}, SPECS[0]) == (False, False)
-    assert tool.verdict({**entry, "change_median": 0.5}, SPECS[0]) == (False, True)
-    # higher is better: 1% lower is within the 2% bound, 5% lower is not
-    assert tool.verdict({**entry, "change_median": 0.99}, SPECS[1]) == (True, True)
-    assert tool.verdict({**entry, "change_median": 0.95}, SPECS[1]) == (True, False)
-    assert tool.verdict({**entry, "change_median": 1.5}, SPECS[1]) == (False, True)
+    entry = {"parent_median": 1.0, "parent_quartiles": [0.95, 1.0, 1.1], "change_median": 1.15,
+             "change_beats_every_parent_run": False}
+    assert tool.verdict(entry, SPECS[0]) == (False, "yes")
+    assert tool.verdict({**entry, "change_median": 1.25}, SPECS[0]) == (False, "no")
+    assert tool.verdict({**entry, "change_median": 0.5}, SPECS[0]) == (False, "yes")
+    # higher is better: 1% lower is within the 2% bound, 5% lower is not;
+    # the parent's spread 0.15 is wider than the 0.02 bound, so a median
+    # within the bound is unresolved unless every change run won
+    narrow = {**entry, "parent_quartiles": [0.995, 1.0, 1.005]}
+    assert tool.verdict({**narrow, "change_median": 0.99}, SPECS[1]) == (False, "yes")
+    assert tool.verdict({**entry, "change_median": 0.99}, SPECS[1]) == (True, "unresolved")
+    assert tool.verdict({**entry, "change_median": 0.95}, SPECS[1]) == (True, "no")
+    assert tool.verdict({**entry, "change_median": 1.5}, SPECS[1]) == (False, "unresolved")
+    won = {**entry, "change_beats_every_parent_run": True}
+    assert tool.verdict({**won, "change_median": 1.5}, SPECS[1]) == (False, "yes")
+    # lower is better: a spread of 0.3 is wider than the 0.2 bound
+    wide = {**entry, "parent_quartiles": [0.8, 1.0, 1.1]}
+    assert tool.verdict({**wide, "change_median": 1.0}, SPECS[0]) == (True, "unresolved")
 
 
 def test_record_adds_each_workload_to_the_last_set(tmp_path):
@@ -79,10 +96,12 @@ def test_record_adds_each_workload_to_the_last_set(tmp_path):
     path = tmp_path / "BENCH.json"
     runs = canned_runs([((1.0, 1.0), (0.9, 1.0)), ((1.1, 1.0), (1.0, 1.0))])
     summary = tool.summarize(runs, SPECS)
-    tool.record(path, "recursive", runs, summary)
-    tool.record(path, "closed", runs, summary)
+    tool.record(path, "recursive", runs, summary, 5)
+    tool.record(path, "closed", runs, summary, 7)
     data = json.loads(path.read_text())
     assert data["claimed"] is None
+    assert data["command"] == ("python3 perfbench/run.py --workload <w> --seed <s>"
+                               " --trace 0 (runs of 5 s)")
     assert [s["note"] for s in data["sets"]] == ["seeds 100-101 (recursive), 100-101 (closed)"]
     workloads = data["sets"][0]["workloads"]
     assert list(workloads) == ["recursive", "closed"]
