@@ -75,13 +75,13 @@ from .series import (
     FormStack,
     PuiseuxSeries,
     VectorSeries,
+    _limb_cube,
     as_complex,
     cexp,
     clog,
     compose_frobenius,  # noqa: F401  (a binding site perfbench's tracer test patches)
     cpow,
     nearest_int,
-    pair_mul,
 )
 
 HYPERGEOMETRIC = "hypergeometric"
@@ -267,17 +267,26 @@ def sym3_pipeline(
 
 
 def _cube(f: FixedSeries, g: FixedSeries) -> tuple[FixedSeries, ...]:
-    """(f^3, f^2 g, f g^2, g^3), exact in fixed point, forming each square
-    once.  (f, g) goes against f^2 and against g^2 as one pair each
-    (:func:`vvmf.series.pair_mul`), so real rows take four convolutions
-    instead of six.  The mantissas are exact, and each leading exponent is
-    the plain product's sum of the same two terms, so the rounded doubles
-    do not change; re-associating a cube, as (f g) g, would change the sum
-    of three leading exponents in its last bit."""
-    f2, g2 = f * f, g * g
-    f3, f2_g = pair_mul(f, g, f2)
-    f_g2, g3 = pair_mul(f, g, g2)
-    return (f3, f2_g, f_g2, g3)
+    """(f^3, f^2 g, f g^2, g^3), exact in fixed point, in one limb layout
+    (:func:`vvmf.series._limb_cube`): f and g are shifted to their common
+    scale, transformed once, and squared and cubed on their spectra, in
+    five transforms for real rows and ten for complex ones.  Each product
+    x y^2 keeps the length and the leading exponent x.lam + (y.lam +
+    y.lam) of the plain products x (y y); re-associating a cube, as
+    (f g) g, would change the sum of three leading exponents in its last
+    bit.  The mantissas are exact, so the rounded doubles do not change."""
+    f.re._require_same_nome(g.re)
+    bits = max(f.bits, g.bits)
+    n = max(len(f.re.coeffs), len(g.re.coeffs))
+    parts = [[c << (bits - x.bits) for c in p.coeffs] + [0] * (n - len(p.coeffs))
+             for x in (f, g) for p in (x.re, x.im)]
+    out = []
+    for (re, im), x, y in zip(_limb_cube(*parts), (f, g, f, g), (f, f, g, g)):
+        lam = x.re.lead_exponent + (y.re.lead_exponent + y.re.lead_exponent)
+        m = min(len(x.re.coeffs), len(y.re.coeffs))
+        out.append(FixedSeries(PuiseuxSeries(f.re.nome, lam, tuple(re[:m])),
+                               PuiseuxSeries(f.re.nome, lam, tuple(im[:m])), 3 * bits))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -773,28 +773,37 @@ def _step_source(R: int, r: int, pattern: tuple) -> str:
       each, x_u = floor(e (rhs_i 2^p - sum_j m_ij x_j) / 2^p), so
       |x_u - xi_u| < 1 + sum_j |m_ij| 2^-p |x_j - xi_j|.
 
-    A system with no unit (the induction pair, a complex rank-1 system)
-    has every variable free and every equation left, K = 0: its block
-    entries are the entries m_ij and its right-hand sides rhs_i, and it
-    takes the lines of any other free block.  Returns the x of every
-    exponent (exponent-major), the bit length of the largest |x|, and per
-    real row its r new lanes packed at ``width``."""
+    A left equation at K = 0 holds only free variables, so its block row
+    is its entries m_ij and its rhs_i themselves, eliminated in place with
+    no line copying them; a unit or zero entry, or a row at K > 0, is
+    first assigned to a block name.  A system with no unit (the induction
+    pair, a complex rank-1 system) has every variable free and every
+    equation left, K = 0, and takes the lines of any other free block.
+    Returns the x of every exponent (exponent-major), the bit length of
+    the largest |x|, and per real row its r new lanes packed at
+    ``width``."""
     free, chain, left = _unit_chain(R, pattern)
 
     def kind(i, j):
         return pattern[i * R + j]
+
+    def pk(k):
+        """The name of p k."""
+        return "p" if k == 1 else f"p{k}"
 
     depth = dict.fromkeys(free, 0)
     for u, i in chain:
         depth[u] = 1 + max(depth[j] for j in range(R) if kind(i, j) != 0 and j != u)
 
     def term(i, j, value, k):
-        """m_ij value 2^(p k), parenthesized; value None is 1.  A unit is a
-        shift."""
+        """m_ij value 2^(p k), parenthesized unless it is the name m_ij;
+        value None is 1.  A unit is a shift."""
         if kind(i, j):
-            return f"({'' if kind(i, j) == 1 else '-'}({value or 1} << p{k + 1}))"
+            return f"({'' if kind(i, j) == 1 else '-'}({value or 1} << {pk(k + 1)}))"
+        if value is None and not k:
+            return f"m{i}_{j}"
         product = f"m{i}_{j}" if value is None else f"m{i}_{j} * {value}"
-        return f"({product} << p{k})" if k else f"({product})"
+        return f"({product} << {pk(k)})" if k else f"({product})"
 
     def signed(plus, minus, sign=1):
         """sign (plus[0] + ... - minus[0] - ...)."""
@@ -821,7 +830,7 @@ def _step_source(R: int, r: int, pattern: tuple) -> str:
     body = [f"{', '.join(f'a{i}' for i in range(R))}, = acc"]
     if r > 1:
         body += ["mask = (1 << width) - 1", "half = 1 << (width - 1)"]
-    body += ["p1 = p"] + [f"p{k} = p * {k}" for k in range(2, max(depth.values()) + 2)]
+    body += [f"p{k} = p * {k}" for k in range(2, max(depth.values()) + 2)]
     load = [f"m{i}_{j}" if kind(i, j) is None else "_" for i in range(R) for j in range(R)]
     for l in range(r):
         body.append(f"{', '.join(load)}, = mats[{l}]")
@@ -836,24 +845,26 @@ def _step_source(R: int, r: int, pattern: tuple) -> str:
         xs = [f"x{l}_{j}" for j in range(R)]
         for u, i in chain:  # c{u} and d{u}_{f}: E_u's constant and coefficients
             const, coeffs = affine(i, u, depth[u] - 1)
-            body.append(f"c{u} = {signed([f'(m{i}_{R} << p{depth[u]})'], const, kind(i, u))}")
+            body.append(f"c{u} = {signed([f'(m{i}_{R} << {pk(depth[u])})'], const, kind(i, u))}")
             body += [f"d{u}_{f} = {signed([], coeffs[f], kind(i, u))}" for f in free]
-        block = []  # per left equation: K, N and the A_f
+        block = []  # per left equation: i, K, N and the A_f
         for i in left:
             K = max(depth[j] for j in range(R) if kind(i, j) != 0)
             const, coeffs = affine(i, None, K)
-            block.append((K, signed([f"(m{i}_{R} << p{K + 1})"], const),
+            block.append((i, K, signed([f"(m{i}_{R} << {pk(K + 1)})"], const),
                           [signed(coeffs[f], []) for f in free]))
         if len(free) == 1:
-            ((K, N, (A,)),) = block
+            ((_, K, N, (A,)),) = block
             body.append(f"{xs[free[0]]} = ({N}) // ({A})")
         else:
-            B = len(free)
-            for t, (K, N, As) in enumerate(block):
-                body += [f"b{t}_{s} = ({A}) >> p{K}" if K else f"b{t}_{s} = {A}"
-                         for s, A in enumerate(As)]
-                body.append(f"b{t}_{B} = ({N}) >> p{K + 1}")
-            body += _elimination(B, [xs[f] for f in free])
+            names = []  # per left equation, its block row: a name, or b{t}_{s} assigned
+            for t, (i, K, N, As) in enumerate(block):
+                # at K = 0 the row holds only free variables: N is m_iR 2^p
+                values = [f"({A}) >> {pk(K)}" if K else A for A in As]
+                values.append(f"({N}) >> {pk(K + 1)}" if K else f"m{i}_{R}")
+                names.append([v if v.isidentifier() else f"b{t}_{s}" for s, v in enumerate(values)])
+                body += [f"b{t}_{s} = {v}" for s, v in enumerate(values) if not v.isidentifier()]
+            body += _elimination(names, [xs[f] for f in free])
         for u, i in chain:
             others = [term(i, j, xs[j], 0) for j in range(R) if j != u and kind(i, j) != 0]
             body.append(f"{xs[u]} = ({signed([f'(m{i}_{R} << p)'], others, kind(i, u))}) >> p")
@@ -869,33 +880,34 @@ def _step_source(R: int, r: int, pattern: tuple) -> str:
     return "def step(acc, mats, shift, width, p):\n" + "".join(f"    {line}\n" for line in body)
 
 
-def _elimination(B: int, xs: list) -> list:
-    """Lines that solve the B x B block b{t}_{s}, right-hand sides b{t}_{B},
-    for the variables ``xs``: partial pivoting on the first largest
+def _elimination(names: list, xs: list) -> list:
+    """Lines that solve the B x B block whose row t is held by the local
+    variables ``names[t]``, its right-hand side last, for the variables
+    ``xs``, overwriting them: partial pivoting on the first largest
     |entry| of a column, the rows swapped whole, each multiplier
     floor(u 2^p / d) at 2^-p, every update and back substitution term a
     floor, the row of a zero multiplier left as it is.  A singular block
     raises ZeroDivisionError in the back substitution."""
-    def row(i, start=0):
-        return [f"b{i}_{j}" for j in range(start, B + 1)]
+    B = len(names)
+
+    def b(i, j):
+        return names[i][j]
 
     body = []
     for col in range(B - 1):
-        body += [f"k = {col}", f"t = abs(b{col}_{col})"]
+        body += [f"k = {col}", f"t = abs({b(col, col)})"]
         for i in range(col + 1, B):
-            body += [f"u = abs(b{i}_{col})", "if u > t:", f"    k, t = {i}, u"]
+            body += [f"u = abs({b(i, col)})", "if u > t:", f"    k, t = {i}, u"]
         for i in range(col + 1, B):
-            mine, theirs = row(col, col), row(i, col)
+            mine, theirs = names[col][col:], names[i][col:]
             body += [f"{'if' if i == col + 1 else 'elif'} k == {i}:",
                      f"    {', '.join(mine + theirs)} = {', '.join(theirs + mine)}"]
-        body.append(f"d = b{col}_{col}")
         for i in range(col + 1, B):
-            body += [f"if b{i}_{col}:", f"    f = (b{i}_{col} << p) // d"]
-            body += [f"    b{i}_{j} -= f * b{col}_{j} >> p"
-                     for j in range(col + 1, B + 1)]
+            body += [f"if {b(i, col)}:", f"    f = ({b(i, col)} << p) // {b(col, col)}"]
+            body += [f"    {b(i, j)} -= f * {b(col, j)} >> p" for j in range(col + 1, B + 1)]
     for i in range(B - 1, -1, -1):
-        rest = "".join(f" - (b{i}_{j} * {xs[j]} >> p)" for j in range(i + 1, B))
-        body.append(f"{xs[i]} = ((b{i}_{B}{rest}) << p) // b{i}_{i}")
+        rest = "".join(f" - ({b(i, j)} * {xs[j]} >> p)" for j in range(i + 1, B))
+        body.append(f"{xs[i]} = (({b(i, B)}{rest}) << p) // {b(i, i)}")
     return body
 
 

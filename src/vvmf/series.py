@@ -19,24 +19,29 @@ it with ``mpmath.workdps`` blocks; the library never sets ``mpmath.mp.dps``.
 The q-line block holds complex series in fixed point instead
 (:class:`FixedSeries`): integer mantissas of the real and imaginary parts at
 one binary scale, rounded to ``complex`` once (:func:`to_fixed`,
-:meth:`FixedSeries.downcast`).  Two of them multiply exactly in one complex FFT
-convolution (:func:`_complex_mul`): each mantissa pair re + i im is split
-into balanced 16-bit limbs, or 8-bit ones when the operands are large, the
-limb sequences are convolved by ``numpy.fft`` and rounded to integers, and
-the limbs rebuild the product's mantissas.  Exactness rests on an a-priori
-bound, not a tolerance: the limb width (:func:`_limb_bits`) keeps
-Percival's bound on the FFT error (:func:`_fft_kappa`) below 1/4 of a unit,
-and a coefficient farther than that from its integer raises
-ArithmeticError.  On the rank-2 rows of the tensor pool a product takes
-1.0-1.2 ms at order 80, against 1.9-2.6 ms for the three integer products
-of Gauss's trick it replaced, and 12.5-14 ms against 32-36 ms at order 400
-(2-core x86-64 VM, Python 3.11, numpy 2.4).  Real rows, whose imaginary
-mantissas are all zero, multiply two at a time (:func:`pair_mul`): x0 and
-x1 against one y are the real and imaginary parts of (x0 + i x1) y, one
-convolution for two products.  The mantissas are exact either way, so the
-pairing changes no rounded double; on those rows a paired product takes
-1.46 ms at order 80 and 13.2 ms at order 400, against 2.18 and 24.9 ms for
-two plain ones (medians, same machine).
+:meth:`FixedSeries.downcast`).  Their products are exact complex FFT
+convolutions of limbs, in steps every product shares: a layout
+(:func:`_limb_layout`, its width from :func:`_limb_bits`) puts each
+mantissa pair re + i im, as balanced 16-bit limbs or 8-bit ones when the
+operands are large, at the head of its coefficient's slot; a forward
+transform (:func:`_spectrum`) takes each operand once; a rounding inverse
+(:func:`_rounded_inverse`) rounds the convolution's limbs to integers; and
+:func:`_mantissas` rebuilds the product's mantissas from them.
+:meth:`FixedSeries.__mul__` is one such product (:func:`_complex_mul`).
+The Sym^3 cube (:func:`_limb_cube`) takes its six products in one layout:
+f and g are transformed once, the two squares are carried back into limbs
+in numpy (:func:`_carried`) and transformed once, and each cube is one
+inverse.  Real rows, whose imaginary mantissas are all zero, take five
+transforms, since f + i g and f^2 + i g^2 each split into two real spectra
+(:func:`_split`); complex rows take ten.  Exactness rests on an a-priori
+bound, not a tolerance: the limb width keeps Percival's bound on the FFT
+error (:func:`_fft_kappa`), carried over to the split spectra and to a sum
+of two products, below 1/4 of a unit, and a coefficient farther than that
+from its integer raises ArithmeticError.  On the rows of the ten Sym^3
+members at orders 20-80 the cube runs 1.6-2.0x faster than the four
+convolutions (real rows) or six (complex) it replaced: about 1.6 ms
+against 2.9 ms for a real member at order 80 (medians of 60 calls
+interleaved in one process, 2-core x86-64 VM, Python 3.11, numpy 2.4).
 
 Exact-integer series (the classical catalog's) stay exact: their products,
 and their inverses and quotients over a unit leading coefficient, are
@@ -87,7 +92,7 @@ the two slices it is given whether a product is summed in long double.  So
 a series product and a stack product of the same coefficients agree.
 
 numpy is imported inside the numpy kernels and :class:`FormStack` (the
-double products, the stack and the FFT product :func:`_complex_mul`), so it
+double products, the stack and the FFT limb products), so it
 loads at a process's first double or FFT product, not with the package.
 Its import takes about 150 ms, more than a whole exact job: ``classify``,
 ``coeffs`` and ``classical`` (every name but h and Z in double precision)
@@ -712,7 +717,7 @@ def _fft_kappa(log2_n: int) -> float:
     kappa = (1+eps)^3n (1+eps sqrt5)^(3n+1) (1+beta)^3n - 1, eps the unit
     roundoff and beta the twiddle error bound.  The bound is proved for a
     radix-2 transform and taken here for numpy's power-of-two transforms;
-    :func:`_complex_mul` checks every result it rounds."""
+    :func:`_rounded_inverse` checks every result it rounds."""
     n = log2_n
     return math.expm1(
         3 * n * math.log1p(_EPS)
@@ -744,22 +749,42 @@ def _limb_layout(
 
 
 def _limb_bits(n_terms: int, bits_a: int, bits_b: int) -> int:
-    """Limb width of an exact complex limb product (:func:`_complex_mul`) of
-    operands of at most n_terms coefficients whose mantissas have at most
-    bits_a and bits_b bits: 16 bits, or 8 when 16 would break the bound.
+    """Limb width of the exact limb products of one layout
+    (:func:`_limb_layout`): operands of at most n_terms coefficients whose
+    mantissas have at most bits_a and bits_b bits, the b operand possibly
+    carried from an earlier product (:func:`_carried`), as the squares of
+    :func:`_limb_cube` are.  16 bits, or 8 when 16 would break the bound.
 
     A balanced limb lies in [-2^(w-1), 2^(w-1)], so a complex limb has
     modulus at most 2^(w - 1/2), and an operand of n_terms l limbs has
-    Euclidean norm at most sqrt(n_terms l) 2^(w - 1/2).  The width is the
-    widest for which Percival's bound ||x|| ||y|| kappa(N) of the
-    convolution error (:func:`_fft_kappa`) stays below 1/4, so every
-    coefficient lies within 1/4 of its integer and rounds to it.  Past
-    what 8-bit limbs allow (about 2^26 limbs an operand) it raises
-    ArithmeticError."""
+    Euclidean norm at most sqrt(n_terms l) 2^(w - 1/2); a carried limb is
+    at most 2^(w-1) + 1 a part, so the b operand is counted at modulus
+    sqrt2 (2^(w-1) + 1).  Percival's bound ||x|| ||y|| kappa(N) on the
+    error of one convolution (:func:`_fft_kappa`) then holds, with these
+    norms, for every inverse of :func:`_limb_cube`:
+
+    - real rows x, y are transformed once as x + i y, and the spectra
+      X = (Z + Z*(-k))/2 and Y = (Z - Z*(-k))/2i split from it; halving is
+      exact and a perturbation d of Z moves each by at most ||d||, so X
+      and Y err as a transform of x + i y does, whose norm the limb bound
+      covers;
+    - both squares come from one inverse of X X + i Y Y.  A perturbation
+      d of Z moves it by (X + Y) d + (X - Y) d*(-k), and
+      ||x + y||^2 + ||x - y||^2 = 2 ||x + i y||^2, so the sum of the two
+      products errs as the one product (x + i y)(x + i y) does;
+    - a cube inverse is one product of a square's spectrum with the
+      spectrum of x + i y, or of one complex row;
+    - the split and the sum of two products each round once more, so
+      kappa is taken for three more roundings: (1 + kappa)(1 + eps)^3 - 1.
+
+    The width is the widest for which the norms times that kappa stay
+    below 1/4, so every coefficient lies within 1/4 of its integer and
+    rounds to it.  Past what 8-bit limbs allow (about 2^26 limbs an
+    operand) it raises ArithmeticError."""
     for w in (16, 8):
         la, lb, _, log2_n = _limb_layout(n_terms, bits_a, bits_b, w)
-        norms = n_terms * math.sqrt(la * lb) * 2.0 ** (2 * w - 1)
-        if norms * _fft_kappa(log2_n) < 0.25:
+        norms = n_terms * math.sqrt(la * lb) * 2.0 ** (2 * w - 1) * (1 + 2.0 ** (1 - w))
+        if norms * ((1 + _fft_kappa(log2_n)) * (1 + _EPS) ** 3 - 1) < 0.25:
             return w
     raise ArithmeticError(
         f"a {n_terms}-term product of {bits_a}- and {bits_b}-bit mantissas"
@@ -786,63 +811,83 @@ def _balanced_limbs(cs: Sequence[int], n_limbs: int, limb_bits: int):
     return limbs
 
 
-def _complex_mul(
-    a_re: Sequence[int], a_im: Sequence[int],
-    b_re: Sequence[int], b_im: Sequence[int],
-    n_out: int,
-) -> tuple[list[int], list[int]]:
-    """Real and imaginary mantissas of the truncated product of the complex
-    integer sequences a_re + i a_im and b_re + i b_im (a_re and a_im of one
-    length, b_re and b_im of one length), through one complex FFT
-    convolution of limbs.
-
-    Each operand is cut to n_out + 1 terms.  Its coefficient n becomes the
-    limbs (:func:`_balanced_limbs`) of re_n + i im_n at the head of slot n
-    of a complex limb sequence; the rest of the slot is zero
-    (:func:`_limb_layout`).  The limb sequence of the product is the
-    convolution of the two: one ``numpy.fft.fft`` of each operand and one
-    ``ifft``, rounded to integers with ``rint``.  The limb width, picked
-    from the operand sizes by :func:`_limb_bits`, makes the rounding exact
-    by Percival's bound; a coefficient farther than 1/4 from its integer
-    raises ArithmeticError, which that width cannot reach.  The integer limbs then rebuild, for
-    each of the real and imaginary parts, the packed integer
-    sum_n c_n 2^(w slot n) modulo the n_out + 1 kept slots, which is read
-    back slot by slot as in :func:`_kronecker_mul`."""
+def _spectrum(re, im, slot: int, log2_n: int):
+    """The FFT, of length 2^log2_n, of the complex limb sequence whose slot
+    n holds the limbs re[n] + i im[n] at its head and zeros after them:
+    the forward transform of one operand of a layout."""
     import numpy as np
 
-    n_terms = n_out + 1
-    a_re, a_im, b_re, b_im = (list(p[:n_terms]) for p in (a_re, a_im, b_re, b_im))
-    bits_a = max(map(int.bit_length, a_re + a_im))
-    bits_b = max(map(int.bit_length, b_re + b_im))
-    limb_bits = _limb_bits(n_terms, bits_a, bits_b)
-    la, lb, slot, log2_n = _limb_layout(n_terms, bits_a, bits_b, limb_bits)
-    # every mantissa in the limb count of the wider operand, whose top
-    # limbs are zero for the narrower one
-    n_limbs = max(la, lb)
-    limbs = _balanced_limbs(a_re + a_im + b_re + b_im, n_limbs, limb_bits)
+    z = np.zeros(1 << log2_n, dtype=np.complex128)
+    rows = z[:len(re) * slot].reshape(len(re), slot)
+    rows.real[:, :re.shape[1]] = re
+    rows.imag[:, :im.shape[1]] = im
+    return np.fft.fft(z)
 
-    def spectrum(first, n):
-        z = np.zeros((n, slot), dtype=np.complex128)
-        z.real[:, :n_limbs] = limbs[first : first + n]
-        z.imag[:, :n_limbs] = limbs[first + n : first + 2 * n]
-        return np.fft.fft(z.reshape(-1), 1 << log2_n)
 
-    width = slot * n_terms
-    # re_0, im_0, re_1, im_1, ... of the product's limbs
-    v = np.fft.ifft(spectrum(0, len(a_re)) * spectrum(2 * len(a_re), len(b_re)))
-    v = v[:width].view(np.float64)
+def _split(z):
+    """The spectra of x and y from the spectrum z of x + i y, x and y real:
+    (z_k + conj z_-k) / 2 and (z_k - conj z_-k) / 2i."""
+    import numpy as np
+
+    mirror = np.conj(np.concatenate((z[:1], z[:0:-1])))
+    return (z + mirror) * 0.5, (z - mirror) * -0.5j
+
+
+def _rounded_inverse(spectrum, width: int):
+    """The first width limb sums of the convolution whose spectrum is
+    ``spectrum``, rounded: one ``ifft``, then ``rint``, as an int64 array
+    of (real, imaginary) rows.  A value farther than 1/4 from its integer
+    raises ArithmeticError, which the width of :func:`_limb_bits` cannot
+    reach.  A limb sum is below ||x|| ||y|| < 1/(4 kappa) < 2^51."""
+    import numpy as np
+
+    v = np.fft.ifft(spectrum)[:width].view(np.float64)
     rounded = np.rint(v)
-    if not np.all(np.abs(v - rounded) < 0.25):
+    v -= rounded
+    if not np.abs(v, out=v).max() < 0.25:
         raise ArithmeticError("FFT convolution error reached 1/4 of a unit")
-    # a limb is at most ||x|| ||y|| < 1/(4 kappa) < 2^51 in modulus, so it
-    # takes 64 bits after an offset of 2^62; those are split into 64/w lanes
-    # of w-bit digits, one little-endian integer each
+    return rounded.astype(np.int64).reshape(width, 2)
+
+
+def _carried(v, limb_bits: int):
+    """The limb sums v (int64, along axis 0) of packed integers as limbs of
+    at most 2^(w-1) + 1 in modulus, equal modulo 2^(w len(v)).
+
+    Each round moves the carry floor((v + 2^(w-1)) / 2^w) of every limb up
+    one place, dropping the carry out of the top, a multiple of that
+    power.  A carry shrinks by 2^w a round until it is -1, 0 or 1, after
+    which every limb is in range: four rounds from 2^51 for 16-bit limbs,
+    seven for 8-bit ones.  Limbs in range below a place sum to less than
+    1/2 + 1.5 / (2^w - 1) of its weight.  So when every slot value c has
+    |c| < 2^(w l - 2) for some l below the slot's limb count, as a square's
+    has in :func:`_limb_cube`, no carry crosses into a slot, and each c is
+    held by the first l limbs of its slot, the rest zero."""
+    import numpy as np
+
+    half = 1 << (limb_bits - 1)
+    while np.abs(v).max(initial=0) > half + 1:
+        carry = (v + half) >> limb_bits
+        v = v - (carry << limb_bits)
+        v[1:] += carry[:-1]
+    return v
+
+
+def _mantissas(limbs, limb_bits: int, slot: int) -> tuple[list[int], list[int]]:
+    """The real and imaginary mantissas of the slots of the rounded limb
+    sums ``limbs`` (:func:`_rounded_inverse`).  For each part the packed
+    integer sum_n c_n 2^(w slot n), modulo the kept slots, is rebuilt from
+    the limbs and read back slot by slot, as in :func:`_kronecker_mul`."""
+    import numpy as np
+
+    width = len(limbs)
+    # a limb below 2^51 takes 64 bits after an offset of 2^62; those are
+    # split into 64/w lanes of w-bit digits, one little-endian integer each
     n_lanes = 64 // limb_bits
-    lanes = (rounded.astype(np.int64) + (1 << 62)).astype("<u8").view(f"<u{limb_bits // 8}")
+    lanes = (limbs + (1 << 62)).astype("<u8").view(f"<u{limb_bits // 8}")
     lanes = lanes.reshape(width, 2, n_lanes)
     step = slot * limb_bits // 8
     half = 1 << (8 * step - 1)
-    halves = int.from_bytes(half.to_bytes(step, "little") * n_terms, "little")
+    halves = int.from_bytes(half.to_bytes(step, "little") * (width // slot), "little")
     offset = int.from_bytes((1).to_bytes(limb_bits // 8, "little") * width, "little") << 62
     mask = (1 << (limb_bits * width)) - 1
     out = []
@@ -855,6 +900,80 @@ def _complex_mul(
         out.append([int.from_bytes(buf[i : i + step], "little") - half
                     for i in range(0, len(buf), step)])
     return out[0], out[1]
+
+
+def _complex_mul(
+    a_re: Sequence[int], a_im: Sequence[int],
+    b_re: Sequence[int], b_im: Sequence[int],
+    n_out: int,
+) -> tuple[list[int], list[int]]:
+    """Real and imaginary mantissas of the truncated product of the complex
+    integer sequences a_re + i a_im and b_re + i b_im (a_re and a_im of one
+    length, b_re and b_im of one length), through one complex FFT
+    convolution of limbs.
+
+    Each operand is cut to n_out + 1 terms.  Its coefficient n becomes the
+    limbs (:func:`_balanced_limbs`) of re_n + i im_n at the head of slot n
+    of a complex limb sequence (:func:`_limb_layout`, the width from
+    :func:`_limb_bits`); the product's limbs are the inverse of the
+    product of the two spectra (:func:`_spectrum`), rounded
+    (:func:`_rounded_inverse`) and read back (:func:`_mantissas`)."""
+    n_terms = n_out + 1
+    a_re, a_im, b_re, b_im = (list(p[:n_terms]) for p in (a_re, a_im, b_re, b_im))
+    bits_a = max(map(int.bit_length, a_re + a_im))
+    bits_b = max(map(int.bit_length, b_re + b_im))
+    limb_bits = _limb_bits(n_terms, bits_a, bits_b)
+    la, lb, slot, log2_n = _limb_layout(n_terms, bits_a, bits_b, limb_bits)
+    # every mantissa in the limb count of the wider operand, whose top
+    # limbs are zero for the narrower one
+    limbs = _balanced_limbs(a_re + a_im + b_re + b_im, max(la, lb), limb_bits)
+    na, nb = len(a_re), len(b_re)
+    a = _spectrum(limbs[:na], limbs[na:2 * na], slot, log2_n)
+    b = _spectrum(limbs[2 * na:2 * na + nb], limbs[2 * na + nb:], slot, log2_n)
+    return _mantissas(_rounded_inverse(a * b, slot * n_terms), limb_bits, slot)
+
+
+def _limb_cube(f_re: list[int], f_im: list[int], g_re: list[int], g_im: list[int]) -> list:
+    """(f^3, f^2 g, f g^2, g^3) of the complex integer sequences
+    f = f_re + i f_im and g = g_re + i g_im, all four of one length n,
+    each cut to n terms: four pairs of real and imaginary mantissa lists.
+
+    One layout serves every product: slots for a cube, the limbs of f and
+    g, and, as b operand (:func:`_limb_bits`), the limbs of a square.  A
+    square's mantissas are below 2^(2 bits + bits(n) + 1), so, carried
+    (:func:`_carried`), each fills at most (2 bits + bits(n) + 2) // w + 1
+    limbs of its slot.  f and g are transformed once; the squares are
+    rounded, carried and transformed once; each cube is the inverse of a
+    square's spectrum times f's or g's.  Real rows (f_im and g_im zero)
+    take five transforms: f + i g once, split into the spectra of f and g
+    (:func:`_split`); one inverse for f^2 + i g^2; f^2 + i g^2 once, split
+    likewise; and two inverses, f^2 (f + i g) = f^3 + i f^2 g and
+    g^2 (f + i g) = f g^2 + i g^3.  Complex rows take ten: f, g, the two
+    squares, f^2 and g^2, and the four cubes."""
+    n = len(f_re)
+    bits = max(map(int.bit_length, f_re + f_im + g_re + g_im))
+    square_bits = 2 * bits + n.bit_length() + 2
+    limb_bits = _limb_bits(n, bits, square_bits)
+    la, _, slot, log2_n = _limb_layout(n, bits, square_bits, limb_bits)
+    width = n * slot
+    limbs = _balanced_limbs(f_re + f_im + g_re + g_im, la, limb_bits).reshape(4, n, la)
+
+    def carried_spectrum(spectrum):
+        squares = _carried(_rounded_inverse(spectrum, width), limb_bits)
+        return _spectrum(*(squares[:, k].reshape(n, slot) for k in (0, 1)), slot, log2_n)
+
+    def cube(spectrum):
+        return _mantissas(_rounded_inverse(spectrum, width), limb_bits, slot)
+
+    if any(f_im) or any(g_im):
+        f, g = (_spectrum(limbs[k], limbs[k + 1], slot, log2_n) for k in (0, 2))
+        f2, g2 = (carried_spectrum(x * x) for x in (f, g))
+        return [cube(s * x) for s in (f2, g2) for x in (f, g)]
+    z = _spectrum(limbs[0], limbs[2], slot, log2_n)
+    f, g = _split(z)
+    f2, g2 = _split(carried_spectrum(f * f + 1j * g * g))
+    zeros = [0] * n
+    return [(part, zeros) for s in (f2, g2) for part in cube(s * z)]
 
 
 @dataclass(frozen=True)
@@ -895,37 +1014,6 @@ class FixedSeries:
         den = 1 << bits
         values = tuple(complex(a / den, b / den) for a, b in zip(re, im))
         return PuiseuxSeries(self.re.nome, as_complex(self.re.lead_exponent), values)
-
-
-def pair_mul(x0: FixedSeries, x1: FixedSeries, y: FixedSeries) -> tuple[FixedSeries, FixedSeries]:
-    """The products (x0 y, x1 y), in one complex limb convolution when all
-    three are real, and as two :meth:`FixedSeries.__mul__` otherwise.
-
-    For real rows (every imaginary mantissa zero) the real and imaginary
-    parts of (x0 + i x1) y are x0 y and x1 y, so one :func:`_complex_mul`
-    does the work of two; a plain product of real rows spends half of its
-    convolution on zeros.  x0 and x1 are first shifted exactly to their
-    common, larger scale, and each result keeps its own length and the
-    leading exponent x_i.lam + y.lam of the plain product.  The mantissas
-    are exact either way, so each coefficient is the same rational as the
-    plain product's and :meth:`FixedSeries.downcast` rounds it to the same
-    double."""
-    if any(c for s in (x0, x1, y) for c in s.im.coeffs):
-        return x0 * y, x1 * y
-    x0.re._require_same_nome(y.re)
-    x1.re._require_same_nome(y.re)
-    bits = max(x0.bits, x1.bits)
-    a0, a1 = ([c << (bits - x.bits) for c in x.re.coeffs] for x in (x0, x1))
-    lengths = [min(len(x.re.coeffs), len(y.re.coeffs)) for x in (x0, x1)]
-    width = max(len(a0), len(a1))
-    parts = _complex_mul(a0 + [0] * (width - len(a0)), a1 + [0] * (width - len(a1)),
-                         y.re.coeffs, [0] * len(y.re.coeffs), max(lengths) - 1)
-    out = []
-    for x, p, n in zip((x0, x1), parts, lengths):
-        lam = x.re.lead_exponent + y.re.lead_exponent
-        out.append(FixedSeries(PuiseuxSeries(y.re.nome, lam, tuple(p[:n])),
-                               PuiseuxSeries(y.re.nome, lam, (0,) * n), bits + y.bits))
-    return out[0], out[1]
 
 
 def compose_frobenius(f: PuiseuxSeries, x_of_q: PuiseuxSeries) -> PuiseuxSeries:

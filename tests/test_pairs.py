@@ -61,12 +61,48 @@ def test_summary_pairs_by_seed_in_each_metric_direction():
     assert wall["change_beats_every_parent_run"] is False
     assert list(wall) == ["parent_median", "parent_quartiles", "change_median",
                           "change_quartiles", "change_better_pairs",
-                          "change_beats_every_parent_run"]
+                          "change_beats_every_parent_run", "claim_nine_of_ten",
+                          "claim_gap_past_parent_iqr"]
     # each change run below every parent run; ties and overlaps are not
     runs = canned_runs([((p, 0.9), (p - 0.5, 0.9)) for p in parent])
     assert tool.summarize(runs, SPECS)["wall_s"]["change_beats_every_parent_run"] is True
     runs = canned_runs([((p, 0.9), (0.9, 0.9)) for p in parent])
     assert tool.summarize(runs, SPECS)["wall_s"]["change_beats_every_parent_run"] is False
+
+
+def test_claim_verdict_counts_wins_and_the_median_gap():
+    tool = load_tool()
+    parent = [1.0, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.0, 1.02, 0.98]
+    # better in 9 pairs, the last a tie: a tie counts for neither side, and
+    # the gap 0.10 is past the parent's quartiles (0.98 to 1.02)
+    change = [p - 0.1 for p in parent[:9]] + [parent[9]]
+    wall = tool.summarize(canned_runs([((p, 0.9), (c, 0.9)) for p, c in zip(parent, change)]),
+                          SPECS)["wall_s"]
+    assert wall["change_better_pairs"] == 9
+    assert wall["claim_nine_of_ten"] is True and wall["claim_gap_past_parent_iqr"] is True
+    # two ties leave 8 wins of 10
+    change[8] = parent[8]
+    wall = tool.summarize(canned_runs([((p, 0.9), (c, 0.9)) for p, c in zip(parent, change)]),
+                          SPECS)["wall_s"]
+    assert wall["change_better_pairs"] == 8 and wall["claim_nine_of_ten"] is False
+    # better in every pair, by a gap inside the parent's interquartile range
+    change = [p - 0.01 for p in parent]
+    wall = tool.summarize(canned_runs([((p, 0.9), (c, 0.9)) for p, c in zip(parent, change)]),
+                          SPECS)["wall_s"]
+    assert wall["change_better_pairs"] == 10
+    assert wall["claim_nine_of_ten"] is True and wall["claim_gap_past_parent_iqr"] is False
+    # higher is better: ok_frac up by 0.05 in 9 of 10 pairs is a claim,
+    # the same gap downwards is none
+    ok = [0.9, 0.91, 0.89, 0.9, 0.92, 0.88, 0.9, 0.91, 0.89, 0.9]
+    for step, claimed in ((0.05, True), (-0.05, False)):
+        runs = canned_runs([((1.0, p), (1.0, p + step if k else p)) for k, p in enumerate(ok)])
+        entry = tool.summarize(runs, SPECS)["ok_frac"]
+        assert entry["change_better_pairs"] == (9 if claimed else 0)
+        assert entry["claim_nine_of_ten"] is claimed
+        assert entry["claim_gap_past_parent_iqr"] is claimed
+    lines = tool.report(tool.summarize(runs, SPECS), SPECS, 10)
+    assert lines[1].endswith("claim: better in 9/10 of the pairs no, median gap past the"
+                             " parent's IQR no")
 
 
 def test_verdict_reads_the_quartiles_and_the_bound_in_the_worse_direction():

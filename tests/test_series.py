@@ -36,7 +36,6 @@ from vvmf.series import (
     _loop_mul,
     _limb_bits,
     compose_frobenius,
-    pair_mul,
     relative_residual,
     to_fixed,
 )
@@ -706,10 +705,11 @@ def reference_complex_product(a_re, a_im, b_re, b_im, n_out):
 
 
 @st.composite
-def limb_operands(draw):
-    """(re, im) mantissa lists of one length, 1 to 400: random signed
+def limb_operands(draw, n=None):
+    """(re, im) mantissa lists of one length, n or 1 to 400: random signed
     mantissas up to 2^700, all zero, or all at the extremes +-(2^k - 1)."""
-    n = draw(st.integers(min_value=1, max_value=400))
+    if n is None:
+        n = draw(st.integers(min_value=1, max_value=400))
     kind = draw(st.sampled_from(["random", "zero", "extreme"]))
     if kind == "zero":
         return [0] * n, [0] * n
@@ -777,20 +777,6 @@ class TestComplexLimbKernel:
             a * fixed_series(Nome.Q2, 0, [1, 2j], 10)
 
 
-def real_rows():
-    """Real fixed-point series: the real parts of :func:`limb_operands`
-    (random, all zero or all at the extremes), a scale and a complex
-    leading exponent."""
-    return st.builds(
-        lambda parts, lam, bits: FixedSeries(PuiseuxSeries(Nome.Q, lam, tuple(parts[0])),
-                                             PuiseuxSeries(Nome.Q, lam, (0,) * len(parts[0])),
-                                             bits),
-        limb_operands(),
-        st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
-        st.integers(min_value=-20, max_value=400),
-    )
-
-
 def rationals(x: FixedSeries) -> list:
     """The coefficients (re + i im) 2^-bits of x as pairs of Fractions."""
     unit = Fraction(2) ** -x.bits
@@ -807,50 +793,111 @@ def downcast_or_error(x: FixedSeries):
         return OverflowError
 
 
-def gaussian_rows(n: int, seed: int) -> FixedSeries:
-    rng = random.Random(seed)
-    parts = [[rng.randint(-(2**90), 2**90) for _ in range(n)] for _ in range(2)]
-    return FixedSeries(PuiseuxSeries(Nome.Q, 0.5j, tuple(parts[0])),
-                       PuiseuxSeries(Nome.Q, 0.5j, tuple(parts[1])), 80)
+@st.composite
+def cube_rows(draw):
+    """(f, g) for the cube: real or complex rows of :func:`limb_operands`
+    kinds, one of 1 to 120 terms or, now and then, 400, the other as long
+    or shorter, each at its own scale and complex leading exponent."""
+    n = draw(st.integers(min_value=1, max_value=130))
+    n = 400 if n > 120 else n
+    lengths = [n, draw(st.sampled_from([n, draw(st.integers(min_value=1, max_value=n))]))]
+    if draw(st.booleans()):
+        lengths.reverse()
+    real = draw(st.booleans())
+    rows = []
+    for m in lengths:
+        re, im = draw(limb_operands(m))
+        lam = draw(st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False))
+        bits = draw(st.integers(min_value=-20, max_value=400))
+        rows.append(FixedSeries(PuiseuxSeries(Nome.Q, lam, tuple(re)),
+                                PuiseuxSeries(Nome.Q, lam, tuple([0] * m if real else im)),
+                                bits))
+    return tuple(rows)
 
 
-class TestPairedProduct:
-    """pair_mul against two plain fixed-point products."""
+def exact_cube(f: FixedSeries, g: FixedSeries) -> tuple:
+    """(f^3, f^2 g, f g^2, g^3) from :func:`reference_complex_product`, with
+    the lengths and leading exponents of the plain products x (y y)."""
+    def times(x, y):
+        n = min(len(x.re.coeffs), len(y.re.coeffs))
+        parts = reference_complex_product(x.re.coeffs, x.im.coeffs, y.re.coeffs, y.im.coeffs,
+                                          n - 1)
+        lam = x.re.lead_exponent + y.re.lead_exponent
+        return FixedSeries(*(PuiseuxSeries(Nome.Q, lam, tuple(p)) for p in parts),
+                           x.bits + y.bits)
 
-    @settings(max_examples=100, deadline=None)
-    @given(real_rows(), real_rows(), real_rows())
-    def test_matches_two_plain_products(self, x0, x1, y):
+    f2, g2 = times(f, f), times(g, g)
+    return times(f, f2), times(g, f2), times(f, g2), times(g, g2)
+
+
+def plain_cube(f: FixedSeries, g: FixedSeries) -> tuple:
+    """The cube as four plain fixed-point products of two plain squares."""
+    f2, g2 = f * f, g * g
+    return f * f2, g * f2, f * g2, g * g2
+
+
+def count_transforms(patch) -> list:
+    """Patch numpy's FFT so that every forward and inverse transform
+    appends its name."""
+    calls = []
+    for name in ("fft", "ifft"):
+        transform = getattr(np.fft, name)
+        patch.setattr(np.fft, name, lambda *args, _t=transform, _n=name: calls.append(_n)
+                      or _t(*args))
+    return calls
+
+
+class TestCube:
+    """The Sym^3 cube in one limb layout against the exact cube."""
+
+    @pytest.mark.parametrize("limb_bits", [8, 16])
+    @settings(max_examples=60, deadline=None)
+    @given(cube_rows())
+    def test_matches_the_exact_cube(self, limb_bits, rows):
         # the same rationals, lengths, leading exponents and doubles, at
-        # unequal scales and lengths
-        calls = []
+        # unequal scales and lengths, in 5 transforms for real rows and 10
+        # for complex ones
+        f, g = rows
         with pytest.MonkeyPatch.context() as patch:
-            complex_mul = vvmf.series._complex_mul
-            patch.setattr(vvmf.series, "_complex_mul",
-                          lambda *args: calls.append(args) or complex_mul(*args))
-            got = pair_mul(x0, x1, y)
-        assert len(calls) == 1
-        for pair, x in zip(got, (x0, x1)):
-            plain = x * y
-            assert repr(pair.re.lead_exponent) == repr(plain.re.lead_exponent)
-            assert repr(pair.im.lead_exponent) == repr(plain.im.lead_exponent)
-            assert rationals(pair) == rationals(plain)
-            assert downcast_or_error(pair) == downcast_or_error(plain)
-            assert pair.bits == max(x0.bits, x1.bits) + y.bits
+            patch.setattr(vvmf.series, "_limb_bits", lambda *sizes: limb_bits)
+            transforms = count_transforms(patch)
+            got = vvmf.constructions._cube(f, g)
+        real = not any(f.im.coeffs + g.im.coeffs)
+        assert len(transforms) == (5 if real else 10)
+        for x, want in zip(got, exact_cube(f, g), strict=True):
+            assert len(x.re.coeffs) == len(x.im.coeffs) == len(want.re.coeffs)
+            assert repr(x.re.lead_exponent) == repr(want.re.lead_exponent)
+            assert repr(x.im.lead_exponent) == repr(want.im.lead_exponent)
+            assert rationals(x) == rationals(want)
+            assert downcast_or_error(x) == downcast_or_error(want)
 
-    @pytest.mark.parametrize("complex_operand", [0, 1, 2])
-    def test_complex_rows_take_plain_products(self, complex_operand):
-        rows = [gaussian_rows(30, seed) for seed in range(3)]
-        rows = [r if i == complex_operand else FixedSeries(r.re, r.re.scale(0), r.bits)
-                for i, r in enumerate(rows)]
-        x0, x1, y = rows
-        assert pair_mul(x0, x1, y) == (x0 * y, x1 * y)
+    @pytest.mark.parametrize("order, limb_bits", [(80, 16), (400, 8)])
+    def test_width_at_the_ladder_member(self, monkeypatch, order, limb_bits):
+        # one layout for the whole cube of sym3:3, sized for a row times a
+        # square: the bound keeps 16-bit limbs at order 80 and asks for 8
+        # at order 400
+        from test_acceptance import rank2_data, sym3_grid
+
+        widths = []
+        monkeypatch.setattr(vvmf.series, "_limb_bits",
+                            lambda *sizes: widths.append(_limb_bits(*sizes)) or widths[-1])
+        rep, L = rank2_data(*sym3_grid()[3])
+        vvmf.constructions.sym3_pipeline(rep, L, order, ClassicalCatalog(order))
+        assert widths == [limb_bits]
+
+    def test_rounding_guard(self, monkeypatch):
+        # an inverse off by 0.3 of a unit cannot be rounded exactly, on the
+        # square or the cube inverses
+        ifft = np.fft.ifft
+        monkeypatch.setattr(np.fft, "ifft", lambda x, *args: ifft(x, *args) + 0.3)
+        for f in (fixed_series(Nome.Q, 0, [1, 2], 10), fixed_series(Nome.Q, 0, [1 + 3j, 2 + 4j], 10)):
+            with pytest.raises(ArithmeticError):
+                vvmf.constructions._cube(f, f)
 
     def test_nome_mismatch(self):
         a = fixed_series(Nome.Q, 0, [1, 2], 10)
         with pytest.raises(NomeMismatch):
-            pair_mul(a, a, fixed_series(Nome.Q2, 0, [1, 2], 10))
-        with pytest.raises(NomeMismatch):
-            pair_mul(a, fixed_series(Nome.Q2, 0, [1, 2], 10), a)
+            vvmf.constructions._cube(a, fixed_series(Nome.Q2, 0, [1, 2], 10))
 
 
 def gauss_product(x: FixedSeries, y: FixedSeries) -> FixedSeries:
@@ -860,11 +907,6 @@ def gauss_product(x: FixedSeries, y: FixedSeries) -> FixedSeries:
     k2 = x.re * (y.im - y.re)
     k3 = x.im * (y.re + y.im)
     return FixedSeries(k1 - k3, k1 + k2, x.bits + y.bits)
-
-
-def plain_pair(x0: FixedSeries, x1: FixedSeries, y: FixedSeries) -> tuple:
-    """pair_mul without the pairing: two plain products."""
-    return x0 * y, x1 * y
 
 
 @pytest.fixture(scope="module")
@@ -892,19 +934,23 @@ def test_tensor_forms_match_the_int_product(monkeypatch, catalog200, member):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("order", [400, 800])
-@pytest.mark.parametrize("route", ["sym3"])
-def test_pairing_keeps_the_bytes_at_high_order(monkeypatch, route, order):
-    # the benchmark's ladder member sym3:3 has real rows, so every product
-    # of its cube is paired
-    from test_qline import closed_route
+@pytest.mark.parametrize("member", [3, 2], ids=["real", "complex"])
+def test_cube_keeps_the_bytes_at_high_order(monkeypatch, member, order):
+    # the benchmark's ladder member sym3:3 has real rows, sym3:2 complex
+    # ones: the cube in one layout gives the forms and residuals of four
+    # plain products
+    from test_acceptance import rank2_data, sym3_grid
 
-    def emitted(basis):
-        return list(map(emitted_form, basis.forms)), basis.residuals
+    rep, L = rank2_data(*sym3_grid()[member])
+    catalog = ClassicalCatalog(order)
 
-    pipeline, catalog = closed_route(route), ClassicalCatalog(order)
-    got = repr(emitted(pipeline(order, catalog)))
-    monkeypatch.setattr(vvmf.constructions, "pair_mul", plain_pair)
-    assert got == repr(emitted(pipeline(order, catalog)))
+    def emitted():
+        basis = vvmf.constructions.sym3_pipeline(rep, L, order, catalog)
+        return repr((list(map(emitted_form, basis.forms)), basis.residuals))
+
+    got = emitted()
+    monkeypatch.setattr(vvmf.constructions, "_cube", plain_cube)
+    assert got == emitted()
 
 
 class TestTheta:

@@ -31,6 +31,7 @@ from vvmf.reps import ExponentData, GRank2Rep, Group, Rank2Rep, Rank4Rep
 from vvmf.series import FormStack, Nome, PuiseuxSeries
 
 from test_cli import generic_job
+from test_series import count_transforms
 
 MODULES = (vvmf.series, vvmf.mlde, vvmf.constructions)
 
@@ -285,7 +286,8 @@ def test_qline_block_runs_in_integers(monkeypatch, route):
     # cube multiplies fixed-point mantissas
     catalog = ClassicalCatalog(20)
     counts = count_mp_work(monkeypatch)
-    complex_products = count_calls(monkeypatch, vvmf.series, "_complex_mul")
+    transforms = count_transforms(monkeypatch)
+    cubes = count_calls(monkeypatch, vvmf.constructions, "_cube")
     if route == "induction":
         induction_pipeline(induction_job(), 10, catalog)
     elif route.startswith("closed"):
@@ -298,14 +300,12 @@ def test_qline_block_runs_in_integers(monkeypatch, route):
     else:
         generic_basis(*generic_data(*{"cyclic": (7, 1), "noncyclic": (8, 5)}[route]), 20, catalog)
     assert counts["fdot"] == [] and counts["mp_products"] == []
-    if route == "closed":
-        # real rows pair up: the cube's two squares and two paired products,
-        # one complex limb convolution each; the tensor route's rank-4 solve
-        # makes none
-        assert len(complex_products) == 4
-    elif route == "closed-complex":
-        # complex rows keep one convolution per product: the cube's 6
-        assert len(complex_products) == 6
+    # the cube transforms each row and each square once: real rows f + i g
+    # and f^2 + i g^2, one square inverse and two cube inverses; complex
+    # rows f, g, f^2 and g^2, two square inverses and four cube inverses.
+    # The tensor route's rank-4 solve makes no transform
+    assert len(cubes) == (1 if route.startswith("closed") else 0)
+    assert len(transforms) == {"closed": 5, "closed-complex": 10}.get(route, 0)
 
 
 def test_double_products_run_in_numpy(monkeypatch):
@@ -599,6 +599,32 @@ def recorded_patterns(monkeypatch) -> list:
 
 def floor_divisions(source: str) -> int:
     return sum(isinstance(node, ast.FloorDiv) for node in ast.walk(ast.parse(source)))
+
+
+def copies(source: str) -> list:
+    """The assignments in ``source`` that compute nothing: one name to
+    another, or a value shifted left and back right by the same amount."""
+    def no_op(value):
+        return isinstance(value, ast.Name) or (
+            isinstance(value, ast.BinOp) and isinstance(value.op, ast.RShift)
+            and isinstance(value.left, ast.BinOp) and isinstance(value.left.op, ast.LShift)
+            and ast.dump(value.left.right) == ast.dump(value.right))
+
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+            and no_op(node.value)]
+
+
+def test_induction_step_copies_no_name(monkeypatch):
+    # the induction pair has no unit, so its 4 x 4 block is its entries
+    # m_ij and right-hand sides themselves, eliminated in place
+    shapes = recorded_patterns(monkeypatch)
+    induction_pipeline(induction_job(), 10, ClassicalCatalog(20))
+    (R, r, pattern), = set(shapes)
+    source = vvmf.mlde._step_source(R, r, pattern)
+    assert (R, r) == (4, 2) and "_elimination" not in source
+    assert "m0_0, m0_1, m0_2, m0_3, m0_4, m1_0" in source  # a pivot swaps m rows
+    assert copies(source) == []
 
 
 @pytest.mark.parametrize("route", ["cyclic", "noncyclic", "rank2"])

@@ -12,7 +12,11 @@ metric of the change tree's ``BENCHMARK.json``: the parent's median and
 quartiles, the change's median, the pairs in which the change was better,
 whether the change's median lies within the parent's interquartile range,
 and whether it is within the metric's bound (worse than the parent's
-median by at most ``bound`` times it).  That verdict reads "unresolved"
+median by at most ``bound`` times it).  The claim verdict follows: whether
+the change was better in at least 9 of every 10 pairs (a tie counts for
+neither side), and whether its median is better than the parent's by more
+than the parent's interquartile range; a gain is claimed only where both
+hold.  That verdict reads "unresolved"
 where the parent's interquartile range is wider than the bound and not
 every run of the change beats every run of the parent.  Quartiles are
 ``statistics.quantiles(n=4)``, exclusive method.  ``--out`` adds the
@@ -54,8 +58,10 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
 
 def summarize(runs: list[dict], specs: list[dict]) -> dict:
     """Per metric of ``specs``: both sides' medians and quartiles, the
-    pairs, matched by seed, in which the change was strictly better, and
-    whether every run of the change beat every run of the parent."""
+    pairs, matched by seed, in which the change was strictly better,
+    whether every run of the change beat every run of the parent, and the
+    claim verdict: better in at least 9/10 of the pairs, and the medians
+    farther apart, in the better direction, than the parent's quartiles."""
     side = {s: {r["seed"]: r["metrics"] for r in runs if r["side"] == s}
             for s in ("parent", "change")}
     out = {}
@@ -63,16 +69,20 @@ def summarize(runs: list[dict], specs: list[dict]) -> dict:
         name, sign = spec["name"], 1 if spec["better"] == "lower" else -1
         values = {s: [m[name] for m in side[s].values()] for s in side}
         quart = {s: statistics.quantiles(v, n=4) for s, v in values.items()}
+        medians = {s: statistics.median(v) for s, v in values.items()}
+        better = sum(sign * m[name] < sign * side["parent"][seed][name]
+                     for seed, m in side["change"].items())
+        lo, _, hi = quart["parent"]
         out[name] = {
-            "parent_median": statistics.median(values["parent"]),
+            "parent_median": medians["parent"],
             "parent_quartiles": quart["parent"],
-            "change_median": statistics.median(values["change"]),
+            "change_median": medians["change"],
             "change_quartiles": quart["change"],
-            "change_better_pairs": sum(
-                sign * m[name] < sign * side["parent"][seed][name]
-                for seed, m in side["change"].items()),
+            "change_better_pairs": better,
             "change_beats_every_parent_run":
                 max(sign * v for v in values["change"]) < min(sign * v for v in values["parent"]),
+            "claim_nine_of_ten": 10 * better >= 9 * len(side["change"]),
+            "claim_gap_past_parent_iqr": sign * (medians["parent"] - medians["change"]) > hi - lo,
         }
     return out
 
@@ -102,7 +112,10 @@ def report(summary: dict, specs: list[dict], pairs: int) -> list[str]:
         lines.append(f"{spec['name']}: parent {e['parent_median']:.4g} [{lo:.4g}, {hi:.4g}]"
                      f" -> change {e['change_median']:.4g}, better in"
                      f" {e['change_better_pairs']} of {pairs}; within the parent's IQR:"
-                     f" {'yes' if iqr else 'no'}; within the bound: {bound}")
+                     f" {'yes' if iqr else 'no'}; within the bound: {bound}; claim: better in"
+                     f" 9/10 of the pairs {'yes' if e['claim_nine_of_ten'] else 'no'}, median"
+                     f" gap past the parent's IQR"
+                     f" {'yes' if e['claim_gap_past_parent_iqr'] else 'no'}")
     return lines
 
 
