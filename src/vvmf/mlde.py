@@ -788,7 +788,7 @@ def _step_source(R: int, r: int, pattern: tuple) -> str:
         return pattern[i * R + j]
 
     def pk(k):
-        """The name of p k."""
+        """The local that holds p k: p itself for k = 1."""
         return "p" if k == 1 else f"p{k}"
 
     depth = dict.fromkeys(free, 0)
