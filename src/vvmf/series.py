@@ -769,13 +769,14 @@ def _limb_bits(n_terms: int, bits_a: int, bits_b: int) -> int:
       and Y err as a transform of x + i y does, whose norm the limb bound
       covers;
     - both squares come from one inverse of X X + i Y Y.  A perturbation
-      d of Z moves it by (X + Y) d + (X - Y) d*(-k), and
+      d of Z moves it, to first order, by (X + Y) d + (X - Y) d*(-k), and
       ||x + y||^2 + ||x - y||^2 = 2 ||x + i y||^2, so the sum of the two
       products errs as the one product (x + i y)(x + i y) does;
     - a cube inverse is one product of a square's spectrum with the
       spectrum of x + i y, or of one complex row;
-    - the split and the sum of two products each round once more, so
-      kappa is taken for three more roundings: (1 + kappa)(1 + eps)^3 - 1.
+    - each split operand, and the sum of two products, rounds once more:
+      at most three more roundings an inverse (X X + i Y Y has two split
+      operands and a sum), so kappa is taken as (1 + kappa)(1 + eps)^3 - 1.
 
     The width is the widest for which the norms times that kappa stay
     below 1/4, so every coefficient lies within 1/4 of its integer and
