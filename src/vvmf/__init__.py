@@ -11,7 +11,6 @@ symmetric-cube, and induction constructions.
 from .classical import ClassicalCatalog
 from .constructions import (
     InductionJob,
-    Rank2MinimalForm,
     induction_minimal_pair,
     induction_pipeline,
     rank2_minimal,
@@ -61,7 +60,6 @@ __all__ = [
     "Nome",
     "ODECoefficients",
     "PuiseuxSeries",
-    "Rank2MinimalForm",
     "Rank2Rep",
     "Rank4Rep",
     "VectorSeries",

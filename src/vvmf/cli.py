@@ -6,15 +6,18 @@ before any pipeline code runs; a format error names its path, as in
 ``reps[0].x: expected a pair of numbers [re, im]``.  Each representation is
 then built by keyword from :data:`REP_KEYS`, whose keys are its type's
 constructor arguments, and each exponents object as :class:`ExponentData`;
-the constructors run the mathematical checks.  Every rank-4 job runs
-through the staged driver :func:`vvmf.mlde.staged` on its construction's
-route in :data:`ROUTES` and stops after the stage its command names:
-``classify`` after the case, ``coeffs`` after the equation coefficients,
-``minimal`` and ``basis`` after the basis; only the rank-2 ``minimal`` job
-has a path of its own.  A basis or minimal form is emitted from the stack
-its route checked it in (:meth:`vvmf.series.FormStack.to_json`), in the
-layout of its tuple forms.  Results are written as canonical JSON (sorted
-keys, no whitespace) so identical jobs produce identical bytes.  A job's
+the constructors run the mathematical checks.  Every job of a
+representation runs through the staged driver :func:`vvmf.mlde.staged` on
+the route of :data:`ROUTES` that its construction, else its
+representation's kind, selects, and stops after the stage its command
+names: ``classify`` after the case, ``coeffs`` after the equation
+coefficients, ``minimal`` and ``basis`` after the basis.  A basis or
+minimal form is emitted from the stack its route checked it in
+(:meth:`vvmf.series.FormStack.to_json`), in the layout of its tuple forms;
+a rank-2 minimal form is emitted without the case and coefficients, with
+its source and its system's worst column.  Results are written as
+canonical JSON (sorted keys, no whitespace) so identical jobs produce
+identical bytes.  A job's
 own ``output_path`` takes its result; ``--out``, or else stdout, takes the
 others' in job order.  Residuals above tolerance (env VVMF_TOL, a finite
 number > 0, default 1e-9) set a nonzero exit status.  A job that cannot run
@@ -37,13 +40,15 @@ from dataclasses import dataclass, field
 
 from .classical import ClassicalCatalog
 from .constructions import (
+    HYPERGEOMETRIC,
     INDUCTION_ROUTE,
+    NU_CHI,
+    RANK2_ROUTE,
     SYM3_ROUTE,
     TENSOR_ROUTE,
     InductionJob,
-    rank2_minimal,
 )
-from .errors import STEPS, ValidationError, VvmfError
+from .errors import STEPS, Resonance, ValidationError, VvmfError
 from .mlde import (
     GENERIC_ROUTE,
     CaseReport,
@@ -89,10 +94,10 @@ REP_KEYS = {
                             "zeta3": complex, "a": complex}),
 }
 
-#: each rank-4 route of :func:`vvmf.mlde.staged`, by the job's construction
-#: (None for a generic job): its input checks, its case and its solve
-ROUTES = {None: GENERIC_ROUTE, "sym3": SYM3_ROUTE, "tensor": TENSOR_ROUTE,
-          "induction": INDUCTION_ROUTE}
+#: each route of :func:`vvmf.mlde.staged`, by what selects it: the job's
+#: construction, else its representation's kind
+ROUTES = {"sym3": SYM3_ROUTE, "tensor": TENSOR_ROUTE, "induction": INDUCTION_ROUTE,
+          "rank2": RANK2_ROUTE, "rank4": GENERIC_ROUTE}
 
 EXPONENTS = {"eigenvalues": [complex, ...], "group?": ("Gamma", "G")}
 COMMANDS = ("classify", "coeffs", "minimal", "basis", "classical", "check")
@@ -104,10 +109,8 @@ COMMON = {"command?": COMMANDS, "order?": range(1, sys.maxsize), "output_path?":
 #: each job kind's keys besides COMMON's; the kind is a basis job's
 #: construction, else its command
 JOBS = {
-    "classify": {"rep": {"kind": ("rank4",)}, "exponents": EXPONENTS},
-    "coeffs": {"rep": {"kind": ("rank4",)}, "exponents": EXPONENTS},
-    "minimal": {"rep": {"kind": ("rank2", "rank4")}, "exponents": EXPONENTS},
-    "basis": {"rep": {"kind": ("rank4",)}, "exponents": EXPONENTS},
+    **{command: {"rep": {"kind": ("rank2", "rank4")}, "exponents": EXPONENTS}
+       for command in ("classify", "coeffs", "minimal", "basis")},
     "sym3": {"construction": ("sym3",), "reps": [{"kind": ("rank2",)}],
              "exponents": [EXPONENTS]},
     "tensor": {"construction": ("tensor",), "reps": [{"kind": ("rank2",)}] * 2,
@@ -260,33 +263,33 @@ def _dispatch(job: JobSpec) -> ResultEnvelope:
         catalog = ClassicalCatalog(job.order, job.precision)
         env.series = catalog.series(job.name).to_json()
 
-    elif job.command == "minimal" and isinstance(job.reps[0], Rank2Rep):
-        form = rank2_minimal(job.reps[0], job.exponents[0], job.order, ClassicalCatalog(job.order))
-        env.minimal = {
-            "k1": form.k1,
-            "source": form.source,
-            "components": None if form.stack is None else form.stack.to_json()[0]["components"],
-        }
-        if form.eta_component is not None:
-            env.minimal["eta_component"] = form.eta_component.to_json()
-        env.residuals.update(form.residuals)
-
-    else:  # a rank-4 route, run to the stage the command stops after
+    else:  # a route, run to the stage the command stops after
         inputs = (*job.reps, *job.exponents)
         if job.construction == "induction":
             inputs = (InductionJob(*inputs, job.u),)
-        report, co, basis = staged(ROUTES[job.construction], inputs, job.order,
-                                   ClassicalCatalog(job.order), job.command)
+        report, co, basis = staged(ROUTES[job.construction or job.raw["rep"]["kind"]], inputs,
+                                   job.order, ClassicalCatalog(job.order), job.command)
+        if job.command == "minimal":
+            F = None if basis.stack is None else basis.stack.form(0).to_json()[0]["components"]
+            env.minimal = {"k1": report.k1, "components": F}
+        if job.command == "minimal" and len(report.weight_tuple) == 2:
+            # a rank-2 minimal form names its source and its system's worst
+            # column, with no case or coefficients
+            env.minimal["source"] = NU_CHI if basis.stack is None else HYPERGEOMETRIC
+            if basis.eta_component is not None:
+                env.minimal["eta_component"] = basis.eta_component.to_json()
+            if basis.residuals:
+                env.residuals["rank2_mlde"] = max(basis.residuals.values())
+            return env
         env.case = _case_json(report)
         if job.command in ("coeffs", "minimal"):
             env.coefficients = co.to_json()
+        if job.command == "basis":
+            if basis.stack is None:
+                raise Resonance("series output for the Jordan family is out of scope")
+            env.basis = basis.stack.to_json()
         if basis is not None:
             env.residuals.update(basis.residuals)
-            if job.command == "minimal":
-                env.minimal = {"k1": report.k1,
-                               "components": basis.stack.form(0).to_json()[0]["components"]}
-            else:
-                env.basis = basis.stack.to_json()
 
     return env
 

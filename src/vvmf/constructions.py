@@ -2,29 +2,28 @@
 and symmetric-cube bases of rank four, and induction from the index-two
 subgroup.
 
-The rank-2 minimal form solves the cyclic equation of rank two on the
-q-line at the job's own exponents, through the generic cyclic route's
-shift, coefficient, system and seed rules (:func:`vvmf.mlde._solved_rows`
-at weights k1, k1 + 2).  Each rank-4 construction is a
-:class:`vvmf.mlde.Route` of the staged driver :func:`vvmf.mlde.staged`,
-which classifies the constructed representation and forms the rank-4
-equation coefficients once, at working precision; a route supplies only
-its input checks, its case and its solve.  The Sym^3 solve forms the cube
-exactly on its fixed-point rows, rounds once and hands it to the cyclic
-basis assembler; the tensor solve is the generic route's noncyclic one,
-seeded so that its rows are the paper's closed Kronecker basis.  The
-induction pair solves its defining first-order system on the q2-line and
-is slashed by T^{-1} in the stack it was checked in; each form, stacked
-over its slash, is assembled into the cyclic basis of its twist.  Every
-defining differential relation is re-checked on the emitted series, by
-:func:`vvmf.mlde.solved_forms` for every solved system.
+Each is a :class:`vvmf.mlde.Route` of the staged driver
+:func:`vvmf.mlde.staged`, which classifies the representation the route
+checks and forms its equation coefficients once, at working precision; a
+route supplies only its input checks, its case and its solve.  The rank-2
+solve is the generic route's at the job's own two exponents, the cyclic
+equation of rank two on the q-line (F, DF at weights k1, k1 + 2).  The
+Sym^3 solve forms the cube exactly on its fixed-point rows, rounds once
+and hands it to the cyclic basis assembler; the tensor solve is the
+generic route's noncyclic one, seeded so that its rows are the paper's
+closed Kronecker basis.  The induction pair solves its defining
+first-order system on the q2-line and is slashed by T^{-1} in the stack it
+was checked in; each form, stacked over its slash, is assembled into the
+cyclic basis of its twist.  Every defining differential relation is
+re-checked on the emitted series, by :func:`vvmf.mlde.solved_forms` for
+every solved system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 
 import mpmath
 
@@ -84,6 +83,8 @@ from .series import (
     nearest_int,
 )
 
+#: the source a rank-2 minimal form names: the closed hypergeometric form
+#: of a T-regular representation, or the Jordan family nu_chi
 HYPERGEOMETRIC = "hypergeometric"
 NU_CHI = "nu-chi"
 
@@ -92,46 +93,44 @@ NU_CHI = "nu-chi"
 # rank 2
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Rank2MinimalForm:
-    """Minimal-weight form for a rank-2 representation.
-
-    In the T-regular case ``stack`` holds the q-expansion as the one form of
-    a :class:`vvmf.series.FormStack`, which is what is emitted, and
-    ``components`` turns it into a tuple form when read.  In the Jordan
-    (nu_chi) family the first coordinate is tau times an eta power and has
-    no q-expansion, so only the eta-power second coordinate is emitted.
-    ``residuals`` holds the column relations of the solved rank-2 cyclic
-    system (:func:`vvmf.mlde.cyclic_system`) as ``rank2_mlde``; the Jordan
-    family has none.
-    """
-
-    k1: int
-    source: str
-    stack: FormStack | None
-    residuals: dict
-    eta_component: PuiseuxSeries | None = None
-
-    @cached_property
-    def components(self) -> VectorSeries | None:
-        return None if self.stack is None else self.stack.vectors()[0]
-
-
-def _rank2_weight(rep: Rank2Rep, L: ExponentData) -> int:
-    """Validate a rank-2 input and return its minimal weight 6 Tr(L) - 1.
-    An L whose 6 Tr(L) - 1 is not an integer is inconsistent with the
-    determinant of any rank-2 representation: InconsistentRep."""
+def _rank2_inputs(rep: Rank2Rep, L: ExponentData) -> tuple[Rank2Rep, ExponentData]:
+    """Step (a) of the rank-2 route, and of each rank-2 factor of the
+    closed routes: rep irreducible, and L two exponents for the full group
+    that land in its T-spectrum.  An L whose 6 Tr(L) - 1 is not an integer
+    is inconsistent with the determinant of any rank-2 representation:
+    InconsistentRep."""
     if not rank2_is_irreducible(rep):
         raise NotIrreducible("rank-2 minimal forms require an irreducible representation")
     if L.group is not Group.GAMMA:
         raise GroupMismatch("rank-2 minimal forms use exponents for the full group")
     if L.rank != 2:
         raise WrongRank(f"need 2 exponent eigenvalues, got {L.rank}")
-    k1 = nearest_int(6 * L.trace - 1)
-    if k1 is None:
+    if nearest_int(6 * L.trace - 1) is None:
         raise InconsistentRep(f"6*Tr(L)-1 = {6 * L.trace - 1!r} is not an integer")
     L.validate_against([rep.x] if rep.jordan else rep.t_eigenvalues())
-    return k1
+    return rep, L
+
+
+def _rank2_solve(inputs, L: ExponentData, report, co, order: int,
+                 catalog: ClassicalCatalog) -> FormBasis:
+    """Steps (d)-(f) of the rank-2 route.  A T-regular representation gets
+    the solution (F, DF) of D^2 F + a E_4 F = 0 on the q-line at weights
+    (k1, k1 + 2), the generic route's solve at the job's own two exponents
+    (:func:`vvmf.mlde._solved_basis`): a = f_1 f_2 of the shifted exponents
+    f_j = (1 +- 6 (r_1 - r_2))/12, and F_j leads with 1728^{f_j}
+    (:func:`vvmf.mlde.cyclic_seed` at rank two), the leading coefficient of
+    the closed form eta^{2 k1} K^{f_j} 2F1(...)(K).  That closed
+    hypergeometric form in K is the route's test oracle.  An integer gap
+    r_1 - r_2 raises Resonance in the solve.  The Jordan family has first
+    coordinate tau * eta^{2k1+2}, which is not a q-series; it solves
+    nothing and holds the second coordinate (:class:`vvmf.mlde.FormBasis`)."""
+    if inputs[0].jordan:
+        return FormBasis(None, report, eta_component=catalog.eta_power(2 * report.k1 + 2))
+    return _solved_basis(inputs, L, report, co, order, catalog)
+
+
+#: the rank-2 route: cyclic, F and DF
+RANK2_ROUTE = Route(_rank2_inputs, CYCLIC, _rank2_solve)
 
 
 def rank2_minimal(
@@ -139,34 +138,10 @@ def rank2_minimal(
     L: ExponentData,
     order: int,
     catalog: ClassicalCatalog,
-) -> Rank2MinimalForm:
-    """Minimal-weight form at k1 = 6 Tr(L) - 1.
-
-    T-regular representations get the solution of D^2 F + a E_4 F = 0 on
-    the q-line, solved for (F, DF) at weights (k1, k1 + 2) by the generic
-    cyclic route's code (:func:`vvmf.mlde._solved_rows`) at the job's own
-    exponents: a = f_1 f_2 of the shifted exponents
-    f_j = (1 +- 6 (r_1 - r_2))/12, and F_j leads with 1728^{f_j}
-    (:func:`vvmf.mlde.cyclic_seed` at rank two), the leading coefficient of
-    the closed form eta^{2 k1} K^{f_j} 2F1(...)(K).  That closed
-    hypergeometric form in K is the route's test oracle.  An integer gap
-    r_1 - r_2 raises Resonance in the solve.  The Jordan family has first
-    coordinate tau * eta^{2k1+2}, which is not a q-series; only the second
-    coordinate is emitted, flagged by ``source``.
-    """
-    k1 = _rank2_weight(rep, L)
-    if rep.jordan:
-        return Rank2MinimalForm(
-            k1,
-            NU_CHI,
-            stack=None,
-            residuals={},
-            eta_component=catalog.eta_power(2 * k1 + 2),
-        )
-    co = equation_coefficients(L.eigenvalues, CYCLIC)
-    system, rows = _solved_rows((k1, k1 + 2), L.eigenvalues, co, order, catalog)
-    X, _, res = solved_forms(rows, (k1, k1 + 2), system, catalog)
-    return Rank2MinimalForm(k1, HYPERGEOMETRIC, X.form(0), {"rank2_mlde": max(res)})
+) -> FormBasis:
+    """The rank-2 basis (F, DF) at k1 = 6 Tr(L) - 1 (:func:`vvmf.mlde.staged`
+    on :data:`RANK2_ROUTE`); F is the minimal-weight form."""
+    return staged(RANK2_ROUTE, (rep, L), order, catalog)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +151,7 @@ def rank2_minimal(
 def _tensor_inputs(alpha: Rank2Rep, beta: Rank2Rep, L1: ExponentData,
                    L2: ExponentData) -> tuple:
     """Step (a) of the tensor route: both factors T-regular, their product
-    irreducible and each factor's exponents valid (:func:`_rank2_weight`);
+    irreducible and each factor's exponents valid (:func:`_rank2_inputs`);
     returns alpha (x) beta and the exponents of
     :func:`vvmf.reps.tensor_exponents`."""
     if not tensor_is_irreducible(alpha, beta):
@@ -186,8 +161,8 @@ def _tensor_inputs(alpha: Rank2Rep, beta: Rank2Rep, L1: ExponentData,
             "series output for the Jordan family is out of scope; both factors "
             "must be T-regular"
         )
-    _rank2_weight(alpha, L1)
-    _rank2_weight(beta, L2)
+    _rank2_inputs(alpha, L1)
+    _rank2_inputs(beta, L2)
     return rank4_from_tensor(alpha, beta), tensor_exponents(L1, L2)
 
 
@@ -227,13 +202,13 @@ def tensor_pipeline(
 
 def _sym3_inputs(alpha: Rank2Rep, L: ExponentData) -> tuple:
     """Step (a) of the Sym^3 route: alpha T-regular, its cube irreducible
-    and L valid for alpha (:func:`_rank2_weight`); returns Sym^3(alpha)
+    and L valid for alpha (:func:`_rank2_inputs`); returns Sym^3(alpha)
     and the exponents of :func:`vvmf.reps.sym3_exponents`."""
     if not sym3_is_irreducible(alpha):
         raise NotIrreducible("symmetric cube representation is reducible")
     if not alpha.t_regular:
         raise Resonance("series output for the Jordan family is out of scope")
-    _rank2_weight(alpha, L)
+    _rank2_inputs(alpha, L)
     return rank4_from_sym3(alpha), sym3_exponents(L)
 
 

@@ -1,8 +1,8 @@
 """Weight/case classification, equation coefficients, first-order systems
 on the q-line, the modular derivative, free-basis assembly, and the staged
-driver of every rank-4 route.
+driver of every route.
 
-Every rank-4 job, generic or constructed, runs through one driver
+Every job of rank 2 or 4, generic or constructed, runs through one driver
 (:func:`staged`) in the order of :data:`vvmf.errors.STEPS`: the route's
 input checks, :func:`classify`, :func:`equation_coefficients` at
 :data:`QLINE_DPS`, and the route's solve, which takes those coefficients.
@@ -51,7 +51,7 @@ from .errors import (
     WrongRank,
     ZeroForm,
 )
-from .reps import ExponentData, Group, Rank4Rep
+from .reps import ExponentData, Group, Rank2Rep, Rank4Rep
 from .series import (
     FixedSeries,
     FormStack,
@@ -80,19 +80,28 @@ NONCYCLIC_KEYS = ("col1_df", "col2_d2f", "col3_dg_e4f", "col4_dh")
 
 @dataclass(frozen=True)
 class CaseReport:
-    """Case split and generator weights of the module of forms."""
+    """Case split and generator weights of the module of forms, one weight
+    per rank, with the representation's invariants d and e."""
 
     case: str
     k1: int
-    weight_tuple: tuple[int, int, int, int]
+    weight_tuple: tuple[int, ...]
     d: int
     e: int
 
 
-def classify(rep: Rank4Rep, L: ExponentData) -> CaseReport:
-    """Cyclic if 3 Tr(L) and the parity e disagree mod 2 (then k1 = 3Tr(L)-3,
-    weights k1, k1+2, k1+4, k1+6); otherwise noncyclic (k1 = 3Tr(L)-2,
-    weights k1, k1+2, k1+2, k1+4)."""
+def classify(rep: Rank2Rep | Rank4Rep, L: ExponentData) -> CaseReport:
+    """The weights of a free basis sum to 12 Tr(L) (Marks and Mason, J.
+    London Math. Soc. 82, 2010), so a cyclic module of rank r, weights
+    k1, k1+2, ..., has k1 = 12 Tr(L)/r - (r-1).  Rank two is always cyclic,
+    k1 = 6Tr(L)-1, and reports the determinant power d of xy = e^{2 pi i d/6}
+    and the parity e (:attr:`Rank2Rep.det_power`, :attr:`Rank2Rep.parity`).
+    Rank four is cyclic if 3 Tr(L) and the parity e disagree mod 2 (then
+    k1 = 3Tr(L)-3, weights k1, k1+2, k1+4, k1+6); otherwise noncyclic
+    (k1 = 3Tr(L)-2, weights k1, k1+2, k1+2, k1+4)."""
+    if isinstance(rep, Rank2Rep):
+        k1 = require_int(6 * L.trace - 1, "6*Tr(L)-1")
+        return CaseReport(CYCLIC, k1, (k1, k1 + 2), rep.det_power, rep.parity)
     t3 = require_int(3 * L.trace, "3*Tr(L)")
     if (t3 - rep.d) % 3 != 0:
         raise TraceDCongruenceViolation(
@@ -1002,11 +1011,15 @@ def modular_derivative(X: FormStack, catalog: ClassicalCatalog) -> FormStack:
 class FormBasis:
     """Free basis of vector-valued forms with its diagnostics.  The forms
     are held as the one :class:`FormStack` they were checked in, which is
-    what is emitted; ``forms`` turns them into tuples when read."""
+    what is emitted; ``forms`` turns them into tuples when read.  The
+    rank-2 Jordan family nu_chi has no q-expansion, since its F leads with
+    tau times an eta power: its ``stack`` is None, and ``eta_component``
+    holds the second coordinate of F, that eta power."""
 
-    stack: FormStack
+    stack: FormStack | None
     case: CaseReport
     residuals: dict[str, float] = field(default_factory=dict)
+    eta_component: PuiseuxSeries | None = None
 
     @functools.cached_property
     def forms(self) -> tuple[VectorSeries, ...]:
@@ -1049,13 +1062,13 @@ def assemble_cyclic_basis(
 
 
 # ---------------------------------------------------------------------------
-# the staged driver of every rank-4 route
+# the staged driver of every route
 # ---------------------------------------------------------------------------
 
 class Route(NamedTuple):
-    """A rank-4 route of :func:`staged`.  ``check`` is its step (a): it
-    checks the route's inputs and returns the rank-4 representation it
-    classifies and that representation's exponents.  ``case`` is the case
+    """A route of :func:`staged`.  ``check`` is its step (a): it checks
+    the route's inputs and returns the representation it classifies, of
+    rank 2 or 4, and that representation's exponents.  ``case`` is the case
     its module always lands in, or None for either.  ``solve`` is its
     steps (d)-(f): solve(inputs, exponents, report, coefficients, order,
     catalog) returns the basis, from the driver's coefficients."""
@@ -1071,7 +1084,7 @@ STOPS = ("classify", "coeffs", "minimal", "basis")
 
 def staged(route: Route, inputs: tuple, order: int, catalog: ClassicalCatalog,
            last: str = "basis") -> tuple:
-    """Run a rank-4 route's stages in the order of
+    """Run a route's stages in the order of
     :data:`vvmf.errors.STEPS`: (a) the route's input checks, (b)
     :func:`classify` and the route's case, (c) the equation coefficients
     at :data:`QLINE_DPS` (:func:`equation_coefficients`), and (d)-(f) the
@@ -1142,16 +1155,18 @@ def _solved_rows(weights, eigenvalues, co: ODECoefficients, order: int,
 
 def _solved_basis(inputs, L: ExponentData, report: CaseReport, co: ODECoefficients, order: int,
                  catalog: ClassicalCatalog, kronecker_unit: bool = False) -> FormBasis:
-    """Steps (d)-(f) of the generic and tensor routes: the case's free
-    basis at the four exponents of L, the rows of :func:`_solved_rows`
-    with no row recomputed: (F, DF, D^2F, D^3F) or (F, DF, G, H).  Every
+    """Steps (d)-(f) of the generic, tensor and rank-2 routes: the case's
+    free basis at the r exponents of L, the rows of :func:`_solved_rows`
+    with no row recomputed: (F, DF, ..., D^{r-1}F) or (F, DF, G, H).  Every
     column relation of the solved system is re-checked on the emitted
-    doubles (:func:`solved_forms`)."""
+    doubles (:func:`solved_forms`); a cyclic basis records the largest of
+    the first r - 1 columns, the chain D(D^i F) = D^{i+1} F, as
+    ``cyclic_chain`` and the last, the equation, as ``cyclic_mlde``."""
     system, rows = _solved_rows(report.weight_tuple, L.eigenvalues, co, order, catalog,
                                 kronecker_unit)
     X, _, res = solved_forms(rows, report.weight_tuple, system, catalog)
     if report.case == CYCLIC:
-        residuals = {"cyclic_chain": max(res[:3]), "cyclic_mlde": res[3]}
+        residuals = {"cyclic_chain": max(res[:-1]), "cyclic_mlde": res[-1]}
     else:
         residuals = dict(zip(NONCYCLIC_KEYS, res))
     return FormBasis(X, report, residuals)

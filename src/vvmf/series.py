@@ -19,19 +19,17 @@ it with ``mpmath.workdps`` blocks; the library never sets ``mpmath.mp.dps``.
 The q-line block holds complex series in fixed point instead
 (:class:`FixedSeries`): integer mantissas of the real and imaginary parts at
 one binary scale, rounded to ``complex`` once (:func:`to_fixed`,
-:meth:`FixedSeries.downcast`).  Their products are exact complex FFT
-convolutions of limbs, in steps every product shares: a layout
-(:func:`_limb_layout`, its width from :func:`_limb_bits`) puts each
-mantissa pair re + i im, as balanced 16-bit limbs or 8-bit ones when the
-operands are large, at the head of its coefficient's slot; a forward
-transform (:func:`_spectrum`) takes each operand once; a rounding inverse
-(:func:`_rounded_inverse`) rounds the convolution's limbs to integers; and
-:func:`_mantissas` rebuilds the product's mantissas from them.
-:meth:`FixedSeries.__mul__` is one such product (:func:`_complex_mul`).
-The Sym^3 cube (:func:`_limb_cube`) takes its six products in one layout:
-f and g are transformed once, the two squares are carried back into limbs
-in numpy (:func:`_carried`) and transformed once, and each cube is one
-inverse.  Real rows, whose imaginary mantissas are all zero, take five
+:meth:`FixedSeries.downcast`).  The one product of rows, the Sym^3 cube
+(:func:`_limb_cube`), is exact: complex FFT convolutions of limbs in one
+layout (:func:`_limb_layout`, its width from :func:`_limb_bits`), which
+puts each mantissa pair re + i im, as balanced 16-bit limbs or 8-bit ones
+when the operands are large, at the head of its coefficient's slot.  A
+forward transform (:func:`_spectrum`) takes each operand once; a rounding
+inverse (:func:`_rounded_inverse`) rounds a convolution's limbs to
+integers; and :func:`_mantissas` rebuilds the product's mantissas from
+them.  f and g are transformed once, the two squares are carried back
+into limbs in numpy (:func:`_carried`) and transformed once, and each cube
+is one inverse.  Real rows, whose imaginary mantissas are all zero, take five
 transforms, since f + i g and f^2 + i g^2 each split into two real spectra
 (:func:`_split`); complex rows take ten.  Exactness rests on an a-priori
 bound, not a tolerance: the limb width keeps Percival's bound on the FFT
@@ -903,37 +901,6 @@ def _mantissas(limbs, limb_bits: int, slot: int) -> tuple[list[int], list[int]]:
     return out[0], out[1]
 
 
-def _complex_mul(
-    a_re: Sequence[int], a_im: Sequence[int],
-    b_re: Sequence[int], b_im: Sequence[int],
-    n_out: int,
-) -> tuple[list[int], list[int]]:
-    """Real and imaginary mantissas of the truncated product of the complex
-    integer sequences a_re + i a_im and b_re + i b_im (a_re and a_im of one
-    length, b_re and b_im of one length), through one complex FFT
-    convolution of limbs.
-
-    Each operand is cut to n_out + 1 terms.  Its coefficient n becomes the
-    limbs (:func:`_balanced_limbs`) of re_n + i im_n at the head of slot n
-    of a complex limb sequence (:func:`_limb_layout`, the width from
-    :func:`_limb_bits`); the product's limbs are the inverse of the
-    product of the two spectra (:func:`_spectrum`), rounded
-    (:func:`_rounded_inverse`) and read back (:func:`_mantissas`)."""
-    n_terms = n_out + 1
-    a_re, a_im, b_re, b_im = (list(p[:n_terms]) for p in (a_re, a_im, b_re, b_im))
-    bits_a = max(map(int.bit_length, a_re + a_im))
-    bits_b = max(map(int.bit_length, b_re + b_im))
-    limb_bits = _limb_bits(n_terms, bits_a, bits_b)
-    la, lb, slot, log2_n = _limb_layout(n_terms, bits_a, bits_b, limb_bits)
-    # every mantissa in the limb count of the wider operand, whose top
-    # limbs are zero for the narrower one
-    limbs = _balanced_limbs(a_re + a_im + b_re + b_im, max(la, lb), limb_bits)
-    na, nb = len(a_re), len(b_re)
-    a = _spectrum(limbs[:na], limbs[na:2 * na], slot, log2_n)
-    b = _spectrum(limbs[2 * na:2 * na + nb], limbs[2 * na + nb:], slot, log2_n)
-    return _mantissas(_rounded_inverse(a * b, slot * n_terms), limb_bits, slot)
-
-
 def _limb_cube(f_re: list[int], f_im: list[int], g_re: list[int], g_im: list[int]) -> list:
     """(f^3, f^2 g, f g^2, g^3) of the complex integer sequences
     f = f_re + i f_im and g = g_re + i g_im, all four of one length n,
@@ -982,25 +949,13 @@ class FixedSeries:
     """A complex series in fixed point: x^lam sum_n (re_n + i im_n) 2^-bits x^n.
 
     ``re`` and ``im`` are exact-integer series sharing the nome and the
-    leading exponent lam.  A product is exact at the sum of the two scales:
-    one complex limb convolution (:func:`_complex_mul`).  :meth:`downcast`
-    rounds every coefficient to a complex double once.
+    leading exponent lam.  :meth:`downcast` rounds every coefficient to a
+    complex double once.
     """
 
     re: PuiseuxSeries
     im: PuiseuxSeries
     bits: int
-
-    def __mul__(self, other: "FixedSeries") -> "FixedSeries":
-        self.re._require_same_nome(other.re)
-        parts = [s.coeffs for s in (self.re, self.im, other.re, other.im)]
-        re, im = _complex_mul(*parts, min(map(len, parts)) - 1)
-        lam = self.re.lead_exponent + other.re.lead_exponent
-        return FixedSeries(
-            PuiseuxSeries(self.re.nome, lam, tuple(re)),
-            PuiseuxSeries(self.re.nome, lam, tuple(im)),
-            self.bits + other.bits,
-        )
 
     def downcast(self) -> PuiseuxSeries:
         """Every coefficient as the complex double nearest to

@@ -40,7 +40,7 @@ from itertools import combinations
 import mpmath
 import numpy as np
 
-from vvmf.constructions import _rank2_weight
+from vvmf.constructions import _rank2_inputs
 from vvmf.errors import (
     InconsistentRep,
     NotAnExponent,
@@ -52,6 +52,7 @@ from vvmf.mlde import (
     CYCLIC,
     ODECoefficients,
     _solved_rows,
+    classify,
     elementary_symmetric,
     equation_coefficients,
     qline_precision,
@@ -62,6 +63,7 @@ from vvmf.series import (
     Nome,
     PuiseuxSeries,
     VectorSeries,
+    _kronecker_mul,
     as_complex,
     cexp,
     nearest_int,
@@ -596,6 +598,23 @@ def sliced_left_solve(m, p: int) -> list:
 # the paper's closed tensor basis
 # ---------------------------------------------------------------------------
 
+def fixed_product(x: FixedSeries, y: FixedSeries) -> FixedSeries:
+    """x y, exact at the sum of the scales: four exact products of the
+    mantissa series (:func:`vvmf.series._kronecker_mul`), each operand cut
+    to the shorter one's length, at the leading exponent x.lam + y.lam."""
+    x.re._require_same_nome(y.re)
+    n = min(len(x.re.coeffs), len(y.re.coeffs))
+
+    def mul(a, b):
+        return _kronecker_mul(a.coeffs[:n], b.coeffs[:n], n - 1)
+
+    re = [p - q for p, q in zip(mul(x.re, y.re), mul(x.im, y.im))]
+    im = [p + q for p, q in zip(mul(x.re, y.im), mul(x.im, y.re))]
+    lam = x.re.lead_exponent + y.re.lead_exponent
+    return FixedSeries(PuiseuxSeries(x.re.nome, lam, tuple(re)),
+                       PuiseuxSeries(x.re.nome, lam, tuple(im)), x.bits + y.bits)
+
+
 def _fixed_sum(x: FixedSeries, y: FixedSeries, sign: int = 1) -> FixedSeries:
     """x + sign * y, exact at their common scale."""
     if x.bits != y.bits:
@@ -626,12 +645,12 @@ def kronecker_tensor_basis(alpha: Rank2Rep, beta: Rank2Rep, L1: ExponentData,
     DF = DA (x) B + A (x) DB, G = (DA (x) B - A (x) DB) / (a_beta - a_alpha)
     (so DG = E_4 F) and H = D^2F - a E_4 F = 2 DA (x) DB, the noncyclic
     equation having a = -(a_alpha + a_beta) and c = -(a_alpha - a_beta)^2.
-    Each is formed exactly in fixed point from the rank-2 q-line rows and
-    rounded once, at weights k1, k1 + 2, k1 + 2, k1 + 4 with k1 the sum of
+    Each is formed exactly in fixed point from the rank-2 q-line rows
+    (:func:`fixed_product`) and rounded once, at weights k1, k1 + 2, k1 + 2, k1 + 4 with k1 the sum of
     the factors' minimal weights.  The products cancel heavily at high
     order (tensor_grid member 5 loses about 4 decades per 100 orders), so
     this is a reference at low order only."""
-    ka, kb = _rank2_weight(alpha, L1), _rank2_weight(beta, L2)
+    ka, kb = (classify(*_rank2_inputs(rep, L)).k1 for rep, L in ((alpha, L1), (beta, L2)))
     k1 = ka + kb
     with qline_precision():
         alpha_co = equation_coefficients(L1.eigenvalues, CYCLIC)
@@ -642,7 +661,7 @@ def kronecker_tensor_basis(alpha: Rank2Rep, beta: Rank2Rep, L1: ExponentData,
         a_alpha, a_beta = alpha_co.a, beta_co.a
 
         def kron(a, b):
-            return [x * y for x in a for y in b]
+            return [fixed_product(x, y) for x in a for y in b]
 
         dA_B, A_dB = kron(dA, B), kron(A, dB)
         return (

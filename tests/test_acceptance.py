@@ -434,8 +434,8 @@ def test_criterion_8_rank2_oracle_equivalence(catalog60):
             op = build_rank2_operator(rank2_coeff(f1, f2))
             return [frobenius_solve(op, f, 50) for f in (f1, f2)]
 
-        comps = kline_closed_form([(frobenius_pair, closed.k1)], 50, catalog60)[1]
-        for frobenius_route, want in zip(comps, closed.components.components):
+        comps = kline_closed_form([(frobenius_pair, closed.case.k1)], 50, catalog60)[1]
+        for frobenius_route, want in zip(comps, closed.forms[0].components):
             diff = frobenius_route - want
             worst = max(
                 worst,

@@ -24,6 +24,7 @@ import vvmf.cli
 import vvmf.series
 from vvmf.classical import ClassicalCatalog
 from vvmf.cli import STEPS, JobSpec, ResultEnvelope, emit, main, run
+from vvmf.constructions import RANK2_ROUTE
 from vvmf.errors import UnknownSeries, ValidationError, VvmfError, WrongRank
 from vvmf.reps import GRank2Rep, Rank2Rep, Rank4Rep
 
@@ -65,6 +66,15 @@ def generic_job(command, order=15):
         "exponents": exponents_json(GENERIC_EIGS),
         "order": order,
     }
+
+
+#: a T-regular rank-2 pair of exponents: member 0 of the Sym^3 grid
+RANK2_PAIR = ((1 / 6 + 0.21) / 2, (1 / 6 - 0.21) / 2)
+
+
+def rank2_job(command, order=15):
+    return {"command": command, "rep": rank2_json(*RANK2_PAIR),
+            "exponents": exponents_json(RANK2_PAIR), "order": order}
 
 
 def tensor_job(order=15):
@@ -191,6 +201,32 @@ class TestRun:
         want = ClassicalCatalog(12).eta_power(2).to_json()
         assert out["minimal"]["eta_component"] == want
 
+    def test_rank2_jobs_run_to_their_stage(self):
+        # k1 = 6 Tr(L) - 1 = 0, weights (k1, k1 + 2); the rep's xy =
+        # e^{2 pi i/6} and parity 0 in place of rank four's d and e
+        case = {"case": "cyclic", "k1": 0, "weights": [0, 2], "d": 1, "e": 0}
+        envs = {command: run(JobSpec.from_json(rank2_job(command)))
+                for command in ("classify", "coeffs", "basis")}
+        assert all(env.case == case for env in envs.values())
+        assert envs["classify"].coefficients is None and envs["coeffs"].basis is None
+        # Tr(L) = 1/6: the shift to the weight-zero frame is 0
+        f = [complex(*v) for v in envs["coeffs"].coefficients["f"]]
+        assert f == pytest.approx(RANK2_PAIR, abs=1e-16)
+        basis = envs["basis"]
+        assert [form["weight"] for form in basis.basis] == [[0, 1], [2, 1]]
+        assert list(basis.residuals) == ["cyclic_chain", "cyclic_mlde"]
+        assert basis.worst_residual() < 1e-12
+
+    @pytest.mark.parametrize("order", [1, 15, 40])
+    def test_rank2_basis_leads_with_the_minimal_form(self, order):
+        # form 0 of the basis is the minimal job's F by bytes, and its worst
+        # residual is the minimal job's rank2_mlde
+        minimal = json.loads(emit(run(JobSpec.from_json(rank2_job("minimal", order)))))
+        basis = json.loads(emit(run(JobSpec.from_json(rank2_job("basis", order)))))
+        assert (json.dumps(basis["basis"][0]["components"])
+                == json.dumps(minimal["minimal"]["components"]))
+        assert max(basis["residuals"].values()) == minimal["residuals"]["rank2_mlde"]
+
     def test_basis_generic(self):
         env = run(JobSpec.from_json(generic_job("basis")))
         assert len(env.basis) == 4
@@ -267,10 +303,11 @@ class TestEmit:
           "exponents": exponents_json(NONCYCLIC_EIGS)}, "json"),
         (tensor_job(), "json"), (tensor_job(), "csv"), (sym3_job(), "json"),
         (sym3_job(), "csv"), (induction_job(), "json"), (induction_job(), "csv"),
+        (rank2_job("basis"), "json"), (rank2_job("basis"), "csv"),
         ({key: v for key, v in unlisted(sym3_job()).items() if key != "construction"}
          | {"command": "minimal"}, "json")],
         ids=["cyclic", "cyclic-csv", "minimal", "noncyclic", "tensor", "tensor-csv", "sym3",
-             "sym3-csv", "induction", "induction-csv", "rank2-minimal"])
+             "sym3-csv", "induction", "induction-csv", "rank2", "rank2-csv", "rank2-minimal"])
     def test_stacks_emit_the_bytes_of_their_tuple_forms(self, monkeypatch, job, fmt):
         # bases and minimal forms are emitted from the stack they were
         # checked in; the tuple forms they materialize, each laid out by
@@ -448,6 +485,48 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == f"error: [step (a) determinant/parity extraction] {message}\n"
 
+    # rank-2 inputs the route refuses: the rep's exponents, the job's, their
+    # group, and the step and start of the error line.  The resonant pair
+    # maps both exponents to x, an integer apart, and is refused by the
+    # q-line solve, which classify and coeffs jobs stop before
+    RANK2_ERRORS = {
+        "reducible": ((1 / 4, 1 / 12), (1 / 4, 1 / 12), "Gamma", "a",
+                      "rank-2 minimal forms require an irreducible representation"),
+        "group": (RANK2_PAIR, RANK2_PAIR, "G", "a",
+                  "rank-2 minimal forms use exponents for the full group"),
+        "rank": (RANK2_PAIR, (*RANK2_PAIR, 0.3), "Gamma", "a",
+                 "need 2 exponent eigenvalues, got 3"),
+        "trace": ((1 / 4, -1 / 12), (1 / 4 + 0.01, -1 / 12), "Gamma", "a", "6*Tr(L)-1 = "),
+        "resonant": ((1 / 12, 7 / 12), (13 / 12, 1 / 12), "Gamma", "d",
+                     "exponents (1.0833333333333333+0j) and (0.08333333333333333+0j) differ"),
+    }
+
+    @pytest.mark.parametrize("wrong", list(RANK2_ERRORS))
+    @pytest.mark.parametrize("command", ["classify", "coeffs", "minimal", "basis"])
+    def test_rank2_errors_name_their_stage(self, tmp_path, capsys, command, wrong):
+        rep_pair, eigs, group, stage, message = self.RANK2_ERRORS[wrong]
+        spec = tmp_path / "job.json"
+        spec.write_text(json.dumps({"command": command, "rep": rank2_json(*rep_pair),
+                                    "exponents": exponents_json(eigs, group), "order": 10}))
+        status = main([command, "--spec", str(spec)])
+        err = capsys.readouterr().err
+        if stage == "d" and command in ("classify", "coeffs"):
+            assert status == 0
+        else:
+            assert status == 2
+            assert err.startswith(f"error: [step ({stage}) {STEPS[stage]}] {message}")
+
+    def test_nu_chi_has_no_series_basis(self, tmp_path, capsys):
+        # its F leads with tau times an eta power: the basis job is refused,
+        # while the minimal job emits the eta coordinate
+        job = {"command": "basis", "rep": rank2_json(1 / 12, 1 / 12),
+               "exponents": exponents_json([1 / 12, 1 / 12]), "order": 12}
+        spec = tmp_path / "job.json"
+        spec.write_text(json.dumps(job))
+        assert main(["basis", "--spec", str(spec)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [step (d) {STEPS['d']}] series output for the Jordan family is out of scope\n")
+
     def test_rep_error_reads_the_same_wherever_raised(self, tmp_path, monkeypatch, capsys):
         bad = {"kind": "rank2", "x": [1, 0], "y": [0.6, 0.8]}  # xy is no sixth root of 1
         r1, r2 = TestGlobalPrecision.RANK2_PAIR
@@ -458,7 +537,8 @@ class TestMain:
         assert main(["minimal", "--spec", str(spec)]) == 2
         parsed = capsys.readouterr().err
         spec.write_text(json.dumps(job))
-        monkeypatch.setattr(vvmf.cli, "rank2_minimal", lambda *args: Rank2Rep(1, 0.6 + 0.8j))
+        monkeypatch.setitem(vvmf.cli.ROUTES, "rank2", RANK2_ROUTE._replace(
+            check=lambda *args: Rank2Rep(1, 0.6 + 0.8j)))
         assert main(["minimal", "--spec", str(spec)]) == 2
         assert capsys.readouterr().err == parsed
         assert parsed.startswith("error: [step (a) determinant/parity extraction] xy = ")
@@ -729,6 +809,8 @@ class TestGlobalPrecision:
         "minimal": generic_job("minimal"),
         "minimal-rank2": {"command": "minimal", "rep": rank2_json(*RANK2_PAIR),
                           "exponents": exponents_json(RANK2_PAIR), "order": 15},
+        "classify-rank2": rank2_job("classify"),
+        "basis-rank2": rank2_job("basis"),
         "basis-cyclic": generic_job("basis"),
         "basis-noncyclic": {"command": "basis", "rep": rank4_json(NONCYCLIC_EIGS, 5, 0),
                             "exponents": exponents_json(NONCYCLIC_EIGS), "order": 15},

@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 import vvmf.mlde
 from vvmf.classical import ClassicalCatalog
 from vvmf.constructions import (
-    HYPERGEOMETRIC,
-    NU_CHI,
     InductionJob,
     induction_minimal_pair,
     induction_pipeline,
@@ -90,27 +88,28 @@ class TestRank2Minimal:
     def test_minimal_weight_and_leads(self, catalog40):
         rep, L = rank2_data(0.3, 1 / 6 - 0.3)
         form = rank2_minimal(rep, L, 25, catalog40)
-        assert form.k1 == 0  # 6 Tr - 1 = 0
-        assert form.source == HYPERGEOMETRIC
-        leads = [complex(c.lead_exponent) for c in form.components.components]
+        assert form.case.k1 == 0  # 6 Tr - 1 = 0
+        assert form.weights == (0, 2) and form.eta_component is None
+        leads = [complex(c.lead_exponent) for c in form.forms[0].components]
         assert leads == pytest.approx([0.3, 1 / 6 - 0.3])
 
     def test_satisfies_order_two_equation(self, catalog40):
         rep, L = rank2_data((3 / 6 + 0.17) / 2, (3 / 6 - 0.17) / 2)
         form = rank2_minimal(rep, L, 25, catalog40)
         a = rank2_coeff(0.17 / 2 + Fraction(1, 12), -0.17 / 2 + Fraction(1, 12))
-        d1 = modular_derivative(FormStack.of([form.components]), catalog40)
+        d1 = modular_derivative(FormStack.of([form.forms[0]]), catalog40)
         (d2,) = modular_derivative(d1, catalog40).vectors()
-        terms = [(f * catalog40.eisenstein(4)).scale(a) for f in form.components.components]
+        terms = [(f * catalog40.eisenstein(4)).scale(a) for f in form.forms[0].components]
         top = max((c + t).max_abs() for c, t in zip(d2.components, terms))
         scale = max(1.0, *(c.max_abs() for c in d2.components + tuple(terms)))
         assert top / scale < 1e-11
         assert max_modulus(d1.z) > 0  # DF never vanishes for irreducible input
         # the route's own check: both columns of the solved system (F, DF)
-        assert form.residuals["rank2_mlde"] < 1e-11
+        assert list(form.residuals) == ["cyclic_chain", "cyclic_mlde"]
+        assert max(form.residuals.values()) < 1e-11
 
     def test_recorded_relation_sees_the_coefficient(self, monkeypatch, catalog40):
-        # rank2_mlde checks D(DF) = -a E_4 F, not only DF: checked against
+        # cyclic_mlde checks D(DF) = -a E_4 F, not only DF: checked against
         # the solved system with its a off by 1e-6, the forms fail
         check = vvmf.mlde.system_residuals
 
@@ -121,7 +120,7 @@ class TestRank2Minimal:
 
         monkeypatch.setattr(vvmf.mlde, "system_residuals", off)
         rep, L = rank2_data((3 / 6 + 0.17) / 2, (3 / 6 - 0.17) / 2)
-        assert rank2_minimal(rep, L, 25, catalog40).residuals["rank2_mlde"] > 1e-9
+        assert rank2_minimal(rep, L, 25, catalog40).residuals["cyclic_mlde"] > 1e-9
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(-4, 4), st.floats(-4, 4), st.booleans())
@@ -147,7 +146,7 @@ class TestRank2Minimal:
         for r1, r2 in pairs:
             rep, L = rank2_data(r1, r2)
             form = rank2_minimal(rep, L, 20, catalog40)
-            assert ([repr(complex(c.lead_exponent)) for c in form.components.components]
+            assert ([repr(complex(c.lead_exponent)) for c in form.forms[0].components]
                     == [repr(complex(e)) for e in L.eigenvalues]), (r1, r2)
 
     def test_integer_gap_is_resonant_in_the_solve(self, catalog40):
@@ -182,9 +181,8 @@ class TestRank2Minimal:
         rep = Rank2Rep(1, 1)
         L = ExponentData([0.0, 0.0])
         form = rank2_minimal(rep, L, 10, catalog40)
-        assert form.source == NU_CHI
-        assert form.components is None and form.residuals == {}
-        assert form.k1 == -1
+        assert form.stack is None and form.residuals == {}
+        assert form.case.k1 == -1
         # second coordinate is eta^{2k1+2} = eta^0 = 1 here
         assert form.eta_component.coeffs[0] == 1
 
@@ -206,7 +204,7 @@ class TestSym3Pipeline:
         rep, L = self.grid_case(1, 0.21)
         A = rank2_minimal(rep, L, 25, catalog40)
         basis = sym3_pipeline(rep, L, 25, catalog40)
-        cube = A.components.components[0] ** 3
+        cube = A.forms[0].components[0] ** 3
         diff = basis.forms[0].components[0] - cube
         assert relative_residual(diff, cube) < 1e-12
 

@@ -10,10 +10,11 @@ from itertools import combinations
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import vvmf.mlde
+from vvmf.constructions import RANK2_ROUTE, SYM3_ROUTE, TENSOR_ROUTE
 from vvmf.errors import (
     DegenerateC,
     ExponentSumMismatch,
@@ -48,7 +49,7 @@ from vvmf.mlde import (
     staged,
     system_residuals,
 )
-from vvmf.reps import ExponentData, Rank4Rep
+from vvmf.reps import ExponentData, Rank2Rep, Rank4Rep
 from vvmf.series import FormStack, Nome, PuiseuxSeries, VectorSeries, relative_residual, to_fixed
 
 from oracles import (
@@ -68,6 +69,7 @@ from oracles import (
     unit_chain,
 )
 from test_acceptance import FREENESS_TOL, freeness_deviation
+from test_route_properties import inputs
 
 
 def record_eliminations(patch) -> list:
@@ -130,6 +132,84 @@ class TestClassify:
         bad = ExponentData([v + Fraction(1, 3) for v in L.eigenvalues])
         with pytest.raises(TraceDCongruenceViolation):
             classify(rep, bad)  # trace shifted by 4/3: 3Tr off by 4 mod 3
+
+    def test_rank_two_is_cyclic(self):
+        # k1 = 6 Tr(L) - 1, and the rep's determinant power and parity for
+        # d and e: xy = e^{2 pi i 3/6} = -1, so rho(-I) = +I
+        r1, r2 = (3 / 6 + 0.17) / 2, (3 / 6 - 0.17) / 2
+        report = classify(*rank2_input((r1, r2)))
+        assert report == CaseReport(CYCLIC, 2, (2, 4), 3, 0)
+
+
+@st.composite
+def rank2_pairs(draw):
+    """An exponent pair ((s/6 + delta)/2, (s/6 - delta)/2) of the benchmark
+    pools' form, delta real or complex."""
+    s = draw(st.integers(min_value=0, max_value=13))
+    delta = complex(draw(st.floats(0.02, 0.48)), draw(st.sampled_from([0.0, 0.07, -0.11])))
+    return ((s / 6 + delta) / 2, (s / 6 - delta) / 2)
+
+
+def rank2_input(pair) -> tuple:
+    r1, r2 = pair
+    return Rank2Rep(cmath.exp(2j * cmath.pi * r1), cmath.exp(2j * cmath.pi * r2)), \
+        ExponentData(pair)
+
+
+def passes(precondition, *args) -> bool:
+    """Whether the benchmark pools' precondition rule admits ``args``."""
+    try:
+        precondition(*args)
+    except inputs.PreconditionError:
+        return False
+    return True
+
+
+@st.composite
+def generic_inputs(draw):
+    """A rank-4 input of :func:`admissible`: d, the parity e != d mod 2 and
+    3 Tr(L) = m = d mod 3, either case."""
+    d = draw(st.integers(min_value=0, max_value=5))
+    m = d + 3 * draw(st.integers(min_value=0, max_value=4))
+    es = draw(st.lists(st.floats(-0.3, 0.5), min_size=3, max_size=3))
+    return admissible(es, m, d, (d + 1) % 2)
+
+
+def weight_sum(route, inputs_) -> tuple:
+    """The weights the driver classifies a route's input to, and 12 Tr(L)
+    of the exponents its check returns."""
+    report = staged(route, inputs_, 1, None, "classify")[0]
+    return sum(report.weight_tuple), 12 * route.check(*inputs_)[1].trace
+
+
+class TestWeightSum:
+    """The weights of a free basis sum to 12 Tr(L) (Marks and Mason, J.
+    London Math. Soc. 82, 2010), on every route, case and rank; rank-2
+    inputs are drawn by the benchmark pools' precondition rules."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rank2_pairs())
+    def test_rank2_and_sym3(self, pair):
+        assume(passes(inputs.check_sym3, pair))
+        for route, reps in ((RANK2_ROUTE, rank2_input(pair)), (SYM3_ROUTE, rank2_input(pair))):
+            total, trace = weight_sum(route, reps)
+            assert total == round(trace.real) and abs(trace - total) < 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(rank2_pairs(), rank2_pairs())
+    def test_tensor_and_its_factors(self, p, q):
+        assume(passes(inputs.check_tensor, p, q))
+        (alpha, L1), (beta, L2) = rank2_input(p), rank2_input(q)
+        for route, reps in ((RANK2_ROUTE, (alpha, L1)), (RANK2_ROUTE, (beta, L2)),
+                            (TENSOR_ROUTE, (alpha, beta, L1, L2))):
+            total, trace = weight_sum(route, reps)
+            assert total == round(trace.real) and abs(trace - total) < 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(generic_inputs())
+    def test_generic(self, rep_and_exponents):
+        total, trace = weight_sum(GENERIC_ROUTE, rep_and_exponents)
+        assert total == round(trace.real) and abs(trace - total) < 1e-9
 
 
 class TestDimension:

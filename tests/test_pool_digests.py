@@ -123,7 +123,7 @@ def test_two_fresh_interpreters_digest_every_job_alike(pool_digests, fresh_runs,
     jobs = len(pool_digests.jobs())
     assert capsys.readouterr().out == (
         f"{jobs} and {jobs} jobs, 0 differ, 0 of them only in residual values\n")
-    assert jobs == 457
+    assert jobs == 607
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,

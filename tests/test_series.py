@@ -30,7 +30,6 @@ from vvmf.series import (
     Nome,
     PuiseuxSeries,
     VectorSeries,
-    _complex_mul,
     _int_kernel,
     _kronecker_mul,
     _loop_mul,
@@ -40,7 +39,13 @@ from vvmf.series import (
     to_fixed,
 )
 
-from oracles import composition_dps, emitted_coeffs, emitted_form, slash_t_inverse
+from oracles import (
+    composition_dps,
+    emitted_coeffs,
+    emitted_form,
+    fixed_product,
+    slash_t_inverse,
+)
 
 
 finite = st.floats(min_value=-5, max_value=5, allow_nan=False)
@@ -595,7 +600,8 @@ class TestFixedPoint:
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32), st.sampled_from([180, 201, 260]))
     def test_product_matches_mpc_product_at_order_80(self, seed, bits):
-        # coefficients of modulus 1 to 1e6 with random phases
+        # the exact product the cube tests take as reference, rounded once,
+        # on coefficients of modulus 1 to 1e6 with random phases
         rng = random.Random(seed)
         with mpmath.workdps(50):
             def coeffs():
@@ -605,7 +611,7 @@ class TestFixedPoint:
             lam_a, lam_b = mpmath.mpc(0.3, 0.1), mpmath.mpc(-1.7, 0.25)
             a = fixed_series(Nome.Q, lam_a, coeffs(), bits)
             b = fixed_series(Nome.Q, lam_b, coeffs(), bits)
-            got = (a * b).downcast()
+            got = fixed_product(a, b).downcast()
             assert got.order == 80 and got.lead_exponent == complex(lam_a + lam_b)
             # the same encoded operands as mpc numbers, multiplied exactly
             ea, eb = (
@@ -722,61 +728,6 @@ def limb_operands(draw, n=None):
     return draw(parts), draw(parts)
 
 
-class TestComplexLimbKernel:
-    """The complex limb convolution of fixed-point products, called directly
-    and at each limb width, so the width rule cannot route around either."""
-
-    @pytest.mark.parametrize("limb_bits", [8, 16])
-    @settings(max_examples=40, deadline=None)
-    @given(limb_operands(), limb_operands(), st.integers(min_value=0, max_value=399))
-    def test_matches_schoolbook(self, limb_bits, a, b, cut):
-        # operands of unequal length are zero-padded to n_out + 1 terms
-        n_out = min(cut, max(len(a[0]), len(b[0])) - 1)
-        want = reference_complex_product(*a, *b, n_out)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(vvmf.series, "_limb_bits", lambda *sizes: limb_bits)
-            assert _complex_mul(*a, *b, n_out) == tuple(want)
-            assert _complex_mul(*a, *b, 0) == (want[0][:1], want[1][:1])
-
-    @pytest.mark.parametrize("order, limb_bits", [(80, 16), (400, 8)])
-    def test_width_at_tensor_sizes(self, monkeypatch, order, limb_bits):
-        # a pure function of (terms, bits of a, bits of b): every product of
-        # the rank-2 rows of the benchmark's tensor member takes 16-bit limbs
-        # at order 80, and the bound asks for 8 at order 400; the closed
-        # Kronecker basis forms 16 of them
-        from oracles import kronecker_tensor_basis
-        from test_acceptance import rank2_data, tensor_grid
-
-        sizes = []
-
-        def recording(*args):
-            sizes.append(args)
-            return _limb_bits(*args)
-
-        monkeypatch.setattr(vvmf.series, "_limb_bits", recording)
-        (alpha, L1), (beta, L2) = (rank2_data(*p) for p in tensor_grid()[5])
-        kronecker_tensor_basis(alpha, beta, L1, L2, order, ClassicalCatalog(order))
-        assert len(sizes) == 16 and all(n == order + 1 for n, _, _ in sizes)
-        assert {_limb_bits(*args) for args in sizes} == {limb_bits}
-
-    def test_width_has_a_limit(self):
-        assert _limb_bits(81, 260, 216) == 16
-        with pytest.raises(ArithmeticError):
-            _limb_bits(2**30, 700, 700)
-
-    def test_rounding_guard(self, monkeypatch):
-        # a convolution off by 0.3 of a unit cannot be rounded exactly
-        ifft = np.fft.ifft
-        monkeypatch.setattr(np.fft, "ifft", lambda x, *args: ifft(x, *args) + 0.3)
-        with pytest.raises(ArithmeticError):
-            _complex_mul([1, 2], [3, 4], [5, 6], [7, 8], 1)
-
-    def test_nome_mismatch(self):
-        a = fixed_series(Nome.Q, 0, [1, 2j], 10)
-        with pytest.raises(NomeMismatch):
-            a * fixed_series(Nome.Q2, 0, [1, 2j], 10)
-
-
 def rationals(x: FixedSeries) -> list:
     """The coefficients (re + i im) 2^-bits of x as pairs of Fractions."""
     unit = Fraction(2) ** -x.bits
@@ -831,9 +782,11 @@ def exact_cube(f: FixedSeries, g: FixedSeries) -> tuple:
 
 
 def plain_cube(f: FixedSeries, g: FixedSeries) -> tuple:
-    """The cube as four plain fixed-point products of two plain squares."""
-    f2, g2 = f * f, g * g
-    return f * f2, g * f2, f * g2, g * g2
+    """The cube as four exact products of two exact squares
+    (:func:`oracles.fixed_product`)."""
+    f2, g2 = fixed_product(f, f), fixed_product(g, g)
+    return (fixed_product(f, f2), fixed_product(g, f2), fixed_product(f, g2),
+            fixed_product(g, g2))
 
 
 def count_transforms(patch) -> list:
@@ -885,6 +838,11 @@ class TestCube:
         vvmf.constructions.sym3_pipeline(rep, L, order, ClassicalCatalog(order))
         assert widths == [limb_bits]
 
+    def test_width_has_a_limit(self):
+        assert _limb_bits(81, 260, 216) == 16
+        with pytest.raises(ArithmeticError):
+            _limb_bits(2**30, 700, 700)
+
     def test_rounding_guard(self, monkeypatch):
         # an inverse off by 0.3 of a unit cannot be rounded exactly, on the
         # square or the cube inverses
@@ -900,45 +858,13 @@ class TestCube:
             vvmf.constructions._cube(a, fixed_series(Nome.Q2, 0, [1, 2], 10))
 
 
-def gauss_product(x: FixedSeries, y: FixedSeries) -> FixedSeries:
-    """The fixed-point product as three products of int series (Gauss's
-    trick)."""
-    k1 = y.re * (x.re + x.im)
-    k2 = x.re * (y.im - y.re)
-    k3 = x.im * (y.re + y.im)
-    return FixedSeries(k1 - k3, k1 + k2, x.bits + y.bits)
-
-
-@pytest.fixture(scope="module")
-def catalog200():
-    return ClassicalCatalog(200)
-
-
-@pytest.mark.parametrize("member", [0, 1, 5, 8])
-def test_tensor_forms_match_the_int_product(monkeypatch, catalog200, member):
-    # the 16 Kronecker products of the closed tensor basis, on the rank-2
-    # rows of the tensor pool, give the bytes of Gauss's three int products
-    from oracles import kronecker_tensor_basis
-    from test_acceptance import rank2_data, tensor_grid
-
-    (alpha, L1), (beta, L2) = (rank2_data(*p) for p in tensor_grid()[member])
-
-    def emitted():
-        forms = kronecker_tensor_basis(alpha, beta, L1, L2, 200, catalog200)
-        return repr(list(map(emitted_form, forms)))
-
-    got = emitted()
-    monkeypatch.setattr(FixedSeries, "__mul__", gauss_product)
-    assert got == emitted()
-
-
 @pytest.mark.slow
 @pytest.mark.parametrize("order", [400, 800])
 @pytest.mark.parametrize("member", [3, 2], ids=["real", "complex"])
 def test_cube_keeps_the_bytes_at_high_order(monkeypatch, member, order):
     # the benchmark's ladder member sym3:3 has real rows, sym3:2 complex
     # ones: the cube in one layout gives the forms and residuals of four
-    # plain products
+    # exact int products
     from test_acceptance import rank2_data, sym3_grid
 
     rep, L = rank2_data(*sym3_grid()[member])

@@ -1,4 +1,4 @@
-"""Every rank-4 job runs through one staged driver (:func:`vvmf.mlde.staged`)
+"""Every job of a representation runs through one staged driver (:func:`vvmf.mlde.staged`)
 in the order of :data:`vvmf.errors.STEPS`, so an error names the stage that
 was running when it was raised.  The running stage is read from the
 traceback, with no hook in the program: the driver's frame and the stage
@@ -13,7 +13,7 @@ from vvmf.cli import JobSpec, run
 from vvmf.errors import ExponentSumMismatch, TraceDCongruenceViolation, VvmfError
 
 import test_cli
-from test_cli import exponents_json, generic_job, rank4_json, sym3_job
+from test_cli import exponents_json, generic_job, rank2_json, rank4_json, sym3_job
 
 SOLVE = "d-f"
 
@@ -45,8 +45,7 @@ def raised(job: dict) -> VvmfError:
 
 def driver_errors():
     """The error inputs of ``tests/test_cli.py`` that reach the driver; an
-    induction job whose InductionJob refuses it, and every rank-2 job, stop
-    before it."""
+    induction job whose InductionJob refuses it stops before it."""
     # test_resonant_basis_names_the_qline_solve
     eigs = [0.11, 1.11, 0.31, 7 / 3 - 1.53]
     yield pytest.param({"command": "basis", "rep": rank4_json(eigs, 1, 0),
@@ -68,6 +67,14 @@ def driver_errors():
         yield pytest.param({**generic_job(command),
                             "exponents": exponents_json([0.12, 0.18, 0.31, 7 / 3 - 0.61])},
                            id=f"off-spectrum-{command}")
+    # test_rank2_errors_name_their_stage
+    for wrong, (rep_pair, eigs, group, stage, _) in test_cli.TestMain.RANK2_ERRORS.items():
+        for command in ("classify", "coeffs", "minimal", "basis"):
+            if stage == "a" or command in ("minimal", "basis"):
+                yield pytest.param(
+                    {"command": command, "rep": rank2_json(*rep_pair),
+                     "exponents": exponents_json(eigs, group), "order": 10},
+                    id=f"rank2-{wrong}-{command}")
     # test_failing_job_in_a_pool_exits_two
     yield pytest.param(
         {**sym3_job(10), "exponents": [exponents_json([0.1, 0.1])]}, id="sym3-trace")

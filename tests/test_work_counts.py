@@ -30,7 +30,7 @@ from vvmf.mlde import GENERIC_ROUTE, generic_basis, qline_precision, staged
 from vvmf.reps import ExponentData, GRank2Rep, Group, Rank2Rep, Rank4Rep
 from vvmf.series import FormStack, Nome, PuiseuxSeries
 
-from test_cli import generic_job
+from test_cli import generic_job, rank2_job
 from test_series import count_transforms
 
 MODULES = (vvmf.series, vvmf.mlde, vvmf.constructions)
@@ -139,13 +139,16 @@ def test_one_solve_per_system(monkeypatch, route, solves):
 
 
 @pytest.mark.parametrize("route", ["sym3", "tensor", "cyclic", "noncyclic", "induction",
-                                   "classify", "coeffs", "minimal"])
+                                   "classify", "coeffs", "minimal", "rank2-classify",
+                                   "rank2-coeffs", "rank2-minimal", "rank2-basis"])
 def test_every_rank4_job_classifies_once(monkeypatch, route):
-    # the driver classifies the rank-4 representation of every route and
-    # command once, before any solve; the induction route's beta^2-twist
-    # shares the beta-twist's report
+    # the driver classifies the representation of every route and command
+    # once, rank 2 and rank 4 alike, before any solve; the induction
+    # route's beta^2-twist shares the beta-twist's report
     calls = count_calls(monkeypatch, vvmf.mlde, "classify")
-    if route in ("classify", "coeffs", "minimal"):
+    if route.startswith("rank2-"):
+        vvmf.cli.run(vvmf.cli.JobSpec.from_json(rank2_job(route.removeprefix("rank2-"))))
+    elif route in ("classify", "coeffs", "minimal"):
         vvmf.cli.run(vvmf.cli.JobSpec.from_json(generic_job(route)))
     else:
         run_route(route)

@@ -14,7 +14,9 @@ q2-order 400; 5 jobs), and the commands that stop short of a basis (150
 jobs): ``minimal`` at orders 20/40/80 for the rank-2 representation of each
 sym3 member, each factor of each tensor member and each cyclic and
 noncyclic member, and ``coeffs`` and ``classify`` for each cyclic and
-noncyclic member; 457 jobs in all.  Each job goes through
+noncyclic member; and the other rank-2 jobs of the same rank-2
+representations (150 jobs): ``classify`` and ``coeffs``, and ``basis`` at
+orders 20/40/80; 607 jobs in all.  Each job goes through
 ``emit(run(JobSpec.from_json(job)))`` of the ``src/`` of the checkout this
 file sits in, as ``perfbench/run.py`` imports it.  It prints one line per
 job, ``<route>:<member>@<order>`` (no order for ``coeffs`` and
@@ -65,7 +67,7 @@ POOL_ORDERS = {
     "classical": (200, 400, 800), "check": (200, 400, 800),
 }
 LADDER_ORDER = 400
-#: orders of the minimal-form jobs
+#: orders of the minimal-form jobs, and of the rank-2 basis jobs
 MINIMAL_ORDERS = (20, 40, 80)
 #: orders of the high-order section: every ladder member at the first, the
 #: cyclic one at the second too
@@ -81,7 +83,7 @@ def jobs() -> list:
            for index in range(len(pools[route]))]
     out += [inputs.make_job(route, index, LADDER_ORDER, pools)
             for route, index in inputs.LADDER.items()]
-    return out + short_jobs(pools)
+    return out + short_jobs(pools) + rank2_jobs(pools)
 
 
 def high_jobs() -> list:
@@ -92,14 +94,19 @@ def high_jobs() -> list:
     return out + [inputs.make_job("cyclic", inputs.LADDER["cyclic"], high, pools)]
 
 
-def short_jobs(pools: dict) -> list:
-    """The minimal, coeffs and classify jobs of the pool members' own
-    representations and exponents; a tensor factor is labelled
-    ``<member>.<factor>``."""
+def rank2_members(pools: dict) -> list:
+    """(label, rep, exponents) of the rank-2 representation of each sym3
+    member and each tensor factor, labelled ``<member>.<factor>``."""
     members = [(f"sym3:{i}", p["reps"][0], p["exponents"][0])
                for i, p in enumerate(pools["sym3"])]
-    members += [(f"tensor:{i}.{j}", p["reps"][j], p["exponents"][j])
-                for i, p in enumerate(pools["tensor"]) for j in range(2)]
+    return members + [(f"tensor:{i}.{j}", p["reps"][j], p["exponents"][j])
+                      for i, p in enumerate(pools["tensor"]) for j in range(2)]
+
+
+def short_jobs(pools: dict) -> list:
+    """The minimal, coeffs and classify jobs of the pool members' own
+    representations and exponents (:func:`rank2_members`)."""
+    members = rank2_members(pools)
     generic = [(f"{route}:{i}", p["rep"], p["exponents"])
                for route in ("cyclic", "noncyclic") for i, p in enumerate(pools[route])]
     out = [inputs.Job("minimal", order, f"minimal:{name}",
@@ -109,6 +116,19 @@ def short_jobs(pools: dict) -> list:
                        {"command": command, "rep": rep, "exponents": L})
             for command in ("coeffs", "classify") for name, rep, L in generic]
     return out
+
+
+def rank2_jobs(pools: dict) -> list:
+    """The classify, coeffs and basis jobs of the rank-2 representations of
+    :func:`rank2_members`, after every other job, so that the lines before
+    them keep their order."""
+    members = rank2_members(pools)
+    out = [inputs.Job(command, None, f"{command}:{name}",
+                      {"command": command, "rep": rep, "exponents": L})
+           for command in ("classify", "coeffs") for name, rep, L in members]
+    return out + [inputs.Job("basis", order, f"basis:{name}",
+                             {"command": "basis", "rep": rep, "exponents": L, "order": order})
+                  for order in MINIMAL_ORDERS for name, rep, L in members]
 
 
 def digests(cli, job) -> tuple[str, str]:
