@@ -40,9 +40,7 @@ from dataclasses import dataclass, field
 
 from .classical import ClassicalCatalog
 from .constructions import (
-    HYPERGEOMETRIC,
     INDUCTION_ROUTE,
-    NU_CHI,
     RANK2_ROUTE,
     SYM3_ROUTE,
     TENSOR_ROUTE,
@@ -231,6 +229,12 @@ class ResultEnvelope:
             if getattr(self, key) is not None:
                 out[key] = getattr(self, key)
         return out
+
+
+#: the source a rank-2 minimal form names: the closed hypergeometric form
+#: of a T-regular representation, or the Jordan family nu_chi
+HYPERGEOMETRIC = "hypergeometric"
+NU_CHI = "nu-chi"
 
 
 def _case_json(report: CaseReport) -> dict:

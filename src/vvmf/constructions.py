@@ -83,11 +83,6 @@ from .series import (
     nearest_int,
 )
 
-#: the source a rank-2 minimal form names: the closed hypergeometric form
-#: of a T-regular representation, or the Jordan family nu_chi
-HYPERGEOMETRIC = "hypergeometric"
-NU_CHI = "nu-chi"
-
 
 # ---------------------------------------------------------------------------
 # rank 2

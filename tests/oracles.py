@@ -1,7 +1,9 @@
 """The K-line and Z-line oracles the tests compare the q-line routes against:
 the paper's rank-2 closed form eta^{2 k1} K^f 2F1(f, f + 1/3; 1 +- delta; K)
 with K = 1728/j, the Z-line equation of the induction pair, and the
-closed tensor basis formed from Kronecker products of rank-2 rows.  Fuchsian
+closed tensor basis formed from Kronecker products of rank-2 rows, each
+an exact product of fixed-point rows (:func:`fixed_product`), also the
+reference of the Sym^3 cube.  Fuchsian
 operators are lists of polynomials P_0..P_r in the Euler operator theta for
 sum_i x^i P_i(theta), P_0 the indicial polynomial at x = 0.  Also the
 matrices of the representations, which the tests rebuild from the
@@ -646,10 +648,11 @@ def kronecker_tensor_basis(alpha: Rank2Rep, beta: Rank2Rep, L1: ExponentData,
     (so DG = E_4 F) and H = D^2F - a E_4 F = 2 DA (x) DB, the noncyclic
     equation having a = -(a_alpha + a_beta) and c = -(a_alpha - a_beta)^2.
     Each is formed exactly in fixed point from the rank-2 q-line rows
-    (:func:`fixed_product`) and rounded once, at weights k1, k1 + 2, k1 + 2, k1 + 4 with k1 the sum of
-    the factors' minimal weights.  The products cancel heavily at high
-    order (tensor_grid member 5 loses about 4 decades per 100 orders), so
-    this is a reference at low order only."""
+    (:func:`fixed_product`) and rounded once, at weights k1, k1 + 2,
+    k1 + 2, k1 + 4 with k1 the sum of the factors' minimal weights.  The
+    products cancel heavily at high order (tensor_grid member 5 loses
+    about 4 decades per 100 orders), so this is a reference at low order
+    only."""
     ka, kb = (classify(*_rank2_inputs(rep, L)).k1 for rep, L in ((alpha, L1), (beta, L2)))
     k1 = ka + kb
     with qline_precision():

@@ -1,6 +1,6 @@
-"""Every job of a representation runs through one staged driver (:func:`vvmf.mlde.staged`)
-in the order of :data:`vvmf.errors.STEPS`, so an error names the stage that
-was running when it was raised.  The running stage is read from the
+"""Every job of a representation runs through one staged driver
+(:func:`vvmf.mlde.staged`) in the order of :data:`vvmf.errors.STEPS`, so an
+error names the stage that was running when it was raised.  The running stage is read from the
 traceback, with no hook in the program: the driver's frame and the stage
 function it was calling, (d)-(f) counting as one stage, the route's solve."""
 
