@@ -11,7 +11,6 @@ symmetric-cube, and induction constructions.
 from .classical import ClassicalCatalog
 from .constructions import (
     InductionJob,
-    induction_minimal_pair,
     induction_pipeline,
     rank2_minimal,
     sym3_pipeline,
@@ -71,7 +70,6 @@ __all__ = [
     "generic_basis",
     "induced_exponents",
     "induction_is_irreducible",
-    "induction_minimal_pair",
     "induction_pipeline",
     "modular_derivative",
     "noncyclic_coeffs",

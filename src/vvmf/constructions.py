@@ -4,8 +4,9 @@ subgroup.
 
 Each is a :class:`vvmf.mlde.Route` of the staged driver
 :func:`vvmf.mlde.staged`, which classifies the representation the route
-checks and forms its equation coefficients once, at working precision; a
-route supplies only its input checks, its case and its solve.  The rank-2
+checks and forms its equation coefficients once, and runs every stage in
+the job's one working-precision scope; a route supplies only its input
+checks, its case and its solve, and opens no scope of its own.  The rank-2
 solve is the generic route's at the job's own two exponents, the cyclic
 equation of rank two on the q-line (F, DF at weights k1, k1 + 2).  The
 Sym^3 solve forms the cube exactly on its fixed-point rows, rounds once
@@ -73,7 +74,6 @@ from .series import (
     FixedSeries,
     FormStack,
     PuiseuxSeries,
-    VectorSeries,
     _limb_cube,
     as_complex,
     cexp,
@@ -95,9 +95,9 @@ def _rank2_inputs(rep: Rank2Rep, L: ExponentData) -> tuple[Rank2Rep, ExponentDat
     is inconsistent with the determinant of any rank-2 representation:
     InconsistentRep."""
     if not rank2_is_irreducible(rep):
-        raise NotIrreducible("rank-2 minimal forms require an irreducible representation")
+        raise NotIrreducible("a rank-2 representation must be irreducible")
     if L.group is not Group.GAMMA:
-        raise GroupMismatch("rank-2 minimal forms use exponents for the full group")
+        raise GroupMismatch("rank-2 exponents are for the full group")
     if L.rank != 2:
         raise WrongRank(f"need 2 exponent eigenvalues, got {L.rank}")
     if nearest_int(6 * L.trace - 1) is None:
@@ -210,13 +210,13 @@ def _sym3_inputs(alpha: Rank2Rep, L: ExponentData) -> tuple:
 def _sym3_solve(inputs, _, report, co, order: int, catalog: ClassicalCatalog) -> FormBasis:
     """Steps (d)-(f) of the Sym^3 route: the rank-2 rows (f, g) of alpha at
     weights k1, k1 + 2, k1 = report.k1 / 3, cubed exactly, rounded once and
-    handed to the cyclic basis assembler with the driver's coefficients."""
-    L = inputs[1]
+    handed to the cyclic basis assembler with the driver's coefficients.
+    The rank-2 coefficients and the cube's sums of the rows' mpc leading
+    exponents are formed in the driver's precision scope."""
     k1 = report.k1 // 3
-    _, rows = _solved_rows((k1, k1 + 2), L.eigenvalues,
-                           equation_coefficients(L.eigenvalues, CYCLIC), order, catalog)
-    with qline_precision():  # the cube sums the rows' mpc leading exponents
-        F = _cube(*(row[0] for row in rows))
+    alpha_co = equation_coefficients(inputs[1].eigenvalues, CYCLIC)
+    _, rows = _solved_rows((k1, k1 + 2), alpha_co, order, catalog)
+    F = _cube(*(row[0] for row in rows))
     return assemble_cyclic_basis(FormStack.downcast([F], [report.k1]), co, catalog, report)
 
 
@@ -284,7 +284,8 @@ class InductionJob:
     weight k1, 3 Tr(L) or 3 Tr(L) + 1, whichever has the parity e of the
     representation, so that the induced bases are cyclic; and the local
     exponent r of u (:func:`local_exponent_from_u`), in a
-    :func:`vvmf.mlde.qline_precision` block, so that the pair's
+    :func:`vvmf.mlde.qline_precision` scope of its own, since the job is
+    built before the driver opens the job's scope, so that the pair's
     q2-exponents are k1/6 +- r."""
 
     rep: GRank2Rep
@@ -317,40 +318,32 @@ class InductionJob:
         object.__setattr__(self, "r", r)
 
 
-def induction_minimal_pair(
-    job: InductionJob, order: int, catalog: ClassicalCatalog
-) -> tuple[VectorSeries, VectorSeries]:
-    """Minimal-weight pair (A, B) for the beta- and beta^2-twists: the
-    rows of :func:`_induction_stage`, rounded once."""
-    rows, _ = _induction_stage(job, order, catalog)
-    return FormStack.downcast(list(zip(*rows)), (job.k1, job.k1)).vectors()
-
-
 def _induction_stage(job: InductionJob, order: int, catalog: ClassicalCatalog):
     """The q2-line rows of the pair (A, B), one (A_j, B_j) per exponent, in
-    fixed point, and the system they solve.
+    fixed point, and the system they solve: the minimal-weight pair of the
+    beta- and beta^2-twists, before it is rounded.
 
-    Solves the defining relation :func:`induction_system`, built once in a
-    :func:`qline_precision` block, on the q2-line at both exponents
-    k1/6 +- r in one call (:func:`qline_solve`, which rejects an integer
-    2r).  A leads with (-2i 12^{3/2})^{+-r}, the leading coefficient of
-    Z^{+-r}, as in the Z-line form eta^{2k1} (g/f) Z^{+-r} (1 + ...) the
-    pair transports; B's leading coefficient follows from the relation.
+    Solves the defining relation :func:`induction_system`, built once at
+    the caller's precision (the driver's
+    :func:`vvmf.mlde.qline_precision` scope), on the q2-line at both
+    exponents k1/6 +- r in one call (:func:`qline_solve`, which rejects an
+    integer 2r).  A leads with (-2i 12^{3/2})^{+-r}, the leading
+    coefficient of Z^{+-r}, as in the Z-line form eta^{2k1} (g/f)
+    Z^{+-r} (1 + ...) the pair transports; B's leading coefficient follows
+    from the relation.
     """
-    n2 = min(2 * order, catalog.q2_order)
     k1 = job.k1
-    with qline_precision():
-        xi = mpmath.expjpi(mpmath.mpf(1) / 3)
-        z_lead = mpmath.mpc(0, -2) * mpmath.sqrt(1728)
-        exponents = (job.r, -job.r)
-        seeds = []
-        for exponent in exponents:
-            a0 = cpow(z_lead, exponent)
-            # D A = g B at the leading q2-power: (exponent / 2) a0 = g_0 b0, g_0 = -2 xi^5
-            seeds.append((a0, a0 * exponent / (-4 * xi**5)))
-        system = induction_system(mpmath.mpc(job.u), xi, catalog)
-        rows = qline_solve((k1, k1), system,
-                           [Fraction(k1, 6) + e for e in exponents], seeds, n2, catalog)
+    xi = mpmath.expjpi(mpmath.mpf(1) / 3)
+    z_lead = mpmath.mpc(0, -2) * mpmath.sqrt(1728)
+    exponents = (job.r, -job.r)
+    seeds = []
+    for exponent in exponents:
+        a0 = cpow(z_lead, exponent)
+        # D A = g B at the leading q2-power: (exponent / 2) a0 = g_0 b0, g_0 = -2 xi^5
+        seeds.append((a0, a0 * exponent / (-4 * xi**5)))
+    system = induction_system(mpmath.mpc(job.u), xi, catalog)
+    rows = qline_solve((k1, k1), system, [Fraction(k1, 6) + e for e in exponents], seeds,
+                       min(2 * order, catalog.q2_order), catalog)
     return rows, system
 
 
@@ -375,9 +368,9 @@ def _induction_inputs(job: InductionJob) -> tuple:
     declares as its leading exponents.  The beta^2-twist has the same
     d and e, so the same report.  k1/6 +- r induce 3 Tr(Ind L) = k1 + 3,
     of the other parity than k1 = e mod 2, so the report is cyclic with
-    the job's k1."""
-    with qline_precision():
-        pair = [as_complex(Fraction(job.k1, 6) + e) for e in (job.r, -job.r)]
+    the job's k1.  The mpc sums are formed in the driver's precision
+    scope."""
+    pair = [as_complex(Fraction(job.k1, 6) + e) for e in (job.r, -job.r)]
     return rank4_from_induction(job.rep.twist(1)), induced_exponents(ExponentData(pair, Group.G))
 
 

@@ -4,10 +4,13 @@ driver of every route.
 
 Every job of rank 2 or 4, generic or constructed, runs through one driver
 (:func:`staged`) in the order of :data:`vvmf.errors.STEPS`: the route's
-input checks, :func:`classify`, :func:`equation_coefficients` at
-:data:`QLINE_DPS`, and the route's solve, which takes those coefficients.
-A route (:class:`Route`) supplies only its input checks, its case and its
-solve; the command names the stage the driver stops after.
+input checks, :func:`classify`, :func:`equation_coefficients`, and the
+route's solve, which takes those coefficients.  The driver decides the
+job's working precision: it opens the job's one :func:`qline_precision`
+scope around every stage, and stage (c) lifts the job's exponents to
+mpmath once, onto the coefficients the solve reads them from.  A route
+(:class:`Route`) supplies only its input checks, its case and its solve;
+the command names the stage the driver stops after.
 
 Every route solves a first-order system D X = X M(q) with holomorphic
 coefficients directly on the q-line (:func:`qline_solve`), with no
@@ -30,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter, mul
@@ -120,10 +123,13 @@ _EULER_CORRECTION = {1: Fraction(0), 3: Fraction(1, 3), 5: Fraction(-1, 3)}
 
 
 def dimension(k: int, rep: Rank4Rep, L: ExponentData) -> int:
-    """dim M_k: zero below weight 3Tr(L)-3 and in the wrong parity class,
-    otherwise the Euler characteristic of the extended bundle, evaluated
-    with exact rational arithmetic; 3 Tr(L) is k1 + 3 (cyclic) or k1 + 2
-    (noncyclic) of :func:`classify`, which validates it."""
+    """dim M_k of a rank-4 representation (WrongRank for rank 2): zero below
+    weight 3Tr(L)-3 and in the wrong parity class, otherwise the Euler
+    characteristic of the extended bundle, evaluated with exact rational
+    arithmetic; 3 Tr(L) is k1 + 3 (cyclic) or k1 + 2 (noncyclic) of
+    :func:`classify`, which validates it."""
+    if isinstance(rep, Rank2Rep):
+        raise WrongRank("dim M_k is formed for rank 4, not rank 2")
     report = classify(rep, L)
     t3 = report.k1 + (3 if report.case == CYCLIC else 2)
     if (k - rep.d) % 2 == 0:
@@ -145,13 +151,17 @@ def dimension(k: int, rep: Rank4Rep, L: ExponentData) -> int:
 @dataclass(frozen=True)
 class ODECoefficients:
     """Scalar parameters of the minimal-weight differential equation, with the
-    shifted indicial exponents f_j they were derived from."""
+    shifted indicial exponents f_j they were derived from and, from
+    :func:`equation_coefficients`, the exponents lambda_j themselves in
+    mpmath, which the solve reads (empty for coefficients formed from f
+    alone)."""
 
     a: complex
     b: complex
     c: complex
     case: str
     f_exponents: tuple
+    lams: tuple = ()
 
     def to_json(self) -> dict:
         return {
@@ -240,11 +250,13 @@ def noncyclic_coeffs(f) -> ODECoefficients:
 
 def equation_coefficients(eigenvalues, case: str) -> ODECoefficients:
     """The case's equation coefficients from exponent eigenvalues, each
-    lifted to mpmath in a :func:`qline_precision` block, where the shifted
-    exponents sum exactly; the values the recursive route solves with."""
-    with qline_precision():
-        f = indicial_shifts([mpmath.mpc(as_complex(v)) for v in eigenvalues], case)
-        return (cyclic_coeffs if case == CYCLIC else noncyclic_coeffs)(f)
+    lifted to mpmath once, at the caller's precision (the driver's
+    :func:`qline_precision` scope), where the shifted exponents sum
+    exactly.  The lifted exponents are kept as ``lams``: the exponents and
+    the values the solve starts from."""
+    lams = tuple(mpmath.mpc(as_complex(v)) for v in eigenvalues)
+    co = (cyclic_coeffs if case == CYCLIC else noncyclic_coeffs)(indicial_shifts(lams, case))
+    return replace(co, lams=lams)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +277,10 @@ QLINE_DPS = 50
 
 
 def qline_precision():
-    """The working-precision block of every q-line solve: the mpmath
-    precision of the seeds, equation coefficients and system a solve
-    starts from, the system the route then checks its forms against
-    (:data:`QLINE_DPS`)."""
+    """The working-precision scope of a job (:data:`QLINE_DPS`), opened once
+    by :func:`staged` around all its stages: the mpmath precision of the
+    exponents, equation coefficients, seeds and system a solve starts
+    from, and of the system the route then checks its forms against."""
     return mpmath.workdps(QLINE_DPS)
 
 
@@ -300,8 +312,8 @@ def cyclic_seed(f, rank: int) -> list:
     """The leading row of (F, DF, ..., D^{rank-1}F) at the shifted exponent
     f, 1728^f prod_{i<k} (f - i/6) for k < rank: F leads with 1728^f, the
     leading coefficient of the closed K-line form, and D multiplies a
-    leading term of weight k1 + 2i by f - i/6.  In mpmath at the caller's
-    :func:`qline_precision`, where f - 0 is f exactly."""
+    leading term of weight k1 + 2i by f - i/6.  In mpmath at the driver's
+    :func:`qline_precision` scope, where f - 0 is f exactly."""
     seed = [mpmath.mpf(1728) ** f]
     for i in range(rank - 1):
         seed.append(seed[-1] * (f - mpmath.mpmathify(Fraction(i, 6))))
@@ -444,8 +456,9 @@ def qline_solve(weights, system, lams, seeds, order: int, catalog: ClassicalCata
 
     The rows come back as :class:`FixedSeries`, for the caller to multiply
     exactly and downcast once; a real system's imaginary mantissas are 0.
-    The seeds and the equation coefficients are mpmath numbers of the
-    caller's :func:`qline_precision` block.
+    The exponents, seeds and equation coefficients are mpmath numbers of
+    the driver's :func:`qline_precision` scope; the fixed-point bits are
+    read from :data:`QLINE_DPS` itself.
     """
     r = len(weights)
     if len(lams) != r or len(seeds) != r:
@@ -1087,24 +1100,27 @@ def staged(route: Route, inputs: tuple, order: int, catalog: ClassicalCatalog,
     """Run a route's stages in the order of
     :data:`vvmf.errors.STEPS`: (a) the route's input checks, (b)
     :func:`classify` and the route's case, (c) the equation coefficients
-    at :data:`QLINE_DPS` (:func:`equation_coefficients`), and (d)-(f) the
-    route's solve.  Stops after the stage the command ``last`` names:
-    ``classify`` after (b), ``coeffs`` after (c), ``minimal`` and
-    ``basis`` at the end.  Returns (report, coefficients, basis), None for
-    what was not reached."""
+    (:func:`equation_coefficients`, the one lift of the job's exponents),
+    and (d)-(f) the route's solve.  All of them run in the job's one
+    :func:`qline_precision` scope, which no route opens again, and the
+    caller's precision is restored however a stage ends.  Stops after the
+    stage the command ``last`` names: ``classify`` after (b), ``coeffs``
+    after (c), ``minimal`` and ``basis`` at the end.  Returns (report,
+    coefficients, basis), None for what was not reached."""
     if last not in STOPS:
         raise ValueError(f"unknown stop {last!r}")
-    rep, L = route.check(*inputs)
-    report = classify(rep, L)
-    if route.case not in (None, report.case):
-        raise NotIrreducible(f"this construction lands in the {route.case} case, "
-                             f"not the {report.case} one")
-    if last == "classify":
-        return report, None, None
-    co = equation_coefficients(L.eigenvalues, report.case)
-    if last == "coeffs":
-        return report, co, None
-    return report, co, route.solve(inputs, L, report, co, order, catalog)
+    with qline_precision():
+        rep, L = route.check(*inputs)
+        report = classify(rep, L)
+        if route.case not in (None, report.case):
+            raise NotIrreducible(f"this construction lands in the {route.case} case, "
+                                 f"not the {report.case} one")
+        if last == "classify":
+            return report, None, None
+        co = equation_coefficients(L.eigenvalues, report.case)
+        if last == "coeffs":
+            return report, co, None
+        return report, co, route.solve(inputs, L, report, co, order, catalog)
 
 
 def _generic_inputs(rep: Rank4Rep, L: ExponentData) -> tuple[Rank4Rep, ExponentData]:
@@ -1118,39 +1134,37 @@ def _generic_inputs(rep: Rank4Rep, L: ExponentData) -> tuple[Rank4Rep, ExponentD
     return rep, L
 
 
-def _solved_rows(weights, eigenvalues, co: ODECoefficients, order: int,
-                 catalog: ClassicalCatalog, kronecker_unit: bool = False) -> tuple:
+def _solved_rows(weights, co: ODECoefficients, order: int, catalog: ClassicalCatalog,
+                 kronecker_unit: bool = False) -> tuple:
     """Solve the system D X = X M of the equation ``co`` on the q-line at
-    all exponents ``eigenvalues`` in one call (:func:`qline_solve`, which
+    all its exponents ``co.lams`` in one call (:func:`qline_solve`, which
     rejects resonant exponents), X holding the entries of ``weights``: the
-    cyclic system of rank r = len(eigenvalues) <= 4 or the noncyclic one.
+    cyclic system of rank r = len(co.lams) <= 4 or the noncyclic one.
 
-    The exponents are the eigenvalues themselves, lifted to mpmath, and
-    ``co`` is :func:`equation_coefficients` of them.  A cyclic F_j leads
+    ``co`` is :func:`equation_coefficients` of the exponents, which lifted
+    them once; the solve takes them from it unchanged.  A cyclic F_j leads
     with 1728^{f_j} (:func:`cyclic_seed`), a noncyclic one with
     1728^{f_j} / t_j (t_j the largest-modulus entry of the leading row per
     unit of F), the normalization of the closed K-line form.  With
     ``kronecker_unit`` a noncyclic F_j leads with 1728^{f_j} itself, the
     normalization of the tensor route's basis A (x) B.  The system is built
     before the seeds, so DegenerateC comes first.  Seeds and system are
-    made in one :func:`qline_precision` block.  Returns the system and the
-    fixed-point rows, one row tuple per exponent."""
-    with qline_precision():
-        lams = [mpmath.mpc(as_complex(v)) for v in eigenvalues]
-        if co.case == CYCLIC:
-            system = cyclic_system(co, catalog, Nome.Q)
-            seeds = [cyclic_seed(f, len(lams)) for f in co.f_exponents]
-        else:
-            system = noncyclic_system(co, catalog)
-            seeds = []
-            for f in co.f_exponents:
-                lead = _noncyclic_lead_row(f, co.a)
-                unit = mpmath.mpf(1728) ** f
-                if not kronecker_unit:
-                    unit /= max(lead, key=abs)
-                seeds.append([unit * x for x in lead])
-        rows = qline_solve(weights, system, lams, seeds, order, catalog)
-    return system, rows
+    made at the caller's precision, the driver's :func:`qline_precision`
+    scope.  Returns the system and the fixed-point rows, one row tuple per
+    exponent."""
+    if co.case == CYCLIC:
+        system = cyclic_system(co, catalog, Nome.Q)
+        seeds = [cyclic_seed(f, len(co.lams)) for f in co.f_exponents]
+    else:
+        system = noncyclic_system(co, catalog)
+        seeds = []
+        for f in co.f_exponents:
+            lead = _noncyclic_lead_row(f, co.a)
+            unit = mpmath.mpf(1728) ** f
+            if not kronecker_unit:
+                unit /= max(lead, key=abs)
+            seeds.append([unit * x for x in lead])
+    return system, qline_solve(weights, system, co.lams, seeds, order, catalog)
 
 
 def _solved_basis(inputs, L: ExponentData, report: CaseReport, co: ODECoefficients, order: int,
@@ -1162,8 +1176,7 @@ def _solved_basis(inputs, L: ExponentData, report: CaseReport, co: ODECoefficien
     doubles (:func:`solved_forms`); a cyclic basis records the largest of
     the first r - 1 columns, the chain D(D^i F) = D^{i+1} F, as
     ``cyclic_chain`` and the last, the equation, as ``cyclic_mlde``."""
-    system, rows = _solved_rows(report.weight_tuple, L.eigenvalues, co, order, catalog,
-                                kronecker_unit)
+    system, rows = _solved_rows(report.weight_tuple, co, order, catalog, kronecker_unit)
     X, _, res = solved_forms(rows, report.weight_tuple, system, catalog)
     if report.case == CYCLIC:
         residuals = {"cyclic_chain": max(res[:-1]), "cyclic_mlde": res[-1]}

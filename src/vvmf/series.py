@@ -11,8 +11,9 @@ tracer stops reading it at its binding sites.
 Coefficients are ordinary ``complex`` by default.  Passing mpmath numbers in
 switches the same code paths to extended precision; the arithmetic below
 never downcasts and runs at the caller's mpmath precision.  Two places
-decide that precision: each route's q-line block
-(:func:`vvmf.mlde.qline_precision`) for the forms, and the classical catalog
+decide that precision: the staged driver, which opens each job's one
+working-precision scope (:func:`vvmf.mlde.staged`,
+:func:`vvmf.mlde.qline_precision`) for the forms, and the classical catalog
 (:data:`vvmf.classical.EXTENDED_DPS`) for its extended builds.  Both scope
 it with ``mpmath.workdps`` blocks; the library never sets ``mpmath.mp.dps``.
 

@@ -658,8 +658,8 @@ def kronecker_tensor_basis(alpha: Rank2Rep, beta: Rank2Rep, L1: ExponentData,
     with qline_precision():
         alpha_co = equation_coefficients(L1.eigenvalues, CYCLIC)
         beta_co = equation_coefficients(L2.eigenvalues, CYCLIC)
-        _, alpha_rows = _solved_rows((ka, ka + 2), L1.eigenvalues, alpha_co, order, catalog)
-        _, beta_rows = _solved_rows((kb, kb + 2), L2.eigenvalues, beta_co, order, catalog)
+        _, alpha_rows = _solved_rows((ka, ka + 2), alpha_co, order, catalog)
+        _, beta_rows = _solved_rows((kb, kb + 2), beta_co, order, catalog)
         (A, dA), (B, dB) = zip(*alpha_rows), zip(*beta_rows)
         a_alpha, a_beta = alpha_co.a, beta_co.a
 

@@ -491,9 +491,9 @@ class TestMain:
     # q-line solve, which classify and coeffs jobs stop before
     RANK2_ERRORS = {
         "reducible": ((1 / 4, 1 / 12), (1 / 4, 1 / 12), "Gamma", "a",
-                      "rank-2 minimal forms require an irreducible representation"),
+                      "a rank-2 representation must be irreducible"),
         "group": (RANK2_PAIR, RANK2_PAIR, "G", "a",
-                  "rank-2 minimal forms use exponents for the full group"),
+                  "rank-2 exponents are for the full group"),
         "rank": (RANK2_PAIR, (*RANK2_PAIR, 0.3), "Gamma", "a",
                  "need 2 exponent eigenvalues, got 3"),
         "trace": ((1 / 4, -1 / 12), (1 / 4 + 0.01, -1 / 12), "Gamma", "a", "6*Tr(L)-1 = "),
@@ -831,6 +831,27 @@ class TestGlobalPrecision:
                 texts.append(emit(run(JobSpec.from_json(dict(self.JOBS[name])))))
                 assert mpmath.mp.dps == dps
         assert texts[0] == texts[1]
+
+    RESONANT_EIGS = [0.11, 1.11, 0.31, 7 / 3 - 1.53]  # the first two differ by 1
+    REDUCIBLE_PAIR = (1 / 4, 1 / 12)
+    RAISING = {
+        "resonant-basis": ({"command": "basis", "rep": rank4_json(RESONANT_EIGS, 1, 0),
+                            "exponents": exponents_json(RESONANT_EIGS), "order": 10}, "d"),
+        "reducible-rank2": ({"command": "basis", "rep": rank2_json(*REDUCIBLE_PAIR),
+                             "exponents": exponents_json(REDUCIBLE_PAIR), "order": 10}, "a"),
+    }
+
+    @pytest.mark.parametrize("name", list(RAISING))
+    def test_a_raising_job_leaves_the_global_precision(self, name):
+        # the driver's precision scope is left however a stage ends: the
+        # resonant rank-4 basis raises at the solve, step (d), and the
+        # reducible rank-2 job at its input checks, step (a)
+        job, stage = self.RAISING[name]
+        with mpmath.workdps(15):
+            with pytest.raises(VvmfError) as info:
+                run(JobSpec.from_json(dict(job)))
+            assert info.value.stage == stage
+            assert mpmath.mp.dps == 15
 
     @pytest.mark.parametrize("name", ["h", "f", "g", "Z"])
     def test_library_catalog_gives_the_cli_bytes(self, name):

@@ -14,7 +14,7 @@ import vvmf.mlde
 from vvmf.classical import ClassicalCatalog
 from vvmf.constructions import (
     InductionJob,
-    induction_minimal_pair,
+    _induction_stage,
     induction_pipeline,
     induction_system,
     local_exponent_from_u,
@@ -153,9 +153,8 @@ class TestRank2Minimal:
         # the rank-2 stage has no gap rule of its own: qline_solve's
         # require_nonresonant rejects the gap, at step (d)
         L = ExponentData([Fraction(13, 12), Fraction(1, 12)])
-        with pytest.raises(Resonance, match="differ by the integer 1") as info:
-            _solved_rows((6, 8), L.eigenvalues, equation_coefficients(L.eigenvalues, CYCLIC), 10,
-                         catalog40)
+        with pytest.raises(Resonance, match="differ by the integer 1") as info, qline_precision():
+            _solved_rows((6, 8), equation_coefficients(L.eigenvalues, CYCLIC), 10, catalog40)
         assert info.value.stage == "d"
 
     def test_reducible_rejected(self, catalog40):
@@ -316,6 +315,15 @@ def make_job(r=0.27, e=0, a=0.7 + 0.2j, trace=Fraction(1, 3), spread=0.11):
     return InductionJob(rep, L, u_from_local_exponent(r))
 
 
+def minimal_pair(job: InductionJob, order: int, catalog) -> tuple[VectorSeries, VectorSeries]:
+    """The minimal-weight pair (A, B) of the beta- and beta^2-twists: the
+    rows of the induction route's solve, rounded once, at the route's
+    working precision."""
+    with qline_precision():
+        rows, _ = _induction_stage(job, order, catalog)
+        return FormStack.downcast(list(zip(*rows)), (job.k1, job.k1)).vectors()
+
+
 def cli_orbit():
     """The zeta-orbit of tests/test_cli.py's induction job, its exponents
     for the subgroup and its u."""
@@ -425,7 +433,7 @@ def cat():
 class TestInductionPair:
     def test_defining_relation(self, cat):
         job = make_job(0.27)
-        A, B = induction_minimal_pair(job, 20, cat)
+        A, B = minimal_pair(job, 20, cat)
         X = FormStack.of((A, B))
         system = induction_system(job.u, cat.xi, cat)
         assert max(system_residuals(X, modular_derivative(X, cat), system, cat)) < 1e-9
@@ -437,14 +445,14 @@ class TestInductionPair:
         job = make_job(0.27)
         resonant = InductionJob(job.rep, job.L, u_from_local_exponent(0.5))
         with pytest.raises(Resonance):
-            induction_minimal_pair(resonant, 20, cat)
+            minimal_pair(resonant, 20, cat)
 
     def test_induced_forms_stack_each_form_over_its_slash(self, cat):
         # form 0 of each twist's basis is (F, F|T^-1) for the form F of the
         # pair, its slash that of the coefficient-by-coefficient oracle
         job = make_job(0.27)
         basis = induction_pipeline(job, 20, cat)
-        for F, G in zip(induction_minimal_pair(job, 20, cat), basis.forms[::4]):
+        for F, G in zip(minimal_pair(job, 20, cat), basis.forms[::4]):
             assert G.rank == 4 and G.weight == F.weight
             assert G.components == F.components + tuple(
                 slash_t_inverse(c) for c in F.components
@@ -483,7 +491,7 @@ class TestInductionPair:
         # coefficient of a q2-part falls below 1e-9 of the largest one, yet
         # each form of the pair is stacked at its declared exponents
         job = make_job(r, trace=Fraction(2, 3))
-        A, _ = induction_minimal_pair(job, 80, ClassicalCatalog(80))
+        A, _ = minimal_pair(job, 80, ClassicalCatalog(80))
         declared = tuple(c.lead_exponent for c in A.components)
         basis = induction_pipeline(job, 80, ClassicalCatalog(80))
         assert basis.stack.leads == declared * 2

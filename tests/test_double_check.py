@@ -100,18 +100,21 @@ def check_member(route: str, index: int, order: int) -> None:
     if route == "sym3":
         basis = sym3_pipeline(job.reps[0], job.exponents[0], job.order, catalog)
         S3L = sym3_exponents(job.exponents[0])
-        check_cyclic_chain(basis.forms, basis.residuals["cyclic_mlde"],
-                           equation_coefficients(S3L.eigenvalues, CYCLIC), catalog)
+        with qline_precision():
+            co = equation_coefficients(S3L.eigenvalues, CYCLIC)
+        check_cyclic_chain(basis.forms, basis.residuals["cyclic_mlde"], co, catalog)
     elif route == "induction":
         ijob = InductionJob(job.reps[0], job.exponents[0], job.u)
         basis = induction_pipeline(ijob, job.order, catalog)
-        rows, system = _induction_stage(ijob, job.order, catalog)
+        with qline_precision():
+            rows, system = _induction_stage(ijob, job.order, catalog)
         A, B = (VectorSeries(tuple(row[i].downcast() for row in rows), ijob.k1) for i in range(2))
         pair = [oracle_derivative(F, catalog) for F in (A, B)]
         (pair_res,) = {basis.residuals[k] for k in ("pair_relation", "beta2_pair_relation")}
         assert_same_floats([pair_res], [max(oracle_residuals((A, B), pair, system))])
         ind_L = induced_exponents(exhibited_exponents(A))
-        co = equation_coefficients(ind_L.eigenvalues, CYCLIC)
+        with qline_precision():
+            co = equation_coefficients(ind_L.eigenvalues, CYCLIC)
         for prefix, forms in (("", basis.forms[:4]), ("beta2_", basis.forms[4:])):
             check_cyclic_chain(forms, basis.residuals[prefix + "cyclic_mlde"], co, catalog)
     else:

@@ -24,6 +24,7 @@ from vvmf.errors import (
     Resonance,
     TraceDCongruenceViolation,
     WrongNome,
+    WrongRank,
     ZeroForm,
 )
 from vvmf.mlde import (
@@ -218,6 +219,13 @@ class TestDimension:
         assert dimension(2, rep, L) == 0  # below 3Tr-3 = 4
         assert dimension(5, rep, L) == 0  # d = 1 parity
         assert dimension(4, rep, L) == 1  # unique minimal form
+
+    def test_rank_two_is_refused_by_rank(self):
+        # classify takes a rank-2 representation, but the parity and Euler
+        # terms of dim M_k are rank 4's: a typed error, raised before them
+        r1, r2 = (3 / 6 + 0.17) / 2, (3 / 6 - 0.17) / 2
+        with pytest.raises(WrongRank, match="rank 2"):
+            dimension(4, *rank2_input((r1, r2)))
 
     def test_generating_function_both_cases(self):
         rng = np.random.default_rng(5)

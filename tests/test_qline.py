@@ -19,7 +19,6 @@ from vvmf.classical import ClassicalCatalog
 from vvmf.cli import JobSpec, emit, run
 from vvmf.constructions import (
     InductionJob,
-    induction_minimal_pair,
     induction_pipeline,
     local_exponent_from_u,
     sym3_pipeline,
@@ -63,7 +62,7 @@ from oracles import (
     unit_chain,
 )
 from test_acceptance import ZETA, deviation, rank2_data, sym3_grid, tensor_grid
-from test_constructions import make_job
+from test_constructions import make_job, minimal_pair
 from test_double_check import POOLS, inputs
 from test_mlde import admissible, exact_step, record_eliminations
 
@@ -144,7 +143,7 @@ def test_induction_pair_matches_zline_oracle():
     worst = 0.0
     for r in (0.27, 0.13 + 0.21j, 0.41, 0.05, 0.33 - 0.14j):
         job = InductionJob(rep, L, u_from_local_exponent(r))
-        pair = induction_minimal_pair(job, 20, catalog)
+        pair = minimal_pair(job, 20, catalog)
         for form, oracle in zip(pair, zline_pair(job, 20), strict=True):
             for got, want in zip(form.components, oracle, strict=True):
                 assert abs(complex(got.lead_exponent) - complex(want.lead_exponent)) < 1e-12
@@ -160,7 +159,7 @@ def resonant_route(route: str, catalog):
     if route == "induction":
         job = make_job(0.27)
         resonant = InductionJob(job.rep, job.L, u_from_local_exponent(0.5))  # 2r = 1
-        return induction_minimal_pair(resonant, 10, catalog)
+        return minimal_pair(resonant, 10, catalog)
     # factor gaps 0.6 and 0.4 + 5e-10: the tensor exponents r1 + s1 and r2 + s2
     # differ by 1 + 5e-10, an integer within 1e-9, while their T-eigenvalues
     # stay distinct, so the product is irreducible
@@ -176,8 +175,9 @@ def test_rank_one_solve_is_the_exact_eta_power(k, order):
     # the catalog holds exactly; at the exponents 1/2 and 1, exact in binary,
     # every emitted double is that integer
     catalog = ClassicalCatalog(order)
-    co = equation_coefficients([k / 12], CYCLIC)
-    _, rows = vvmf.mlde._solved_rows((k,), [k / 12], co, order, catalog)
+    with qline_precision():
+        co = equation_coefficients([k / 12], CYCLIC)
+        _, rows = vvmf.mlde._solved_rows((k,), co, order, catalog)
     F = rows[0][0].downcast()
     eta = catalog.eta_power(2 * k)
     assert as_complex(F.lead_exponent) == eta.lead_exponent == k / 12
@@ -753,7 +753,7 @@ def equation_args(rng, shape: str, real: bool, order: int, catalog) -> tuple:
     with pytest.MonkeyPatch.context() as patch:
         solve = vvmf.mlde.qline_solve
         patch.setattr(vvmf.mlde, "qline_solve", lambda *args: calls.append(args) or solve(*args))
-        vvmf.mlde._solved_rows(weights, eigs, co, order, catalog)
+        vvmf.mlde._solved_rows(weights, co, order, catalog)
     return calls[0]
 
 
@@ -919,9 +919,9 @@ def test_induction_order_sweep(monkeypatch):
     for order in (20, 80, 200):
         catalog = ClassicalCatalog(order)
         gate(induction_route(order, catalog), order)
-    pair = induction_minimal_pair(job, 200, catalog)
+    pair = minimal_pair(job, 200, catalog)
     finer(monkeypatch)
-    assert induction_minimal_pair(job, 200, catalog) == pair
+    assert minimal_pair(job, 200, catalog) == pair
 
 
 @pytest.mark.slow

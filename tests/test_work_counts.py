@@ -138,21 +138,48 @@ def test_one_solve_per_system(monkeypatch, route, solves):
     assert all(len(a[2]) == len(a[0]) for a in calls)
 
 
-@pytest.mark.parametrize("route", ["sym3", "tensor", "cyclic", "noncyclic", "induction",
-                                   "classify", "coeffs", "minimal", "rank2-classify",
-                                   "rank2-coeffs", "rank2-minimal", "rank2-basis"])
+#: every route's basis job, and the rank-4 and rank-2 jobs of each command
+#: that stops short of a basis
+JOBS = ["sym3", "tensor", "cyclic", "noncyclic", "induction", "classify", "coeffs", "minimal",
+        "rank2-classify", "rank2-coeffs", "rank2-minimal", "rank2-basis"]
+
+
+def run_job(route: str):
+    """A job of :data:`JOBS`: a route's basis (:func:`run_route`), or a
+    command's job through the CLI."""
+    if route.startswith("rank2-"):
+        return vvmf.cli.run(vvmf.cli.JobSpec.from_json(rank2_job(route.removeprefix("rank2-"))))
+    if route in ("classify", "coeffs", "minimal"):
+        return vvmf.cli.run(vvmf.cli.JobSpec.from_json(generic_job(route)))
+    return run_route(route)
+
+
+@pytest.mark.parametrize("route", JOBS)
 def test_every_rank4_job_classifies_once(monkeypatch, route):
     # the driver classifies the representation of every route and command
     # once, rank 2 and rank 4 alike, before any solve; the induction
     # route's beta^2-twist shares the beta-twist's report
     calls = count_calls(monkeypatch, vvmf.mlde, "classify")
-    if route.startswith("rank2-"):
-        vvmf.cli.run(vvmf.cli.JobSpec.from_json(rank2_job(route.removeprefix("rank2-"))))
-    elif route in ("classify", "coeffs", "minimal"):
-        vvmf.cli.run(vvmf.cli.JobSpec.from_json(generic_job(route)))
-    else:
-        run_route(route)
+    run_job(route)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("route", JOBS)
+def test_every_job_enters_the_precision_scope_once(monkeypatch, route):
+    # the driver opens a warm job's one working-precision scope around all
+    # its stages, and no route opens another; an induction job's
+    # InductionJob enters it once more, apart, to derive the local
+    # exponent r before the driver runs
+    run_job(route)
+    scopes = count_calls(monkeypatch, vvmf.mlde, "qline_precision")
+    if route == "induction":
+        job = induction_job()
+        assert len(scopes) == 1
+        scopes.clear()
+        induction_pipeline(job, 10, ClassicalCatalog(20))
+    else:
+        run_job(route)
+    assert len(scopes) == 1
 
 
 @pytest.mark.parametrize("route, derivatives", [("tensor", 4), ("induction", 10)])
